@@ -40,7 +40,7 @@ pub fn heat_distributed(
     let p = world.size();
     let me = world.rank();
     let n = initial.len();
-    assert!(n % p == 0, "{n} cells must divide over {p} ranks");
+    assert!(n.is_multiple_of(p), "{n} cells must divide over {p} ranks");
     let block = n / p;
     let mut u = initial[me * block..(me + 1) * block].to_vec();
     let mut next = vec![0.0; block];

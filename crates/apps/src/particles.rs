@@ -103,7 +103,10 @@ pub fn forces_ring(world: &Communicator, particles: &[Particle]) -> MpiResult<Ve
     let n = world.size();
     let me = world.rank();
     let p = particles.len();
-    assert!(p % n == 0, "{p} particles must divide over {n} ranks");
+    assert!(
+        p.is_multiple_of(n),
+        "{p} particles must divide over {n} ranks"
+    );
     let block = p / n;
 
     let mine: Vec<Particle> = particles[me * block..(me + 1) * block].to_vec();

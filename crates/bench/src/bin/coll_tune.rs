@@ -14,9 +14,9 @@
 //! transport (`shm`), which is wall-clock and therefore reported but never
 //! gated. Per cell it times every fixed algorithm of the family (pinned via
 //! `MpiConfig`) and the unpinned table dispatch, and writes all medians to
-//! `target/coll_sweep.json` in flat `"sub/coll/ranks/bytes/algo": ns` form
-//! for `bench_gate` to enforce (tuned dispatch must stay within 5% of the
-//! best fixed algorithm on the virtual-time substrates).
+//! `target/coll_sweep.json` in flat `"sub/coll/ranks/bytes/algo": ns` form.
+//! Whether the table's choice keeps up with the best fixed algorithm is
+//! gated by the benchmark's `core.coll.dispatch_efficiency`.
 //!
 //! `--record` rewrites `crates/bench/baselines/coll_tuning.json` — one row
 //! per swept cell plus unbounded fallbacks — which is embedded into
@@ -33,13 +33,11 @@ use lmpi_devices::meiko::{run_meiko, MeikoVariant};
 use lmpi_devices::shm::run_with_config;
 use lmpi_devices::sock::{run_cluster, ClusterNet, ClusterTransport};
 
-/// Payload sizes swept per collective (bytes). Keep in sync with
-/// `bench_gate.rs`.
+/// Payload sizes swept per collective (bytes).
 const SIZES: [usize; 4] = [64, 4096, 65536, 1 << 20];
-/// Communicator sizes swept. Keep in sync with `bench_gate.rs`.
+/// Communicator sizes swept.
 const RANKS: [usize; 3] = [2, 4, 8];
-/// Substrates swept. Keep in sync with `bench_gate.rs` (which enforces
-/// only the virtual-time pair, not `shm`).
+/// Substrates swept.
 const SUBSTRATES: [Substrate; 3] = [Substrate::SimTcp, Substrate::Meiko, Substrate::Shm];
 
 #[derive(Copy, Clone, PartialEq, Eq)]

@@ -21,9 +21,8 @@
 //!
 //! Per cell it times a ping-pong of the typed path and of the packed
 //! reference, and writes all medians to `target/ddtbench.json` in flat
-//! `"shm/kernel/bytes/path": ns` form for `bench_gate` to enforce (the
-//! typed path must hold >=1.3x the packed path's speed for the 256 KiB
-//! transpose cell).
+//! `"shm/kernel/bytes/path": ns` form. The gather rate itself is the
+//! benchmark's `core.dtype.gather_MBps`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -34,8 +33,7 @@ use lmpi_devices::shm::run_with_config;
 /// Matrix dimension for the transpose kernel (f64 elements).
 const MATRIX_N: usize = 256;
 /// Column-block widths swept for the transpose kernel; packed size is
-/// `MATRIX_N * bw * 8` = {16 KiB, 64 KiB, 256 KiB}. Keep the largest in
-/// sync with `bench_gate.rs` (the gated cell).
+/// `MATRIX_N * bw * 8` = {16 KiB, 64 KiB, 256 KiB}.
 const TRANSPOSE_WIDTHS: [usize; 3] = [8, 32, 128];
 /// Grid dimensions for the 3D face-exchange kernel; packed size is
 /// `n * n * 8` = {2 KiB, 8 KiB, 32 KiB}.

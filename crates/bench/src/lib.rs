@@ -6,8 +6,24 @@
 //! checks. Thin binaries under `src/bin/` print them individually;
 //! `run_all` regenerates the whole evaluation section.
 //!
-//! All simulated measurements are deterministic (virtual time); Criterion
-//! wall-clock benchmarks on the real substrates live under `benches/`.
+//! All measurements here are deterministic (virtual time) or reports
+//! (`coll_tune`, `ddtbench`). Wall-clock measurement of the real substrates
+//! is the job of the repository's one benchmark, `benchmark/` (see its
+//! README); each criterion bench this crate used to carry is a workload or
+//! per-layer metric there:
+//!
+//! | was (`benches/`) | is (`benchmark/`) |
+//! |---|---|
+//! | `latency_shm` | `shm_small` |
+//! | `latency_real_tcp` | `tcp_small` |
+//! | `bandwidth_shm` | `shm_large` |
+//! | `overlap` | `shm_overlap`, `core.mpi.overlap_ratio` |
+//! | `matching_engine` | `core.matching.post_match_d{1,64,1024}_ns` |
+//! | `tracer_overhead` | `obs.emit_{disabled,enabled}_ns` |
+//! | `health_overhead` | `core.health.overhead_ratio` |
+//! | `heartbeat_overhead`, `latency_faulty` | `devices.reliable.{overhead_ratio,retx_per_kframe_*}` |
+//! | `collectives_shm`, the dispatch gate | `core.coll.*`, `core.coll.dispatch_efficiency` |
+//! | the ddtbench gate | `core.dtype.gather_MBps` |
 
 #![warn(missing_docs)]
 
@@ -17,10 +33,13 @@ pub mod report;
 
 use report::Report;
 
+/// An experiment generator; the flag is `--quick`.
+pub type Experiment = fn(bool) -> Report;
+
 /// Every experiment in paper order: `(id, generator)`.
-pub fn all_experiments() -> Vec<(&'static str, fn(bool) -> Report)> {
+pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
     vec![
-        ("fig1", figures::fig1 as fn(bool) -> Report),
+        ("fig1", figures::fig1 as Experiment),
         ("fig2", figures::fig2),
         ("fig3", figures::fig3),
         ("fig4", figures::fig4),
@@ -37,7 +56,7 @@ pub fn all_experiments() -> Vec<(&'static str, fn(bool) -> Report)> {
 }
 
 /// Standard binary entry point: `--quick` shrinks sweeps for CI.
-pub fn run_and_print(f: fn(bool) -> Report) {
+pub fn run_and_print(f: Experiment) {
     let quick = std::env::args().any(|a| a == "--quick");
     let r = f(quick);
     print!("{}", r.render());

@@ -24,7 +24,6 @@ impl Communicator {
         }
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let left_g = self.global(left)?;
         for step in 0..n - 1 {
             let send_block = (me + n - step) % n;
             let recv_block = (me + n - step - 1) % n;
@@ -32,7 +31,7 @@ impl Communicator {
             let tag = coll_tag(OP_ALLGATHER, seq, ALG_RING, step);
             let rid = self.post_recv_raw(
                 &mut out[recv_block * count..(recv_block + 1) * count],
-                SourceSel::Rank(left_g),
+                SourceSel::Rank(left),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;

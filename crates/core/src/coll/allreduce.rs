@@ -61,7 +61,6 @@ impl Communicator {
         let start = |i: usize| (i * count) / n;
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
-        let left_g = self.global(left)?;
         let mut tmp = vec![T::default(); count.div_ceil(n)];
 
         // Reduce-scatter: at step `s` send the partial of block
@@ -75,7 +74,7 @@ impl Communicator {
             let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RING, step);
             let rid = self.post_recv_raw(
                 &mut tmp[..rb_len],
-                SourceSel::Rank(left_g),
+                SourceSel::Rank(left),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;
@@ -93,7 +92,7 @@ impl Communicator {
             let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RING, (n - 1) + step);
             let rid = self.post_recv_raw(
                 &mut out[start(recv_block)..start(recv_block + 1)],
-                SourceSel::Rank(left_g),
+                SourceSel::Rank(left),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;
@@ -151,7 +150,7 @@ impl Communicator {
                 let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RECURSIVE_DOUBLING, round);
                 let rid = self.post_recv_raw(
                     &mut tmp,
-                    SourceSel::Rank(self.global(peer)?),
+                    SourceSel::Rank(peer),
                     TagSel::Tag(tag),
                     self.coll_ctx(),
                 )?;

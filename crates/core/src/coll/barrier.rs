@@ -20,7 +20,7 @@ impl Communicator {
             let mut empty = [0u8; 0];
             let rid = self.post_recv_raw(
                 &mut empty,
-                SourceSel::Rank(self.global(src)?),
+                SourceSel::Rank(src),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;

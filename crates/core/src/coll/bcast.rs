@@ -114,7 +114,7 @@ impl Communicator {
             let tag = coll_tag(OP_BCAST, seq, ALG_SCATTER_ALLGATHER, 1 + step);
             let rid = self.post_recv_raw(
                 &mut buf[start(recv_block)..start(recv_block + 1)],
-                SourceSel::Rank(self.global(left)?),
+                SourceSel::Rank(left),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;

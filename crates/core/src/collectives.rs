@@ -316,7 +316,7 @@ impl Communicator {
         }
         let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
         out[me] = send.to_vec();
-        for src in 0..n {
+        for (src, slot) in out.iter_mut().enumerate() {
             if src == me {
                 continue;
             }
@@ -330,7 +330,7 @@ impl Communicator {
             };
             let mut buf = vec![T::default(); st.len / T::byte_len(1)];
             self.coll_recv(&mut buf, src, tag)?;
-            out[src] = buf;
+            *slot = buf;
         }
         Ok(Some(out))
     }
@@ -481,7 +481,7 @@ impl Communicator {
     fn alltoall_untraced<T: MpiData + Default>(&self, send: &[T], seq: u32) -> MpiResult<Vec<T>> {
         let n = self.size();
         let me = self.rank();
-        if send.len() % n != 0 {
+        if !send.len().is_multiple_of(n) {
             return Err(MpiError::CollectiveMismatch(format!(
                 "alltoall: send length {} not divisible by {} ranks",
                 send.len(),
@@ -497,7 +497,7 @@ impl Communicator {
             let tag = coll_tag(OP_ALLTOALL, seq, ALG_DIRECT, step);
             let rid = self.post_recv_raw(
                 &mut out[src * count..(src + 1) * count],
-                SourceSel::Rank(self.global(src)?),
+                SourceSel::Rank(src),
                 TagSel::Tag(tag),
                 self.coll_ctx(),
             )?;
@@ -629,7 +629,7 @@ impl Communicator {
         op: ReduceOp,
     ) -> MpiResult<Vec<T>> {
         let n = self.size();
-        if send.len() % n != 0 {
+        if !send.len().is_multiple_of(n) {
             return Err(MpiError::CollectiveMismatch(format!(
                 "reduce_scatter_block: send length {} not divisible by {} ranks",
                 send.len(),

@@ -6,11 +6,9 @@
 //! `MAXLOC`/`MINLOC` reductions converts field-by-field so padding bytes are
 //! never read.
 //!
-//! `write_to` is generic over [`bytes::BufMut`] so the hot send path can
-//! stage payloads directly into the engine's reusable
-//! [`FramePool`](crate::packet::FramePool) without an intermediate `Vec`.
-
-use bytes::BufMut;
+//! `write_to` appends to a `Vec<u8>` so the hot send path can stage
+//! payloads directly into the block of the engine's reusable
+//! [`FramePool`](crate::packet::FramePool) without an intermediate copy.
 
 /// A type that can travel through MPI messages.
 ///
@@ -23,7 +21,7 @@ pub trait MpiData: Copy + Send + 'static {
 
     /// Append the encoding of `slice` to `buf`. The caller reserves
     /// capacity (`byte_len`) up front on the hot path.
-    fn write_to<B: BufMut>(buf: &mut B, slice: &[Self]);
+    fn write_to(buf: &mut Vec<u8>, slice: &[Self]);
 
     /// Decode `bytes` into `out`.
     ///
@@ -41,7 +39,7 @@ macro_rules! impl_pod_data {
             }
 
             #[inline]
-            fn write_to<B: BufMut>(buf: &mut B, slice: &[$t]) {
+            fn write_to(buf: &mut Vec<u8>, slice: &[$t]) {
                 // SAFETY: `$t` is a primitive numeric type: its slice
                 // representation is contiguous initialized bytes with no
                 // padding, so viewing it as bytes is sound.
@@ -51,7 +49,7 @@ macro_rules! impl_pod_data {
                         std::mem::size_of_val(slice),
                     )
                 };
-                buf.put_slice(bytes);
+                buf.extend_from_slice(bytes);
             }
 
             #[inline]
@@ -85,9 +83,9 @@ impl MpiData for bool {
         n
     }
 
-    fn write_to<B: BufMut>(buf: &mut B, slice: &[bool]) {
+    fn write_to(buf: &mut Vec<u8>, slice: &[bool]) {
         for &b in slice {
-            buf.put_u8(b as u8);
+            buf.push(b as u8);
         }
     }
 
@@ -114,10 +112,10 @@ impl<T: MpiData> MpiData for Loc<T> {
         n * (T::byte_len(1) + 8)
     }
 
-    fn write_to<B: BufMut>(buf: &mut B, slice: &[Self]) {
+    fn write_to(buf: &mut Vec<u8>, slice: &[Self]) {
         for item in slice {
             T::write_to(buf, std::slice::from_ref(&item.value));
-            buf.put_slice(&item.index.to_le_bytes());
+            buf.extend_from_slice(&item.index.to_le_bytes());
         }
     }
 

@@ -64,42 +64,44 @@ pub struct DeviceDefaults {
     pub rndv_window: u32,
 }
 
-/// Cumulative reliability and fault-injection statistics surfaced by a
-/// device stack. Layered devices (`ReliableDevice` over `FaultyDevice`
-/// over a base transport) merge their own tallies with their inner
-/// device's, so [`crate::Mpi::transport_stats`] sees the whole stack.
-/// All fields are cumulative frame counts; serializes to JSON via
-/// [`lmpi_obs::to_json`] for the metrics snapshot exporter.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
-pub struct TransportStats {
-    /// Data frames accepted for (first) transmission by a reliability layer.
-    pub data_frames_sent: u64,
-    /// Frames resent by go-back-N retransmission.
-    pub retransmits: u64,
-    /// Duplicate arrivals suppressed by sequence checking.
-    pub dup_suppressed: u64,
-    /// Out-of-order arrivals dropped (go-back-N accepts in order only).
-    pub ooo_dropped: u64,
-    /// Pure (non-piggybacked) acknowledgement frames sent.
-    pub pure_acks_sent: u64,
-    /// Partial frames evicted from a fragment-reassembly buffer to bound
-    /// per-peer memory (UDP transport).
-    pub reassembly_evicted: u64,
-    /// Frames deliberately dropped by fault injection.
-    pub faults_dropped: u64,
-    /// Frames deliberately duplicated by fault injection.
-    pub faults_duplicated: u64,
-    /// Frames deliberately reordered by fault injection.
-    pub faults_reordered: u64,
-    /// Frames deliberately delayed by fault injection.
-    pub faults_delayed: u64,
-    /// Liveness keepalive frames sent on idle peer links.
-    pub heartbeats_sent: u64,
-    /// Peers the liveness state machine has moved from Alive to Suspect
-    /// (cumulative; a peer that recovers and is re-suspected counts again).
-    pub peers_suspected: u64,
-    /// Peers declared dead (terminal; each peer counts at most once).
-    pub peers_dead: u64,
+lmpi_obs::json_struct! {
+    /// Cumulative reliability and fault-injection statistics surfaced by a
+    /// device stack. Layered devices (`ReliableDevice` over `FaultyDevice`
+    /// over a base transport) merge their own tallies with their inner
+    /// device's, so [`crate::Mpi::transport_stats`] sees the whole stack.
+    /// All fields are cumulative frame counts; serializes to JSON via
+    /// [`lmpi_obs::to_json`] for the metrics snapshot exporter.
+    #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+    pub struct TransportStats {
+        /// Data frames accepted for (first) transmission by a reliability layer.
+        pub data_frames_sent: u64,
+        /// Frames resent by go-back-N retransmission.
+        pub retransmits: u64,
+        /// Duplicate arrivals suppressed by sequence checking.
+        pub dup_suppressed: u64,
+        /// Out-of-order arrivals dropped (go-back-N accepts in order only).
+        pub ooo_dropped: u64,
+        /// Pure (non-piggybacked) acknowledgement frames sent.
+        pub pure_acks_sent: u64,
+        /// Partial frames evicted from a fragment-reassembly buffer to bound
+        /// per-peer memory (UDP transport).
+        pub reassembly_evicted: u64,
+        /// Frames deliberately dropped by fault injection.
+        pub faults_dropped: u64,
+        /// Frames deliberately duplicated by fault injection.
+        pub faults_duplicated: u64,
+        /// Frames deliberately reordered by fault injection.
+        pub faults_reordered: u64,
+        /// Frames deliberately delayed by fault injection.
+        pub faults_delayed: u64,
+        /// Liveness keepalive frames sent on idle peer links.
+        pub heartbeats_sent: u64,
+        /// Peers the liveness state machine has moved from Alive to Suspect
+        /// (cumulative; a peer that recovers and is re-suspected counts again).
+        pub peers_suspected: u64,
+        /// Peers declared dead (terminal; each peer counts at most once).
+        pub peers_dead: u64,
+    }
 }
 
 impl TransportStats {

@@ -850,12 +850,14 @@ mod tests {
         // Boundary: exactly usize::MAX bytes is representable...
         let max_ok = DataType::base(usize::MAX).contiguous(1);
         assert_eq!(max_ok.packed_size().unwrap(), usize::MAX);
-        // ...one element more is not.
+        // ...one byte more is not. The overflow is in the packed size: the
+        // extent is the furthest field end, which is still usize::MAX.
         let max_plus = DataType::Struct {
             fields: vec![(0, DataType::base(usize::MAX)), (1, DataType::base(1))],
         };
+        assert_eq!(max_plus.extent().unwrap(), usize::MAX);
         assert!(matches!(
-            max_plus.extent(),
+            max_plus.packed_size(),
             Err(MpiError::Unsupported { .. })
         ));
     }

@@ -15,8 +15,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
-use parking_lot::Mutex;
+use crate::bytes::Bytes;
+use lmpi_sim::lock::Mutex;
 
 use lmpi_obs::{EventKind, MsgId, Tracer};
 
@@ -29,64 +29,66 @@ use crate::packet::{ContextId, Envelope, FramePool, Packet, Wire};
 use crate::request::{RecvDest, ReqState, RequestTable};
 use crate::types::{Rank, SendMode, SourceSel, Status, TagSel};
 
-/// Protocol event counters, used by the Table-1 experiment, the metrics
-/// snapshot exporter, and tests. Serializes to JSON via
-/// [`lmpi_obs::to_json`] (all fields are plain `u64`s; time-valued
-/// fields state their unit in the name and doc).
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
-pub struct Counters {
-    /// Eager (optimistic) messages transmitted.
-    pub eager_sent: u64,
-    /// Rendezvous envelopes transmitted.
-    pub rndv_sent: u64,
-    /// Pipelined rendezvous data chunks transmitted (zero when every
-    /// rendezvous payload fit a single `RndvData` frame).
-    pub rndv_chunks_sent: u64,
-    /// Sends that had to queue behind flow control.
-    pub sends_queued: u64,
-    /// Synchronous-mode acknowledgments transmitted.
-    pub acks_sent: u64,
-    /// Explicit credit packets transmitted.
-    pub credits_sent: u64,
-    /// Payload bytes transmitted (all packet kinds).
-    pub bytes_sent: u64,
-    /// Payload bytes received.
-    pub bytes_received: u64,
-    /// Frames handled.
-    pub wires_handled: u64,
-    /// Ready-mode sends that found no posted receive (erroneous programs).
-    pub rsend_errors: u64,
-    /// High-water mark of the unexpected-message queue depth. Unit:
-    /// messages (a gauge-style maximum, not a cumulative count).
-    pub unexpected_hwm: u64,
-    /// Cumulative time sends spent queued waiting for credit. Unit:
-    /// nanoseconds on the device clock (virtual ns on simulated
-    /// platforms, monotonic wall ns on real ones).
-    pub credit_stall_ns: u64,
-    /// Envelopes matched at this receiver, posted or unexpected. Filled in
-    /// by [`crate::Mpi::counters`] from the matching engine.
-    pub matches: u64,
-    /// Matches satisfied from the unexpected queue. Filled in by
-    /// [`crate::Mpi::counters`] from the matching engine.
-    pub unexpected_hits: u64,
-    /// High-water mark of simultaneously occupied matching bins (posted +
-    /// unexpected hash bins; wildcard queue excluded). Unit: bins. Filled
-    /// in by [`crate::Mpi::counters`] from the matching engine.
-    pub match_bins_hwm: u64,
-    /// Times the background progress thread woke up and advanced protocol
-    /// state (handled at least one frame or peer-failure verdict). Zero on
-    /// caller-driven substrates.
-    pub progress_wakeups: u64,
-    /// Frames handled by the background progress thread (a subset of
-    /// `wires_handled`). Zero on caller-driven substrates.
-    pub progress_frames: u64,
-    /// Times the payload staging pool grew a fresh allocation instead of
-    /// reclaiming its pooled block (first stage, frames staged while older
-    /// handles were alive, or a larger payload than ever before). A
-    /// steady-state send loop — contiguous or typed gather-on-pack —
-    /// holds this constant; the typed-transfer tests assert on it to
-    /// prove the eager path performs zero intermediate heap staging.
-    pub pool_grows: u64,
+lmpi_obs::json_struct! {
+    /// Protocol event counters, used by the Table-1 experiment, the metrics
+    /// snapshot exporter, and tests. Serializes to JSON via
+    /// [`lmpi_obs::to_json`] (all fields are plain `u64`s; time-valued
+    /// fields state their unit in the name and doc).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Eager (optimistic) messages transmitted.
+        pub eager_sent: u64,
+        /// Rendezvous envelopes transmitted.
+        pub rndv_sent: u64,
+        /// Pipelined rendezvous data chunks transmitted (zero when every
+        /// rendezvous payload fit a single `RndvData` frame).
+        pub rndv_chunks_sent: u64,
+        /// Sends that had to queue behind flow control.
+        pub sends_queued: u64,
+        /// Synchronous-mode acknowledgments transmitted.
+        pub acks_sent: u64,
+        /// Explicit credit packets transmitted.
+        pub credits_sent: u64,
+        /// Payload bytes transmitted (all packet kinds).
+        pub bytes_sent: u64,
+        /// Payload bytes received.
+        pub bytes_received: u64,
+        /// Frames handled.
+        pub wires_handled: u64,
+        /// Ready-mode sends that found no posted receive (erroneous programs).
+        pub rsend_errors: u64,
+        /// High-water mark of the unexpected-message queue depth. Unit:
+        /// messages (a gauge-style maximum, not a cumulative count).
+        pub unexpected_hwm: u64,
+        /// Cumulative time sends spent queued waiting for credit. Unit:
+        /// nanoseconds on the device clock (virtual ns on simulated
+        /// platforms, monotonic wall ns on real ones).
+        pub credit_stall_ns: u64,
+        /// Envelopes matched at this receiver, posted or unexpected. Filled in
+        /// by [`crate::Mpi::counters`] from the matching engine.
+        pub matches: u64,
+        /// Matches satisfied from the unexpected queue. Filled in by
+        /// [`crate::Mpi::counters`] from the matching engine.
+        pub unexpected_hits: u64,
+        /// High-water mark of simultaneously occupied matching bins (posted +
+        /// unexpected hash bins; wildcard queue excluded). Unit: bins. Filled
+        /// in by [`crate::Mpi::counters`] from the matching engine.
+        pub match_bins_hwm: u64,
+        /// Times the background progress thread woke up and advanced protocol
+        /// state (handled at least one frame or peer-failure verdict). Zero on
+        /// caller-driven substrates.
+        pub progress_wakeups: u64,
+        /// Frames handled by the background progress thread (a subset of
+        /// `wires_handled`). Zero on caller-driven substrates.
+        pub progress_frames: u64,
+        /// Times the payload staging pool grew a fresh allocation instead of
+        /// reclaiming its pooled block (first stage, frames staged while older
+        /// handles were alive, or a larger payload than ever before). A
+        /// steady-state send loop — contiguous or typed gather-on-pack —
+        /// holds this constant; the typed-transfer tests assert on it to
+        /// prove the eager path performs zero intermediate heap staging.
+        pub pool_grows: u64,
+    }
 }
 
 struct PendingSend {
@@ -649,6 +651,10 @@ impl Engine {
                 },
             );
             self.consume_match(dev, req_id, dst, msg);
+            // The bounce bytes this freed may be exactly what the sender
+            // is stalled on; then no frame will arrive from it to carry the
+            // return, so it must go out from here.
+            self.explicit_credit_returns(dev);
         }
         req_id
     }
@@ -1425,27 +1431,6 @@ impl Engine {
         self.failed_ranks.get(rank).copied().unwrap_or(false)
     }
 
-    /// Global ranks declared dead so far, ascending.
-    pub(crate) fn failed_rank_list(&self) -> Vec<Rank> {
-        self.failed_ranks
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &f)| f.then_some(r))
-            .collect()
-    }
-
-    /// Failed ranks as a bitmask (rank `r` → bit `r`); ranks ≥ 64 are
-    /// outside the agreement protocol's mask and are omitted.
-    pub(crate) fn failed_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        for r in self.failed_rank_list() {
-            if r < 64 {
-                mask |= 1u64 << r;
-            }
-        }
-        mask
-    }
-
     /// Whether `context` belongs to a revoked communicator.
     pub(crate) fn is_revoked(&self, context: ContextId) -> bool {
         self.revoked.contains(&context)
@@ -1839,6 +1824,47 @@ mod tests {
         assert!(e1.reqs.take_if_done(r1).unwrap().is_ok());
         assert_eq!(&b0, b"a");
         assert_eq!(&b1, b"b");
+    }
+
+    /// A sender stalled on bounce-buffer credit sends nothing, so the
+    /// receiver cannot wait for a frame to carry the credit back: draining
+    /// the unexpected queue through `post_recv` must return it.
+    #[test]
+    fn draining_the_unexpected_queue_unblocks_a_data_stalled_sender() {
+        let d0 = Loopback::new(0, 2);
+        let d1 = Loopback::new(1, 2);
+        // Room for two 4-byte payloads per sender.
+        let mut e0 = Engine::new(0, 2, 180, 4, 8, 256, 2);
+        let mut e1 = Engine::new(1, 2, 180, 4, 8, 256, 2);
+        for tag in 0..3 {
+            e0.post_send(
+                &d0,
+                1,
+                tag,
+                0,
+                Bytes::from_static(b"data"),
+                SendMode::Standard,
+            )
+            .unwrap();
+        }
+        pump(&mut e0, &d0, &mut e1, &d1);
+        assert!(e0.has_pending_sends(), "third payload exceeds the reserve");
+
+        let mut bufs = [[0u8; 4]; 3];
+        let reqs: Vec<u64> = bufs
+            .iter_mut()
+            .zip(0..)
+            .map(|(b, tag)| e1.post_recv(&d1, dest(b), SourceSel::Rank(0), TagSel::Tag(tag), 0))
+            .collect();
+        pump(&mut e0, &d0, &mut e1, &d1);
+        assert!(
+            !e0.has_pending_sends(),
+            "freed bytes never reached the sender"
+        );
+        for id in reqs {
+            assert!(e1.reqs.take_if_done(id).unwrap().is_ok());
+        }
+        assert_eq!(bufs, [*b"data"; 3]);
     }
 
     #[test]
@@ -2528,8 +2554,7 @@ mod tests {
 
         e0.fail_peer(&d0, 1, dead(1));
         assert!(e0.is_failed(1));
-        assert_eq!(e0.failed_rank_list(), vec![1]);
-        assert_eq!(e0.failed_mask(), 0b10);
+        assert!(!e0.is_failed(0) && !e0.is_failed(2), "only rank 1 died");
 
         for id in [s_sync, s_queued, r_named] {
             match e0.reqs.take_if_done(id) {
@@ -2575,7 +2600,7 @@ mod tests {
 
         // Idempotent: a second declaration is a no-op.
         e0.fail_peer(&d0, 1, dead(1));
-        assert_eq!(e0.failed_rank_list(), vec![1]);
+        assert!(e0.is_failed(1) && !e0.is_failed(0) && !e0.is_failed(2));
     }
 
     #[test]

@@ -34,8 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use serde::Serialize;
+use lmpi_sim::lock::Mutex;
 
 use lmpi_obs::diag::{DiagConfig, DiagKind, Diagnostic, RankStats};
 use lmpi_obs::{
@@ -344,63 +343,69 @@ pub(crate) fn eval_if_due(inner: &Inner, now_ns: u64) {
 // The report
 // ---------------------------------------------------------------------
 
-/// One (collective, algorithm) sliding-window summary in a
-/// [`HealthReport`].
-#[derive(Clone, Debug, Serialize)]
-pub struct CollWindow {
-    /// Collective name (`"bcast"`, `"barrier"`, ...).
-    pub collective: String,
-    /// Algorithm the dispatch layer selected.
-    pub algorithm: String,
-    /// Dispatch-latency distribution over the sliding window.
-    pub window: PercentileSummary,
+lmpi_obs::json_struct! {
+    /// One (collective, algorithm) sliding-window summary in a
+    /// [`HealthReport`].
+    #[derive(Clone, Debug)]
+    pub struct CollWindow {
+        /// Collective name (`"bcast"`, `"barrier"`, ...).
+        pub collective: String,
+        /// Algorithm the dispatch layer selected.
+        pub algorithm: String,
+        /// Dispatch-latency distribution over the sliding window.
+        pub window: PercentileSummary,
+    }
 }
 
-/// A diagnostic finding in a [`HealthReport`] (the serializable face of
-/// [`lmpi_obs::Diagnostic`]).
-#[derive(Clone, Debug, Serialize)]
-pub struct DiagSummary {
-    /// Stable rule name (`"retransmit_storm"`, `"progress_starvation"`, ...).
-    pub kind: String,
-    /// Rank exhibiting the pathology.
-    pub rank: u32,
-    /// Human-readable account with the numbers that tripped the rule.
-    pub summary: String,
+lmpi_obs::json_struct! {
+    /// A diagnostic finding in a [`HealthReport`] (the serializable face of
+    /// [`lmpi_obs::Diagnostic`]).
+    #[derive(Clone, Debug)]
+    pub struct DiagSummary {
+        /// Stable rule name (`"retransmit_storm"`, `"progress_starvation"`, ...).
+        pub kind: String,
+        /// Rank exhibiting the pathology.
+        pub rank: u32,
+        /// Human-readable account with the numbers that tripped the rule.
+        pub summary: String,
+    }
 }
 
-/// Point-in-time live-health picture for one rank: thread duty cycles,
-/// engine-mutex contention, sliding-window tail latency, and the
-/// diagnostics active as of the last evaluation. Serializes to JSON via
-/// [`lmpi_obs::to_json`]; served at `/health` by [`MetricsServer`].
-#[derive(Clone, Debug, Serialize)]
-pub struct HealthReport {
-    /// Rank the report describes.
-    pub rank: u32,
-    /// Device-clock timestamp of the report, ns.
-    pub t_ns: u64,
-    /// Whether health accounting is enabled (all-zero report otherwise).
-    pub enabled: bool,
-    /// Per-service-thread time accounting: the progress thread first,
-    /// then any device-owned threads (e.g. the TCP mesh reader).
-    pub threads: Vec<ThreadHealthSnapshot>,
-    /// Engine-mutex wait-time distribution (contended acquisitions only).
-    pub mutex_wait: PercentileSummary,
-    /// Blocking-send completion latency over the sliding window.
-    pub send_window: PercentileSummary,
-    /// Receive completion latency over the sliding window.
-    pub recv_window: PercentileSummary,
-    /// Per-(collective, algorithm) dispatch latency windows.
-    pub coll_windows: Vec<CollWindow>,
-    /// Diagnostics active as of the last evaluation.
-    pub diagnostics: Vec<DiagSummary>,
-    /// Diagnostics evaluations performed so far.
-    pub evals: u64,
+lmpi_obs::json_struct! {
+    /// Point-in-time live-health picture for one rank: thread duty cycles,
+    /// engine-mutex contention, sliding-window tail latency, and the
+    /// diagnostics active as of the last evaluation. Serializes to JSON via
+    /// [`lmpi_obs::to_json`]; served at `/health` by [`MetricsServer`].
+    #[derive(Clone, Debug)]
+    pub struct HealthReport {
+        /// Rank the report describes.
+        pub rank: u32,
+        /// Device-clock timestamp of the report, ns.
+        pub t_ns: u64,
+        /// Whether health accounting is enabled (all-zero report otherwise).
+        pub enabled: bool,
+        /// Per-service-thread time accounting: the progress thread first,
+        /// then any device-owned threads (e.g. the TCP mesh reader).
+        pub threads: Vec<ThreadHealthSnapshot>,
+        /// Engine-mutex wait-time distribution (contended acquisitions only).
+        pub mutex_wait: PercentileSummary,
+        /// Blocking-send completion latency over the sliding window.
+        pub send_window: PercentileSummary,
+        /// Receive completion latency over the sliding window.
+        pub recv_window: PercentileSummary,
+        /// Per-(collective, algorithm) dispatch latency windows.
+        pub coll_windows: Vec<CollWindow>,
+        /// Diagnostics active as of the last evaluation.
+        pub diagnostics: Vec<DiagSummary>,
+        /// Diagnostics evaluations performed so far.
+        pub evals: u64,
+    }
 }
 
 impl HealthReport {
     /// Render as compact JSON.
     pub fn to_json(&self) -> String {
-        lmpi_obs::to_json(self).expect("health report types serialize infallibly")
+        lmpi_obs::ToJson::to_json(self)
     }
 }
 
@@ -919,19 +924,21 @@ mod tests {
             &TransportStats::default(),
             &[],
         );
-        // Build a report without an Inner: assemble by hand from state.
+        // Build a report without an Inner: assemble by hand from state. One
+        // guard for all three reads: the mutex is not re-entrant.
+        let w = h.windows.lock();
         let report = HealthReport {
             rank: 3,
             t_ns: 10_000,
             enabled: true,
             threads: vec![h.progress.snapshot("progress")],
             mutex_wait: h.mutex_wait.summary(),
-            send_window: h.windows.lock().send.summary(10_000),
-            recv_window: h.windows.lock().recv.summary(10_000),
+            send_window: w.send.summary(10_000),
+            recv_window: w.recv.summary(10_000),
             coll_windows: vec![CollWindow {
                 collective: "barrier".into(),
                 algorithm: "dissemination".into(),
-                window: h.windows.lock().coll[0].2.summary(10_000),
+                window: w.coll[0].2.summary(10_000),
             }],
             diagnostics: vec![DiagSummary {
                 kind: "retransmit_storm".into(),
@@ -954,6 +961,23 @@ mod tests {
         assert!(out.contains("lmpi_health_diagnostic{rank=\"3\",kind=\"retransmit_storm\"} 1"));
         let json = report.to_json();
         lmpi_obs::validate_json(&json).expect("health report JSON must validate");
+        // Captured from the serde-derive exporter this one replaced.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"rank":3,"t_ns":10000,"enabled":true,"threads":[{"name":"progress","lock_wait_ns":0,"dr"#,
+                r#"ain_ns":500,"poll_ns":0,"park_ns":500,"wall_ns":999,"coverage":1.001001001001001,"duty_c"#,
+                r#"ycle":0.5005005005005005,"wakeups":1,"frames":2,"wakeup_to_drain":{"count":0,"min_ns":0,"#,
+                r#""max_ns":0,"mean_ns":0,"p50_ns":0,"p90_ns":0,"p99_ns":0,"p999_ns":0}}],"mutex_wait":{"co"#,
+                r#"unt":1,"min_ns":700,"max_ns":700,"mean_ns":700,"p50_ns":700,"p90_ns":700,"p99_ns":700,"p"#,
+                r#"999_ns":700},"send_window":{"count":1,"min_ns":42,"max_ns":42,"mean_ns":42,"p50_ns":42,""#,
+                r#"p90_ns":42,"p99_ns":42,"p999_ns":42},"recv_window":{"count":0,"min_ns":0,"max_ns":0,"mea"#,
+                r#"n_ns":0,"p50_ns":0,"p90_ns":0,"p99_ns":0,"p999_ns":0},"coll_windows":[{"collective":"bar"#,
+                r#"rier","algorithm":"dissemination","window":{"count":1,"min_ns":99,"max_ns":99,"mean_ns":"#,
+                r#"99,"p50_ns":99,"p90_ns":99,"p99_ns":99,"p999_ns":99}}],"diagnostics":[{"kind":"retransmi"#,
+                r#"t_storm","rank":3,"summary":"test"}],"evals":1}"#
+            )
+        );
     }
 
     #[test]

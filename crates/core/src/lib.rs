@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod bytes;
 mod coll;
 mod collectives;
 mod config;
@@ -65,6 +66,7 @@ pub mod bench_internals {
 /// re-exported so applications need not depend on `lmpi-obs` directly.
 pub use lmpi_obs as obs;
 
+pub use bytes::Bytes;
 pub use coll::{
     AllgatherAlgo, AllreduceAlgo, BarrierAlgo, BcastAlgo, CollPins, CollTable, TableEntry,
 };

@@ -36,7 +36,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use bytes::Bytes;
+use crate::bytes::Bytes;
 
 use crate::packet::{ContextId, Envelope};
 use crate::types::{Rank, SourceSel, Tag, TagSel};

@@ -9,56 +9,61 @@
 //! multi-rank job scrapes into one flat series set.
 
 use lmpi_obs::PercentileSummary;
-use serde::Serialize;
 
 use crate::device::TransportStats;
 use crate::engine::Counters;
 
-/// A named latency-histogram summary attached to a snapshot (e.g. the
-/// ping-pong half-trip distribution an experiment harness records).
-#[derive(Clone, Debug, Serialize)]
-pub struct HistEntry {
-    /// Metric-friendly name (lowercase, underscores — used verbatim as a
-    /// Prometheus label value).
-    pub name: String,
-    /// The percentile summary. All durations are nanoseconds.
-    pub summary: PercentileSummary,
+lmpi_obs::json_struct! {
+    /// A named latency-histogram summary attached to a snapshot (e.g. the
+    /// ping-pong half-trip distribution an experiment harness records).
+    #[derive(Clone, Debug)]
+    pub struct HistEntry {
+        /// Metric-friendly name (lowercase, underscores — used verbatim as a
+        /// Prometheus label value).
+        pub name: String,
+        /// The percentile summary. All durations are nanoseconds.
+        pub summary: PercentileSummary,
+    }
 }
 
-/// One row of the collective dispatch tally: how many times the dispatch
-/// layer selected `algorithm` for `collective` on this rank.
-#[derive(Clone, Debug, Serialize)]
-pub struct CollDispatchEntry {
-    /// Collective name (`"bcast"`, `"allreduce"`, ...).
-    pub collective: String,
-    /// Selected algorithm name (`"binomial"`, `"ring"`, ...).
-    pub algorithm: String,
-    /// Number of dispatches.
-    pub count: u64,
+lmpi_obs::json_struct! {
+    /// One row of the collective dispatch tally: how many times the dispatch
+    /// layer selected `algorithm` for `collective` on this rank.
+    #[derive(Clone, Debug)]
+    pub struct CollDispatchEntry {
+        /// Collective name (`"bcast"`, `"allreduce"`, ...).
+        pub collective: String,
+        /// Selected algorithm name (`"binomial"`, `"ring"`, ...).
+        pub algorithm: String,
+        /// Number of dispatches.
+        pub count: u64,
+    }
 }
 
-/// Point-in-time metrics for one rank.
-///
-/// Counter semantics follow the field docs on [`Counters`] and
-/// [`TransportStats`]; `unexpected_hwm` and `match_bins_hwm` are
-/// high-water marks (gauges), `credit_stall_ns` is cumulative
-/// device-clock nanoseconds, everything else is a cumulative count.
-#[derive(Clone, Debug, Serialize)]
-pub struct MetricsSnapshot {
-    /// Rank the snapshot describes.
-    pub rank: u32,
-    /// Device-clock timestamp the snapshot was taken at (nanoseconds;
-    /// virtual on simulated transports, monotonic wall on real ones).
-    pub t_ns: u64,
-    /// Protocol-engine counters with matching-engine tallies folded in.
-    pub counters: Counters,
-    /// Reliability / fault-injection statistics for the device stack.
-    pub transport: TransportStats,
-    /// Optional named histogram summaries.
-    pub hists: Vec<HistEntry>,
-    /// Collective dispatch tally (one row per collective/algorithm pair
-    /// that was actually selected on this rank).
-    pub coll_dispatch: Vec<CollDispatchEntry>,
+lmpi_obs::json_struct! {
+    /// Point-in-time metrics for one rank.
+    ///
+    /// Counter semantics follow the field docs on [`Counters`] and
+    /// [`TransportStats`]; `unexpected_hwm` and `match_bins_hwm` are
+    /// high-water marks (gauges), `credit_stall_ns` is cumulative
+    /// device-clock nanoseconds, everything else is a cumulative count.
+    #[derive(Clone, Debug)]
+    pub struct MetricsSnapshot {
+        /// Rank the snapshot describes.
+        pub rank: u32,
+        /// Device-clock timestamp the snapshot was taken at (nanoseconds;
+        /// virtual on simulated transports, monotonic wall on real ones).
+        pub t_ns: u64,
+        /// Protocol-engine counters with matching-engine tallies folded in.
+        pub counters: Counters,
+        /// Reliability / fault-injection statistics for the device stack.
+        pub transport: TransportStats,
+        /// Optional named histogram summaries.
+        pub hists: Vec<HistEntry>,
+        /// Collective dispatch tally (one row per collective/algorithm pair
+        /// that was actually selected on this rank).
+        pub coll_dispatch: Vec<CollDispatchEntry>,
+    }
 }
 
 impl MetricsSnapshot {
@@ -91,7 +96,7 @@ impl MetricsSnapshot {
 
     /// Render as compact JSON.
     pub fn to_json(&self) -> String {
-        lmpi_obs::to_json(self).expect("snapshot types serialize infallibly")
+        lmpi_obs::ToJson::to_json(self)
     }
 
     /// Render in Prometheus text exposition format. Every sample carries
@@ -100,7 +105,7 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
         let r = self.rank;
-        let mut counter = |out: &mut String, name: &str, help: &str, v: u64| {
+        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
             push_metric(out, name, help, "counter", r, None, v as f64);
         };
         let c = &self.counters;
@@ -432,7 +437,8 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             return Err(format!("line {}: bad metric name {name:?}", i + 1));
         }
         if let Some(labels) = series.strip_prefix(name) {
-            if !labels.is_empty() && !(labels.starts_with('{') && labels.ends_with('}')) {
+            let braced = labels.starts_with('{') && labels.ends_with('}');
+            if !(labels.is_empty() || braced) {
                 return Err(format!("line {}: malformed label set: {labels}", i + 1));
             }
         }
@@ -456,17 +462,21 @@ mod tests {
     use lmpi_obs::LatencyHist;
 
     fn snapshot() -> MetricsSnapshot {
-        let mut c = Counters::default();
-        c.eager_sent = 7;
-        c.rndv_chunks_sent = 9;
-        c.credit_stall_ns = 1234;
-        c.unexpected_hwm = 3;
-        c.match_bins_hwm = 2;
-        let mut t = TransportStats::default();
-        t.retransmits = 5;
-        t.reassembly_evicted = 4;
-        t.heartbeats_sent = 11;
-        t.peers_dead = 1;
+        let c = Counters {
+            eager_sent: 7,
+            rndv_chunks_sent: 9,
+            credit_stall_ns: 1234,
+            unexpected_hwm: 3,
+            match_bins_hwm: 2,
+            ..Counters::default()
+        };
+        let t = TransportStats {
+            retransmits: 5,
+            reassembly_evicted: 4,
+            heartbeats_sent: 11,
+            peers_dead: 1,
+            ..TransportStats::default()
+        };
         let mut h = LatencyHist::new();
         for v in [100, 200, 300] {
             h.record(v);
@@ -514,6 +524,24 @@ mod tests {
     fn json_rendering_validates_and_round_trips_key_fields() {
         let json = snapshot().to_json();
         lmpi_obs::validate_json(&json).expect("snapshot JSON must validate");
+        // Captured from the serde-derive exporter this one replaced: the
+        // output is a published format, byte for byte.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"rank":1,"t_ns":42000,"counters":{"eager_sent":7,"rndv_sent":0,"rndv_chunks_sent":9,"se"#,
+                r#"nds_queued":0,"acks_sent":0,"credits_sent":0,"bytes_sent":0,"bytes_received":0,"wires_ha"#,
+                r#"ndled":0,"rsend_errors":0,"unexpected_hwm":3,"credit_stall_ns":1234,"matches":0,"unexpec"#,
+                r#"ted_hits":0,"match_bins_hwm":2,"progress_wakeups":0,"progress_frames":0,"pool_grows":0},"#,
+                r#""transport":{"data_frames_sent":0,"retransmits":5,"dup_suppressed":0,"ooo_dropped":0,"pu"#,
+                r#"re_acks_sent":0,"reassembly_evicted":4,"faults_dropped":0,"faults_duplicated":0,"faults_"#,
+                r#"reordered":0,"faults_delayed":0,"heartbeats_sent":11,"peers_suspected":0,"peers_dead":1}"#,
+                r#","hists":[{"name":"pingpong_half_trip","summary":{"count":3,"min_ns":100,"max_ns":300,"m"#,
+                r#"ean_ns":200,"p50_ns":207,"p90_ns":300,"p99_ns":300,"p999_ns":300}}],"coll_dispatch":[{"c"#,
+                r#"ollective":"barrier","algorithm":"dissemination","count":3},{"collective":"allreduce","a"#,
+                r#"lgorithm":"ring","count":2}]}"#
+            )
+        );
         assert!(json.contains("\"rank\":1"));
         assert!(json.contains("\"eager_sent\":7"));
         assert!(json.contains("\"retransmits\":5"));

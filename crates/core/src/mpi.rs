@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lmpi_obs::Tracer;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use lmpi_sim::lock::{Condvar, Mutex, MutexGuard};
 
 use crate::config::MpiConfig;
 use crate::datatype::MpiData;

@@ -10,8 +10,9 @@
 //! fields piggyback flow-control returns exactly like the 4-byte
 //! "reserved space freed" field of the paper's 25-byte TCP header.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
+use crate::bytes::Bytes;
 use crate::datatype::MpiData;
 use crate::types::{Rank, Tag};
 
@@ -276,22 +277,18 @@ impl Wire {
 
 /// A reusable bounce/staging buffer for eager payloads.
 ///
-/// Ownership rule: the pool owns one `BytesMut`; [`stage`](Self::stage)
-/// appends the encoded payload and splits it off as an immutable [`Bytes`]
-/// handle that travels inside a [`Packet`]. Once every handle from a
-/// previous `stage` has been dropped (the frame was delivered and copied
-/// out), the next `reserve` reclaims the same allocation — so a
-/// steady-state ping-pong stages every payload into the same memory and
-/// never touches the allocator. While old handles are still alive the pool
-/// transparently grows a fresh block; correctness never depends on
-/// reclamation.
+/// Ownership rule: the pool keeps a handle on the block it staged last;
+/// every `stage_*` call fills a block and hands out an immutable [`Bytes`]
+/// over it that travels inside a [`Packet`]. Once every handle from the
+/// previous staging has been dropped (the frame was delivered and copied
+/// out), the next staging reclaims the same allocation — so a steady-state
+/// ping-pong stages every payload into the same memory and never touches
+/// the allocator. While an old handle is still alive, or the payload is
+/// larger than the block, the pool allocates a fresh block of exactly the
+/// payload's size; correctness never depends on reclamation.
 #[derive(Debug, Default)]
 pub struct FramePool {
-    buf: BytesMut,
-    /// Backing-allocation identity of the previous staging (the address
-    /// writes landed at). A steady-state pool reclaims the same block, so
-    /// this stays constant; a change means a fresh allocation.
-    last_alloc: usize,
+    block: Arc<Vec<u8>>,
     /// Times staging took a fresh allocation instead of reclaiming the
     /// pooled block: the first stage ever, a frame staged while older
     /// handles were still alive, or a payload larger than the block.
@@ -312,37 +309,28 @@ impl FramePool {
         self.grows
     }
 
-    /// Reserve `n` writable bytes, tracking whether the reservation
-    /// reclaimed the pooled block or grew a fresh one. Leftover capacity
-    /// from an earlier over-allocation is consumed silently (no allocator
-    /// traffic, no count); an actual reservation either resets the window
-    /// to the block this pool already owned (reclaim — not a growth) or
-    /// lands in a fresh block (growth).
-    fn reserve_tracked(&mut self, n: usize) {
+    /// Let `fill` append `n` bytes to the pooled block if no handle on it is
+    /// alive and it is large enough, else to a fresh block of `n` bytes.
+    fn stage_with(&mut self, n: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
         let n = n.max(1);
-        if self.buf.capacity() >= n {
-            return;
-        }
-        self.buf.reserve(n);
-        let p = self.buf.as_ptr() as usize;
-        if p != self.last_alloc {
-            self.last_alloc = p;
+        if !matches!(Arc::get_mut(&mut self.block), Some(b) if b.capacity() >= n) {
+            self.block = Arc::new(Vec::with_capacity(n));
             self.grows += 1;
         }
+        let block = Arc::get_mut(&mut self.block).expect("reclaimed or fresh: no other handle");
+        block.clear();
+        fill(block);
+        Bytes::from_block(Arc::clone(&self.block))
     }
 
     /// Encode a typed slice into pooled storage and freeze it as `Bytes`.
     pub fn stage<T: MpiData>(&mut self, slice: &[T]) -> Bytes {
-        self.reserve_tracked(T::byte_len(slice.len()));
-        T::write_to(&mut self.buf, slice);
-        self.buf.split().freeze()
+        self.stage_with(T::byte_len(slice.len()), |b| T::write_to(b, slice))
     }
 
     /// Copy raw bytes into pooled storage and freeze them as `Bytes`.
     pub fn stage_bytes(&mut self, bytes: &[u8]) -> Bytes {
-        self.reserve_tracked(bytes.len());
-        self.buf.put_slice(bytes);
-        self.buf.split().freeze()
+        self.stage_with(bytes.len(), |b| b.extend_from_slice(bytes))
     }
 
     /// Gather a flattened datatype's runs out of `memory` straight into
@@ -352,11 +340,11 @@ impl FramePool {
     ///
     /// The caller must have validated `flat.fits(memory.len())`.
     pub fn stage_gather(&mut self, flat: &crate::dtype::FlatLayout, memory: &[u8]) -> Bytes {
-        self.reserve_tracked(flat.packed_size());
-        for r in flat.runs() {
-            self.buf.put_slice(&memory[r.mem_off..r.mem_off + r.len]);
-        }
-        self.buf.split().freeze()
+        self.stage_with(flat.packed_size(), |b| {
+            for r in flat.runs() {
+                b.extend_from_slice(&memory[r.mem_off..r.mem_off + r.len]);
+            }
+        })
     }
 }
 

@@ -26,7 +26,7 @@ pub fn dims_create(nnodes: usize, ndims: usize) -> Vec<usize> {
     let mut f = 2;
     let mut factors = Vec::new();
     while f * f <= n {
-        while n % f == 0 {
+        while n.is_multiple_of(f) {
             factors.push(f);
             n /= f;
         }

@@ -87,7 +87,7 @@ impl Status {
         let sz = std::mem::size_of::<T>();
         assert!(sz > 0, "count of zero-sized type");
         assert!(
-            self.len % sz == 0,
+            self.len.is_multiple_of(sz),
             "message length {} not a multiple of element size {}",
             self.len,
             sz

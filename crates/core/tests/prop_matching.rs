@@ -11,7 +11,7 @@
 
 use lmpi_core::bench_internals::{LinearMatchEngine, MatchEngine, UnexpectedBody, UnexpectedMsg};
 use lmpi_core::{ContextId, Envelope, Rank, SourceSel, Tag, TagSel};
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
 /// One step of a matching schedule. Small value domains on purpose: the
 /// interesting bugs live where keys collide and wildcards straddle bins.
@@ -42,39 +42,47 @@ enum Op {
     },
 }
 
-fn source_sel() -> impl Strategy<Value = SourceSel> {
-    prop_oneof![
-        3 => (0..4usize).prop_map(SourceSel::Rank),
-        1 => Just(SourceSel::Any),
-    ]
+/// Three specific ranks to one wildcard.
+fn gen_source_sel(rng: &mut SplitMix64) -> SourceSel {
+    if rng.chance(0.75) {
+        SourceSel::Rank(rng.range(0..4))
+    } else {
+        SourceSel::Any
+    }
 }
 
-fn tag_sel() -> impl Strategy<Value = TagSel> {
-    prop_oneof![
-        3 => (0..3u32).prop_map(TagSel::Tag),
-        1 => Just(TagSel::Any),
-    ]
+/// Three specific tags to one wildcard.
+fn gen_tag_sel(rng: &mut SplitMix64) -> TagSel {
+    if rng.chance(0.75) {
+        TagSel::Tag(rng.range(0..3) as Tag)
+    } else {
+        TagSel::Any
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (source_sel(), tag_sel(), 0..2u32).prop_map(|(src, tag, context)| Op::Post {
-            src,
-            tag,
-            context
-        }),
-        4 => (0..4usize, 0..3u32, 0..2u32).prop_map(|(src, tag, context)| Op::Arrive {
-            src,
-            tag,
-            context
-        }),
-        1 => (0..40u64).prop_map(|recv_id| Op::Cancel { recv_id }),
-        1 => (source_sel(), tag_sel(), 0..2u32).prop_map(|(src, tag, context)| Op::Probe {
-            src,
-            tag,
-            context
-        }),
-    ]
+/// Posts, arrivals, cancels and probes in the ratio 4 : 4 : 1 : 1.
+fn gen_op(rng: &mut SplitMix64) -> Op {
+    let context = rng.range(0..2) as ContextId;
+    match rng.range(0..10) {
+        0..4 => Op::Post {
+            src: gen_source_sel(rng),
+            tag: gen_tag_sel(rng),
+            context,
+        },
+        4..8 => Op::Arrive {
+            src: rng.range(0..4),
+            tag: rng.range(0..3) as Tag,
+            context,
+        },
+        8 => Op::Cancel {
+            recv_id: rng.range(0..40) as u64,
+        },
+        _ => Op::Probe {
+            src: gen_source_sel(rng),
+            tag: gen_tag_sel(rng),
+            context,
+        },
+    }
 }
 
 /// The observable identity of an unexpected message: its envelope plus the
@@ -93,11 +101,10 @@ fn unexpected_fingerprint(msg: &UnexpectedMsg) -> (usize, Tag, ContextId, usize,
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn binned_matcher_is_observably_identical_to_linear(ops in prop::collection::vec(op_strategy(), 0..80)) {
+#[test]
+fn binned_matcher_is_observably_identical_to_linear() {
+    for_each_case(512, |rng| {
+        let ops = rng.vec(0..80, gen_op);
         let mut binned = MatchEngine::new();
         let mut linear = LinearMatchEngine::new();
         let mut next_recv_id = 0u64;
@@ -110,20 +117,27 @@ proptest! {
                     next_recv_id += 1;
                     let b = binned.match_posted(id, src, tag, context);
                     let l = linear.match_posted(id, src, tag, context);
-                    prop_assert_eq!(
+                    assert_eq!(
                         b.as_ref().map(unexpected_fingerprint),
                         l.as_ref().map(unexpected_fingerprint),
-                        "step {}: post matched different unexpected messages", step
+                        "step {}: post matched different unexpected messages",
+                        step
                     );
                 }
                 Op::Arrive { src, tag, context } => {
-                    let env = Envelope { src, tag, context, len: 4 };
+                    let env = Envelope {
+                        src,
+                        tag,
+                        context,
+                        len: 4,
+                    };
                     let b = binned.match_incoming(&env);
                     let l = linear.match_incoming(&env);
-                    prop_assert_eq!(
+                    assert_eq!(
                         b.as_ref().map(|r| r.recv_id),
                         l.as_ref().map(|r| r.recv_id),
-                        "step {}: arrival matched different posted receives", step
+                        "step {}: arrival matched different posted receives",
+                        step
                     );
                     if b.is_none() {
                         // Unmatched arrival becomes an unexpected message in
@@ -131,7 +145,7 @@ proptest! {
                         let send_id = next_send_id;
                         next_send_id += 1;
                         binned.add_unexpected(UnexpectedMsg {
-                            env,
+                            env: env.clone(),
                             msg_seq: 0,
                             body: UnexpectedBody::Rndv { send_id },
                         });
@@ -143,25 +157,32 @@ proptest! {
                     }
                 }
                 Op::Cancel { recv_id } => {
-                    prop_assert_eq!(
+                    assert_eq!(
                         binned.cancel_posted(recv_id),
                         linear.cancel_posted(recv_id),
-                        "step {}: cancel outcome diverged", step
+                        "step {}: cancel outcome diverged",
+                        step
                     );
                 }
                 Op::Probe { src, tag, context } => {
-                    prop_assert_eq!(
+                    assert_eq!(
                         binned.probe(src, tag, context).map(unexpected_fingerprint),
                         linear.probe(src, tag, context).map(unexpected_fingerprint),
-                        "step {}: probe saw different messages", step
+                        "step {}: probe saw different messages",
+                        step
                     );
                 }
             }
-            prop_assert_eq!(binned.depths(), linear.depths(), "step {}: depths diverged", step);
+            assert_eq!(
+                binned.depths(),
+                linear.depths(),
+                "step {}: depths diverged",
+                step
+            );
         }
 
-        prop_assert_eq!(binned.matches, linear.matches);
-        prop_assert_eq!(binned.unexpected_hits, linear.unexpected_hits);
+        assert_eq!(binned.matches, linear.matches);
+        assert_eq!(binned.unexpected_hits, linear.unexpected_hits);
 
         // Drain check: wildcard receives must empty both engines in the
         // same order (final FIFO agreement over everything left queued).
@@ -171,19 +192,20 @@ proptest! {
                 next_recv_id += 1;
                 let b = binned.match_posted(id, SourceSel::Any, TagSel::Any, ctx);
                 let l = linear.match_posted(id, SourceSel::Any, TagSel::Any, ctx);
-                prop_assert_eq!(
+                assert_eq!(
                     b.as_ref().map(unexpected_fingerprint),
                     l.as_ref().map(unexpected_fingerprint),
-                    "drain of context {} diverged", ctx
+                    "drain of context {} diverged",
+                    ctx
                 );
                 if b.is_none() {
                     // The unmatched drain receive is now posted in both;
                     // cancel it so the next context starts clean.
-                    prop_assert!(binned.cancel_posted(id));
-                    prop_assert!(linear.cancel_posted(id));
+                    assert!(binned.cancel_posted(id));
+                    assert!(linear.cancel_posted(id));
                     break;
                 }
             }
         }
-    }
+    });
 }

@@ -38,7 +38,7 @@
 //! ULFM `Revoke` flood, which carries the revoked communicator's context
 //! id in the request-info area.
 
-use bytes::Bytes;
+use lmpi_core::Bytes;
 use lmpi_core::{Envelope, Packet, Rank, Wire};
 
 /// Header length charged by the cost model (the paper's 25 bytes).
@@ -134,7 +134,7 @@ pub fn encode_into(wire: &Wire, out: &mut Vec<u8>) {
     // data.
     let env_c = wire.env_credit.min(0xFF);
     let data_c = wire.data_credit.min(0xFF_FFFF);
-    let packed = ((env_c as u32) << 24) | (data_c as u32);
+    let packed = (env_c << 24) | (data_c as u32);
     out.extend_from_slice(&packed.to_le_bytes());
     // 24 bytes: reliability sequence number, cumulative ack and the
     // selective-repeat ack bitmap (the UDP variant's extension; zero when
@@ -400,7 +400,7 @@ mod tests {
                     send_id: 1,
                     needs_ack,
                     ready,
-                    data: Bytes::new(),
+                    data: Bytes::from_static(b""),
                 },
             ));
             match w.pkt {

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use lmpi_core::{Cost, Device, DeviceDefaults, MpiResult, Packet, Rank, TransportStats, Wire};
 use lmpi_obs::{EventKind, FaultKind, Tracer};
+use lmpi_sim::lock::Mutex;
 use lmpi_sim::SplitMix64;
-use parking_lot::Mutex;
 
 /// Traffic classes faults are configured per. Real networks hurt bulk DMA
 /// transfers and tiny control frames differently; so do we.
@@ -502,7 +502,7 @@ mod tests {
                 send_id: tag as u64,
                 needs_ack: false,
                 ready: false,
-                data: bytes::Bytes::from_static(b"x"),
+                data: lmpi_core::Bytes::from_static(b"x"),
             },
         )
     }
@@ -528,7 +528,7 @@ mod tests {
         assert_eq!(
             classify(&Packet::RndvData {
                 recv_id: 0,
-                data: bytes::Bytes::new()
+                data: lmpi_core::Bytes::from_static(b"")
             }),
             PacketClass::Bulk
         );
@@ -537,7 +537,7 @@ mod tests {
                 recv_id: 0,
                 offset: 0,
                 total: 0,
-                data: bytes::Bytes::new()
+                data: lmpi_core::Bytes::from_static(b"")
             }),
             PacketClass::Bulk
         );
@@ -580,7 +580,7 @@ mod tests {
         let d0 = FaultyDevice::new(fabric.next().unwrap(), cfg);
         let d1 = fabric.next().unwrap();
         // 200 quanta per bulk frame: survives with 0.99^200 ≈ 13%.
-        let big = bytes::Bytes::from(vec![0u8; 200_000]);
+        let big = lmpi_core::Bytes::from(vec![0u8; 200_000]);
         for _ in 0..40 {
             d0.send(
                 1,

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use lmpi_sim::lock::Mutex;
 
 use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wire};
 use lmpi_netmodel::meiko::MeikoNet;

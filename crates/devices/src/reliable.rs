@@ -49,7 +49,7 @@ use lmpi_core::{
     Cost, Device, DeviceDefaults, MpiError, MpiResult, Packet, Rank, TransportStats, Wire,
 };
 use lmpi_obs::{EventKind, Tracer};
-use parking_lot::Mutex;
+use lmpi_sim::lock::Mutex;
 
 /// Retransmission strategy on a gap in the sequence space.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

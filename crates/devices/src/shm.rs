@@ -1,22 +1,25 @@
 //! Shared-memory device: MPI ranks as OS threads exchanging frames through
-//! lock-free channels.
+//! `std::sync::mpsc` channels.
 //!
 //! This is the *real* (non-simulated) substrate used for functional testing
-//! and for the Criterion wall-clock benchmarks: every protocol code path —
+//! and for the wall-clock benchmark workloads: every protocol code path —
 //! eager, rendezvous, credits, collectives — runs exactly as on the
 //! simulated platforms, just with real time instead of a virtual clock.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wire};
 use lmpi_obs::Tracer;
+use lmpi_sim::lock::Mutex;
 
 /// Device connecting `nprocs` ranks within one process.
 pub struct ShmDevice {
     rank: Rank,
     nprocs: usize,
-    rx: Receiver<Wire>,
+    /// `Receiver` is not `Sync` and `Device` must be; the lock is
+    /// uncontended under the engine's single-consumer rule.
+    rx: Mutex<Receiver<Wire>>,
     txs: Vec<Sender<Wire>>,
     t0: Instant,
     defaults: DeviceDefaults,
@@ -39,13 +42,13 @@ impl ShmDevice {
     /// Build one connected device per rank.
     pub fn fabric(nprocs: usize) -> Vec<ShmDevice> {
         let t0 = Instant::now();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| unbounded()).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
         rxs.into_iter()
             .enumerate()
             .map(|(rank, rx)| ShmDevice {
                 rank,
                 nprocs,
-                rx,
+                rx: Mutex::new(rx),
                 txs: txs.clone(),
                 t0,
                 defaults: SHM_DEFAULTS,
@@ -74,17 +77,18 @@ impl Device for ShmDevice {
     }
 
     fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self.rx.try_recv().ok())
+        Ok(self.rx.lock().try_recv().ok())
     }
 
     fn recv_blocking(&self) -> MpiResult<Wire> {
         self.rx
+            .lock()
             .recv()
             .map_err(|_| MpiError::transport("shm fabric torn down while receiving"))
     }
 
     fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        match self.rx.recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok(w) => Ok(Some(w)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => {

@@ -15,16 +15,16 @@
 
 use std::io::{Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wire};
 use lmpi_netmodel::ip::{Fabric, ReliableDgram, SockFabric, SockNode};
 use lmpi_netmodel::params::{AtmParams, CpuParams, EthParams, SocketParams};
 use lmpi_obs::{ThreadHealth, TimeBucket, Tracer};
+use lmpi_sim::lock::Mutex;
 use lmpi_sim::{Proc, Sim, SimDur};
-use parking_lot::Mutex;
 
 use crate::codec;
 
@@ -409,17 +409,25 @@ const CONNECT_BACKOFF_START: Duration = Duration::from_millis(1);
 /// Backoff cap: retries never sleep longer than this.
 const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
-/// `TcpStream::connect` with capped exponential backoff: retry refused /
-/// unreachable connections (the listener may not be accepting yet) until
-/// `timeout` elapses. Returns the last error once the deadline passes.
-pub fn connect_with_backoff(addr: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+/// `TcpStream::connect` with capped exponential backoff: retry a refused
+/// connection (the listener may not be accepting yet) until `timeout`
+/// elapses or `abort` is raised. Any other error — descriptor exhaustion
+/// above all — is final at once. Returns the last error.
+pub fn connect_with_backoff(
+    addr: SocketAddr,
+    timeout: Duration,
+    abort: &OnceLock<String>,
+) -> std::io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     let mut delay = CONNECT_BACKOFF_START;
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => {
-                if Instant::now() >= deadline {
+                let retry = e.kind() == std::io::ErrorKind::ConnectionRefused
+                    && Instant::now() < deadline
+                    && abort.get().is_none();
+                if !retry {
                     return Err(e);
                 }
                 std::thread::sleep(delay.min(deadline.saturating_duration_since(Instant::now())));
@@ -427,6 +435,10 @@ pub fn connect_with_backoff(addr: SocketAddr, timeout: Duration) -> std::io::Res
             }
         }
     }
+}
+
+fn peer_setup_failed(cause: &str) -> std::io::Error {
+    std::io::Error::other(format!("mesh setup failed at {cause}"))
 }
 
 /// Accept with a deadline: a peer that died before dialing in must not
@@ -437,6 +449,7 @@ pub fn connect_with_backoff(addr: SocketAddr, timeout: Duration) -> std::io::Res
 fn accept_with_deadline(
     listener: &TcpListener,
     timeout: Duration,
+    abort: &OnceLock<String>,
 ) -> std::io::Result<(TcpStream, SocketAddr)> {
     listener.set_nonblocking(true)?;
     let deadline = Instant::now() + timeout;
@@ -447,6 +460,9 @@ fn accept_with_deadline(
                 return Ok((stream, addr));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if let Some(cause) = abort.get() {
+                    return Err(peer_setup_failed(cause));
+                }
                 if Instant::now() >= deadline {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
@@ -529,7 +545,9 @@ fn write_all_nonblocking(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Res
 /// panicking.
 pub struct RealTcpChannel {
     writers: Vec<Option<Mutex<TcpStream>>>,
-    rx: Receiver<MpiResult<Wire>>,
+    /// Behind a lock because `Receiver` is not `Sync` and `MsgChannel`
+    /// must be; uncontended under the engine's single-consumer rule.
+    rx: Mutex<Receiver<MpiResult<Wire>>>,
     loopback_tx: Sender<MpiResult<Wire>>,
     t0: Instant,
     /// Reusable encode buffer: frames are serialized into this scratch and
@@ -540,48 +558,32 @@ pub struct RealTcpChannel {
     reader_health: Arc<ThreadHealth>,
 }
 
+/// Per-peer write halves (`None` at the rank's own index) and the read
+/// halves handed to the mesh reader.
+type MeshHalves = (Vec<Option<Mutex<TcpStream>>>, Vec<(Rank, TcpStream)>);
+
 impl RealTcpChannel {
     /// Establish the full mesh for `nprocs` ranks. Call once per rank,
     /// concurrently, with a shared `rendezvous` created by
     /// [`RealTcpChannel::rendezvous`]. Connections are retried with capped
     /// exponential backoff up to [`CONNECT_TIMEOUT`].
+    ///
+    /// Setup is all or nothing: if any rank fails (typically on descriptor
+    /// exhaustion — a full mesh in one process holds `2 n (n - 1)`
+    /// sockets), every rank's call returns an error, promptly, and no rank
+    /// is left running on a partial mesh or holding its descriptors.
     pub fn connect(rank: Rank, nprocs: usize, rendezvous: &TcpRendezvous) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        {
-            let mut addrs = rendezvous.addrs.lock();
-            addrs[rank] = Some(listener.local_addr()?);
+        let mesh = Self::dial_mesh(rank, nprocs, rendezvous);
+        if let Err(e) = &mesh {
+            // First failure wins: it is the cause, later ones its echoes.
+            let _ = rendezvous.failed.set(format!("rank {rank}: {e}"));
         }
         rendezvous.barrier.wait();
-
-        let (tx, rx) = unbounded();
-        let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..nprocs).map(|_| None).collect();
-        let mut reader_halves: Vec<(Rank, TcpStream)> = Vec::with_capacity(nprocs - 1);
-
-        // Deterministic handshake: connect to every lower rank, accept from
-        // every higher rank. Each connector announces its rank first, while
-        // its stream is still blocking; every stream then goes nonblocking
-        // for the rank's single readiness-loop reader (the writer half
-        // shares the fd, hence `write_all_nonblocking` on the send path).
-        for peer in 0..rank {
-            let addr = rendezvous.addrs.lock()[peer].ok_or_else(|| {
-                std::io::Error::other("peer address missing after rendezvous barrier")
-            })?;
-            let mut stream = connect_with_backoff(addr, CONNECT_TIMEOUT)?;
-            stream.set_nodelay(true)?;
-            stream.write_all(&(rank as u32).to_le_bytes())?;
-            stream.set_nonblocking(true)?;
-            reader_halves.push((peer, stream.try_clone()?));
-            writers[peer] = Some(Mutex::new(stream));
+        let (writers, reader_halves) = mesh?;
+        if let Some(cause) = rendezvous.failed.get() {
+            return Err(peer_setup_failed(cause));
         }
-        for _ in rank + 1..nprocs {
-            let (mut stream, _) = accept_with_deadline(&listener, CONNECT_TIMEOUT)?;
-            stream.set_nodelay(true)?;
-            let mut id = [0u8; 4];
-            read_exact_deadline(&mut stream, &mut id, CONNECT_TIMEOUT)?;
-            let peer = u32::from_le_bytes(id) as usize;
-            reader_halves.push((peer, stream.try_clone()?));
-            writers[peer] = Some(Mutex::new(stream));
-        }
+        let (tx, rx) = channel();
         let reader_health = Arc::new(ThreadHealth::new());
         spawn_mesh_reader(
             rank,
@@ -593,11 +595,57 @@ impl RealTcpChannel {
         Ok(RealTcpChannel {
             writers,
             loopback_tx: tx,
-            rx,
+            rx: Mutex::new(rx),
             t0: rendezvous.t0,
             encode_scratch: Mutex::new(Vec::new()),
             reader_health,
         })
+    }
+
+    /// This rank's sockets: the write half per peer and the read halves for
+    /// the mesh reader. Reaches the address barrier even when it fails.
+    fn dial_mesh(
+        rank: Rank,
+        nprocs: usize,
+        rendezvous: &TcpRendezvous,
+    ) -> std::io::Result<MeshHalves> {
+        let abort = &rendezvous.failed;
+        let bound = TcpListener::bind("127.0.0.1:0").and_then(|l| Ok((l.local_addr()?, l)));
+        if let Ok((addr, _)) = &bound {
+            rendezvous.addrs.lock()[rank] = Some(*addr);
+        }
+        rendezvous.barrier.wait();
+        let (_, listener) = bound?;
+
+        let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..nprocs).map(|_| None).collect();
+        let mut reader_halves: Vec<(Rank, TcpStream)> = Vec::with_capacity(nprocs - 1);
+
+        // Deterministic handshake: connect to every lower rank, accept from
+        // every higher rank. Each connector announces its rank first, while
+        // its stream is still blocking; every stream then goes nonblocking
+        // for the rank's single readiness-loop reader (the writer half
+        // shares the fd, hence `write_all_nonblocking` on the send path).
+        for (peer, writer) in writers.iter_mut().enumerate().take(rank) {
+            let addr = rendezvous.addrs.lock()[peer].ok_or_else(|| {
+                std::io::Error::other(format!("rank {peer} published no listener address"))
+            })?;
+            let mut stream = connect_with_backoff(addr, CONNECT_TIMEOUT, abort)?;
+            stream.set_nodelay(true)?;
+            stream.write_all(&(rank as u32).to_le_bytes())?;
+            stream.set_nonblocking(true)?;
+            reader_halves.push((peer, stream.try_clone()?));
+            *writer = Some(Mutex::new(stream));
+        }
+        for _ in rank + 1..nprocs {
+            let (mut stream, _) = accept_with_deadline(&listener, CONNECT_TIMEOUT, abort)?;
+            stream.set_nodelay(true)?;
+            let mut id = [0u8; 4];
+            read_exact_deadline(&mut stream, &mut id, CONNECT_TIMEOUT)?;
+            let peer = u32::from_le_bytes(id) as usize;
+            reader_halves.push((peer, stream.try_clone()?));
+            writers[peer] = Some(Mutex::new(stream));
+        }
+        Ok((writers, reader_halves))
     }
 
     /// Shared connection-setup state for one job.
@@ -605,6 +653,7 @@ impl RealTcpChannel {
         TcpRendezvous {
             addrs: Mutex::new(vec![None; nprocs]),
             barrier: Barrier::new(nprocs),
+            failed: OnceLock::new(),
             t0: Instant::now(),
         }
     }
@@ -614,6 +663,9 @@ impl RealTcpChannel {
 pub struct TcpRendezvous {
     addrs: Mutex<Vec<Option<SocketAddr>>>,
     barrier: Barrier,
+    /// Set by the first rank whose setup fails, to what went wrong; see
+    /// [`RealTcpChannel::connect`].
+    failed: OnceLock<String>,
     t0: Instant,
 }
 
@@ -851,7 +903,7 @@ impl MsgChannel for RealTcpChannel {
     }
 
     fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        match self.rx.try_recv() {
+        match self.rx.lock().try_recv() {
             Ok(res) => res.map(Some),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => {
@@ -866,12 +918,13 @@ impl MsgChannel for RealTcpChannel {
 
     fn recv_blocking(&self) -> MpiResult<Wire> {
         self.rx
+            .lock()
             .recv()
             .map_err(|_| MpiError::transport("frame queue closed: all readers gone"))?
     }
 
     fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        match self.rx.recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok(res) => res.map(Some),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => {
@@ -922,12 +975,12 @@ where
                 .expect("spawn rank thread")
         })
         .collect();
-    handles
+    // Join every rank before reporting: a failed run must not leave rank
+    // threads (and their sockets) behind.
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    joined
         .into_iter()
-        .map(|h| match h.join() {
-            Ok(res) => res,
-            Err(p) => std::panic::resume_unwind(p),
-        })
+        .map(|res| res.unwrap_or_else(|p| std::panic::resume_unwind(p)))
         .collect()
 }
 
@@ -1021,10 +1074,9 @@ mod tests {
             world
                 .sendrecv(&[me as u64 * 10], right, 0, &mut got, left, 0)
                 .unwrap();
-            let sum = world
+            world
                 .allreduce(&[got[0]], lmpi_core::ReduceOp::Sum)
-                .unwrap()[0];
-            sum
+                .unwrap()[0]
         })
         .unwrap();
         assert_eq!(results, vec![30, 30, 30]);
@@ -1068,7 +1120,7 @@ mod tests {
         let (mut b_send, b_read) = tcp_pair();
         a_read.set_nonblocking(true).unwrap();
         b_read.set_nonblocking(true).unwrap();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let health = Arc::new(ThreadHealth::new());
         spawn_mesh_reader(
             0,
@@ -1112,8 +1164,15 @@ mod tests {
             .unwrap();
         assert_eq!(wire.src, 1);
 
-        // The reader's duty-cycle accounting saw every delivered frame.
-        let snap = health.snapshot("tcp-mesh-reader");
+        // The reader's duty-cycle accounting sees every delivered frame. It
+        // credits a sweep after queueing the sweep's frames, so the count
+        // may trail the last `recv` by a moment.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut snap = health.snapshot("tcp-mesh-reader");
+        while snap.frames < 9 && Instant::now() < deadline {
+            std::thread::yield_now();
+            snap = health.snapshot("tcp-mesh-reader");
+        }
         assert!(snap.frames >= 9, "reader accounted {} frames", snap.frames);
         assert!(snap.wakeups >= 1);
     }
@@ -1127,7 +1186,7 @@ mod tests {
             l.local_addr().unwrap()
         };
         let t0 = Instant::now();
-        let res = connect_with_backoff(addr, Duration::from_millis(30));
+        let res = connect_with_backoff(addr, Duration::from_millis(30), &OnceLock::new());
         assert!(res.is_err(), "connect to a dead port must fail");
         assert!(
             t0.elapsed() >= Duration::from_millis(30),
@@ -1150,7 +1209,7 @@ mod tests {
             let l = TcpListener::bind(addr).expect("rebind");
             let _ = l.accept();
         });
-        let res = connect_with_backoff(addr, Duration::from_secs(5));
+        let res = connect_with_backoff(addr, Duration::from_secs(5), &OnceLock::new());
         assert!(res.is_ok(), "backoff should outlast the late listener");
         accepter.join().unwrap();
     }

@@ -33,7 +33,7 @@ use lmpi_core::{
     Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, TransportStats, Wire,
 };
 use lmpi_obs::Tracer;
-use parking_lot::Mutex;
+use lmpi_sim::lock::Mutex;
 
 use crate::codec;
 use crate::reliable::{RelConfig, ReliableDevice};
@@ -494,7 +494,7 @@ mod tests {
             0,
             Packet::RndvData {
                 recv_id: 3,
-                data: bytes::Bytes::from(payload.clone()),
+                data: lmpi_core::Bytes::from(payload.clone()),
             },
         );
         let enc = codec::encode(&wire);

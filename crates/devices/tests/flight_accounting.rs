@@ -11,26 +11,19 @@ use lmpi_devices::faulty::{FaultConfig, FaultRates, FaultyDevice};
 use lmpi_devices::reliable::{RelConfig, ReliableDevice};
 use lmpi_devices::shm::{run_devices, ShmDevice};
 use lmpi_obs::{correlate, TraceBuffer};
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
 /// Eager messages each way; plus one rendezvous-sized message forward.
 const ROUNDS: u32 = 10;
 
-fn rates_strategy() -> impl Strategy<Value = FaultRates> {
-    (
-        0.0..0.12f64,
-        0.0..0.08f64,
-        0.0..0.08f64,
-        0.0..0.08f64,
-        0..150u64,
-    )
-        .prop_map(|(drop, dup, reorder, delay, delay_us)| FaultRates {
-            drop,
-            dup,
-            reorder,
-            delay,
-            delay_us,
-        })
+fn gen_rates(rng: &mut SplitMix64) -> FaultRates {
+    FaultRates {
+        drop: rng.next_f64() * 0.12,
+        dup: rng.next_f64() * 0.08,
+        reorder: rng.next_f64() * 0.08,
+        delay: rng.next_f64() * 0.08,
+        delay_us: rng.range(0..150) as u64,
+    }
 }
 
 /// Run the workload over Reliable(Faulty(Shm)) with per-rank tracers and
@@ -62,7 +55,7 @@ fn traced_run(seed: u64, rates: FaultRates) -> Vec<TraceBuffer> {
             let big: Vec<u32> = (0..30_000).collect();
             world.send(&big, 1, 3).unwrap();
         } else {
-            for i in 0..ROUNDS {
+            for _ in 0..ROUNDS {
                 let mut buf = [0u32; 2];
                 world.recv(&mut buf, 0, 1).unwrap();
                 world.send(&[buf[1]], 0, 2).unwrap();
@@ -75,17 +68,17 @@ fn traced_run(seed: u64, rates: FaultRates) -> Vec<TraceBuffer> {
     tracers.iter().map(|t| t.snapshot()).collect()
 }
 
-proptest! {
-    // Each case spins up a 2-rank thread fabric; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn every_wire_tx_is_accounted_for(seed in any::<u64>(), rates in rates_strategy()) {
+// Each case spins up a 2-rank thread fabric; keep the count modest.
+#[test]
+fn every_wire_tx_is_accounted_for() {
+    for_each_case(12, |rng| {
+        let seed = rng.next_u64();
+        let rates = gen_rates(rng);
         let bufs = traced_run(seed, rates);
         let record = correlate(&bufs);
 
-        prop_assert!(!record.truncated, "trace ring overflowed");
-        prop_assert!(
+        assert!(!record.truncated, "trace ring overflowed");
+        assert!(
             record.violations.is_empty(),
             "causal invariants violated: {:?}",
             record.violations
@@ -95,15 +88,15 @@ proptest! {
         // delivered timeline must be complete and nothing may dangle.
         let (complete, delivered) = record.complete_delivered();
         // Forward eagers + echoes + the rendezvous message.
-        prop_assert_eq!(delivered, ROUNDS as usize * 2 + 1);
-        prop_assert_eq!(complete, delivered, "incomplete delivered timelines");
+        assert_eq!(delivered, ROUNDS as usize * 2 + 1);
+        assert_eq!(complete, delivered, "incomplete delivered timelines");
 
         let acct = record.account_wire_tx();
-        prop_assert!(
+        assert!(
             acct.orphans.is_empty(),
             "unaccounted WireTx for messages {:?} (seed {seed:#x}, rates {rates:?})",
             acct.orphans
         );
-        prop_assert!(acct.delivered > 0);
-    }
+        assert!(acct.delivered > 0);
+    });
 }

@@ -2,110 +2,96 @@
 //! round-trip exactly, and truncated or corrupted frames are rejected
 //! rather than misparsed.
 
-use bytes::Bytes;
-use lmpi_core::{Envelope, Packet, Wire};
+use lmpi_core::{Bytes, Envelope, Packet, Wire};
 use lmpi_devices::codec::{decode, encode, wire_bytes, HEADER_BYTES, MSG_SEQ_BYTES, SEQ_ACK_BYTES};
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
-fn envelope_strategy() -> impl Strategy<Value = Envelope> {
-    (0..64usize, 0..1000u32, 0..8u32, 0..10_000usize).prop_map(|(src, tag, context, len)| {
-        Envelope {
-            src,
-            tag,
-            context,
-            len,
-        }
-    })
+fn gen_envelope(rng: &mut SplitMix64) -> Envelope {
+    Envelope {
+        src: rng.range(0..64),
+        tag: rng.range(0..1000) as u32,
+        context: rng.range(0..8) as u32,
+        len: rng.range(0..10_000),
+    }
 }
 
-fn payload_strategy() -> impl Strategy<Value = Bytes> {
-    prop::collection::vec(any::<u8>(), 0..600).prop_map(Bytes::from)
+fn gen_payload(rng: &mut SplitMix64) -> Bytes {
+    Bytes::from(rng.vec(0..600, |r| r.next_u64() as u8))
 }
 
-fn packet_strategy() -> impl Strategy<Value = Packet> {
-    prop_oneof![
-        (
-            envelope_strategy(),
-            0..u32::MAX as u64,
-            any::<bool>(),
-            payload_strategy()
-        )
-            .prop_map(|(env, send_id, flag, data)| Packet::Eager {
-                env,
-                send_id,
-                // needs_ack and ready are mutually exclusive in practice.
-                needs_ack: flag,
-                ready: false,
-                data,
-            }),
-        (envelope_strategy(), 0..u32::MAX as u64)
-            .prop_map(|(env, send_id)| Packet::RndvReq { env, send_id }),
-        (0..u32::MAX as u64, 0..u32::MAX as u64)
-            .prop_map(|(send_id, recv_id)| Packet::RndvGo { send_id, recv_id }),
-        (0..u32::MAX as u64, payload_strategy())
-            .prop_map(|(recv_id, data)| Packet::RndvData { recv_id, data }),
-        (
-            0..u32::MAX as u64,
-            0..u32::MAX as usize,
-            0..u32::MAX as usize,
-            payload_strategy()
-        )
-            .prop_map(|(recv_id, offset, total, data)| Packet::RndvChunk {
-                recv_id,
-                offset,
-                total,
-                data
-            }),
-        (0..u32::MAX as u64).prop_map(|send_id| Packet::RndvChunkAck { send_id }),
-        (0..u32::MAX as u64).prop_map(|send_id| Packet::EagerAck { send_id }),
-        Just(Packet::Credit),
-        (0..8u32, 0..64usize, 0..1000u64, payload_strategy()).prop_map(
-            |(context, root, seq, data)| Packet::HwBcast {
-                context,
-                root,
-                seq,
-                data
-            }
-        ),
-    ]
+/// A request id below `u32::MAX`.
+fn gen_id(rng: &mut SplitMix64) -> u64 {
+    rng.range(0..u32::MAX as usize) as u64
 }
 
-fn wire_strategy() -> impl Strategy<Value = Wire> {
-    (
-        0..64usize,
-        0..200u32,
-        0..0xFF_FFFFu64,
+fn gen_packet(rng: &mut SplitMix64) -> Packet {
+    match rng.range(0..9) {
+        0 => Packet::Eager {
+            env: gen_envelope(rng),
+            send_id: gen_id(rng),
+            // needs_ack and ready are mutually exclusive in practice.
+            needs_ack: rng.chance(0.5),
+            ready: false,
+            data: gen_payload(rng),
+        },
+        1 => Packet::RndvReq {
+            env: gen_envelope(rng),
+            send_id: gen_id(rng),
+        },
+        2 => Packet::RndvGo {
+            send_id: gen_id(rng),
+            recv_id: gen_id(rng),
+        },
+        3 => Packet::RndvData {
+            recv_id: gen_id(rng),
+            data: gen_payload(rng),
+        },
+        4 => Packet::RndvChunk {
+            recv_id: gen_id(rng),
+            offset: rng.range(0..u32::MAX as usize),
+            total: rng.range(0..u32::MAX as usize),
+            data: gen_payload(rng),
+        },
+        5 => Packet::RndvChunkAck {
+            send_id: gen_id(rng),
+        },
+        6 => Packet::EagerAck {
+            send_id: gen_id(rng),
+        },
+        7 => Packet::Credit,
+        _ => Packet::HwBcast {
+            context: rng.range(0..8) as u32,
+            root: rng.range(0..64),
+            seq: rng.range(0..1000) as u64,
+            data: gen_payload(rng),
+        },
+    }
+}
+
+fn gen_wire(rng: &mut SplitMix64) -> Wire {
+    let src = rng.range(0..64);
+    let mut pkt = gen_packet(rng);
+    // Protocol invariant the codec relies on (the 20-byte envelope stores
+    // the source once): envelope packets are always sent by their own
+    // source rank.
+    match &mut pkt {
+        Packet::Eager { env, .. } | Packet::RndvReq { env, .. } => env.src = src,
+        _ => {}
+    }
+    Wire {
+        src,
         // Full u64 range: layout v2 carries seq/ack uncompressed, so frames
         // past the old u32 boundary must round-trip too.
-        any::<u64>(),
-        any::<u64>(),
+        seq: rng.next_u64(),
+        ack: rng.next_u64(),
         // Full u64 range for the v4 selective-repeat ack bitmap.
-        any::<u64>(),
+        ack_bits: rng.next_u64(),
+        env_credit: rng.range(0..200).min(0xFF) as u32,
+        data_credit: rng.range(0..0xFF_FFFF) as u64,
         // Full u32 range for the v3 flight-recorder tag (0 = untagged).
-        any::<u32>(),
-        packet_strategy(),
-    )
-        .prop_map(
-            |(src, env_credit, data_credit, seq, ack, ack_bits, msg_seq, mut pkt)| {
-                // Protocol invariant the codec relies on (the 20-byte envelope
-                // stores the source once): envelope packets are always sent by
-                // their own source rank.
-                match &mut pkt {
-                    Packet::Eager { env, .. } | Packet::RndvReq { env, .. } => env.src = src,
-                    _ => {}
-                }
-                Wire {
-                    src,
-                    seq,
-                    ack,
-                    ack_bits,
-                    env_credit: env_credit.min(0xFF),
-                    data_credit,
-                    msg_seq,
-                    pkt,
-                }
-            },
-        )
+        msg_seq: rng.next_u64() as u32,
+        pkt,
+    }
 }
 
 fn assert_wire_eq(a: &Wire, b: &Wire) {
@@ -225,40 +211,49 @@ fn assert_wire_eq(a: &Wire, b: &Wire) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn roundtrip_any_frame(wire in wire_strategy()) {
+#[test]
+fn roundtrip_any_frame() {
+    for_each_case(512, |rng| {
+        let wire = gen_wire(rng);
         let enc = encode(&wire);
         let (dec, used) = decode(&enc).expect("well-formed frame");
-        prop_assert_eq!(used, enc.len());
+        assert_eq!(used, enc.len());
         assert_wire_eq(&wire, &dec);
-    }
+    });
+}
 
-    #[test]
-    fn encoded_size_is_header_plus_payload(wire in wire_strategy()) {
+#[test]
+fn encoded_size_is_header_plus_payload() {
+    for_each_case(512, |rng| {
+        let wire = gen_wire(rng);
         let enc = encode(&wire);
         // encode adds the 24 seq/ack/bitmap bytes of the reliability
         // sublayer, the 4-byte flight-recorder tag and a 4-byte payload
         // length word to the paper's 25-byte header; the *cost model*
         // (wire_bytes) still charges the paper's header alone.
-        prop_assert_eq!(
+        assert_eq!(
             enc.len(),
             HEADER_BYTES + SEQ_ACK_BYTES + MSG_SEQ_BYTES + 4 + wire.pkt.payload_len()
         );
-        prop_assert_eq!(wire_bytes(&wire), HEADER_BYTES + wire.pkt.payload_len());
-    }
+        assert_eq!(wire_bytes(&wire), HEADER_BYTES + wire.pkt.payload_len());
+    });
+}
 
-    #[test]
-    fn truncation_never_panics(wire in wire_strategy(), cut in 0usize..100) {
+#[test]
+fn truncation_never_panics() {
+    for_each_case(512, |rng| {
+        let wire = gen_wire(rng);
+        let cut = rng.range(0..100);
         let enc = encode(&wire);
         let cut = cut.min(enc.len());
         let _ = decode(&enc[..enc.len() - cut]); // must not panic
-    }
+    });
+}
 
-    #[test]
-    fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+#[test]
+fn random_bytes_never_panic() {
+    for_each_case(512, |rng| {
+        let bytes = rng.vec(0..200, |r| r.next_u64() as u8);
         let _ = decode(&bytes); // must not panic; Err is fine
-    }
+    });
 }

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
+use lmpi_sim::lock::Mutex;
 use lmpi_sim::{Sim, SimDur, SimTime};
-use parking_lot::Mutex;
 
 use crate::params::EthParams;
 

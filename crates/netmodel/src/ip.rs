@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
+use lmpi_sim::lock::Mutex;
 use lmpi_sim::{Proc, Sim, SimDur, SimQueue, SplitMix64};
-use parking_lot::Mutex;
 
 use crate::atm::AtmFabric;
 use crate::eth::EthFabric;
@@ -534,7 +534,7 @@ mod tests {
             // Receive until the sim would otherwise deadlock: poll with a
             // generous horizon instead.
             loop {
-                if let Some(_) = n1.try_recv(p, 1) {
+                if n1.try_recv(p, 1).is_some() {
                     *g.lock() += 1;
                 }
                 if p.now().as_secs_f64() > 1.0 {

@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 
+use lmpi_sim::lock::Mutex;
 use lmpi_sim::{Proc, Sim, SimDur, SimQueue, SimTime};
-use parking_lot::Mutex;
 
 use crate::params::MeikoParams;
 
@@ -270,7 +270,8 @@ mod tests {
         // Second transfer must wait for the first: gap >= transfer time.
         assert!(
             t[1] - t[0] >= 39_000.0 * 0.0256 - 1.0,
-            "DMA engine must serialize: {t:?}"
+            "DMA engine must serialize: {:?}",
+            *t
         );
     }
 
@@ -294,7 +295,11 @@ mod tests {
         sim.run();
         let t = times.lock();
         assert_eq!(t.len(), 3);
-        assert!(t.iter().all(|&x| x == t[0]), "simultaneous delivery: {t:?}");
+        assert!(
+            t.iter().all(|&x| x == t[0]),
+            "simultaneous delivery: {:?}",
+            *t
+        );
     }
 
     #[test]

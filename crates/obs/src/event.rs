@@ -14,7 +14,7 @@
 /// every device layer in between — carry the same `(src, seq)` pair.
 /// This is what lets `correlate` stitch per-rank rings into one
 /// per-message timeline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgId {
     /// Rank that posted the send.
     pub src: u32,

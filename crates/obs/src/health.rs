@@ -228,32 +228,34 @@ impl ThreadHealth {
     }
 }
 
-/// Serializable point-in-time view of one thread's [`ThreadHealth`].
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ThreadHealthSnapshot {
-    /// Thread role, e.g. `"progress"` or `"tcp-mesh-reader"`.
-    pub name: String,
-    /// Wall time spent waiting for the engine mutex, ns.
-    pub lock_wait_ns: u64,
-    /// Wall time spent handling frames under the lock, ns.
-    pub drain_ns: u64,
-    /// Wall time spent polling/reading the device, ns.
-    pub poll_ns: u64,
-    /// Wall time spent parked or in idle backoff, ns.
-    pub park_ns: u64,
-    /// Wall time between the first and latest credited segment, ns.
-    pub wall_ns: u64,
-    /// Fraction of `wall_ns` the buckets account for (≈ 1.0 by
-    /// construction; < 1.0 only for time between credit calls).
-    pub coverage: f64,
-    /// Fraction of wall time spent *not* parked.
-    pub duty_cycle: f64,
-    /// Productive wakeups (drain bursts that handled ≥ 1 frame).
-    pub wakeups: u64,
-    /// Frames handled by this thread.
-    pub frames: u64,
-    /// Wakeup-to-first-frame-handled latency distribution.
-    pub wakeup_to_drain: PercentileSummary,
+crate::json_struct! {
+    /// Serializable point-in-time view of one thread's [`ThreadHealth`].
+    #[derive(Clone, Debug)]
+    pub struct ThreadHealthSnapshot {
+        /// Thread role, e.g. `"progress"` or `"tcp-mesh-reader"`.
+        pub name: String,
+        /// Wall time spent waiting for the engine mutex, ns.
+        pub lock_wait_ns: u64,
+        /// Wall time spent handling frames under the lock, ns.
+        pub drain_ns: u64,
+        /// Wall time spent polling/reading the device, ns.
+        pub poll_ns: u64,
+        /// Wall time spent parked or in idle backoff, ns.
+        pub park_ns: u64,
+        /// Wall time between the first and latest credited segment, ns.
+        pub wall_ns: u64,
+        /// Fraction of `wall_ns` the buckets account for (≈ 1.0 by
+        /// construction; < 1.0 only for time between credit calls).
+        pub coverage: f64,
+        /// Fraction of wall time spent *not* parked.
+        pub duty_cycle: f64,
+        /// Productive wakeups (drain bursts that handled ≥ 1 frame).
+        pub wakeups: u64,
+        /// Frames handled by this thread.
+        pub frames: u64,
+        /// Wakeup-to-first-frame-handled latency distribution.
+        pub wakeup_to_drain: PercentileSummary,
+    }
 }
 
 #[cfg(test)]

@@ -35,26 +35,28 @@ pub(crate) fn bucket_high(idx: usize) -> u64 {
     }
 }
 
-/// Percentile roll-up of a [`LatencyHist`]. All durations are
-/// nanoseconds; serializes to JSON via [`crate::to_json`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, serde::Serialize)]
-pub struct PercentileSummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Exact minimum, ns.
-    pub min_ns: u64,
-    /// Exact maximum, ns.
-    pub max_ns: u64,
-    /// Exact mean, ns.
-    pub mean_ns: f64,
-    /// Median (≤ 12.5% bucket error), ns.
-    pub p50_ns: u64,
-    /// 90th percentile, ns.
-    pub p90_ns: u64,
-    /// 99th percentile, ns.
-    pub p99_ns: u64,
-    /// 99.9th percentile, ns.
-    pub p999_ns: u64,
+crate::json_struct! {
+    /// Percentile roll-up of a [`LatencyHist`]. All durations are
+    /// nanoseconds; serializes to JSON via [`crate::to_json`].
+    #[derive(Copy, Clone, Debug, Default, PartialEq)]
+    pub struct PercentileSummary {
+        /// Number of recorded samples.
+        pub count: u64,
+        /// Exact minimum, ns.
+        pub min_ns: u64,
+        /// Exact maximum, ns.
+        pub max_ns: u64,
+        /// Exact mean, ns.
+        pub mean_ns: f64,
+        /// Median (≤ 12.5% bucket error), ns.
+        pub p50_ns: u64,
+        /// 90th percentile, ns.
+        pub p90_ns: u64,
+        /// 99th percentile, ns.
+        pub p99_ns: u64,
+        /// 99.9th percentile, ns.
+        pub p999_ns: u64,
+    }
 }
 
 /// Fixed-size log-bucketed histogram of nanosecond latencies.
@@ -281,15 +283,16 @@ mod tests {
 
     #[test]
     fn bucket_index_is_monotone_and_in_range() {
+        let mut probes: Vec<u64> = (0..64u32)
+            .flat_map(|shift| [0i64, 1, 7].map(|near| (1u64 << shift).saturating_add_signed(near)))
+            .collect();
+        probes.sort_unstable();
         let mut last = 0usize;
-        for shift in 0..64u32 {
-            for near in [0i64, 1, 7] {
-                let v = (1u64 << shift).saturating_add_signed(near);
-                let idx = bucket_index(v);
-                assert!(idx < NBUCKETS, "v={v} idx={idx}");
-                assert!(idx >= last, "not monotone at v={v}");
-                last = idx;
-            }
+        for v in probes {
+            let idx = bucket_index(v);
+            assert!(idx < NBUCKETS, "v={v} idx={idx}");
+            assert!(idx >= last, "not monotone at v={v}");
+            last = idx;
         }
     }
 

@@ -1,11 +1,13 @@
-//! Minimal hand-rolled JSON emission and validation.
+//! The workspace's one JSON emitter, and a validator for its output.
 //!
-//! The exporters that predate the flight recorder need only flat objects
-//! with string / number / bool fields, which this ~80-line builder
-//! covers (keys are always compile-time identifiers and are not escaped;
-//! values are). Structured snapshot types serialize through
-//! [`crate::ser::to_json`] instead, which drives `serde::Serialize`
-//! derives without pulling in `serde_json`.
+//! The exporters build flat objects with the [`Obj`] builder (keys are
+//! always compile-time identifiers and are not escaped; values are).
+//! Snapshot structs declared through [`json_struct!`](crate::json_struct)
+//! get a [`ToJson`] impl that walks their own field list, so a field added
+//! to the struct cannot be forgotten by the exporter. Output is compact;
+//! non-finite floats render as `0`.
+
+use std::convert::Infallible;
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub(crate) fn escape(s: &str) -> String {
@@ -109,6 +111,84 @@ pub(crate) fn array(items: &[String]) -> String {
     }
     out.push(']');
     out
+}
+
+/// A value that renders itself as compact JSON.
+pub trait ToJson {
+    /// The JSON text of `self`.
+    fn to_json(&self) -> String;
+}
+
+macro_rules! to_json_via {
+    ($($ty:ty => |$v:ident| $render:expr),* $(,)?) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> String {
+                let $v = self;
+                $render
+            }
+        }
+    )*};
+}
+
+to_json_via! {
+    u32 => |v| v.to_string(),
+    u64 => |v| v.to_string(),
+    f64 => |v| num_f64(*v),
+    bool => |v| v.to_string(),
+    String => |v| format!("\"{}\"", escape(v)),
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> String {
+        array(&self.iter().map(ToJson::to_json).collect::<Vec<_>>())
+    }
+}
+
+/// Render `fields` as one object, in order. [`json_struct!`](crate::json_struct)
+/// expands to a call of this.
+pub fn object(fields: &[(&str, &dyn ToJson)]) -> String {
+    fields
+        .iter()
+        .fold(Obj::new(), |o, (k, v)| o.raw(k, &v.to_json()))
+        .finish()
+}
+
+/// Render `value` as compact JSON. It cannot fail; the `Result` is kept
+/// for callers written against the fallible serializer this replaced.
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> Result<String, Infallible> {
+    Ok(value.to_json())
+}
+
+/// Declare a struct and its [`ToJson`] impl from one field list: every
+/// field becomes a key, in declaration order.
+///
+/// ```
+/// lmpi_obs::json_struct! {
+///     /// Doc comments and derives pass through.
+///     #[derive(Default)]
+///     pub struct S {
+///         pub n: u64,
+///         pub name: String,
+///     }
+/// }
+/// let json = lmpi_obs::to_json(&S { n: 7, name: "x".into() }).unwrap();
+/// assert_eq!(json, r#"{"n":7,"name":"x"}"#);
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),*
+        }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> String {
+                $crate::json_object(&[$((stringify!($field), &self.$field)),*])
+            }
+        }
+    };
 }
 
 /// A minimal recursive-descent JSON validity checker: `Ok(())` iff `s`

@@ -26,12 +26,11 @@
 //!   invariant checks, and [`diag`] runs rule-based stall diagnostics
 //!   (credit starvation, retransmit storms, unexpected-queue growth,
 //!   matcher-bin skew) over the correlated record;
-//! * [`to_json`] — a minimal `serde::Serializer` rendering any
-//!   `Serialize` derive as compact JSON, so snapshot types stop
-//!   hand-rolling field lists (the workspace bans `serde_json`).
+//! * [`ToJson`] / [`to_json`] — compact JSON for snapshot structs, whose
+//!   [`json_struct!`] declaration is also their exporter's field list.
 //!
-//! The crate is dependency-light by design (`parking_lot` plus `serde`'s
-//! traits): it sits *below* `lmpi-core` in the crate graph so the engine
+//! The crate depends only on `lmpi-sim` (for the workspace's lock type and
+//! seeded generator): it sits *below* `lmpi-core` in the crate graph so the engine
 //! and every device can emit events without cycles. Timestamps are raw
 //! `u64` nanoseconds; the tracer never owns a clock — callers pass time
 //! in, which is what lets one event schema span virtual and wall-clock
@@ -48,7 +47,6 @@ pub mod health;
 mod hist;
 mod json;
 pub mod report;
-mod ser;
 mod tracer;
 
 pub use chrome::chrome_trace_json;
@@ -58,7 +56,6 @@ pub use diag::{diagnose, diagnostics_json, DiagConfig, DiagKind, Diagnostic, Ran
 pub use event::{CollAlgo, CollOp, Event, EventKind, FaultKind, MsgId, PacketKind};
 pub use health::{AtomicHist, ThreadHealth, ThreadHealthSnapshot, TimeBucket};
 pub use hist::{LatencyHist, PercentileSummary, WindowedHist};
-pub use json::validate as validate_json;
+pub use json::{object as json_object, to_json, validate as validate_json, ToJson};
 pub use report::{attribute_ping_pong, table1_json, PhaseBreakdown, Table1Row};
-pub use ser::{to_json, SerError};
 pub use tracer::{current_tid, thread_names, TraceBuffer, Tracer};

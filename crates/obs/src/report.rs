@@ -147,8 +147,12 @@ pub fn attribute_ping_pong(a: &TraceBuffer, b: &TraceBuffer) -> PhaseBreakdown {
                 break;
             };
             out.proto_send_ns += dma.t_ns.saturating_sub(rx_go.t_ns);
-            let Some(rx_data) = cur[receiver].next_where(|k| is_wire_rx(k, PacketKind::RndvData))
-            else {
+            // One `RndvData` frame, or the first `RndvChunk` of a pipelined
+            // stream: the rest of the stream lands before `Delivered` and
+            // is charged to the receive side with it.
+            let Some(rx_data) = cur[receiver].next_where(|k| {
+                is_wire_rx(k, PacketKind::RndvData) || is_wire_rx(k, PacketKind::RndvChunk)
+            }) else {
                 break;
             };
             out.wire_ns += rx_data.t_ns.saturating_sub(dma.t_ns);
@@ -317,49 +321,60 @@ mod tests {
 
     #[test]
     fn rendezvous_legs_are_charged_to_the_right_phases() {
-        let t0 = Tracer::enabled(0, 64);
-        let t1 = Tracer::enabled(1, 64);
-        let n = 65_536u32;
-        t0.emit_at(
-            0,
-            SendPosted {
-                peer: 1,
-                bytes: n,
-                tag: 0,
-            },
-        );
-        t0.emit_at(10, RndvReqTx { peer: 1, bytes: n });
-        t1.emit_at(
-            60,
-            WireRx {
-                peer: 0,
-                kind: PacketKind::RndvReq,
-            },
-        );
-        t1.emit_at(75, RndvGoTx { peer: 0 });
-        t0.emit_at(
-            125,
-            WireRx {
-                peer: 1,
-                kind: PacketKind::RndvGo,
-            },
-        );
-        t0.emit_at(130, DmaStart { peer: 1, bytes: n });
-        t1.emit_at(
-            1_130,
-            WireRx {
-                peer: 0,
-                kind: PacketKind::RndvData,
-            },
-        );
-        t1.emit_at(1_150, Delivered { peer: 0, bytes: n });
-        let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
-        assert_eq!(bd.half_trips, 1);
-        assert_eq!(bd.proto_send_ns, 10 + 5); // post→req_tx, go_rx→dma
-        assert_eq!(bd.wire_ns, 50 + 50 + 1_000); // req, go, data legs
-        assert_eq!(bd.proto_recv_ns, 15 + 20); // req_rx→go_tx, data_rx→deliver
-        assert_eq!(bd.api_ns, 0);
-        assert_eq!(bd.total_ns(), 1_150);
+        for data_kind in [PacketKind::RndvData, PacketKind::RndvChunk] {
+            let t0 = Tracer::enabled(0, 64);
+            let t1 = Tracer::enabled(1, 64);
+            let n = 65_536u32;
+            t0.emit_at(
+                0,
+                SendPosted {
+                    peer: 1,
+                    bytes: n,
+                    tag: 0,
+                },
+            );
+            t0.emit_at(10, RndvReqTx { peer: 1, bytes: n });
+            t1.emit_at(
+                60,
+                WireRx {
+                    peer: 0,
+                    kind: PacketKind::RndvReq,
+                },
+            );
+            t1.emit_at(75, RndvGoTx { peer: 0 });
+            t0.emit_at(
+                125,
+                WireRx {
+                    peer: 1,
+                    kind: PacketKind::RndvGo,
+                },
+            );
+            t0.emit_at(130, DmaStart { peer: 1, bytes: n });
+            t1.emit_at(
+                1_130,
+                WireRx {
+                    peer: 0,
+                    kind: data_kind,
+                },
+            );
+            // A later chunk of the same stream changes nothing: the wire
+            // leg ends at the first, the rest is receive-side time.
+            t1.emit_at(
+                1_140,
+                WireRx {
+                    peer: 0,
+                    kind: data_kind,
+                },
+            );
+            t1.emit_at(1_150, Delivered { peer: 0, bytes: n });
+            let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+            assert_eq!(bd.half_trips, 1);
+            assert_eq!(bd.proto_send_ns, 10 + 5); // post→req_tx, go_rx→dma
+            assert_eq!(bd.wire_ns, 50 + 50 + 1_000); // req, go, data legs
+            assert_eq!(bd.proto_recv_ns, 15 + 20); // req_rx→go_tx, data_rx→deliver
+            assert_eq!(bd.api_ns, 0);
+            assert_eq!(bd.total_ns(), 1_150);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    installs a clone and keeps one to snapshot after the run. Clones
 //!    share the ring via `Arc`.
 
-use parking_lot::Mutex;
+use lmpi_sim::lock::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;

@@ -28,13 +28,14 @@
 
 #![warn(missing_docs)]
 
+pub mod lock;
 mod rng;
 mod sched;
 mod stats;
 mod sync;
 mod time;
 
-pub use rng::SplitMix64;
+pub use rng::{for_each_case, SplitMix64};
 pub use sched::{Proc, ProcId, Sim};
 pub use stats::{Histogram, Summary};
 pub use sync::{Latch, Notify, SimQueue};

@@ -3,8 +3,11 @@
 //! The simulation kernel must be exactly reproducible, so network models
 //! never use ambient OS entropy; each component derives its own stream from
 //! an explicit seed. SplitMix64 is tiny, fast, and passes BigCrush when used
-//! this way; workload *generation* in the benchmark crates uses the `rand`
-//! crate instead.
+//! this way. The workspace's property tests draw their cases from it too
+//! ([`for_each_case`]), so a failing case is reproduced by its seed.
+
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// SplitMix64 deterministic generator.
 #[derive(Clone, Debug)]
@@ -44,9 +47,36 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
+    /// Uniform integer in `[range.start, range.end)`; the range must not be
+    /// empty.
+    pub fn range(&mut self, range: Range<usize>) -> usize {
+        range.start + self.next_below((range.end - range.start) as u64) as usize
+    }
+
+    /// A vector of `item`s whose length is uniform in `len`.
+    pub fn vec<T>(&mut self, len: Range<usize>, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        (0..self.range(len)).map(|_| item(self)).collect()
+    }
+
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
+    }
+}
+
+/// Run a property `cases` times, each on its own generator seeded from a
+/// fixed base, so every run checks the same cases. If `property` panics the
+/// failing case's seed is printed (`SplitMix64::new(seed)` reproduces its
+/// inputs) and the panic continues.
+pub fn for_each_case(cases: u32, mut property: impl FnMut(&mut SplitMix64)) {
+    let mut seeds = SplitMix64::new(0x1997_0401);
+    for case in 0..cases {
+        let seed = seeds.next_u64();
+        let run = AssertUnwindSafe(|| property(&mut SplitMix64::new(seed)));
+        if let Err(panic) = catch_unwind(run) {
+            eprintln!("property failed on case {case} of {cases}: seed {seed:#018x}");
+            resume_unwind(panic);
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock::{Condvar, Mutex};
 
 use crate::time::{SimDur, SimTime};
 
@@ -449,7 +449,7 @@ impl Proc {
         self.sim.core.schedule_wake_locked(&mut st, at, token);
     }
 
-    fn yield_token(&self, mut st: parking_lot::MutexGuard<'_, SchedState>) {
+    fn yield_token(&self, mut st: crate::lock::MutexGuard<'_, SchedState>) {
         st.token = Token::Scheduler;
         self.sim.core.sched_cv.notify_one();
         while st.token != Token::Proc(self.pid) && !st.poisoned {

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::lock::Mutex;
 
 use crate::sched::{Proc, Sim, WakeToken};
 use crate::time::SimDur;

@@ -37,7 +37,7 @@ use lmpi::{
 /// [`ENV_SLOTS`] envelope credits the tail of the burst starves).
 const BURST: u32 = 24;
 /// Envelope credits per sender: tiny on purpose, so the burst stalls.
-const ENV_SLOTS: usize = 2;
+const ENV_SLOTS: u32 = 2;
 /// How long rank 1 sits on its hands before posting receives. Everything
 /// rank 0 managed to send dwells in the unexpected queue for this long,
 /// and the credit stall the tail of the burst suffers is at least this
@@ -61,7 +61,7 @@ fn build_stack(tracers: &[Tracer]) -> (Vec<Stack>, Vec<Arc<lmpi::FaultStats>>) {
         .enumerate()
         .map(|(rank, dev)| {
             let cfg = FaultConfig {
-                seed: 0xF11_6447 + rank as u64,
+                seed: 0xF11_6448 + rank as u64,
                 control: FaultRates::NONE,
                 eager: FaultRates::drop_only(DROP),
                 bulk: FaultRates::drop_only(DROP),

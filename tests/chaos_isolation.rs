@@ -25,7 +25,7 @@ use lmpi::{
     run_devices, Device, FaultConfig, FaultRates, FaultyDevice, Mpi, MpiConfig, MpiError,
     MpiResult, RelConfig, ReliableDevice, ShmDevice, Status, Tracer,
 };
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
 const RANKS: usize = 3;
 const VICTIM: usize = 2;
@@ -55,42 +55,39 @@ fn payload(op_idx: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        (
-            0..RANKS,
-            1..RANKS,
+fn gen_ops(rng: &mut SplitMix64) -> Vec<Op> {
+    let mut v = rng.vec(3..10, |r| {
+        let src = r.range(0..RANKS);
+        Op {
+            src,
+            dst: (src + r.range(1..RANKS)) % RANKS,
             // Small eager messages and chunked rendezvous payloads (the
             // shm eager threshold is 8 KiB).
-            prop_oneof![4usize..64, 9_000usize..20_000],
-        )
-            .prop_map(|(src, shift, len)| Op {
-                src,
-                dst: (src + shift) % RANKS,
-                len,
-            }),
-        3..10,
-    )
-    .prop_map(|mut v| {
-        // Always exercise the interesting corners: rendezvous into the
-        // victim, out of the victim, and between the two survivors.
-        v.push(Op {
-            src: 0,
-            dst: VICTIM,
-            len: 16_000,
-        });
-        v.push(Op {
-            src: VICTIM,
-            dst: 1,
-            len: 12_000,
-        });
-        v.push(Op {
-            src: 0,
-            dst: 1,
-            len: 10_000,
-        });
-        v
-    })
+            len: if r.chance(0.5) {
+                r.range(4..64)
+            } else {
+                r.range(9_000..20_000)
+            },
+        }
+    });
+    // Always exercise the interesting corners: rendezvous into the
+    // victim, out of the victim, and between the two survivors.
+    v.push(Op {
+        src: 0,
+        dst: VICTIM,
+        len: 16_000,
+    });
+    v.push(Op {
+        src: VICTIM,
+        dst: 1,
+        len: 12_000,
+    });
+    v.push(Op {
+        src: 0,
+        dst: 1,
+        len: 10_000,
+    });
+    v
 }
 
 /// How one operation ended on the rank that owned it.
@@ -278,23 +275,24 @@ fn tuned_collectives_fail_typed_on_a_dead_member() {
     });
 }
 
-proptest! {
-    // Each case spawns 2 × RANKS threads and rides real heartbeat
-    // timeouts; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn killing_one_rank_never_poisons_survivor_traffic(
-        ops in ops_strategy(),
-        kill_at in 4u64..80,
-    ) {
-        let mk_tracers = || (0..RANKS as u32).map(|r| Tracer::enabled(r, 1 << 16)).collect::<Vec<_>>();
+// Each case spawns 2 × RANKS threads and rides real heartbeat
+// timeouts; keep the count modest.
+#[test]
+fn killing_one_rank_never_poisons_survivor_traffic() {
+    for_each_case(8, |rng| {
+        let ops = gen_ops(rng);
+        let kill_at = rng.range(4..80) as u64;
+        let mk_tracers = || {
+            (0..RANKS as u32)
+                .map(|r| Tracer::enabled(r, 1 << 16))
+                .collect::<Vec<_>>()
+        };
 
         // Fault-free control: everything must complete.
         let control = run_schedule(&ops, None, &mk_tracers());
         for (rank, outcomes) in control.iter().enumerate() {
             for (i, o) in outcomes {
-                prop_assert!(
+                assert!(
                     matches!(*o, Outcome::Ok(_)),
                     "control run: rank {rank} op {i} ended {o:?}"
                 );
@@ -310,7 +308,7 @@ proptest! {
                 if op.touches_victim() || rank == VICTIM {
                     // Completed before the crash, or typed PeerFailed —
                     // anything else is an isolation bug.
-                    prop_assert!(
+                    assert!(
                         matches!(*o, Outcome::Ok(_) | Outcome::PeerFailed),
                         "rank {rank} op {i} ({op:?}) ended {o:?}"
                     );
@@ -322,7 +320,7 @@ proptest! {
                         .find(|(j, _)| j == i)
                         .map(|(_, o)| o)
                         .expect("same schedule in both runs");
-                    prop_assert!(
+                    assert!(
                         o == reference,
                         "rank {rank} op {i} ({op:?}) diverged from the \
                          fault-free run: {o:?} vs {reference:?}"
@@ -340,11 +338,11 @@ proptest! {
         if !record.truncated {
             for orphan in &record.account_wire_tx().orphans {
                 let dst = record.timeline(*orphan).and_then(|t| t.dst);
-                prop_assert!(
+                assert!(
                     orphan.src == VICTIM as u32 || dst == Some(VICTIM as u32),
                     "orphaned WireTx {orphan:?} (dst {dst:?}) does not touch the victim"
                 );
             }
         }
-    }
+    });
 }

@@ -11,11 +11,11 @@
 //! communicator and its `dup`.
 
 use lmpi::{
-    run_cluster, run_devices, run_meiko, run_threads, ClusterNet, ClusterTransport, FaultConfig,
-    FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, ReduceOp, RelConfig, ReliableDevice,
-    ShmDevice,
+    run_cluster, run_devices, run_meiko, run_threads, ClusterNet, ClusterTransport, Communicator,
+    FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, ReduceOp, RelConfig,
+    ReliableDevice, ShmDevice,
 };
-use proptest::prelude::*;
+use lmpi_sim::for_each_case;
 
 /// Deterministic per-(rank, index) payload word. Kept to 32 bits so a
 /// `Sum` over any realistic communicator cannot overflow u64.
@@ -33,11 +33,10 @@ fn apply(op: ReduceOp, a: u64, b: u64) -> u64 {
     }
 }
 
-/// Run every algorithm of every family at each element count and compare
-/// against the locally computed reference. Panics (in the rank thread) on
-/// any divergence, which fails the harness run.
-fn algo_workout(mpi: &Mpi, sizes: &[usize]) {
-    let world = mpi.world();
+/// Run every algorithm of every family on `world` at each element count
+/// and compare against the locally computed reference. Panics (in the rank
+/// thread) on any divergence, which fails the harness run.
+fn algo_workout(world: &Communicator, sizes: &[usize]) {
     let me = world.rank();
     let n = world.size();
     for (si, &count) in sizes.iter().enumerate() {
@@ -109,7 +108,7 @@ fn algo_workout(mpi: &Mpi, sizes: &[usize]) {
 #[test]
 fn every_algorithm_matches_the_reference_on_threads() {
     for n in [2usize, 3, 4, 5, 8] {
-        run_threads(n, |mpi| algo_workout(&mpi, &[0, 1, 17, 300, 9_000]));
+        run_threads(n, |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 9_000]));
     }
 }
 
@@ -122,16 +121,47 @@ fn every_algorithm_matches_the_reference_on_simulated_substrates() {
             n,
             MeikoVariant::LowLatency,
             MpiConfig::device_defaults(),
-            |mpi| algo_workout(&mpi, &[0, 1, 17, 300, 1_500]),
+            |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 1_500]),
         );
         run_cluster(
             n,
             ClusterNet::Atm,
             ClusterTransport::Tcp,
             MpiConfig::device_defaults(),
-            |mpi| algo_workout(&mpi, &[0, 1, 17, 300, 1_500]),
+            |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 1_500]),
         );
     }
+}
+
+/// A communicator whose group is not the identity: ranks 4, 2, 0 of six, in
+/// that order, so local rank `r` is global rank `4 - 2r`. An algorithm that
+/// confuses local and global ranks addresses a non-member or the wrong
+/// member here; on `world` the two coincide and hide it.
+fn reversed_subcomm_workout(mpi: &Mpi) {
+    let world = mpi.world();
+    let group = world.comm_group().incl(&[4, 2, 0]).unwrap();
+    if let Some(sub) = world.create(&group).unwrap() {
+        assert_eq!(sub.rank(), (4 - world.rank()) / 2);
+        algo_workout(&sub, &[0, 1, 17, 300, 1_500]);
+    }
+}
+
+#[test]
+fn every_algorithm_matches_the_reference_on_a_reversed_sub_communicator() {
+    run_threads(6, |mpi| reversed_subcomm_workout(&mpi));
+    run_meiko(
+        6,
+        MeikoVariant::LowLatency,
+        MpiConfig::device_defaults(),
+        |mpi| reversed_subcomm_workout(&mpi),
+    );
+    run_cluster(
+        6,
+        ClusterNet::Atm,
+        ClusterTransport::Tcp,
+        MpiConfig::device_defaults(),
+        |mpi| reversed_subcomm_workout(&mpi),
+    );
 }
 
 /// Reserved-tag regression: more than 256 collectives back to back on one
@@ -188,22 +218,19 @@ fn run_lossy(n: usize, drop: f64, seed: u64, sizes: Vec<usize>) {
         })
         .collect();
     run_devices(devices, MpiConfig::device_defaults(), move |mpi: Mpi| {
-        algo_workout(&mpi, &sizes)
+        algo_workout(&mpi.world(), &sizes)
     });
 }
 
-proptest! {
-    // Each case spawns n threads and rides real retransmission timers;
-    // keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn algorithms_agree_under_seeded_packet_loss(
-        n in 2usize..=5,
-        drop in 0.02f64..0.20,
-        seed in any::<u64>(),
-        count in 0usize..600,
-    ) {
+// Each case spawns n threads and rides real retransmission timers;
+// keep the count modest.
+#[test]
+fn algorithms_agree_under_seeded_packet_loss() {
+    for_each_case(6, |rng| {
+        let n = rng.range(2..6);
+        let drop = 0.02 + rng.next_f64() * 0.18;
+        let seed = rng.next_u64();
+        let count = rng.range(0..600);
         run_lossy(n, drop, seed, vec![count]);
-    }
+    });
 }

@@ -16,7 +16,7 @@ use lmpi::{
     run_devices, Counters, FaultConfig, FaultRates, FaultStats, FaultyDevice, Mpi, MpiConfig,
     RelConfig, RelStats, ReliableDevice, ShmDevice, TransportStats,
 };
-use proptest::prelude::*;
+use lmpi_sim::for_each_case;
 
 type Stack = ReliableDevice<FaultyDevice<ShmDevice>>;
 
@@ -100,24 +100,31 @@ fn assert_within_postrun(rank: usize, inside: &TransportStats, rel: &RelStats, f
     }
 }
 
-proptest! {
-    // Each case spawns a 2-rank fabric with real threads; keep it modest.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The core property: for any seeded fault schedule and any mix of
-    /// eager- and rendezvous-sized messages, receiver matches equal sender
-    /// eager + rendezvous sends in each direction — retransmits and
-    /// duplicates never inflate (or deflate) the protocol-level counts.
-    #[test]
-    fn matches_equal_net_sends_under_seeded_faults(
-        seed in any::<u64>(),
-        lens in prop::collection::vec(
-            prop_oneof![1usize..300, 2000usize..6000],
-            1..8,
-        ),
-        drop in prop_oneof![Just(0.0f64), Just(0.02), Just(0.06)],
-    ) {
-        let rates = FaultRates { drop, dup: 0.03, reorder: 0.04, delay: 0.02, delay_us: 200 };
+// Each case spawns a 2-rank fabric with real threads; keep it modest.
+/// The core property: for any seeded fault schedule and any mix of
+/// eager- and rendezvous-sized messages, receiver matches equal sender
+/// eager + rendezvous sends in each direction — retransmits and
+/// duplicates never inflate (or deflate) the protocol-level counts.
+#[test]
+fn matches_equal_net_sends_under_seeded_faults() {
+    for_each_case(12, |rng| {
+        let seed = rng.next_u64();
+        // Small (eager) and large (rendezvous) messages, half and half.
+        let lens = rng.vec(1..8, |r| {
+            if r.chance(0.5) {
+                r.range(1..300)
+            } else {
+                r.range(2000..6000)
+            }
+        });
+        let drop = [0.0, 0.02, 0.06][rng.range(0..3)];
+        let rates = FaultRates {
+            drop,
+            dup: 0.03,
+            reorder: 0.04,
+            delay: 0.02,
+            delay_us: 200,
+        };
         let (devices, fault_stats, rel_stats) = lossy_fabric(2, seed, rates);
         // Pin the threshold so the strategy's small/large split really does
         // exercise both the eager and the rendezvous paths.
@@ -128,28 +135,32 @@ proptest! {
         let n = lens.len() as u64;
         let sent_by = |r: usize| results[r].0.eager_sent + results[r].0.rndv_sent;
         // Each direction carried exactly one user message per exchange.
-        prop_assert_eq!(sent_by(0), n, "rank 0 sends");
-        prop_assert_eq!(sent_by(1), n, "rank 1 replies");
+        assert_eq!(sent_by(0), n, "rank 0 sends");
+        assert_eq!(sent_by(1), n, "rank 1 replies");
         // Exactly-once: receiver matches == sender sends, per direction.
-        prop_assert_eq!(results[1].0.matches, sent_by(0), "0->1 matches vs sends");
-        prop_assert_eq!(results[0].0.matches, sent_by(1), "1->0 matches vs sends");
+        assert_eq!(results[1].0.matches, sent_by(0), "0->1 matches vs sends");
+        assert_eq!(results[0].0.matches, sent_by(1), "1->0 matches vs sends");
         for (rank, (c, _)) in results.iter().enumerate() {
-            prop_assert!(
+            assert!(
                 c.unexpected_hits <= c.matches,
                 "rank {}: unexpected_hits {} > matches {}",
-                rank, c.unexpected_hits, c.matches
+                rank,
+                c.unexpected_hits,
+                c.matches
             );
-            prop_assert!(
+            assert!(
                 c.unexpected_hwm <= c.matches + 1,
                 "rank {}: unexpected HWM {} implausible for {} matches",
-                rank, c.unexpected_hwm, c.matches
+                rank,
+                c.unexpected_hwm,
+                c.matches
             );
         }
         // The merged accessor never reports more than the layers recorded.
         for rank in 0..2 {
             assert_within_postrun(rank, &results[rank].1, &rel_stats[rank], &fault_stats[rank]);
         }
-    }
+    });
 }
 
 /// Deterministic heavy-loss companion (same traffic shape and seed family

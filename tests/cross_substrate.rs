@@ -54,7 +54,7 @@ fn workout(mpi: Mpi) -> Vec<u64> {
         let peer = me ^ 1;
         if peer < n {
             let mut back = vec![0u64; big.len()];
-            if me % 2 == 0 {
+            if me.is_multiple_of(2) {
                 world.send(&big, peer, 5).unwrap();
                 world.recv(&mut back, peer, 6).unwrap();
             } else {

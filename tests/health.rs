@@ -19,7 +19,7 @@ use lmpi::{
     run_devices, validate_prometheus, Counters, FaultConfig, FaultRates, FaultyDevice,
     HealthReport, Mpi, MpiConfig, RelConfig, ReliableDevice, ShmDevice,
 };
-use proptest::prelude::*;
+use lmpi_sim::for_each_case;
 
 type Stack = ReliableDevice<FaultyDevice<ShmDevice>>;
 
@@ -68,17 +68,20 @@ fn traffic_and_snapshot(mpi: &Mpi, lens: &[usize]) -> (Counters, HealthReport, C
     (before, report, after)
 }
 
-proptest! {
-    // Each case spawns a 2-rank threaded fabric; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn progress_accounting_consistent_under_seeded_faults(
-        seed in any::<u64>(),
-        lens in prop::collection::vec(1usize..600, 1..6),
-        drop in prop_oneof![Just(0.0f64), Just(0.03), Just(0.08)],
-    ) {
-        let rates = FaultRates { drop, dup: 0.02, reorder: 0.03, delay: 0.02, delay_us: 150 };
+// Each case spawns a 2-rank threaded fabric; keep the count modest.
+#[test]
+fn progress_accounting_consistent_under_seeded_faults() {
+    for_each_case(8, |rng| {
+        let seed = rng.next_u64();
+        let lens = rng.vec(1..6, |r| r.range(1..600));
+        let drop = [0.0, 0.03, 0.08][rng.range(0..3)];
+        let rates = FaultRates {
+            drop,
+            dup: 0.02,
+            reorder: 0.03,
+            delay: 0.02,
+            delay_us: 150,
+        };
         let devices = lossy_fabric(2, seed, rates);
         let cfg = MpiConfig::device_defaults().with_background_progress(true);
         let lens2 = lens.clone();
@@ -87,7 +90,7 @@ proptest! {
         });
 
         for (rank, (before, report, after)) in results.iter().enumerate() {
-            prop_assert!(report.enabled, "health must default on");
+            assert!(report.enabled, "health must default on");
             let p = report
                 .threads
                 .iter()
@@ -97,49 +100,66 @@ proptest! {
             // Wakeup/frame counts bracket the engine counters (the loop
             // bumps the counter, then the health cell — never the other
             // way around, and only one frame is ever mid-flight).
-            prop_assert!(
+            assert!(
                 p.frames + 1 >= before.progress_frames && p.frames <= after.progress_frames,
                 "rank {}: health frames {} outside counter bracket [{} - 1, {}]",
-                rank, p.frames, before.progress_frames, after.progress_frames
+                rank,
+                p.frames,
+                before.progress_frames,
+                after.progress_frames
             );
-            prop_assert!(
+            assert!(
                 p.wakeups + 1 >= before.progress_wakeups && p.wakeups <= after.progress_wakeups,
                 "rank {}: health wakeups {} outside counter bracket [{} - 1, {}]",
-                rank, p.wakeups, before.progress_wakeups, after.progress_wakeups
+                rank,
+                p.wakeups,
+                before.progress_wakeups,
+                after.progress_wakeups
             );
-            prop_assert!(p.frames > 0, "rank {rank}: traffic ran but no frames accounted");
+            assert!(
+                p.frames > 0,
+                "rank {rank}: traffic ran but no frames accounted"
+            );
 
             // Duty-cycle buckets: contiguous segments, so the sum tracks
             // the credited wall span and nothing is ever negative
             // (u64 + saturating arithmetic) or larger than the span.
             let accounted = p.lock_wait_ns + p.drain_ns + p.poll_ns + p.park_ns;
-            prop_assert!(p.wall_ns > 0, "rank {rank}: no wall span credited");
+            assert!(p.wall_ns > 0, "rank {rank}: no wall span credited");
             for (name, ns) in [
                 ("lock_wait", p.lock_wait_ns),
                 ("drain", p.drain_ns),
                 ("poll", p.poll_ns),
                 ("park", p.park_ns),
             ] {
-                prop_assert!(
+                assert!(
                     ns <= accounted,
                     "rank {}: bucket {} = {} exceeds the accounted sum {}",
-                    rank, name, ns, accounted
+                    rank,
+                    name,
+                    ns,
+                    accounted
                 );
             }
-            prop_assert!(
+            assert!(
                 p.coverage >= 0.95 && p.coverage <= 1.05,
                 "rank {}: buckets cover {:.4} of the {} ns wall span \
                  (accounted {} ns) — must stay ≈ 1.0",
-                rank, p.coverage, p.wall_ns, accounted
+                rank,
+                p.coverage,
+                p.wall_ns,
+                accounted
             );
             // Wakeup-to-drain latency: sampled once per productive wakeup.
-            prop_assert!(
+            assert!(
                 p.wakeup_to_drain.count <= p.wakeups,
                 "rank {}: {} wakeup-to-drain samples for {} wakeups",
-                rank, p.wakeup_to_drain.count, p.wakeups
+                rank,
+                p.wakeup_to_drain.count,
+                p.wakeups
             );
         }
-    }
+    });
 }
 
 /// With health disabled, no accounting happens: the report says so, every

@@ -3,7 +3,7 @@
 //! against reference computations.
 
 use lmpi::{run_threads, run_threads_with_config, MpiConfig, ReduceOp, SourceSel, TagSel};
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
 /// A randomized batch of messages 0 → 1: (tag, length). Receiver posts in
 /// a shuffled-but-tag-faithful order; contents must arrive intact and
@@ -14,26 +14,23 @@ struct Msg {
     len: usize,
 }
 
-fn msgs_strategy() -> impl Strategy<Value = Vec<Msg>> {
-    prop::collection::vec(
-        (
-            0..3u32,
-            prop_oneof![0usize..64, 100usize..300, 5000usize..9000],
-        )
-            .prop_map(|(tag, len)| Msg { tag, len }),
-        1..12,
-    )
+fn gen_msgs(rng: &mut SplitMix64) -> Vec<Msg> {
+    rng.vec(1..12, |r| Msg {
+        tag: r.range(0..3) as u32,
+        len: match r.range(0..3) {
+            0 => r.range(0..64),
+            1 => r.range(100..300),
+            _ => r.range(5000..9000),
+        },
+    })
 }
 
-proptest! {
-    // Thread-spawning cases are expensive; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn random_traffic_delivered_intact(
-        msgs in msgs_strategy(),
-        threshold in prop_oneof![Just(0usize), Just(180), Just(1024), Just(1 << 20)],
-    ) {
+// Thread-spawning cases are expensive; keep the count modest.
+#[test]
+fn random_traffic_delivered_intact() {
+    for_each_case(24, |rng| {
+        let msgs = gen_msgs(rng);
+        let threshold = [0, 180, 1024, 1 << 20][rng.range(0..4)];
         let msgs2 = msgs.clone();
         let cfg = MpiConfig::device_defaults()
             .with_eager_threshold(threshold)
@@ -89,23 +86,22 @@ proptest! {
                 }
             }
         });
-    }
+    });
+}
 
-    #[test]
-    fn collectives_match_reference_on_random_input(
-        xs in prop::collection::vec(-1000i64..1000, 1..8),
-        nprocs in 2usize..6,
-        opi in 0..4usize,
-    ) {
+#[test]
+fn collectives_match_reference_on_random_input() {
+    for_each_case(24, |rng| {
+        let xs = rng.vec(1..8, |r| r.range(0..2000) as i64 - 1000);
+        let nprocs = rng.range(2..6);
+        let opi = rng.range(0..4);
         let op = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max, ReduceOp::Prod][opi];
         let xs2 = xs.clone();
         let results = run_threads(nprocs, move |mpi| {
             let world = mpi.world();
             let me = world.rank();
             // Rank r contributes xs rotated by r.
-            let mine: Vec<i64> = (0..xs2.len())
-                .map(|i| xs2[(i + me) % xs2.len()])
-                .collect();
+            let mine: Vec<i64> = (0..xs2.len()).map(|i| xs2[(i + me) % xs2.len()]).collect();
             world.allreduce(&mine, op).unwrap()
         });
         // Serial reference.
@@ -123,15 +119,16 @@ proptest! {
             }
         }
         for r in results {
-            prop_assert_eq!(&r, &expect);
+            assert_eq!(&r, &expect);
         }
-    }
+    });
+}
 
-    #[test]
-    fn scan_is_prefix_of_allreduce(
-        seed in any::<u64>(),
-        nprocs in 2usize..6,
-    ) {
+#[test]
+fn scan_is_prefix_of_allreduce() {
+    for_each_case(24, |rng| {
+        let seed = rng.next_u64();
+        let nprocs = rng.range(2..6);
         let results = run_threads(nprocs, move |mpi| {
             let world = mpi.world();
             let me = world.rank();
@@ -142,14 +139,15 @@ proptest! {
         let contrib = |r: usize| (seed % 97).wrapping_add(r as u64 * 3);
         for (me, scan) in results {
             let expect: u64 = (0..=me).map(contrib).fold(0, u64::wrapping_add);
-            prop_assert_eq!(scan, expect, "rank {}", me);
+            assert_eq!(scan, expect, "rank {}", me);
         }
-    }
+    });
+}
 
-    #[test]
-    fn any_source_receives_every_message_exactly_once(
-        lens in prop::collection::vec(1usize..200, 2..6),
-    ) {
+#[test]
+fn any_source_receives_every_message_exactly_once() {
+    for_each_case(24, |rng| {
+        let lens = rng.vec(2..6, |r| r.range(1..200));
         let n = lens.len() + 1;
         let lens2 = lens.clone();
         run_threads(n, move |mpi| {
@@ -169,5 +167,5 @@ proptest! {
                 world.send(&payload, 0, me as u32).unwrap();
             }
         });
-    }
+    });
 }

@@ -37,6 +37,8 @@ fn wait_any_returns_completions_in_arrival_order() {
             }
             assert!(reqs.is_empty(), "wait_any must remove completed requests");
             assert_eq!(seen, SEND_ORDER);
+            // The (empty) vector still carries the buffers' `&mut` borrows.
+            drop(reqs);
             assert_eq!([b0[0], b1[0], b2[0]], [7, 18, 29]);
         } else {
             for &tag in &SEND_ORDER {
@@ -85,6 +87,7 @@ fn test_all_is_all_or_nothing() {
             assert_eq!((sts[1].tag, sts[1].len), (2, 6000));
             // Consumed requests never report complete again.
             assert!(test_all(&mut reqs).unwrap().is_none());
+            drop(reqs);
             assert_eq!(small[0], 42);
             assert!(big.iter().all(|&b| b == 7));
         } else {

@@ -4,7 +4,7 @@
 //! must arrive byte-identical on every substrate, including a lossy UDP
 //! mesh under the selective-repeat reliability layer.
 //!
-//! A proptest then pins the semantic contract of the tentpole: a chunked
+//! A seeded property then pins the semantic contract of the tentpole: a chunked
 //! transfer delivers exactly the bytes the seed single-frame path delivers,
 //! for arbitrary sizes and payloads.
 
@@ -13,7 +13,7 @@ use lmpi::{
     ClusterNet, ClusterTransport, FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi,
     MpiConfig, RelConfig, ReliableDevice, UdpDevice,
 };
-use proptest::prelude::*;
+use lmpi_sim::for_each_case;
 
 /// Forced eager/rendezvous crossover for the matrix (same on every
 /// substrate so the boundary sizes mean the same thing everywhere).
@@ -179,28 +179,29 @@ fn chunked_roundtrip(size: usize, chunk: usize, payload_seed: u8) -> (Vec<u8>, u
     (received, chunks)
 }
 
-proptest! {
-    // Each case runs two 2-rank thread fabrics; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Chunked delivery is byte-identical to the seed single-frame path,
-    /// and chunking engages exactly when the payload exceeds one chunk.
-    #[test]
-    fn chunked_matches_single_frame(
-        size in EAGER + 1..12_000usize,
-        chunk in 64..2_048usize,
-        payload_seed in any::<u8>(),
-    ) {
+// Each case runs two 2-rank thread fabrics; keep the count modest.
+/// Chunked delivery is byte-identical to the seed single-frame path,
+/// and chunking engages exactly when the payload exceeds one chunk.
+#[test]
+fn chunked_matches_single_frame() {
+    for_each_case(24, |rng| {
+        let size = rng.range(EAGER + 1..12_000);
+        let chunk = rng.range(64..2_048);
+        let payload_seed = rng.next_u64() as u8;
         let (chunked, nchunks) = chunked_roundtrip(size, chunk, payload_seed);
         // A chunk size larger than any message forces the seed RndvData path.
         let (single, nsingle) = chunked_roundtrip(size, usize::MAX / 2, payload_seed);
-        prop_assert_eq!(chunked, single, "chunked stream diverged from single-frame");
-        prop_assert_eq!(nsingle, 0, "oversized chunk must take the seed path");
+        assert_eq!(chunked, single, "chunked stream diverged from single-frame");
+        assert_eq!(nsingle, 0, "oversized chunk must take the seed path");
         if size > chunk {
             let expected = size.div_ceil(chunk) as u64;
-            prop_assert_eq!(nchunks, expected, "wrong chunk count for {}B / {}B", size, chunk);
+            assert_eq!(
+                nchunks, expected,
+                "wrong chunk count for {}B / {}B",
+                size, chunk
+            );
         } else {
-            prop_assert_eq!(nchunks, 0);
+            assert_eq!(nchunks, 0);
         }
-    }
+    });
 }

@@ -16,7 +16,7 @@ use lmpi::{
     DataType, FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, MpiError,
     RelConfig, ReliableDevice, ShmDevice,
 };
-use proptest::prelude::*;
+use lmpi_sim::{for_each_case, SplitMix64};
 
 /// Forced eager/rendezvous crossover (the paper's 180-byte Meiko figure),
 /// identical on every substrate so each layout exercises the same protocol
@@ -95,11 +95,14 @@ fn reference_image(t: &DataType) -> Vec<u8> {
     out
 }
 
+/// Per layout: its name and the images received typed and packed.
+type GridImages = Vec<(String, Vec<u8>, Vec<u8>)>;
+
 /// Rank 0 sends every grid layout twice — once typed (gather-on-pack /
 /// scatter-on-chunk) and once through the copying packed reference — and
 /// rank 1 returns both received images per layout. An ack per layout keeps
 /// the grid ordered. Rank 0 returns an empty vec.
-fn grid_workout(mpi: Mpi) -> Vec<(String, Vec<u8>, Vec<u8>)> {
+fn grid_workout(mpi: Mpi) -> GridImages {
     let world = mpi.world();
     let mut out = Vec::new();
     for (i, (name, t)) in layouts().into_iter().enumerate() {
@@ -138,7 +141,7 @@ fn grid_workout(mpi: Mpi) -> Vec<(String, Vec<u8>, Vec<u8>)> {
     out
 }
 
-fn check_grid(results: Vec<Vec<(String, Vec<u8>, Vec<u8>)>>) {
+fn check_grid(results: Vec<GridImages>) {
     let received = &results[1];
     assert_eq!(received.len(), layouts().len());
     for ((name, t), (rname, typed, packed)) in layouts().iter().zip(received) {
@@ -399,10 +402,10 @@ fn oversized_truncates_and_short_scatters_prefix() {
 /// A random-but-valid strided layout family: element size, block count,
 /// block length, and hole width all vary, spanning eager, single-frame
 /// rendezvous, and multi-chunk packed sizes.
-fn arb_layout() -> impl Strategy<Value = DataType> {
-    (1usize..9, 1usize..160, 1usize..5, 0usize..4).prop_map(|(elem, count, blocklen, hole)| {
-        DataType::base(elem).vector(count, blocklen, blocklen + hole)
-    })
+fn gen_layout(rng: &mut SplitMix64) -> DataType {
+    let (elem, count) = (rng.range(1..9), rng.range(1..160));
+    let (blocklen, hole) = (rng.range(1..5), rng.range(0..4));
+    DataType::base(elem).vector(count, blocklen, blocklen + hole)
 }
 
 fn typed_vs_packed_once(mpi: Mpi, t: &DataType, seed: u64) -> Option<(Vec<u8>, Vec<u8>)> {
@@ -428,14 +431,14 @@ fn typed_vs_packed_once(mpi: Mpi, t: &DataType, seed: u64) -> Option<(Vec<u8>, V
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The typed path is byte-identical to pack+send/recv+unpack on shm,
-    /// the simulated Meiko, and the simulated ATM/TCP cluster, for
-    /// arbitrary strided layouts.
-    #[test]
-    fn typed_equals_packed_across_substrates(t in arb_layout(), seed in any::<u64>()) {
+/// The typed path is byte-identical to pack+send/recv+unpack on shm,
+/// the simulated Meiko, and the simulated ATM/TCP cluster, for
+/// arbitrary strided layouts.
+#[test]
+fn typed_equals_packed_across_substrates() {
+    for_each_case(12, |rng| {
+        let t = gen_layout(rng);
+        let seed = rng.next_u64();
         let shm = {
             let t = t.clone();
             run_threads_with_config(2, cfg(), move |mpi| typed_vs_packed_once(mpi, &t, seed))
@@ -448,25 +451,29 @@ proptest! {
         };
         let tcp = {
             let t = t.clone();
-            run_cluster(2, ClusterNet::Atm, ClusterTransport::Tcp, cfg(), move |mpi| {
-                typed_vs_packed_once(mpi, &t, seed)
-            })
+            run_cluster(
+                2,
+                ClusterNet::Atm,
+                ClusterTransport::Tcp,
+                cfg(),
+                move |mpi| typed_vs_packed_once(mpi, &t, seed),
+            )
         };
         for (substrate, out) in [("shm", shm), ("meiko", meiko), ("sim-tcp", tcp)] {
             let (typed, packed) = out[1].clone().unwrap();
-            prop_assert_eq!(&typed, &packed, "{}: typed != packed", substrate);
+            assert_eq!(&typed, &packed, "{}: typed != packed", substrate);
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Same contract under seeded drop/dup/reorder beneath the
-    /// ack/retransmit layer: loss recovery must not corrupt the
-    /// scatter-at-offset bookkeeping.
-    #[test]
-    fn typed_equals_packed_under_loss(t in arb_layout(), seed in any::<u64>()) {
+/// Same contract under seeded drop/dup/reorder beneath the
+/// ack/retransmit layer: loss recovery must not corrupt the
+/// scatter-at-offset bookkeeping.
+#[test]
+fn typed_equals_packed_under_loss() {
+    for_each_case(6, |rng| {
+        let t = gen_layout(rng);
+        let seed = rng.next_u64();
         let out = {
             let t = t.clone();
             run_devices(lossy_stacks(0xC0FFEE ^ seed), cfg(), move |mpi| {
@@ -474,6 +481,6 @@ proptest! {
             })
         };
         let (typed, packed) = out[1].clone().unwrap();
-        prop_assert_eq!(&typed, &packed, "lossy: typed != packed");
-    }
+        assert_eq!(&typed, &packed, "lossy: typed != packed");
+    });
 }
