@@ -37,11 +37,11 @@ pub struct MpiConfig {
     /// device decide via [`crate::Device::supports_background_progress`]:
     /// real wall-clock transports (shm, real TCP/UDP) get a per-rank
     /// progress thread so nonblocking operations advance while the caller
-    /// computes; virtual-time substrates stay caller-driven, because their
+    /// computes (a caller blocked inside the library drains for itself
+    /// either way); virtual-time substrates have none, because their
     /// cooperative scheduler cannot tolerate a foreign thread. `Some(false)`
-    /// forces the seed's caller-driven behavior everywhere (useful for
-    /// overlap ablations); `Some(true)` is clamped to devices that support
-    /// it.
+    /// runs without the thread everywhere (useful for overlap ablations);
+    /// `Some(true)` is clamped to devices that support it.
     pub background_progress: Option<bool>,
     /// Live health accounting (thread duty cycles, sliding-window tail
     /// latency, continuous diagnostics — see [`crate::Mpi::health`]).

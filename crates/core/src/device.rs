@@ -4,14 +4,13 @@
 //!
 //! One `Device` instance exists per rank. Devices deliver frames in FIFO
 //! order per (sender, receiver) pair, which the MPI non-overtaking
-//! guarantee relies on. Devices are `Send + Sync`: on real transports the
-//! engine drives them from a background progress thread while the
-//! application thread posts sends concurrently, so every method takes
-//! `&self` and interior state must be lock- or atomic-protected. Exactly
-//! one thread pulls frames out of a device at a time (the progress thread
-//! when [`Device::supports_background_progress`] holds, the caller
-//! otherwise) — concurrent `try_recv` from two threads would let handling
-//! race and break FIFO.
+//! guarantee relies on. Devices are `Send + Sync`: on real transports one
+//! thread receives (a caller blocked inside the library, or the
+//! background progress thread while no caller is) while others post sends
+//! concurrently, so every method takes `&self` and interior state must be
+//! lock- or atomic-protected. Exactly one thread pulls frames out of a
+//! device at a time — the holder of the engine's drain role; concurrent
+//! `try_recv` from two threads would let handling race and break FIFO.
 
 use crate::error::MpiResult;
 use crate::packet::Wire;
@@ -148,9 +147,10 @@ pub trait Device: Send + Sync {
     fn recv_blocking(&self) -> MpiResult<Wire>;
 
     /// Wait up to `timeout` for the next frame; `Ok(None)` on timeout.
-    /// This is the background progress thread's idle primitive: it must
-    /// park the calling thread (or at worst sleep in short slices) rather
-    /// than spin, and it must keep any reliability-sublayer pumps
+    /// This is where a draining caller and the idle background progress
+    /// thread wait on a real transport: it must park the calling thread
+    /// (or at worst sleep in short slices) rather than spin, and it must
+    /// keep any reliability-sublayer pumps
     /// (retransmit timers, heartbeats, delayed-fault flushes) running —
     /// wrappers that pump from `try_recv` implement this as a sleep-sliced
     /// `try_recv` loop. The default serves devices that never host a

@@ -75,11 +75,14 @@ lmpi_obs::json_struct! {
         /// in by [`crate::Mpi::counters`] from the matching engine.
         pub match_bins_hwm: u64,
         /// Times the background progress thread woke up and advanced protocol
-        /// state (handled at least one frame or peer-failure verdict). Zero on
-        /// caller-driven substrates.
+        /// state (handled at least one frame or peer-failure verdict). Zero
+        /// on substrates without the thread, and near zero while callers
+        /// block: a caller inside the library drains for itself.
         pub progress_wakeups: u64,
         /// Frames handled by the background progress thread (a subset of
-        /// `wires_handled`). Zero on caller-driven substrates.
+        /// `wires_handled`; the rest were handled inline by blocked
+        /// callers). Zero on substrates without the thread, near zero while
+        /// callers block.
         pub progress_frames: u64,
         /// Times the payload staging pool grew a fresh allocation instead of
         /// reclaiming its pooled block (first stage, frames staged while older
@@ -170,12 +173,13 @@ pub(crate) struct Engine {
     pub(crate) tracer: Tracer,
     /// First ready-mode delivery error, surfaced by the next API call.
     pub(crate) pending_error: Option<MpiError>,
-    /// Fatal transport error recorded by the background progress thread.
-    /// Once set, every wait on this rank returns a clone: the thread that
-    /// hit the error is not the thread blocked on the result, so the error
-    /// must be parked where waiters will find it. `None` on caller-driven
-    /// ranks, where transport errors surface directly from the polling
-    /// call.
+    /// Fatal transport error recorded by whichever thread was draining
+    /// the device when it struck (a blocked caller, a polling call, or the
+    /// background progress thread). Once set, every wait on this rank
+    /// returns a clone: the thread that hit the error need not be the
+    /// thread blocked on the result, so the error must be parked where
+    /// waiters will find it. Stays `None` on virtual-time ranks, where
+    /// transport errors surface directly from the blocking call.
     pub(crate) fatal: Option<MpiError>,
     /// Per-rank failure flags: `failed_ranks[r]` means rank `r` has been
     /// declared dead (transport liveness or agreement gossip). Failure is

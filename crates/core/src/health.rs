@@ -105,8 +105,9 @@ pub(crate) struct HealthState {
     eval_period_ns: u64,
     slo_p99_ns: Option<u64>,
     diag_cfg: DiagConfig,
-    /// Progress-thread duty-cycle buckets (zeroed on caller-driven
-    /// ranks, where no progress thread exists).
+    /// Progress-thread duty-cycle buckets (zeroed on ranks without a
+    /// progress thread; mostly `Park` while callers block and drain for
+    /// themselves).
     pub(crate) progress: ThreadHealth,
     /// Engine-mutex wait-time distribution, sampled at contended
     /// acquisitions in the API hot paths.

@@ -201,6 +201,12 @@ impl MetricsSnapshot {
         );
         counter(
             &mut out,
+            "lmpi_caller_frames_total",
+            "Frames handled inline by a caller blocked inside the library.",
+            c.wires_handled.saturating_sub(c.progress_frames),
+        );
+        counter(
+            &mut out,
             "lmpi_pool_grows_total",
             "Fresh allocations by the payload staging pool (steady-state sends reclaim instead).",
             c.pool_grows,
@@ -518,6 +524,17 @@ mod tests {
         assert!(prom.contains(
             "lmpi_coll_dispatch_total{rank=\"1\",collective=\"allreduce\",algorithm=\"ring\"} 2"
         ));
+    }
+
+    #[test]
+    fn prometheus_rendering_derives_who_drained() {
+        let mut snap = snapshot();
+        snap.counters.wires_handled = 10;
+        snap.counters.progress_frames = 4;
+        let prom = snap.to_prometheus();
+        validate_prometheus(&prom).expect("snapshot must parse");
+        assert!(prom.contains("lmpi_progress_frames_total{rank=\"1\"} 4"));
+        assert!(prom.contains("lmpi_caller_frames_total{rank=\"1\"} 6"));
     }
 
     #[test]

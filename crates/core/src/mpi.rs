@@ -2,22 +2,23 @@
 //! [`Request`].
 //!
 //! The engine state is `Send` and lives behind a mutex ([`Inner`]), so a
-//! rank is no longer bound to a single thread. On real transports (shm,
-//! real TCP/UDP) each rank spawns a **background progress thread** that
-//! owns the device's receive side: it drains incoming frames, advances
-//! pending sends and receives, rendezvous chunk windows, retransmit timers
-//! and heartbeat liveness, and wakes waiters through a condvar — so
-//! nonblocking operations complete while the application computes, the
-//! overlap the paper's latency numbers assume. `wait`/`wait_any` park on
-//! that condvar instead of spin-polling the device. Virtual-time
-//! substrates (the simulated Meiko and cluster models) keep the seed's
-//! caller-driven progress — their cooperative scheduler cannot tolerate a
-//! foreign thread — with a bounded spin-then-yield backoff in the blocking
-//! loop.
+//! rank is not bound to a single thread. One thread at a time consumes the
+//! device's receive side, and one token — the **drain role**
+//! (`Inner::drain`) — says which. A caller blocked inside the library
+//! (`recv`, `wait`, a collective, ...) takes the role and matches incoming
+//! frames inline, on its own CPU, where the paper found matching cheapest.
+//! On real transports (shm, real TCP/UDP) each rank also runs a
+//! **background progress thread** that holds the role only while no caller
+//! is inside, so nonblocking operations, retransmit timers and heartbeats
+//! advance while the application computes. A blocked caller that finds the
+//! role taken parks on a condvar until its request may have completed or
+//! the role comes free. Virtual-time substrates (the simulated Meiko and
+//! cluster models) have no progress thread — their cooperative scheduler
+//! cannot tolerate a foreign thread — so there the role is the caller's.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use lmpi_obs::Tracer;
@@ -34,33 +35,44 @@ use crate::packet::ContextId;
 use crate::request::{RecvDest, ReqState};
 use crate::types::{Rank, SendMode, SourceSel, Status, Tag, TagSel, TAG_UB};
 
-/// How long the progress thread blocks in [`Device::recv_timeout`] per
-/// iteration when idle. Bounds shutdown latency and keeps the reliability
-/// sublayer's retransmit/heartbeat pumps ticking on a silent wire.
+/// How long the progress thread sleeps per iteration: in
+/// [`Device::recv_timeout`] while it holds the drain role on an idle wire,
+/// in `thread::park_timeout` while callers hold it. Bounds shutdown
+/// latency and keeps the reliability sublayer's retransmit/heartbeat
+/// pumps ticking on a silent wire.
 const PROGRESS_TICK: Duration = Duration::from_micros(500);
 
-/// Cap on each condvar park while waiting for completion. A missed wakeup
-/// (or a state change made without a notification) therefore self-heals
-/// within one slice, and the watchdog stays live without a second timer
-/// thread.
+/// The watchdog slice: how long a blocked caller sleeps — in the device
+/// when it holds the drain role, on the condvar when it does not — before
+/// it looks at its idle clock. No wake-up depends on it expiring (see
+/// [`Inner::release`]).
 const PARK_SLICE: Duration = Duration::from_millis(2);
 
 pub(crate) struct Inner {
     pub(crate) device: Box<dyn Device>,
     pub(crate) eng: Mutex<Engine>,
-    /// Signalled by the progress thread after it advances protocol state
-    /// (frames handled, peer failures propagated, fatal errors recorded).
+    /// Signalled when protocol state advanced or the drain role came free
+    /// while a caller was parked.
     done: Condvar,
     /// Progress watchdog deadline (microseconds of device time); `None`
     /// blocks indefinitely.
     watchdog_us: Option<u64>,
-    /// Whether a background progress thread owns this device's receive
-    /// side. When true, callers must never pull frames from the device —
-    /// two receivers would race frame handling and break per-peer FIFO.
-    progress_active: AtomicBool,
+    /// The drain role: whoever holds this guard is the device's single
+    /// consumer (two would race frame handling and break per-peer FIFO).
+    /// Lock order is role → engine; nobody ever blocks on the role.
+    drain: Mutex<()>,
+    /// Callers currently blocked in [`Inner::progress_until`]. The
+    /// progress thread takes the role only while this is zero.
+    inside: AtomicU32,
+    /// The progress thread, for [`Inner::resume_progress`] and shutdown.
+    progress: OnceLock<std::thread::Thread>,
+    /// Set while the progress thread is parked without the role. Whoever
+    /// clears it owes the thread an `unpark`, which the thread reads as
+    /// "resume now".
+    yielded: AtomicBool,
     /// Tells the progress thread to exit (set by [`Mpi`]'s drop).
     shutdown: AtomicBool,
-    /// Bumped by the progress thread for every frame or failure verdict it
+    /// Bumped by whoever drains for every frame or failure verdict it
     /// handled; parked waiters reset their watchdog when it moves.
     epoch: AtomicU64,
     /// Collective sequence counter shared by every [`Mpi::world`] handle
@@ -72,112 +84,203 @@ pub(crate) struct Inner {
     pub(crate) health: crate::health::HealthState,
 }
 
-/// Watchdog bookkeeping for one parked waiter: the last progress epoch it
-/// observed and when (device clock) it last saw the epoch move.
-struct ParkTimer {
-    last_epoch: u64,
-    idle_since: f64,
-}
-
 impl Inner {
-    fn progress_running(&self) -> bool {
-        self.progress_active.load(Ordering::Acquire)
-    }
-
     /// Handle every frame already queued at the device, without blocking.
-    /// `Err` is a transport failure (device broke, or a frame arrived that
-    /// is impossible under loss-free FIFO delivery). With the progress
-    /// thread active the device's receive side belongs to that thread, so
-    /// this only surfaces any fatal error it recorded.
-    pub(crate) fn poll(&self) -> MpiResult<()> {
-        if self.progress_running() {
-            match self.eng.lock().fatal.clone() {
-                Some(e) => return Err(e),
-                None => return Ok(()),
-            }
-        }
-        let mut handled = false;
+    /// The caller holds the drain role. `Err` is a transport failure
+    /// (device broke, or a frame arrived that is impossible under
+    /// loss-free FIFO delivery).
+    fn drain_queued(&self) -> MpiResult<()> {
+        let mut handled = 0;
         while let Some(wire) = self.device.try_recv()? {
             self.eng.lock().handle_wire(&*self.device, wire)?;
-            handled = true;
+            handled += 1;
         }
         // Drain peer-death verdicts from the transport's liveness machine
         // and propagate each into the engine (idempotent per peer).
         while let Some((peer, err)) = self.device.take_failed_peer() {
             self.eng.lock().fail_peer(&*self.device, peer, err);
+            self.epoch.fetch_add(1, Ordering::AcqRel);
         }
-        if handled {
+        if handled > 0 {
+            self.epoch.fetch_add(handled, Ordering::AcqRel);
             self.run_metrics_hook();
         }
         Ok(())
     }
 
-    /// Make progress until `done` returns `Some`. With the progress thread
-    /// active this parks on the condvar; otherwise it drives the device
-    /// from the calling thread, blocking between frames (bounded by the
-    /// watchdog, if armed).
+    /// Nonblocking progress: if the drain role is free, take it and handle
+    /// what is queued; either way report the rank's fatal error, if any.
+    pub(crate) fn poll(&self) -> MpiResult<()> {
+        let Some(role) = self.drain.try_lock() else {
+            return self.eng.lock().fatal.clone().map_or(Ok(()), Err);
+        };
+        let drained = self.drain_queued();
+        let mut eng = self.eng.lock();
+        if let Err(e) = drained {
+            eng.fatal.get_or_insert(e);
+        }
+        let fatal = eng.fatal.clone();
+        self.release(role, eng, 0);
+        fatal.map_or(Ok(()), Err)
+    }
+
+    /// Give the drain role up, under the engine lock; `own` is 1 when the
+    /// caller is itself counted in `inside`. A waiter decides "the role is
+    /// taken" while it holds the engine lock, and its condvar wait releases
+    /// that lock atomically, so every waiter either locks the engine after
+    /// this drop and finds the role free, or is already waiting when the
+    /// notification goes out: a release is never slept through.
+    fn release(&self, role: MutexGuard<'_, ()>, eng: MutexGuard<'_, Engine>, own: u32) {
+        drop(role);
+        drop(eng);
+        if self.inside.load(Ordering::Acquire) > own {
+            self.done.notify_all();
+        }
+    }
+
+    /// Make progress until `done` returns `Some`: take the drain role and
+    /// handle frames inline, blocking in the device between them, or park
+    /// on the condvar while another thread holds it. Either way the
+    /// watchdog, if armed, bounds the wait.
     pub(crate) fn progress_until<T>(
         &self,
         mut done: impl FnMut(&mut Engine) -> Option<T>,
     ) -> MpiResult<T> {
-        if self.progress_running() {
-            let mut eng = self.eng.lock();
-            let mut timer = self.park_timer();
+        if !self.device.supports_background_progress() {
+            // Virtual time: one thread per rank, so the role is free, and
+            // the order of device calls below is part of the timing model.
+            let _role = self.drain.try_lock();
             loop {
-                if let Some(v) = done(&mut eng) {
+                self.drain_queued()?;
+                if let Some(v) = done(&mut self.eng.lock()) {
                     return Ok(v);
                 }
-                if let Some(e) = eng.fatal.clone() {
-                    return Err(e);
+                if let Some(wire) = self.next_wire_blocking()? {
+                    self.eng.lock().handle_wire(&*self.device, wire)?;
+                    self.run_metrics_hook();
                 }
-                self.park(&mut eng, &mut timer)?;
+                // `None` means a peer was declared dead instead of a frame
+                // arriving; loop so `done` re-evaluates against the
+                // requests the failure just completed.
             }
         }
-        loop {
-            self.poll()?;
-            if let Some(v) = done(&mut self.eng.lock()) {
+        let mut eng = self.eng.lock();
+        if let Some(v) = done(&mut eng) {
+            return Ok(v);
+        }
+        self.inside.fetch_add(1, Ordering::AcqRel);
+        let out = self.block_until(eng, &mut done);
+        self.inside.fetch_sub(1, Ordering::AcqRel);
+        out
+    }
+
+    /// The blocking half of [`progress_until`](Self::progress_until) on a
+    /// wall-clock transport. `eng` is held and `done` has just said `None`.
+    fn block_until<T>(
+        &self,
+        mut eng: MutexGuard<'_, Engine>,
+        done: &mut impl FnMut(&mut Engine) -> Option<T>,
+    ) -> MpiResult<T> {
+        let mut timer = None;
+        let role = loop {
+            if let Some(e) = eng.fatal.clone() {
+                return Err(e);
+            }
+            if let Some(role) = self.drain.try_lock() {
+                break role;
+            }
+            self.done.wait_for(&mut eng, PARK_SLICE);
+            self.idle_check(&mut timer)?;
+            if let Some(v) = done(&mut eng) {
                 return Ok(v);
             }
-            if let Some(wire) = self.next_wire_blocking()? {
-                self.eng.lock().handle_wire(&*self.device, wire)?;
-                self.run_metrics_hook();
+        };
+        drop(eng);
+        // This thread is the device's single consumer until it lets go. It
+        // parks in the device, holding no engine lock, one watchdog slice
+        // at a time. A device or protocol error becomes the rank's fatal
+        // error; an idle timeout is this caller's alone.
+        loop {
+            let wire = self.device.recv_timeout(PARK_SLICE);
+            let mut eng = self.eng.lock();
+            let step = match wire.and_then(|w| match w {
+                Some(w) => eng.handle_wire(&*self.device, w).map(|()| true),
+                None => Ok(false),
+            }) {
+                Ok(true) => {
+                    self.epoch.fetch_add(1, Ordering::AcqRel);
+                    Ok(())
+                }
+                Ok(false) => self.idle_check(&mut timer),
+                Err(e) => Err(eng.fatal.get_or_insert(e).clone()),
+            };
+            if let Err(e) = step {
+                self.release(role, eng, 1);
+                return Err(e);
             }
-            // `None` means a peer was declared dead instead of a frame
-            // arriving; loop so `done` re-evaluates against the requests
-            // the failure just completed.
+            while let Some((peer, err)) = self.device.take_failed_peer() {
+                eng.fail_peer(&*self.device, peer, err);
+                self.epoch.fetch_add(1, Ordering::AcqRel);
+            }
+            // A due metrics hook fires once the lock is released.
+            let hook = eng.pending_snapshot(&*self.device);
+            if let Some(v) = done(&mut eng) {
+                self.release(role, eng, 1);
+                if let Some((snap, cb)) = hook {
+                    (cb.lock())(&snap);
+                }
+                return Ok(v);
+            }
+            drop(eng);
+            // The frame may have completed another caller's request.
+            if self.inside.load(Ordering::Acquire) > 1 {
+                self.done.notify_all();
+            }
+            if let Some((snap, cb)) = hook {
+                (cb.lock())(&snap);
+            }
         }
     }
 
-    fn park_timer(&self) -> ParkTimer {
-        ParkTimer {
-            last_epoch: self.epoch.load(Ordering::Acquire),
-            idle_since: self.device.wtime(),
-        }
-    }
-
-    /// Park on the completion condvar for at most one slice, then update
-    /// the waiter's watchdog: progress (an epoch move) resets the idle
-    /// clock; a silent wire past the armed deadline becomes a typed
-    /// [`MpiError::Timeout`].
-    fn park(&self, eng: &mut MutexGuard<'_, Engine>, timer: &mut ParkTimer) -> MpiResult<()> {
-        self.done.wait_for(eng, PARK_SLICE);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if epoch != timer.last_epoch {
-            timer.last_epoch = epoch;
-            timer.idle_since = self.device.wtime();
-        } else if let Some(limit_us) = self.watchdog_us {
-            let waited_us = (self.device.wtime() - timer.idle_since) * 1e6;
-            if waited_us >= limit_us as f64 {
-                return Err(MpiError::Timeout {
-                    waited_us: waited_us as u64,
-                    context: "progress thread saw no incoming frame while a caller waited".into(),
-                });
+    /// Update a blocked caller's watchdog — the last progress epoch it saw
+    /// and when (device clock) — after a slice that brought it nothing:
+    /// progress by anyone restarts the idle clock; a silent wire past the
+    /// armed deadline becomes a typed [`MpiError::Timeout`].
+    fn idle_check(&self, timer: &mut Option<(u64, f64)>) -> MpiResult<()> {
+        let Some(limit_us) = self.watchdog_us else {
+            return Ok(());
+        };
+        let (epoch, now) = (self.epoch.load(Ordering::Acquire), self.device.wtime());
+        match *timer {
+            Some((last_epoch, idle_since)) if last_epoch == epoch => {
+                let waited_us = (now - idle_since) * 1e6;
+                if waited_us >= limit_us as f64 {
+                    return Err(MpiError::Timeout {
+                        waited_us: waited_us as u64,
+                        context: "no incoming frame while a caller waited".into(),
+                    });
+                }
             }
+            _ => *timer = Some((epoch, now)),
         }
         Ok(())
     }
 
-    /// Block for the next frame (caller-driven ranks only). Returns
+    /// Early resume: a nonblocking send still incomplete when its post
+    /// returns (rendezvous) needs the progress thread now, not a tick or
+    /// two later. One flag load per post; a syscall only if it is parked.
+    fn resume_progress(&self, eng: &Engine, id: u64) {
+        if self.yielded.load(Ordering::Acquire)
+            && !eng.reqs.get(id).is_some_and(ReqState::is_done)
+            && self.yielded.swap(false, Ordering::AcqRel)
+        {
+            if let Some(thread) = self.progress.get() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// Block for the next frame (virtual-time ranks only). Returns
     /// `Ok(None)` when, instead of a frame, the transport reported a peer
     /// death — the engine has already been told, and the caller should
     /// re-check its completion condition. With the watchdog armed, a
@@ -267,7 +370,8 @@ fn poll_backoff(spins: &mut u32) {
 }
 
 /// Record `err` as the rank's fatal transport error (first error wins) and
-/// wake every parked waiter to observe it.
+/// wake every parked waiter to observe it. Waiters look at `fatal` before
+/// they look at the role, so a holder that fails needs no hand-over.
 fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
     if eng.fatal.is_none() {
         eng.fatal = Some(err);
@@ -277,68 +381,101 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
     inner.done.notify_all();
 }
 
-/// The background progress loop: the single consumer of the device's
-/// receive side. Drains queued frames and peer-failure verdicts, handles
-/// them under the engine lock, wakes waiters, and parks in
-/// [`Device::recv_timeout`] while idle so the wire stays silent at ~zero
-/// CPU. Transport errors are parked in [`Engine::fatal`] for waiters —
-/// this thread has nowhere else to report them — and end the loop.
+/// The background progress loop: the device's consumer while no caller is
+/// inside the library. Each iteration first settles who drains. With a
+/// caller inside it gives the role up ([`Inner::release`]) and parks for a
+/// tick; it takes the role back once nobody is inside and either nobody
+/// drained during the last tick (`epoch` stood still — so a tick landing
+/// between a caller's `send` returning and its `recv` entering does not
+/// steal that round trip) or a poster asked ([`Inner::resume_progress`]).
+/// Holding the role it drains queued frames and peer-failure verdicts and
+/// parks in [`Device::recv_timeout`] while idle. Transport errors are
+/// parked in [`Engine::fatal`] for waiters — this thread has nowhere else
+/// to report them — and end the loop.
 ///
 /// With live health enabled, the loop classifies its entire wall time
-/// into the four [`TimeBucket`]s via contiguous clock segments (`mark`
-/// is always the end of the previously credited segment, so the buckets
+/// into the four [`lmpi_obs::TimeBucket`]s via contiguous clock segments
+/// (`mark` is the end of the previously credited segment, so the buckets
 /// sum to the covered wall time by construction): device polling →
-/// `Poll`, contended engine-lock acquisition → `LockWait`, frame
-/// handling under the lock → `Drain`, the idle `recv_timeout` tick →
-/// `Park`. It also samples wakeup-to-drain latency (work noticed →
-/// first frame handled), runs the periodic diagnostics evaluation on
-/// idle edges, and fires the metrics hook *after* releasing the engine
-/// lock. With health disabled, every accounting line is one branch and
-/// no clock is read.
-///
-/// [`TimeBucket`]: lmpi_obs::TimeBucket
+/// `Poll`, contended engine-lock acquisition → `LockWait`, frame handling
+/// → `Drain`, the idle `recv_timeout` tick and every yielded tick →
+/// `Park`. Yielded time moves `mark`, so it never enters the
+/// wakeup-to-drain samples (work noticed → first frame handled). The
+/// periodic diagnostics run on idle and yielded ticks. With health
+/// disabled, every accounting line is one branch and no clock is read.
 fn progress_loop(inner: &Inner) {
     use lmpi_obs::TimeBucket::{Drain, LockWait, Park, Poll};
 
     use crate::health::credit_segment;
 
+    let _ = inner.progress.set(std::thread::current());
     let hp = inner.health.enabled.then_some(&inner.health.progress);
     let mut mark = hp.map(|_| inner.device.now_ns()).unwrap_or(0);
+    // Credit the time since `mark` to `bucket` (no clock read when off).
+    let credit = |mark: &mut u64, bucket| {
+        if hp.is_some() {
+            credit_segment(hp, mark, inner.device.now_ns(), bucket);
+        }
+    };
+    // Handle one frame: `false` means a fatal error was recorded. `wake`
+    // anchors a wakeup-to-drain sample when this frame starts a burst.
+    let handle = |wire, mark: &mut u64, wake: Option<u64>| {
+        let mut eng = inner.eng.try_lock().unwrap_or_else(|| {
+            let g = inner.eng.lock();
+            credit(mark, LockWait);
+            g
+        });
+        eng.counters.progress_frames += 1;
+        if let Err(e) = eng.handle_wire(&*inner.device, wire) {
+            record_fatal(inner, eng, e);
+            return false;
+        }
+        drop(eng);
+        if let Some(h) = hp {
+            let now = inner.device.now_ns();
+            if let Some(wake) = wake {
+                h.record_wakeup_to_drain(now.saturating_sub(wake));
+            }
+            credit_segment(hp, mark, now, Drain);
+            h.add_frames(1);
+        }
+        true
+    };
+    let mut role = None;
+    // `epoch` when the thread last yielded, and whether that yield was
+    // cut short by a poster.
+    let (mut seen, mut asked) = (inner.epoch.load(Ordering::Acquire), false);
     while !inner.shutdown.load(Ordering::Acquire) {
+        if inner.inside.load(Ordering::Acquire) > 0 {
+            if let Some(role) = role.take() {
+                inner.release(role, inner.eng.lock(), 0);
+            }
+        } else if role.is_none() && (asked || seen == inner.epoch.load(Ordering::Acquire)) {
+            role = inner.drain.try_lock();
+        }
+        if role.is_none() {
+            seen = inner.epoch.load(Ordering::Acquire);
+            inner.yielded.store(true, Ordering::Release);
+            std::thread::park_timeout(PROGRESS_TICK);
+            asked = !inner.yielded.swap(false, Ordering::AcqRel);
+            if inner.health.enabled {
+                credit(&mut mark, Park);
+                crate::health::eval_if_due(inner, mark);
+                credit(&mut mark, Poll);
+            }
+            continue;
+        }
         let mut handled: u64 = 0;
         // Wakeup-to-drain anchor: when this drain pass began.
         let burst_start = mark;
-        // Drain everything already queued, one frame per lock acquisition
-        // so posting threads interleave instead of stalling for a batch.
-        loop {
+        // Drain what is queued, one frame per lock acquisition so posting
+        // threads interleave, until a caller shows up to take over.
+        while inner.inside.load(Ordering::Acquire) == 0 {
             match inner.device.try_recv() {
                 Ok(Some(wire)) => {
-                    if hp.is_some() {
-                        credit_segment(hp, &mut mark, inner.device.now_ns(), Poll);
-                    }
-                    let mut eng = match inner.eng.try_lock() {
-                        Some(g) => g,
-                        None => {
-                            let g = inner.eng.lock();
-                            if hp.is_some() {
-                                credit_segment(hp, &mut mark, inner.device.now_ns(), LockWait);
-                            }
-                            g
-                        }
-                    };
-                    eng.counters.progress_frames += 1;
-                    if let Err(e) = eng.handle_wire(&*inner.device, wire) {
-                        record_fatal(inner, eng, e);
+                    credit(&mut mark, Poll);
+                    if !handle(wire, &mut mark, (handled == 0).then_some(burst_start)) {
                         return;
-                    }
-                    drop(eng);
-                    if let Some(h) = hp {
-                        let now = inner.device.now_ns();
-                        if handled == 0 {
-                            h.record_wakeup_to_drain(now.saturating_sub(burst_start));
-                        }
-                        credit_segment(hp, &mut mark, now, Drain);
-                        h.add_frames(1);
                     }
                     handled += 1;
                 }
@@ -354,10 +491,36 @@ fn progress_loop(inner: &Inner) {
             eng.fail_peer(&*inner.device, peer, err);
             handled += 1;
         }
-        if hp.is_some() {
-            // The final empty poll and the failure drain since the last
-            // credited segment.
-            credit_segment(hp, &mut mark, inner.device.now_ns(), Poll);
+        // The final empty poll and the failure drain.
+        credit(&mut mark, Poll);
+        if handled == 0 && inner.inside.load(Ordering::Acquire) == 0 {
+            // Idle edge: run the periodic diagnostics evaluation here,
+            // where it can never add latency to frame handling.
+            if inner.health.enabled {
+                crate::health::eval_if_due(inner, inner.device.now_ns());
+                credit(&mut mark, Poll);
+            }
+            // Wait for the next frame with a bounded tick, so shutdown is
+            // prompt and wrapper-device pumps (retransmits, heartbeats)
+            // keep running off the `try_recv` path above.
+            match inner.device.recv_timeout(PROGRESS_TICK) {
+                Ok(wire) => {
+                    // The blocking wait counts as parked even when a
+                    // frame ended it; the wakeup starts here.
+                    credit(&mut mark, Park);
+                    if let Some(wire) = wire {
+                        let wake = mark;
+                        if !handle(wire, &mut mark, Some(wake)) {
+                            return;
+                        }
+                        handled = 1;
+                    }
+                }
+                Err(e) => {
+                    record_fatal(inner, inner.eng.lock(), e);
+                    return;
+                }
+            }
         }
         if handled > 0 {
             inner.eng.lock().counters.progress_wakeups += 1;
@@ -365,64 +528,7 @@ fn progress_loop(inner: &Inner) {
                 h.add_wakeup();
             }
             inner.epoch.fetch_add(handled, Ordering::AcqRel);
-            inner.done.notify_all();
             inner.run_metrics_hook();
-            continue;
-        }
-        // Idle edge: run the periodic diagnostics evaluation here, where
-        // it can never add latency to frame handling.
-        if inner.health.enabled {
-            crate::health::eval_if_due(inner, inner.device.now_ns());
-            credit_segment(hp, &mut mark, inner.device.now_ns(), Poll);
-        }
-        // Idle: wait for the next frame with a bounded tick, so shutdown
-        // is prompt and wrapper-device pumps (retransmits, heartbeats)
-        // keep running off the `try_recv` path above.
-        match inner.device.recv_timeout(PROGRESS_TICK) {
-            Ok(Some(wire)) => {
-                if hp.is_some() {
-                    // The blocking wait counts as parked even though a
-                    // frame ended it; the wakeup starts here.
-                    credit_segment(hp, &mut mark, inner.device.now_ns(), Park);
-                }
-                let wake = mark;
-                let mut eng = match inner.eng.try_lock() {
-                    Some(g) => g,
-                    None => {
-                        let g = inner.eng.lock();
-                        if hp.is_some() {
-                            credit_segment(hp, &mut mark, inner.device.now_ns(), LockWait);
-                        }
-                        g
-                    }
-                };
-                eng.counters.progress_frames += 1;
-                eng.counters.progress_wakeups += 1;
-                if let Err(e) = eng.handle_wire(&*inner.device, wire) {
-                    record_fatal(inner, eng, e);
-                    return;
-                }
-                drop(eng);
-                if let Some(h) = hp {
-                    let now = inner.device.now_ns();
-                    h.record_wakeup_to_drain(now.saturating_sub(wake));
-                    credit_segment(hp, &mut mark, now, Drain);
-                    h.add_frames(1);
-                    h.add_wakeup();
-                }
-                inner.epoch.fetch_add(1, Ordering::AcqRel);
-                inner.done.notify_all();
-                inner.run_metrics_hook();
-            }
-            Ok(None) => {
-                if hp.is_some() {
-                    credit_segment(hp, &mut mark, inner.device.now_ns(), Park);
-                }
-            }
-            Err(e) => {
-                record_fatal(inner, inner.eng.lock(), e);
-                return;
-            }
         }
     }
 }
@@ -467,7 +573,10 @@ impl Mpi {
             eng: Mutex::new(eng),
             done: Condvar::new(),
             watchdog_us: config.progress_timeout_us,
-            progress_active: AtomicBool::new(background),
+            drain: Mutex::new(()),
+            inside: AtomicU32::new(0),
+            progress: OnceLock::new(),
+            yielded: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             world_coll_seq: Arc::new(AtomicU32::new(0)),
@@ -484,8 +593,9 @@ impl Mpi {
     }
 
     /// Whether this rank runs a background progress thread (real
-    /// transports) or progresses only inside blocking calls (virtual-time
-    /// substrates, or an explicit config override).
+    /// transports) for the time no caller is inside the library, or
+    /// progresses only inside its calls (virtual-time substrates, or an
+    /// explicit config override).
     pub fn has_progress_thread(&self) -> bool {
         self.progress.is_some()
     }
@@ -553,8 +663,8 @@ impl Mpi {
     /// Install a periodic metrics hook: `cb` fires from frame handling
     /// whenever at least `every_ns` device-clock nanoseconds have passed
     /// since the previous firing. One hook per rank; installing again
-    /// replaces it. With a background progress thread the hook fires on
-    /// that thread.
+    /// replaces it. The hook fires on whichever thread handled the frame:
+    /// a blocked caller, or the background progress thread.
     ///
     /// The snapshot is taken under the engine lock but the hook is
     /// invoked **after the lock is released**, so the callback may call
@@ -643,11 +753,12 @@ impl Drop for Mpi {
     fn drop(&mut self) {
         if let Some(handle) = self.progress.take() {
             self.inner.shutdown.store(true, Ordering::Release);
+            handle.thread().unpark();
             let _ = handle.join();
-            // Any surviving Communicator/Request handles fall back to
-            // caller-driven progress — the device's receive side has no
-            // owner again, so this cannot race the joined thread.
-            self.inner.progress_active.store(false, Ordering::Release);
+            // Surviving Communicator/Request handles drain for themselves;
+            // wake any that saw the thread holding the role (engine-lock
+            // barrier as in `Inner::release`).
+            drop(self.inner.eng.lock());
             self.inner.done.notify_all();
         }
     }
@@ -908,6 +1019,7 @@ impl Communicator {
         let mut eng = self.inner.lock_eng();
         let data = eng.stage_payload(buf);
         let id = eng.post_send(&*self.inner.device, dst_g, tag, self.ctx, data, mode)?;
+        self.inner.resume_progress(&eng, id);
         drop(eng);
         Ok(self.request(id, t0.map(|t| (WinKind::Send, t))))
     }
@@ -1037,6 +1149,7 @@ impl Communicator {
             .enabled
             .then(|| self.inner.device.now_ns());
         let id = self.post_send_typed(ty, memory, dst, tag, SendMode::Standard)?;
+        self.inner.resume_progress(&self.inner.eng.lock(), id);
         Ok(self.request(id, t0.map(|t| (WinKind::Send, t))))
     }
 
@@ -1262,8 +1375,9 @@ impl Request<'_> {
         }
     }
 
-    /// `MPI_Wait`: block until complete, consuming the request. Parks on
-    /// the progress thread's condvar on real transports — no polling.
+    /// `MPI_Wait`: block until complete, consuming the request. If it is
+    /// not complete yet, this thread drains the device itself (or parks,
+    /// if another thread of the rank already does) — no polling.
     pub fn wait(mut self) -> MpiResult<Status> {
         match std::mem::replace(&mut self.state, ReqHandle::Consumed) {
             ReqHandle::Active(id) => {
@@ -1276,8 +1390,8 @@ impl Request<'_> {
     }
 
     /// `MPI_Test`: if complete, return the status (consuming the
-    /// completion); otherwise `None`. Never blocks; on caller-driven ranks
-    /// it also polls the device.
+    /// completion); otherwise `None`. Never blocks; handles what is queued
+    /// at the device first, unless another thread is draining it.
     pub fn test(&mut self) -> MpiResult<Option<Status>> {
         let ReqHandle::Active(id) = self.state else {
             return Err(MpiError::RequestConsumed);
@@ -1336,55 +1450,21 @@ pub fn wait_all(reqs: Vec<Request<'_>>) -> MpiResult<Vec<Status>> {
 }
 
 /// `MPI_Waitany`: block until some request completes; returns its index and
-/// status, removing it from the vector. Parks on the progress thread's
-/// condvar on real transports; drives the device itself on caller-driven
-/// substrates.
+/// status, removing it from the vector.
 pub fn wait_any(reqs: &mut Vec<Request<'_>>) -> MpiResult<(usize, Status)> {
     assert!(!reqs.is_empty(), "wait_any on empty request list");
     let inner = reqs[0].inner.clone();
-    if inner.progress_running() {
-        let mut timer = inner.park_timer();
-        loop {
-            // Find a completed request under the lock, then consume it
-            // through its own handle (which re-locks) so the consume path
-            // is shared with `test`.
-            let ready = {
-                let mut eng = inner.eng.lock();
-                if let Some(e) = eng.fatal.clone() {
-                    return Err(e);
-                }
-                let found = reqs.iter().position(|r| match r.state {
-                    ReqHandle::Active(id) => eng.reqs.get(id).is_some_and(ReqState::is_done),
-                    ReqHandle::Consumed => false,
-                });
-                if found.is_none() {
-                    inner.park(&mut eng, &mut timer)?;
-                }
-                found
-            };
-            if let Some(i) = ready {
-                if let Some(st) = reqs[i].test()? {
-                    let _ = reqs.remove(i);
-                    return Ok((i, st));
-                }
-            }
-        }
-    }
-    loop {
-        for i in 0..reqs.len() {
-            if let Some(st) = reqs[i].test()? {
-                let _ = reqs.remove(i);
-                return Ok((i, st));
-            }
-        }
-        // Nothing ready: block on the device through the first request.
-        // `None` (a peer died) falls through to re-test — the failure may
-        // have completed one of the requests.
-        if let Some(wire) = inner.next_wire_blocking()? {
-            inner.eng.lock().handle_wire(&*inner.device, wire)?;
-            inner.run_metrics_hook();
-        }
-    }
+    // Find a completed request under the lock, then consume it through its
+    // own handle so the consume path is shared with `test`.
+    let i = inner.progress_until(|eng| {
+        reqs.iter().position(|r| match r.state {
+            ReqHandle::Active(id) => eng.reqs.get(id).is_some_and(ReqState::is_done),
+            ReqHandle::Consumed => false,
+        })
+    })?;
+    let st = reqs[i].test()?.expect("found complete under the lock");
+    let _ = reqs.remove(i);
+    Ok((i, st))
 }
 
 /// `MPI_Testall`: test every request; `Some` statuses only if *all* are

@@ -7,7 +7,8 @@
 //! including rendezvous-sized messages into, out of, and around the
 //! victim), runs it twice over `Reliable(Faulty(Shm))` with heartbeats
 //! enabled — once fault-free, once with rank 2's crash switch armed at a
-//! random frame count — and checks:
+//! random point among the frames the fault-free run saw it send — and
+//! checks:
 //!
 //! * the fault-free run completes every operation;
 //! * in the killed run, survivor↔survivor receives are byte-identical to
@@ -20,7 +21,7 @@
 
 use std::sync::Arc;
 
-use lmpi::obs::correlate;
+use lmpi::obs::{correlate, EventKind};
 use lmpi::{
     run_devices, Device, FaultConfig, FaultRates, FaultyDevice, Mpi, MpiConfig, MpiError,
     MpiResult, RelConfig, ReliableDevice, ShmDevice, Status, Tracer,
@@ -279,9 +280,9 @@ fn tuned_collectives_fail_typed_on_a_dead_member() {
 // timeouts; keep the count modest.
 #[test]
 fn killing_one_rank_never_poisons_survivor_traffic() {
+    let mut peer_failures = 0;
     for_each_case(8, |rng| {
         let ops = gen_ops(rng);
-        let kill_at = rng.range(4..80) as u64;
         let mk_tracers = || {
             (0..RANKS as u32)
                 .map(|r| Tracer::enabled(r, 1 << 16))
@@ -289,7 +290,8 @@ fn killing_one_rank_never_poisons_survivor_traffic() {
         };
 
         // Fault-free control: everything must complete.
-        let control = run_schedule(&ops, None, &mk_tracers());
+        let control_tracers = mk_tracers();
+        let control = run_schedule(&ops, None, &control_tracers);
         for (rank, outcomes) in control.iter().enumerate() {
             for (i, o) in outcomes {
                 assert!(
@@ -299,12 +301,18 @@ fn killing_one_rank_never_poisons_survivor_traffic() {
             }
         }
 
-        // Killed run.
+        // Killed run. The crash switch counts frames the victim sends, so
+        // arm it somewhere among those the control run saw it send.
+        let victim_sent = (control_tracers[VICTIM].snapshot().events.iter())
+            .filter(|e| matches!(e.kind, EventKind::WireTx { .. }))
+            .count();
+        let kill_at = rng.range(1..victim_sent + 1) as u64;
         let tracers = mk_tracers();
         let killed = run_schedule(&ops, Some(kill_at), &tracers);
         for (rank, outcomes) in killed.iter().enumerate() {
             for (i, o) in outcomes {
                 let op = ops[*i];
+                peer_failures += usize::from(*o == Outcome::PeerFailed);
                 if op.touches_victim() || rank == VICTIM {
                     // Completed before the crash, or typed PeerFailed —
                     // anything else is an isolation bug.
@@ -345,4 +353,8 @@ fn killing_one_rank_never_poisons_survivor_traffic() {
             }
         }
     });
+    assert!(
+        peer_failures > 0,
+        "no case lost its victim mid-schedule: the property was never exercised"
+    );
 }
