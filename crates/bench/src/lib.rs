@@ -3,8 +3,8 @@
 //! One function per figure/table of *Low Latency MPI for Meiko CS/2 and
 //! ATM Clusters* (IPPS 1997), in [`figures`], each returning a [`report::Report`]
 //! with measured rows, the paper's reference values, and PASS/FAIL shape
-//! checks. Thin binaries under `src/bin/` print them individually;
-//! `run_all` regenerates the whole evaluation section.
+//! checks. The `figures` binary prints one by id, or `all` of them — the
+//! whole evaluation section.
 //!
 //! All measurements here are deterministic (virtual time) or reports
 //! (`coll_tune`, `ddtbench`). Wall-clock measurement of the real substrates
@@ -53,14 +53,4 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ablation_bcast", figures::ablation_bcast),
         ("ablation_credit", figures::ablation_credit),
     ]
-}
-
-/// Standard binary entry point: `--quick` shrinks sweeps for CI.
-pub fn run_and_print(f: Experiment) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let r = f(quick);
-    print!("{}", r.render());
-    if !r.passed() {
-        std::process::exit(1);
-    }
 }

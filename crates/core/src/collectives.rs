@@ -13,9 +13,9 @@
 //! device's hardware broadcast when available — on the Meiko that is the
 //! paper's own design ("the implementation of broadcast on Meiko uses the
 //! underlying hardware broadcast mechanism, whereas on the ATM network it
-//! uses a succession of point-to-point messages"). The fixed-algorithm
-//! variants (`bcast_binomial`, `allreduce_ring`, ...) bypass the table
-//! for ablations, tuning sweeps, and cross-algorithm identity tests.
+//! uses a succession of point-to-point messages"). Ablations, tuning sweeps
+//! and cross-algorithm identity tests pin an algorithm through
+//! [`crate::MpiConfig`]'s `with_*_algo`.
 
 use std::sync::Arc;
 
@@ -129,22 +129,6 @@ impl Communicator {
         })
     }
 
-    /// Barrier pinned to the dissemination algorithm.
-    pub fn barrier_dissemination(&self) -> MpiResult<()> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Barrier, CollAlgo::Dissemination, || {
-            self.barrier_dissemination_seq(seq)
-        })
-    }
-
-    /// Barrier pinned to the binomial-tree algorithm.
-    pub fn barrier_tree(&self) -> MpiResult<()> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Barrier, CollAlgo::Tree, || {
-            self.barrier_tree_seq(seq)
-        })
-    }
-
     // ------------------------------------------------------------------
     // Broadcast
     // ------------------------------------------------------------------
@@ -177,32 +161,6 @@ impl Communicator {
                 BcastAlgo::Binomial => self.bcast_binomial_seq(buf, root, seq),
                 BcastAlgo::ScatterAllgather => self.bcast_scatter_allgather_seq(buf, root, seq),
             }
-        })
-    }
-
-    /// Broadcast pinned to the binomial tree (software even on devices
-    /// with a hardware broadcast). Exposed for the hardware-vs-software
-    /// ablation and the tuning sweep.
-    pub fn bcast_binomial<T: MpiData>(&self, buf: &mut [T], root: Rank) -> MpiResult<()> {
-        self.global(root)?;
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Bcast, CollAlgo::Binomial, || {
-            if self.size() == 1 {
-                return Ok(());
-            }
-            self.bcast_binomial_seq(buf, root, seq)
-        })
-    }
-
-    /// Broadcast pinned to scatter-allgather (van de Geijn).
-    pub fn bcast_scatter_allgather<T: MpiData>(&self, buf: &mut [T], root: Rank) -> MpiResult<()> {
-        self.global(root)?;
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Bcast, CollAlgo::ScatterAllgather, || {
-            if self.size() == 1 {
-                return Ok(());
-            }
-            self.bcast_scatter_allgather_seq(buf, root, seq)
         })
     }
 
@@ -453,22 +411,6 @@ impl Communicator {
         })
     }
 
-    /// Allgather pinned to the ring algorithm.
-    pub fn allgather_ring<T: MpiData + Default>(&self, send: &[T]) -> MpiResult<Vec<T>> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Allgather, CollAlgo::Ring, || {
-            self.allgather_ring_seq(send, seq)
-        })
-    }
-
-    /// Allgather pinned to gather+bcast.
-    pub fn allgather_gather_bcast<T: MpiData + Default>(&self, send: &[T]) -> MpiResult<Vec<T>> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Allgather, CollAlgo::GatherBcast, || {
-            self.allgather_gather_bcast_seq(send, seq)
-        })
-    }
-
     /// `MPI_Alltoall`: `send` holds `n` equal blocks in destination order;
     /// the result holds `n` blocks in source order.
     pub fn alltoall<T: MpiData + Default>(&self, send: &[T]) -> MpiResult<Vec<T>> {
@@ -582,42 +524,6 @@ impl Communicator {
             AllreduceAlgo::RecursiveDoubling => {
                 self.allreduce_recursive_doubling_seq(send, op, seq)
             }
-        })
-    }
-
-    /// Allreduce pinned to reduce+bcast (the paper's design).
-    pub fn allreduce_reduce_bcast<T: MpiData + Reducible + Default>(
-        &self,
-        send: &[T],
-        op: ReduceOp,
-    ) -> MpiResult<Vec<T>> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Allreduce, CollAlgo::ReduceBcast, || {
-            self.allreduce_reduce_bcast_seq(send, op, seq)
-        })
-    }
-
-    /// Allreduce pinned to the ring algorithm.
-    pub fn allreduce_ring<T: MpiData + Reducible + Default>(
-        &self,
-        send: &[T],
-        op: ReduceOp,
-    ) -> MpiResult<Vec<T>> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Allreduce, CollAlgo::Ring, || {
-            self.allreduce_ring_seq(send, op, seq)
-        })
-    }
-
-    /// Allreduce pinned to recursive doubling.
-    pub fn allreduce_recursive_doubling<T: MpiData + Reducible + Default>(
-        &self,
-        send: &[T],
-        op: ReduceOp,
-    ) -> MpiResult<Vec<T>> {
-        let seq = self.next_coll_seq();
-        self.traced(CollOp::Allreduce, CollAlgo::RecursiveDoubling, || {
-            self.allreduce_recursive_doubling_seq(send, op, seq)
         })
     }
 

@@ -22,8 +22,8 @@ pub struct MpiConfig {
     /// while blocked. Set it on real transports when frames can be lost.
     pub progress_timeout_us: Option<u64>,
     /// Largest rendezvous data segment per device frame; larger messages
-    /// stream as pipelined `RndvChunk` segments. Every rank of a job must
-    /// use the same value.
+    /// stream as several pipelined `RndvChunk` segments. Every rank of a
+    /// job must use the same value.
     pub rndv_chunk: Option<usize>,
     /// Rendezvous pipeline window (chunks in flight before the sender
     /// waits for a chunk acknowledgment).
@@ -33,16 +33,6 @@ pub struct MpiConfig {
     /// every call of that collective. Every rank of a job must pin
     /// identically.
     pub coll: CollPins,
-    /// Background progress thread override. `None` (the default) lets the
-    /// device decide via [`crate::Device::supports_background_progress`]:
-    /// real wall-clock transports (shm, real TCP/UDP) get a per-rank
-    /// progress thread so nonblocking operations advance while the caller
-    /// computes (a caller blocked inside the library drains for itself
-    /// either way); virtual-time substrates have none, because their
-    /// cooperative scheduler cannot tolerate a foreign thread. `Some(false)`
-    /// runs without the thread everywhere (useful for overlap ablations);
-    /// `Some(true)` is clamped to devices that support it.
-    pub background_progress: Option<bool>,
     /// Live health accounting (thread duty cycles, sliding-window tail
     /// latency, continuous diagnostics — see [`crate::Mpi::health`]).
     /// `None` defaults to enabled; the instrumentation budget is a few
@@ -52,11 +42,6 @@ pub struct MpiConfig {
     /// Period of the continuous diagnostics evaluation in microseconds
     /// of device time. `None` defaults to 100 ms.
     pub health_eval_period_us: Option<u64>,
-    /// Optional live SLO on sliding-window p99 completion latency
-    /// (microseconds): when set, a send/recv window whose p99 exceeds it
-    /// raises a `window_slo_breach` diagnostic. `None` (the default)
-    /// disables the rule.
-    pub window_slo_p99_us: Option<u64>,
 }
 
 impl MpiConfig {
@@ -127,13 +112,6 @@ impl MpiConfig {
         self
     }
 
-    /// Force the background progress thread on or off (see the field doc;
-    /// `Some(true)` still requires device support).
-    pub fn with_background_progress(mut self, enabled: bool) -> Self {
-        self.background_progress = Some(enabled);
-        self
-    }
-
     /// Enable or disable live health accounting (default: enabled).
     pub fn with_health(mut self, enabled: bool) -> Self {
         self.health = Some(enabled);
@@ -144,13 +122,6 @@ impl MpiConfig {
     /// device time; default 100 ms).
     pub fn with_health_eval_period_us(mut self, us: u64) -> Self {
         self.health_eval_period_us = Some(us);
-        self
-    }
-
-    /// Arm the live sliding-window SLO: a send/recv window p99 above
-    /// `us` microseconds raises a `window_slo_breach` diagnostic.
-    pub fn with_window_slo_p99_us(mut self, us: u64) -> Self {
-        self.window_slo_p99_us = Some(us);
         self
     }
 }
@@ -173,8 +144,7 @@ mod tests {
             .with_barrier_algo(BarrierAlgo::Tree)
             .with_allgather_algo(AllgatherAlgo::GatherBcast)
             .with_health(true)
-            .with_health_eval_period_us(50_000)
-            .with_window_slo_p99_us(2_000);
+            .with_health_eval_period_us(50_000);
         assert_eq!(c.eager_threshold, Some(180));
         assert_eq!(c.env_slots, Some(1));
         assert_eq!(c.recv_buf_per_sender, Some(4096));
@@ -185,17 +155,10 @@ mod tests {
         assert_eq!(c.coll.allreduce, Some(AllreduceAlgo::Ring));
         assert_eq!(c.coll.barrier, Some(BarrierAlgo::Tree));
         assert_eq!(c.coll.allgather, Some(AllgatherAlgo::GatherBcast));
-        assert_eq!(
-            c.with_background_progress(false).background_progress,
-            Some(false)
-        );
         assert_eq!(c.health, Some(true));
         assert_eq!(c.health_eval_period_us, Some(50_000));
-        assert_eq!(c.window_slo_p99_us, Some(2_000));
         assert_eq!(MpiConfig::default().coll, CollPins::default());
-        assert_eq!(MpiConfig::default().background_progress, None);
         assert_eq!(MpiConfig::default().health, None);
-        assert_eq!(MpiConfig::default().window_slo_p99_us, None);
         assert_eq!(MpiConfig::default().eager_threshold, None);
         assert_eq!(MpiConfig::default().progress_timeout_us, None);
         assert_eq!(MpiConfig::default().rndv_chunk, None);

@@ -54,9 +54,9 @@ pub struct DeviceDefaults {
     /// Receiver bounce-buffer bytes reserved per sender.
     pub recv_buf_per_sender: u64,
     /// Largest rendezvous data segment sent as one device frame. Messages
-    /// up to this size move as a single `RndvData` frame (the paper's one
-    /// DMA); larger ones stream as `RndvChunk` segments of this size so a
-    /// lost frame costs one chunk instead of the whole transfer.
+    /// up to this size move as a single `RndvChunk` frame (the paper's one
+    /// DMA); larger ones stream as segments of this size so a lost frame
+    /// costs one chunk instead of the whole transfer.
     pub rndv_chunk: usize,
     /// Rendezvous pipeline window: how many chunks the sender keeps in
     /// flight before waiting for a chunk acknowledgment.
@@ -74,11 +74,13 @@ lmpi_obs::json_struct! {
     pub struct TransportStats {
         /// Data frames accepted for (first) transmission by a reliability layer.
         pub data_frames_sent: u64,
-        /// Frames resent by go-back-N retransmission.
+        /// Frames resent by the reliability layer's retransmission.
         pub retransmits: u64,
         /// Duplicate arrivals suppressed by sequence checking.
         pub dup_suppressed: u64,
-        /// Out-of-order arrivals dropped (go-back-N accepts in order only).
+        /// Out-of-order arrivals dropped: everything past the next expected
+        /// frame under go-back-N, only frames beyond the reorder window
+        /// under selective repeat (the default), which buffers the rest.
         pub ooo_dropped: u64,
         /// Pure (non-piggybacked) acknowledgement frames sent.
         pub pure_acks_sent: u64,
@@ -143,19 +145,28 @@ pub trait Device: Send + Sync {
     fn try_recv(&self) -> MpiResult<Option<Wire>>;
 
     /// Block until a frame arrives and return it, or report a transport
-    /// failure.
-    fn recv_blocking(&self) -> MpiResult<Wire>;
+    /// failure. The default polls [`Device::try_recv`] and yields between
+    /// polls, which also keeps a wrapper's pumps (retransmit timers,
+    /// delayed-fault flushes) running; transports that can park override
+    /// it.
+    fn recv_blocking(&self) -> MpiResult<Wire> {
+        loop {
+            if let Some(w) = self.try_recv()? {
+                return Ok(w);
+            }
+            std::thread::yield_now();
+        }
+    }
 
     /// Wait up to `timeout` for the next frame; `Ok(None)` on timeout.
     /// This is where a draining caller and the idle background progress
     /// thread wait on a real transport: it must park the calling thread
     /// (or at worst sleep in short slices) rather than spin, and it must
-    /// keep any reliability-sublayer pumps
-    /// (retransmit timers, heartbeats, delayed-fault flushes) running —
-    /// wrappers that pump from `try_recv` implement this as a sleep-sliced
-    /// `try_recv` loop. The default serves devices that never host a
-    /// progress thread ([`Device::supports_background_progress`] is false):
-    /// one non-blocking poll, then a yield, bounded by the wall clock.
+    /// keep any reliability-sublayer pumps (retransmit timers, heartbeats,
+    /// delayed-fault flushes) running. The default does both for devices
+    /// that pump from `try_recv` or poll a nonblocking socket: a
+    /// sleep-sliced `try_recv` loop. No virtual-time device reaches it
+    /// ([`Device::supports_background_progress`] is false there).
     fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -165,7 +176,7 @@ pub trait Device: Send + Sync {
             if std::time::Instant::now() >= deadline {
                 return Ok(None);
             }
-            std::thread::yield_now();
+            std::thread::sleep(std::time::Duration::from_micros(50));
         }
     }
 

@@ -19,10 +19,10 @@
 //!
 //! Rendezvous bulk data is *outside* this ledger entirely: a message
 //! charges one envelope credit when its `RndvReq` goes out, and the data
-//! phase — whether one `RndvData` frame or a pipelined stream of
-//! `RndvChunk` frames — spends nothing further. The receiver granted the
-//! transfer into its own posted buffer with the go-ahead, so per-chunk
-//! credit would only re-meter space the receiver already promised.
+//! phase — a stream of `RndvChunk` frames, one or many — spends nothing
+//! further. The receiver granted the transfer into its own posted buffer
+//! with the go-ahead, so per-chunk credit would only re-meter space the
+//! receiver already promised.
 
 use crate::error::{MpiError, MpiResult};
 use crate::types::Rank;

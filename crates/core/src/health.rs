@@ -61,10 +61,6 @@ const WINDOW_SHARD_NS: u64 = 1_000_000_000;
 const STARVATION_P99_NS: u64 = 50_000_000;
 const STARVATION_MIN_SAMPLES: u64 = 8;
 
-/// Minimum samples in a window before the SLO-breach rule fires (a p99
-/// over a handful of operations is noise).
-const SLO_MIN_SAMPLES: u64 = 8;
-
 /// Sliding windows for operation-completion latency. One mutex guards
 /// all of them; it is taken only on operation *completion* (not per
 /// frame), and only when health is enabled.
@@ -103,7 +99,6 @@ pub(crate) struct HealthState {
     /// is ever read on behalf of health.
     pub(crate) enabled: bool,
     eval_period_ns: u64,
-    slo_p99_ns: Option<u64>,
     diag_cfg: DiagConfig,
     /// Progress-thread duty-cycle buckets (zeroed on ranks without a
     /// progress thread; mostly `Park` while callers block and drain for
@@ -120,11 +115,10 @@ pub(crate) struct HealthState {
 }
 
 impl HealthState {
-    pub(crate) fn new(enabled: bool, eval_period_ns: u64, slo_p99_ns: Option<u64>) -> Self {
+    pub(crate) fn new(enabled: bool, eval_period_ns: u64) -> Self {
         HealthState {
             enabled,
             eval_period_ns: eval_period_ns.max(1),
-            slo_p99_ns,
             diag_cfg: DiagConfig::default(),
             progress: ThreadHealth::new(),
             mutex_wait: AtomicHist::new(),
@@ -251,32 +245,6 @@ impl HealthState {
                 ),
                 evidence: Vec::new(),
             });
-        }
-
-        // Live-only rule: sliding-window SLO breach on the configured
-        // p99 bound (off unless `window_slo_p99_us` is set).
-        if let Some(slo) = self.slo_p99_ns {
-            let w = self.windows.lock();
-            for (op, s) in [
-                ("send", w.send.summary(now_ns)),
-                ("recv", w.recv.summary(now_ns)),
-            ] {
-                if s.count >= SLO_MIN_SAMPLES && s.p99_ns > slo {
-                    found.push(Diagnostic {
-                        kind: DiagKind::WindowSloBreach,
-                        rank,
-                        summary: format!(
-                            "{op} completion p99 {} ns over the last {} ns window \
-                             exceeds the configured SLO of {} ns ({} samples)",
-                            s.p99_ns,
-                            w.send.window_ns(),
-                            slo,
-                            s.count
-                        ),
-                        evidence: Vec::new(),
-                    });
-                }
-            }
         }
 
         // Live-only rule: collective mis-tuning. A pinned algorithm that
@@ -819,7 +787,7 @@ mod tests {
 
     #[test]
     fn evaluate_diagnoses_retransmit_storm_from_deltas() {
-        let h = HealthState::new(true, 1_000, None);
+        let h = HealthState::new(true, 1_000);
         let c = Counters::default();
         // First eval: 100 data frames, no retransmits — clean baseline.
         let mut t = TransportStats {
@@ -846,7 +814,7 @@ mod tests {
 
     #[test]
     fn evaluate_reports_coll_mistuning_once_per_new_mispins() {
-        let h = HealthState::new(true, 1_000, None);
+        let h = HealthState::new(true, 1_000);
         let c = Counters::default();
         let t = TransportStats::default();
         h.evaluate(
@@ -874,33 +842,8 @@ mod tests {
     }
 
     #[test]
-    fn window_slo_breach_fires_only_with_a_configured_slo() {
-        let slow = 3_000_000u64; // 3 ms completions
-        for (slo, expect) in [(None, false), (Some(1_000_000u64), true)] {
-            let h = HealthState::new(true, 1_000, slo);
-            for i in 0..16u64 {
-                h.record_send(1_000_000 * i, slow);
-            }
-            h.evaluate(
-                20_000_000,
-                0,
-                &Counters::default(),
-                &TransportStats::default(),
-                &[],
-            );
-            let fired = h
-                .diag
-                .lock()
-                .active
-                .iter()
-                .any(|d| d.kind == DiagKind::WindowSloBreach);
-            assert_eq!(fired, expect, "slo={slo:?}");
-        }
-    }
-
-    #[test]
     fn disabled_health_records_nothing() {
-        let h = HealthState::new(false, 1_000, None);
+        let h = HealthState::new(false, 1_000);
         h.record_send(0, 100);
         h.record_recv(0, 100);
         h.record_coll("bcast", "binomial", 0, 100);
@@ -910,7 +853,7 @@ mod tests {
 
     #[test]
     fn render_prometheus_emits_validating_health_families() {
-        let h = HealthState::new(true, 1_000, None);
+        let h = HealthState::new(true, 1_000);
         h.progress.credit(TimeBucket::Drain, 0, 500);
         h.progress.credit(TimeBucket::Park, 500, 1_000);
         h.progress.add_wakeup();

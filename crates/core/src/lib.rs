@@ -54,12 +54,11 @@ mod topology;
 mod types;
 mod ulfm;
 
-/// Internal matching-engine types, exposed for the benchmark harness only.
+/// Internal matching-engine types, exposed for the benchmark harness and
+/// the differential matching test only.
 #[doc(hidden)]
 pub mod bench_internals {
-    pub use crate::matching::{
-        LinearMatchEngine, MatchEngine, PostedRecv, UnexpectedBody, UnexpectedMsg,
-    };
+    pub use crate::matching::{MatchEngine, PostedRecv, UnexpectedBody, UnexpectedMsg};
 }
 
 /// The observability crate (tracing, histograms, Table-1 reports),

@@ -24,9 +24,9 @@
 //! bins) and takes the smallest stamp. The selected candidate is therefore
 //! the globally oldest matchable one — exactly what the linear scan chose —
 //! which combined with per-pair FIFO transport preserves the MPI
-//! non-overtaking guarantee. [`LinearMatchEngine`] keeps the original scan
-//! as the executable specification; a differential property test drives
-//! both with random schedules.
+//! non-overtaking guarantee. The original scan lives on beside the
+//! differential property test (`tests/prop_matching.rs`) as the executable
+//! specification; the test drives both with random schedules.
 //!
 //! Empty bins are deliberately *retained* in the maps so their `VecDeque`
 //! capacity is reused: a steady-state ping-pong posts and matches the same
@@ -464,93 +464,6 @@ impl MatchEngine {
     #[allow(dead_code)] // exercised by unit tests
     pub fn depths(&self) -> (usize, usize) {
         (self.posted_len, self.unexpected_len)
-    }
-}
-
-/// The original O(depth) linear-scan matcher, retained verbatim as the
-/// executable specification: the differential property test drives random
-/// schedules through this and [`MatchEngine`] and asserts identical
-/// outcomes, and the benchmarks report it as the before/after baseline.
-#[derive(Debug, Default)]
-pub struct LinearMatchEngine {
-    posted: VecDeque<PostedRecv>,
-    unexpected: VecDeque<UnexpectedMsg>,
-    /// Total successful matches.
-    pub matches: u64,
-    /// Matches that hit the unexpected queue.
-    pub unexpected_hits: u64,
-}
-
-impl LinearMatchEngine {
-    /// Fresh, empty engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An envelope arrived: take the first matching posted receive, if any.
-    pub fn match_incoming(&mut self, env: &Envelope) -> Option<PostedRecv> {
-        let idx = self.posted.iter().position(|p| {
-            p.context == env.context && p.src.matches(env.src) && p.tag.matches(env.tag)
-        })?;
-        self.matches += 1;
-        self.posted.remove(idx)
-    }
-
-    /// A receive was posted: take the first matching unexpected message, if
-    /// any; otherwise enqueue the receive.
-    pub fn match_posted(
-        &mut self,
-        recv_id: u64,
-        src: SourceSel,
-        tag: TagSel,
-        context: ContextId,
-    ) -> Option<UnexpectedMsg> {
-        if let Some(idx) = self.find_unexpected(src, tag, context) {
-            self.matches += 1;
-            self.unexpected_hits += 1;
-            return self.unexpected.remove(idx);
-        }
-        self.posted.push_back(PostedRecv {
-            recv_id,
-            src,
-            tag,
-            context,
-        });
-        None
-    }
-
-    /// Probe: peek at the first matching unexpected message without
-    /// consuming it.
-    pub fn probe(&self, src: SourceSel, tag: TagSel, context: ContextId) -> Option<&UnexpectedMsg> {
-        self.find_unexpected(src, tag, context)
-            .map(|i| &self.unexpected[i])
-    }
-
-    fn find_unexpected(&self, src: SourceSel, tag: TagSel, context: ContextId) -> Option<usize> {
-        self.unexpected.iter().position(|u| {
-            u.env.context == context && src.matches(u.env.src) && tag.matches(u.env.tag)
-        })
-    }
-
-    /// Store an early arrival.
-    pub fn add_unexpected(&mut self, msg: UnexpectedMsg) {
-        self.unexpected.push_back(msg);
-    }
-
-    /// Remove a posted receive (for `cancel`). Returns whether it was found.
-    pub fn cancel_posted(&mut self, recv_id: u64) -> bool {
-        if let Some(idx) = self.posted.iter().position(|p| p.recv_id == recv_id) {
-            self.posted.remove(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Queue depths `(posted, unexpected)` for diagnostics.
-    #[allow(dead_code)] // exercised by tests and benches
-    pub fn depths(&self) -> (usize, usize) {
-        (self.posted.len(), self.unexpected.len())
     }
 }
 

@@ -124,7 +124,7 @@ impl MetricsSnapshot {
         counter(
             &mut out,
             "lmpi_rndv_chunks_sent_total",
-            "Pipelined rendezvous data chunks transmitted.",
+            "Rendezvous data frames transmitted.",
             c.rndv_chunks_sent,
         );
         counter(

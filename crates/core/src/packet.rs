@@ -74,20 +74,22 @@ pub enum Packet {
         /// Receiver request id to route the data.
         recv_id: u64,
     },
-    /// Rendezvous step 3: the bulk data, delivered directly into the user
-    /// buffer (the "No buffering" line of Fig. 1). Used when the whole
-    /// message fits in one device frame (at most the platform's
-    /// [`crate::DeviceDefaults::rndv_chunk`]).
+    /// Rendezvous step 3 as the seed protocol framed it: the whole bulk
+    /// data in one frame. Wire vocabulary only — this library's sender
+    /// always streams [`Packet::RndvChunk`]s — but a receiver accepts one
+    /// as a complete one-chunk stream.
     RndvData {
         /// Echo of the receiver request id.
         recv_id: u64,
         /// The payload.
         data: Bytes,
     },
-    /// Rendezvous step 3, pipelined: one segment of the bulk data, written
-    /// at `offset` directly into the posted user buffer. Larger-than-chunk
-    /// messages stream as a window of these so a single lost frame costs
-    /// one chunk, not the whole transfer.
+    /// Rendezvous step 3: one segment of the bulk data, written at
+    /// `offset` directly into the posted user buffer (the "No buffering"
+    /// line of Fig. 1). A message within the platform's
+    /// [`crate::DeviceDefaults::rndv_chunk`] is one of these; a larger one
+    /// streams as a window of them so a single lost frame costs one chunk,
+    /// not the whole transfer.
     RndvChunk {
         /// Echo of the receiver request id.
         recv_id: u64,

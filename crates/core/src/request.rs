@@ -140,7 +140,7 @@ pub(crate) enum ReqState {
     /// Receive posted, not yet matched.
     RecvPosted { dst: RecvDest },
     /// Receive matched a rendezvous envelope; waiting for the bulk data
-    /// (one `RndvData` frame, or a pipelined stream of `RndvChunk`s).
+    /// (a stream of `RndvChunk`s, one or many).
     RecvRndvWait {
         dst: RecvDest,
         /// Matched envelope's (source, tag, length) for the final status.

@@ -9,9 +9,98 @@
 //! in the binned fast path (most plausibly in the oldest-candidate
 //! selection across bins and the wildcard queue).
 
-use lmpi_core::bench_internals::{LinearMatchEngine, MatchEngine, UnexpectedBody, UnexpectedMsg};
+use std::collections::VecDeque;
+
+use lmpi_core::bench_internals::{MatchEngine, PostedRecv, UnexpectedBody, UnexpectedMsg};
 use lmpi_core::{ContextId, Envelope, Rank, SourceSel, Tag, TagSel};
 use lmpi_sim::{for_each_case, SplitMix64};
+
+/// The original O(depth) linear-scan matcher, retained verbatim as the
+/// executable specification: the property test below drives random
+/// schedules through this and [`MatchEngine`] and asserts identical
+/// outcomes.
+#[derive(Debug, Default)]
+pub struct LinearMatchEngine {
+    posted: VecDeque<PostedRecv>,
+    unexpected: VecDeque<UnexpectedMsg>,
+    /// Total successful matches.
+    pub matches: u64,
+    /// Matches that hit the unexpected queue.
+    pub unexpected_hits: u64,
+}
+
+impl LinearMatchEngine {
+    /// Fresh, empty engine.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An envelope arrived: take the first matching posted receive, if any.
+    pub fn match_incoming(&mut self, env: &Envelope) -> Option<PostedRecv> {
+        let idx = self.posted.iter().position(|p| {
+            p.context == env.context && p.src.matches(env.src) && p.tag.matches(env.tag)
+        })?;
+        self.matches += 1;
+        self.posted.remove(idx)
+    }
+
+    /// A receive was posted: take the first matching unexpected message, if
+    /// any; otherwise enqueue the receive.
+    pub fn match_posted(
+        &mut self,
+        recv_id: u64,
+        src: SourceSel,
+        tag: TagSel,
+        context: ContextId,
+    ) -> Option<UnexpectedMsg> {
+        if let Some(idx) = self.find_unexpected(src, tag, context) {
+            self.matches += 1;
+            self.unexpected_hits += 1;
+            return self.unexpected.remove(idx);
+        }
+        self.posted.push_back(PostedRecv {
+            recv_id,
+            src,
+            tag,
+            context,
+        });
+        None
+    }
+
+    /// Probe: peek at the first matching unexpected message without
+    /// consuming it.
+    pub fn probe(&self, src: SourceSel, tag: TagSel, context: ContextId) -> Option<&UnexpectedMsg> {
+        self.find_unexpected(src, tag, context)
+            .map(|i| &self.unexpected[i])
+    }
+
+    fn find_unexpected(&self, src: SourceSel, tag: TagSel, context: ContextId) -> Option<usize> {
+        self.unexpected.iter().position(|u| {
+            u.env.context == context && src.matches(u.env.src) && tag.matches(u.env.tag)
+        })
+    }
+
+    /// Store an early arrival.
+    pub fn add_unexpected(&mut self, msg: UnexpectedMsg) {
+        self.unexpected.push_back(msg);
+    }
+
+    /// Remove a posted receive (for `cancel`). Returns whether it was found.
+    pub fn cancel_posted(&mut self, recv_id: u64) -> bool {
+        if let Some(idx) = self.posted.iter().position(|p| p.recv_id == recv_id) {
+            self.posted.remove(idx);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Queue depths `(posted, unexpected)` for diagnostics.
+    #[allow(dead_code)] // exercised by tests and benches
+    pub fn depths(&self) -> (usize, usize) {
+        (self.posted.len(), self.unexpected.len())
+    }
+}
 
 /// One step of a matching schedule. Small value domains on purpose: the
 /// interesting bugs live where keys collide and wildcards straddle bins.

@@ -309,13 +309,7 @@ impl<D: Device> FaultyDevice<D> {
 }
 
 impl<D: Device> Device for FaultyDevice<D> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn nprocs(&self) -> usize {
-        self.inner.nprocs()
-    }
+    forward_to_inner!();
 
     fn send(&self, dst: Rank, wire: Wire) {
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
@@ -393,53 +387,9 @@ impl<D: Device> Device for FaultyDevice<D> {
         self.inner.try_recv()
     }
 
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        // Can't delegate to the inner blocking receive: delayed frames we
-        // still owe the network must keep flushing while we wait.
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(w);
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        // Same constraint as `recv_blocking`: delayed frames must keep
-        // flushing, so wait in short sleep slices over `try_recv`.
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(Some(w));
-            }
-            if std::time::Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-
-    fn supports_background_progress(&self) -> bool {
-        self.inner.supports_background_progress()
-    }
-
-    fn charge(&self, cost: Cost) {
-        self.inner.charge(cost);
-    }
-
-    fn has_hw_bcast(&self) -> bool {
-        self.inner.has_hw_bcast()
-    }
-
-    fn hw_bcast(&self, group: &[Rank], wire: Wire) -> MpiResult<()> {
-        // Hardware broadcast is a separate medium (the Meiko's network
-        // does it in switches); faults here model the datagram path only.
-        self.inner.hw_bcast(group, wire)
-    }
-
-    fn wtime(&self) -> f64 {
-        self.inner.wtime()
-    }
+    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
+    // the inner blocking receive would stop the delayed frames we still owe
+    // the network from flushing while we wait.
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.clone();
@@ -464,18 +414,6 @@ impl<D: Device> Device for FaultyDevice<D> {
 
     fn take_failed_peer(&self) -> Option<(Rank, lmpi_core::MpiError)> {
         self.inner.take_failed_peer()
-    }
-
-    fn defaults(&self) -> DeviceDefaults {
-        self.inner.defaults()
-    }
-
-    fn substrate(&self) -> &'static str {
-        self.inner.substrate()
-    }
-
-    fn thread_health(&self) -> Vec<(String, std::sync::Arc<lmpi_obs::ThreadHealth>)> {
-        self.inner.thread_health()
     }
 }
 

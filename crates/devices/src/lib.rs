@@ -14,13 +14,54 @@
 //!
 //! * [`faulty`] — deterministic, seeded drop/duplicate/reorder/delay fault
 //!   injection over any device;
-//! * [`reliable`] — a go-back-N ack/retransmit sublayer that upgrades a
-//!   lossy datagram device back to reliable FIFO delivery.
+//! * [`reliable`] — an ack/retransmit sublayer (selective repeat, or
+//!   go-back-N) that upgrades a lossy datagram device back to reliable
+//!   FIFO delivery.
 
 #![warn(missing_docs)]
 // Transport code must fail the rank with a typed error, never panic: no
 // bare `unwrap` outside tests (the CI clippy gate enforces this).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+/// The [`lmpi_core::Device`] methods a wrapper device (`self.inner`) passes
+/// straight through to the transport it wraps; expands inside the wrapper's
+/// `impl Device` block.
+macro_rules! forward_to_inner {
+    () => {
+        fn rank(&self) -> Rank {
+            self.inner.rank()
+        }
+        fn nprocs(&self) -> usize {
+            self.inner.nprocs()
+        }
+        fn supports_background_progress(&self) -> bool {
+            self.inner.supports_background_progress()
+        }
+        fn charge(&self, cost: Cost) {
+            self.inner.charge(cost);
+        }
+        fn has_hw_bcast(&self) -> bool {
+            self.inner.has_hw_bcast()
+        }
+        // Hardware broadcast is a separate medium (the Meiko's network
+        // does it in switches); the wrappers model the datagram path only.
+        fn hw_bcast(&self, group: &[Rank], wire: Wire) -> MpiResult<()> {
+            self.inner.hw_bcast(group, wire)
+        }
+        fn wtime(&self) -> f64 {
+            self.inner.wtime()
+        }
+        fn substrate(&self) -> &'static str {
+            self.inner.substrate()
+        }
+        fn thread_health(&self) -> Vec<(String, std::sync::Arc<lmpi_obs::ThreadHealth>)> {
+            self.inner.thread_health()
+        }
+        fn defaults(&self) -> DeviceDefaults {
+            self.inner.defaults()
+        }
+    };
+}
 
 pub mod codec;
 pub mod faulty;

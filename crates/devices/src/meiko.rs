@@ -195,8 +195,9 @@ impl Device for MeikoDevice {
                 eager_threshold: 180, // Fig. 1 crossover
                 env_slots: 1,         // one envelope slot per sender (§4.1)
                 recv_buf_per_sender: 64 << 10,
-                // The Elan moves a rendezvous message as one DMA (§4.2);
-                // never chunk, so simulated timings match the paper.
+                // The Elan moves a rendezvous message as one DMA (§4.2):
+                // always a one-chunk stream, so simulated timings match
+                // the paper.
                 rndv_chunk: usize::MAX / 2,
                 rndv_window: 1,
             },

@@ -677,13 +677,7 @@ impl<D: Device> Drop for ReliableDevice<D> {
 }
 
 impl<D: Device> Device for ReliableDevice<D> {
-    fn rank(&self) -> Rank {
-        self.inner.rank()
-    }
-
-    fn nprocs(&self) -> usize {
-        self.inner.nprocs()
-    }
+    forward_to_inner!();
 
     fn send(&self, dst: Rank, mut wire: Wire) {
         if dst == self.inner.rank() {
@@ -743,52 +737,9 @@ impl<D: Device> Device for ReliableDevice<D> {
         Ok(st.deliverable.pop_front())
     }
 
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        // The inner blocking receive can't be used: the retransmit timer
-        // must keep firing while we wait.
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(w);
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        // Same constraint as `recv_blocking`: the retransmit/heartbeat
-        // pump rides `try_recv`, so wait in short sleep slices instead of
-        // blocking inside the inner device.
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(Some(w));
-            }
-            if std::time::Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-
-    fn supports_background_progress(&self) -> bool {
-        self.inner.supports_background_progress()
-    }
-
-    fn charge(&self, cost: Cost) {
-        self.inner.charge(cost);
-    }
-
-    fn has_hw_bcast(&self) -> bool {
-        self.inner.has_hw_bcast()
-    }
-
-    fn hw_bcast(&self, group: &[Rank], wire: Wire) -> MpiResult<()> {
-        self.inner.hw_bcast(group, wire)
-    }
-
-    fn wtime(&self) -> f64 {
-        self.inner.wtime()
-    }
+    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
+    // the retransmit/heartbeat pump rides `try_recv`, so the inner blocking
+    // receive can't be used.
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.clone();
@@ -821,18 +772,6 @@ impl<D: Device> Device for ReliableDevice<D> {
 
     fn take_failed_peer(&self) -> Option<(Rank, MpiError)> {
         self.state.lock().fail_queue.pop_front()
-    }
-
-    fn defaults(&self) -> DeviceDefaults {
-        self.inner.defaults()
-    }
-
-    fn substrate(&self) -> &'static str {
-        self.inner.substrate()
-    }
-
-    fn thread_health(&self) -> Vec<(String, std::sync::Arc<lmpi_obs::ThreadHealth>)> {
-        self.inner.thread_health()
     }
 }
 

@@ -47,19 +47,11 @@ pub trait MsgChannel: Send + Sync {
     /// Blocking receive, or a transport failure.
     fn recv_blocking(&self) -> MpiResult<Wire>;
     /// Receive with a bounded wait; `Ok(None)` on timeout. Only called on
-    /// channels that support a background progress thread, so the default
-    /// polling fallback never runs against a virtual clock.
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(Some(w));
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::yield_now();
-        }
+    /// channels that support a background progress thread, and those
+    /// override it with a wait that parks; the default — one poll — serves
+    /// the simulated channels, which are never asked.
+    fn recv_timeout(&self, _timeout: Duration) -> MpiResult<Option<Wire>> {
+        self.try_recv()
     }
     /// Whether a background progress thread may own this channel's receive
     /// side (real transports only; simulated channels advance a virtual

@@ -371,30 +371,9 @@ impl Device for UdpDevice {
         Ok(st.ready.pop_front())
     }
 
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(w);
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        // The socket is nonblocking (eviction scans must run between
-        // datagrams), so wait in short sleep slices rather than blocking
-        // in the kernel.
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(Some(w));
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
+    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
+    // the socket is nonblocking (eviction scans must run between
+    // datagrams), so there is no kernel wait to park in.
 
     fn supports_background_progress(&self) -> bool {
         true

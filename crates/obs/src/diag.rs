@@ -70,9 +70,6 @@ pub enum DiagKind {
     /// between arrival and drain (emitted by the live health evaluator
     /// in `lmpi-core`, not by [`diagnose`]).
     ProgressStarvation,
-    /// A sliding-window completion p99 breached its configured SLO
-    /// (emitted by the live health evaluator in `lmpi-core`).
-    WindowSloBreach,
     /// A pinned collective algorithm keeps overriding the tuned table's
     /// choice — the pin (or the table) is mis-tuned (emitted by the
     /// live health evaluator in `lmpi-core`).
@@ -89,7 +86,6 @@ impl DiagKind {
             DiagKind::MatcherBinSkew => "matcher_bin_skew",
             DiagKind::DeadPeer => "dead_peer",
             DiagKind::ProgressStarvation => "progress_starvation",
-            DiagKind::WindowSloBreach => "window_slo_breach",
             DiagKind::CollMistuned => "coll_mistuned",
         }
     }

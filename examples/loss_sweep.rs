@@ -6,7 +6,7 @@
 //! `Reliable(Faulty(Shm))` while the injected drop rate sweeps upward:
 //!
 //! * **single-frame + go-back-N** — the pre-chunking stack: the whole
-//!   payload rides one `RndvData` frame;
+//!   payload rides one data frame (a chunk size no message reaches);
 //! * **chunked + go-back-N** — the pipelined stream with the fallback
 //!   retransmission mode;
 //! * **chunked + selective-repeat** — the default stack after chunking.

@@ -28,6 +28,8 @@ use lmpi::{
 };
 use lmpi_sim::{for_each_case, SplitMix64};
 
+mod common;
+
 const RANKS: usize = 3;
 const VICTIM: usize = 2;
 /// Keepalive every 500 µs, Suspect at 2 ms, Dead at 10 ms: fast enough
@@ -180,11 +182,18 @@ fn run_schedule(ops: &[Op], kill_at: Option<u64>, tracers: &[Tracer]) -> Vec<Ran
 /// Tuned-collective ULFM contract: with one member dead, every algorithm
 /// registered in the collective engine must resolve to a typed
 /// `PeerFailed`/`Revoked` on the survivors — never a hang, never an
-/// untyped error. Survivors first spin on the dispatched barrier until
-/// detection trips it, then exercise each pinned algorithm, which must
-/// fail fast at the entry check without touching the wire.
+/// untyped error. Survivors first spin on the barrier until detection
+/// trips it, then exercise each collective family, which must fail fast
+/// at the entry check without touching the wire. One job per pin set, so
+/// that every algorithm is the one dispatched in some job.
 #[test]
 fn tuned_collectives_fail_typed_on_a_dead_member() {
+    for cfg in common::pin_sets() {
+        collectives_fail_typed_on_a_dead_member(cfg);
+    }
+}
+
+fn collectives_fail_typed_on_a_dead_member(cfg: MpiConfig) {
     let rel = RelConfig::default().with_heartbeat(HEARTBEAT.0, HEARTBEAT.1, HEARTBEAT.2);
     let devices: Vec<ReliableDevice<FaultyDevice<ShmDevice>>> = ShmDevice::fabric(RANKS)
         .into_iter()
@@ -200,7 +209,7 @@ fn tuned_collectives_fail_typed_on_a_dead_member() {
         .collect();
 
     let typed = |e: &MpiError| matches!(e, MpiError::PeerFailed { .. } | MpiError::Revoked { .. });
-    run_devices(devices, MpiConfig::device_defaults(), move |mpi: Mpi| {
+    run_devices(devices, cfg, move |mpi: Mpi| {
         let world = mpi.world();
         if world.rank() == VICTIM {
             // The crash switch arms after a few frames; the victim's own
@@ -209,9 +218,9 @@ fn tuned_collectives_fail_typed_on_a_dead_member() {
             let _ = world.barrier();
             return;
         }
-        // Spin on the dispatched barrier until the dead member surfaces
-        // as a typed error (earlier rounds may legitimately complete if
-        // they beat the crash).
+        // Spin on the barrier until the dead member surfaces as a typed
+        // error (earlier rounds may legitimately complete if they beat
+        // the crash).
         let mut detected = None;
         for round in 0..200 {
             match world.barrier() {
@@ -225,51 +234,26 @@ fn tuned_collectives_fail_typed_on_a_dead_member() {
         }
         let detected = detected.expect("the dead member was never detected");
 
-        // Once detected, every registered algorithm must fail fast and
-        // typed — including the ones the decision table would not pick.
+        // Once detected, every family must fail fast and typed under the
+        // algorithm this job pins — including the ones the decision table
+        // would not pick.
         let mut buf = vec![0u64; 32];
         let outcomes: Vec<(&str, MpiResult<()>)> = vec![
-            ("barrier/dissemination", world.barrier_dissemination()),
-            ("barrier/tree", world.barrier_tree()),
-            ("bcast/binomial", world.bcast_binomial(&mut buf, 0)),
+            ("barrier", world.barrier()),
+            ("bcast", world.bcast(&mut buf, 0)),
             (
-                "bcast/scatter_allgather",
-                world.bcast_scatter_allgather(&mut buf, 0),
-            ),
-            (
-                "allreduce/reduce_bcast",
-                world
-                    .allreduce_reduce_bcast(&buf, lmpi::ReduceOp::Sum)
-                    .map(|_| ()),
-            ),
-            (
-                "allreduce/ring",
-                world.allreduce_ring(&buf, lmpi::ReduceOp::Sum).map(|_| ()),
-            ),
-            (
-                "allreduce/recursive_doubling",
-                world
-                    .allreduce_recursive_doubling(&buf, lmpi::ReduceOp::Sum)
-                    .map(|_| ()),
-            ),
-            ("allgather/ring", world.allgather_ring(&buf).map(|_| ())),
-            (
-                "allgather/gather_bcast",
-                world.allgather_gather_bcast(&buf).map(|_| ()),
-            ),
-            ("dispatch/barrier", world.barrier()),
-            ("dispatch/bcast", world.bcast(&mut buf, 0)),
-            (
-                "dispatch/allreduce",
+                "allreduce",
                 world.allreduce(&buf, lmpi::ReduceOp::Sum).map(|_| ()),
             ),
-            ("dispatch/allgather", world.allgather(&buf).map(|_| ())),
+            ("allgather", world.allgather(&buf).map(|_| ())),
         ];
         for (name, r) in outcomes {
             match r {
                 Err(ref e) if typed(e) => {}
                 other => panic!(
-                    "{name} after detection (round {detected}) must fail typed, got {other:?}"
+                    "{name} under {:?} after detection (round {detected}) must fail typed, \
+                     got {other:?}",
+                    cfg.coll
                 ),
             }
         }

@@ -11,11 +11,36 @@
 //! communicator and its `dup`.
 
 use lmpi::{
-    run_cluster, run_devices, run_meiko, run_threads, ClusterNet, ClusterTransport, Communicator,
-    FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, ReduceOp, RelConfig,
-    ReliableDevice, ShmDevice,
+    run_cluster, run_devices, run_meiko, run_threads, run_threads_with_config, AllgatherAlgo,
+    AllreduceAlgo, BarrierAlgo, BcastAlgo, ClusterNet, ClusterTransport, Communicator, FaultConfig,
+    FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, ReduceOp, RelConfig, ReliableDevice,
+    ShmDevice,
 };
 use lmpi_sim::for_each_case;
+
+mod common;
+use common::pin_sets;
+
+/// Every dispatch of a pinned family went to the pinned algorithm, and
+/// there was at least one.
+fn assert_pins_took(mpi: &Mpi, cfg: &MpiConfig) {
+    let tally = mpi.metrics_snapshot().coll_dispatch;
+    let pins = [
+        ("barrier", cfg.coll.barrier.map(BarrierAlgo::name)),
+        ("bcast", cfg.coll.bcast.map(BcastAlgo::name)),
+        ("allreduce", cfg.coll.allreduce.map(AllreduceAlgo::name)),
+        ("allgather", cfg.coll.allgather.map(AllgatherAlgo::name)),
+    ];
+    for (coll, algo) in pins {
+        let Some(algo) = algo else { continue };
+        let ran: Vec<&str> = tally
+            .iter()
+            .filter(|e| e.collective == coll)
+            .map(|e| e.algorithm.as_str())
+            .collect();
+        assert_eq!(ran, [algo], "{coll} pinned to {algo}");
+    }
+}
 
 /// Deterministic per-(rank, index) payload word. Kept to 32 bits so a
 /// `Sum` over any realistic communicator cannot overflow u64.
@@ -33,9 +58,10 @@ fn apply(op: ReduceOp, a: u64, b: u64) -> u64 {
     }
 }
 
-/// Run every algorithm of every family on `world` at each element count
-/// and compare against the locally computed reference. Panics (in the rank
-/// thread) on any divergence, which fails the harness run.
+/// Run every collective family on `world` at each element count, with
+/// whatever algorithms the job's configuration pins, and compare against
+/// the locally computed reference. Panics (in the rank thread) on any
+/// divergence, which fails the harness run.
 fn algo_workout(world: &Communicator, sizes: &[usize]) {
     let me = world.rank();
     let n = world.size();
@@ -43,63 +69,35 @@ fn algo_workout(world: &Communicator, sizes: &[usize]) {
         let root = si % n;
         let mine: Vec<u64> = (0..count).map(|i| pat(me, i)).collect();
 
-        // Broadcast: binomial, scatter-allgather, and table dispatch.
         let expect: Vec<u64> = (0..count).map(|i| pat(root, i)).collect();
-        for variant in 0..3 {
-            let mut buf = mine.clone();
-            match variant {
-                0 => world.bcast_binomial(&mut buf, root).unwrap(),
-                1 => world.bcast_scatter_allgather(&mut buf, root).unwrap(),
-                _ => world.bcast(&mut buf, root).unwrap(),
-            }
-            assert_eq!(
-                buf, expect,
-                "bcast variant {variant} diverged (count {count}, root {root})"
-            );
-        }
+        let mut buf = mine.clone();
+        world.bcast(&mut buf, root).unwrap();
+        assert_eq!(buf, expect, "bcast diverged (count {count}, root {root})");
 
-        // Allreduce: reduce+bcast, ring, recursive doubling, dispatch —
-        // over exact-in-any-order operators so float reassociation cannot
+        // Exact-in-any-order operators, so float reassociation cannot
         // mask (or fake) a schedule bug.
         for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Bxor] {
             let expect: Vec<u64> = (0..count)
                 .map(|i| (1..n).fold(pat(0, i), |acc, r| apply(op, acc, pat(r, i))))
                 .collect();
-            for variant in 0..4 {
-                let got = match variant {
-                    0 => world.allreduce_reduce_bcast(&mine, op).unwrap(),
-                    1 => world.allreduce_ring(&mine, op).unwrap(),
-                    2 => world.allreduce_recursive_doubling(&mine, op).unwrap(),
-                    _ => world.allreduce(&mine, op).unwrap(),
-                };
-                assert_eq!(
-                    got, expect,
-                    "allreduce variant {variant} diverged (count {count}, op {op:?})"
-                );
-            }
+            let got = world.allreduce(&mine, op).unwrap();
+            assert_eq!(got, expect, "allreduce diverged (count {count}, op {op:?})");
         }
 
-        // Allgather: ring, gather+bcast, dispatch.
         let expect: Vec<u64> = (0..n)
             .flat_map(|r| (0..count).map(move |i| pat(r, i)))
             .collect();
-        for variant in 0..3 {
-            let got = match variant {
-                0 => world.allgather_ring(&mine).unwrap(),
-                1 => world.allgather_gather_bcast(&mine).unwrap(),
-                _ => world.allgather(&mine).unwrap(),
-            };
-            assert_eq!(
-                got, expect,
-                "allgather variant {variant} diverged (count {count})"
-            );
-        }
+        let got = world.allgather(&mine).unwrap();
+        assert_eq!(got, expect, "allgather diverged (count {count})");
 
-        // Both barrier algorithms and the dispatched one must complete.
-        world.barrier_dissemination().unwrap();
-        world.barrier_tree().unwrap();
         world.barrier().unwrap();
     }
+}
+
+/// [`algo_workout`] on the world communicator, then the pin check.
+fn world_workout(mpi: &Mpi, cfg: &MpiConfig, sizes: &[usize]) {
+    algo_workout(&mpi.world(), sizes);
+    assert_pins_took(mpi, cfg);
 }
 
 /// Thread substrate: wide rank sweep including non-powers-of-two (the
@@ -107,8 +105,12 @@ fn algo_workout(world: &Communicator, sizes: &[usize]) {
 /// rendezvous-sized payload (9000 × 8 B > the 8 KiB shm eager threshold).
 #[test]
 fn every_algorithm_matches_the_reference_on_threads() {
-    for n in [2usize, 3, 4, 5, 8] {
-        run_threads(n, |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 9_000]));
+    for cfg in pin_sets() {
+        for n in [2usize, 3, 4, 5, 8] {
+            run_threads_with_config(n, cfg, move |mpi| {
+                world_workout(&mpi, &cfg, &[0, 1, 17, 300, 9_000])
+            });
+        }
     }
 }
 
@@ -116,20 +118,15 @@ fn every_algorithm_matches_the_reference_on_threads() {
 /// deterministic); 1500 × 8 B crosses the sim-tcp eager threshold.
 #[test]
 fn every_algorithm_matches_the_reference_on_simulated_substrates() {
-    for n in [2usize, 3, 5] {
-        run_meiko(
-            n,
-            MeikoVariant::LowLatency,
-            MpiConfig::device_defaults(),
-            |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 1_500]),
-        );
-        run_cluster(
-            n,
-            ClusterNet::Atm,
-            ClusterTransport::Tcp,
-            MpiConfig::device_defaults(),
-            |mpi| algo_workout(&mpi.world(), &[0, 1, 17, 300, 1_500]),
-        );
+    for cfg in pin_sets() {
+        for n in [2usize, 3, 5] {
+            run_meiko(n, MeikoVariant::LowLatency, cfg, move |mpi| {
+                world_workout(&mpi, &cfg, &[0, 1, 17, 300, 1_500])
+            });
+            run_cluster(n, ClusterNet::Atm, ClusterTransport::Tcp, cfg, move |mpi| {
+                world_workout(&mpi, &cfg, &[0, 1, 17, 300, 1_500])
+            });
+        }
     }
 }
 
@@ -148,20 +145,15 @@ fn reversed_subcomm_workout(mpi: &Mpi) {
 
 #[test]
 fn every_algorithm_matches_the_reference_on_a_reversed_sub_communicator() {
-    run_threads(6, |mpi| reversed_subcomm_workout(&mpi));
-    run_meiko(
-        6,
-        MeikoVariant::LowLatency,
-        MpiConfig::device_defaults(),
-        |mpi| reversed_subcomm_workout(&mpi),
-    );
-    run_cluster(
-        6,
-        ClusterNet::Atm,
-        ClusterTransport::Tcp,
-        MpiConfig::device_defaults(),
-        |mpi| reversed_subcomm_workout(&mpi),
-    );
+    for cfg in pin_sets() {
+        run_threads_with_config(6, cfg, |mpi| reversed_subcomm_workout(&mpi));
+        run_meiko(6, MeikoVariant::LowLatency, cfg, |mpi| {
+            reversed_subcomm_workout(&mpi)
+        });
+        run_cluster(6, ClusterNet::Atm, ClusterTransport::Tcp, cfg, |mpi| {
+            reversed_subcomm_workout(&mpi)
+        });
+    }
 }
 
 /// Reserved-tag regression: more than 256 collectives back to back on one
@@ -208,7 +200,7 @@ fn collective_sequence_isolates_back_to_back_and_dup_traffic() {
 /// One lossy run: every frame class dropped with probability `drop` under
 /// the selective-repeat reliability layer; all algorithms must still
 /// deliver the reference bytes.
-fn run_lossy(n: usize, drop: f64, seed: u64, sizes: Vec<usize>) {
+fn run_lossy(n: usize, drop: f64, seed: u64, sizes: Vec<usize>, cfg: MpiConfig) {
     let devices: Vec<ReliableDevice<FaultyDevice<ShmDevice>>> = ShmDevice::fabric(n)
         .into_iter()
         .enumerate()
@@ -217,8 +209,8 @@ fn run_lossy(n: usize, drop: f64, seed: u64, sizes: Vec<usize>) {
             ReliableDevice::new(FaultyDevice::new(dev, cfg), RelConfig::default())
         })
         .collect();
-    run_devices(devices, MpiConfig::device_defaults(), move |mpi: Mpi| {
-        algo_workout(&mpi.world(), &sizes)
+    run_devices(devices, cfg, move |mpi: Mpi| {
+        world_workout(&mpi, &cfg, &sizes)
     });
 }
 
@@ -231,6 +223,8 @@ fn algorithms_agree_under_seeded_packet_loss() {
         let drop = 0.02 + rng.next_f64() * 0.18;
         let seed = rng.next_u64();
         let count = rng.range(0..600);
-        run_lossy(n, drop, seed, vec![count]);
+        for cfg in pin_sets() {
+            run_lossy(n, drop, seed, vec![count], cfg);
+        }
     });
 }

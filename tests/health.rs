@@ -83,7 +83,7 @@ fn progress_accounting_consistent_under_seeded_faults() {
             delay_us: 150,
         };
         let devices = lossy_fabric(2, seed, rates);
-        let cfg = MpiConfig::device_defaults().with_background_progress(true);
+        let cfg = MpiConfig::device_defaults();
         let lens2 = lens.clone();
         let results = run_devices(devices, cfg, move |mpi: Mpi| {
             traffic_and_snapshot(&mpi, &lens2)

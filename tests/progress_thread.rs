@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use lmpi::{
-    run_devices, run_real_tcp, run_threads, run_threads_with_config, FaultConfig, FaultRates,
-    FaultyDevice, Mpi, MpiConfig, MpiError, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
+    run_devices, run_real_tcp, run_threads, FaultConfig, FaultRates, FaultyDevice, Mpi, MpiConfig,
+    MpiError, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
 };
 
 /// One light round of traffic proving the rank is wired into the mesh:
@@ -122,26 +122,6 @@ fn isend_completes_during_pure_compute() {
             assert!(c.wires_handled > 0, "receiver handled the frames");
         }
     });
-}
-
-/// `with_background_progress(false)` pins the seed's caller-driven mode
-/// even on a device that supports the thread — the virtual-time escape
-/// hatch must keep working on real transports too.
-#[test]
-fn config_override_disables_the_thread() {
-    let cfg = MpiConfig::device_defaults().with_background_progress(false);
-    let sums = run_threads_with_config(4, cfg, |mpi| {
-        assert!(!mpi.has_progress_thread(), "override must stick");
-        let s = ring_workout(&mpi);
-        let c = mpi.counters();
-        assert_eq!(
-            (c.progress_wakeups, c.progress_frames),
-            (0, 0),
-            "no thread, no thread-side counters"
-        );
-        s
-    });
-    assert_eq!(sums, vec![4; 4]);
 }
 
 /// Seeded-fault stress with the progress thread enabled: frames now arrive

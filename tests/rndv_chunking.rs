@@ -4,8 +4,8 @@
 //! must arrive byte-identical on every substrate, including a lossy UDP
 //! mesh under the selective-repeat reliability layer.
 //!
-//! A seeded property then pins the semantic contract of the tentpole: a chunked
-//! transfer delivers exactly the bytes the seed single-frame path delivers,
+//! A seeded property then pins the semantic contract of chunking: a
+//! many-chunk stream delivers exactly the bytes a one-chunk stream does,
 //! for arbitrary sizes and payloads.
 
 use lmpi::{
@@ -180,8 +180,9 @@ fn chunked_roundtrip(size: usize, chunk: usize, payload_seed: u8) -> (Vec<u8>, u
 }
 
 // Each case runs two 2-rank thread fabrics; keep the count modest.
-/// Chunked delivery is byte-identical to the seed single-frame path,
-/// and chunking engages exactly when the payload exceeds one chunk.
+/// A many-chunk stream is byte-identical to a one-chunk stream, and the
+/// sender transmits exactly as many data frames as the payload has chunks
+/// — one when it fits a single chunk.
 #[test]
 fn chunked_matches_single_frame() {
     for_each_case(24, |rng| {
@@ -189,19 +190,16 @@ fn chunked_matches_single_frame() {
         let chunk = rng.range(64..2_048);
         let payload_seed = rng.next_u64() as u8;
         let (chunked, nchunks) = chunked_roundtrip(size, chunk, payload_seed);
-        // A chunk size larger than any message forces the seed RndvData path.
+        // A chunk size larger than any message makes a one-chunk stream.
         let (single, nsingle) = chunked_roundtrip(size, usize::MAX / 2, payload_seed);
         assert_eq!(chunked, single, "chunked stream diverged from single-frame");
-        assert_eq!(nsingle, 0, "oversized chunk must take the seed path");
-        if size > chunk {
-            let expected = size.div_ceil(chunk) as u64;
-            assert_eq!(
-                nchunks, expected,
-                "wrong chunk count for {}B / {}B",
-                size, chunk
-            );
-        } else {
-            assert_eq!(nchunks, 0);
-        }
+        assert_eq!(nsingle, 1, "oversized chunk must make one data frame");
+        assert_eq!(
+            nchunks,
+            size.div_ceil(chunk) as u64,
+            "wrong chunk count for {}B / {}B",
+            size,
+            chunk
+        );
     });
 }

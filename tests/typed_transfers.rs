@@ -46,7 +46,7 @@ fn pattern(extent: usize, i: usize) -> u8 {
 }
 
 /// The layout grid. Every protocol leg is represented: eager (packed size
-/// under the crossover), single-frame rendezvous (between crossover and
+/// under the crossover), one-chunk rendezvous (between crossover and
 /// one chunk), and multi-chunk rendezvous where the 1000-byte chunk
 /// boundary lands *inside* a run (vector runs are 16 bytes, 1000 % 16 != 0;
 /// the struct element packs 7 bytes, 1000 % 7 != 0), so scatter-at-offset
@@ -55,7 +55,7 @@ fn layouts() -> Vec<(&'static str, DataType)> {
     vec![
         // 8 blocks of 2 f64-sized elements, stride 3: packed 128 (< EAGER).
         ("vector_eager", DataType::base(8).vector(8, 2, 3)),
-        // packed 960: rendezvous, but a single RndvData frame (<= CHUNK).
+        // packed 960: rendezvous, but a one-chunk stream (<= CHUNK).
         ("vector_rndv_single", DataType::base(8).vector(60, 2, 3)),
         // packed 5120 -> 6 chunks; 16-byte runs split mid-run at 1000.
         ("vector_chunked", DataType::base(8).vector(320, 2, 3)),
