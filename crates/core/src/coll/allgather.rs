@@ -36,7 +36,7 @@ impl Communicator {
                 self.coll_ctx(),
             )?;
             self.coll_send(&tmp, right, tag)?;
-            self.inner().wait_request(rid)?;
+            rid.wait()?;
         }
         Ok(out)
     }

@@ -79,7 +79,7 @@ impl Communicator {
                 self.coll_ctx(),
             )?;
             self.coll_send(&out[start(send_block)..start(send_block + 1)], right, tag)?;
-            self.inner().wait_request(rid)?;
+            rid.wait()?;
             T::accumulate(op, &mut out[rb], &tmp[..rb_len]);
         }
 
@@ -97,7 +97,7 @@ impl Communicator {
                 self.coll_ctx(),
             )?;
             self.coll_send(&tmp, right, tag)?;
-            self.inner().wait_request(rid)?;
+            rid.wait()?;
         }
         Ok(out)
     }
@@ -155,7 +155,7 @@ impl Communicator {
                     self.coll_ctx(),
                 )?;
                 self.coll_send(&out, peer, tag)?;
-                self.inner().wait_request(rid)?;
+                rid.wait()?;
                 T::accumulate(op, &mut out, &tmp);
                 mask <<= 1;
                 round += 1;

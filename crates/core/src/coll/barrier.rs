@@ -25,7 +25,7 @@ impl Communicator {
                 self.coll_ctx(),
             )?;
             self.coll_send::<u8>(&[], dst, tag)?;
-            self.inner().wait_request(rid)?;
+            rid.wait()?;
             dist <<= 1;
             round += 1;
         }

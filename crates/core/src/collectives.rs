@@ -52,7 +52,7 @@ impl Communicator {
     ) -> MpiResult<Status> {
         let id =
             self.post_recv_raw(buf, SourceSel::Rank(src), TagSel::Tag(tag), self.coll_ctx())?;
-        let st = self.inner().wait_request(id)?;
+        let st = id.wait()?;
         Ok(self.localize(st))
     }
 
@@ -444,7 +444,7 @@ impl Communicator {
                 self.coll_ctx(),
             )?;
             self.coll_send(&send[dst * count..(dst + 1) * count], dst, tag)?;
-            self.inner().wait_request(rid)?;
+            rid.wait()?;
         }
         Ok(out)
     }

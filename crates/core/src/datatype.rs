@@ -28,6 +28,27 @@ pub trait MpiData: Copy + Send + 'static {
     /// # Panics
     /// Panics if `bytes.len() != Self::byte_len(out.len())`.
     fn read_from(bytes: &[u8], out: &mut [Self]);
+
+    /// `slice`'s own memory as bytes, when that memory *is* its wire
+    /// encoding — exactly what [`write_to`](Self::write_to) would append.
+    /// A large send of such a slice lends the memory itself to the
+    /// receiver instead of staging a copy (see [`crate::Lease`]). `None`,
+    /// the default, when the encoding differs from the representation
+    /// (padding, field order, normalization).
+    fn as_wire(_slice: &[Self]) -> Option<&[u8]> {
+        None
+    }
+}
+
+/// A slice of one of the `impl_pod_data!` types viewed as bytes. Private, so
+/// that only those types reach it.
+#[inline]
+fn pod_bytes<T>(slice: &[T]) -> &[u8] {
+    // SAFETY: `T` is a primitive numeric type (the only callers are the
+    // `impl_pod_data!` expansions below): its slice representation is
+    // contiguous initialized bytes with no padding, so viewing it as bytes
+    // is sound.
+    unsafe { std::slice::from_raw_parts(slice.as_ptr() as *const u8, std::mem::size_of_val(slice)) }
 }
 
 macro_rules! impl_pod_data {
@@ -40,16 +61,12 @@ macro_rules! impl_pod_data {
 
             #[inline]
             fn write_to(buf: &mut Vec<u8>, slice: &[$t]) {
-                // SAFETY: `$t` is a primitive numeric type: its slice
-                // representation is contiguous initialized bytes with no
-                // padding, so viewing it as bytes is sound.
-                let bytes = unsafe {
-                    std::slice::from_raw_parts(
-                        slice.as_ptr() as *const u8,
-                        std::mem::size_of_val(slice),
-                    )
-                };
-                buf.extend_from_slice(bytes);
+                buf.extend_from_slice(pod_bytes(slice));
+            }
+
+            #[inline]
+            fn as_wire(slice: &[$t]) -> Option<&[u8]> {
+                Some(pod_bytes(slice))
             }
 
             #[inline]

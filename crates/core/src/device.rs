@@ -190,6 +190,19 @@ pub trait Device: Send + Sync {
         false
     }
 
+    /// Whether every rank of the job lives in this process's address space
+    /// and `send` hands frames over in memory, untouched. There the engine
+    /// does not stage a large contiguous payload: the rendezvous request
+    /// carries a [`crate::Lease`] on the caller's buffer and the receiver
+    /// copies it out once — the paper's "single DMA directly into the user
+    /// buffer". A device that encodes, duplicates, delays or drops frames
+    /// must answer false, and a wrapper does **not** forward this to the
+    /// transport it wraps: whatever sits between two engines has to keep
+    /// the promise itself. Must answer identically on every rank of a job.
+    fn lends_memory(&self) -> bool {
+        false
+    }
+
     /// Account a modelled local cost (no-op on real transports).
     fn charge(&self, _cost: Cost) {}
 
@@ -297,6 +310,8 @@ pub(crate) mod loopback {
         pub sent: Mutex<Vec<(Rank, Wire)>>,
         pub charges: Mutex<Vec<Cost>>,
         pub defaults: DeviceDefaults,
+        /// What [`Device::lends_memory`] answers.
+        pub lends: bool,
     }
 
     impl Loopback {
@@ -314,6 +329,15 @@ pub(crate) mod loopback {
                     rndv_chunk: 256,
                     rndv_window: 2,
                 },
+                lends: false,
+            }
+        }
+
+        /// A loopback whose frames keep their leases, like `ShmDevice`.
+        pub fn lending(rank: Rank, nprocs: usize) -> Self {
+            Loopback {
+                lends: true,
+                ..Loopback::new(rank, nprocs)
             }
         }
 
@@ -345,6 +369,9 @@ pub(crate) mod loopback {
             Ok(self
                 .try_recv()?
                 .expect("loopback recv_blocking would deadlock: inbox empty"))
+        }
+        fn lends_memory(&self) -> bool {
+            self.lends
         }
         fn charge(&self, cost: Cost) {
             self.charges.lock().unwrap().push(cost);

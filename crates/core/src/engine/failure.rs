@@ -31,6 +31,36 @@ impl Engine {
         false
     }
 
+    /// The caller of request `req_id` is returning without its result — a
+    /// watchdog timeout, or the rank's fatal error — and the borrow of its
+    /// buffer ends with the call. Take back every pointer into that buffer:
+    /// an unmatched receive or a still-queued send is cancelled; a receive
+    /// mid-rendezvous gets a sink for a destination, so late chunks land
+    /// nowhere and are still acknowledged; a send that lent its buffer
+    /// closes the lease, waiting out a pull in progress. Whatever result
+    /// arrives later is dropped.
+    pub(crate) fn abandon(&mut self, req_id: u64) {
+        if self.cancel(req_id) {
+            return;
+        }
+        let withdrawn = match self.reqs.get_mut(req_id) {
+            Some(ReqState::RecvRndvWait { dst, .. }) => {
+                *dst = RecvDest::sink();
+                false
+            }
+            Some(ReqState::SendRndvWait { lease: Some(lease) }) => lease.close(),
+            _ => false,
+        };
+        if withdrawn {
+            // Unpulled: no go-ahead will come to take the send out of the
+            // tables.
+            self.rndv_store.remove(&req_id);
+            self.reqs.remove(req_id);
+        } else {
+            self.reqs.orphan(req_id);
+        }
+    }
+
     /// Whether `rank` has been declared dead.
     pub(crate) fn is_failed(&self, rank: Rank) -> bool {
         self.failed_ranks.get(rank).copied().unwrap_or(false)
@@ -290,6 +320,239 @@ mod tests {
         // Idempotent: a second declaration is a no-op.
         e0.fail_peer(&d0, 1, dead(1));
         assert!(e0.is_failed(1) && !e0.is_failed(0) && !e0.is_failed(2));
+    }
+
+    /// A 500-byte payload a test may lend for as long as it likes.
+    fn lendable(fill: u8) -> &'static [u8] {
+        (0..500u32)
+            .map(|i| fill.wrapping_add(i as u8))
+            .collect::<Vec<_>>()
+            .leak()
+    }
+
+    /// Post a lent send 0 → 1 and take the lease out of its request frame,
+    /// as rank 1 would receive it.
+    fn lend(e0: &mut Engine, d0: &Loopback, payload: &'static [u8]) -> (u64, Wire, Arc<Lease>) {
+        let sid = post_slice(e0, d0, 4, payload, SendMode::Standard);
+        let (dst, wire) = d0.sent.lock().unwrap().pop().expect("the request frame");
+        assert_eq!(dst, 1);
+        let Packet::RndvReq {
+            lease: Some(lease), ..
+        } = &wire.pkt
+        else {
+            panic!("expected a request carrying a lease, got {wire:?}")
+        };
+        let lease = Arc::clone(lease);
+        (sid, wire, lease)
+    }
+
+    /// The lease contract under peer failure: `fail_peer(receiver)` on the
+    /// sender while the receiver's thread is mid-pull fails the request
+    /// only after the pull returned, and a pull started afterwards finds
+    /// no window.
+    #[test]
+    fn fail_peer_waits_out_a_pull_in_progress() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::channel;
+
+        let d0 = Loopback::lending(0, 2);
+        let mut e0 = engine(0, 2);
+        let payload = lendable(3);
+        let (sid, _, lease) = lend(&mut e0, &d0, payload);
+
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let failed = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (lease, failed) = (&lease, &failed);
+            let puller = s.spawn(move || {
+                lease.pull(|bytes| {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    (bytes.to_vec(), failed.load(Ordering::SeqCst))
+                })
+            });
+            started_rx.recv().unwrap();
+            let failer = s.spawn(|| {
+                e0.fail_peer(&d0, 1, dead(1));
+                failed.store(true, Ordering::SeqCst);
+            });
+            // The pull holds the lease; `fail_peer` must be stuck behind
+            // it. Give a wrong implementation time to show itself.
+            for _ in 0..20 {
+                assert!(!failed.load(Ordering::SeqCst), "completed under a pull");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            release_tx.send(()).unwrap();
+            let (copied, failed_during_pull) = puller.join().unwrap().expect("the lease was open");
+            failer.join().unwrap();
+            assert!(!failed_during_pull);
+            assert_eq!(copied, payload, "the pull read the whole buffer");
+        });
+        match e0.reqs.take_if_done(sid) {
+            Some(Err(MpiError::PeerFailed { peer: 1, .. })) => {}
+            other => panic!("expected PeerFailed, got {other:?}"),
+        }
+        assert!(lease.pull(|_| ()).is_none(), "pulled once, never again");
+    }
+
+    /// A pull that comes after the sender failed its request: the receive
+    /// completes with a typed error, reads nothing and sends no go-ahead.
+    #[test]
+    fn pull_after_the_send_failed_is_a_typed_error() {
+        let d0 = Loopback::lending(0, 2);
+        let d1 = Loopback::lending(1, 2);
+        let mut e0 = engine(0, 2);
+        let mut e1 = engine(1, 2);
+        let payload = lendable(9);
+        let (sid, req, lease) = lend(&mut e0, &d0, payload);
+        e0.fail_peer(&d0, 1, dead(1));
+        assert!(matches!(
+            e0.reqs.take_if_done(sid),
+            Some(Err(MpiError::PeerFailed { peer: 1, .. }))
+        ));
+
+        let mut buf = vec![0u8; 500];
+        let rid = e1.post_recv(&d1, dest(&mut buf), SourceSel::Any, TagSel::Any, 0);
+        e1.handle_wire(&d1, req).unwrap();
+        match e1.reqs.take_if_done(rid) {
+            Some(Err(MpiError::Transport { peer: Some(0), .. })) => {}
+            other => panic!("expected a typed transport error, got {other:?}"),
+        }
+        assert_eq!(buf, vec![0u8; 500], "nothing was read");
+        assert!(d1.sent.lock().unwrap().is_empty(), "no go-ahead");
+        assert!(!lease.pulled());
+        assert_eq!(e1.counters.rndv_pulled, 0);
+    }
+
+    /// An unexpected request that carries a lease is dropped like any
+    /// other when its context is revoked or its sender dies: the receiver
+    /// lets go of the lease unread and the sender's request is untouched.
+    #[test]
+    fn purging_an_unexpected_lent_request_drops_the_lease_unread() {
+        for purge in [
+            (|e1: &mut Engine, _: &Loopback| {
+                e1.mark_revoked(0);
+            }) as fn(&mut Engine, &Loopback),
+            |e1, d1| e1.fail_peer(d1, 0, dead(0)),
+        ] {
+            let d0 = Loopback::lending(0, 2);
+            let d1 = Loopback::lending(1, 2);
+            let mut e0 = engine(0, 2);
+            let mut e1 = engine(1, 2);
+            let payload = lendable(5);
+            let (sid, req, lease) = lend(&mut e0, &d0, payload);
+            e1.handle_wire(&d1, req).unwrap();
+            assert_eq!(e1.match_eng.depths().1, 1, "parked unexpected");
+            assert_eq!(Arc::strong_count(&lease), 3, "request, receiver, test");
+            purge(&mut e1, &d1);
+            assert_eq!(e1.match_eng.depths().1, 0);
+            assert_eq!(Arc::strong_count(&lease), 2, "the receiver let go");
+            assert!(!lease.pulled());
+            assert!(matches!(
+                e0.reqs.get(sid),
+                Some(ReqState::SendRndvWait { lease: Some(_) })
+            ));
+            // The sender's caller gives up; the lease closes with it.
+            e0.abandon(sid);
+            assert!(e0.reqs.get(sid).is_none() && e0.rndv_store.is_empty());
+            assert!(lease.pull(|_| ()).is_none());
+        }
+    }
+
+    /// A lent send still queued behind flow control has not let its lease
+    /// out of the engine: cancel succeeds at once, nothing to wait for.
+    #[test]
+    fn cancel_of_a_queued_lent_send_never_shared_its_lease() {
+        let d0 = Loopback::lending(0, 2);
+        // Single envelope slot: the lent send queues behind the eager one.
+        let mut e0 = Engine::new(0, 2, 180, 1, 1 << 16, 256, 2);
+        e0.post_send(&d0, 1, 0, 0, Bytes::from_static(b"a"), SendMode::Standard)
+            .unwrap();
+        let payload = lendable(3);
+        let sid = post_slice(&mut e0, &d0, 1, payload, SendMode::Standard);
+        assert!(e0.has_pending_sends());
+        assert!(e0.cancel(sid));
+        assert!(!e0.has_pending_sends() && e0.reqs.get(sid).is_none());
+        let sent = d0.sent.lock().unwrap();
+        assert_eq!(sent.len(), 1, "only the eager frame ever left: {sent:?}");
+    }
+
+    /// A go-ahead for a lent send nobody pulled (the lease was lost in
+    /// transit, or the frame is a duplicate) is a typed transport error;
+    /// abandoning the send afterwards still closes the lease.
+    #[test]
+    fn go_ahead_for_an_unpulled_lease_is_a_typed_transport_error() {
+        let d0 = Loopback::lending(0, 2);
+        let mut e0 = engine(0, 2);
+        let payload = lendable(1);
+        let (sid, _, lease) = lend(&mut e0, &d0, payload);
+        let go = Packet::RndvGo {
+            send_id: sid,
+            recv_id: 7,
+        };
+        let err = e0.handle_wire(&d0, Wire::bare(1, go)).unwrap_err();
+        assert!(
+            matches!(err, MpiError::Transport { peer: Some(1), .. }),
+            "got {err:?}"
+        );
+        assert!(e0.reqs.take_if_done(sid).is_none(), "still lent");
+        e0.abandon(sid);
+        assert!(lease.pull(|_| ()).is_none());
+    }
+
+    /// `abandon`, state by state: what the engine may still touch after
+    /// the caller of a request has returned without its result.
+    #[test]
+    fn abandon_takes_back_every_pointer() {
+        let d0 = Loopback::new(0, 2);
+        let d1 = Loopback::new(1, 2);
+        let mut e0 = engine(0, 2);
+        let mut e1 = engine(1, 2);
+
+        // An unmatched receive is cancelled.
+        let mut buf = vec![0u8; 1000];
+        let rid = e1.post_recv(&d1, dest(&mut buf), SourceSel::Any, TagSel::Tag(1), 0);
+        e1.abandon(rid);
+        assert!(e1.reqs.get(rid).is_none());
+        assert_eq!(e1.match_eng.depths().0, 0);
+
+        // A receive mid-stream keeps acking, into a sink.
+        let rid = e1.post_recv(&d1, dest(&mut buf), SourceSel::Any, TagSel::Tag(2), 0);
+        let data = Bytes::from(vec![8u8; 1000]);
+        let sid = e0
+            .post_send(&d0, 1, 2, 0, data, SendMode::Standard)
+            .unwrap();
+        // Request over, go-ahead back, first window of chunks over.
+        for _ in 0..2 {
+            for (_, wire) in d0.sent.lock().unwrap().drain(..) {
+                e1.handle_wire(&d1, wire).unwrap();
+            }
+            if matches!(e1.reqs.get(rid), Some(ReqState::RecvRndvWait { received, .. }) if *received > 0)
+            {
+                break;
+            }
+            for (_, wire) in d1.sent.lock().unwrap().drain(..) {
+                e0.handle_wire(&d0, wire).unwrap();
+            }
+        }
+        assert_eq!(&buf[..512], &[8u8; 512][..], "two chunks landed");
+        e1.abandon(rid);
+        buf.fill(0);
+        pump(&mut e0, &d0, &mut e1, &d1);
+        assert_eq!(buf, vec![0u8; 1000], "late chunks land nowhere");
+        assert!(
+            e0.reqs.take_if_done(sid).unwrap().is_ok(),
+            "and are still acked: the sender's stream drained"
+        );
+        assert!(e1.reqs.get(rid).is_none(), "the late result was dropped");
+
+        // A result that is already in is dropped at once.
+        let sid = e0
+            .post_send(&d0, 1, 3, 0, Bytes::from_static(b"x"), SendMode::Standard)
+            .unwrap();
+        e0.abandon(sid);
+        assert!(e0.reqs.get(sid).is_none());
     }
 
     #[test]

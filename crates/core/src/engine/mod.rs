@@ -30,7 +30,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::flow::FlowControl;
 use crate::matching::{MatchEngine, UnexpectedBody, UnexpectedMsg};
 use crate::packet::{ContextId, Envelope, FramePool, Packet, Wire};
-use crate::request::{RecvDest, ReqState, RequestTable};
+use crate::request::{Lease, RecvDest, ReqState, RequestTable};
 use crate::types::{Rank, SendMode, SourceSel, Status, TagSel};
 
 mod failure;
@@ -99,6 +99,11 @@ lmpi_obs::json_struct! {
         /// holds this constant; the typed-transfer tests assert on it to
         /// prove the eager path performs zero intermediate heap staging.
         pub pool_grows: u64,
+        /// Rendezvous payloads this rank, as receiver, copied straight out
+        /// of the sender's lent buffer (one copy, no data frame). Over a
+        /// job, `rndv_sent` summed is this summed plus the rendezvous
+        /// sends that streamed chunks.
+        pub rndv_pulled: u64,
     }
 }
 
@@ -109,11 +114,19 @@ struct PendingSend {
     env: Envelope,
     mode: SendMode,
     needs_ack: bool,
+    /// The staged payload; empty when `lease` stands for it.
     data: Bytes,
+    /// The caller's buffer, lent instead of staged (rendezvous only). It
+    /// has not left this engine while the send sits in `pending_out`.
+    lease: Option<Arc<Lease>>,
 }
 
 struct RndvPayload {
+    /// The staged payload; empty for a send that lent its buffer (the
+    /// lease is in the request's [`ReqState::SendRndvWait`]).
     data: Bytes,
+    /// Message length, staged or lent.
+    len: usize,
     buffered: bool,
     /// Flight-recorder sequence number of the owning message.
     msg_seq: u32,
@@ -423,11 +436,15 @@ impl Engine {
                 };
                 self.handle_envelope(dev, wire.src, msg, ready)?;
             }
-            Packet::RndvReq { env, send_id } => {
+            Packet::RndvReq {
+                env,
+                send_id,
+                lease,
+            } => {
                 let msg = UnexpectedMsg {
                     env,
                     msg_seq: wire.msg_seq,
-                    body: UnexpectedBody::Rndv { send_id },
+                    body: UnexpectedBody::Rndv { send_id, lease },
                 };
                 self.handle_envelope(dev, wire.src, msg, false)?;
             }
@@ -556,23 +573,48 @@ mod testkit {
         RecvDest::contiguous(buf.as_mut_ptr(), buf.len())
     }
 
+    /// [`Engine::post_send_slice`] for tests, made safe by the payload's
+    /// lifetime (`Vec::leak` gives a test one).
+    pub(super) fn post_slice<T: MpiData>(
+        e: &mut Engine,
+        dev: &Loopback,
+        tag: u32,
+        buf: &'static [T],
+        mode: SendMode,
+    ) -> u64 {
+        // SAFETY: `'static`: the bytes outlive every lease on them.
+        unsafe { e.post_send_slice(dev, 1, tag, 0, buf, mode) }.unwrap()
+    }
+
     /// Move every frame rank-`a` sent to rank-`b`'s engine, and vice versa,
     /// until quiescent.
     pub(super) fn pump(a: &mut Engine, da: &Loopback, b: &mut Engine, db: &Loopback) {
+        pump_kinds(a, da, b, db);
+    }
+
+    /// [`pump`], returning the packet kinds each side sent, in order.
+    pub(super) fn pump_kinds(
+        a: &mut Engine,
+        da: &Loopback,
+        b: &mut Engine,
+        db: &Loopback,
+    ) -> (Vec<&'static str>, Vec<&'static str>) {
+        let (mut from_a, mut from_b) = (Vec::new(), Vec::new());
         loop {
-            let mut moved = false;
-            for (dst, wire) in da.sent.lock().unwrap().drain(..) {
+            let out_a: Vec<_> = da.sent.lock().unwrap().drain(..).collect();
+            let out_b: Vec<_> = db.sent.lock().unwrap().drain(..).collect();
+            if out_a.is_empty() && out_b.is_empty() {
+                return (from_a, from_b);
+            }
+            for (dst, wire) in out_a {
                 assert_eq!(dst, b.my_rank);
+                from_a.push(wire.pkt.kind_name());
                 b.handle_wire(db, wire).unwrap();
-                moved = true;
             }
-            for (dst, wire) in db.sent.lock().unwrap().drain(..) {
+            for (dst, wire) in out_b {
                 assert_eq!(dst, a.my_rank);
+                from_b.push(wire.pkt.kind_name());
                 a.handle_wire(da, wire).unwrap();
-                moved = true;
-            }
-            if !moved {
-                break;
             }
         }
     }

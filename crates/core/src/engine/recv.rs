@@ -202,21 +202,33 @@ impl Engine {
                     );
                 }
             }
-            UnexpectedBody::Rndv { send_id } => {
+            UnexpectedBody::Rndv { send_id, lease } => {
                 let status = Status {
                     source: env.src,
                     tag: env.tag,
                     len: env.len,
                 };
-                self.reqs.set(
-                    req_id,
-                    ReqState::RecvRndvWait {
-                        dst,
-                        status,
-                        send_id,
-                        received: 0,
-                    },
-                );
+                match lease {
+                    // The data follows the go-ahead as a chunk stream.
+                    None => self.reqs.set(
+                        req_id,
+                        ReqState::RecvRndvWait {
+                            dst,
+                            status,
+                            send_id,
+                            received: 0,
+                        },
+                    ),
+                    // The sender lent its buffer: the data phase is here
+                    // and now, and the go-ahead tells it the copy is done.
+                    Some(lease) => {
+                        if !self.pull_lent(dev, wmsg, req_id, status, &dst, &lease) {
+                            // The sender's caller is gone and expects no
+                            // go-ahead.
+                            return;
+                        }
+                    }
+                }
                 self.tracer.emit_msg_with(
                     wmsg,
                     || dev.now_ns(),
@@ -235,6 +247,69 @@ impl Engine {
                 );
             }
         }
+    }
+
+    /// The data phase of a rendezvous whose sender lent its buffer: one copy
+    /// from the sender's memory into the posted buffer, bracketed
+    /// `DmaStart`/`DmaEnd`/`Delivered`, and the receive is complete. `false`
+    /// if the send was abandoned, cancelled or failed first: the receive is
+    /// complete with a typed error and nothing was read.
+    // Out of line: `consume_match` is every eager message's path too.
+    #[inline(never)]
+    fn pull_lent(
+        &mut self,
+        dev: &dyn Device,
+        wmsg: MsgId,
+        req_id: u64,
+        status: Status,
+        dst: &RecvDest,
+        lease: &Lease,
+    ) -> bool {
+        let (peer, bytes) = (status.source as u32, status.len as u32);
+        self.tracer
+            .emit_msg_with(wmsg, || dev.now_ns(), EventKind::DmaStart { peer, bytes });
+        // SAFETY: RecvDest contract (see `consume_match`). `deliver_at`
+        // clamps to capacity.
+        let pulled = lease.pull(|bytes| unsafe { dst.deliver_at(0, bytes) });
+        if pulled.is_none() {
+            let gone = MpiError::transport_peer(
+                status.source,
+                "the sender withdrew the buffer it lent before this receive pulled it",
+            );
+            self.reqs.complete(req_id, Err(gone));
+            return false;
+        }
+        self.counters.rndv_pulled += 1;
+        self.counters.bytes_received += status.len as u64;
+        self.finish_rndv_recv(dev, wmsg, req_id, status, dst.cap);
+        true
+    }
+
+    /// The last byte of a rendezvous payload has landed: complete the
+    /// receive (whether the message truncated is decided here, once, from
+    /// its total length) and close the transfer's trace bracket.
+    fn finish_rndv_recv(
+        &mut self,
+        dev: &dyn Device,
+        wmsg: MsgId,
+        recv_id: u64,
+        status: Status,
+        cap: usize,
+    ) {
+        let result = if status.len > cap {
+            Err(MpiError::Truncated {
+                message_len: status.len,
+                buffer_len: cap,
+            })
+        } else {
+            Ok(status)
+        };
+        self.reqs.complete(recv_id, result);
+        let (peer, bytes) = (status.source as u32, status.len as u32);
+        self.tracer
+            .emit_msg_with(wmsg, || dev.now_ns(), EventKind::DmaEnd { peer, bytes });
+        self.tracer
+            .emit_msg_with(wmsg, || dev.now_ns(), EventKind::Delivered { peer, bytes });
     }
 
     /// One rendezvous data frame: it lands at its offset directly in the
@@ -268,42 +343,17 @@ impl Engine {
                 ));
             }
         };
-        // `deliver_at` clamps to capacity; whether the message truncated
-        // is decided once, from `total`, at completion.
+        // `deliver_at` clamps to capacity.
         // SAFETY: RecvDest contract (see `consume_match`).
         unsafe { dst.deliver_at(offset, &data) };
         self.counters.bytes_received += data.len() as u64;
         let received = received + data.len();
         if received >= total {
-            let result = if total > dst.cap {
-                Err(MpiError::Truncated {
-                    message_len: total,
-                    buffer_len: dst.cap,
-                })
-            } else {
-                Ok(Status {
-                    source: status.source,
-                    tag: status.tag,
-                    len: total,
-                })
+            let status = Status {
+                len: total,
+                ..status
             };
-            self.reqs.complete(recv_id, result);
-            self.tracer.emit_msg_with(
-                wmsg,
-                || dev.now_ns(),
-                EventKind::DmaEnd {
-                    peer: wire_src as u32,
-                    bytes: total as u32,
-                },
-            );
-            self.tracer.emit_msg_with(
-                wmsg,
-                || dev.now_ns(),
-                EventKind::Delivered {
-                    peer: wire_src as u32,
-                    bytes: total as u32,
-                },
-            );
+            self.finish_rndv_recv(dev, wmsg, recv_id, status, dst.cap);
         } else {
             self.reqs.set(
                 recv_id,
@@ -662,7 +712,11 @@ mod tests {
                 "eager",
             ),
             (
-                (|env| Packet::RndvReq { env, send_id: 1 }) as fn(Envelope) -> Packet,
+                (|env| Packet::RndvReq {
+                    env,
+                    send_id: 1,
+                    lease: None,
+                }) as fn(Envelope) -> Packet,
                 "rndv-req",
             ),
         ] {

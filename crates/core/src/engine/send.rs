@@ -39,22 +39,102 @@ impl Engine {
         data: Bytes,
         mode: SendMode,
     ) -> MpiResult<u64> {
-        if self.is_failed(dst) {
-            return Err(MpiError::peer_failed(
-                dst,
-                "send posted to a rank already declared dead",
-            ));
-        }
-        validate_send_len(data.len())?;
-        if mode == SendMode::Buffered {
-            self.buffer_reserve(data.len())?;
-        }
         let env = Envelope {
             src: self.my_rank,
             tag,
             context,
             len: data.len(),
         };
+        self.post(dev, dst, env, data, None, mode)
+    }
+
+    /// Post a send of `buf`: what the public send calls run. Over a device
+    /// that [lends memory](Device::lends_memory), a standard- or
+    /// synchronous-mode send above the eager threshold whose memory is its
+    /// wire encoding ([`MpiData::as_wire`]) stages nothing — it parks a
+    /// [`Lease`] on `buf` for the receiver to pull. Everything else
+    /// (eager, ready, buffered, `Loc`/`bool` slices, every other device)
+    /// is staged through the pool and posted as [`post_send`](Self::post_send).
+    ///
+    /// # Safety
+    /// The returned request may hold a lease on `buf`. Before `buf`'s
+    /// borrow ends the caller must have collected the request's result
+    /// (`reqs.take_if_done`), cancelled it ([`Engine::cancel`] returning
+    /// `true`) or given it up ([`Engine::abandon`]).
+    pub(crate) unsafe fn post_send_slice<T: MpiData>(
+        &mut self,
+        dev: &dyn Device,
+        dst: Rank,
+        tag: u32,
+        context: ContextId,
+        buf: &[T],
+        mode: SendMode,
+    ) -> MpiResult<u64> {
+        let lendable = T::byte_len(buf.len()) > self.eager_threshold
+            && matches!(mode, SendMode::Standard | SendMode::Synchronous)
+            && dev.lends_memory();
+        match T::as_wire(buf) {
+            Some(bytes) if lendable => {
+                // SAFETY: every path that completes this request closes the
+                // lease first (`RequestTable::set`, `Engine::abandon`), and
+                // the caller promises one of them runs before `buf`'s borrow
+                // ends.
+                let lease = unsafe { Lease::open(bytes) };
+                let env = Envelope {
+                    src: self.my_rank,
+                    tag,
+                    context,
+                    len: bytes.len(),
+                };
+                self.post_lent(dev, dst, env, lease, mode)
+            }
+            _ => {
+                let data = self.stage_payload(buf);
+                self.post_send(dev, dst, tag, context, data, mode)
+            }
+        }
+    }
+
+    /// Post a rendezvous send whose bytes stay where they are, behind
+    /// `lease`. (Its own function so that `post` is not inlined into every
+    /// instantiation of [`post_send_slice`](Self::post_send_slice).)
+    fn post_lent(
+        &mut self,
+        dev: &dyn Device,
+        dst: Rank,
+        env: Envelope,
+        lease: Arc<Lease>,
+        mode: SendMode,
+    ) -> MpiResult<u64> {
+        self.post(dev, dst, env, Bytes::from_static(b""), Some(lease), mode)
+    }
+
+    /// The body of both posts: `data` is the staged payload, or empty
+    /// beside the `lease` that stands for it; `env.len` is the message
+    /// length either way.
+    // Inlined, so that the staged post is the one function it was before
+    // there was a second caller (`shm_stream` posts 64 eager sends an op).
+    #[inline]
+    fn post(
+        &mut self,
+        dev: &dyn Device,
+        dst: Rank,
+        env: Envelope,
+        data: Bytes,
+        lease: Option<Arc<Lease>>,
+        mode: SendMode,
+    ) -> MpiResult<u64> {
+        if self.is_failed(dst) {
+            return Err(MpiError::peer_failed(
+                dst,
+                "send posted to a rank already declared dead",
+            ));
+        }
+        validate_send_len(env.len)?;
+        if mode == SendMode::Buffered {
+            self.buffer_reserve(env.len)?;
+        }
+        let tag = env.tag;
         let needs_ack = mode == SendMode::Synchronous;
         // Buffered sends complete at post (the attached buffer now owns the
         // payload); every other mode completes no earlier than the moment
@@ -65,7 +145,7 @@ impl Engine {
             ReqState::Done(Ok(Status {
                 source: dst,
                 tag,
-                len: data.len(),
+                len: env.len,
             }))
         } else {
             ReqState::SendQueued
@@ -91,6 +171,7 @@ impl Engine {
             mode,
             needs_ack,
             data,
+            lease,
         };
         if self.pending_out[dst].is_empty() && self.can_transmit(dst, &pending) {
             self.transmit_send(dev, dst, pending)?;
@@ -131,6 +212,7 @@ impl Engine {
             mode,
             needs_ack,
             data,
+            lease,
         } = p;
         let len = env.len;
         let tag = env.tag;
@@ -182,6 +264,7 @@ impl Engine {
                 req_id,
                 RndvPayload {
                     data,
+                    len,
                     msg_seq,
                     buffered: mode == SendMode::Buffered,
                     tag,
@@ -190,9 +273,15 @@ impl Engine {
             );
             // Every non-buffered rendezvous send — standard included —
             // completes only once the receiver's go-ahead has been served:
-            // the sender must stay in the library to push the data.
+            // the sender must stay in the library to push the data, or to
+            // keep the buffer it lent in place.
             if mode != SendMode::Buffered {
-                self.reqs.set(req_id, ReqState::SendRndvWait);
+                self.reqs.set(
+                    req_id,
+                    ReqState::SendRndvWait {
+                        lease: lease.clone(),
+                    },
+                );
             }
             self.tracer.emit_msg_with(
                 self.my_msg(msg_seq),
@@ -205,6 +294,7 @@ impl Engine {
             let pkt = Packet::RndvReq {
                 env,
                 send_id: req_id,
+                lease,
             };
             self.transmit(dev, dst, pkt, msg_seq);
         }
@@ -217,7 +307,9 @@ impl Engine {
     }
 
     /// The receiver's go-ahead for a rendezvous send: take the parked
-    /// payload and start streaming it.
+    /// payload and start streaming it — or, for a send that lent its
+    /// buffer, take the go-ahead as the receiver's word that it has pulled
+    /// the payload, and complete.
     pub(super) fn handle_go(
         &mut self,
         dev: &dyn Device,
@@ -227,6 +319,7 @@ impl Engine {
     ) -> MpiResult<()> {
         let Some(RndvPayload {
             data,
+            len,
             msg_seq,
             buffered,
             tag,
@@ -245,13 +338,37 @@ impl Engine {
         // outbound message even if the go-ahead frame was minted by
         // an engine that did not echo it.
         let gmsg = self.my_msg(msg_seq);
-        let len = data.len();
+        // The real envelope fields, reported when the send
+        // completes — never fabricated zeros.
+        let status = Status {
+            source: from,
+            tag,
+            len,
+        };
+        // For a send that lent its buffer: has the receiver pulled it?
+        let pulled = match self.reqs.get(send_id) {
+            Some(ReqState::SendRndvWait { lease: Some(lease) }) => Some(lease.pulled()),
+            _ => None,
+        };
+        if pulled == Some(false) {
+            return Err(MpiError::transport_peer(
+                from,
+                format!(
+                    "rendezvous go-ahead for send {send_id}, whose lent buffer \
+                     nobody pulled (lease lost in transit, or a duplicated frame?)"
+                ),
+            ));
+        }
         self.counters.bytes_sent += len as u64;
         self.tracer.emit_msg_with(
             gmsg,
             || dev.now_ns(),
             EventKind::RndvGoRx { peer: from as u32 },
         );
+        if pulled.is_some() {
+            self.complete_rndv_send(send_id, status);
+            return Ok(());
+        }
         self.tracer.emit_msg_with(
             gmsg,
             || dev.now_ns(),
@@ -263,13 +380,6 @@ impl Engine {
         if buffered {
             self.buffer_release(len);
         }
-        // The real envelope fields, reported when the send
-        // completes — never fabricated zeros.
-        let status = Status {
-            source: from,
-            tag,
-            len,
-        };
         // Open the pipeline: burst up to a window of chunks; each
         // returning chunk ack releases one more. A payload within
         // one chunk is a one-chunk stream: a single frame and no
@@ -331,7 +441,7 @@ impl Engine {
     /// real envelope status. Buffered-mode sends already completed at post
     /// and are left alone.
     fn complete_rndv_send(&mut self, send_id: u64, status: Status) {
-        if matches!(self.reqs.get(send_id), Some(ReqState::SendRndvWait)) {
+        if matches!(self.reqs.get(send_id), Some(ReqState::SendRndvWait { .. })) {
             self.reqs.complete(send_id, Ok(status));
         }
     }
@@ -731,29 +841,116 @@ mod tests {
             SendMode::Standard,
         )
         .unwrap();
-        // Pump by hand, keeping the packet kinds each side sent.
-        let (mut from0, mut from1) = (Vec::new(), Vec::new());
-        loop {
-            let out0: Vec<_> = d0.sent.lock().unwrap().drain(..).collect();
-            let out1: Vec<_> = d1.sent.lock().unwrap().drain(..).collect();
-            if out0.is_empty() && out1.is_empty() {
-                break;
-            }
-            for (_, wire) in out0 {
-                from0.push(wire.pkt.kind_name());
-                e1.handle_wire(&d1, wire).unwrap();
-            }
-            for (_, wire) in out1 {
-                from1.push(wire.pkt.kind_name());
-                e0.handle_wire(&d0, wire).unwrap();
-            }
-        }
+        let (from0, from1) = pump_kinds(&mut e0, &d0, &mut e1, &d1);
         assert_eq!(from0, ["rndv_req", "rndv_chunk"]);
         assert_eq!(from1, ["rndv_go"]);
         assert_eq!(e0.counters.rndv_chunks_sent, 1);
         assert!(e0.chunk_streams.is_empty());
         assert_eq!(e1.reqs.take_if_done(rid).unwrap().unwrap().len, 256);
         assert_eq!(buf, vec![8u8; 256]);
+    }
+
+    /// Over a device that lends memory a contiguous rendezvous is the
+    /// request, one copy made by the receiver straight out of the sender's
+    /// buffer, and the go-ahead: no staging, no data frame.
+    #[test]
+    fn lent_rendezvous_is_two_frames_and_one_copy() {
+        let d0 = Loopback::lending(0, 2);
+        let d1 = Loopback::lending(1, 2);
+        let mut e0 = engine(0, 2);
+        let mut e1 = engine(1, 2);
+        e0.tracer = Tracer::enabled(0, 64);
+        e1.tracer = Tracer::enabled(1, 64);
+
+        let payload: &[u8] = (0..1000u32)
+            .map(|i| (i * 7) as u8)
+            .collect::<Vec<_>>()
+            .leak();
+        let mut buf = vec![0u8; 1000];
+        let rid = e1.post_recv(&d1, dest(&mut buf), SourceSel::Any, TagSel::Any, 0);
+        let grows = e0.folded_counters().pool_grows;
+        let sid = post_slice(&mut e0, &d0, 3, payload, SendMode::Standard);
+        assert!(
+            e0.reqs.take_if_done(sid).is_none(),
+            "the buffer stays lent until the receiver has pulled it"
+        );
+        let (from0, from1) = pump_kinds(&mut e0, &d0, &mut e1, &d1);
+        assert_eq!(from0, ["rndv_req"]);
+        assert_eq!(from1, ["rndv_go"]);
+        assert_eq!(buf, payload);
+        let rst = e1.reqs.take_if_done(rid).unwrap().unwrap();
+        assert_eq!((rst.source, rst.tag, rst.len), (0, 3, 1000));
+        let sst = e0.reqs.take_if_done(sid).unwrap().unwrap();
+        assert_eq!((sst.source, sst.tag, sst.len), (1, 3, 1000));
+
+        let (c0, c1) = (e0.folded_counters(), e1.folded_counters());
+        assert_eq!((c0.rndv_sent, c0.rndv_chunks_sent), (1, 0));
+        assert_eq!(c0.pool_grows, grows, "nothing was staged");
+        assert_eq!((c0.bytes_sent, c1.bytes_received), (1000, 1000));
+        assert_eq!((c0.rndv_pulled, c1.rndv_pulled), (0, 1));
+        assert!(e0.rndv_store.is_empty() && e0.chunk_streams.is_empty());
+
+        let names = |e: &Engine| -> Vec<&str> {
+            let events = e.tracer.snapshot().events;
+            events.iter().map(|e| e.kind.name()).collect()
+        };
+        assert_eq!(
+            names(&e0),
+            ["SendPosted", "RndvReqTx", "WireRx", "RndvGoRx"],
+            "the sender takes no part in the data phase"
+        );
+        assert_eq!(
+            names(&e1),
+            [
+                "RecvPosted",
+                "WireRx",
+                "EnvelopeMatched",
+                "DmaStart",
+                "DmaEnd",
+                "Delivered",
+                "RndvGoTx"
+            ]
+        );
+    }
+
+    /// Only what the issue names is lent: a standard or synchronous send
+    /// of plain-old-data above the threshold, over a lending device.
+    #[test]
+    fn everything_else_keeps_staging() {
+        use crate::datatype::Loc;
+        let lending = Loopback::lending(0, 2);
+        let plain = Loopback::new(0, 2);
+        let lent = |dev: &Loopback, mode, post: &dyn Fn(&mut Engine, &Loopback, SendMode)| {
+            let mut e = engine(0, 2);
+            e.buffer_attach(1 << 12);
+            post(&mut e, dev, mode);
+            let frames = dev.sent.lock().unwrap().drain(..).collect::<Vec<_>>();
+            let [(1, wire)] = &frames[..] else {
+                panic!("one frame to rank 1, got {frames:?}")
+            };
+            matches!(&wire.pkt, Packet::RndvReq { lease: Some(_), .. })
+        };
+        let big: &[u8] = vec![1u8; 1000].leak();
+        let bytes = |e: &mut Engine, d: &Loopback, mode| {
+            post_slice(e, d, 0, big, mode);
+        };
+        let small = |e: &mut Engine, d: &Loopback, mode| {
+            post_slice(e, d, 0, &big[..180], mode);
+        };
+        let locs = |e: &mut Engine, d: &Loopback, mode| {
+            let loc = Loc {
+                value: 1.5f64,
+                index: 2,
+            };
+            post_slice(e, d, 0, vec![loc; 100].leak(), mode);
+        };
+        assert!(lent(&lending, SendMode::Standard, &bytes));
+        assert!(lent(&lending, SendMode::Synchronous, &bytes));
+        assert!(!lent(&lending, SendMode::Buffered, &bytes));
+        assert!(!lent(&lending, SendMode::Ready, &bytes), "ready is eager");
+        assert!(!lent(&lending, SendMode::Standard, &small), "at threshold");
+        assert!(!lent(&lending, SendMode::Standard, &locs), "not its wire");
+        assert!(!lent(&plain, SendMode::Standard, &bytes), "device says no");
     }
 
     /// The chunked path delivers byte-identical data, brackets the stream

@@ -83,5 +83,6 @@ pub use mpi::{test_all, wait_all, wait_any, Communicator, Mpi, Request};
 pub use packet::{ContextId, Envelope, FramePool, Packet, Wire, ENVELOPE_WIRE_BYTES};
 pub use persistent::{start_all, PersistentRecv, PersistentSend};
 pub use reduce_op::{ReduceOp, Reducible};
+pub use request::Lease;
 pub use topology::{dims_create, CartComm};
 pub use types::{Rank, SendMode, SourceSel, Status, Tag, TagSel, TAG_UB};

@@ -121,6 +121,9 @@ pub enum UnexpectedBody {
     Rndv {
         /// Sender request id to echo in `RndvGo`.
         send_id: u64,
+        /// The sender's lent buffer, when the request carried one (see
+        /// [`crate::Packet::RndvReq`]).
+        lease: Option<std::sync::Arc<crate::request::Lease>>,
     },
 }
 
@@ -485,7 +488,10 @@ mod tests {
         UnexpectedMsg {
             env: env(src, tag, ctx),
             msg_seq: 0,
-            body: UnexpectedBody::Rndv { send_id },
+            body: UnexpectedBody::Rndv {
+                send_id,
+                lease: None,
+            },
         }
     }
 
@@ -510,7 +516,7 @@ mod tests {
             .match_posted(1, SourceSel::Rank(0), TagSel::Tag(5), 0)
             .expect("should match unexpected");
         match hit.body {
-            UnexpectedBody::Rndv { send_id } => assert_eq!(send_id, 77),
+            UnexpectedBody::Rndv { send_id, .. } => assert_eq!(send_id, 77),
             other => panic!("wrong body {other:?}"),
         }
         assert_eq!(m.unexpected_hits, 1);
@@ -544,7 +550,9 @@ mod tests {
         m.add_unexpected(rndv(0, 5, 0, 200));
         let first = m.match_posted(1, SourceSel::Any, TagSel::Any, 0).unwrap();
         match first.body {
-            UnexpectedBody::Rndv { send_id } => assert_eq!(send_id, 100, "earliest arrival first"),
+            UnexpectedBody::Rndv { send_id, .. } => {
+                assert_eq!(send_id, 100, "earliest arrival first")
+            }
             _ => unreachable!(),
         }
     }
@@ -623,12 +631,14 @@ mod tests {
         m.add_unexpected(rndv(1, 2, 0, 200)); // bin (0,1,2)
         let probe_hit = m.probe(SourceSel::Any, TagSel::Any, 0).unwrap();
         match probe_hit.body {
-            UnexpectedBody::Rndv { send_id } => assert_eq!(send_id, 100),
+            UnexpectedBody::Rndv { send_id, .. } => assert_eq!(send_id, 100),
             _ => unreachable!(),
         }
         let hit = m.match_posted(1, SourceSel::Any, TagSel::Any, 0).unwrap();
         match hit.body {
-            UnexpectedBody::Rndv { send_id } => assert_eq!(send_id, 100, "oldest bin front wins"),
+            UnexpectedBody::Rndv { send_id, .. } => {
+                assert_eq!(send_id, 100, "oldest bin front wins")
+            }
             _ => unreachable!(),
         }
     }
@@ -646,7 +656,7 @@ mod tests {
         assert_eq!(recv_ids, vec![1]);
         assert_eq!(msgs.len(), 1);
         match msgs[0].body {
-            UnexpectedBody::Rndv { send_id } => assert_eq!(send_id, 100),
+            UnexpectedBody::Rndv { send_id, .. } => assert_eq!(send_id, 100),
             _ => unreachable!(),
         }
         assert_eq!(m.depths(), (2, 1));

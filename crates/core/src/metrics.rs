@@ -129,6 +129,12 @@ impl MetricsSnapshot {
         );
         counter(
             &mut out,
+            "lmpi_rndv_pulled_total",
+            "Rendezvous payloads pulled out of the sender's lent buffer.",
+            c.rndv_pulled,
+        );
+        counter(
+            &mut out,
             "lmpi_sends_queued_total",
             "Sends that queued behind flow control.",
             c.sends_queued,
@@ -549,7 +555,7 @@ mod tests {
                 r#"{"rank":1,"t_ns":42000,"counters":{"eager_sent":7,"rndv_sent":0,"rndv_chunks_sent":9,"se"#,
                 r#"nds_queued":0,"acks_sent":0,"credits_sent":0,"bytes_sent":0,"bytes_received":0,"wires_ha"#,
                 r#"ndled":0,"rsend_errors":0,"unexpected_hwm":3,"credit_stall_ns":1234,"matches":0,"unexpec"#,
-                r#"ted_hits":0,"match_bins_hwm":2,"progress_wakeups":0,"progress_frames":0,"pool_grows":0},"#,
+                r#"ted_hits":0,"match_bins_hwm":2,"progress_wakeups":0,"progress_frames":0,"pool_grows":0,"rndv_pulled":0},"#,
                 r#""transport":{"data_frames_sent":0,"retransmits":5,"dup_suppressed":0,"ooo_dropped":0,"pu"#,
                 r#"re_acks_sent":0,"reassembly_evicted":4,"faults_dropped":0,"faults_duplicated":0,"faults_"#,
                 r#"reordered":0,"faults_delayed":0,"heartbeats_sent":11,"peers_suspected":0,"peers_dead":1}"#,

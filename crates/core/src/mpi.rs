@@ -324,9 +324,20 @@ impl Inner {
         }
     }
 
-    /// Block until request `id` completes and return its result.
+    /// Block until request `id` completes and return its result. When the
+    /// wait itself fails (watchdog timeout, the rank's fatal error) the
+    /// request is still live and may point into its caller's buffer, so
+    /// it is [abandoned](Engine::abandon) before the error goes up: no
+    /// caller gets control back while the engine or a peer can still reach
+    /// its buffer.
     pub(crate) fn wait_request(&self, id: u64) -> MpiResult<Status> {
-        self.progress_until(|eng| eng.reqs.take_if_done(id))?
+        match self.progress_until(|eng| eng.reqs.take_if_done(id)) {
+            Ok(result) => result,
+            Err(e) => {
+                self.eng.lock().abandon(id);
+                Err(e)
+            }
+        }
     }
 
     /// Acquire the engine lock, sampling the wait time into the health
@@ -892,10 +903,9 @@ impl Communicator {
             .enabled
             .then(|| self.inner.device.now_ns());
         let mut eng = self.inner.lock_eng();
-        // Stage through the engine's reusable pool: the hot eager path
-        // allocates nothing once warm.
-        let data = eng.stage_payload(buf);
-        let id = eng.post_send(&*self.inner.device, dst_g, tag, ctx, data, mode)?;
+        // SAFETY: `wait_request` below hands the request's result back or
+        // abandons it, and `buf` is borrowed until this function returns.
+        let id = unsafe { eng.post_send_slice(&*self.inner.device, dst_g, tag, ctx, buf, mode) }?;
         drop(eng);
         self.inner.wait_request(id)?;
         if let Some(t0) = t0 {
@@ -942,8 +952,9 @@ impl Communicator {
             .health
             .enabled
             .then(|| self.inner.device.now_ns());
-        let id = self.post_recv_raw(buf, src.into(), tag.into(), self.ctx)?;
-        let st = self.inner.wait_request(id)?;
+        let st = self
+            .post_recv_raw(buf, src.into(), tag.into(), self.ctx)?
+            .wait()?;
         if let Some(t0) = t0 {
             let now = self.inner.device.now_ns();
             self.inner.health.record_recv(now, now.saturating_sub(t0));
@@ -973,7 +984,7 @@ impl Communicator {
         src: SourceSel,
         tag: TagSel,
         ctx: ContextId,
-    ) -> MpiResult<u64> {
+    ) -> MpiResult<PostedRecv<'_>> {
         if let TagSel::Tag(t) = tag {
             Self::check_tag(t)?;
         }
@@ -981,10 +992,14 @@ impl Communicator {
         self.take_pending_error()?;
         let src = self.src_sel(src)?;
         let dst = RecvDest::contiguous(buf.as_mut_ptr() as *mut u8, std::mem::size_of_val(buf));
-        Ok(self
+        let id = self
             .inner
             .lock_eng()
-            .post_recv(&*self.inner.device, dst, src, tag, ctx))
+            .post_recv(&*self.inner.device, dst, src, tag, ctx);
+        Ok(PostedRecv {
+            inner: &self.inner,
+            id,
+        })
     }
 
     /// `MPI_Sendrecv`: simultaneous send and receive, deadlock-free.
@@ -997,10 +1012,9 @@ impl Communicator {
         src: impl Into<SourceSel>,
         recv_tag: impl Into<TagSel>,
     ) -> MpiResult<Status> {
-        let rid = self.post_recv_raw(recvbuf, src.into(), recv_tag.into(), self.ctx)?;
+        let posted = self.post_recv_raw(recvbuf, src.into(), recv_tag.into(), self.ctx)?;
         self.send(sendbuf, dst, send_tag)?;
-        let st = self.inner.wait_request(rid)?;
-        Ok(self.localize(st))
+        Ok(self.localize(posted.wait()?))
     }
 
     // ------------------------------------------------------------------
@@ -1024,8 +1038,11 @@ impl Communicator {
             .enabled
             .then(|| self.inner.device.now_ns());
         let mut eng = self.inner.lock_eng();
-        let data = eng.stage_payload(buf);
-        let id = eng.post_send(&*self.inner.device, dst_g, tag, self.ctx, data, mode)?;
+        // SAFETY: the `Request<'a>` returned below holds `buf`'s borrow,
+        // and each way out of it — `wait`, `test`, `cancel`, drop —
+        // collects, cancels or abandons the request first.
+        let id =
+            unsafe { eng.post_send_slice(&*self.inner.device, dst_g, tag, self.ctx, buf, mode) }?;
         self.inner.resume_progress(&eng, id);
         drop(eng);
         Ok(self.request(id, t0.map(|t| (WinKind::Send, t))))
@@ -1084,7 +1101,9 @@ impl Communicator {
             .health
             .enabled
             .then(|| self.inner.device.now_ns());
-        let id = self.post_recv_raw(buf, src.into(), tag.into(), self.ctx)?;
+        let id = self
+            .post_recv_raw(buf, src.into(), tag.into(), self.ctx)?
+            .into_id();
         Ok(self.request(id, t0.map(|t| (WinKind::Recv, t))))
     }
 
@@ -1333,6 +1352,33 @@ impl Communicator {
     }
 }
 
+/// A receive posted on a raw pointer by a call that waits for it before it
+/// returns. If the call leaves early instead — the send beside it failed —
+/// dropping this [abandons](Engine::abandon) the receive, so the engine
+/// never keeps a pointer into a buffer whose borrow has ended.
+pub(crate) struct PostedRecv<'c> {
+    inner: &'c Inner,
+    id: u64,
+}
+
+impl PostedRecv<'_> {
+    /// Block until the receive completes.
+    pub(crate) fn wait(self) -> MpiResult<Status> {
+        self.inner.wait_request(self.into_id())
+    }
+
+    /// Hand the request over to an owner that waits or abandons itself.
+    fn into_id(self) -> u64 {
+        std::mem::ManuallyDrop::new(self).id
+    }
+}
+
+impl Drop for PostedRecv<'_> {
+    fn drop(&mut self) {
+        self.inner.eng.lock().abandon(self.id);
+    }
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum ReqHandle {
     Active(u64),
@@ -1443,7 +1489,9 @@ impl Drop for Request<'_> {
     fn drop(&mut self) {
         if let ReqHandle::Active(id) = self.state {
             // A receive must complete (or be cancelled) before its buffer
-            // borrow ends, or the engine would hold a dangling pointer.
+            // borrow ends, or the engine would hold a dangling pointer; a
+            // send may have lent its buffer. `wait_request` abandons what
+            // it cannot complete.
             if !self.inner.eng.lock().cancel(id) {
                 let _ = self.inner.wait_request(id);
             }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::bytes::Bytes;
 use crate::datatype::MpiData;
+use crate::request::Lease;
 use crate::types::{Rank, Tag};
 
 /// Communicator context id; disambiguates messages of different
@@ -66,8 +67,16 @@ pub enum Packet {
         env: Envelope,
         /// Sender request id.
         send_id: u64,
+        /// The sender's buffer, lent to the receiver: set only over a
+        /// device that [lends memory](crate::Device::lends_memory), where
+        /// the receiver copies the payload out itself and its
+        /// [`Packet::RndvGo`] reports the copy done. Never encoded: a
+        /// frame that crosses a codec arrives with `None` and the data
+        /// follows as [`Packet::RndvChunk`]s.
+        lease: Option<Arc<Lease>>,
     },
-    /// Rendezvous step 2 (receiver → sender): matched; send the data.
+    /// Rendezvous step 2 (receiver → sender): matched; send the data — or,
+    /// for a request that carried a lease, the data has been pulled.
     RndvGo {
         /// Echo of the sender request id.
         send_id: u64,

@@ -7,6 +7,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use lmpi_sim::lock::Mutex;
+
 use crate::dtype::FlatLayout;
 use crate::error::{MpiError, MpiResult};
 use crate::types::Status;
@@ -116,6 +118,107 @@ impl RecvDest {
         }
         n
     }
+
+    /// A destination with no capacity, standing in for the buffer of a
+    /// receive its caller gave up on ([`crate::engine::Engine::abandon`]):
+    /// late rendezvous chunks land nowhere, and are still acknowledged.
+    pub(crate) fn sink() -> Self {
+        RecvDest::contiguous(std::ptr::NonNull::dangling().as_ptr(), 0)
+    }
+}
+
+/// A rendezvous send's loan of its caller's buffer to the receiver, on a
+/// substrate whose ranks share an address space
+/// ([`crate::Device::lends_memory`]). The send stages nothing: the lease
+/// rides inside the `RndvReq` frame and the receiver, once it has matched
+/// the envelope, copies straight out of the sender's memory into its own
+/// receive buffer (`Lease::pull`) — the one copy of the transfer.
+///
+/// # Safety contract
+/// The send side of the `RecvDest` contract. The window originates from
+/// a `&[T]` whose borrow the owning `Request` (or the blocking call) holds,
+/// and **a send that lent its buffer does not complete — `Ok` or `Err`,
+/// waited, cancelled, dropped, timed out or failed — until its lease is
+/// closed**: either the receiver pulled it (the lease closes itself, then
+/// the `RndvGo` completes the send) or the sender's engine called
+/// `Lease::close` first. Both take the lease's own lock, so a close
+/// waits out a pull in progress and a pull that comes later finds no
+/// window and reads nothing. Other ranks' engines and devices hold clones
+/// of the `Arc`, possibly for ever; none of them can reach the memory
+/// except through `pull`. Lock order is engine → lease, on either rank;
+/// nothing is acquired under the lease lock.
+pub struct Lease(Mutex<LeaseState>);
+
+enum LeaseState {
+    /// The sender's bytes, readable until the state changes.
+    Open { ptr: *const u8, len: usize },
+    /// The receiver copied the bytes out.
+    Pulled,
+    /// The sender withdrew the buffer before anyone pulled it.
+    Withdrawn,
+}
+
+// SAFETY: the pointer is only ever read, under the lease lock, while the
+// state is `Open` — which, per the type-level contract, implies the
+// sender's shared borrow of the bytes is still alive. Shared reads of
+// initialized bytes from another thread alias nothing mutable.
+unsafe impl Send for LeaseState {}
+
+impl Lease {
+    /// Lend `bytes`.
+    ///
+    /// # Safety
+    /// The lease must be closed — pulled, or [`close`](Self::close)d —
+    /// before the borrow behind `bytes` ends (the type-level contract).
+    pub(crate) unsafe fn open(bytes: &[u8]) -> Arc<Lease> {
+        Arc::new(Lease(Mutex::new(LeaseState::Open {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+        })))
+    }
+
+    /// Hand the lent bytes to `copy`, once: the receiver's data phase. The
+    /// lease lock is held for the duration, so the sender cannot complete
+    /// under the copy. `None` if the lease is no longer open.
+    pub(crate) fn pull<R>(&self, copy: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let mut state = self.0.lock();
+        let LeaseState::Open { ptr, len } = *state else {
+            return None;
+        };
+        // SAFETY: the state is `Open`, so the sender's borrow of these
+        // `len` initialized bytes is alive (type-level contract), and it
+        // stays alive until this guard drops: `close` takes the same lock.
+        let out = copy(unsafe { std::slice::from_raw_parts(ptr, len) });
+        *state = LeaseState::Pulled;
+        Some(out)
+    }
+
+    /// The sender takes its buffer back: wait out a pull in progress, then
+    /// shut the window if it is still open. Returns whether that withdrew
+    /// the buffer unpulled — then no go-ahead will ever come for it.
+    pub(crate) fn close(&self) -> bool {
+        let mut state = self.0.lock();
+        let withdrawn = matches!(*state, LeaseState::Open { .. });
+        if withdrawn {
+            *state = LeaseState::Withdrawn;
+        }
+        withdrawn
+    }
+
+    /// Whether the receiver has copied the bytes out.
+    pub(crate) fn pulled(&self) -> bool {
+        matches!(*self.0.lock(), LeaseState::Pulled)
+    }
+}
+
+impl std::fmt::Debug for Lease {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match *self.0.lock() {
+            LeaseState::Open { .. } => "Lease(open)",
+            LeaseState::Pulled => "Lease(pulled)",
+            LeaseState::Withdrawn => "Lease(withdrawn)",
+        })
+    }
 }
 
 /// States of an in-flight request.
@@ -126,11 +229,14 @@ pub(crate) enum ReqState {
     /// transmitted; buffered sends complete at post; synchronous sends move
     /// on to an ack-wait state at transmission.
     SendQueued,
-    /// Rendezvous envelope sent; waiting for the receiver's go-ahead. The
-    /// payload itself is parked in the engine's rendezvous store keyed by
-    /// request id, so standard-mode sends can complete (buffer reusable)
-    /// while the data still awaits the go-ahead.
-    SendRndvWait,
+    /// Rendezvous envelope sent; waiting for the receiver's go-ahead. A
+    /// staged payload is parked in the engine's rendezvous store keyed by
+    /// request id; a lent one is still the caller's buffer, behind `lease`.
+    SendRndvWait {
+        /// The loan of the caller's buffer, which [`RequestTable::set`]
+        /// closes before this request may become `Done`.
+        lease: Option<Arc<Lease>>,
+    },
     /// Eager synchronous send delivered; waiting for the match ack.
     SendAckWait {
         /// The real (destination, tag, length) to report when the ack
@@ -166,6 +272,9 @@ impl ReqState {
 pub(crate) struct RequestTable {
     slots: HashMap<u64, ReqState>,
     next_id: u64,
+    /// Live requests whose caller gave up ([`RequestTable::orphan`]); a
+    /// handful at most.
+    orphans: Vec<u64>,
 }
 
 impl RequestTable {
@@ -185,13 +294,45 @@ impl RequestTable {
         self.slots.get(&id)
     }
 
-    /// Replace the state of an existing request.
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut ReqState> {
+        self.slots.get_mut(&id)
+    }
+
+    /// Replace the state of an existing request. Every completion —
+    /// success, peer failure, revocation — comes through here, which makes
+    /// this the one gate of the [`Lease`] contract: a send that lent its
+    /// buffer gets the buffer back (waiting out a pull in progress) before
+    /// it turns `Done`.
+    // Inlined with `complete`: out of line, the four completions of an
+    // 8 B shm round trip cost it ≈ 40 ns of 5.1 µs (a call and a copy of
+    // the state each).
+    #[inline]
     pub(crate) fn set(&mut self, id: u64, state: ReqState) {
         let slot = self.slots.get_mut(&id).expect("set on unknown request");
+        if state.is_done() {
+            if let ReqState::SendRndvWait { lease: Some(lease) } = slot {
+                lease.close();
+            }
+            if let Some(at) = self.orphans.iter().position(|&o| o == id) {
+                self.orphans.swap_remove(at);
+                self.slots.remove(&id);
+                return;
+            }
+        }
         *slot = state;
     }
 
+    /// Nobody will collect request `id`'s result — its caller returned on
+    /// a timeout or the rank's fatal error: drop the result now if it is
+    /// in, else when it comes.
+    pub(crate) fn orphan(&mut self, id: u64) {
+        if self.take_if_done(id).is_none() && self.slots.contains_key(&id) {
+            self.orphans.push(id);
+        }
+    }
+
     /// Mark a request complete.
+    #[inline]
     pub(crate) fn complete(&mut self, id: u64, result: MpiResult<Status>) {
         self.set(id, ReqState::Done(result));
     }
@@ -219,9 +360,9 @@ impl RequestTable {
     /// matcher purge, ack-wait scan) and a request may appear in more than
     /// one, so the first sweep wins and the rest are no-ops.
     pub(crate) fn fail_if_active(&mut self, id: u64, err: MpiError) -> bool {
-        match self.slots.get_mut(&id) {
+        match self.slots.get(&id) {
             Some(slot) if !slot.is_done() => {
-                *slot = ReqState::Done(Err(err));
+                self.set(id, ReqState::Done(Err(err)));
                 true
             }
             _ => false,
@@ -249,7 +390,7 @@ mod tests {
     fn ids_monotonic_and_unique() {
         let mut t = RequestTable::new();
         let a = t.alloc(ReqState::SendQueued);
-        let b = t.alloc(ReqState::SendRndvWait);
+        let b = t.alloc(ReqState::SendRndvWait { lease: None });
         assert_ne!(a, b);
         assert!(b > a);
         assert_eq!(t.len(), 2);

@@ -326,14 +326,9 @@ impl Communicator {
                 "agreement frame from rank {src} carried {} bytes, expected {TRIPLE_BYTES}",
                 st.len
             ))),
-            Err(e) => {
-                // Every engine completion path resolves the request before
-                // `wait_request` returns its error; a progress-loop error
-                // (e.g. watchdog timeout) may leave it live and pointing
-                // at `triple` — cancel before the buffer unwinds.
-                inner.eng.lock().cancel(id);
-                Err(e)
-            }
+            // `wait_request` abandoned the request if it was still live,
+            // so nothing points at `triple` any more.
+            Err(e) => Err(e),
         }
     }
 }

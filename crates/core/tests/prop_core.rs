@@ -105,7 +105,10 @@ fn matching_engine_equals_reference() {
                         None => eng.add_unexpected(UnexpectedMsg {
                             env,
                             msg_seq: 0,
-                            body: UnexpectedBody::Rndv { send_id: sid },
+                            body: UnexpectedBody::Rndv {
+                                send_id: sid,
+                                lease: None,
+                            },
                         }),
                     }
                     reference.arrive(src, tag);
@@ -116,7 +119,7 @@ fn matching_engine_equals_reference() {
                     let ssel = src.map_or(SourceSel::Any, SourceSel::Rank);
                     let tsel = tag.map_or(TagSel::Any, TagSel::Tag);
                     if let Some(m) = eng.match_posted(rid, ssel, tsel, 0) {
-                        let UnexpectedBody::Rndv { send_id } = m.body else {
+                        let UnexpectedBody::Rndv { send_id, .. } = m.body else {
                             unreachable!()
                         };
                         eng_log.push((rid, send_id));
@@ -148,6 +151,7 @@ fn matching_is_non_overtaking_per_source() {
                 msg_seq: 0,
                 body: UnexpectedBody::Rndv {
                     send_id: sid as u64,
+                    lease: None,
                 },
             });
         }
@@ -155,7 +159,7 @@ fn matching_is_non_overtaking_per_source() {
         for (rid, &any) in any_tag.iter().enumerate() {
             let tsel = if any { TagSel::Any } else { TagSel::Tag(0) };
             if let Some(m) = eng.match_posted(rid as u64, SourceSel::Rank(0), tsel, 0) {
-                let UnexpectedBody::Rndv { send_id } = m.body else {
+                let UnexpectedBody::Rndv { send_id, .. } = m.body else {
                     unreachable!()
                 };
                 // Among messages with the same tag, ids must come out in

@@ -178,7 +178,7 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
 /// sender-side id we stamped into the body.
 fn unexpected_fingerprint(msg: &UnexpectedMsg) -> (usize, Tag, ContextId, usize, u64) {
     let send_id = match msg.body {
-        UnexpectedBody::Rndv { send_id } => send_id,
+        UnexpectedBody::Rndv { send_id, .. } => send_id,
         UnexpectedBody::Eager { send_id, .. } => send_id,
     };
     (
@@ -236,12 +236,18 @@ fn binned_matcher_is_observably_identical_to_linear() {
                         binned.add_unexpected(UnexpectedMsg {
                             env: env.clone(),
                             msg_seq: 0,
-                            body: UnexpectedBody::Rndv { send_id },
+                            body: UnexpectedBody::Rndv {
+                                send_id,
+                                lease: None,
+                            },
                         });
                         linear.add_unexpected(UnexpectedMsg {
                             env,
                             msg_seq: 0,
-                            body: UnexpectedBody::Rndv { send_id },
+                            body: UnexpectedBody::Rndv {
+                                send_id,
+                                lease: None,
+                            },
                         });
                     }
                 }

@@ -157,7 +157,9 @@ pub fn encode_into(wire: &Wire, out: &mut Vec<u8>) {
             encode_env(&mut info, env);
             info[16..20].copy_from_slice(&(*send_id as u32).to_le_bytes());
         }
-        Packet::RndvReq { env, send_id } => {
+        // A lease has no encoding: only a device that hands frames over in
+        // memory carries one (see `Device::lends_memory`).
+        Packet::RndvReq { env, send_id, .. } => {
             debug_assert!(
                 *send_id <= u32::MAX as u64,
                 "request id exceeds 20-byte envelope field"
@@ -279,6 +281,7 @@ pub fn decode(buf: &[u8]) -> Result<(Wire, usize), DecodeError> {
         T_RNDV_REQ => Packet::RndvReq {
             env: env(),
             send_id: u32at(16..20) as u64,
+            lease: None,
         },
         T_RNDV_GO => Packet::RndvGo {
             send_id: u32at(4..8) as u64,
@@ -420,6 +423,7 @@ mod tests {
             Packet::RndvReq {
                 env: env(),
                 send_id: 9,
+                lease: None,
             },
             Packet::RndvGo {
                 send_id: 5,

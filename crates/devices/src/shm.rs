@@ -32,8 +32,12 @@ pub const SHM_DEFAULTS: DeviceDefaults = DeviceDefaults {
     eager_threshold: 8192,
     env_slots: 64,
     recv_buf_per_sender: 1 << 20,
-    // Chunks large enough that per-frame overhead stays negligible on an
-    // in-process channel, windowed deep enough to keep the pipe full.
+    // Chunk and window serve only the sends that still stage their payload
+    // above the threshold (typed, buffered-mode, `Loc` and `bool` slices,
+    // anything under a wrapper device): a contiguous send lends its buffer
+    // and moves no chunk. Chunks large enough that per-frame overhead stays
+    // negligible on an in-process channel, windowed deep enough to keep the
+    // pipe full.
     rndv_chunk: 256 << 10,
     rndv_window: 8,
 };
@@ -98,6 +102,12 @@ impl Device for ShmDevice {
     }
 
     fn supports_background_progress(&self) -> bool {
+        true
+    }
+
+    /// Rank threads share one address space and the channel moves each
+    /// `Wire` by value.
+    fn lends_memory(&self) -> bool {
         true
     }
 

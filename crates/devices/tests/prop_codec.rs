@@ -37,6 +37,7 @@ fn gen_packet(rng: &mut SplitMix64) -> Packet {
         1 => Packet::RndvReq {
             env: gen_envelope(rng),
             send_id: gen_id(rng),
+            lease: None,
         },
         2 => Packet::RndvGo {
             send_id: gen_id(rng),
@@ -128,10 +129,12 @@ fn assert_wire_eq(a: &Wire, b: &Wire) {
             Packet::RndvReq {
                 env: e1,
                 send_id: s1,
+                lease: None,
             },
             Packet::RndvReq {
                 env: e2,
                 send_id: s2,
+                lease: None,
             },
         ) => {
             assert_eq!(e1, e2);

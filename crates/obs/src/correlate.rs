@@ -76,7 +76,9 @@ pub struct MessageTimeline {
     pub rndv_go_tx_ns: Option<u64>,
     /// CTS arrived at the sender.
     pub rndv_go_rx_ns: Option<u64>,
-    /// Bulk transfer started (sender).
+    /// Bulk transfer started: on the sender for a streamed rendezvous, on
+    /// the receiver when it pulls the payload itself
+    /// ([`MessageTimeline::pulled`]).
     pub dma_start_ns: Option<u64>,
     /// Bulk transfer landed (receiver).
     pub dma_end_ns: Option<u64>,
@@ -117,6 +119,18 @@ impl MessageTimeline {
     /// crossings.
     pub fn rts_cts_gap_ns(&self) -> Option<u64> {
         Some(self.rndv_go_rx_ns?.saturating_sub(self.first_tx_ns?))
+    }
+
+    /// The receiver copied the payload straight out of the sender's lent
+    /// buffer: a rendezvous with a DMA bracket and no data frame. Its
+    /// `DmaStart`/`DmaEnd` were recorded on the receiver and *precede* the
+    /// go-ahead, which reports the copy done instead of asking for data.
+    pub fn pulled(&self) -> bool {
+        let data_frame =
+            |w: &WireRecord| matches!(w.kind, PacketKind::RndvData | PacketKind::RndvChunk);
+        self.rendezvous
+            && self.dma_start_ns.is_some()
+            && !self.wire_tx.iter().chain(&self.wire_rx).any(data_frame)
     }
 
     /// Wire time: first device transmission to last engine arrival of
@@ -395,8 +409,9 @@ fn check_invariants(t: &MessageTimeline, out: &mut Vec<Violation>) {
     if t.delivered_ns.is_some() && t.wire_tx.is_empty() && t.first_tx_ns.is_none() {
         out.push(Violation::DeliveredWithoutTx { msg: t.msg });
     }
-    // Rendezvous data never precedes the CTS.
-    if let Some(cts_ns) = t.rndv_go_tx_ns {
+    // Streamed rendezvous data never precedes the CTS. (A pulled payload
+    // always does: there the CTS is the receipt.)
+    if let Some(cts_ns) = t.rndv_go_tx_ns.filter(|_| !t.pulled()) {
         let data_ns = t
             .wire_tx
             .iter()
@@ -456,7 +471,9 @@ pub fn flight_json(record: &FlightRecord) -> String {
                 Some(tag) => o.u64("tag", tag as u64),
                 None => o.raw("tag", "null"),
             };
-            o = o.bool("rendezvous", t.rendezvous);
+            o = o
+                .bool("rendezvous", t.rendezvous)
+                .bool("pulled", t.pulled());
             o = opt(o, "posted_ns", t.posted_ns);
             o = opt(o, "first_tx_ns", t.first_tx_ns);
             o = opt(o, "unexpected_ns", t.unexpected_ns);
@@ -686,6 +703,62 @@ mod tests {
         assert_eq!(t.unexpected_dwell_ns(), Some(155));
         assert_eq!(t.rts_cts_gap_ns(), Some(220));
         assert_eq!(t.dst, Some(0));
+    }
+
+    /// A pulled rendezvous: the DMA bracket is the receiver's and comes
+    /// before the go-ahead, with no data frame anywhere. Complete, and no
+    /// `DataBeforeCts`.
+    #[test]
+    fn pulled_rendezvous_has_its_dma_on_the_receiver_before_the_cts() {
+        let m = msg(1, 5);
+        let (n, peer) = (100_000, 1);
+        let t0 = Tracer::enabled(0, 64); // receiver
+        let t1 = Tracer::enabled(1, 64); // sender
+        let req = PacketKind::RndvReq;
+        let go = PacketKind::RndvGo;
+        t1.emit_msg_at(
+            10,
+            m,
+            EventKind::SendPosted {
+                peer: 0,
+                bytes: n,
+                tag: 0,
+            },
+        );
+        t1.emit_msg_at(20, m, EventKind::RndvReqTx { peer: 0, bytes: n });
+        t1.emit_msg_at(
+            25,
+            m,
+            EventKind::WireTx {
+                peer: 0,
+                kind: req,
+                bytes: 0,
+            },
+        );
+        t0.emit_msg_at(40, m, EventKind::WireRx { peer, kind: req });
+        t0.emit_msg_at(
+            50,
+            m,
+            EventKind::EnvelopeMatched {
+                peer,
+                bytes: n,
+                unexpected: false,
+            },
+        );
+        t0.emit_msg_at(55, m, EventKind::DmaStart { peer, bytes: n });
+        t0.emit_msg_at(400, m, EventKind::DmaEnd { peer, bytes: n });
+        t0.emit_msg_at(405, m, EventKind::Delivered { peer, bytes: n });
+        t0.emit_msg_at(410, m, EventKind::RndvGoTx { peer });
+        t1.emit_msg_at(440, m, EventKind::WireRx { peer: 0, kind: go });
+        t1.emit_msg_at(445, m, EventKind::RndvGoRx { peer: 0 });
+        let rec = correlate(&[t0.snapshot(), t1.snapshot()]);
+        assert!(rec.violations.is_empty(), "{:?}", rec.violations);
+        let t = rec.timeline(m).unwrap();
+        assert!(t.rendezvous && t.pulled() && t.is_complete());
+        assert_eq!((t.dma_start_ns, t.dma_end_ns), (Some(55), Some(400)));
+        assert_eq!(t.rts_cts_gap_ns(), Some(425));
+        assert_eq!(t.total_ns(), Some(395));
+        assert!(flight_json(&rec).contains(r#""pulled":true"#));
     }
 
     #[test]

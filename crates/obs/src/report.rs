@@ -7,13 +7,18 @@
 //! inter-event gap to exactly one phase:
 //!
 //! * **proto (send)** — `SendPosted → EagerTx | RndvReqTx`, plus the
-//!   sender-side `RndvGo received → DmaStart` turnaround;
+//!   sender-side `RndvGo received → DmaStart` turnaround of a streamed
+//!   rendezvous;
 //! * **wire** — every tx timestamp to the matching `WireRx` on the peer
 //!   (valid across ranks because both substrates share one clock epoch:
 //!   `ShmDevice::fabric` shares a single `Instant`, the simulator a
 //!   single virtual clock);
 //! * **proto (recv)** — `WireRx` to `Delivered` (eager) or to `RndvGoTx`
-//!   / `Delivered` (rendezvous legs);
+//!   / `Delivered` (rendezvous legs). A rendezvous whose receiver pulled
+//!   the payload out of the sender's lent buffer has its `DmaStart` on
+//!   the receiver, before the go-ahead: its one wire leg is the request,
+//!   the copy is receive-side time up to `Delivered`, and the go-ahead
+//!   travels off the ball's path;
 //! * **api** — `Delivered` to the *next* `SendPosted` on the same rank,
 //!   i.e. the application turnaround between receiving the ball and
 //!   throwing it back.
@@ -127,40 +132,52 @@ pub fn attribute_ping_pong(a: &TraceBuffer, b: &TraceBuffer) -> PhaseBreakdown {
             out.proto_recv_ns += del.t_ns.saturating_sub(rx.t_ns);
             del
         } else {
-            // Rendezvous: req → go → data, three wire legs.
+            // Rendezvous: req → go → data, three wire legs — or the request
+            // leg alone, when the receiver pulls the data itself.
             let Some(rx_req) = cur[receiver].next_where(|k| is_wire_rx(k, PacketKind::RndvReq))
             else {
                 break;
             };
             out.wire_ns += rx_req.t_ns.saturating_sub(tx.t_ns);
-            let Some(go_tx) = cur[receiver].next_where(|k| matches!(k, EventKind::RndvGoTx { .. }))
-            else {
-                break;
-            };
-            out.proto_recv_ns += go_tx.t_ns.saturating_sub(rx_req.t_ns);
-            let Some(rx_go) = cur[sender].next_where(|k| is_wire_rx(k, PacketKind::RndvGo)) else {
-                break;
-            };
-            out.wire_ns += rx_go.t_ns.saturating_sub(go_tx.t_ns);
-            let Some(dma) = cur[sender].next_where(|k| matches!(k, EventKind::DmaStart { .. }))
-            else {
-                break;
-            };
-            out.proto_send_ns += dma.t_ns.saturating_sub(rx_go.t_ns);
-            // One `RndvData` frame, or the first `RndvChunk` of a pipelined
-            // stream: the rest of the stream lands before `Delivered` and
-            // is charged to the receive side with it.
-            let Some(rx_data) = cur[receiver].next_where(|k| {
-                is_wire_rx(k, PacketKind::RndvData) || is_wire_rx(k, PacketKind::RndvChunk)
+            let Some(next) = cur[receiver].next_where(|k| {
+                matches!(k, EventKind::RndvGoTx { .. } | EventKind::DmaStart { .. })
             }) else {
                 break;
             };
-            out.wire_ns += rx_data.t_ns.saturating_sub(dma.t_ns);
+            // Where receive-side time resumes: at the request for a pull
+            // (the data phase ran here, ahead of the go-ahead), at the
+            // first data frame for a stream.
+            let recv_from = if matches!(next.kind, EventKind::DmaStart { .. }) {
+                rx_req
+            } else {
+                let go_tx = next;
+                out.proto_recv_ns += go_tx.t_ns.saturating_sub(rx_req.t_ns);
+                let Some(rx_go) = cur[sender].next_where(|k| is_wire_rx(k, PacketKind::RndvGo))
+                else {
+                    break;
+                };
+                out.wire_ns += rx_go.t_ns.saturating_sub(go_tx.t_ns);
+                let Some(dma) = cur[sender].next_where(|k| matches!(k, EventKind::DmaStart { .. }))
+                else {
+                    break;
+                };
+                out.proto_send_ns += dma.t_ns.saturating_sub(rx_go.t_ns);
+                // One `RndvData` frame, or the first `RndvChunk` of a
+                // pipelined stream: the rest of the stream lands before
+                // `Delivered` and is charged to the receive side with it.
+                let Some(rx_data) = cur[receiver].next_where(|k| {
+                    is_wire_rx(k, PacketKind::RndvData) || is_wire_rx(k, PacketKind::RndvChunk)
+                }) else {
+                    break;
+                };
+                out.wire_ns += rx_data.t_ns.saturating_sub(dma.t_ns);
+                rx_data
+            };
             let Some(del) = cur[receiver].next_where(|k| matches!(k, EventKind::Delivered { .. }))
             else {
                 break;
             };
-            out.proto_recv_ns += del.t_ns.saturating_sub(rx_data.t_ns);
+            out.proto_recv_ns += del.t_ns.saturating_sub(recv_from.t_ns);
             del
         };
 
@@ -375,6 +392,53 @@ mod tests {
             assert_eq!(bd.api_ns, 0);
             assert_eq!(bd.total_ns(), 1_150);
         }
+    }
+
+    /// A pulled rendezvous: the DMA bracket sits on the receiver ahead of
+    /// the go-ahead, and the half-trip ends at `Delivered` there.
+    #[test]
+    fn pulled_rendezvous_charges_the_copy_to_the_receiver() {
+        let t0 = Tracer::enabled(0, 64);
+        let t1 = Tracer::enabled(1, 64);
+        let n = 65_536u32;
+        let (posted, rx_req) = (
+            SendPosted {
+                peer: 1,
+                bytes: n,
+                tag: 0,
+            },
+            WireRx {
+                peer: 0,
+                kind: PacketKind::RndvReq,
+            },
+        );
+        t0.emit_at(0, posted);
+        t0.emit_at(10, RndvReqTx { peer: 1, bytes: n });
+        t1.emit_at(60, rx_req);
+        t1.emit_at(70, DmaStart { peer: 0, bytes: n });
+        t1.emit_at(1_070, DmaEnd { peer: 0, bytes: n });
+        t1.emit_at(1_075, Delivered { peer: 0, bytes: n });
+        t1.emit_at(1_080, RndvGoTx { peer: 0 });
+        t0.emit_at(
+            1_130,
+            WireRx {
+                peer: 1,
+                kind: PacketKind::RndvGo,
+            },
+        );
+        // The ball comes back the same way, 5 ns of turnaround later.
+        t1.emit_at(1_085, posted);
+        t1.emit_at(1_095, RndvReqTx { peer: 0, bytes: n });
+        t0.emit_at(1_145, rx_req);
+        t0.emit_at(1_155, DmaStart { peer: 1, bytes: n });
+        t0.emit_at(2_160, Delivered { peer: 1, bytes: n });
+        let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+        assert_eq!(bd.half_trips, 2);
+        assert_eq!(bd.proto_send_ns, 10 + 10);
+        assert_eq!(bd.wire_ns, 50 + 50);
+        assert_eq!(bd.proto_recv_ns, 1_015 + 1_015);
+        assert_eq!(bd.api_ns, 10);
+        assert_eq!(bd.total_ns(), 2_160);
     }
 
     #[test]

@@ -215,3 +215,78 @@ fn merged_transport_stats_see_both_layers_under_heavy_loss() {
         assert_within_postrun(rank, &results[rank].1, &rel_stats[rank], &fault_stats[rank]);
     }
 }
+
+/// Every rendezvous send is either pulled out of the sender's lent buffer
+/// or streamed as chunks: over a job, `rndv_sent` is `rndv_pulled` plus the
+/// streamed ones. Plain shm pulls what can be lent (contiguous
+/// plain-old-data, standard or synchronous mode) and streams the rest;
+/// under a wrapper device everything streams.
+#[test]
+fn rendezvous_sends_are_pulled_or_streamed() {
+    use lmpi::{DataType, Loc};
+
+    const BIG: usize = 20_000;
+    // Rendezvous sends of the workout below: lendable, and not.
+    const LENDABLE: u64 = 3;
+    const STAGED: u64 = 3;
+    let workout = |mpi: Mpi| {
+        let world = mpi.world();
+        let column = DataType::base(8).vector(BIG / 8, 1, 2).commit().unwrap();
+        let bytes = vec![7u8; BIG];
+        let words = vec![7u64; BIG / 8];
+        let locs = vec![
+            Loc {
+                value: 0.5f64,
+                index: 3
+            };
+            BIG / 16
+        ];
+        let strided = vec![7u8; column.extent()];
+        if world.rank() == 0 {
+            mpi.buffer_attach(BIG);
+            world.send(&bytes, 1, 0).unwrap();
+            world.ssend(&words, 1, 1).unwrap();
+            world.isend(&bytes, 1, 2).unwrap().wait().unwrap();
+            world.send(&locs, 1, 3).unwrap();
+            world.send_typed(&column, &strided, 1, 4).unwrap();
+            world.bsend(&bytes, 1, 5).unwrap();
+            world.send(&bytes[..64], 1, 6).unwrap();
+            mpi.buffer_detach().unwrap();
+        } else {
+            let (mut b, mut w, mut l) = (bytes.clone(), words.clone(), locs.clone());
+            world.recv(&mut b, 0, 0).unwrap();
+            world.recv(&mut w, 0, 1).unwrap();
+            world.recv(&mut b, 0, 2).unwrap();
+            world.recv(&mut l, 0, 3).unwrap();
+            world.recv(&mut b[..column.packed_size()], 0, 4).unwrap();
+            world.recv(&mut b, 0, 5).unwrap();
+            world.recv(&mut b[..64], 0, 6).unwrap();
+        }
+        world.barrier().unwrap();
+        mpi.counters()
+    };
+    let totals = |out: Vec<Counters>| {
+        let sum = |f: fn(&Counters) -> u64| out.iter().map(f).sum::<u64>();
+        (
+            sum(|c| c.rndv_sent),
+            sum(|c| c.rndv_pulled),
+            sum(|c| c.rndv_chunks_sent),
+        )
+    };
+
+    let cfg = MpiConfig::device_defaults();
+    let (sent, pulled, chunks) = totals(run_devices(ShmDevice::fabric(2), cfg, workout));
+    assert_eq!((sent, pulled), (LENDABLE + STAGED, LENDABLE), "plain shm");
+    assert_eq!(
+        chunks, STAGED,
+        "one chunk per staged send at shm's chunk size"
+    );
+
+    let wrapped = ShmDevice::fabric(2)
+        .into_iter()
+        .map(|dev| FaultyDevice::new(dev, FaultConfig::lossless(0)))
+        .collect();
+    let (sent, pulled, chunks) = totals(run_devices(wrapped, cfg, workout));
+    assert_eq!((sent, pulled), (LENDABLE + STAGED, 0), "under a wrapper");
+    assert_eq!(chunks, LENDABLE + STAGED);
+}

@@ -7,11 +7,17 @@
 //! A seeded property then pins the semantic contract of chunking: a
 //! many-chunk stream delivers exactly the bytes a one-chunk stream does,
 //! for arbitrary sizes and payloads.
+//!
+//! Plain shm no longer streams a contiguous payload — the send lends its
+//! buffer and the receiver pulls it (`tests/lend.rs`) — so the shm stream
+//! cases run over a lossless `FaultyDevice` on the shm fabric: a wrapper
+//! does not lend, and the chunk stream under it is the one every other
+//! substrate uses.
 
 use lmpi::{
-    run_cluster, run_devices, run_meiko, run_real_tcp, run_real_udp, run_threads_with_config,
-    ClusterNet, ClusterTransport, FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi,
-    MpiConfig, RelConfig, ReliableDevice, UdpDevice,
+    run_cluster, run_devices, run_meiko, run_real_tcp, run_real_udp, ClusterNet, ClusterTransport,
+    FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, RelConfig, ReliableDevice,
+    ShmDevice, UdpDevice,
 };
 use lmpi_sim::for_each_case;
 
@@ -74,9 +80,18 @@ fn boundary_workout(mpi: Mpi) -> usize {
     verified
 }
 
+/// A 2-rank shm fabric that streams its rendezvous data: each device under
+/// a fault injector with every rate at zero.
+fn streaming_shm() -> Vec<FaultyDevice<ShmDevice>> {
+    ShmDevice::fabric(2)
+        .into_iter()
+        .map(|dev| FaultyDevice::new(dev, FaultConfig::lossless(0)))
+        .collect()
+}
+
 #[test]
 fn boundary_sizes_on_shm() {
-    let out = run_threads_with_config(2, cfg(), boundary_workout);
+    let out = run_devices(streaming_shm(), cfg(), boundary_workout);
     assert_eq!(out, vec![SIZES.len(); 2]);
 }
 
@@ -148,14 +163,14 @@ fn boundary_sizes_on_lossy_udp_selective_repeat() {
     assert_eq!(out, vec![SIZES.len(); 2]);
 }
 
-/// One chunked transfer of `size` bytes over shm; returns the received
-/// bytes and the sender's chunk counter.
+/// One chunked transfer of `size` bytes over streaming shm; returns the
+/// received bytes and the sender's chunk counter.
 fn chunked_roundtrip(size: usize, chunk: usize, payload_seed: u8) -> (Vec<u8>, u64) {
     let config = MpiConfig::device_defaults()
         .with_eager_threshold(EAGER)
         .with_rndv_chunk(chunk)
         .with_rndv_window(WINDOW);
-    let mut out = run_threads_with_config(2, config, move |mpi| {
+    let mut out = run_devices(streaming_shm(), config, move |mpi: Mpi| {
         let world = mpi.world();
         if world.rank() == 0 {
             let data: Vec<u8> = (0..size)

@@ -131,7 +131,8 @@ fn grid_workout(mpi: Mpi) -> GridImages {
         }
     }
     // The chunked layouts must actually have exercised the pipelined
-    // rendezvous path on both the typed and the packed sends.
+    // rendezvous path: the typed sends stream on every substrate, the
+    // packed ones too except over plain shm, which lends them.
     if world.rank() == 0 {
         assert!(
             mpi.counters().rndv_chunks_sent > 0,
@@ -160,7 +161,15 @@ fn check_grid(results: Vec<GridImages>) {
 
 #[test]
 fn typed_matches_packed_on_shm() {
+    // Plain shm: each typed send streams, its packed reference is pulled
+    // out of the sender's buffer in one piece.
     check_grid(run_threads_with_config(2, cfg(), grid_workout));
+    // Under a wrapper device nothing is lent: both stream.
+    let streaming = ShmDevice::fabric(2)
+        .into_iter()
+        .map(|dev| FaultyDevice::new(dev, FaultConfig::lossless(0)))
+        .collect();
+    check_grid(run_devices(streaming, cfg(), grid_workout));
 }
 
 #[test]
