@@ -268,11 +268,11 @@ pub(crate) struct CollState {
     pub(crate) pins: CollPins,
     pub(crate) table: &'static CollTable,
     tally: Vec<(&'static str, &'static str, u64)>,
-    /// Pin-vs-table disagreements: `(collective, pinned algorithm,
-    /// table's choice, count)`. Fed to the live health evaluator, where
-    /// a growing tally surfaces as a `coll_mistuned` diagnostic — a
+    /// Dispatches where a configured pin overrode a different
+    /// decision-table choice. Read by the live health evaluator, where a
+    /// growing count surfaces as a `coll_mistuned` diagnostic — a
     /// mis-pinned `coll_tuning.json` cell made visible at runtime.
-    mispins: Vec<(&'static str, &'static str, &'static str, u64)>,
+    pub(crate) mispins: u64,
 }
 
 impl Default for CollState {
@@ -281,7 +281,7 @@ impl Default for CollState {
             pins: CollPins::default(),
             table: table::runtime_table(),
             tally: Vec::new(),
-            mispins: Vec::new(),
+            mispins: 0,
         }
     }
 }
@@ -296,28 +296,6 @@ impl CollState {
             }
         }
         self.tally.push((collective, algorithm, 1));
-    }
-
-    /// Count one dispatch where the configured pin (`pinned`) overrode a
-    /// different decision-table choice (`table`).
-    pub(crate) fn record_mispin(
-        &mut self,
-        collective: &'static str,
-        pinned: &'static str,
-        table: &'static str,
-    ) {
-        for e in &mut self.mispins {
-            if e.0 == collective && e.1 == pinned && e.2 == table {
-                e.3 += 1;
-                return;
-            }
-        }
-        self.mispins.push((collective, pinned, table, 1));
-    }
-
-    /// The pin-vs-table disagreement tally, in first-seen order.
-    pub(crate) fn mispin_entries(&self) -> Vec<(&'static str, &'static str, &'static str, u64)> {
-        self.mispins.clone()
     }
 
     /// The dispatch tally as snapshot entries, in first-seen order.
@@ -355,7 +333,7 @@ impl Communicator {
         };
         if let Some(a) = eng.coll.pins.bcast {
             if a != unpinned {
-                eng.coll.record_mispin("bcast", a.name(), unpinned.name());
+                eng.coll.mispins += 1;
             }
             return a;
         }
@@ -374,8 +352,7 @@ impl Communicator {
             .unwrap_or(AllreduceAlgo::ReduceBcast);
         if let Some(a) = eng.coll.pins.allreduce {
             if a != unpinned {
-                eng.coll
-                    .record_mispin("allreduce", a.name(), unpinned.name());
+                eng.coll.mispins += 1;
             }
             return a;
         }
@@ -394,7 +371,7 @@ impl Communicator {
             .unwrap_or(BarrierAlgo::Dissemination);
         if let Some(a) = eng.coll.pins.barrier {
             if a != unpinned {
-                eng.coll.record_mispin("barrier", a.name(), unpinned.name());
+                eng.coll.mispins += 1;
             }
             return a;
         }
@@ -414,8 +391,7 @@ impl Communicator {
             .unwrap_or(AllgatherAlgo::Ring);
         if let Some(a) = eng.coll.pins.allgather {
             if a != unpinned {
-                eng.coll
-                    .record_mispin("allgather", a.name(), unpinned.name());
+                eng.coll.mispins += 1;
             }
             return a;
         }

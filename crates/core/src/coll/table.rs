@@ -8,12 +8,13 @@
 //! ever not, the table is empty and every dispatch takes its family's
 //! default — a bad table must never turn into a bad run.
 //!
-//! The on-disk format is deliberately restricted JSON (one object holding
-//! an `"entries"` array of flat objects with string/integer fields) so it
-//! stays parseable by the dependency-free reader below and by the
-//! `json_entry_number` scanner the bench gate already uses.
+//! The on-disk format is one JSON object holding an `"entries"` array of
+//! flat objects with string/integer fields, read through the workspace's
+//! one JSON reader (`lmpi_obs::parse_json`).
 
 use std::sync::OnceLock;
+
+use lmpi_obs::Json;
 
 /// One decision-table row. A row *covers* a query when the substrate
 /// matches (`"any"` is a wildcard), the collective matches, and the
@@ -86,192 +87,40 @@ impl CollTable {
             .map(|e| e.algorithm.as_str())
     }
 
-    /// Parse the restricted-JSON table format. Errors name the offending
-    /// construct; an empty `entries` array parses to an empty table.
+    /// Parse the table format: one JSON object holding an `"entries"`
+    /// array of row objects (other members are ignored). Errors name the
+    /// offending construct; an empty `entries` array parses to an empty
+    /// table.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut entries: Option<Vec<TableEntry>> = None;
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            if key == "entries" {
-                entries = Some(p.entry_array()?);
-            } else {
-                p.skip_scalar()?;
-            }
-            p.skip_ws();
-            if !p.eat(b',') {
-                p.skip_ws();
-                p.expect(b'}')?;
-                break;
-            }
-        }
-        entries
-            .map(CollTable::new)
-            .ok_or_else(|| "missing \"entries\" array".to_string())
-    }
-}
-
-/// A minimal recursive-descent reader for the table format (the workspace
-/// has no external crates, so no JSON parser to lean on).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    /// A JSON string with no escape sequences (the table format never
-    /// needs them; a backslash is rejected).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(format!("escape sequence at byte {}", self.pos)),
-                Some(_) => self.pos += 1,
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 string".to_string())?
-            .to_string();
-        self.pos += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected unsigned integer at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer at byte {start}: {e}"))
-    }
-
-    /// Skip a scalar value we don't interpret (string, number, bool).
-    fn skip_scalar(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') | Some(b'f') => {
-                while self.peek().is_some_and(|b| b.is_ascii_alphabetic()) {
-                    self.pos += 1;
-                }
-                Ok(())
-            }
-            Some(b) if b.is_ascii_digit() => self.number().map(|_| ()),
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn entry_array(&mut self) -> Result<Vec<TableEntry>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.entry()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            return Ok(out);
-        }
-    }
-
-    fn entry(&mut self) -> Result<TableEntry, String> {
-        self.expect(b'{')?;
-        let mut substrate = None;
-        let mut collective = None;
-        let mut max_ranks = None;
-        let mut max_bytes = None;
-        let mut algorithm = None;
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "substrate" => substrate = Some(self.string()?),
-                "collective" => collective = Some(self.string()?),
-                "algorithm" => algorithm = Some(self.string()?),
-                "max_ranks" => max_ranks = Some(self.number()? as usize),
-                "max_bytes" => max_bytes = Some(self.number()?),
-                other => return Err(format!("unknown entry field {other:?}")),
-            }
-            self.skip_ws();
-            if !self.eat(b',') {
-                self.expect(b'}')?;
-                break;
-            }
-        }
-        Ok(TableEntry {
-            substrate: substrate.ok_or("entry missing \"substrate\"")?,
-            collective: collective.ok_or("entry missing \"collective\"")?,
-            max_ranks: max_ranks.ok_or("entry missing \"max_ranks\"")?,
-            max_bytes: max_bytes.ok_or("entry missing \"max_bytes\"")?,
-            algorithm: algorithm.ok_or("entry missing \"algorithm\"")?,
-        })
+        let doc = lmpi_obs::parse_json(text)?;
+        let rows = doc
+            .get("entries")
+            .and_then(Json::as_array)
+            .ok_or("missing \"entries\" array")?;
+        let entries = rows
+            .iter()
+            .map(|row| {
+                let text = |k: &str| {
+                    row.get(k)
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("entry missing string {k:?}"))
+                };
+                let number = |k: &str| {
+                    row.get(k)
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("entry missing unsigned integer {k:?}"))
+                };
+                Ok(TableEntry {
+                    substrate: text("substrate")?,
+                    collective: text("collective")?,
+                    max_ranks: number("max_ranks")? as usize,
+                    max_bytes: number("max_bytes")?,
+                    algorithm: text("algorithm")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(CollTable::new(entries))
     }
 }
 

@@ -39,9 +39,6 @@ pub struct MpiConfig {
     /// clock reads per blocking operation. Set `Some(false)` to reduce
     /// every health hook to a single branch.
     pub health: Option<bool>,
-    /// Period of the continuous diagnostics evaluation in microseconds
-    /// of device time. `None` defaults to 100 ms.
-    pub health_eval_period_us: Option<u64>,
 }
 
 impl MpiConfig {
@@ -117,13 +114,6 @@ impl MpiConfig {
         self.health = Some(enabled);
         self
     }
-
-    /// Set the continuous-diagnostics evaluation period (microseconds of
-    /// device time; default 100 ms).
-    pub fn with_health_eval_period_us(mut self, us: u64) -> Self {
-        self.health_eval_period_us = Some(us);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -143,8 +133,7 @@ mod tests {
             .with_allreduce_algo(AllreduceAlgo::Ring)
             .with_barrier_algo(BarrierAlgo::Tree)
             .with_allgather_algo(AllgatherAlgo::GatherBcast)
-            .with_health(true)
-            .with_health_eval_period_us(50_000);
+            .with_health(true);
         assert_eq!(c.eager_threshold, Some(180));
         assert_eq!(c.env_slots, Some(1));
         assert_eq!(c.recv_buf_per_sender, Some(4096));
@@ -156,7 +145,6 @@ mod tests {
         assert_eq!(c.coll.barrier, Some(BarrierAlgo::Tree));
         assert_eq!(c.coll.allgather, Some(AllgatherAlgo::GatherBcast));
         assert_eq!(c.health, Some(true));
-        assert_eq!(c.health_eval_period_us, Some(50_000));
         assert_eq!(MpiConfig::default().coll, CollPins::default());
         assert_eq!(MpiConfig::default().health, None);
         assert_eq!(MpiConfig::default().eager_threshold, None);

@@ -63,13 +63,14 @@ pub struct DeviceDefaults {
     pub rndv_window: u32,
 }
 
-lmpi_obs::json_struct! {
+lmpi_obs::counter_struct! {
     /// Cumulative reliability and fault-injection statistics surfaced by a
     /// device stack. Layered devices (`ReliableDevice` over `FaultyDevice`
     /// over a base transport) merge their own tallies with their inner
-    /// device's, so [`crate::Mpi::transport_stats`] sees the whole stack.
-    /// All fields are cumulative frame counts; serializes to JSON via
-    /// [`lmpi_obs::to_json`] for the metrics snapshot exporter.
+    /// device's (`merged`), so [`crate::Mpi::transport_stats`] sees the
+    /// whole stack. All fields are cumulative frame counts; each is
+    /// exported as `lmpi_transport_<field>_total` by the metrics snapshot,
+    /// with the first sentence of its doc as the family's HELP.
     #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
     pub struct TransportStats {
         /// Data frames accepted for (first) transmission by a reliability layer.
@@ -102,27 +103,6 @@ lmpi_obs::json_struct! {
         pub peers_suspected: u64,
         /// Peers declared dead (terminal; each peer counts at most once).
         pub peers_dead: u64,
-    }
-}
-
-impl TransportStats {
-    /// Sum of this layer's tallies and `inner`'s, field by field.
-    pub fn merged(self, inner: TransportStats) -> TransportStats {
-        TransportStats {
-            data_frames_sent: self.data_frames_sent + inner.data_frames_sent,
-            retransmits: self.retransmits + inner.retransmits,
-            dup_suppressed: self.dup_suppressed + inner.dup_suppressed,
-            ooo_dropped: self.ooo_dropped + inner.ooo_dropped,
-            pure_acks_sent: self.pure_acks_sent + inner.pure_acks_sent,
-            reassembly_evicted: self.reassembly_evicted + inner.reassembly_evicted,
-            faults_dropped: self.faults_dropped + inner.faults_dropped,
-            faults_duplicated: self.faults_duplicated + inner.faults_duplicated,
-            faults_reordered: self.faults_reordered + inner.faults_reordered,
-            faults_delayed: self.faults_delayed + inner.faults_delayed,
-            heartbeats_sent: self.heartbeats_sent + inner.heartbeats_sent,
-            peers_suspected: self.peers_suspected + inner.peers_suspected,
-            peers_dead: self.peers_dead + inner.peers_dead,
-        }
     }
 }
 

@@ -37,11 +37,13 @@ mod failure;
 mod recv;
 mod send;
 
-lmpi_obs::json_struct! {
+lmpi_obs::counter_struct! {
     /// Protocol event counters, used by the Table-1 experiment, the metrics
-    /// snapshot exporter, and tests. Serializes to JSON via
-    /// [`lmpi_obs::to_json`] (all fields are plain `u64`s; time-valued
-    /// fields state their unit in the name and doc).
+    /// snapshot exporter, and tests. All fields are plain `u64`s;
+    /// time-valued fields state their unit in the name and doc. The
+    /// metrics snapshot exports each as `lmpi_<field>_total`, or as a gauge
+    /// `lmpi_<field>` for a `*_hwm` high-water mark, with the first
+    /// sentence of its doc as the family's HELP.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct Counters {
         /// Eager (optimistic) messages transmitted.
@@ -61,7 +63,7 @@ lmpi_obs::json_struct! {
         pub bytes_sent: u64,
         /// Payload bytes received.
         pub bytes_received: u64,
-        /// Frames handled.
+        /// Frames handled by the protocol engine.
         pub wires_handled: u64,
         /// Ready-mode sends that found no posted receive (erroneous programs).
         pub rsend_errors: u64,

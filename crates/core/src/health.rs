@@ -12,12 +12,12 @@
 //!   and sliding [`WindowedHist`] rings for send/recv completion and
 //!   per-(collective, algorithm) dispatch latency — p50/p99/p999 over
 //!   the last ~10 s, queryable while traffic is in flight.
-//! * **Continuous diagnostics** — the [`lmpi_obs::diagnose`] rules run
-//!   periodically against *rolling counter deltas* (not cumulative
-//!   totals), so a retransmit storm or credit stall that starts mid-run
-//!   surfaces within one evaluation period; three live-only rules
-//!   (progress starvation, window-SLO breach, collective mis-tuning)
-//!   ride the same evaluator.
+//! * **Continuous diagnostics** — every 100 ms of device time the
+//!   [`lmpi_obs::diagnose`] rules judge the [`RankStats`] reading since
+//!   the previous one (rolling deltas, not cumulative totals), so a
+//!   retransmit storm or credit stall that starts mid-run surfaces within
+//!   one evaluation period. This module only takes the readings and
+//!   keeps the findings; the rules live in `lmpi_obs::diag`.
 //! * **[`MetricsServer`]** — a `std::net::TcpListener` HTTP responder
 //!   (no new dependencies) serving the Prometheus rendering at
 //!   `/metrics` and the [`HealthReport`] JSON at `/health`.
@@ -36,30 +36,21 @@ use std::time::Duration;
 
 use lmpi_sim::lock::Mutex;
 
-use lmpi_obs::diag::{DiagConfig, DiagKind, Diagnostic, RankStats};
 use lmpi_obs::{
-    diagnose, AtomicHist, FlightRecord, PercentileSummary, ThreadHealth, ThreadHealthSnapshot,
-    TimeBucket, WindowedHist,
+    diagnose, AtomicHist, Diagnostic, FlightRecord, PercentileSummary, RankStats, ThreadHealth,
+    ThreadHealthSnapshot, TimeBucket, WindowedHist,
 };
 
-use crate::device::TransportStats;
-use crate::engine::Counters;
 use crate::error::{MpiError, MpiResult};
 use crate::metrics::push_metric_labeled;
 use crate::mpi::Inner;
 
-/// Default diagnostics evaluation period (100 ms of device time).
-pub(crate) const DEFAULT_EVAL_PERIOD_NS: u64 = 100_000_000;
+/// Diagnostics evaluation period (100 ms of device time).
+const EVAL_PERIOD_NS: u64 = 100_000_000;
 
 /// Sliding-window geometry: 10 one-second shards ≈ "the last 10 s".
 const WINDOW_SHARDS: usize = 10;
 const WINDOW_SHARD_NS: u64 = 1_000_000_000;
-
-/// Progress-starvation rule: p99 wakeup-to-drain latency above this
-/// (with at least [`STARVATION_MIN_SAMPLES`] wakeups observed) means the
-/// progress thread is not getting scheduled promptly.
-const STARVATION_P99_NS: u64 = 50_000_000;
-const STARVATION_MIN_SAMPLES: u64 = 8;
 
 /// Sliding windows for operation-completion latency. One mutex guards
 /// all of them; it is taken only on operation *completion* (not per
@@ -73,22 +64,11 @@ struct Windows {
     coll: Vec<(&'static str, &'static str, WindowedHist)>,
 }
 
-/// Counter values at the previous evaluation, for rolling deltas.
-#[derive(Default, Clone, Copy)]
-struct PrevTotals {
-    credit_stall_ns: u64,
-    matches: u64,
-    unexpected_hits: u64,
-    data_frames_sent: u64,
-    retransmits: u64,
-    peers_dead: u64,
-    mispins: u64,
-}
-
 /// Diagnostics evaluator state.
+#[derive(Default)]
 struct DiagState {
-    last_eval_ns: u64,
-    prev: PrevTotals,
+    /// The reading the previous evaluation took.
+    prev: RankStats,
     active: Vec<Diagnostic>,
     evals: u64,
 }
@@ -98,8 +78,6 @@ pub(crate) struct HealthState {
     /// When false, every hot-path hook is a single branch and no clock
     /// is ever read on behalf of health.
     pub(crate) enabled: bool,
-    eval_period_ns: u64,
-    diag_cfg: DiagConfig,
     /// Progress-thread duty-cycle buckets (zeroed on ranks without a
     /// progress thread; mostly `Park` while callers block and drain for
     /// themselves).
@@ -115,11 +93,9 @@ pub(crate) struct HealthState {
 }
 
 impl HealthState {
-    pub(crate) fn new(enabled: bool, eval_period_ns: u64) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         HealthState {
             enabled,
-            eval_period_ns: eval_period_ns.max(1),
-            diag_cfg: DiagConfig::default(),
             progress: ThreadHealth::new(),
             mutex_wait: AtomicHist::new(),
             next_eval_ns: AtomicU64::new(0),
@@ -128,12 +104,7 @@ impl HealthState {
                 recv: WindowedHist::new(WINDOW_SHARDS, WINDOW_SHARD_NS),
                 coll: Vec::new(),
             }),
-            diag: Mutex::new(DiagState {
-                last_eval_ns: 0,
-                prev: PrevTotals::default(),
-                active: Vec::new(),
-                evals: 0,
-            }),
+            diag: Mutex::new(DiagState::default()),
         }
     }
 
@@ -189,98 +160,20 @@ impl HealthState {
         self.enabled && now_ns >= self.next_eval_ns.load(Ordering::Relaxed)
     }
 
-    /// Run one diagnostics evaluation over the deltas since the last one.
-    fn evaluate(
-        &self,
-        now_ns: u64,
-        rank: u32,
-        counters: &Counters,
-        transport: &TransportStats,
-        mispins: &[(&'static str, &'static str, &'static str, u64)],
-    ) {
+    /// Run one diagnostics evaluation over what accumulated since the
+    /// previous reading. `now` is a lifetime reading; its `span_ns` is the
+    /// device clock it was taken at.
+    fn evaluate(&self, now: RankStats) {
         let mut diag = self.diag.lock();
-        if now_ns < self.next_eval_ns.load(Ordering::Relaxed) {
+        if now.span_ns < self.next_eval_ns.load(Ordering::Relaxed) {
             return; // another thread evaluated while we waited
         }
         self.next_eval_ns.store(
-            now_ns.saturating_add(self.eval_period_ns),
+            now.span_ns.saturating_add(EVAL_PERIOD_NS),
             Ordering::Relaxed,
         );
-        let prev = diag.prev;
-        let span_ns = now_ns.saturating_sub(diag.last_eval_ns).max(1);
-        // Rolling deltas for the cumulative counters; the two high-water
-        // marks are gauges and pass through as-is.
-        let stats = RankStats {
-            rank,
-            span_ns,
-            credit_stall_ns: counters
-                .credit_stall_ns
-                .saturating_sub(prev.credit_stall_ns),
-            matches: counters.matches.saturating_sub(prev.matches),
-            unexpected_hits: counters
-                .unexpected_hits
-                .saturating_sub(prev.unexpected_hits),
-            unexpected_hwm: counters.unexpected_hwm,
-            match_bins_hwm: counters.match_bins_hwm,
-            data_frames_sent: transport
-                .data_frames_sent
-                .saturating_sub(prev.data_frames_sent),
-            retransmits: transport.retransmits.saturating_sub(prev.retransmits),
-            peers_dead: transport.peers_dead.saturating_sub(prev.peers_dead),
-        };
-        let mut found = diagnose(&FlightRecord::default(), &[], &[stats], &self.diag_cfg);
-
-        // Live-only rule: progress-thread starvation. Uses the cumulative
-        // wakeup-to-drain distribution — a starved thread keeps pushing
-        // its p99 up, so the signal persists while the cause does.
-        let wd = self.progress.snapshot("progress").wakeup_to_drain;
-        if wd.count >= STARVATION_MIN_SAMPLES && wd.p99_ns >= STARVATION_P99_NS {
-            found.push(Diagnostic {
-                kind: DiagKind::ProgressStarvation,
-                rank,
-                summary: format!(
-                    "progress thread wakeup-to-drain p99 {} ns over {} wakeups \
-                     (threshold {} ns): the thread is not being scheduled promptly",
-                    wd.p99_ns, wd.count, STARVATION_P99_NS
-                ),
-                evidence: Vec::new(),
-            });
-        }
-
-        // Live-only rule: collective mis-tuning. A pinned algorithm that
-        // keeps disagreeing with the decision table's choice is the
-        // mis-pinned `coll_tuning.json` cell made visible.
-        let total_mispins: u64 = mispins.iter().map(|&(_, _, _, n)| n).sum();
-        if total_mispins > prev.mispins {
-            let detail: Vec<String> = mispins
-                .iter()
-                .filter(|&&(_, _, _, n)| n > 0)
-                .map(|&(coll, pinned, table, n)| {
-                    format!("{coll}: pinned {pinned} vs table {table} ({n}x)")
-                })
-                .collect();
-            found.push(Diagnostic {
-                kind: DiagKind::CollMistuned,
-                rank,
-                summary: format!(
-                    "pinned collective algorithm disagrees with the decision table: {}",
-                    detail.join("; ")
-                ),
-                evidence: Vec::new(),
-            });
-        }
-
-        diag.prev = PrevTotals {
-            credit_stall_ns: counters.credit_stall_ns,
-            matches: counters.matches,
-            unexpected_hits: counters.unexpected_hits,
-            data_frames_sent: transport.data_frames_sent,
-            retransmits: transport.retransmits,
-            peers_dead: transport.peers_dead,
-            mispins: total_mispins,
-        };
-        diag.last_eval_ns = now_ns;
-        diag.active = found;
+        diag.active = diagnose(&FlightRecord::default(), &[], &[now.since(&diag.prev)]);
+        diag.prev = now;
         diag.evals += 1;
     }
 }
@@ -288,24 +181,24 @@ impl HealthState {
 /// Run the periodic diagnostics evaluation if its period has elapsed.
 /// Called from the progress loop's idle edge and from [`crate::Mpi::health`]
 /// (so caller-driven ranks evaluate too). Briefly takes the engine lock to
-/// fold counters, then evaluates outside it.
+/// snapshot the counters, then evaluates outside it.
 pub(crate) fn eval_if_due(inner: &Inner, now_ns: u64) {
     let h = &inner.health;
     if !h.eval_due(now_ns) {
         return;
     }
-    let (counters, mispins) = {
+    let (snapshot, coll_mispins) = {
         let eng = inner.eng.lock();
-        (eng.folded_counters(), eng.coll.mispin_entries())
+        (eng.metrics_snapshot(&*inner.device), eng.coll.mispins)
     };
-    let transport = inner.device.transport_stats();
-    h.evaluate(
-        now_ns,
-        inner.device.rank() as u32,
-        &counters,
-        &transport,
-        &mispins,
-    );
+    let wake_to_drain = h.progress.snapshot("progress").wakeup_to_drain;
+    h.evaluate(RankStats {
+        span_ns: now_ns,
+        wake_to_drain_p99_ns: wake_to_drain.p99_ns,
+        wake_to_drain_samples: wake_to_drain.count,
+        coll_mispins,
+        ..snapshot.rank_stats()
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -785,64 +678,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn evaluate_diagnoses_retransmit_storm_from_deltas() {
-        let h = HealthState::new(true, 1_000);
-        let c = Counters::default();
-        // First eval: 100 data frames, no retransmits — clean baseline.
-        let mut t = TransportStats {
-            data_frames_sent: 100,
-            ..Default::default()
-        };
-        h.evaluate(10_000, 0, &c, &t, &[]);
-        assert!(h.diag.lock().active.is_empty());
-        // Second eval: only 10 more frames but 8 retransmits — a storm
-        // in the delta even though the cumulative ratio is small.
-        t.data_frames_sent = 110;
-        t.retransmits = 8;
-        h.evaluate(20_000, 0, &c, &t, &[]);
-        let d = h.diag.lock();
-        assert!(
-            d.active
-                .iter()
-                .any(|di| di.kind == DiagKind::RetransmitStorm),
-            "{:?}",
-            d.active.iter().map(|di| di.kind).collect::<Vec<_>>()
-        );
-        assert_eq!(d.evals, 2);
-    }
-
-    #[test]
-    fn evaluate_reports_coll_mistuning_once_per_new_mispins() {
-        let h = HealthState::new(true, 1_000);
-        let c = Counters::default();
-        let t = TransportStats::default();
-        h.evaluate(
-            10_000,
-            0,
-            &c,
-            &t,
-            &[("bcast", "binomial", "scatter_allgather", 3)],
-        );
-        assert!(h
-            .diag
-            .lock()
-            .active
-            .iter()
-            .any(|d| d.kind == DiagKind::CollMistuned));
-        // No new mispins: the finding clears.
-        h.evaluate(
-            20_000,
-            0,
-            &c,
-            &t,
-            &[("bcast", "binomial", "scatter_allgather", 3)],
-        );
-        assert!(h.diag.lock().active.is_empty());
-    }
-
-    #[test]
     fn disabled_health_records_nothing() {
-        let h = HealthState::new(false, 1_000);
+        let h = HealthState::new(false);
         h.record_send(0, 100);
         h.record_recv(0, 100);
         h.record_coll("bcast", "binomial", 0, 100);
@@ -852,7 +689,7 @@ mod tests {
 
     #[test]
     fn render_prometheus_emits_validating_health_families() {
-        let h = HealthState::new(true, 1_000);
+        let h = HealthState::new(true);
         h.progress.credit(TimeBucket::Drain, 0, 500);
         h.progress.credit(TimeBucket::Park, 500, 1_000);
         h.progress.add_wakeup();
@@ -860,13 +697,11 @@ mod tests {
         h.record_mutex_wait(700);
         h.record_send(100, 42);
         h.record_coll("barrier", "dissemination", 100, 99);
-        h.evaluate(
-            10_000,
-            3,
-            &Counters::default(),
-            &TransportStats::default(),
-            &[],
-        );
+        h.evaluate(RankStats {
+            rank: 3,
+            span_ns: 10_000,
+            ..RankStats::default()
+        });
         // Build a report without an Inner: assemble by hand from state. One
         // guard for all three reads: the mutex is not re-entrant.
         let w = h.windows.lock();

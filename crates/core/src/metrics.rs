@@ -8,7 +8,7 @@
 //! The Prometheus rendering labels every sample with the rank so a
 //! multi-rank job scrapes into one flat series set.
 
-use lmpi_obs::PercentileSummary;
+use lmpi_obs::{PercentileSummary, RankStats};
 
 use crate::device::TransportStats;
 use crate::engine::Counters;
@@ -94,6 +94,27 @@ impl MetricsSnapshot {
         self
     }
 
+    /// This snapshot as a lifetime reading for the diagnostic rules
+    /// (`span_ns` is `t_ns`; the progress-thread and collective fields
+    /// the snapshot does not carry are zero). Two snapshots of one rank
+    /// give the run between them: `end.rank_stats().since(&start.rank_stats())`.
+    pub fn rank_stats(&self) -> RankStats {
+        let (c, t) = (&self.counters, &self.transport);
+        RankStats {
+            rank: self.rank,
+            span_ns: self.t_ns,
+            credit_stall_ns: c.credit_stall_ns,
+            matches: c.matches,
+            unexpected_hits: c.unexpected_hits,
+            unexpected_hwm: c.unexpected_hwm,
+            match_bins_hwm: c.match_bins_hwm,
+            data_frames_sent: t.data_frames_sent,
+            retransmits: t.retransmits,
+            peers_dead: t.peers_dead,
+            ..RankStats::default()
+        }
+    }
+
     /// Render as compact JSON.
     pub fn to_json(&self) -> String {
         lmpi_obs::ToJson::to_json(self)
@@ -105,214 +126,30 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
         let r = self.rank;
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            push_metric(out, name, help, "counter", r, None, v as f64);
-        };
+        // One family per tally field, named from the field and described
+        // by the first sentence of its doc comment.
+        for (prefix, fields) in [
+            ("lmpi_", self.counters.fields()),
+            ("lmpi_transport_", self.transport.fields()),
+        ] {
+            for (field, doc, v) in fields {
+                let (name, kind) = if field.ends_with("_hwm") {
+                    (format!("{prefix}{field}"), "gauge")
+                } else {
+                    (format!("{prefix}{field}_total"), "counter")
+                };
+                push_metric(&mut out, &name, &help(doc), kind, r, None, v as f64);
+            }
+        }
         let c = &self.counters;
-        counter(
-            &mut out,
-            "lmpi_eager_sent_total",
-            "Eager (optimistic) messages transmitted.",
-            c.eager_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_rndv_sent_total",
-            "Rendezvous envelopes transmitted.",
-            c.rndv_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_rndv_chunks_sent_total",
-            "Rendezvous data frames transmitted.",
-            c.rndv_chunks_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_rndv_pulled_total",
-            "Rendezvous payloads pulled out of the sender's lent buffer.",
-            c.rndv_pulled,
-        );
-        counter(
-            &mut out,
-            "lmpi_sends_queued_total",
-            "Sends that queued behind flow control.",
-            c.sends_queued,
-        );
-        counter(
-            &mut out,
-            "lmpi_acks_sent_total",
-            "Synchronous-mode acknowledgments transmitted.",
-            c.acks_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_credits_sent_total",
-            "Explicit credit packets transmitted.",
-            c.credits_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_bytes_sent_total",
-            "Payload bytes transmitted.",
-            c.bytes_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_bytes_received_total",
-            "Payload bytes received.",
-            c.bytes_received,
-        );
-        counter(
-            &mut out,
-            "lmpi_wires_handled_total",
-            "Frames handled by the protocol engine.",
-            c.wires_handled,
-        );
-        counter(
-            &mut out,
-            "lmpi_rsend_errors_total",
-            "Ready-mode sends with no posted receive.",
-            c.rsend_errors,
-        );
-        counter(
-            &mut out,
-            "lmpi_matches_total",
-            "Envelopes matched (posted or unexpected).",
-            c.matches,
-        );
-        counter(
-            &mut out,
-            "lmpi_unexpected_hits_total",
-            "Matches satisfied from the unexpected queue.",
-            c.unexpected_hits,
-        );
-        counter(
-            &mut out,
-            "lmpi_credit_stall_ns_total",
-            "Cumulative nanoseconds sends spent stalled on credit (device clock).",
-            c.credit_stall_ns,
-        );
-        counter(
-            &mut out,
-            "lmpi_progress_wakeups_total",
-            "Background progress thread wakeups that advanced protocol state.",
-            c.progress_wakeups,
-        );
-        counter(
-            &mut out,
-            "lmpi_progress_frames_total",
-            "Frames handled by the background progress thread.",
-            c.progress_frames,
-        );
-        counter(
+        push_metric(
             &mut out,
             "lmpi_caller_frames_total",
             "Frames handled inline by a caller blocked inside the library.",
-            c.wires_handled.saturating_sub(c.progress_frames),
-        );
-        counter(
-            &mut out,
-            "lmpi_pool_grows_total",
-            "Fresh allocations by the payload staging pool (steady-state sends reclaim instead).",
-            c.pool_grows,
-        );
-        push_metric(
-            &mut out,
-            "lmpi_unexpected_hwm",
-            "High-water mark of unexpected-queue depth (messages).",
-            "gauge",
+            "counter",
             r,
             None,
-            c.unexpected_hwm as f64,
-        );
-        push_metric(
-            &mut out,
-            "lmpi_match_bins_hwm",
-            "High-water mark of occupied matching bins (bins).",
-            "gauge",
-            r,
-            None,
-            c.match_bins_hwm as f64,
-        );
-        let t = &self.transport;
-        counter(
-            &mut out,
-            "lmpi_transport_data_frames_sent_total",
-            "Data frames accepted for first transmission by the reliability layer.",
-            t.data_frames_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_retransmits_total",
-            "Frames resent by go-back-N retransmission.",
-            t.retransmits,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_dup_suppressed_total",
-            "Duplicate frames suppressed at the receiver.",
-            t.dup_suppressed,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_ooo_dropped_total",
-            "Out-of-order frames dropped (go-back-N).",
-            t.ooo_dropped,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_pure_acks_sent_total",
-            "Standalone acknowledgment frames sent.",
-            t.pure_acks_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_reassembly_evicted_total",
-            "Partial UDP frame reassemblies evicted to bound memory.",
-            t.reassembly_evicted,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_faults_dropped_total",
-            "Frames dropped by fault injection.",
-            t.faults_dropped,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_faults_duplicated_total",
-            "Frames duplicated by fault injection.",
-            t.faults_duplicated,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_faults_reordered_total",
-            "Frames reordered by fault injection.",
-            t.faults_reordered,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_faults_delayed_total",
-            "Frames delayed by fault injection.",
-            t.faults_delayed,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_heartbeats_sent_total",
-            "Liveness keepalive frames sent on idle peer links.",
-            t.heartbeats_sent,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_peers_suspected_total",
-            "Peers moved from Alive to Suspect by the liveness machine.",
-            t.peers_suspected,
-        );
-        counter(
-            &mut out,
-            "lmpi_transport_peers_dead_total",
-            "Peers declared dead (terminal) by the liveness machine.",
-            t.peers_dead,
+            c.wires_handled.saturating_sub(c.progress_frames) as f64,
         );
         for h in &self.hists {
             let hist = Some(h.name.as_str());
@@ -369,6 +206,16 @@ impl MetricsSnapshot {
             );
         }
         out
+    }
+}
+
+/// A family's HELP text: the first sentence of a field's doc comment, on
+/// one line.
+fn help(doc: &str) -> String {
+    let line = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+    match line.find(". ") {
+        Some(end) => line[..=end].to_string(),
+        None => line,
     }
 }
 

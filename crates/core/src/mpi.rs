@@ -580,13 +580,7 @@ impl Mpi {
         eng.coll.pins = config.coll;
         let background = device.supports_background_progress();
         let rank = device.rank();
-        let health = crate::health::HealthState::new(
-            config.health.unwrap_or(true),
-            config
-                .health_eval_period_us
-                .map(|us| us.saturating_mul(1_000))
-                .unwrap_or(crate::health::DEFAULT_EVAL_PERIOD_NS),
-        );
+        let health = crate::health::HealthState::new(config.health.unwrap_or(true));
         let inner = Arc::new(Inner {
             device,
             eng: Mutex::new(eng),

@@ -11,32 +11,30 @@
 //! 4 bytes: 8 bits of slots, 24 bits of freed bytes — the 24-bit range
 //! comfortably covers the receive reserve.)
 //!
-//! The paper's UDP variant additionally needs sequencing: next to the
-//! credit word we carry 16 bytes of reliability state (an 8-byte sequence
-//! number and an 8-byte cumulative ack), used by the ack/retransmit
-//! sublayer that upgrades a lossy datagram device to "reliable UDP".
-//! Version 1 carried these as 4-byte fields, which silently truncated the
-//! sublayer's u64 counters after 2^32 frames on a long-lived connection
-//! and corrupted go-back-N state — version 2 encodes them in full.
+//! Two extensions ride between the credit word and the envelope — the
+//! reliability state the paper's UDP variant needs ("reliable UDP"), and
+//! the flight recorder's message identity — and the cost model
+//! ([`wire_bytes`]) charges neither, so simulated latencies match the
+//! published figures. The encoded frame:
 //!
-//! Frame layout **version 3** adds 4 bytes after the seq/ack words: the
-//! flight-recorder message sequence ([`Wire::msg_seq`], 0 = untagged),
-//! which lets the cross-rank trace correlator stitch both ends of a frame
-//! to one message. The cost model ([`wire_bytes`]) still charges the
-//! paper's 25 bytes so simulated latencies match the published figures.
+//! | offset | bytes | field |
+//! |-------:|------:|-------|
+//! | 0  | 1  | frame type |
+//! | 1  | 4  | credit return: 8 bits of envelope slots, 24 of bytes |
+//! | 5  | 24 | `seq`, cumulative `ack`, selective-repeat `ack_bits` (bit `k` = sequence `ack + 2 + k` received out of order); full `u64`s, zero without a reliability layer |
+//! | 29 | 4  | flight-recorder message sequence ([`Wire::msg_seq`], 0 = untagged) |
+//! | 33 | 20 | envelope / request info |
+//! | 53 | 4  | payload length |
+//! | 57 | n  | payload |
 //!
-//! Frame layout **version 4** widens the reliability state by 8 bytes: a
-//! selective-repeat ack bitmap ([`Wire::ack_bits`], bit `k` = sequence
-//! `ack + 2 + k` received out of order; all-zero under go-back-N) rides
-//! beside the cumulative ack, and two new frame types carry the pipelined
-//! rendezvous chunk stream (`RndvChunk` with its 32-bit offset/total words
-//! in the request-info area, and the window-opening `RndvChunkAck`).
-//!
-//! Frame layout **version 5** adds no bytes, only two frame types for the
-//! rank-failure subsystem: the liveness keepalive `Heartbeat` (header
-//! only — its piggybacked acks and credits are the entire payload) and the
-//! ULFM `Revoke` flood, which carries the revoked communicator's context
-//! id in the request-info area.
+//! The tests below pin it: `header_is_exactly_25_bytes_plus_framing` (the
+//! encoded size against the modelled 25 bytes),
+//! `seq_ack_survive_the_u32_boundary` (the reliability words at full
+//! width: 4-byte fields once wrapped after 2^32 frames in a release
+//! build), and one round trip per frame type, among them
+//! `rndv_chunk_fields_roundtrip_exactly`, `revoke_context_roundtrips_exactly`
+//! and `heartbeat_carries_piggybacked_acks` for what the request-info
+//! area and a header-only frame carry.
 
 use lmpi_core::Bytes;
 use lmpi_core::{Envelope, Packet, Rank, Wire};
@@ -45,13 +43,11 @@ use lmpi_core::{Envelope, Packet, Rank, Wire};
 pub const HEADER_BYTES: usize = 25;
 
 /// Extra encoded bytes for the reliability sublayer: 8-byte sequence
-/// number + 8-byte cumulative ack + 8-byte selective-repeat ack bitmap
-/// (layout v4; v2 lacked the bitmap, v1 used 4-byte seq/ack fields that
-/// wrapped after 2^32 frames).
+/// number + 8-byte cumulative ack + 8-byte selective-repeat ack bitmap.
 pub const SEQ_ACK_BYTES: usize = 24;
 
 /// Extra encoded bytes for the flight recorder: the 4-byte message
-/// sequence (layout v3).
+/// sequence.
 pub const MSG_SEQ_BYTES: usize = 4;
 
 /// Offset of the flight-recorder message sequence: after the type byte,
@@ -545,10 +541,10 @@ mod tests {
 
     #[test]
     fn seq_ack_survive_the_u32_boundary() {
-        // Regression (runs in release mode too): layout v1 encoded seq/ack
-        // as u32s guarded only by a debug_assert!, so a release build wrapped
-        // them after 2^32 frames and corrupted go-back-N state. Counters at
-        // and beyond the boundary must now round-trip exactly.
+        // Regression (runs in release mode too): seq/ack were once encoded
+        // as u32s guarded only by a debug_assert!, so a release build
+        // wrapped them after 2^32 frames and corrupted the reliability
+        // state. Counters at and beyond the boundary must round-trip exactly.
         for extra in [0u64, 1, 5, 1 << 20] {
             let seq = u32::MAX as u64 + extra;
             let ack = u32::MAX as u64 + extra / 2;

@@ -312,7 +312,8 @@ fn is_pure_ack(wire: &Wire) -> bool {
 }
 
 impl<D: Device> ReliableDevice<D> {
-    /// Wrap `inner` with go-back-N reliability.
+    /// Wrap `inner` with the ack/retransmit sublayer (`cfg.mode` picks selective
+    /// repeat or go-back-N).
     pub fn new(inner: D, cfg: RelConfig) -> Self {
         let nprocs = inner.nprocs();
         let t0 = inner.wtime();

@@ -88,7 +88,7 @@ pub struct MessageTimeline {
     pub wire_tx: Vec<WireRecord>,
     /// Engine-level arrivals of frames carrying this message.
     pub wire_rx: Vec<WireRecord>,
-    /// Go-back-N retransmissions of frames carrying this message.
+    /// Reliability-layer retransmissions of frames carrying this message.
     pub retransmits: u32,
     /// Duplicate deliveries suppressed.
     pub dups_suppressed: u32,
@@ -215,7 +215,7 @@ pub struct TxAccounting {
     /// Transmissions of undelivered messages explained by an injected
     /// fault (e.g. a dropped frame with no reliability layer).
     pub dropped_with_fault: usize,
-    /// Transmissions of undelivered messages explained by go-back-N
+    /// Transmissions of undelivered messages explained by reliability-layer
     /// recovery activity (retransmit or duplicate suppression) still in
     /// flight when the trace ended.
     pub retransmitted: usize,
@@ -263,7 +263,7 @@ impl FlightRecord {
 
     /// Account for every message-carrying `WireTx` in the record: its
     /// message was delivered, or its loss is explained by an injected
-    /// fault, or go-back-N recovery was still working on it. Anything
+    /// fault, or reliability-layer recovery was still working on it. Anything
     /// else is an orphan (deduplicated per message).
     pub fn account_wire_tx(&self) -> TxAccounting {
         let mut acc = TxAccounting::default();

@@ -1,15 +1,16 @@
-//! Rule-based stall diagnostics over correlated flight records.
+//! Rule-based diagnostics: the one rule engine.
 //!
 //! The ROADMAP's production north star is a system that *explains its own
-//! slowness*. This pass runs five rules over a [`FlightRecord`] plus the
-//! per-rank engine counters and emits typed [`Diagnostic`]s, each with
-//! the trace events that justify it attached as evidence:
+//! slowness*. [`diagnose`] runs seven rules over per-rank [`RankStats`]
+//! readings, with a [`FlightRecord`] and the raw trace rings for context,
+//! and emits typed [`Diagnostic`]s, each with the trace events that
+//! justify it attached as evidence:
 //!
-//! * **credit starvation** — a rank spent more than a configured
-//!   fraction of the run stalled waiting for send credit;
+//! * **credit starvation** — a rank spent more than 5 % of the span
+//!   stalled waiting for send credit;
 //! * **retransmit storm** — the reliability layer (selective repeat by
-//!   default, or go-back-N) resent more than a configured fraction of
-//!   the data frames it sent;
+//!   default, or go-back-N) resent more than 5 % of the data frames it
+//!   sent;
 //! * **unexpected-queue growth** — the unexpected-message queue's high
 //!   water mark says receives are chronically posted late;
 //! * **matcher-bin skew** — one matching bin got much deeper than the
@@ -17,24 +18,54 @@
 //!   linear scan it replaced;
 //! * **dead peer** — the liveness machine declared a peer dead, so a
 //!   batch of `PeerFailed` completions traces back to a rank failure
-//!   rather than a protocol bug.
+//!   rather than a protocol bug;
+//! * **progress starvation** — the progress thread's wakeup-to-drain p99
+//!   says it is not being scheduled promptly;
+//! * **collective mis-tuning** — a pinned collective algorithm keeps
+//!   overriding the decision table's choice.
 //!
-//! Thresholds live in [`DiagConfig`]; the defaults are deliberately
-//! conservative (diagnostics are alarms, not telemetry).
+//! The same rules judge a whole run (the flight recorder, over lifetime
+//! totals) and a rolling window (the live health evaluator in
+//! `lmpi-core`, every 100 ms): [`RankStats::since`] turns two readings
+//! into the one input both use. The thresholds are constants, chosen
+//! conservatively (diagnostics are alarms, not telemetry).
 
 use crate::correlate::FlightRecord;
 use crate::event::{Event, EventKind};
 use crate::json::{array, Obj};
 use crate::tracer::TraceBuffer;
 
-/// Per-rank counter snapshot the rules need, decoupled from
+/// Credit starvation: stalled fraction of the span above this…
+const CREDIT_STALL_FRAC: f64 = 0.05;
+/// …and at least this much absolute stall time, ns.
+const MIN_CREDIT_STALL_NS: u64 = 10_000;
+/// Retransmit storm: retransmits / data frames above this…
+const RETRANSMIT_FRAC: f64 = 0.05;
+/// …and at least this many retransmits.
+const MIN_RETRANSMITS: u64 = 3;
+/// Unexpected growth: queue high water mark at or above this.
+const UNEXPECTED_HWM: u64 = 16;
+/// Bin skew: deepest bin at or above this…
+const BIN_SKEW_DEPTH: u64 = 16;
+/// …and at least this many matches performed (skew over a handful of
+/// messages is noise).
+const MIN_MATCHES: u64 = 32;
+/// Progress starvation: wakeup-to-drain p99 at or above this, ns…
+const STARVATION_P99_NS: u64 = 50_000_000;
+/// …over at least this many wakeups.
+const STARVATION_MIN_SAMPLES: u64 = 8;
+/// Evidence events attached per diagnostic.
+const MAX_EVIDENCE: usize = 16;
+
+/// One reading of the per-rank numbers the rules need, decoupled from
 /// `lmpi-core`'s `Counters` so the dependency arrow keeps pointing the
-/// right way (core depends on obs, never the reverse).
+/// right way (core depends on obs, never the reverse). Cumulative
+/// counters unless a field says it is a gauge; see [`RankStats::since`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct RankStats {
     /// Rank these numbers describe.
     pub rank: u32,
-    /// Wall/virtual span of the observed run, ns.
+    /// Wall/virtual time the reading covers, ns.
     pub span_ns: u64,
     /// Total time sends sat queued for lack of credit, ns.
     pub credit_stall_ns: u64,
@@ -42,9 +73,9 @@ pub struct RankStats {
     pub matches: u64,
     /// Matches served from the unexpected queue.
     pub unexpected_hits: u64,
-    /// Unexpected-queue high water mark (messages).
+    /// Unexpected-queue high water mark (messages; gauge).
     pub unexpected_hwm: u64,
-    /// Deepest posted-receive matching bin seen (messages).
+    /// Deepest posted-receive matching bin seen (messages; gauge).
     pub match_bins_hwm: u64,
     /// Data frames the reliability layer transmitted.
     pub data_frames_sent: u64,
@@ -52,6 +83,36 @@ pub struct RankStats {
     pub retransmits: u64,
     /// Peers this rank's liveness machine declared dead.
     pub peers_dead: u64,
+    /// p99 of the progress thread's wakeup-to-drain latency over its
+    /// lifetime, ns (gauge: a starved thread keeps pushing it up, so the
+    /// finding persists while the cause does).
+    pub wake_to_drain_p99_ns: u64,
+    /// Wakeups behind [`RankStats::wake_to_drain_p99_ns`] (gauge).
+    pub wake_to_drain_samples: u64,
+    /// Collective dispatches where a configured pin overrode a different
+    /// decision-table choice.
+    pub coll_mispins: u64,
+}
+
+impl RankStats {
+    /// What accumulated between `prev` and `self`, two readings of one
+    /// rank: counters become deltas, gauges keep `self`'s value. Since
+    /// `RankStats::default()` it is the lifetime total, so a rolling
+    /// window and a whole run are the same input to [`diagnose`].
+    pub fn since(&self, prev: &RankStats) -> RankStats {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
+        RankStats {
+            span_ns: d(self.span_ns, prev.span_ns),
+            credit_stall_ns: d(self.credit_stall_ns, prev.credit_stall_ns),
+            matches: d(self.matches, prev.matches),
+            unexpected_hits: d(self.unexpected_hits, prev.unexpected_hits),
+            data_frames_sent: d(self.data_frames_sent, prev.data_frames_sent),
+            retransmits: d(self.retransmits, prev.retransmits),
+            peers_dead: d(self.peers_dead, prev.peers_dead),
+            coll_mispins: d(self.coll_mispins, prev.coll_mispins),
+            ..*self
+        }
+    }
 }
 
 /// Which pathology a [`Diagnostic`] reports.
@@ -68,12 +129,10 @@ pub enum DiagKind {
     /// The liveness machine declared one or more peers dead.
     DeadPeer,
     /// The background progress thread is starved: frames wait too long
-    /// between arrival and drain (emitted by the live health evaluator
-    /// in `lmpi-core`, not by [`diagnose`]).
+    /// between arrival and drain.
     ProgressStarvation,
     /// A pinned collective algorithm keeps overriding the tuned table's
-    /// choice — the pin (or the table) is mis-tuned (emitted by the
-    /// live health evaluator in `lmpi-core`).
+    /// choice — the pin (or the table) is mis-tuned.
     CollMistuned,
 }
 
@@ -101,185 +160,167 @@ pub struct Diagnostic {
     pub rank: u32,
     /// Human-readable account with the numbers that tripped the rule.
     pub summary: String,
-    /// Up to [`DiagConfig::max_evidence`] trace events backing the
-    /// finding (e.g. the `CreditStall`/`CreditResume` pairs).
+    /// Up to 16 of the rank's trace events backing the finding (e.g. the
+    /// `CreditStall`/`CreditResume` pairs); empty without trace rings.
     pub evidence: Vec<Event>,
 }
 
-/// Rule thresholds. `Default` gives the conservative production set.
-#[derive(Copy, Clone, Debug)]
-pub struct DiagConfig {
-    /// Credit starvation: stalled fraction of the span above this…
-    pub credit_stall_frac: f64,
-    /// …and at least this much absolute stall time, ns.
-    pub min_credit_stall_ns: u64,
-    /// Retransmit storm: retransmits / data frames above this…
-    pub retransmit_frac: f64,
-    /// …and at least this many retransmits.
-    pub min_retransmits: u64,
-    /// Unexpected growth: queue high water mark at or above this.
-    pub unexpected_hwm: u64,
-    /// Bin skew: deepest bin at or above this…
-    pub bin_skew_depth: u64,
-    /// …and at least this many matches performed (skew over a handful
-    /// of messages is noise).
-    pub min_matches: u64,
-    /// Evidence events attached per diagnostic.
-    pub max_evidence: usize,
-}
-
-impl Default for DiagConfig {
-    fn default() -> Self {
-        DiagConfig {
-            credit_stall_frac: 0.05,
-            min_credit_stall_ns: 10_000,
-            retransmit_frac: 0.05,
-            min_retransmits: 3,
-            unexpected_hwm: 16,
-            bin_skew_depth: 16,
-            min_matches: 32,
-            max_evidence: 16,
-        }
-    }
-}
-
-/// Collect up to `cap` events from `rank`'s buffer matching `pred`.
-fn gather_evidence(
-    bufs: &[TraceBuffer],
-    rank: u32,
-    cap: usize,
-    pred: impl Fn(&EventKind) -> bool,
-) -> Vec<Event> {
-    bufs.iter()
-        .filter(|b| b.rank == rank)
-        .flat_map(|b| b.events.iter())
-        .filter(|e| pred(&e.kind))
-        .take(cap)
-        .copied()
-        .collect()
-}
-
-/// Run the diagnostic rules. `record` supplies per-message context (the
-/// stalled flights named in summaries), `bufs` the raw evidence events,
-/// `stats` the per-rank counter snapshots.
+/// Run the diagnostic rules over one reading per rank. `record` supplies
+/// per-message context (the stalled flights named in summaries), `bufs`
+/// the raw evidence events; both may be empty.
 pub fn diagnose(
     record: &FlightRecord,
     bufs: &[TraceBuffer],
     stats: &[RankStats],
-    cfg: &DiagConfig,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     for s in stats {
-        // Rule 1: credit starvation.
-        if s.span_ns > 0 && s.credit_stall_ns >= cfg.min_credit_stall_ns {
-            let frac = s.credit_stall_ns as f64 / s.span_ns as f64;
-            if frac > cfg.credit_stall_frac {
-                let stalled_msgs = record
-                    .timelines
+        let mut found = |kind, summary, evidence: fn(&EventKind) -> bool| {
+            out.push(Diagnostic {
+                kind,
+                rank: s.rank,
+                summary,
+                evidence: bufs
                     .iter()
-                    .filter(|t| t.msg.src == s.rank && t.credit_stalled)
-                    .count();
-                out.push(Diagnostic {
-                    kind: DiagKind::CreditStarvation,
-                    rank: s.rank,
-                    summary: format!(
-                        "rank {} spent {} ns ({:.1}% of the {} ns span) stalled for send \
-                         credit across {} messages; raise env_slots or post receives sooner",
-                        s.rank,
-                        s.credit_stall_ns,
-                        frac * 100.0,
-                        s.span_ns,
-                        stalled_msgs,
-                    ),
-                    evidence: gather_evidence(bufs, s.rank, cfg.max_evidence, |k| {
-                        matches!(
-                            k,
-                            EventKind::CreditStall { .. } | EventKind::CreditResume { .. }
-                        )
-                    }),
-                });
-            }
+                    .filter(|b| b.rank == s.rank)
+                    .flat_map(|b| b.events.iter())
+                    .filter(|e| evidence(&e.kind))
+                    .take(MAX_EVIDENCE)
+                    .copied()
+                    .collect(),
+            })
+        };
+
+        // Rule 1: credit starvation.
+        let stall_frac = s.credit_stall_ns as f64 / s.span_ns.max(1) as f64;
+        if s.span_ns > 0
+            && s.credit_stall_ns >= MIN_CREDIT_STALL_NS
+            && stall_frac > CREDIT_STALL_FRAC
+        {
+            let stalled_msgs = record
+                .timelines
+                .iter()
+                .filter(|t| t.msg.src == s.rank && t.credit_stalled)
+                .count();
+            found(
+                DiagKind::CreditStarvation,
+                format!(
+                    "rank {} spent {} ns ({:.1}% of the {} ns span) stalled for send \
+                     credit across {} messages; raise env_slots or post receives sooner",
+                    s.rank,
+                    s.credit_stall_ns,
+                    stall_frac * 100.0,
+                    s.span_ns,
+                    stalled_msgs,
+                ),
+                |k| {
+                    matches!(
+                        k,
+                        EventKind::CreditStall { .. } | EventKind::CreditResume { .. }
+                    )
+                },
+            );
         }
 
         // Rule 2: retransmit storm.
-        if s.retransmits >= cfg.min_retransmits && s.data_frames_sent > 0 {
-            let frac = s.retransmits as f64 / s.data_frames_sent as f64;
-            if frac > cfg.retransmit_frac {
-                out.push(Diagnostic {
-                    kind: DiagKind::RetransmitStorm,
-                    rank: s.rank,
-                    summary: format!(
-                        "rank {} retransmitted {} of {} data frames ({:.1}%); the link is \
-                         lossy or the RTO is below the path RTT",
-                        s.rank,
-                        s.retransmits,
-                        s.data_frames_sent,
-                        frac * 100.0,
-                    ),
-                    evidence: gather_evidence(bufs, s.rank, cfg.max_evidence, |k| {
-                        matches!(
-                            k,
-                            EventKind::Retransmit { .. } | EventKind::FaultInjected { .. }
-                        )
-                    }),
-                });
-            }
+        let retx_frac = s.retransmits as f64 / s.data_frames_sent.max(1) as f64;
+        if s.retransmits >= MIN_RETRANSMITS && s.data_frames_sent > 0 && retx_frac > RETRANSMIT_FRAC
+        {
+            found(
+                DiagKind::RetransmitStorm,
+                format!(
+                    "rank {} retransmitted {} of {} data frames ({:.1}%); the link is \
+                     lossy or the RTO is below the path RTT",
+                    s.rank,
+                    s.retransmits,
+                    s.data_frames_sent,
+                    retx_frac * 100.0,
+                ),
+                |k| {
+                    matches!(
+                        k,
+                        EventKind::Retransmit { .. } | EventKind::FaultInjected { .. }
+                    )
+                },
+            );
         }
 
         // Rule 3: unexpected-queue growth.
-        if s.unexpected_hwm >= cfg.unexpected_hwm {
-            out.push(Diagnostic {
-                kind: DiagKind::UnexpectedQueueGrowth,
-                rank: s.rank,
-                summary: format!(
+        if s.unexpected_hwm >= UNEXPECTED_HWM {
+            found(
+                DiagKind::UnexpectedQueueGrowth,
+                format!(
                     "rank {} buffered up to {} unexpected messages ({} of {} matches were \
                      unexpected); receives are being posted after the data arrives",
                     s.rank, s.unexpected_hwm, s.unexpected_hits, s.matches,
                 ),
-                evidence: gather_evidence(bufs, s.rank, cfg.max_evidence, |k| {
-                    matches!(k, EventKind::UnexpectedBuffered { .. })
-                }),
-            });
+                |k| matches!(k, EventKind::UnexpectedBuffered { .. }),
+            );
         }
 
         // Rule 4: matcher-bin skew.
-        if s.match_bins_hwm >= cfg.bin_skew_depth && s.matches >= cfg.min_matches {
-            out.push(Diagnostic {
-                kind: DiagKind::MatcherBinSkew,
-                rank: s.rank,
-                summary: format!(
+        if s.match_bins_hwm >= BIN_SKEW_DEPTH && s.matches >= MIN_MATCHES {
+            found(
+                DiagKind::MatcherBinSkew,
+                format!(
                     "rank {}'s deepest matching bin held {} posted receives (over {} \
                      matches); many receives share one (context,src,tag) key and \
                      matching degrades toward a linear scan",
                     s.rank, s.match_bins_hwm, s.matches,
                 ),
-                evidence: gather_evidence(bufs, s.rank, cfg.max_evidence, |k| {
-                    matches!(k, EventKind::RecvPosted { .. })
-                }),
-            });
+                |k| matches!(k, EventKind::RecvPosted { .. }),
+            );
         }
 
         // Rule 5: dead peer. Unlike the other rules this is not a tuning
         // alarm — it reports a rank-level failure so a run summary shows
         // *why* a batch of requests resolved to `PeerFailed`.
         if s.peers_dead > 0 {
-            out.push(Diagnostic {
-                kind: DiagKind::DeadPeer,
-                rank: s.rank,
-                summary: format!(
+            found(
+                DiagKind::DeadPeer,
+                format!(
                     "rank {} declared {} peer(s) dead (heartbeat timeout or retransmit \
                      exhaustion); operations naming them failed fast — revoke and shrink \
                      the communicator to continue",
                     s.rank, s.peers_dead,
                 ),
-                evidence: gather_evidence(bufs, s.rank, cfg.max_evidence, |k| {
+                |k| {
                     matches!(
                         k,
                         EventKind::PeerSuspect { .. } | EventKind::PeerDead { .. }
                     )
-                }),
-            });
+                },
+            );
+        }
+
+        // Rule 6: progress starvation.
+        if s.wake_to_drain_samples >= STARVATION_MIN_SAMPLES
+            && s.wake_to_drain_p99_ns >= STARVATION_P99_NS
+        {
+            found(
+                DiagKind::ProgressStarvation,
+                format!(
+                    "rank {}'s progress thread wakeup-to-drain p99 is {} ns over {} wakeups \
+                     (threshold {} ns): the thread is not being scheduled promptly",
+                    s.rank, s.wake_to_drain_p99_ns, s.wake_to_drain_samples, STARVATION_P99_NS,
+                ),
+                |_| false,
+            );
+        }
+
+        // Rule 7: collective mis-tuning — the mis-pinned `coll_tuning.json`
+        // cell made visible.
+        if s.coll_mispins > 0 {
+            found(
+                DiagKind::CollMistuned,
+                format!(
+                    "rank {} ran {} collectives on a pinned algorithm the decision table \
+                     would not have chosen; the pin (or the table) is mis-tuned",
+                    s.rank, s.coll_mispins,
+                ),
+                |k| matches!(k, EventKind::CollBegin { .. }),
+            );
         }
     }
 
@@ -332,12 +373,7 @@ mod tests {
 
     #[test]
     fn quiet_run_produces_no_diagnostics() {
-        let d = diagnose(
-            &FlightRecord::default(),
-            &[],
-            &[stats(0), stats(1)],
-            &DiagConfig::default(),
-        );
+        let d = diagnose(&FlightRecord::default(), &[], &[stats(0), stats(1)]);
         assert!(d.is_empty());
     }
 
@@ -357,7 +393,7 @@ mod tests {
         let record = correlate(&bufs);
         let mut s = stats(0);
         s.credit_stall_ns = 200_000; // 20% of the span
-        let diags = diagnose(&record, &bufs, &[s], &DiagConfig::default());
+        let diags = diagnose(&record, &bufs, &[s]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, DiagKind::CreditStarvation);
         assert_eq!(diags[0].rank, 0);
@@ -371,13 +407,13 @@ mod tests {
         let mut s = stats(2);
         s.data_frames_sent = 100;
         s.retransmits = 20;
-        let diags = diagnose(&FlightRecord::default(), &[], &[s], &DiagConfig::default());
+        let diags = diagnose(&FlightRecord::default(), &[], &[s]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, DiagKind::RetransmitStorm);
         // Below the absolute floor: silent even at a high fraction.
         s.data_frames_sent = 10;
         s.retransmits = 2;
-        assert!(diagnose(&FlightRecord::default(), &[], &[s], &DiagConfig::default()).is_empty());
+        assert!(diagnose(&FlightRecord::default(), &[], &[s]).is_empty());
     }
 
     #[test]
@@ -389,7 +425,7 @@ mod tests {
         let record = correlate(&bufs);
         let mut s = stats(0);
         s.peers_dead = 1;
-        let diags = diagnose(&record, &bufs, &[s], &DiagConfig::default());
+        let diags = diagnose(&record, &bufs, &[s]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, DiagKind::DeadPeer);
         assert_eq!(diags[0].evidence.len(), 2, "suspect + dead events attached");
@@ -404,10 +440,83 @@ mod tests {
         s.matches = 64;
         s.match_bins_hwm = 32;
         s.unexpected_hits = 40;
-        let diags = diagnose(&FlightRecord::default(), &[], &[s], &DiagConfig::default());
+        let diags = diagnose(&FlightRecord::default(), &[], &[s]);
         let kinds: Vec<DiagKind> = diags.iter().map(|d| d.kind).collect();
         assert!(kinds.contains(&DiagKind::UnexpectedQueueGrowth));
         assert!(kinds.contains(&DiagKind::MatcherBinSkew));
         validate(&diagnostics_json(&diags)).unwrap();
+    }
+
+    fn kinds(stats: RankStats) -> Vec<DiagKind> {
+        diagnose(&FlightRecord::default(), &[], &[stats])
+            .iter()
+            .map(|d| d.kind)
+            .collect()
+    }
+
+    /// The live evaluator's use: a storm in the window since the last
+    /// reading fires even when the lifetime ratio is small.
+    #[test]
+    fn retransmit_storm_judges_the_delta_since_the_last_reading() {
+        // First reading: 1 000 data frames, no retransmits — a clean baseline.
+        let prev = RankStats {
+            span_ns: 10_000,
+            data_frames_sent: 1_000,
+            ..stats(0)
+        };
+        // Second: only 10 more frames but 8 retransmits.
+        let now = RankStats {
+            span_ns: 20_000,
+            data_frames_sent: 1_010,
+            retransmits: 8,
+            ..stats(0)
+        };
+        assert!(kinds(prev.since(&RankStats::default())).is_empty());
+        assert_eq!(kinds(now.since(&prev)), [DiagKind::RetransmitStorm]);
+        assert!(kinds(now.since(&RankStats::default())).is_empty());
+    }
+
+    #[test]
+    fn coll_mistuned_fires_once_per_new_mispins() {
+        let first = RankStats {
+            coll_mispins: 3,
+            ..stats(0)
+        };
+        assert_eq!(
+            kinds(first.since(&RankStats::default())),
+            [DiagKind::CollMistuned]
+        );
+        // No new mispins: the finding clears.
+        assert!(kinds(first.since(&first)).is_empty());
+    }
+
+    #[test]
+    fn progress_starvation_fires_on_a_slow_wakeup_tail() {
+        let starved = RankStats {
+            wake_to_drain_p99_ns: 60_000_000,
+            wake_to_drain_samples: 8,
+            ..stats(1)
+        };
+        // A gauge: the rolling window sees the lifetime tail as it stands.
+        assert_eq!(
+            kinds(starved.since(&starved)),
+            [DiagKind::ProgressStarvation]
+        );
+        let d = diagnose(&FlightRecord::default(), &[], &[starved]);
+        assert!(d[0].summary.contains("60000000 ns over 8 wakeups"));
+        validate(&diagnostics_json(&d)).unwrap();
+        // Too few wakeups, or a tail under the threshold: silent.
+        for quiet in [
+            RankStats {
+                wake_to_drain_samples: 7,
+                ..starved
+            },
+            RankStats {
+                wake_to_drain_p99_ns: 49_999_999,
+                ..starved
+            },
+        ] {
+            assert!(kinds(quiet).is_empty());
+        }
     }
 }

@@ -339,21 +339,21 @@ pub enum EventKind {
         /// Payload bytes carried (0 for control packets).
         bytes: u32,
     },
-    /// The go-back-N layer retransmitted a frame.
+    /// The reliability layer retransmitted a frame.
     Retransmit {
         /// Destination rank.
         peer: u32,
         /// Sequence number resent.
         seq: u32,
     },
-    /// The go-back-N layer suppressed a duplicate arrival.
+    /// The reliability layer suppressed a duplicate arrival.
     DupSuppressed {
         /// Source rank.
         peer: u32,
         /// Duplicate sequence number.
         seq: u32,
     },
-    /// The go-back-N layer sent a pure (non-piggybacked) acknowledgement.
+    /// The reliability layer sent a pure (non-piggybacked) acknowledgement.
     PureAckTx {
         /// Destination rank.
         peer: u32,

@@ -1,4 +1,4 @@
-//! The workspace's one JSON emitter, and a validator for its output.
+//! The workspace's one JSON emitter and its one JSON reader.
 //!
 //! The exporters build flat objects with the [`Obj`] builder (keys are
 //! always compile-time identifiers and are not escaped; values are).
@@ -191,138 +191,289 @@ macro_rules! json_struct {
     };
 }
 
-/// A minimal recursive-descent JSON validity checker: `Ok(())` iff `s`
-/// is one complete JSON value. Used by tests and artifact generators to
-/// assert that exporter output parses (the workspace has no JSON parser
-/// dependency to lean on). Not a general parser — it validates without
-/// building a value tree.
-pub fn validate(s: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl<'a> P<'a> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
+/// Declare a struct of `u64` tallies from one field list: the struct and
+/// its [`ToJson`] impl (as [`json_struct!`](crate::json_struct)), plus
+/// `fields()` — each field's name, doc comment and value in declaration
+/// order, from which an exporter names one family per field — and
+/// `merged()`, the field-by-field sum of two tallies.
+///
+/// ```
+/// lmpi_obs::counter_struct! {
+///     #[derive(Default)]
+///     pub struct C {
+///         /// Frames sent.
+///         pub sent: u64,
+///     }
+/// }
+/// let c = C { sent: 2 }.merged(C { sent: 3 });
+/// assert_eq!(c.fields(), [("sent", " Frames sent.", 5)]);
+/// ```
+#[macro_export]
+macro_rules! counter_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[doc = $doc:literal])* $fvis:vis $field:ident: u64),* $(,)?
+    }) => {
+        $crate::json_struct! {
+            $(#[$meta])* $vis struct $name {
+                $($(#[doc = $doc])* $fvis $field: u64),*
             }
         }
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
+
+        impl $name {
+            /// `(name, doc comment, value)` of every field, in declaration
+            /// order.
+            pub fn fields(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((stringify!($field), concat!($($doc),*), self.$field)),*]
+            }
+
+            /// The field-by-field sum of `self` and `other`.
+            pub fn merged(self, other: Self) -> Self {
+                $name { $($field: self.$field + other.$field),* }
             }
         }
-        fn value(&mut self) -> Result<(), String> {
-            self.ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.arr(),
-                Some(b'"') => self.string(),
-                Some(b't') => self.lit("true"),
-                Some(b'f') => self.lit("false"),
-                Some(b'n') => self.lit("null"),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-            }
-        }
-        fn lit(&mut self, s: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(s.as_bytes()) {
-                self.i += s.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                self.i += 1;
-            }
-            if self.i == start {
-                Err(format!("empty number at byte {start}"))
-            } else {
-                Ok(())
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.eat(b'"')?;
-            while let Some(c) = self.peek() {
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(()),
-                    b'\\' => {
-                        self.i += 1; // skip escaped char (\uXXXX hex digits pass the loop)
-                    }
-                    _ => {}
-                }
-            }
-            Err("unterminated string".into())
-        }
-        fn arr(&mut self) -> Result<(), String> {
-            self.eat(b'[')?;
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value()?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("bad array at byte {}", self.i)),
-                }
-            }
-        }
-        fn object(&mut self) -> Result<(), String> {
-            self.eat(b'{')?;
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                self.string()?;
-                self.ws();
-                self.eat(b':')?;
-                self.value()?;
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("bad object at byte {}", self.i)),
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
     };
-    p.value()?;
+}
+
+/// A parsed JSON value. A number keeps its source text, so an integer
+/// reads back exactly ([`Json::as_u64`]) whatever its size.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, as written.
+    Number(String),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object's members, in document order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Member `key` of an object; `None` for a missing key or a value
+    /// that is not an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The contents of a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A number written as an unsigned integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Parse `s` as one complete JSON value (surrounding whitespace allowed).
+/// Errors name the byte offset of the first malformed construct.
+pub fn parse(s: &str) -> Result<Json, String> {
+    let mut p = Parser { s, i: 0 };
+    let value = p.value()?;
     p.ws();
     if p.i == s.len() {
-        Ok(())
+        Ok(value)
     } else {
         Err(format!("trailing garbage at byte {}", p.i))
+    }
+}
+
+/// `Ok(())` iff `s` is one complete JSON value: [`parse`], with the value
+/// discarded. Tests and artifact generators use it to assert that
+/// exporter output parses.
+pub fn validate(s: &str) -> Result<(), String> {
+    parse(s).map(|_| ())
+}
+
+/// Recursive-descent reader over `s`, at byte `i`.
+struct Parser<'a> {
+    s: &'a str,
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.i += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", c as char, self.i))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.peek() {
+            Some(b'{') => self
+                .items(b'{', b'}', |p| {
+                    let key = p.string()?;
+                    p.ws();
+                    p.eat(b':')?;
+                    Ok((key, p.value()?))
+                })
+                .map(Json::Object),
+            Some(b'[') => self.items(b'[', b']', Self::value).map(Json::Array),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.word("true", Json::Bool(true)),
+            Some(b'f') => self.word("false", Json::Bool(false)),
+            Some(b'n') => self.word("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(char::from),
+                self.i
+            )),
+        }
+    }
+
+    /// The comma-separated items between `open` and `close`.
+    fn items<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.eat(open)?;
+        let mut out = Vec::new();
+        self.ws();
+        if self.peek() == Some(close) {
+            self.i += 1;
+            return Ok(out);
+        }
+        loop {
+            self.ws();
+            out.push(item(self)?);
+            self.ws();
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                Some(c) if c == close => {
+                    self.i += 1;
+                    return Ok(out);
+                }
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        close as char, self.i
+                    ))
+                }
+            }
+        }
+    }
+
+    fn word(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.s[self.i..].starts_with(word) {
+            self.i += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.i))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || b"+-.eE".contains(&c)) {
+            self.i += 1;
+        }
+        let text = &self.s[start..self.i];
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Json::Number(text.to_string())),
+            Err(_) => Err(format!("bad number {text:?} at byte {start}")),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        // Start of the run of plain characters not yet copied to `out`
+        // (every cut is at an ASCII quote or backslash, a char boundary).
+        let mut run = self.i;
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    out.push_str(&self.s[run..self.i]);
+                    self.i += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.s[run..self.i]);
+                    let at = self.i;
+                    self.i += 2;
+                    out.push(match self.s.as_bytes().get(at + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(format!("bad escape at byte {at}")),
+                    });
+                    run = self.i;
+                }
+                Some(_) => self.i += 1,
+            }
+        }
+    }
+
+    /// The character of a `\u` escape whose hex digits start at `i`,
+    /// joining a UTF-16 surrogate pair written as two escapes.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.s[self.i..].starts_with("\\u") {
+            self.i += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(format!("unpaired surrogate before byte {}", self.i));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        char::from_u32(code).ok_or_else(|| format!("invalid code point {code:#x}"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .s
+            .get(self.i..self.i + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+        let code = digits.and_then(|h| u32::from_str_radix(h, 16).ok());
+        let at = self.i;
+        self.i += 4;
+        code.ok_or_else(|| format!("bad \\u escape at byte {at}"))
     }
 }
 
@@ -360,6 +511,32 @@ mod tests {
         assert!(validate(r#"{"a":1}"#).is_ok());
         assert!(validate("[]").is_ok());
         assert!(validate("-1.5e3").is_ok());
+    }
+
+    #[test]
+    fn parse_builds_the_value_tree_and_unescapes_strings() {
+        let v = parse(
+            r#" {"n": 18446744073709551615, "x": -1.5e3, "s": "a\"b\u00e9\ud83d\ude00",
+                          "a": [true, null, {}], "e": []} "#,
+        )
+        .unwrap();
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(u64::MAX));
+        assert_eq!(v.get("x"), Some(&Json::Number("-1.5e3".into())));
+        assert_eq!(v.get("x").and_then(Json::as_u64), None);
+        assert_eq!(
+            v.get("s").and_then(Json::as_str),
+            Some("a\"b\u{e9}\u{1f600}")
+        );
+        assert_eq!(
+            v.get("a").and_then(Json::as_array),
+            Some(&[Json::Bool(true), Json::Null, Json::Object(vec![])][..])
+        );
+        assert_eq!(v.get("e").and_then(Json::as_array), Some(&[][..]));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Json::Null.get("n"), None);
+        for bad in [r#""\q""#, r#""\u12""#, r#""\ud800\u0041""#, "1.2.3", "tru"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -16,18 +16,20 @@
 //! * [`LatencyHist`] — log-bucketed (HDR-style octave + sub-bucket)
 //!   latency histograms with percentile summaries;
 //! * exporters — [`chrome_trace_json`] renders multi-rank timelines
-//!   loadable in Perfetto / `chrome://tracing`, and [`report`] walks
-//!   paired event streams to attribute each ping-pong half-trip to
+//!   loadable in Perfetto / `chrome://tracing`, and [`report`] reads a
+//!   ping-pong's message timelines to attribute each half-trip to
 //!   API / protocol / wire phases, reproducing Table 1;
 //! * the **flight recorder** — every event can carry a [`MsgId`]
 //!   (source rank + per-sender sequence number) threaded through the
 //!   engine and wire headers, [`correlate`] stitches the per-rank rings
 //!   into per-message causal timelines with phase dwell times and
-//!   invariant checks, and [`diag`] runs rule-based stall diagnostics
-//!   (credit starvation, retransmit storms, unexpected-queue growth,
-//!   matcher-bin skew) over the correlated record;
+//!   invariant checks, and [`diag`] is the one rule engine (credit
+//!   starvation, retransmit storms, unexpected-queue growth, matcher-bin
+//!   skew, dead peers, progress starvation, collective mis-tuning) over
+//!   per-rank readings, a whole run's or a live window's;
 //! * [`ToJson`] / [`to_json`] — compact JSON for snapshot structs, whose
-//!   [`json_struct!`] declaration is also their exporter's field list.
+//!   [`json_struct!`] (or, for `u64` tallies, [`counter_struct!`])
+//!   declaration is also their exporters' field list.
 //!
 //! The crate depends only on `lmpi-sim` (for the workspace's lock type and
 //! seeded generator): it sits *below* `lmpi-core` in the crate graph so the engine
@@ -52,10 +54,12 @@ mod tracer;
 pub use chrome::chrome_trace_json;
 pub use clock::{secs_to_ns, Clock, ManualClock, MonotonicClock};
 pub use correlate::{correlate, flight_json, FlightRecord, MessageTimeline, Violation};
-pub use diag::{diagnose, diagnostics_json, DiagConfig, DiagKind, Diagnostic, RankStats};
+pub use diag::{diagnose, diagnostics_json, DiagKind, Diagnostic, RankStats};
 pub use event::{CollAlgo, CollOp, Event, EventKind, FaultKind, MsgId, PacketKind};
 pub use health::{AtomicHist, ThreadHealth, ThreadHealthSnapshot, TimeBucket};
 pub use hist::{LatencyHist, PercentileSummary, WindowedHist};
-pub use json::{object as json_object, to_json, validate as validate_json, ToJson};
+pub use json::{
+    object as json_object, parse as parse_json, to_json, validate as validate_json, Json, ToJson,
+};
 pub use report::{attribute_ping_pong, table1_json, PhaseBreakdown, Table1Row};
 pub use tracer::{current_tid, thread_names, TraceBuffer, Tracer};

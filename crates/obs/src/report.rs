@@ -2,9 +2,11 @@
 //!
 //! The paper decomposes a TCP round trip into API, protocol-engine, and
 //! wire components (Table 1). This module reproduces that decomposition
-//! from traces: given the event streams of the two ranks of a ping-pong,
-//! [`attribute_ping_pong`] walks message half-trips and charges each
-//! inter-event gap to exactly one phase:
+//! from the flight record: given the [`MessageTimeline`]s of a two-rank
+//! ping-pong (built by [`crate::correlate`], the one reader that maps
+//! events to a message's phases), [`attribute_ping_pong`] walks message
+//! half-trips and charges each gap between phase timestamps to exactly
+//! one phase:
 //!
 //! * **proto (send)** — `SendPosted → EagerTx | RndvReqTx`, plus the
 //!   sender-side `RndvGo received → DmaStart` turnaround of a streamed
@@ -28,9 +30,9 @@
 //! `Delivered` — which is why the breakdown is required to sum to within
 //! 5% of the independently measured round-trip time.
 
-use crate::event::{Event, EventKind, PacketKind};
+use crate::correlate::{FlightRecord, MessageTimeline};
+use crate::event::PacketKind;
 use crate::json::{array, Obj};
-use crate::tracer::TraceBuffer;
 
 /// Accumulated per-phase time over some number of half-trips.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -63,129 +65,85 @@ impl PhaseBreakdown {
     }
 }
 
-/// Forward-only scan over one rank's events.
-struct Cursor<'a> {
-    evs: &'a [Event],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(evs: &'a [Event]) -> Self {
-        Cursor { evs, i: 0 }
-    }
-
-    fn next_where(&mut self, pred: impl Fn(&EventKind) -> bool) -> Option<Event> {
-        while self.i < self.evs.len() {
-            let ev = self.evs[self.i];
-            self.i += 1;
-            if pred(&ev.kind) {
-                return Some(ev);
-            }
-        }
-        None
-    }
-}
-
-fn is_wire_rx(kind: &EventKind, want: PacketKind) -> bool {
-    matches!(kind, EventKind::WireRx { kind, .. } if *kind == want)
-}
-
-/// Attribute a two-rank ping-pong trace to phases.
+/// Attribute a two-rank ping-pong to phases from its flight record.
 ///
-/// `a` must be the rank that sends first. The walker alternates direction
-/// each half-trip and stops at the first half-trip whose events are
-/// incomplete (e.g. truncated by ring overwrite), so a partially captured
-/// trace yields a partial but still-consistent breakdown. Events that are
-/// not part of the point-to-point critical path (credits, acks, wire tx
-/// records) are skipped.
-pub fn attribute_ping_pong(a: &TraceBuffer, b: &TraceBuffer) -> PhaseBreakdown {
-    let mut cur = [Cursor::new(&a.events), Cursor::new(&b.events)];
-    let mut last_delivered: [Option<u64>; 2] = [None, None];
+/// `first` is the rank that sends first. Each rank's sends are taken in
+/// post order, alternating direction every half-trip, and the walk stops
+/// at the first message whose flight is incomplete (e.g. truncated by ring
+/// overwrite) after charging the phases it did observe, so a partially
+/// captured trace yields a partial but still-consistent breakdown.
+pub fn attribute_ping_pong(record: &FlightRecord, first: u32) -> PhaseBreakdown {
+    let sent = |rank: u32| -> Vec<&MessageTimeline> {
+        let mine = |t: &&MessageTimeline| t.msg.src == rank && t.posted_ns.is_some();
+        record.timelines.iter().filter(mine).collect()
+    };
     let mut out = PhaseBreakdown::default();
-    let mut sender = 0usize;
-
-    loop {
-        let receiver = 1 - sender;
-        let Some(posted) = cur[sender].next_where(|k| matches!(k, EventKind::SendPosted { .. }))
-        else {
+    let from_first = sent(first);
+    let Some(second) = from_first.first().and_then(|t| t.dst) else {
+        return out;
+    };
+    let sends = [from_first, sent(second)];
+    let mut last_delivered = [None, None];
+    // Half-trip k is the (k / 2)-th send of rank k % 2 (0 = `first`).
+    for k in 0.. {
+        let (sender, receiver) = (k % 2, 1 - k % 2);
+        let Some(t) = sends[sender].get(k / 2) else {
             break;
         };
-        if let Some(d) = last_delivered[sender] {
-            out.api_ns += posted.t_ns.saturating_sub(d);
+        if let (Some(d), Some(posted)) = (last_delivered[sender], t.posted_ns) {
+            out.api_ns += posted.saturating_sub(d);
         }
-        let Some(tx) = cur[sender]
-            .next_where(|k| matches!(k, EventKind::EagerTx { .. } | EventKind::RndvReqTx { .. }))
-        else {
+        let Some(delivered) = charge_half_trip(t, &mut out) else {
             break;
         };
-        out.proto_send_ns += tx.t_ns.saturating_sub(posted.t_ns);
-
-        let delivered = if matches!(tx.kind, EventKind::EagerTx { .. }) {
-            let Some(rx) = cur[receiver].next_where(|k| is_wire_rx(k, PacketKind::Eager)) else {
-                break;
-            };
-            out.wire_ns += rx.t_ns.saturating_sub(tx.t_ns);
-            let Some(del) = cur[receiver].next_where(|k| matches!(k, EventKind::Delivered { .. }))
-            else {
-                break;
-            };
-            out.proto_recv_ns += del.t_ns.saturating_sub(rx.t_ns);
-            del
-        } else {
-            // Rendezvous: req → go → data, three wire legs — or the request
-            // leg alone, when the receiver pulls the data itself.
-            let Some(rx_req) = cur[receiver].next_where(|k| is_wire_rx(k, PacketKind::RndvReq))
-            else {
-                break;
-            };
-            out.wire_ns += rx_req.t_ns.saturating_sub(tx.t_ns);
-            let Some(next) = cur[receiver].next_where(|k| {
-                matches!(k, EventKind::RndvGoTx { .. } | EventKind::DmaStart { .. })
-            }) else {
-                break;
-            };
-            // Where receive-side time resumes: at the request for a pull
-            // (the data phase ran here, ahead of the go-ahead), at the
-            // first data frame for a stream.
-            let recv_from = if matches!(next.kind, EventKind::DmaStart { .. }) {
-                rx_req
-            } else {
-                let go_tx = next;
-                out.proto_recv_ns += go_tx.t_ns.saturating_sub(rx_req.t_ns);
-                let Some(rx_go) = cur[sender].next_where(|k| is_wire_rx(k, PacketKind::RndvGo))
-                else {
-                    break;
-                };
-                out.wire_ns += rx_go.t_ns.saturating_sub(go_tx.t_ns);
-                let Some(dma) = cur[sender].next_where(|k| matches!(k, EventKind::DmaStart { .. }))
-                else {
-                    break;
-                };
-                out.proto_send_ns += dma.t_ns.saturating_sub(rx_go.t_ns);
-                // One `RndvData` frame, or the first `RndvChunk` of a
-                // pipelined stream: the rest of the stream lands before
-                // `Delivered` and is charged to the receive side with it.
-                let Some(rx_data) = cur[receiver].next_where(|k| {
-                    is_wire_rx(k, PacketKind::RndvData) || is_wire_rx(k, PacketKind::RndvChunk)
-                }) else {
-                    break;
-                };
-                out.wire_ns += rx_data.t_ns.saturating_sub(dma.t_ns);
-                rx_data
-            };
-            let Some(del) = cur[receiver].next_where(|k| matches!(k, EventKind::Delivered { .. }))
-            else {
-                break;
-            };
-            out.proto_recv_ns += del.t_ns.saturating_sub(recv_from.t_ns);
-            del
-        };
-
-        last_delivered[receiver] = Some(delivered.t_ns);
+        last_delivered[receiver] = Some(delivered);
         out.half_trips += 1;
-        sender = receiver;
     }
     out
+}
+
+/// Charge one message's flight to `out`, phase by phase in the order the
+/// ball travels, and return when it was delivered; `None` at the first
+/// phase whose closing event was not observed.
+fn charge_half_trip(t: &MessageTimeline, out: &mut PhaseBreakdown) -> Option<u64> {
+    let (src, dst) = (t.msg.src, t.dst?);
+    // First engine arrival on `rank` of a frame of one of `kinds`.
+    let rx = |rank: u32, kinds: &[PacketKind]| {
+        t.wire_rx
+            .iter()
+            .filter(|w| w.rank == rank && kinds.contains(&w.kind))
+            .map(|w| w.t_ns)
+            .min()
+    };
+    let tx = t.first_tx_ns?;
+    out.proto_send_ns += tx.saturating_sub(t.posted_ns?);
+    // Where receive-side time starts: the eager frame, the request of a
+    // pull (the copy ran there, ahead of the go-ahead), or the first data
+    // frame of a stream (the rest of it lands before `Delivered`).
+    let recv_from = if !t.rendezvous {
+        let rx_eager = rx(dst, &[PacketKind::Eager])?;
+        out.wire_ns += rx_eager.saturating_sub(tx);
+        rx_eager
+    } else {
+        let rx_req = rx(dst, &[PacketKind::RndvReq])?;
+        out.wire_ns += rx_req.saturating_sub(tx);
+        if t.pulled() {
+            rx_req
+        } else {
+            let go_tx = t.rndv_go_tx_ns?;
+            out.proto_recv_ns += go_tx.saturating_sub(rx_req);
+            let rx_go = rx(src, &[PacketKind::RndvGo])?;
+            out.wire_ns += rx_go.saturating_sub(go_tx);
+            let dma = t.dma_start_ns?;
+            out.proto_send_ns += dma.saturating_sub(rx_go);
+            let rx_data = rx(dst, &[PacketKind::RndvData, PacketKind::RndvChunk])?;
+            out.wire_ns += rx_data.saturating_sub(dma);
+            rx_data
+        }
+    };
+    let delivered = t.delivered_ns?;
+    out.proto_recv_ns += delivered.saturating_sub(recv_from);
+    Some(delivered)
 }
 
 /// One row of the generated Table 1: per-round-trip phase averages for a
@@ -274,8 +232,18 @@ pub fn table1_json(rows: &[Table1Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlate::correlate;
+    use crate::event::{EventKind::*, MsgId};
     use crate::tracer::Tracer;
-    use EventKind::*;
+
+    fn msg(src: u32, seq: u32) -> MsgId {
+        MsgId { src, seq }
+    }
+
+    /// Correlate two ranks' rings and attribute them, rank 0 first.
+    fn attribute(t0: &Tracer, t1: &Tracer) -> PhaseBreakdown {
+        attribute_ping_pong(&correlate(&[t0.snapshot(), t1.snapshot()]), 0)
+    }
 
     /// Build a deterministic synthetic eager ping-pong: each phase has a
     /// known width, so attribution must recover the exact totals.
@@ -285,48 +253,45 @@ mod tests {
         let t1 = Tracer::enabled(1, 256);
         let mut t = 1_000u64;
         let rounds = 3u64;
-        for _ in 0..rounds {
+        for seq in 1..=rounds as u32 {
             // rank 0 sends: proto_send 10, wire 100, proto_recv 20
-            t0.emit_at(
-                t,
+            let m = msg(0, seq);
+            let (posted, rx) = (
                 SendPosted {
                     peer: 1,
                     bytes: 8,
                     tag: 0,
                 },
-            );
-            t0.emit_at(t + 10, EagerTx { peer: 1, bytes: 8 });
-            t1.emit_at(
-                t + 110,
                 WireRx {
                     peer: 0,
                     kind: PacketKind::Eager,
                 },
             );
-            t1.emit_at(t + 130, Delivered { peer: 0, bytes: 8 });
+            t0.emit_msg_at(t, m, posted);
+            t0.emit_msg_at(t + 10, m, EagerTx { peer: 1, bytes: 8 });
+            t1.emit_msg_at(t + 110, m, rx);
+            t1.emit_msg_at(t + 130, m, Delivered { peer: 0, bytes: 8 });
             // rank 1 turns it around after 5 (api), same widths back
-            let u = t + 135;
-            t1.emit_at(
-                u,
+            let (m, u) = (msg(1, seq), t + 135);
+            let (posted, rx) = (
                 SendPosted {
                     peer: 0,
                     bytes: 8,
                     tag: 0,
                 },
-            );
-            t1.emit_at(u + 10, EagerTx { peer: 0, bytes: 8 });
-            t0.emit_at(
-                u + 110,
                 WireRx {
                     peer: 1,
                     kind: PacketKind::Eager,
                 },
             );
-            t0.emit_at(u + 130, Delivered { peer: 1, bytes: 8 });
+            t1.emit_msg_at(u, m, posted);
+            t1.emit_msg_at(u + 10, m, EagerTx { peer: 0, bytes: 8 });
+            t0.emit_msg_at(u + 110, m, rx);
+            t0.emit_msg_at(u + 130, m, Delivered { peer: 1, bytes: 8 });
             // rank 0 api gap of 7 before the next round
             t = u + 137;
         }
-        let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+        let bd = attribute(&t0, &t1);
         assert_eq!(bd.half_trips, 2 * rounds as u32);
         assert_eq!(bd.proto_send_ns, 10 * 2 * rounds);
         assert_eq!(bd.wire_ns, 100 * 2 * rounds);
@@ -341,50 +306,35 @@ mod tests {
         for data_kind in [PacketKind::RndvData, PacketKind::RndvChunk] {
             let t0 = Tracer::enabled(0, 64);
             let t1 = Tracer::enabled(1, 64);
-            let n = 65_536u32;
-            t0.emit_at(
+            let (m, n) = (msg(0, 1), 65_536u32);
+            let rx = |kind| WireRx { peer: 0, kind };
+            t0.emit_msg_at(
                 0,
+                m,
                 SendPosted {
                     peer: 1,
                     bytes: n,
                     tag: 0,
                 },
             );
-            t0.emit_at(10, RndvReqTx { peer: 1, bytes: n });
-            t1.emit_at(
-                60,
-                WireRx {
-                    peer: 0,
-                    kind: PacketKind::RndvReq,
-                },
-            );
-            t1.emit_at(75, RndvGoTx { peer: 0 });
-            t0.emit_at(
+            t0.emit_msg_at(10, m, RndvReqTx { peer: 1, bytes: n });
+            t1.emit_msg_at(60, m, rx(PacketKind::RndvReq));
+            t1.emit_msg_at(75, m, RndvGoTx { peer: 0 });
+            t0.emit_msg_at(
                 125,
+                m,
                 WireRx {
                     peer: 1,
                     kind: PacketKind::RndvGo,
                 },
             );
-            t0.emit_at(130, DmaStart { peer: 1, bytes: n });
-            t1.emit_at(
-                1_130,
-                WireRx {
-                    peer: 0,
-                    kind: data_kind,
-                },
-            );
+            t0.emit_msg_at(130, m, DmaStart { peer: 1, bytes: n });
+            t1.emit_msg_at(1_130, m, rx(data_kind));
             // A later chunk of the same stream changes nothing: the wire
             // leg ends at the first, the rest is receive-side time.
-            t1.emit_at(
-                1_140,
-                WireRx {
-                    peer: 0,
-                    kind: data_kind,
-                },
-            );
-            t1.emit_at(1_150, Delivered { peer: 0, bytes: n });
-            let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+            t1.emit_msg_at(1_140, m, rx(data_kind));
+            t1.emit_msg_at(1_150, m, Delivered { peer: 0, bytes: n });
+            let bd = attribute(&t0, &t1);
             assert_eq!(bd.half_trips, 1);
             assert_eq!(bd.proto_send_ns, 10 + 5); // post→req_tx, go_rx→dma
             assert_eq!(bd.wire_ns, 50 + 50 + 1_000); // req, go, data legs
@@ -401,38 +351,28 @@ mod tests {
         let t0 = Tracer::enabled(0, 64);
         let t1 = Tracer::enabled(1, 64);
         let n = 65_536u32;
-        let (posted, rx_req) = (
-            SendPosted {
-                peer: 1,
-                bytes: n,
-                tag: 0,
-            },
-            WireRx {
-                peer: 0,
-                kind: PacketKind::RndvReq,
-            },
-        );
-        t0.emit_at(0, posted);
-        t0.emit_at(10, RndvReqTx { peer: 1, bytes: n });
-        t1.emit_at(60, rx_req);
-        t1.emit_at(70, DmaStart { peer: 0, bytes: n });
-        t1.emit_at(1_070, DmaEnd { peer: 0, bytes: n });
-        t1.emit_at(1_075, Delivered { peer: 0, bytes: n });
-        t1.emit_at(1_080, RndvGoTx { peer: 0 });
-        t0.emit_at(
-            1_130,
-            WireRx {
-                peer: 1,
-                kind: PacketKind::RndvGo,
-            },
-        );
-        // The ball comes back the same way, 5 ns of turnaround later.
-        t1.emit_at(1_085, posted);
-        t1.emit_at(1_095, RndvReqTx { peer: 0, bytes: n });
-        t0.emit_at(1_145, rx_req);
-        t0.emit_at(1_155, DmaStart { peer: 1, bytes: n });
-        t0.emit_at(2_160, Delivered { peer: 1, bytes: n });
-        let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+        let posted = |peer| SendPosted {
+            peer,
+            bytes: n,
+            tag: 0,
+        };
+        let rx = |peer, kind| WireRx { peer, kind };
+        let (a, b) = (msg(0, 1), msg(1, 1));
+        t0.emit_msg_at(0, a, posted(1));
+        t0.emit_msg_at(10, a, RndvReqTx { peer: 1, bytes: n });
+        t1.emit_msg_at(60, a, rx(0, PacketKind::RndvReq));
+        t1.emit_msg_at(70, a, DmaStart { peer: 0, bytes: n });
+        t1.emit_msg_at(1_070, a, DmaEnd { peer: 0, bytes: n });
+        t1.emit_msg_at(1_075, a, Delivered { peer: 0, bytes: n });
+        t1.emit_msg_at(1_080, a, RndvGoTx { peer: 0 });
+        t0.emit_msg_at(1_130, a, rx(1, PacketKind::RndvGo));
+        // The ball comes back the same way, 10 ns of turnaround later.
+        t1.emit_msg_at(1_085, b, posted(0));
+        t1.emit_msg_at(1_095, b, RndvReqTx { peer: 0, bytes: n });
+        t0.emit_msg_at(1_145, b, rx(1, PacketKind::RndvReq));
+        t0.emit_msg_at(1_155, b, DmaStart { peer: 1, bytes: n });
+        t0.emit_msg_at(2_160, b, Delivered { peer: 1, bytes: n });
+        let bd = attribute(&t0, &t1);
         assert_eq!(bd.half_trips, 2);
         assert_eq!(bd.proto_send_ns, 10 + 10);
         assert_eq!(bd.wire_ns, 50 + 50);
@@ -445,17 +385,19 @@ mod tests {
     fn truncated_trace_stops_cleanly() {
         let t0 = Tracer::enabled(0, 64);
         let t1 = Tracer::enabled(1, 64);
-        t0.emit_at(
+        let m = msg(0, 1);
+        t0.emit_msg_at(
             0,
+            m,
             SendPosted {
                 peer: 1,
                 bytes: 4,
                 tag: 0,
             },
         );
-        t0.emit_at(5, EagerTx { peer: 1, bytes: 4 });
+        t0.emit_msg_at(5, m, EagerTx { peer: 1, bytes: 4 });
         // Receiver trace lost (e.g. overwritten): no WireRx/Delivered.
-        let bd = attribute_ping_pong(&t0.snapshot(), &t1.snapshot());
+        let bd = attribute(&t0, &t1);
         assert_eq!(bd.half_trips, 0);
         assert_eq!(bd.proto_send_ns, 5);
         assert_eq!(bd.wire_ns, 0);

@@ -38,5 +38,5 @@ mod time;
 pub use rng::{for_each_case, SplitMix64};
 pub use sched::{Proc, ProcId, Sim};
 pub use stats::{Histogram, Summary};
-pub use sync::{Latch, Notify, SimQueue};
+pub use sync::SimQueue;
 pub use time::{SimDur, SimTime};

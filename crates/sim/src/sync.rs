@@ -1,17 +1,10 @@
-//! Synchronization primitives for simulated processes.
+//! Synchronization for simulated processes: [`SimQueue`], a blocking FIFO
+//! of messages (a NIC inbox).
 //!
-//! All of these are *virtual-time* primitives: waiting consumes no host CPU,
-//! it parks the process thread and hands the run token back to the scheduler.
+//! It is a *virtual-time* primitive: waiting consumes no host CPU, it
+//! parks the process thread and hands the run token back to the scheduler.
 //! Waking is always mediated by the event queue, so wake order is
 //! deterministic (FIFO among waiters, at the virtual instant of the wake).
-//!
-//! The three primitives mirror what the network device layers need:
-//!
-//! * [`Latch`] — one-shot completion flag (a DMA finished, a connection is
-//!   established).
-//! * [`Notify`] — "something happened, re-check your condition" pulse used by
-//!   MPI progress engines.
-//! * [`SimQueue`] — blocking FIFO of messages (a NIC inbox).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,143 +13,6 @@ use crate::lock::Mutex;
 
 use crate::sched::{Proc, Sim, WakeToken};
 use crate::time::SimDur;
-
-struct LatchInner {
-    set: bool,
-    waiters: VecDeque<WakeToken>,
-}
-
-/// A one-shot event flag. Once [`Latch::set`] has been called, all current
-/// and future waits return immediately.
-#[derive(Clone)]
-pub struct Latch {
-    sim: Sim,
-    inner: Arc<Mutex<LatchInner>>,
-}
-
-impl Latch {
-    /// Create an unset latch bound to `sim`.
-    pub fn new(sim: &Sim) -> Self {
-        Latch {
-            sim: sim.clone(),
-            inner: Arc::new(Mutex::new(LatchInner {
-                set: false,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Whether the latch has been set.
-    pub fn is_set(&self) -> bool {
-        self.inner.lock().set
-    }
-
-    /// Set the latch, waking all waiters at the current virtual instant.
-    /// May be called from a process or a scheduler callback.
-    pub fn set(&self) {
-        let mut inner = self.inner.lock();
-        if inner.set {
-            return;
-        }
-        inner.set = true;
-        let waiters = std::mem::take(&mut inner.waiters);
-        drop(inner);
-        for token in waiters {
-            self.sim.core().wake_now(token);
-        }
-    }
-
-    /// Block the calling process until the latch is set.
-    pub fn wait(&self, p: &Proc) {
-        {
-            let inner = self.inner.lock();
-            if inner.set {
-                return;
-            }
-        }
-        let token = p.prepare_park();
-        {
-            let mut inner = self.inner.lock();
-            if inner.set {
-                // Raced with set() between the check and the park; since only
-                // token holders run sim code this cannot actually happen, but
-                // handle it defensively by self-waking.
-                drop(inner);
-                self.sim.core().wake_now(token);
-            } else {
-                inner.waiters.push_back(token);
-            }
-        }
-        p.park();
-    }
-}
-
-struct NotifyInner {
-    waiters: VecDeque<WakeToken>,
-    generation: u64,
-}
-
-/// An auto-reset notification: [`Notify::notify_all`] wakes every process
-/// currently waiting, and is otherwise lost (no permit is stored).
-///
-/// Because exactly one simulation entity runs at a time, the classic
-/// check-then-wait pattern is race-free: no notification can slip between a
-/// process checking its condition and calling [`Notify::wait`].
-#[derive(Clone)]
-pub struct Notify {
-    sim: Sim,
-    inner: Arc<Mutex<NotifyInner>>,
-}
-
-impl Notify {
-    /// Create a notifier bound to `sim`.
-    pub fn new(sim: &Sim) -> Self {
-        Notify {
-            sim: sim.clone(),
-            inner: Arc::new(Mutex::new(NotifyInner {
-                waiters: VecDeque::new(),
-                generation: 0,
-            })),
-        }
-    }
-
-    /// Wake every process currently waiting.
-    pub fn notify_all(&self) {
-        let waiters = {
-            let mut inner = self.inner.lock();
-            inner.generation += 1;
-            std::mem::take(&mut inner.waiters)
-        };
-        for token in waiters {
-            self.sim.core().wake_now(token);
-        }
-    }
-
-    /// Block until the next `notify_all` after this call.
-    pub fn wait(&self, p: &Proc) {
-        let token = p.prepare_park();
-        self.inner.lock().waiters.push_back(token);
-        p.park();
-    }
-
-    /// Block until the next `notify_all` or until `timeout` elapses,
-    /// whichever comes first. Returns `true` if notified, `false` on timeout.
-    pub fn wait_timeout(&self, p: &Proc, timeout: SimDur) -> bool {
-        let gen_before = {
-            let inner = self.inner.lock();
-            inner.generation
-        };
-        let token = p.prepare_park();
-        self.inner.lock().waiters.push_back(token);
-        p.schedule_timeout(token, timeout);
-        p.park();
-        // If the generation advanced past our registration, a notify fired.
-        // (On timeout, our stale entry may still sit in `waiters`; it is
-        // harmless — waking it later is suppressed by the epoch check.)
-        let inner = self.inner.lock();
-        inner.generation > gen_before
-    }
-}
 
 struct QueueInner<T> {
     items: VecDeque<T>,
@@ -253,89 +109,6 @@ impl<T: Send + 'static> SimQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-
-    #[test]
-    fn latch_releases_waiter_at_set_time() {
-        let sim = Sim::new();
-        let latch = Latch::new(&sim);
-        let l2 = latch.clone();
-        let done = Arc::new(Mutex::new(SimTime::ZERO));
-        let d = done.clone();
-        sim.spawn("waiter", move |p| {
-            l2.wait(p);
-            *d.lock() = p.now();
-        });
-        sim.after(SimDur::from_us(42), move |_| latch.set());
-        sim.run();
-        assert_eq!(done.lock().as_ns(), 42_000);
-    }
-
-    #[test]
-    fn latch_set_before_wait_is_immediate() {
-        let sim = Sim::new();
-        let latch = Latch::new(&sim);
-        latch.set();
-        assert!(latch.is_set());
-        let l = latch.clone();
-        let t = Arc::new(Mutex::new(None));
-        let t2 = t.clone();
-        sim.spawn("w", move |p| {
-            l.wait(p);
-            *t2.lock() = Some(p.now());
-        });
-        sim.run();
-        assert_eq!(t.lock().unwrap(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn notify_wakes_all_current_waiters() {
-        let sim = Sim::new();
-        let n = Notify::new(&sim);
-        let count = Arc::new(Mutex::new(0));
-        for i in 0..3 {
-            let n2 = n.clone();
-            let c = count.clone();
-            sim.spawn(format!("w{i}"), move |p| {
-                n2.wait(p);
-                *c.lock() += 1;
-            });
-        }
-        let n3 = n.clone();
-        sim.after(SimDur::from_us(10), move |_| n3.notify_all());
-        sim.run();
-        assert_eq!(*count.lock(), 3);
-    }
-
-    #[test]
-    fn notify_timeout_fires_when_no_notification() {
-        let sim = Sim::new();
-        let n = Notify::new(&sim);
-        let result = Arc::new(Mutex::new(None));
-        let r = result.clone();
-        sim.spawn("w", move |p| {
-            let notified = n.wait_timeout(p, SimDur::from_us(100));
-            *r.lock() = Some((notified, p.now().as_ns()));
-        });
-        sim.run();
-        assert_eq!(result.lock().unwrap(), (false, 100_000));
-    }
-
-    #[test]
-    fn notify_timeout_reports_notification() {
-        let sim = Sim::new();
-        let n = Notify::new(&sim);
-        let n2 = n.clone();
-        let result = Arc::new(Mutex::new(None));
-        let r = result.clone();
-        sim.spawn("w", move |p| {
-            let notified = n2.wait_timeout(p, SimDur::from_us(100));
-            *r.lock() = Some((notified, p.now().as_ns()));
-        });
-        sim.after(SimDur::from_us(30), move |_| n.notify_all());
-        sim.run();
-        assert_eq!(result.lock().unwrap(), (true, 30_000));
-    }
 
     #[test]
     fn queue_delivers_in_fifo_order() {

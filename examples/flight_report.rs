@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lmpi::obs::{
-    chrome_trace_json, correlate, diagnose, diagnostics_json, flight_json, validate_json,
-    DiagConfig, DiagKind, LatencyHist, RankStats, TraceBuffer, Tracer,
+    chrome_trace_json, correlate, diagnose, diagnostics_json, flight_json, validate_json, DiagKind,
+    LatencyHist, RankStats, TraceBuffer, Tracer,
 };
 use lmpi::{
     run_devices, validate_prometheus, FaultConfig, FaultRates, FaultyDevice, MetricsSnapshot,
@@ -46,13 +46,13 @@ const RECV_DELAY: std::time::Duration = std::time::Duration::from_millis(5);
 /// Rendezvous payload length in `u32`s (160 KiB, well past the 8 KiB
 /// eager threshold) so the RTS → CTS → data path shows up too.
 const RNDV_WORDS: usize = 40_000;
-/// Seeded drop rate on eager and bulk frames: enough loss that go-back-N
+/// Seeded drop rate on eager and bulk frames: enough loss that selective repeat
 /// visibly retransmits, low enough the run stays short.
 const DROP: f64 = 0.08;
 
 type Stack = ReliableDevice<FaultyDevice<ShmDevice>>;
 
-/// Shm fabric wrapped in seeded fault injection plus go-back-N, with one
+/// Shm fabric wrapped in seeded fault injection plus selective repeat, with one
 /// flight-recorder tracer per rank installed through the whole stack.
 fn build_stack(tracers: &[Tracer]) -> (Vec<Stack>, Vec<Arc<lmpi::FaultStats>>) {
     let mut fault_stats = Vec::new();
@@ -82,7 +82,7 @@ fn build_stack(tracers: &[Tracer]) -> (Vec<Stack>, Vec<Arc<lmpi::FaultStats>>) {
 
 /// Per-rank result the closure sends back to `main`.
 struct RankOutcome {
-    start_ns: u64,
+    start: MetricsSnapshot,
     snapshot: MetricsSnapshot,
     hook_fires: u64,
 }
@@ -99,7 +99,7 @@ fn workload(mpi: &lmpi::Mpi, tracer: Tracer) -> RankOutcome {
         fires_in.fetch_add(1, Ordering::Relaxed);
     });
 
-    let start_ns = mpi.metrics_snapshot().t_ns;
+    let start = mpi.metrics_snapshot();
     if world.rank() == 0 {
         // Burst past the envelope-credit window, then a rendezvous-sized
         // message, then wait for rank 1's completion token.
@@ -141,26 +141,9 @@ fn workload(mpi: &lmpi::Mpi, tracer: Tracer) -> RankOutcome {
     assert_eq!(word[0], 7, "bcast corrupted");
 
     RankOutcome {
-        start_ns,
+        start,
         snapshot: mpi.metrics_snapshot(),
         hook_fires: fires.load(Ordering::Relaxed),
-    }
-}
-
-fn rank_stats(out: &RankOutcome) -> RankStats {
-    let c = &out.snapshot.counters;
-    let t = &out.snapshot.transport;
-    RankStats {
-        rank: out.snapshot.rank,
-        span_ns: out.snapshot.t_ns.saturating_sub(out.start_ns),
-        credit_stall_ns: c.credit_stall_ns,
-        matches: c.matches,
-        unexpected_hits: c.unexpected_hits,
-        unexpected_hwm: c.unexpected_hwm,
-        match_bins_hwm: c.match_bins_hwm,
-        data_frames_sent: t.data_frames_sent,
-        retransmits: t.retransmits,
-        peers_dead: t.peers_dead,
     }
 }
 
@@ -209,8 +192,11 @@ fn main() {
     );
 
     // -- Diagnose ----------------------------------------------------------
-    let stats: Vec<RankStats> = outcomes.iter().map(rank_stats).collect();
-    let diags = diagnose(&record, &bufs, &stats, &DiagConfig::default());
+    let stats: Vec<RankStats> = outcomes
+        .iter()
+        .map(|o| o.snapshot.rank_stats().since(&o.start.rank_stats()))
+        .collect();
+    let diags = diagnose(&record, &bufs, &stats);
     assert!(
         diags.iter().any(|d| d.kind == DiagKind::CreditStarvation),
         "injected credit starvation was not diagnosed; stats: {stats:?}"

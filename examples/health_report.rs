@@ -20,6 +20,11 @@
 //! deltas* — the `retransmit_storm` diagnostic appears live, within one
 //! evaluation period of the storm, not just in a post-mortem.
 //!
+//! The evaluator runs every 100 ms of device time, so each phase keeps
+//! its traffic going until every rank's [`lmpi::HealthReport::evals`] has
+//! advanced past the evaluation it took at the start: at least one
+//! window of the phase has then been judged.
+//!
 //! Artifact: `target/health_report.json` — rank 0's final
 //! [`lmpi::HealthReport`] from phase 1.
 //!
@@ -31,20 +36,17 @@ use std::time::Duration;
 
 use lmpi::obs::validate_json;
 use lmpi::{
-    run_devices, validate_prometheus, AllreduceAlgo, FaultConfig, FaultRates, FaultyDevice,
-    HealthReport, MpiConfig, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
+    run_devices, validate_prometheus, AllreduceAlgo, Communicator, FaultConfig, FaultRates,
+    FaultyDevice, HealthReport, MpiConfig, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
 };
 
-/// Diagnostics evaluation period for both phases: short enough that a
-/// storm is caught while the example is still running.
-const EVAL_PERIOD_US: u64 = 10_000;
-/// Phase-1 ping-pong + mis-pinned-allreduce iterations. Each iteration
-/// sleeps [`TICK`], so the run spans many evaluation periods.
+/// Least phase-1 ping-pong + mis-pinned-allreduce iterations (the mid-run
+/// scrape happens halfway). Each iteration sleeps [`TICK`].
 const ITERS: u32 = 64;
 /// Per-iteration pause, letting the progress thread park between bursts
 /// (so the duty-cycle report shows park *and* drain time).
 const TICK: Duration = Duration::from_millis(1);
-/// Phase-2 burst rounds and messages per burst.
+/// Least phase-2 burst rounds, and messages per burst.
 const ROUNDS: u32 = 40;
 const BURST: u32 = 16;
 /// Seeded drop rate on phase-2 eager frames: heavy enough that every
@@ -68,6 +70,12 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         .expect("malformed HTTP response");
     let status = head.lines().next().unwrap_or_default().to_string();
     (status, body.to_string())
+}
+
+/// Whether `mine` holds on every rank (a collective: every rank must
+/// call it together).
+fn everyone(world: &Communicator, mine: bool) -> bool {
+    world.allreduce(&[u64::from(mine)], ReduceOp::Min).unwrap()[0] == 1
 }
 
 /// Scrape `/metrics` and `/health.json` mid-run and assert the exposition
@@ -113,8 +121,7 @@ fn phase1() -> HealthReport {
         // The decision table picks recursive_doubling for an 8-byte
         // allreduce on 2 ranks; pinning ring is the mis-tuned cell the
         // live diagnostic must surface.
-        .with_allreduce_algo(AllreduceAlgo::Ring)
-        .with_health_eval_period_us(EVAL_PERIOD_US);
+        .with_allreduce_algo(AllreduceAlgo::Ring);
     let mut reports = run_devices(ShmDevice::fabric(2), config, |mpi| {
         let world = mpi.world();
         let rank = world.rank();
@@ -125,7 +132,9 @@ fn phase1() -> HealthReport {
 
         let payload: Vec<u32> = (0..16).collect();
         let mut buf = [0u32; 16];
-        for i in 0..ITERS {
+        let evals0 = mpi.health().evals;
+        let (mut i, mut evaluated) = (0, false);
+        while i < ITERS || !everyone(&world, evaluated) {
             if rank == 0 {
                 world.send(&payload, 1, 7).unwrap();
                 world.recv(&mut buf, 1, 8).unwrap();
@@ -143,6 +152,8 @@ fn phase1() -> HealthReport {
                 }
             }
             std::thread::sleep(TICK);
+            evaluated = mpi.health().evals > evals0;
+            i += 1;
         }
         world.barrier().unwrap();
         mpi.health()
@@ -211,7 +222,7 @@ fn phase1() -> HealthReport {
     reports.remove(0)
 }
 
-/// Phase 2: seeded eager drops under go-back-N force a retransmit storm;
+/// Phase 2: seeded eager drops under selective repeat force a retransmit storm;
 /// the rolling-delta evaluator must diagnose it *while it happens*.
 fn phase2() {
     let devices: Vec<ReliableDevice<FaultyDevice<ShmDevice>>> = ShmDevice::fabric(2)
@@ -228,14 +239,15 @@ fn phase2() {
             ReliableDevice::new(FaultyDevice::new(dev, cfg), RelConfig::default())
         })
         .collect();
-    let config = MpiConfig::device_defaults().with_health_eval_period_us(EVAL_PERIOD_US);
-    let storm_seen = run_devices(devices, config, |mpi| {
+    let storm_seen = run_devices(devices, MpiConfig::device_defaults(), |mpi| {
         let world = mpi.world();
         let rank = world.rank();
         let payload: Vec<u32> = (0..4).collect();
         let mut buf = [0u32; 4];
         let mut seen = false;
-        for _ in 0..ROUNDS {
+        let evals0 = mpi.health().evals;
+        let (mut round, mut evaluated) = (0, false);
+        while round < ROUNDS || !everyone(&world, evaluated) {
             if rank == 0 {
                 let reqs: Vec<_> = (0..BURST)
                     .map(|_| world.isend(&payload, 1, 11).unwrap())
@@ -250,12 +262,13 @@ fn phase2() {
             }
             // Live check: the diagnostic must appear from rolling deltas
             // while the storm is still blowing, not post-mortem.
-            seen = seen
-                || mpi
-                    .health()
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.kind == "retransmit_storm");
+            let report = mpi.health();
+            seen |= report
+                .diagnostics
+                .iter()
+                .any(|d| d.kind == "retransmit_storm");
+            evaluated = report.evals > evals0;
+            round += 1;
         }
         world.barrier().unwrap();
         (rank, seen, mpi.transport_stats().retransmits)

@@ -1,6 +1,8 @@
 //! Table-1 latency report generator: trace a 1 B → 64 KiB ping-pong over
 //! the real shared-memory transport and the simulated TCP/ATM cluster,
-//! attribute every nanosecond to API / protocol / wire phases, and emit
+//! attribute every nanosecond to API / protocol / wire phases from the
+//! flight record, assert that every row attributes all its round trips
+//! and sums to within 5 % of the measured RTT, and emit
 //!
 //! * `target/latency_breakdown.json` — machine-readable per-phase rows
 //!   (the generated Table 1), and
@@ -11,7 +13,7 @@
 //! Run with `cargo run --release --example latency_report`.
 
 use lmpi::obs::{
-    attribute_ping_pong, chrome_trace_json, table1_json, Table1Row, TraceBuffer, Tracer,
+    attribute_ping_pong, chrome_trace_json, correlate, table1_json, Table1Row, TraceBuffer, Tracer,
 };
 use lmpi::{
     run_cluster, run_devices, ClusterNet, ClusterTransport, Device, Mpi, MpiConfig, ShmDevice,
@@ -65,9 +67,21 @@ fn attribute(
     tracers: &[Tracer],
 ) -> (Table1Row, Vec<TraceBuffer>) {
     let bufs: Vec<TraceBuffer> = tracers.iter().map(|t| t.snapshot()).collect();
-    let bd = attribute_ping_pong(&bufs[0], &bufs[1]);
+    let bd = attribute_ping_pong(&correlate(&bufs), 0);
     let row = Table1Row::from_breakdown(label, nbytes as u64, rtt_ns, &bd)
         .unwrap_or_else(|| panic!("{label}/{nbytes}: no round trips attributed"));
+    assert_eq!(
+        row.round_trips, ROUNDS as u32,
+        "{label}/{nbytes}: attributed {} of {ROUNDS} round trips",
+        row.round_trips
+    );
+    let off = (row.attributed_total_ns() - rtt_ns).abs() / rtt_ns;
+    assert!(
+        off <= 0.05,
+        "{label}/{nbytes}: attributed {:.0} ns is {:.1} % off the measured {rtt_ns:.0} ns",
+        row.attributed_total_ns(),
+        off * 100.0
+    );
     (row, bufs)
 }
 

@@ -9,8 +9,10 @@
 //! protocol on purpose, and say so there.
 
 use lmpi::apps::particles;
+use lmpi::obs::{attribute_ping_pong, correlate, Table1Row};
 use lmpi::{
     run_cluster, run_meiko, ClusterNet, ClusterTransport, MeikoVariant, Mpi, MpiConfig, ReduceOp,
+    Tracer,
 };
 
 /// Virtual nanoseconds of one `nbytes` ping-pong between ranks 0 and 1
@@ -113,4 +115,53 @@ fn cluster_md_step() {
     );
     let frames: u64 = out.iter().map(|o| o.1).sum();
     assert_eq!((out[0].0, frames), (12_795_495, 174));
+}
+
+/// The generated Table 1 on simulated TCP over ATM, as
+/// `examples/latency_report` builds it — 5 untraced warm-up round trips,
+/// then 40 traced ones attributed from the flight record: per round trip,
+/// the API, send-side protocol, receive-side protocol and wire
+/// nanoseconds at 1 B and 64 KiB. Captured at the commit before Table 1
+/// was computed from message timelines instead of a walk over raw events.
+#[test]
+fn sim_tcp_atm_table1_rows() {
+    let row = |nbytes: usize| {
+        let tracers: Vec<Tracer> = (0..2u32).map(|r| Tracer::enabled(r, 1 << 16)).collect();
+        let t = tracers.clone();
+        let config = MpiConfig::device_defaults();
+        run_cluster(
+            2,
+            ClusterNet::Atm,
+            ClusterTransport::Tcp,
+            config,
+            move |mpi: Mpi| {
+                let world = mpi.world();
+                let mut buf = vec![0x5au8; nbytes];
+                for round in 0..45 {
+                    if round == 5 {
+                        mpi.set_tracer(t[world.rank()].clone());
+                    }
+                    if world.rank() == 0 {
+                        world.send(&buf, 1, 0).unwrap();
+                        world.recv(&mut buf, 1, 0).unwrap();
+                    } else {
+                        world.recv(&mut buf, 0, 0).unwrap();
+                        world.send(&buf, 0, 0).unwrap();
+                    }
+                }
+            },
+        );
+        let bufs: Vec<_> = tracers.iter().map(Tracer::snapshot).collect();
+        let bd = attribute_ping_pong(&correlate(&bufs), 0);
+        let r = Table1Row::from_breakdown("sim-tcp-atm", nbytes as u64, 0.0, &bd).unwrap();
+        (
+            r.round_trips,
+            r.api_ns,
+            r.proto_send_ns,
+            r.proto_recv_ns,
+            r.wire_ns,
+        )
+    };
+    assert_eq!(row(1), (40, 0.0, 0.0, 70_000.0, 1_242_116.0));
+    assert_eq!(row(64 << 10), (40, 0.0, 0.0, 5_597_396.0, 18_270_540.0));
 }
