@@ -2,9 +2,11 @@
 //! inside a [`Packet`](crate::Packet).
 //!
 //! A handle is a byte range of a shared `Vec<u8>`. Cloning and
-//! [`slice`](Bytes::slice) share the allocation; the block is freed (or
-//! reclaimed by the [`FramePool`](crate::FramePool) that staged it) when the
-//! last handle drops.
+//! [`slice`](Bytes::slice) share the allocation. When the last handle
+//! drops, the block is freed, or, if a [`FramePool`](crate::FramePool)
+//! still keeps it, becomes free for that pool to refill once the block
+//! comes round again. Dropping a handle never waits on the pool: the
+//! pool finds out on its next look at the block.
 
 use std::fmt;
 use std::ops::{Deref, Range};

@@ -94,12 +94,13 @@ lmpi_obs::counter_struct! {
         /// callers). Zero on substrates without the thread, near zero while
         /// callers block.
         pub progress_frames: u64,
-        /// Times the payload staging pool grew a fresh allocation instead of
-        /// reclaiming its pooled block (first stage, frames staged while older
-        /// handles were alive, or a larger payload than ever before). A
-        /// steady-state send loop — contiguous or typed gather-on-pack —
-        /// holds this constant; the typed-transfer tests assert on it to
-        /// prove the eager path performs zero intermediate heap staging.
+        /// Times the payload staging pool allocated instead of reusing its
+        /// oldest block (a pool shallower than the frames in flight, a block
+        /// still held when it came round, or a larger payload than the
+        /// block). A steady-state send loop — a ping-pong, a window of eager
+        /// sends, typed gather-on-pack — holds this constant; the
+        /// typed-transfer and eager-window tests assert on it to prove the
+        /// eager path performs no heap staging.
         pub pool_grows: u64,
         /// Rendezvous payloads this rank, as receiver, copied straight out
         /// of the sender's lent buffer (one copy, no data frame). Over a
@@ -255,7 +256,7 @@ impl Engine {
             // 0 = world point-to-point, 1 = world collectives.
             next_context: 2,
             buffer_pool: None,
-            payload_pool: FramePool::new(),
+            payload_pool: FramePool::bounded(env_slots as usize, eager_threshold),
             credit_scratch: Vec::new(),
             counters: Counters::default(),
             tracer: Tracer::disabled(),
@@ -342,8 +343,8 @@ impl Engine {
     }
 
     /// Encode a typed payload into the engine's reusable staging pool.
-    /// Steady state (previous payload delivered and dropped) is
-    /// allocation-free; see [`FramePool`].
+    /// Steady state (the payload staged one window ago delivered and
+    /// dropped) is allocation-free; see [`FramePool`].
     pub(crate) fn stage_payload<T: MpiData>(&mut self, buf: &[T]) -> Bytes {
         self.payload_pool.stage(buf)
     }

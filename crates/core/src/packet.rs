@@ -10,6 +10,7 @@
 //! fields piggyback flow-control returns exactly like the 4-byte
 //! "reserved space freed" field of the paper's 25-byte TCP header.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::bytes::Bytes;
@@ -286,33 +287,68 @@ impl Wire {
     }
 }
 
-/// A reusable bounce/staging buffer for eager payloads.
+/// A reusable set of staging blocks for outgoing payloads: a window of
+/// eager frames in flight costs no allocator call once the pool has seen
+/// that window.
 ///
-/// Ownership rule: the pool keeps a handle on the block it staged last;
-/// every `stage_*` call fills a block and hands out an immutable [`Bytes`]
-/// over it that travels inside a [`Packet`]. Once every handle from the
-/// previous staging has been dropped (the frame was delivered and copied
-/// out), the next staging reclaims the same allocation — so a steady-state
-/// ping-pong stages every payload into the same memory and never touches
-/// the allocator. While an old handle is still alive, or the payload is
-/// larger than the block, the pool allocates a fresh block of exactly the
-/// payload's size; correctness never depends on reclamation.
-#[derive(Debug, Default)]
+/// Ownership rule: the pool keeps the blocks it staged in a FIFO, oldest
+/// first; every `stage_*` call fills a block and hands out an immutable
+/// [`Bytes`] over it that travels inside a [`Packet`]. Staging looks at
+/// the oldest block only. If no handle on it is alive (the frame was
+/// delivered and copied out, and any retransmit copy acknowledged) and it
+/// is large enough, staging refills it and moves it to the back.
+/// Otherwise staging allocates a block of exactly the payload's size and
+/// counts a [`grow`](Self::grows). A still-held oldest block goes to the
+/// back while the pool has room, so the free blocks behind it come up
+/// next, and is forgotten at the cap (its last holder frees it). The pool
+/// therefore settles at the depth of the traffic in flight, at most
+/// `max_blocks` blocks of at most `max_block` bytes each. Correctness
+/// never depends on reuse: a reused block has no other handle, which
+/// `Arc::get_mut` proves with the Acquire that pairs with the releasing
+/// drop on whichever thread let the last handle go.
+#[derive(Debug)]
 pub struct FramePool {
-    block: Arc<Vec<u8>>,
-    /// Times staging took a fresh allocation instead of reclaiming the
-    /// pooled block: the first stage ever, a frame staged while older
-    /// handles were still alive, or a payload larger than the block.
-    /// Steady-state traffic — including typed gather-on-pack sends —
-    /// holds this constant; tests assert on the exported counter to prove
-    /// the hot path performs zero intermediate heap staging.
+    /// Blocks this pool staged, oldest first; some may still be held.
+    blocks: VecDeque<Arc<Vec<u8>>>,
+    /// Most blocks kept (at least 1).
+    max_blocks: usize,
+    /// Largest block kept, in bytes; a larger payload's block is staged
+    /// once and left to its holder.
+    max_block: usize,
+    /// Times staging allocated instead of reusing the oldest block: a pool
+    /// shallower than the frames in flight, a block still held when it
+    /// came round, or a payload larger than the block. Traffic the pool
+    /// has already seen — a ping-pong, a window of eager sends, typed
+    /// gather-on-pack sends — holds this constant; tests assert on the
+    /// exported counter to prove the hot path does no heap staging.
     grows: u64,
 }
 
+impl Default for FramePool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FramePool {
-    /// An empty pool (first `stage` allocates).
+    /// An empty pool that keeps one block of any size: the depth-1 case,
+    /// for a caller that drops each payload before staging the next.
     pub fn new() -> Self {
-        Self::default()
+        Self::bounded(1, usize::MAX)
+    }
+
+    /// An empty pool that keeps at most `max_blocks` blocks (at least
+    /// one) of at most `max_block` bytes each. The engine passes its
+    /// envelope slots and eager threshold: the most eager frames flow
+    /// control lets it have in flight to one peer, and the largest of
+    /// them.
+    pub(crate) fn bounded(max_blocks: usize, max_block: usize) -> Self {
+        FramePool {
+            blocks: VecDeque::new(),
+            max_blocks: max_blocks.max(1),
+            max_block,
+            grows: 0,
+        }
     }
 
     /// Cumulative fresh-allocation count (see the field doc).
@@ -320,18 +356,40 @@ impl FramePool {
         self.grows
     }
 
-    /// Let `fill` append `n` bytes to the pooled block if no handle on it is
-    /// alive and it is large enough, else to a fresh block of `n` bytes.
+    /// The oldest block if no handle on it is alive and it holds `n`
+    /// bytes, else a fresh one. A payload above `max_block` leaves the
+    /// pool alone.
+    fn take(&mut self, n: usize) -> Arc<Vec<u8>> {
+        if n <= self.max_block {
+            if let Some(mut oldest) = self.blocks.pop_front() {
+                match Arc::get_mut(&mut oldest) {
+                    Some(b) if b.capacity() >= n => return oldest,
+                    // Room for it and the fresh block: to the back.
+                    None if self.blocks.len() + 1 < self.max_blocks => {
+                        self.blocks.push_back(oldest)
+                    }
+                    // Too small (the fresh block replaces it), or held at
+                    // the cap: let it go.
+                    _ => {}
+                }
+            }
+        }
+        self.grows += 1;
+        Arc::new(Vec::with_capacity(n))
+    }
+
+    /// Let `fill` append `n` bytes to a block from [`take`](Self::take)
+    /// and keep the block unless it is above `max_block`.
     fn stage_with(&mut self, n: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
         let n = n.max(1);
-        if !matches!(Arc::get_mut(&mut self.block), Some(b) if b.capacity() >= n) {
-            self.block = Arc::new(Vec::with_capacity(n));
-            self.grows += 1;
+        let mut block = self.take(n);
+        let buf = Arc::get_mut(&mut block).expect("reused or fresh: no other handle");
+        buf.clear();
+        fill(buf);
+        if n <= self.max_block {
+            self.blocks.push_back(Arc::clone(&block));
         }
-        let block = Arc::get_mut(&mut self.block).expect("reclaimed or fresh: no other handle");
-        block.clear();
-        fill(block);
-        Bytes::from_block(Arc::clone(&self.block))
+        Bytes::from_block(block)
     }
 
     /// Encode a typed slice into pooled storage and freeze it as `Bytes`.
@@ -491,19 +549,120 @@ mod tests {
         let a = pool.stage_bytes(&[7u8; 64]);
         let ptr = a.as_ptr();
         drop(a);
-        // All handles dropped: `reserve` reclaims the same allocation, so
-        // the steady-state ping-pong is allocation-free.
+        // All handles dropped: the next stage refills the same allocation,
+        // so the steady-state ping-pong is allocation-free.
         let b = pool.stage_bytes(&[9u8; 64]);
         assert_eq!(b.as_ptr(), ptr);
     }
 
+    /// Envelope slots of the shm device: the window the engine's pool keeps.
+    const SLOTS: usize = 64;
+
+    /// Stage one window of `SLOTS` live payloads, each byte naming its slot.
+    fn stage_window(pool: &mut FramePool, round: u8) -> Vec<Bytes> {
+        (0..SLOTS)
+            .map(|i| pool.stage_bytes(&[round ^ i as u8; 1024]))
+            .collect()
+    }
+
+    fn assert_window_intact(window: &[Bytes], round: u8) {
+        for (i, b) in window.iter().enumerate() {
+            assert!(
+                b.iter().all(|&x| x == round ^ i as u8),
+                "slot {i} clobbered"
+            );
+        }
+    }
+
     #[test]
     fn frame_pool_grows_while_old_handles_live() {
-        let mut pool = FramePool::new();
-        let a = pool.stage_bytes(&[1u8; 32]);
-        let b = pool.stage_bytes(&[2u8; 32]);
-        assert_eq!(&a[..], &[1u8; 32]);
-        assert_eq!(&b[..], &[2u8; 32]);
+        // The first window: every block is still held when the next is
+        // staged, so each stage allocates and none overwrites another.
+        let mut pool = FramePool::bounded(SLOTS, 8192);
+        let window = stage_window(&mut pool, 1);
+        assert_eq!(pool.grows(), SLOTS as u64);
+        assert_eq!(pool.blocks.len(), SLOTS);
+        assert_window_intact(&window, 1);
+    }
+
+    #[test]
+    fn frame_pool_recycles_a_window_dropped_in_order() {
+        let mut pool = FramePool::bounded(SLOTS, 8192);
+        drop(stage_window(&mut pool, 0));
+        for round in 1..=20 {
+            let window = stage_window(&mut pool, round);
+            assert_window_intact(&window, round);
+            drop(window);
+        }
+        assert_eq!(pool.grows(), SLOTS as u64, "the first window only");
+    }
+
+    #[test]
+    fn frame_pool_recycles_a_window_dropped_out_of_order() {
+        let mut pool = FramePool::bounded(SLOTS, 8192);
+        for round in 0..=20 {
+            let mut window: Vec<Option<Bytes>> = stage_window(&mut pool, round)
+                .into_iter()
+                .map(Some)
+                .collect();
+            // 37 is coprime with 64: a full permutation of the slots.
+            for k in 0..SLOTS {
+                let slot = (k * 37 + round as usize) % SLOTS;
+                let b = window[slot].take().expect("each slot dropped once");
+                assert!(b.iter().all(|&x| x == round ^ slot as u8));
+            }
+        }
+        assert_eq!(pool.grows(), SLOTS as u64, "the first window only");
+    }
+
+    #[test]
+    fn frame_pool_recycles_behind_a_block_held_forever() {
+        for held_slot in [0, 10, SLOTS - 1] {
+            let mut pool = FramePool::bounded(SLOTS, 8192);
+            let mut first = stage_window(&mut pool, 0);
+            let held = first.swap_remove(held_slot);
+            drop(first);
+            for round in 1..=20 {
+                drop(stage_window(&mut pool, round));
+            }
+            // The held block came round once, at the cap: forgotten, and
+            // one fresh block took its place for good.
+            assert_eq!(pool.grows(), SLOTS as u64 + 1, "held slot {held_slot}");
+            assert!(held.iter().all(|&x| x == held_slot as u8));
+        }
+
+        // Below the cap the held block goes to the back, costing one grow
+        // each time round until the pool reaches the cap.
+        let mut pool = FramePool::bounded(SLOTS, 8192);
+        let held = pool.stage_bytes(&[0xEE; 8]);
+        for i in 0..10_000u32 {
+            drop(pool.stage_bytes(&i.to_le_bytes()));
+        }
+        let behind = pool.grows() - 1;
+        assert!(
+            behind <= SLOTS as u64,
+            "grew {behind} behind the held block"
+        );
+        assert!(pool.blocks.len() <= SLOTS);
+        assert_eq!(&held[..], &[0xEE; 8]);
+    }
+
+    #[test]
+    fn frame_pool_retention_is_bounded_by_slots_and_block_size() {
+        let mut pool = FramePool::bounded(4, 100);
+        let live: Vec<Bytes> = (0..10u8).map(|i| pool.stage_bytes(&[i; 100])).collect();
+        assert_eq!(pool.grows(), 10);
+        assert!(pool.blocks.len() <= 4, "kept {}", pool.blocks.len());
+        drop(live);
+
+        // A block above the size bound is staged and left to its holder.
+        let kept = pool.blocks.len();
+        for _ in 0..3 {
+            drop(pool.stage_bytes(&[7u8; 101]));
+            assert_eq!(pool.blocks.len(), kept);
+        }
+        assert_eq!(pool.grows(), 13, "an oversized payload is never reused");
+        assert!(pool.blocks.iter().all(|b| b.capacity() <= 100));
     }
 
     #[test]
@@ -512,8 +671,8 @@ mod tests {
         drop(pool.stage_bytes(&[3u8; 256]));
         let warm = pool.grows();
         assert!(warm >= 1, "first stage allocates");
-        // Drop-before-restage, fixed size: every iteration reclaims (or
-        // consumes leftover capacity of) the same pooled block.
+        // Drop-before-restage, fixed size: every iteration refills the
+        // same kept block.
         for i in 0..50u8 {
             drop(pool.stage_bytes(&[i; 256]));
         }

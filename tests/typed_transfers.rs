@@ -253,7 +253,7 @@ fn nonblocking_typed_exchange() {
 
 /// The acceptance check for gather-on-pack: after warmup, a steady-state
 /// eager typed ping-pong performs **zero** fresh pool allocations — every
-/// send reclaims the staging block the previous send used. The ack
+/// send refills the staging block the previous send used. The ack
 /// round-trip guarantees the receiver has dropped its handle on the frame
 /// before the next gather, so the pool's buffer is unique again.
 #[test]
