@@ -4,7 +4,6 @@ use crate::coll::{coll_tag, ALG_GATHER_BCAST, ALG_RING, OP_ALLGATHER};
 use crate::datatype::MpiData;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Communicator;
-use crate::types::{SourceSel, TagSel};
 
 impl Communicator {
     /// Ring allgather: `n - 1` steps, each forwarding the block received
@@ -29,14 +28,8 @@ impl Communicator {
             let recv_block = (me + n - step - 1) % n;
             let tmp = out[send_block * count..(send_block + 1) * count].to_vec();
             let tag = coll_tag(OP_ALLGATHER, seq, ALG_RING, step);
-            let rid = self.post_recv_raw(
-                &mut out[recv_block * count..(recv_block + 1) * count],
-                SourceSel::Rank(left),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
-            )?;
-            self.coll_send(&tmp, right, tag)?;
-            rid.wait()?;
+            let recv = &mut out[recv_block * count..(recv_block + 1) * count];
+            self.coll_sendrecv(&tmp, right, recv, left, tag)?;
         }
         Ok(out)
     }

@@ -12,7 +12,6 @@ use crate::datatype::MpiData;
 use crate::error::MpiResult;
 use crate::mpi::Communicator;
 use crate::reduce_op::{ReduceOp, Reducible};
-use crate::types::{SourceSel, TagSel};
 
 impl Communicator {
     /// Binomial reduce to local rank 0, then broadcast the result — the
@@ -72,14 +71,8 @@ impl Communicator {
             let rb = start(recv_block)..start(recv_block + 1);
             let rb_len = rb.len();
             let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RING, step);
-            let rid = self.post_recv_raw(
-                &mut tmp[..rb_len],
-                SourceSel::Rank(left),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
-            )?;
-            self.coll_send(&out[start(send_block)..start(send_block + 1)], right, tag)?;
-            rid.wait()?;
+            let send = &out[start(send_block)..start(send_block + 1)];
+            self.coll_sendrecv(send, right, &mut tmp[..rb_len], left, tag)?;
             T::accumulate(op, &mut out[rb], &tmp[..rb_len]);
         }
 
@@ -90,14 +83,8 @@ impl Communicator {
             let recv_block = (me + n - step) % n;
             let tmp = out[start(send_block)..start(send_block + 1)].to_vec();
             let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RING, (n - 1) + step);
-            let rid = self.post_recv_raw(
-                &mut out[start(recv_block)..start(recv_block + 1)],
-                SourceSel::Rank(left),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
-            )?;
-            self.coll_send(&tmp, right, tag)?;
-            rid.wait()?;
+            let recv = &mut out[start(recv_block)..start(recv_block + 1)];
+            self.coll_sendrecv(&tmp, right, recv, left, tag)?;
         }
         Ok(out)
     }
@@ -148,14 +135,7 @@ impl Communicator {
             while mask < pof2 {
                 let peer = real(nr ^ mask);
                 let tag = coll_tag(OP_ALLREDUCE, seq, ALG_RECURSIVE_DOUBLING, round);
-                let rid = self.post_recv_raw(
-                    &mut tmp,
-                    SourceSel::Rank(peer),
-                    TagSel::Tag(tag),
-                    self.coll_ctx(),
-                )?;
-                self.coll_send(&out, peer, tag)?;
-                rid.wait()?;
+                self.coll_sendrecv(&out, peer, &mut tmp, peer, tag)?;
                 T::accumulate(op, &mut out, &tmp);
                 mask <<= 1;
                 round += 1;

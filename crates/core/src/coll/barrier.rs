@@ -3,7 +3,6 @@
 use crate::coll::{coll_tag, ALG_DISSEMINATION, ALG_TREE, OP_BARRIER};
 use crate::error::MpiResult;
 use crate::mpi::Communicator;
-use crate::types::{SourceSel, TagSel};
 
 impl Communicator {
     /// Dissemination barrier: `ceil(log2 n)` rounds; in round `r` rank
@@ -17,15 +16,7 @@ impl Communicator {
             let dst = (me + dist) % n;
             let src = (me + n - dist) % n;
             let tag = coll_tag(OP_BARRIER, seq, ALG_DISSEMINATION, round);
-            let mut empty = [0u8; 0];
-            let rid = self.post_recv_raw(
-                &mut empty,
-                SourceSel::Rank(src),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
-            )?;
-            self.coll_send::<u8>(&[], dst, tag)?;
-            rid.wait()?;
+            self.coll_sendrecv::<u8, u8>(&[], dst, &mut [], src, tag)?;
             dist <<= 1;
             round += 1;
         }

@@ -4,7 +4,7 @@ use crate::coll::{coll_tag, ALG_BINOMIAL, ALG_SCATTER_ALLGATHER, OP_BCAST};
 use crate::datatype::MpiData;
 use crate::error::MpiResult;
 use crate::mpi::Communicator;
-use crate::types::{Rank, SourceSel, Tag, TagSel};
+use crate::types::{Rank, Tag};
 
 impl Communicator {
     /// Binomial-tree broadcast over explicit wire tag `tag`. Shared by the
@@ -112,14 +112,8 @@ impl Communicator {
             let recv_block = (vrank + n - step - 1) % n;
             let tmp = buf[start(send_block)..start(send_block + 1)].to_vec();
             let tag = coll_tag(OP_BCAST, seq, ALG_SCATTER_ALLGATHER, 1 + step);
-            let rid = self.post_recv_raw(
-                &mut buf[start(recv_block)..start(recv_block + 1)],
-                SourceSel::Rank(left),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
-            )?;
-            self.coll_send(&tmp, right, tag)?;
-            rid.wait()?;
+            let recv = &mut buf[start(recv_block)..start(recv_block + 1)];
+            self.coll_sendrecv(&tmp, right, recv, left, tag)?;
         }
         Ok(())
     }

@@ -27,7 +27,7 @@ use crate::coll::{
 };
 use crate::datatype::MpiData;
 use crate::error::{MpiError, MpiResult};
-use crate::mpi::Communicator;
+use crate::mpi::{contiguous, Communicator, SendBuf};
 use crate::packet::{Packet, Wire};
 use crate::reduce_op::{ReduceOp, Reducible};
 use crate::types::{Rank, SendMode, SourceSel, Status, Tag, TagSel};
@@ -41,7 +41,8 @@ pub(crate) const T_AGREE: Tag = 9;
 
 impl Communicator {
     pub(crate) fn coll_send<T: MpiData>(&self, buf: &[T], dst: Rank, tag: Tag) -> MpiResult<()> {
-        self.send_mode(buf, dst, tag, SendMode::Standard, self.coll_ctx())
+        let data = SendBuf::Slice(buf);
+        self.send_mode(data, dst, tag, SendMode::Standard, self.coll_ctx())
     }
 
     pub(crate) fn coll_recv<T: MpiData>(
@@ -50,10 +51,23 @@ impl Communicator {
         src: Rank,
         tag: Tag,
     ) -> MpiResult<Status> {
-        let id =
-            self.post_recv_raw(buf, SourceSel::Rank(src), TagSel::Tag(tag), self.coll_ctx())?;
-        let st = id.wait()?;
-        Ok(self.localize(st))
+        let tag = TagSel::Tag(tag);
+        self.post_recv(contiguous(buf), SourceSel::Rank(src), tag, self.coll_ctx())?
+            .wait()
+    }
+
+    /// One exchange step of a collective: send `send` to `dst` while
+    /// receiving `recv` from `src`, both on `tag`.
+    pub(crate) fn coll_sendrecv<T: MpiData, U: MpiData>(
+        &self,
+        send: &[T],
+        dst: Rank,
+        recv: &mut [U],
+        src: Rank,
+        tag: Tag,
+    ) -> MpiResult<Status> {
+        let (src, rtag) = (SourceSel::Rank(src), TagSel::Tag(tag));
+        self.sendrecv_in(self.coll_ctx(), send, dst, tag, recv, src, rtag)
     }
 
     /// Collectives fail fast: a revoked communicator or a known-dead group
@@ -279,9 +293,8 @@ impl Communicator {
                 continue;
             }
             // Probe on the collective context for the size.
-            let src_g = SourceSel::Rank(src);
             let st = {
-                let sel = self.src_sel_pub(src_g)?;
+                let sel = SourceSel::Rank(self.global(src)?);
                 let ctx = self.coll_ctx();
                 self.inner()
                     .progress_until(|eng| eng.probe(sel, TagSel::Tag(tag), ctx))?
@@ -291,13 +304,6 @@ impl Communicator {
             *slot = buf;
         }
         Ok(Some(out))
-    }
-
-    fn src_sel_pub(&self, src: SourceSel) -> MpiResult<SourceSel> {
-        Ok(match src {
-            SourceSel::Any => SourceSel::Any,
-            SourceSel::Rank(local) => SourceSel::Rank(self.global(local)?),
-        })
     }
 
     /// `MPI_Scatter`: root's `send` (length `n * recv.len()`) is split into
@@ -437,14 +443,13 @@ impl Communicator {
             let dst = (me + step) % n;
             let src = (me + n - step) % n;
             let tag = coll_tag(OP_ALLTOALL, seq, ALG_DIRECT, step);
-            let rid = self.post_recv_raw(
+            self.coll_sendrecv(
+                &send[dst * count..(dst + 1) * count],
+                dst,
                 &mut out[src * count..(src + 1) * count],
-                SourceSel::Rank(src),
-                TagSel::Tag(tag),
-                self.coll_ctx(),
+                src,
+                tag,
             )?;
-            self.coll_send(&send[dst * count..(dst + 1) * count], dst, tag)?;
-            rid.wait()?;
         }
         Ok(out)
     }

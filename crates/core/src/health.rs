@@ -108,7 +108,7 @@ impl HealthState {
         }
     }
 
-    /// Record one blocking-send completion latency.
+    /// Record one user send's post-to-completion latency.
     #[inline]
     pub(crate) fn record_send(&self, t_ns: u64, dur_ns: u64) {
         if self.enabled {
@@ -116,7 +116,7 @@ impl HealthState {
         }
     }
 
-    /// Record one receive completion latency.
+    /// Record one user receive's post-to-completion latency.
     #[inline]
     pub(crate) fn record_recv(&self, t_ns: u64, dur_ns: u64) {
         if self.enabled {
@@ -253,9 +253,10 @@ lmpi_obs::json_struct! {
         pub threads: Vec<ThreadHealthSnapshot>,
         /// Engine-mutex wait-time distribution (contended acquisitions only).
         pub mutex_wait: PercentileSummary,
-        /// Blocking-send completion latency over the sliding window.
+        /// User send completion latency (post to completion, blocking or
+        /// not) over the sliding window; collective steps are not counted.
         pub send_window: PercentileSummary,
-        /// Receive completion latency over the sliding window.
+        /// User receive completion latency over the sliding window.
         pub recv_window: PercentileSummary,
         /// Per-(collective, algorithm) dispatch latency windows.
         pub coll_windows: Vec<CollWindow>,

@@ -10,7 +10,7 @@
 
 use crate::datatype::MpiData;
 use crate::error::MpiResult;
-use crate::mpi::{Communicator, Request};
+use crate::mpi::{Communicator, Request, SendBuf};
 use crate::types::{Rank, SendMode, SourceSel, Tag, TagSel};
 
 /// A prepared send: `comm`, buffer, destination, tag and mode validated
@@ -27,14 +27,10 @@ impl<'buf, T: MpiData> PersistentSend<'buf, T> {
     /// `MPI_Start`: post one instance of the send; the buffer's *current*
     /// contents travel.
     pub fn start(&self) -> MpiResult<Request<'buf>> {
-        // Re-dispatch through the nonblocking API so mode semantics (acks,
-        // buffer accounting) are identical to ad-hoc sends.
-        match self.mode {
-            SendMode::Standard => self.comm.isend(self.buf, self.dst, self.tag),
-            SendMode::Buffered => self.comm.ibsend(self.buf, self.dst, self.tag),
-            SendMode::Synchronous => self.comm.issend(self.buf, self.dst, self.tag),
-            SendMode::Ready => self.comm.irsend(self.buf, self.dst, self.tag),
-        }
+        // The nonblocking send post, so mode semantics (acks, buffer
+        // accounting) are identical to ad-hoc sends.
+        let data = SendBuf::Slice(self.buf);
+        self.comm.isend_mode(data, self.dst, self.tag, self.mode)
     }
 
     /// Destination rank.
@@ -120,9 +116,7 @@ impl Communicator {
     ) -> MpiResult<PersistentSend<'a, T>> {
         // Validate destination and tag once, at init time.
         self.global(dst)?;
-        if tag > crate::types::TAG_UB {
-            return Err(crate::error::MpiError::InvalidTag(tag as i32));
-        }
+        Self::check_tag(TagSel::Tag(tag))?;
         Ok(PersistentSend {
             comm: self.clone(),
             buf,
@@ -144,11 +138,7 @@ impl Communicator {
             self.global(r)?;
         }
         let tag = tag.into();
-        if let TagSel::Tag(t) = tag {
-            if t > crate::types::TAG_UB {
-                return Err(crate::error::MpiError::InvalidTag(t as i32));
-            }
-        }
+        Self::check_tag(tag)?;
         Ok(PersistentRecv {
             comm: self.clone(),
             buf,

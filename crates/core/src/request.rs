@@ -2,7 +2,11 @@
 //! operation.
 //!
 //! Blocking calls are nonblocking calls plus an immediate wait, exactly as
-//! in MPICH's layering, so everything funnels through here.
+//! in MPICH's layering, so everything funnels through here: each
+//! point-to-point call posts one request (`Communicator::post_send` or
+//! `post_recv`) and waits on it through the one `Posted` operation in
+//! `mpi.rs`, which holds the caller's buffer borrow for as long as the
+//! engine may reach the buffer through a [`RecvDest`] or a [`Lease`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,8 +24,9 @@ use crate::types::Status;
 ///
 /// # Safety contract
 /// The pointer originates from a `&mut [u8]` whose borrow is held for the
-/// lifetime of the owning `Request` (enforced by the lifetime parameter on
-/// the public `Request` type, and by `Request::drop` blocking until
+/// lifetime of the owning `Posted` operation in `mpi.rs` (enforced by its
+/// lifetime parameter, which a public `Request` carries, by its drop
+/// abandoning the request, and by `Request::drop` blocking until
 /// completion). The engine writes through it before marking the request
 /// done — at most once per byte range (a chunked rendezvous writes each
 /// disjoint chunk once; typed receives reject overlapping layouts at post
@@ -136,7 +141,7 @@ impl RecvDest {
 ///
 /// # Safety contract
 /// The send side of the `RecvDest` contract. The window originates from
-/// a `&[T]` whose borrow the owning `Request` (or the blocking call) holds,
+/// a `&[T]` whose borrow the owning `Posted` operation holds,
 /// and **a send that lent its buffer does not complete — `Ok` or `Err`,
 /// waited, cancelled, dropped, timed out or failed — until its lease is
 /// closed**: either the receiver pulled it (the lease closes itself, then

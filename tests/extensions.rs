@@ -2,7 +2,7 @@
 //! topologies, persistent requests, scatterv, and packed (derived
 //! datatype) messaging — over real rank threads.
 
-use lmpi::{run_threads, wait_all, DataType, ReduceOp};
+use lmpi::{run_threads, wait_all, DataType, MpiError, ReduceOp};
 use lmpi_core::{start_all, CartComm};
 
 #[test]
@@ -151,6 +151,121 @@ fn persistent_start_all() {
                 world.recv(&mut v, 0, 0).unwrap();
             }
             assert_eq!(v, if me == 1 { [1, 2] } else { [3, 4] });
+        }
+    });
+}
+
+/// A persistent buffered send needs attached space at each `start`, and
+/// with it completes at `start`, before the receiver has posted anything.
+#[test]
+fn persistent_bsend_completes_at_start_from_the_attached_buffer() {
+    run_threads(2, |mpi| {
+        let world = mpi.world();
+        let out = [3u32, 1, 4];
+        if world.rank() == 0 {
+            let send = world.bsend_init(&out, 1, 0).unwrap();
+            assert!(
+                matches!(send.start(), Err(MpiError::NoBufferAttached)),
+                "no attached buffer: typed error at start"
+            );
+            mpi.buffer_attach(1024);
+            let mut req = send.start().unwrap();
+            assert!(req.test().unwrap().is_some(), "buffered: done at start");
+            world.send(&[1u8], 1, 9).unwrap();
+            mpi.buffer_detach().unwrap();
+        } else {
+            // Nothing is posted for the message before this token.
+            world.recv(&mut [0u8], 0, 9).unwrap();
+            let mut got = [0u32; 3];
+            world.recv(&mut got, 0, 0).unwrap();
+            assert_eq!(got, out);
+        }
+    });
+}
+
+/// A persistent synchronous send is not complete before the receiver has
+/// matched it.
+#[test]
+fn persistent_ssend_waits_for_the_match() {
+    run_threads(2, |mpi| {
+        let world = mpi.world();
+        let out = [2u64, 7, 1, 8];
+        if world.rank() == 0 {
+            let send = world.ssend_init(&out, 1, 0).unwrap();
+            let mut req = send.start().unwrap();
+            // Rank 1 posts nothing before it has this token.
+            for _ in 0..50 {
+                assert!(req.test().unwrap().is_none(), "ssend done, unmatched");
+            }
+            world.send(&[1u8], 1, 9).unwrap();
+            assert_eq!(req.wait().unwrap().len, 32);
+        } else {
+            world.recv(&mut [0u8], 0, 9).unwrap();
+            let mut got = [0u64; 4];
+            world.recv(&mut got, 0, 0).unwrap();
+            assert_eq!(got, out);
+        }
+    });
+}
+
+/// A persistent ready send into a receive posted before it delivers.
+#[test]
+fn persistent_rsend_delivers_into_a_preposted_receive() {
+    run_threads(2, |mpi| {
+        let world = mpi.world();
+        if world.rank() == 0 {
+            let out = [9i32, -9];
+            let send = world.rsend_init(&out, 1, 4).unwrap();
+            for _ in 0..3 {
+                world.recv(&mut [0u8], 1, 9).unwrap();
+                send.start().unwrap().wait().unwrap();
+            }
+        } else {
+            for _ in 0..3 {
+                let mut got = [0i32; 2];
+                let req = world.irecv(&mut got, 0, 4).unwrap();
+                world.send(&[1u8], 0, 9).unwrap();
+                req.wait().unwrap();
+                assert_eq!(got, [9, -9]);
+            }
+        }
+    });
+}
+
+/// `start_all` over sends of all four modes: each keeps its mode.
+#[test]
+fn persistent_start_all_mixes_modes() {
+    run_threads(2, |mpi| {
+        let world = mpi.world();
+        let bufs: Vec<[u32; 2]> = (0..4).map(|m| [m, m * 10]).collect();
+        if world.rank() == 0 {
+            mpi.buffer_attach(1024);
+            let sends = vec![
+                world.send_init(&bufs[0], 1, 0).unwrap(),
+                world.bsend_init(&bufs[1], 1, 1).unwrap(),
+                world.ssend_init(&bufs[2], 1, 2).unwrap(),
+                world.rsend_init(&bufs[3], 1, 3).unwrap(),
+            ];
+            for _ in 0..3 {
+                // The ready-mode receive is posted before this token.
+                world.recv(&mut [0u8], 1, 9).unwrap();
+                let reqs = start_all(&sends).unwrap();
+                let lens: Vec<usize> = wait_all(reqs).unwrap().iter().map(|s| s.len).collect();
+                assert_eq!(lens, [8; 4]);
+            }
+            mpi.buffer_detach().unwrap();
+        } else {
+            for _ in 0..3 {
+                let mut got = [[0u32; 2]; 4];
+                let reqs: Vec<_> = got
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(tag, b)| world.irecv(b, 0, tag as u32).unwrap())
+                    .collect();
+                world.send(&[1u8], 0, 9).unwrap();
+                wait_all(reqs).unwrap();
+                assert_eq!(got.to_vec(), bufs);
+            }
         }
     });
 }

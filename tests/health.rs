@@ -202,6 +202,41 @@ fn disabled_health_reports_empty() {
     }
 }
 
+/// The send/recv windows count user point-to-point completions, once
+/// each: both halves of a `sendrecv` land there, a barrier's internal
+/// messages do not (they feed the barrier's own window, once per call).
+#[test]
+fn windows_count_user_calls_once_each() {
+    let reports = run_devices(
+        ShmDevice::fabric(2),
+        MpiConfig::device_defaults(),
+        |mpi: Mpi| {
+            let world = mpi.world();
+            let peer = 1 - world.rank();
+            for _ in 0..10 {
+                world.barrier().unwrap();
+            }
+            for i in 0..5u32 {
+                let mut back = [0u32];
+                world.sendrecv(&[i], peer, i, &mut back, peer, i).unwrap();
+                assert_eq!(back, [i]);
+            }
+            mpi.health()
+        },
+    );
+    for report in &reports {
+        assert_eq!(report.send_window.count, 5, "rank {}", report.rank);
+        assert_eq!(report.recv_window.count, 5, "rank {}", report.rank);
+        let barriers: u64 = report
+            .coll_windows
+            .iter()
+            .filter(|w| w.collective == "barrier")
+            .map(|w| w.window.count)
+            .sum();
+        assert_eq!(barriers, 10, "rank {}", report.rank);
+    }
+}
+
 /// Real TCP's sockets are read by whoever holds the drain role, not by a
 /// thread of the device's own: a real-TCP rank reports exactly one
 /// service thread, `progress`, like every other device.

@@ -1,13 +1,14 @@
 //! Interaction tests for the request-completion surface: `wait_any`
 //! returning completions in arrival order, the all-or-nothing `test_all`
-//! contract, and `cancel` on both unmatched and already-matched receives.
+//! contract, `cancel` on both unmatched and already-matched receives, and
+//! `wait_any` on an empty list.
 //!
 //! Ordering is made deterministic with handshakes (one message in flight
 //! at a time) and the FIFO delivery guarantee of the shm channels: once a
 //! later flag message has been received, every earlier frame on the same
 //! channel has already been handled by the engine.
 
-use lmpi::{run_threads, test_all, wait_any, Mpi};
+use lmpi::{run_threads, test_all, wait_any, Mpi, MpiError};
 
 /// Three receives posted up front; the peer sends them in a scrambled
 /// order, one at a time under a handshake, so `wait_any` must surface them
@@ -147,5 +148,23 @@ fn cancel_matched_recv_completes_with_data() {
             world.send(&[31u32, 41], 0, 7).unwrap();
             world.send(&[1u8], 0, 8).unwrap();
         }
+    });
+}
+
+/// `wait_any` over no requests can never complete: a typed error naming
+/// the call, not a panic (and not a hang).
+#[test]
+fn wait_any_on_an_empty_list_is_a_typed_error() {
+    run_threads(1, |mpi: Mpi| {
+        let world = mpi.world();
+        let mut none: Vec<lmpi::Request<'_>> = Vec::new();
+        match wait_any(&mut none) {
+            Err(MpiError::Unsupported { what }) => assert!(what.contains("wait_any"), "{what}"),
+            other => panic!("expected a typed Unsupported error, got {other:?}"),
+        }
+        // The rank is still usable afterwards.
+        let mut back = [0u8];
+        world.sendrecv(&[5u8], 0, 1, &mut back, 0, 1).unwrap();
+        assert_eq!(back, [5]);
     });
 }
