@@ -2,12 +2,13 @@
 //!
 //! The substrate under the Meiko CS/2 and Ethernet/ATM cluster models in
 //! `lmpi-netmodel`. Simulated processes are OS threads scheduled
-//! *cooperatively*: exactly one entity (the scheduler or one process) runs at
-//! any moment, handing off through a run token, so every run is exactly
-//! reproducible and free of data races by construction. Blocking process code
-//! (each MPI rank) reads like ordinary sequential code; cost models advance
-//! the virtual clock via [`Proc::advance`] and scheduler callbacks via
-//! [`Sim::after`].
+//! *cooperatively*: exactly one thread runs at any moment, the holder of a
+//! run token. There is no scheduler thread: the process that gives the token
+//! up runs the event loop and hands it straight to the next process, so every
+//! run is exactly reproducible and free of data races by construction.
+//! Blocking process code (each MPI rank) reads like ordinary sequential code;
+//! cost models advance the virtual clock via [`Proc::advance`] and timer
+//! callbacks via [`Sim::after`].
 //!
 //! ```
 //! use lmpi_sim::{Sim, SimDur, SimQueue};

@@ -1,12 +1,17 @@
 //! The discrete-event scheduler and cooperative process model.
 //!
 //! A [`Sim`] owns a virtual clock and an event queue. Simulated processes are
-//! real OS threads, but **exactly one entity runs at a time** — either the
-//! scheduler (which also executes timer callbacks) or a single process thread
-//! holding the run token. This gives the programming convenience of blocking
-//! code (each MPI rank is written as straight-line blocking code) with the
-//! determinism of a sequential discrete-event simulation: runs are exactly
-//! reproducible, and there are no data races by construction.
+//! real OS threads, but **exactly one thread runs at a time**: the one holding
+//! the run token. There is no scheduler thread. A process that gives the token
+//! up (it advances the clock, parks, or finishes) runs the event loop itself:
+//! it fires timer callbacks inline and stops at the first live wake. A wake
+//! for itself returns at once with no thread switch; a wake for another
+//! process hands the token straight to that process's thread. The thread in
+//! [`Sim::run`] starts the loop and gets the token back only when the queue
+//! is empty or a panic is recorded. This gives the programming convenience of
+//! blocking code (each MPI rank is written as straight-line blocking code)
+//! with the determinism of a sequential discrete-event simulation: runs are
+//! exactly reproducible, and there are no data races by construction.
 //!
 //! Events are ordered by `(time, sequence-number)`, the sequence number being
 //! assigned at scheduling time, so simultaneous events fire in the order they
@@ -18,7 +23,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::lock::{Condvar, Mutex};
+use crate::lock::{Condvar, Mutex, MutexGuard};
 
 use crate::time::{SimDur, SimTime};
 
@@ -74,9 +79,12 @@ enum ProcStatus {
     Finished,
 }
 
+/// Which thread holds the run token.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Token {
-    Scheduler,
+    /// The thread that calls [`Sim::run`]: before the run starts, and once
+    /// nothing is queued or a panic is recorded.
+    Run,
     Proc(ProcId),
 }
 
@@ -89,6 +97,8 @@ struct ProcSlot {
     join: Option<JoinHandle<()>>,
 }
 
+type StateGuard<'a> = MutexGuard<'a, SchedState>;
+
 struct SchedState {
     now: SimTime,
     seq: u64,
@@ -96,16 +106,20 @@ struct SchedState {
     procs: Vec<ProcSlot>,
     token: Token,
     live: usize,
-    /// First panic payload message captured from a process.
+    /// First panic message captured from a process or a timer callback.
     panicked: Option<String>,
     /// Set when tearing down after a panic: parked processes unwind instead
-    /// of waiting forever for a token that will never come.
+    /// of waiting forever for a token that will never come, and no thread
+    /// dispatches another event.
     poisoned: bool,
+    /// Hand-offs of the run token from one OS thread to another.
+    switches: u64,
 }
 
 pub(crate) struct Core {
     state: Mutex<SchedState>,
-    sched_cv: Condvar,
+    /// Where the thread in [`Sim::run`] waits for the token to come back.
+    run_cv: Condvar,
 }
 
 impl Core {
@@ -160,12 +174,13 @@ impl Sim {
                     seq: 0,
                     queue: BinaryHeap::new(),
                     procs: Vec::new(),
-                    token: Token::Scheduler,
+                    token: Token::Run,
                     live: 0,
                     panicked: None,
                     poisoned: false,
+                    switches: 0,
                 }),
-                sched_cv: Condvar::new(),
+                run_cv: Condvar::new(),
             }),
         }
     }
@@ -179,11 +194,13 @@ impl Sim {
         self.core.now()
     }
 
-    /// Run `f` on the scheduler after `delay` of virtual time.
+    /// Run `f` after `delay` of virtual time.
     ///
-    /// Callbacks execute with the run token held by the scheduler and may
-    /// schedule further events, wake processes via sync primitives, or spawn
-    /// new processes. They must not block.
+    /// Callbacks execute while no process runs, on whichever thread is
+    /// dispatching events, and may schedule further events, wake processes
+    /// via sync primitives, or spawn new processes. They must not block. A
+    /// callback that panics fails the run: [`Sim::run`] panics with its
+    /// message.
     pub fn after(&self, delay: SimDur, f: impl FnOnce(&Sim) + Send + 'static) {
         let mut st = self.core.state.lock();
         let at = st.now + delay;
@@ -197,7 +214,7 @@ impl Sim {
     }
 
     /// Spawn a simulated process. Its closure starts executing at the current
-    /// virtual time, once the scheduler reaches its start event.
+    /// virtual time, once the event loop reaches its start event.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&Proc) + Send + 'static,
@@ -226,35 +243,12 @@ impl Sim {
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
-                let proc = Proc {
-                    sim: sim.clone(),
-                    pid,
-                    cv,
-                };
-                // Wait until the scheduler hands us the token for the first time.
-                {
-                    let mut st = proc.sim.core.state.lock();
-                    while st.token != Token::Proc(pid) {
-                        proc.cv.wait(&mut st);
-                    }
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&proc)));
-                let mut st = proc.sim.core.state.lock();
-                st.procs[pid].status = ProcStatus::Finished;
-                // Bump the epoch so any in-flight wake events for us are stale.
-                st.procs[pid].epoch += 1;
-                st.live -= 1;
-                if let Err(payload) = result {
-                    let msg = payload_to_string(payload.as_ref());
-                    if st.panicked.is_none() {
-                        st.panicked = Some(format!(
-                            "process '{}' panicked: {msg}",
-                            proc.name_locked(&st)
-                        ));
-                    }
-                }
-                st.token = Token::Scheduler;
-                proc.sim.core.sched_cv.notify_one();
+                let proc = Proc { sim, pid, cv };
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    proc.wait_for_token(proc.sim.core.state.lock());
+                    f(&proc)
+                }));
+                proc.finish(result);
             })
             .expect("failed to spawn simulation thread");
         self.core.state.lock().procs[pid].join = Some(handle);
@@ -265,64 +259,92 @@ impl Sim {
     /// queue is empty.
     ///
     /// # Panics
-    /// Panics if a process panicked (propagating its message), or if the
-    /// event queue drains while processes are still parked (deadlock), in
-    /// which case the panic message names the stuck processes.
+    /// Panics if a process or a timer callback panicked (propagating its
+    /// message, once every process thread has exited), or if the event queue
+    /// drains while processes are still parked (deadlock), in which case the
+    /// panic message names the stuck processes.
     pub fn run(&self) {
-        loop {
-            let mut st = self.core.state.lock();
-            if let Some(msg) = st.panicked.take() {
-                // Poison the run so parked processes unwind rather than wait
-                // forever, then join everything and propagate.
-                st.poisoned = true;
-                for p in &st.procs {
-                    p.cv.notify_one();
-                }
-                drop(st);
-                self.join_all();
-                panic!("{msg}");
+        let mut st = self.dispatch(self.core.state.lock(), Token::Run);
+        while st.token != Token::Run {
+            self.core.run_cv.wait(&mut st);
+        }
+        if let Some(msg) = st.panicked.take() {
+            // Poison the run so parked processes unwind rather than wait
+            // forever, then join everything and propagate.
+            st.poisoned = true;
+            for p in &st.procs {
+                p.cv.notify_one();
+            }
+            drop(st);
+            self.join_all();
+            panic!("{msg}");
+        }
+        debug_assert!(st.queue.is_empty(), "token returned with events queued");
+        if st.live == 0 {
+            drop(st);
+            self.join_all();
+            return;
+        }
+        let stuck: Vec<String> = st
+            .procs
+            .iter()
+            .filter(|p| p.status == ProcStatus::Parked)
+            .map(|p| p.name.clone())
+            .collect();
+        panic!(
+            "simulation deadlock at {}: {} live process(es), none runnable; parked: [{}]",
+            st.now,
+            st.live,
+            stuck.join(", ")
+        );
+    }
+
+    /// The event loop, run by `me`, the thread giving up the run token.
+    /// Pops events in `(time, seq)` order, running callbacks inline, until
+    /// the first live wake, and gives the token to that process; to `run`
+    /// once the queue is empty or a panic is recorded. If the new holder is
+    /// another thread it is notified, and the caller must wait (or exit).
+    fn dispatch<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> StateGuard<'a> {
+        let next = loop {
+            if st.panicked.is_some() || st.poisoned {
+                break Token::Run;
             }
             let Some(Reverse(ev)) = st.queue.pop() else {
-                if st.live == 0 {
-                    drop(st);
-                    self.join_all();
-                    return;
-                }
-                let stuck: Vec<String> = st
-                    .procs
-                    .iter()
-                    .filter(|p| p.status == ProcStatus::Parked)
-                    .map(|p| p.name.clone())
-                    .collect();
-                panic!(
-                    "simulation deadlock at {}: {} live process(es), none runnable; parked: [{}]",
-                    st.now,
-                    st.live,
-                    stuck.join(", ")
-                );
+                break Token::Run;
             };
             debug_assert!(ev.at >= st.now, "event queue went backwards");
             st.now = ev.at;
             match ev.kind {
                 EventKind::Wake(token) => {
-                    let slot = &st.procs[token.pid];
+                    let slot = &mut st.procs[token.pid];
                     // Drop stale wakes (process moved on or finished).
                     if slot.status == ProcStatus::Finished || slot.epoch != token.epoch {
                         continue;
                     }
-                    st.procs[token.pid].status = ProcStatus::Runnable;
-                    st.token = Token::Proc(token.pid);
-                    st.procs[token.pid].cv.notify_one();
-                    while st.token != Token::Scheduler {
-                        self.core.sched_cv.wait(&mut st);
-                    }
+                    slot.status = ProcStatus::Runnable;
+                    break Token::Proc(token.pid);
                 }
                 EventKind::Call(f) => {
                     drop(st);
-                    f(self);
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| f(self)));
+                    st = self.core.state.lock();
+                    if let Err(payload) = result {
+                        let msg = payload_to_string(payload.as_ref());
+                        st.panicked
+                            .get_or_insert_with(|| format!("timer callback panicked: {msg}"));
+                    }
                 }
             }
+        };
+        st.token = next;
+        if next != me {
+            st.switches += 1;
+            match next {
+                Token::Run => self.core.run_cv.notify_one(),
+                Token::Proc(pid) => st.procs[pid].cv.notify_one(),
+            }
         }
+        st
     }
 
     fn join_all(&self) {
@@ -427,8 +449,8 @@ impl Proc {
         }
     }
 
-    /// Complete a park started with [`prepare_park`]: hand the token to the
-    /// scheduler and block until woken.
+    /// Complete a park started with [`prepare_park`]: give up the token and
+    /// block until woken.
     pub(crate) fn park(&self) {
         let st = self.sim.core.state.lock();
         debug_assert_eq!(st.token, Token::Proc(self.pid));
@@ -442,32 +464,76 @@ impl Proc {
         let mut st = self.sim.core.state.lock();
         let at = st.now + d;
         // A timeout wake must mark the proc Runnable when it fires; wake
-        // events for Parked procs do that in the scheduler loop, but we must
+        // events for Parked procs do that in the event loop, but we must
         // not enqueue a *second* wake if something else already woke us —
-        // the epoch check in the scheduler handles that, and waking an
+        // the epoch check in the event loop handles that, and waking an
         // already-Runnable proc is prevented by the status check there too.
         self.sim.core.schedule_wake_locked(&mut st, at, token);
     }
 
-    fn yield_token(&self, mut st: crate::lock::MutexGuard<'_, SchedState>) {
-        st.token = Token::Scheduler;
-        self.sim.core.sched_cv.notify_one();
+    /// Run the event loop on this thread, then wait until the token comes
+    /// back: at once, with no thread switch, when our own wake is the next
+    /// live event.
+    fn yield_token(&self, st: StateGuard<'_>) {
+        self.wait_for_token(self.sim.dispatch(st, Token::Proc(self.pid)));
+    }
+
+    fn wait_for_token(&self, mut st: StateGuard<'_>) {
         while st.token != Token::Proc(self.pid) && !st.poisoned {
             self.cv.wait(&mut st);
         }
         if st.poisoned {
-            // Another process panicked and the run is being torn down; unwind
-            // this thread too so `run()` can finish joining.
+            // A process or callback panicked and the run is being torn down;
+            // unwind this thread too so `run()` can finish joining.
             drop(st);
-            panic!("simulation aborted due to another process's panic");
+            panic!("simulation aborted after a panic elsewhere in the run");
         }
+    }
+
+    /// The exit path of a process thread: record a panic, then run the
+    /// event loop once more to hand the token on. A finished process's
+    /// wakes are all stale, so the token never comes back to it.
+    fn finish(&self, result: std::thread::Result<()>) {
+        let mut st = self.sim.core.state.lock();
+        st.procs[self.pid].status = ProcStatus::Finished;
+        // Bump the epoch so any in-flight wake events for us are stale.
+        st.procs[self.pid].epoch += 1;
+        st.live -= 1;
+        if let Err(payload) = result {
+            // Once poisoned, the run already carries the first message.
+            if !st.poisoned && st.panicked.is_none() {
+                let msg = payload_to_string(payload.as_ref());
+                st.panicked = Some(format!(
+                    "process '{}' panicked: {msg}",
+                    self.name_locked(&st)
+                ));
+            }
+        }
+        self.sim.dispatch(st, Token::Proc(self.pid));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use crate::SimQueue;
+
+    fn switches(sim: &Sim) -> u64 {
+        sim.core.state.lock().switches
+    }
+
+    /// Sends on a channel when dropped: proof that a process thread unwound.
+    struct DropSignal(mpsc::Sender<()>);
+
+    impl Drop for DropSignal {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
 
     #[test]
     fn clock_starts_at_zero_and_advances() {
@@ -578,5 +644,157 @@ mod tests {
         });
         sim.run();
         assert_eq!(*log.lock(), vec!["a-before", "b", "a-after"]);
+    }
+
+    #[test]
+    fn panicking_callback_unwinds_every_parked_process() {
+        let (tx, rx) = mpsc::channel();
+        let sim = Sim::new();
+        let q: SimQueue<()> = SimQueue::new(&sim);
+        sim.spawn("waiter", move |p| {
+            let _signal = DropSignal(tx);
+            q.pop(p);
+        });
+        sim.after(SimDur::from_us(1), |_| panic!("cb boom"));
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must fail");
+        let msg = payload_to_string(err.as_ref());
+        assert!(msg.contains("cb boom"), "{msg}");
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("waiter thread still parked");
+    }
+
+    #[test]
+    fn poisoned_run_dispatches_nothing_more() {
+        let (tx, rx) = mpsc::channel();
+        let sim = Sim::new();
+        let q: SimQueue<()> = SimQueue::new(&sim);
+        let tx_b = tx.clone();
+        sim.spawn("b", move |p| {
+            let _signal = DropSignal(tx_b);
+            q.pop(p);
+        });
+        sim.spawn("a", move |p| {
+            let _signal = DropSignal(tx);
+            p.advance(SimDur::from_us(1));
+            panic!("a boom");
+        });
+        let ran = Arc::new(AtomicBool::new(false));
+        let r = ran.clone();
+        sim.after(SimDur::from_us(2), move |_| r.store(true, Ordering::SeqCst));
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must fail");
+        let msg = payload_to_string(err.as_ref());
+        assert!(msg.contains("process 'a' panicked: a boom"), "{msg}");
+        assert!(!ran.load(Ordering::SeqCst), "a poisoned run ran a callback");
+        // `run` joined both threads before it panicked.
+        assert_eq!(rx.try_iter().count(), 2);
+    }
+
+    #[test]
+    fn a_lone_process_advances_without_a_thread_switch() {
+        const STEPS: u64 = 10_000;
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new((0, 0)));
+        let s = seen.clone();
+        sim.spawn("lone", move |p| {
+            let before = switches(p.sim());
+            for _ in 0..STEPS {
+                p.advance(SimDur::from_ns(1));
+            }
+            *s.lock() = (before, switches(p.sim()));
+        });
+        sim.run();
+        // One switch in (`run` hands the token to the start wake), none per
+        // `advance` (each pops the process's own wake), one out (the exit
+        // path finds the queue empty and hands the token to `run`). A
+        // dedicated scheduler thread did two per `advance`: 20 002 here.
+        assert_eq!(*seen.lock(), (1, 1));
+        assert_eq!(switches(&sim), 2);
+    }
+
+    #[test]
+    fn lockstep_processes_switch_once_per_advance() {
+        // Two processes advancing in lockstep: each `advance` queues its
+        // wake behind the other's, so the token goes straight across.
+        const STEPS: u64 = 1_000;
+        let sim = Sim::new();
+        for name in ["a", "b"] {
+            sim.spawn(name, |p| {
+                for _ in 0..STEPS {
+                    p.advance(SimDur::from_us(1));
+                }
+            });
+        }
+        sim.run();
+        // `run` -> a (1), then one switch per `advance` (2 STEPS: the last,
+        // b's, hands the token to a for its exit), a's exit -> b (1), b's
+        // exit -> `run` (1). A dedicated scheduler thread did two per
+        // `advance` plus four: 4 004 here.
+        assert_eq!(switches(&sim), 2 * STEPS + 3);
+    }
+
+    #[test]
+    fn mixed_scenario_keeps_the_event_order() {
+        type Log = Arc<Mutex<Vec<(u64, &'static str)>>>;
+        fn note(log: &Log, sim: &Sim, what: &'static str) {
+            log.lock().push((sim.now().as_ns(), what));
+        }
+        let sim = Sim::new();
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let q: SimQueue<&'static str> = SimQueue::new(&sim);
+
+        let (l, qa) = (log.clone(), q.clone());
+        sim.spawn("a", move |p| {
+            p.advance(SimDur::from_us(10));
+            note(&l, p.sim(), "a advanced");
+            p.yield_now();
+            note(&l, p.sim(), "a yielded");
+            note(&l, p.sim(), qa.pop(p));
+            assert!(qa.pop_timeout(p, SimDur::from_us(1)).is_none());
+            note(&l, p.sim(), "a timed out");
+            let item = qa.pop_timeout(p, SimDur::from_us(100));
+            note(&l, p.sim(), item.expect("pushed before the timeout"));
+            note(&l, p.sim(), qa.pop(p));
+        });
+        let (l, qb) = (log.clone(), q.clone());
+        sim.spawn("b", move |p| {
+            p.advance(SimDur::from_us(10));
+            note(&l, p.sim(), "b advanced");
+            qb.push("pushed by b");
+            p.advance(SimDur::from_us(20));
+            note(&l, p.sim(), "b finished");
+        });
+        let l = log.clone();
+        sim.after(SimDur::from_us(10), move |s| note(&l, s, "callback at 10"));
+        let qc = q.clone();
+        sim.after(SimDur::from_us(12), move |_| qc.push("pushed by callback"));
+        let l = log.clone();
+        sim.after(SimDur::from_us(15), move |s| {
+            s.spawn("c", move |p| {
+                note(&l, p.sim(), "c started");
+                p.advance(SimDur::from_us(30));
+                q.push("pushed by c");
+                note(&l, p.sim(), "c finished");
+            });
+        });
+        sim.run();
+
+        // Captured from the kernel with a dedicated scheduler thread; the
+        // event loop must pick the same order whichever thread runs it.
+        // At 10 µs the callback (queued first) runs before both wakes; a's
+        // stale 100 µs timeout is dropped; c's push wakes a after c exits.
+        let expected: Vec<(u64, &str)> = vec![
+            (10_000, "callback at 10"),
+            (10_000, "a advanced"),
+            (10_000, "b advanced"),
+            (10_000, "a yielded"),
+            (10_000, "pushed by b"),
+            (11_000, "a timed out"),
+            (12_000, "pushed by callback"),
+            (15_000, "c started"),
+            (30_000, "b finished"),
+            (45_000, "c finished"),
+            (45_000, "pushed by c"),
+        ];
+        assert_eq!(*log.lock(), expected);
     }
 }

@@ -2,9 +2,10 @@
 //! of messages (a NIC inbox).
 //!
 //! It is a *virtual-time* primitive: waiting consumes no host CPU, it
-//! parks the process thread and hands the run token back to the scheduler.
-//! Waking is always mediated by the event queue, so wake order is
-//! deterministic (FIFO among waiters, at the virtual instant of the wake).
+//! parks the process thread, which runs the event loop until it hands the
+//! run token to the next process. Waking is always mediated by the event
+//! queue, so wake order is deterministic (FIFO among waiters, at the
+//! virtual instant of the wake).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
