@@ -27,6 +27,12 @@
 //! | 53 | 4  | payload length |
 //! | 57 | n  | payload |
 //!
+//! [`encode_head`] writes the fixed head (offsets 0 to 56) and hands back
+//! the payload. On real TCP a 4-byte length word precedes each frame, and
+//! the writer sends the length word, the head and the payload in one
+//! vectored `write`: the length word goes out in the same syscall as the
+//! frame, and the payload is not copied.
+//!
 //! The tests below pin it: `header_is_exactly_25_bytes_plus_framing` (the
 //! encoded size against the modelled 25 bytes),
 //! `seq_ack_survive_the_u32_boundary` (the reliability words at full
@@ -60,8 +66,9 @@ const INFO_OFF: usize = MSG_SEQ_OFF + MSG_SEQ_BYTES;
 /// Offset of the payload-length word.
 const LEN_OFF: usize = INFO_OFF + 20;
 
-/// Offset of the payload itself.
-const PAYLOAD_OFF: usize = LEN_OFF + 4;
+/// Offset of the payload itself: the length of the frame head that
+/// [`encode_head`] writes.
+pub const PAYLOAD_OFF: usize = LEN_OFF + 4;
 
 const T_EAGER: u8 = 1;
 const T_EAGER_ACK_REQ: u8 = 2; // synchronous-mode eager
@@ -90,13 +97,27 @@ pub fn encode(wire: &Wire) -> Vec<u8> {
     out
 }
 
-/// Encode a frame into `out` (cleared first). The layout is self-contained:
-/// no external framing is needed beyond a leading length word added by the
-/// stream writer. Devices keep a reusable scratch vector and call this per
-/// frame, so steady-state encoding does not allocate.
+/// Encode a frame into `out` (cleared first): the head [`encode_head`]
+/// writes, then the payload. The layout is self-contained: no external
+/// framing is needed beyond a leading length word, which the real-TCP
+/// writer sends in the same syscall as the frame (it hands the length
+/// word, the head and the payload to one vectored `write` and never calls
+/// this). A caller that keeps a reusable scratch vector, as the UDP device
+/// does, encodes without allocating once the scratch has grown.
 pub fn encode_into(wire: &Wire, out: &mut Vec<u8>) {
+    let (head, payload) = encode_head(wire);
     out.clear();
-    out.reserve(HEADER_BYTES + SEQ_ACK_BYTES + MSG_SEQ_BYTES + 4 + wire.pkt.payload_len());
+    out.reserve(PAYLOAD_OFF + payload.len());
+    out.extend_from_slice(&head);
+    out.extend_from_slice(payload);
+}
+
+/// The fixed [`PAYLOAD_OFF`]-byte head of `wire`'s frame — type, credit,
+/// seq/ack/bitmap, message sequence, the 20 info bytes and the payload
+/// length (offsets 0 to 56 of the table above) — and the payload that
+/// follows it on the wire, empty for a header-only frame.
+pub fn encode_head(wire: &Wire) -> ([u8; PAYLOAD_OFF], &[u8]) {
+    let mut head = [0u8; PAYLOAD_OFF];
     // 1 byte: message type.
     let (ty, payload): (u8, Option<&Bytes>) = match &wire.pkt {
         Packet::Eager {
@@ -125,22 +146,22 @@ pub fn encode_into(wire: &Wire, out: &mut Vec<u8>) {
         Packet::Heartbeat => (T_HEARTBEAT, None),
         Packet::Revoke { .. } => (T_REVOKE, None),
     };
-    out.push(ty);
+    head[0] = ty;
     // 4 bytes: freed reserved space (credit return): 8 bits env, 24 bits
     // data.
     let env_c = wire.env_credit.min(0xFF);
     let data_c = wire.data_credit.min(0xFF_FFFF);
     let packed = (env_c << 24) | (data_c as u32);
-    out.extend_from_slice(&packed.to_le_bytes());
+    head[1..5].copy_from_slice(&packed.to_le_bytes());
     // 24 bytes: reliability sequence number, cumulative ack and the
     // selective-repeat ack bitmap (the UDP variant's extension; zero when
     // reliability is off). Full u64s: the sublayer's counters never wrap,
     // so neither may the wire fields.
-    out.extend_from_slice(&wire.seq.to_le_bytes());
-    out.extend_from_slice(&wire.ack.to_le_bytes());
-    out.extend_from_slice(&wire.ack_bits.to_le_bytes());
+    head[5..13].copy_from_slice(&wire.seq.to_le_bytes());
+    head[13..21].copy_from_slice(&wire.ack.to_le_bytes());
+    head[21..MSG_SEQ_OFF].copy_from_slice(&wire.ack_bits.to_le_bytes());
     // 4 bytes: flight-recorder message sequence (0 = untagged frame).
-    out.extend_from_slice(&wire.msg_seq.to_le_bytes());
+    head[MSG_SEQ_OFF..INFO_OFF].copy_from_slice(&wire.msg_seq.to_le_bytes());
     // 20 bytes: envelope / request info.
     let mut info = [0u8; 20];
     info[0..4].copy_from_slice(&(wire.src as u32).to_le_bytes());
@@ -203,14 +224,11 @@ pub fn encode_into(wire: &Wire, out: &mut Vec<u8>) {
             info[12..16].copy_from_slice(&(*seq as u32).to_le_bytes());
         }
     }
-    out.extend_from_slice(&info);
-    // Payload (length-prefixed so the reader knows how much to take).
-    if let Some(data) = payload {
-        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        out.extend_from_slice(data);
-    } else {
-        out.extend_from_slice(&0u32.to_le_bytes());
-    }
+    head[INFO_OFF..LEN_OFF].copy_from_slice(&info);
+    // 4 bytes: payload length, so the reader knows how much to take.
+    let payload = payload.map_or(&[][..], |data| &data[..]);
+    head[LEN_OFF..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    (head, payload)
 }
 
 fn encode_env(info: &mut [u8; 20], env: &Envelope) {

@@ -15,7 +15,7 @@
 //!   rank's drain-role holder sweeps the sockets itself.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write as IoWrite};
+use std::io::{IoSlice, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
@@ -500,32 +500,38 @@ fn read_exact_deadline(
     Ok(())
 }
 
-/// `write_all` against a nonblocking stream (the read half in the inbox
-/// shares the fd's nonblocking flag). While the kernel buffer is full
-/// this rank sweeps its own sockets into `inbox`, so a peer that is
-/// writing to us at the same moment gets room as well: two ranks writing
-/// large frames to each other cannot deadlock, whoever holds their drain
-/// roles. `try_lock`, because a holder of the inbox is sweeping already.
-fn write_all_nonblocking(
-    stream: &mut TcpStream,
-    mut buf: &[u8],
-    inbox: &Mutex<Inbox>,
+/// Write `wire` to `stream` as one length-delimited frame: the 4-byte
+/// length word, the codec's head and the payload go to the kernel together
+/// in one `write_vectored`, so a small frame leaves as one loopback
+/// segment and the payload is never copied. A short write resumes where
+/// it stopped. Streams are nonblocking (the read half in the inbox shares
+/// the fd's flag), so a full send buffer reads `WouldBlock`, and
+/// `on_full` runs before each retry: the channel sweeps its own sockets
+/// there, so two ranks writing large frames to each other cannot
+/// deadlock, whoever holds their drain roles.
+fn write_frame<W: IoWrite>(
+    stream: &mut W,
+    wire: &Wire,
+    mut on_full: impl FnMut(),
 ) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        match stream.write(buf) {
+    let (head, payload) = codec::encode_head(wire);
+    let len = ((head.len() + payload.len()) as u32).to_le_bytes();
+    let mut iov = [
+        IoSlice::new(&len),
+        IoSlice::new(&head),
+        IoSlice::new(payload),
+    ];
+    let mut bufs = &mut iov[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::WriteZero,
                     "wrote zero bytes to peer socket",
                 ))
             }
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if let Some(mut inbox) = inbox.try_lock() {
-                    inbox.sweep();
-                }
-                std::thread::yield_now();
-            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => on_full(),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -545,10 +551,6 @@ pub struct RealTcpChannel {
     writers: Vec<Option<Mutex<TcpStream>>>,
     inbox: Mutex<Inbox>,
     t0: Instant,
-    /// Reusable encode buffer: frames are serialized into this scratch and
-    /// written out under the same lock, so the send path stops allocating a
-    /// fresh `Vec` per frame once the high-water mark is reached.
-    encode_scratch: Mutex<Vec<u8>>,
 }
 
 /// Per-peer write halves (`None` at the rank's own index) and read halves.
@@ -591,7 +593,6 @@ impl RealTcpChannel {
                 idle: 0,
             }),
             t0,
-            encode_scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -617,7 +618,7 @@ impl RealTcpChannel {
         // every higher rank. Each connector announces its rank first, while
         // its stream is still blocking; every stream then goes nonblocking
         // for the sweep (the writer half shares the fd, hence
-        // `write_all_nonblocking` on the send path).
+        // `write_frame`'s `WouldBlock` retry on the send path).
         for (peer, writer) in writers.iter_mut().enumerate().take(rank) {
             let addr = rendezvous.addrs.lock()[peer].ok_or_else(|| {
                 std::io::Error::other(format!("rank {peer} published no listener address"))
@@ -737,7 +738,12 @@ impl PeerConn {
                 break Ok(());
             };
             match codec::decode(body) {
-                Ok((wire, _)) => ready.push_back(Ok(wire)),
+                Ok((wire, used)) if used == n => ready.push_back(Ok(wire)),
+                Ok((_, used)) => {
+                    break Err(format!(
+                        "corrupt framing: {n}-byte length word around a {used}-byte frame"
+                    ))
+                }
                 Err(e) => break Err(format!("corrupt frame: {}", e.0)),
             }
             at += 4 + n;
@@ -805,15 +811,17 @@ impl MsgChannel for RealTcpChannel {
     fn send(&self, dst: Rank, wire: Wire, _nbytes: usize) {
         match &self.writers[dst] {
             Some(stream) => {
-                let mut buf = self.encode_scratch.lock();
-                codec::encode_into(&wire, &mut buf);
-                let mut s = stream.lock();
-                let len = (buf.len() as u32).to_le_bytes();
                 // Peer teardown while trailing credits are in flight is
                 // benign, as in the shm device; a genuinely dead peer is
-                // detected on the receive path (or by the watchdog).
-                let _ = write_all_nonblocking(&mut s, &len, &self.inbox)
-                    .and_then(|_| write_all_nonblocking(&mut s, &buf, &self.inbox));
+                // detected on the receive path (or by the watchdog). While
+                // the send buffer is full, sweep: `try_lock`, because a
+                // holder of the inbox is sweeping already.
+                let _ = write_frame(&mut *stream.lock(), &wire, || {
+                    if let Some(mut inbox) = self.inbox.try_lock() {
+                        inbox.sweep();
+                    }
+                    std::thread::yield_now();
+                });
             }
             None => self.inbox.lock().ready.push_back(Ok(wire)),
         }
@@ -905,6 +913,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmpi_core::{Envelope, Packet};
 
     fn pingpong_rtt_us(net: ClusterNet, transport: ClusterTransport, nbytes: usize) -> f64 {
         run_cluster(
@@ -1040,12 +1049,15 @@ mod tests {
         (chan, a_send, b_send)
     }
 
-    /// A credit frame from `src` as it crosses the wire: length word, body.
+    /// `wire` as it crosses the wire: length word, then the encoded frame.
+    fn framed(wire: &Wire) -> Vec<u8> {
+        let body = codec::encode(wire);
+        [&(body.len() as u32).to_le_bytes()[..], &body].concat()
+    }
+
+    /// A credit frame from `src` as it crosses the wire.
     fn credit_frame(src: Rank) -> Vec<u8> {
-        let body = codec::encode(&Wire::bare(src, lmpi_core::Packet::Credit));
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame
+        framed(&Wire::bare(src, Packet::Credit))
     }
 
     /// The channel's next frame or failure; the test fails after 5 s of
@@ -1131,6 +1143,128 @@ mod tests {
         frame[4] = 0xff;
         let err = failure_after_good_frames(&frame, false);
         assert!(err.contains("unknown message type"), "{err}");
+    }
+
+    #[test]
+    fn frame_longer_than_its_encoding_is_a_typed_error() {
+        // A credit frame with one stray byte inside its length word.
+        let mut frame = credit_frame(1);
+        frame.push(0);
+        let n = frame.len() as u32 - 4;
+        frame[..4].copy_from_slice(&n.to_le_bytes());
+        let err = failure_after_good_frames(&frame, false);
+        assert!(err.contains("length word"), "{err}");
+    }
+
+    /// A writer whose `write_vectored` takes at most `cap(call)` bytes,
+    /// counting calls from 1, or finds the buffer full (`WouldBlock`)
+    /// where `cap` says `None`.
+    struct Scripted<F> {
+        out: Vec<u8>,
+        calls: usize,
+        cap: F,
+    }
+
+    fn scripted<F: FnMut(usize) -> Option<usize>>(cap: F) -> Scripted<F> {
+        Scripted {
+            out: Vec::new(),
+            calls: 0,
+            cap,
+        }
+    }
+
+    impl<F: FnMut(usize) -> Option<usize>> IoWrite for Scripted<F> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut left = (self.cap)(self.calls).ok_or(std::io::ErrorKind::WouldBlock)?;
+            let before = self.out.len();
+            for buf in bufs {
+                let take = left.min(buf.len());
+                self.out.extend_from_slice(&buf[..take]);
+                left -= take;
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A header-only frame, an 8 B eager frame and a 1 MiB chunk.
+    fn frames_to_write() -> [Wire; 3] {
+        let env = Envelope {
+            src: 1,
+            tag: 7,
+            context: 0,
+            len: 8,
+        };
+        let mib: Vec<u8> = (0..1u32 << 20).map(|i| i as u8).collect();
+        [
+            Wire::bare(1, Packet::Credit),
+            Wire::bare(
+                1,
+                Packet::Eager {
+                    env,
+                    send_id: 3,
+                    needs_ack: false,
+                    ready: false,
+                    data: vec![0xa5; 8].into(),
+                },
+            ),
+            Wire::bare(
+                1,
+                Packet::RndvChunk {
+                    recv_id: 2,
+                    offset: 0,
+                    total: mib.len(),
+                    data: mib.into(),
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        for wire in frames_to_write() {
+            let mut w = scripted(|_| Some(usize::MAX));
+            write_frame(&mut w, &wire, || panic!("a writer with room never refuses")).unwrap();
+            let kind = wire.pkt.kind_name();
+            assert_eq!(w.calls, 1, "{kind}");
+            assert!(w.out == framed(&wire), "{kind}: bytes differ");
+        }
+    }
+
+    #[test]
+    fn short_and_refused_writes_resume_byte_for_byte() {
+        for wire in frames_to_write() {
+            for k in [1, 7, 64, 4099] {
+                // Odd calls find the buffer full, even ones take 1..=k bytes.
+                let mut w = scripted(move |call| (call % 2 == 0).then_some(1 + call / 2 % k));
+                let mut full = 0;
+                write_frame(&mut w, &wire, || full += 1).unwrap();
+                let what = format!("{} at k = {k}", wire.pkt.kind_name());
+                assert!(w.out == framed(&wire), "{what}: bytes differ");
+                assert_eq!(full, w.calls / 2, "{what}: one retry per WouldBlock");
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_write_may_end_at_the_head_payload_boundary() {
+        for wire in frames_to_write() {
+            let head = 4 + codec::PAYLOAD_OFF;
+            let mut w = scripted(|call| Some(if call == 1 { head } else { usize::MAX }));
+            write_frame(&mut w, &wire, || panic!("a writer with room never refuses")).unwrap();
+            let kind = wire.pkt.kind_name();
+            let calls = if wire.pkt.payload_len() == 0 { 1 } else { 2 };
+            assert_eq!(w.calls, calls, "{kind}");
+            assert!(w.out == framed(&wire), "{kind}: bytes differ");
+        }
     }
 
     /// Two ranks `send` 8 MiB to each other at the same moment, eagerly,

@@ -3,7 +3,9 @@
 //! rather than misparsed.
 
 use lmpi_core::{Bytes, Envelope, Packet, Wire};
-use lmpi_devices::codec::{decode, encode, wire_bytes, HEADER_BYTES, MSG_SEQ_BYTES, SEQ_ACK_BYTES};
+use lmpi_devices::codec::{
+    decode, encode, encode_head, wire_bytes, HEADER_BYTES, MSG_SEQ_BYTES, SEQ_ACK_BYTES,
+};
 use lmpi_sim::{for_each_case, SplitMix64};
 
 fn gen_envelope(rng: &mut SplitMix64) -> Envelope {
@@ -24,16 +26,21 @@ fn gen_id(rng: &mut SplitMix64) -> u64 {
     rng.range(0..u32::MAX as usize) as u64
 }
 
+/// Any packet: every variant, and the eager one in all three of its modes,
+/// so every frame type code (1 to 13) is generated.
 fn gen_packet(rng: &mut SplitMix64) -> Packet {
-    match rng.range(0..9) {
-        0 => Packet::Eager {
-            env: gen_envelope(rng),
-            send_id: gen_id(rng),
+    match rng.range(0..11) {
+        0 => {
             // needs_ack and ready are mutually exclusive in practice.
-            needs_ack: rng.chance(0.5),
-            ready: false,
-            data: gen_payload(rng),
-        },
+            let mode = rng.range(0..3);
+            Packet::Eager {
+                env: gen_envelope(rng),
+                send_id: gen_id(rng),
+                needs_ack: mode == 1,
+                ready: mode == 2,
+                data: gen_payload(rng),
+            }
+        }
         1 => Packet::RndvReq {
             env: gen_envelope(rng),
             send_id: gen_id(rng),
@@ -60,6 +67,10 @@ fn gen_packet(rng: &mut SplitMix64) -> Packet {
             send_id: gen_id(rng),
         },
         7 => Packet::Credit,
+        8 => Packet::Heartbeat,
+        9 => Packet::Revoke {
+            context: rng.next_u64() as u32,
+        },
         _ => Packet::HwBcast {
             context: rng.range(0..8) as u32,
             root: rng.range(0..64),
@@ -188,7 +199,10 @@ fn assert_wire_eq(a: &Wire, b: &Wire) {
         (Packet::EagerAck { send_id: s1 }, Packet::EagerAck { send_id: s2 }) => {
             assert_eq!(s1, s2);
         }
-        (Packet::Credit, Packet::Credit) => {}
+        (Packet::Credit, Packet::Credit) | (Packet::Heartbeat, Packet::Heartbeat) => {}
+        (Packet::Revoke { context: c1 }, Packet::Revoke { context: c2 }) => {
+            assert_eq!(c1, c2);
+        }
         (
             Packet::HwBcast {
                 context: c1,
@@ -239,17 +253,35 @@ fn encoded_size_is_header_plus_payload() {
             HEADER_BYTES + SEQ_ACK_BYTES + MSG_SEQ_BYTES + 4 + wire.pkt.payload_len()
         );
         assert_eq!(wire_bytes(&wire), HEADER_BYTES + wire.pkt.payload_len());
+        // What the stream writer sends: the head, then the payload.
+        let (head, payload) = encode_head(&wire);
+        assert_eq!([&head[..], payload].concat(), enc);
     });
 }
 
 #[test]
-fn truncation_never_panics() {
+fn generator_covers_every_frame_type() {
+    let mut seen = [false; 14];
     for_each_case(512, |rng| {
-        let wire = gen_wire(rng);
-        let cut = rng.range(0..100);
-        let enc = encode(&wire);
-        let cut = cut.min(enc.len());
-        let _ = decode(&enc[..enc.len() - cut]); // must not panic
+        seen[usize::from(encode(&gen_wire(rng))[0])] = true
+    });
+    let missing: Vec<usize> = (1..14).filter(|&ty| !seen[ty]).collect();
+    assert!(missing.is_empty(), "no frame of type {missing:?} generated");
+}
+
+#[test]
+fn truncation_never_panics() {
+    // Every proper prefix of a frame, down to nothing, is a typed error:
+    // none decodes and none panics (the whole frame is `roundtrip_any_frame`).
+    for_each_case(512, |rng| {
+        let enc = encode(&gen_wire(rng));
+        for cut in 0..enc.len() {
+            assert!(
+                decode(&enc[..cut]).is_err(),
+                "a {cut}-byte prefix of a {}-byte frame decoded",
+                enc.len()
+            );
+        }
     });
 }
 
