@@ -15,11 +15,14 @@ pub struct MpiConfig {
     pub env_slots: Option<u32>,
     /// Receiver bounce-buffer bytes reserved per sender.
     pub recv_buf_per_sender: Option<u64>,
-    /// Progress watchdog: if a blocking MPI call waits longer than this for
-    /// any frame to arrive, it returns [`crate::MpiError::Timeout`] instead
-    /// of hanging forever. `None` (the default) blocks indefinitely — the
-    /// right choice for simulated devices, whose virtual clock only advances
-    /// while blocked. Set it on real transports when frames can be lost.
+    /// Progress watchdog, wall-clock transports only: if a blocking MPI
+    /// call waits longer than this for any frame to arrive, it returns
+    /// [`crate::MpiError::Timeout`] instead of hanging forever. `None` (the
+    /// default) blocks indefinitely. Set it on real transports when frames
+    /// can be lost. Virtual-time devices ignore it: a rank waits for its
+    /// next frame by parking, which lets the clock run, and a wait that can
+    /// never end is [`lmpi_sim::Sim::run`]'s deadlock panic, which names
+    /// the parked processes.
     pub progress_timeout_us: Option<u64>,
     /// Largest rendezvous data segment per device frame; larger messages
     /// stream as several pipelined `RndvChunk` segments. Every rank of a
@@ -77,9 +80,10 @@ impl MpiConfig {
         self
     }
 
-    /// Arm the progress watchdog: blocking calls give up with
-    /// [`crate::MpiError::Timeout`] after waiting `us` microseconds of
-    /// wall-clock (device) time with no incoming frame.
+    /// Arm the progress watchdog: on a wall-clock transport, blocking calls
+    /// give up with [`crate::MpiError::Timeout`] after waiting `us`
+    /// microseconds with no incoming frame. Virtual-time devices ignore it
+    /// (see [`MpiConfig::progress_timeout_us`]).
     pub fn with_progress_timeout_us(mut self, us: u64) -> Self {
         self.progress_timeout_us = Some(us);
         self

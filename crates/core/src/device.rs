@@ -239,15 +239,6 @@ pub trait Device: Send + Sync {
         TransportStats::default()
     }
 
-    /// Whether this device stack can declare peers dead (a reliability
-    /// layer with retransmission limits or heartbeats). When true, the
-    /// engine's blocking progress loop polls [`Device::take_failed_peer`]
-    /// instead of parking in `recv_blocking`, so a peer death completes
-    /// pending requests promptly.
-    fn detects_failures(&self) -> bool {
-        false
-    }
-
     /// Drain one pending peer-failure notification, if any. A reliability
     /// layer queues `(peer, error)` when its liveness state machine
     /// declares a peer dead; the engine drains the queue on every

@@ -220,7 +220,7 @@ impl Inner {
     /// Make progress until `done` returns `Some`: take the drain role and
     /// handle frames inline, blocking in the device between them, or park
     /// on the condvar while another thread holds it. Either way the
-    /// watchdog, if armed, bounds the wait.
+    /// watchdog, if armed, bounds the wait on a wall-clock transport.
     pub(crate) fn progress_until<T>(
         &self,
         mut done: impl FnMut(&mut Engine) -> Option<T>,
@@ -234,8 +234,8 @@ impl Inner {
                 if let Some(v) = done(&mut self.eng.lock()) {
                     return Ok(v);
                 }
-                // A frame, or a peer declared dead instead: either way
-                // loop, so `done` re-evaluates against what that completed.
+                // Loop, so `done` re-evaluates against what that frame
+                // completed.
                 self.step_blocking()?;
                 self.run_metrics_hook();
             }
@@ -346,39 +346,14 @@ impl Inner {
         }
     }
 
-    /// Block until one drain step advances: a frame was handled, or the
-    /// transport reported a peer death and the engine has been told
-    /// (virtual-time ranks only). With the watchdog armed, a silent wire
-    /// becomes a typed [`MpiError::Timeout`] instead of an eternal hang.
-    /// Both the watchdog and failure detection poll rather than park (the
-    /// reliability sublayer's retransmit/heartbeat pump runs from
-    /// `try_recv`), but through a bounded spin-then-yield backoff rather
-    /// than a hot loop; the parked fast path is kept only for devices that
-    /// do neither.
+    /// Block until one frame arrives and handle it (virtual-time ranks
+    /// only). The device parks the process, which lets the simulated clock
+    /// run to the next arrival; the watchdog does not apply here, as a
+    /// wait that can never end is the simulator's deadlock panic.
     fn step_blocking(&self) -> MpiResult<()> {
-        if self.watchdog_us.is_none() && !self.device.detects_failures() {
-            let wire = self.device.recv_blocking()?;
-            self.drain_step(&mut self.eng.lock(), Some(wire), false)?;
-            return Ok(());
-        }
-        let t0 = self.device.wtime();
-        let mut spins: u32 = 0;
-        loop {
-            let wire = self.device.try_recv()?;
-            if self.drain_step(&mut self.eng.lock(), wire, false)? > 0 {
-                return Ok(());
-            }
-            if let Some(limit_us) = self.watchdog_us {
-                let waited_us = (self.device.wtime() - t0) * 1e6;
-                if waited_us >= limit_us as f64 {
-                    return Err(MpiError::Timeout {
-                        waited_us: waited_us as u64,
-                        context: "progress loop saw no incoming frame".into(),
-                    });
-                }
-            }
-            poll_backoff(&mut spins);
-        }
+        let wire = self.device.recv_blocking()?;
+        self.drain_step(&mut self.eng.lock(), Some(wire), false)?;
+        Ok(())
     }
 
     /// Block until request `id` completes and return its result. When the
@@ -425,22 +400,6 @@ impl Inner {
         if let Some((snap, cb)) = pending {
             (cb.lock())(&snap);
         }
-    }
-}
-
-/// Bounded spin-then-yield backoff for caller-driven polling loops: a
-/// short burst of pause hints covers the common sub-microsecond arrival
-/// gap, then every further iteration yields the core. No real-time sleeps
-/// — on virtual-time substrates they would stall the cooperative
-/// scheduler's wall-clock progress without advancing the virtual clock.
-fn poll_backoff(spins: &mut u32) {
-    if *spins < 64 {
-        *spins += 1;
-        for _ in 0..*spins {
-            std::hint::spin_loop();
-        }
-    } else {
-        std::thread::yield_now();
     }
 }
 

@@ -408,10 +408,6 @@ impl<D: Device> Device for FaultyDevice<D> {
         .merged(self.inner.transport_stats())
     }
 
-    fn detects_failures(&self) -> bool {
-        self.inner.detects_failures()
-    }
-
     fn take_failed_peer(&self) -> Option<(Rank, lmpi_core::MpiError)> {
         self.inner.take_failed_peer()
     }

@@ -765,12 +765,6 @@ impl<D: Device> Device for ReliableDevice<D> {
         .merged(self.inner.transport_stats())
     }
 
-    fn detects_failures(&self) -> bool {
-        // Retransmission limits exist regardless of heartbeats, so the
-        // engine must always poll for failures over this layer.
-        true
-    }
-
     fn take_failed_peer(&self) -> Option<(Rank, MpiError)> {
         self.state.lock().fail_queue.pop_front()
     }

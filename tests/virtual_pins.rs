@@ -8,11 +8,22 @@
 //! each folded into one; re-capture them only in a PR that changes the
 //! protocol on purpose, and say so there.
 
-use lmpi::apps::particles;
+use std::panic;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
+
+use lmpi::apps::{linsolve, particles};
 use lmpi::obs::{attribute_ping_pong, correlate, Table1Row};
+use lmpi::sim::atm::AtmFabric;
+use lmpi::sim::eth::EthFabric;
+use lmpi::sim::ip::{Fabric, SockFabric};
+use lmpi::sim::meiko::Tport;
+use lmpi::sim::params::{AtmParams, EthParams, MeikoParams, SocketParams};
+use lmpi::sim::{Proc, Sim};
 use lmpi::{
-    run_cluster, run_meiko, ClusterNet, ClusterTransport, MeikoVariant, Mpi, MpiConfig, ReduceOp,
-    Tracer,
+    run_cluster, run_meiko, ClusterNet, ClusterTransport, Communicator, MeikoVariant, Mpi,
+    MpiConfig, ReduceOp, Tracer,
 };
 
 /// Virtual nanoseconds of one `nbytes` ping-pong between ranks 0 and 1
@@ -164,4 +175,280 @@ fn sim_tcp_atm_table1_rows() {
     };
     assert_eq!(row(1), (40, 0.0, 0.0, 70_000.0, 1_242_116.0));
     assert_eq!(row(64 << 10), (40, 0.0, 0.0, 5_597_396.0, 18_270_540.0));
+}
+
+// ------------------------------------------------ the armed watchdog
+
+/// Run `f` on its own thread and wait at most 60 s for it: a hung
+/// virtual-time run fails the test instead of hanging the suite.
+fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx.recv_timeout(Duration::from_secs(60));
+    if let Err(RecvTimeoutError::Timeout) = out {
+        panic!("virtual-time run still running after 60 s");
+    }
+    if let Err(payload) = handle.join() {
+        panic::resume_unwind(payload);
+    }
+    out.expect("the thread sends before it returns")
+}
+
+/// Rank 0's virtual nanoseconds for 3 `nbytes` round trips after one
+/// warm-up, timed as `benchmark/src/layers.rs` times them.
+fn rtt3_ns(mpi: Mpi, nbytes: usize) -> u64 {
+    let world = mpi.world();
+    let ping = vec![0x5au8; nbytes];
+    let mut buf = vec![0u8; nbytes];
+    let mut t0 = 0.0;
+    for i in 0..=3 {
+        if i == 1 {
+            t0 = mpi.wtime();
+        }
+        if world.rank() == 0 {
+            world.send(&ping, 1, 0).unwrap();
+            world.recv(&mut buf, 1, 0).unwrap();
+        } else {
+            world.recv(&mut buf, 0, 0).unwrap();
+            world.send(&buf, 0, 0).unwrap();
+        }
+    }
+    ((mpi.wtime() - t0) * 1e9).round() as u64
+}
+
+/// The watchdog is wall-clock only: armed, a virtual-time rank still parks
+/// for its next frame, so the run finishes and takes the same virtual time.
+#[test]
+fn armed_watchdog_meiko_ping_pong() {
+    let run = |config| {
+        bounded(move || run_meiko(2, MeikoVariant::LowLatency, config, |mpi| rtt3_ns(mpi, 1))[0])
+    };
+    let unarmed = run(MpiConfig::device_defaults());
+    assert_eq!(unarmed, 327_960);
+    let armed = run(MpiConfig::device_defaults().with_progress_timeout_us(1_000_000));
+    assert_eq!(armed, unarmed);
+}
+
+#[test]
+fn armed_watchdog_cluster_ping_pong() {
+    let run = |config| {
+        bounded(move || {
+            run_cluster(2, ClusterNet::Atm, ClusterTransport::Tcp, config, |mpi| {
+                rtt3_ns(mpi, 1)
+            })[0]
+        })
+    };
+    let unarmed = run(MpiConfig::device_defaults());
+    let armed = run(MpiConfig::device_defaults().with_progress_timeout_us(1_000_000));
+    assert_eq!(armed, unarmed);
+}
+
+// ------------------------------- the benchmark's virtual-time cells
+//
+// Each function below runs what `benchmark/src/layers.rs` runs for a
+// cell, and returns integer virtual nanoseconds where the benchmark
+// divides and scales them. Captured at commit c48986b.
+
+/// `core.coll.*_8r_*_virt_us` is the slowest rank's time for `CALLS`
+/// calls, over `CALLS`, in µs.
+fn coll_virt_ns(cfg: MpiConfig, coll: impl Fn(&Communicator) + Send + Sync + 'static) -> u64 {
+    const CALLS: usize = 4;
+    run_cluster(8, ClusterNet::Atm, ClusterTransport::Tcp, cfg, move |mpi| {
+        let world = mpi.world();
+        coll(&world);
+        world.barrier().unwrap();
+        let t0 = mpi.wtime();
+        for _ in 0..CALLS {
+            coll(&world);
+        }
+        ((mpi.wtime() - t0) * 1e9).round() as u64
+    })
+    .into_iter()
+    .max()
+    .unwrap()
+}
+
+#[test]
+fn benchmark_collective_cells() {
+    let cfg = MpiConfig::device_defaults();
+    let mut got = Vec::new();
+    for count in [1usize, 8 << 10] {
+        got.push(coll_virt_ns(cfg, move |w| {
+            w.allreduce(&vec![1.0f64; count], ReduceOp::Sum).unwrap();
+        }));
+        got.push(coll_virt_ns(cfg, move |w| {
+            w.bcast(&mut vec![1.0f64; count], 0).unwrap();
+        }));
+    }
+    got.push(coll_virt_ns(cfg, |w| w.barrier().unwrap()));
+    // allreduce 8 B, bcast 8 B, allreduce 64 KiB, bcast 64 KiB, barrier.
+    assert_eq!(
+        got,
+        [7_884_708, 4_460_988, 130_346_041, 97_610_696, 7_870_980]
+    );
+}
+
+/// `devices.meiko.*_virt_*` are a third of these.
+fn meiko_rtt3_ns(cfg: MpiConfig, nbytes: usize) -> u64 {
+    run_meiko(2, MeikoVariant::LowLatency, cfg, move |mpi| {
+        rtt3_ns(mpi, nbytes)
+    })[0]
+}
+
+#[test]
+fn benchmark_meiko_cells() {
+    let cfg = MpiConfig::device_defaults();
+    // `devices.meiko.bw_1MiB_virt_MBps` = 2 MiB over a third of this.
+    assert_eq!(meiko_rtt3_ns(cfg, 1 << 20), 161_532_276);
+
+    // `devices.meiko.crossover_bytes`: where forced-rendezvous round trips
+    // stop being slower than forced-eager ones, interpolated linearly.
+    let eager = cfg.with_eager_threshold(1 << 20).with_recv_buf(4 << 20);
+    let rndv = cfg.with_eager_threshold(0);
+    let mut gaps = Vec::new();
+    for n in [96usize, 128, 160, 176, 192, 224, 288] {
+        let gap = meiko_rtt3_ns(rndv, n) as i64 - meiko_rtt3_ns(eager, n) as i64;
+        gaps.push((n, gap));
+        if gap < 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        gaps,
+        [
+            (96, 66_588),
+            (128, 40_782),
+            (160, 14_976),
+            (176, 2_076),
+            (192, -10_830)
+        ]
+    );
+    let [.., (pn, pgap), (n, gap)] = gaps[..] else {
+        unreachable!("the gap changes sign after the first size")
+    };
+    let crossover = pn as f64 + (n - pn) as f64 * pgap as f64 / (pgap - gap) as f64;
+    // 178.574 B, to the thousandth of a byte.
+    assert_eq!((crossover * 1e3).round() as u64, 178_574);
+}
+
+/// Spawn a client and a server process on `sim`, in that order, and
+/// return what the client measured.
+fn sim_pair(
+    sim: Sim,
+    client: impl FnOnce(&Proc) -> u64 + Send + 'static,
+    server: impl FnOnce(&Proc) + Send + 'static,
+) -> u64 {
+    let (tx, rx) = mpsc::channel();
+    sim.spawn("client", move |p| tx.send(client(p)).unwrap());
+    sim.spawn("server", server);
+    sim.run();
+    rx.recv().unwrap()
+}
+
+/// `netmodel.tport_rtt_1B_virt_us`: 3 raw tport round trips after one
+/// warm-up, over 3.
+fn tport_rtt3_ns() -> u64 {
+    let sim = Sim::new();
+    let mut ports = Tport::fabric(&sim, 2, MeikoParams::default());
+    let (p1, p0) = (ports.pop().unwrap(), ports.pop().unwrap());
+    sim_pair(
+        sim,
+        move |p| {
+            let mut t0 = p.now();
+            for i in 0..=3 {
+                if i == 1 {
+                    t0 = p.now();
+                }
+                p0.send(p, 1, 0, vec![0u8; 1]);
+                p0.recv(p, 1);
+            }
+            (p.now() - t0).as_ns()
+        },
+        move |p| {
+            for _ in 0..=3 {
+                let msg = p1.recv(p, 0);
+                p1.send(p, 0, 1, msg.data);
+            }
+        },
+    )
+}
+
+/// `netmodel.rawtcp_{atm,eth}_rtt_1B_virt_us`: the same over simulated
+/// kernel TCP.
+fn raw_tcp_rtt3_ns(net: ClusterNet) -> u64 {
+    let sim = Sim::new();
+    let (fabric, params) = match net {
+        ClusterNet::Ethernet => (
+            Fabric::Eth(EthFabric::new(&sim, EthParams::default())),
+            SocketParams::tcp_eth(),
+        ),
+        ClusterNet::Atm => (
+            Fabric::Atm(AtmFabric::new(&sim, 2, AtmParams::default())),
+            SocketParams::tcp_atm(),
+        ),
+    };
+    let sock: SockFabric<u8> = SockFabric::new(&sim, 2, fabric, params, 0.0, 1);
+    let (n0, n1) = (sock.node(0), sock.node(1));
+    sim_pair(
+        sim,
+        move |p| {
+            let mut t0 = p.now();
+            for i in 0..=3 {
+                if i == 1 {
+                    t0 = p.now();
+                }
+                n0.send(p, 1, 0, 1);
+                n0.recv(p, 1);
+            }
+            (p.now() - t0).as_ns()
+        },
+        move |p| {
+            for _ in 0..=3 {
+                let (msg, n) = n1.recv(p, 1);
+                n1.send(p, 0, msg, n);
+            }
+        },
+    )
+}
+
+#[test]
+fn benchmark_netmodel_cells() {
+    assert_eq!(
+        [
+            tport_rtt3_ns(),
+            raw_tcp_rtt3_ns(ClusterNet::Atm),
+            raw_tcp_rtt3_ns(ClusterNet::Ethernet)
+        ],
+        [156_156, 3_194_898, 2_770_800]
+    );
+}
+
+/// `apps.linsolve_8r_virt_ms` and `apps.particles_eth_8r_virt_ms`: rank
+/// 0's time for one distributed solve on 8 Meiko ranks and one
+/// `forces_ring` on 8 Ethernet/TCP workstations.
+#[test]
+fn benchmark_app_cells() {
+    let cfg = MpiConfig::device_defaults();
+    let linsolve = run_meiko(8, MeikoVariant::LowLatency, cfg, |mpi| {
+        const N: usize = 96;
+        let world = mpi.world();
+        let (a, b) = linsolve::generate_system(N, 42);
+        let t0 = mpi.wtime();
+        let x = linsolve::solve_distributed(&world, &a, &b, N).unwrap();
+        let ns = ((mpi.wtime() - t0) * 1e9).round() as u64;
+        if let Some(x) = x {
+            assert!(linsolve::residual(&a, &b, &x, N) < 1e-6);
+        }
+        ns
+    })[0];
+    let particles = run_cluster(8, ClusterNet::Ethernet, ClusterTransport::Tcp, cfg, |mpi| {
+        let world = mpi.world();
+        let ps = particles::generate_particles(128, 42);
+        let t0 = mpi.wtime();
+        particles::forces_ring(&world, &ps).unwrap();
+        ((mpi.wtime() - t0) * 1e9).round() as u64
+    })[0];
+    assert_eq!((linsolve, particles), (20_777_009, 18_209_000));
 }
