@@ -1,33 +1,55 @@
 //! Shared-memory device: MPI ranks as OS threads exchanging frames through
-//! `std::sync::mpsc` channels.
+//! one inbox per rank.
 //!
 //! This is the *real* (non-simulated) substrate used for functional testing
 //! and for the wall-clock benchmark workloads: every protocol code path —
 //! eager, rendezvous, credits, collectives — runs exactly as on the
 //! simulated platforms, just with real time instead of a virtual clock.
+//!
+//! # The inbox
+//!
+//! A rank's inbox is one lock over its queue of frames and, while its
+//! consumer is parked on it, that consumer's thread. A sender pushes its
+//! frame and takes the parked thread out under the lock, drops the lock,
+//! then unparks it. So a wake is issued only on the empty → non-empty
+//! edge with the consumer asleep, and the woken thread never finds the
+//! lock still held by its waker (which on one CPU costs a second switch).
+//! The consumer pops, or registers itself and parks, in a loop: a
+//! spurious wake-up or a stale unpark (one whose frame it already popped)
+//! costs one more look at the queue.
+//!
+//! The inbox neither spins nor yields before it parks. Rank threads and
+//! their progress threads outnumber the CPUs they run on, so a consumer
+//! that spins keeps the CPU from the sender it waits for; a yield pays
+//! only when that sender shares the consumer's CPU, and what it costs
+//! the other workloads is not settled (EXPERIMENTS.md).
+//!
+//! At most one thread waits on an inbox: the engine's drain-role holder.
+//! A second waiter would overwrite the first's registration and leave it
+//! asleep until its timeout, so a debug build asserts against it.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::Instant;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
-use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wire};
+use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wire};
 use lmpi_obs::Tracer;
 use lmpi_sim::lock::Mutex;
 
 /// Device connecting `nprocs` ranks within one process.
 pub struct ShmDevice {
     rank: Rank,
-    nprocs: usize,
-    /// `Receiver` is not `Sync` and `Device` must be; the lock is
-    /// uncontended under the engine's single-consumer rule.
-    rx: Mutex<Receiver<Wire>>,
-    txs: Vec<Sender<Wire>>,
+    /// Every rank's inbox, by rank; this device consumes its own.
+    inboxes: Arc<[Inbox]>,
     t0: Instant,
     defaults: DeviceDefaults,
     tracer: Tracer,
 }
 
-/// Shared-memory platform defaults: latency is sub-microsecond, so a large
-/// eager threshold and a generous credit window behave best.
+/// Shared-memory platform defaults: a round trip costs a few microseconds
+/// of thread wake-up and no copy on the wire, so a large eager threshold
+/// and a generous credit window behave best.
 pub const SHM_DEFAULTS: DeviceDefaults = DeviceDefaults {
     eager_threshold: 8192,
     env_slots: 64,
@@ -46,23 +68,102 @@ pub const SHM_DEFAULTS: DeviceDefaults = DeviceDefaults {
     rndv_window: 8,
 };
 
+/// One rank's arriving frames (see the module docs).
+struct Inbox(Mutex<InboxState>);
+
+#[derive(Default)]
+struct InboxState {
+    frames: VecDeque<Wire>,
+    /// The consumer, while it is parked waiting for a frame.
+    sleeper: Option<Thread>,
+    /// The owning device was dropped: frames sent here are discarded.
+    closed: bool,
+}
+
+impl Inbox {
+    /// Queue `wire` and wake the consumer if it is parked. A frame for a
+    /// closed inbox is dropped at once (after the guard: locals drop
+    /// before arguments).
+    fn push(&self, wire: Wire) {
+        let mut st = self.0.lock();
+        if st.closed {
+            return;
+        }
+        st.frames.push_back(wire);
+        let sleeper = st.sleeper.take();
+        drop(st);
+        if let Some(thread) = sleeper {
+            thread.unpark();
+        }
+    }
+
+    /// Pop the next frame, parking until one arrives; `None` once
+    /// `timeout` (if any) has passed with the queue still empty.
+    fn pop_wait(&self, timeout: Option<Duration>) -> Option<Wire> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut st = self.0.lock();
+        let wire = loop {
+            if let Some(wire) = st.frames.pop_front() {
+                break Some(wire);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|end| now >= end) {
+                break None;
+            }
+            let me = thread::current();
+            debug_assert!(
+                st.sleeper.as_ref().is_none_or(|t| t.id() == me.id()),
+                "shm inbox: {:?} waits while {:?} is parked on it (one consumer at a time)",
+                me.id(),
+                st.sleeper.as_ref().map(Thread::id),
+            );
+            st.sleeper = Some(me);
+            self.0.unlocked(&mut st, || match deadline {
+                Some(end) => thread::park_timeout(end - now),
+                None => thread::park(),
+            });
+        };
+        // Our registration, if no sender took it.
+        st.sleeper = None;
+        wire
+    }
+}
+
 impl ShmDevice {
     /// Build one connected device per rank.
     pub fn fabric(nprocs: usize) -> Vec<ShmDevice> {
         let t0 = Instant::now();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| ShmDevice {
+        let inboxes: Arc<[Inbox]> = (0..nprocs)
+            .map(|_| Inbox(Mutex::new(InboxState::default())))
+            .collect();
+        (0..nprocs)
+            .map(|rank| ShmDevice {
                 rank,
-                nprocs,
-                rx: Mutex::new(rx),
-                txs: txs.clone(),
+                inboxes: inboxes.clone(),
                 t0,
                 defaults: SHM_DEFAULTS,
                 tracer: Tracer::disabled(),
             })
             .collect()
+    }
+
+    fn inbox(&self) -> &Inbox {
+        &self.inboxes[self.rank]
+    }
+}
+
+/// Dropping a device closes its inbox: the queued frames are dropped
+/// outside the lock, and later ones as they arrive. A peer that already
+/// returned from its program has dropped its device; late frames to it
+/// (typically trailing credit returns) are harmless, as a real NIC would
+/// drop frames for a halted node.
+impl Drop for ShmDevice {
+    fn drop(&mut self) {
+        let mut st = self.inbox().0.lock();
+        st.closed = true;
+        let queued = std::mem::take(&mut st.frames);
+        drop(st);
+        drop(queued);
     }
 }
 
@@ -72,44 +173,34 @@ impl Device for ShmDevice {
     }
 
     fn nprocs(&self) -> usize {
-        self.nprocs
+        self.inboxes.len()
     }
 
     fn send(&self, dst: Rank, wire: Wire) {
         crate::trace_wire_tx(&self.tracer, || self.now_ns(), dst, &wire);
-        // A peer that already returned from its program has dropped its
-        // receiver; late frames to it (typically trailing credit returns)
-        // are harmless and dropped, as a real NIC would drop frames for a
-        // halted node.
-        let _ = self.txs[dst].send(wire);
+        self.inboxes[dst].push(wire);
     }
 
     fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self.rx.lock().try_recv().ok())
+        Ok(self.inbox().0.lock().frames.pop_front())
     }
 
     fn recv_blocking(&self) -> MpiResult<Wire> {
-        self.rx
-            .lock()
-            .recv()
-            .map_err(|_| MpiError::transport("shm fabric torn down while receiving"))
+        Ok(self
+            .inbox()
+            .pop_wait(None)
+            .expect("an untimed wait returns only with a frame"))
     }
 
-    fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        match self.rx.lock().recv_timeout(timeout) {
-            Ok(w) => Ok(Some(w)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(MpiError::transport("shm fabric torn down while receiving"))
-            }
-        }
+    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
+        Ok(self.inbox().pop_wait(Some(timeout)))
     }
 
     fn supports_background_progress(&self) -> bool {
         true
     }
 
-    /// Rank threads share one address space and the channel moves each
+    /// Rank threads share one address space and the inbox moves each
     /// `Wire` by value.
     fn lends_memory(&self) -> bool {
         true
@@ -191,6 +282,194 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmpi_core::Packet;
+    use std::sync::mpsc;
+
+    /// Frame number `n` from rank `src`.
+    fn numbered(src: Rank, n: u64) -> Wire {
+        let mut w = Wire::bare(src, Packet::Credit);
+        w.seq = n;
+        w
+    }
+
+    fn sleeper_registered(d: &ShmDevice) -> bool {
+        d.inbox().0.lock().sleeper.is_some()
+    }
+
+    /// Run `f` on a thread of its own and wait at most `limit` for it: a
+    /// lost unpark fails the test instead of hanging it.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let out = rx.recv_timeout(limit);
+        if let Err(mpsc::RecvTimeoutError::Timeout) = out {
+            panic!("still running after {limit:?}");
+        }
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
+        out.expect("the thread sends before it returns")
+    }
+
+    #[test]
+    fn each_senders_frames_arrive_in_order() {
+        // Matching's non-overtaking rule rests on per-sender FIFO.
+        const SENDERS: usize = 4;
+        const FRAMES: u64 = 50_000;
+        let mut fabric = ShmDevice::fabric(SENDERS + 1).into_iter();
+        let consumer = fabric.next().expect("rank 0");
+        let senders: Vec<_> = fabric
+            .map(|d| {
+                thread::spawn(move || {
+                    for n in 0..FRAMES {
+                        d.send(0, numbered(d.rank(), n));
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u64; SENDERS + 1];
+        let mut polls = 0u64;
+        let total = SENDERS as u64 * FRAMES;
+        let mut got = 0;
+        while got < total {
+            polls += 1;
+            let wire = if polls.is_multiple_of(2) {
+                consumer.try_recv().unwrap()
+            } else {
+                consumer.recv_timeout(Duration::from_micros(200)).unwrap()
+            };
+            if let Some(w) = wire {
+                assert_eq!(w.seq, next[w.src], "frame from rank {} overtook", w.src);
+                next[w.src] += 1;
+                got += 1;
+            }
+        }
+        for h in senders {
+            h.join().unwrap();
+        }
+        assert!(consumer.try_recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_timed_out_wait_returns_after_its_deadline_and_unregisters() {
+        let d = ShmDevice::fabric(1).pop().expect("one device");
+        for timeout in [
+            Duration::ZERO,
+            Duration::from_micros(300),
+            Duration::from_millis(5),
+        ] {
+            let start = Instant::now();
+            assert!(d.recv_timeout(timeout).unwrap().is_none());
+            assert!(start.elapsed() >= timeout, "returned early for {timeout:?}");
+            assert!(!sleeper_registered(&d), "left a sleeper after {timeout:?}");
+        }
+    }
+
+    #[test]
+    fn stray_unparks_end_no_wait_early() {
+        // The consumer alternates timed and untimed waits while a third
+        // thread unparks it: a timed wait must return a frame or run to
+        // its deadline, an untimed one must return a frame, and a wake-up
+        // lost among the stray ones hangs the consumer (the bounded wait
+        // turns that into a failure).
+        const UNPARKS: usize = 10_000;
+        const FRAMES: u64 = 2_000;
+        const TIMEOUT: Duration = Duration::from_millis(1);
+        within(Duration::from_secs(60), || {
+            let mut fabric = ShmDevice::fabric(2).into_iter();
+            let (d0, d1) = (fabric.next().unwrap(), fabric.next().unwrap());
+            let consumer = thread::spawn(move || {
+                let (mut got, mut timed) = (0, false);
+                while got < FRAMES {
+                    timed = !timed;
+                    let start = Instant::now();
+                    let wire = if timed {
+                        d0.recv_timeout(TIMEOUT).unwrap()
+                    } else {
+                        Some(d0.recv_blocking().unwrap())
+                    };
+                    match wire {
+                        Some(w) => {
+                            assert_eq!(w.seq, got);
+                            got += 1;
+                        }
+                        None => assert!(start.elapsed() >= TIMEOUT, "a stray unpark ended a wait"),
+                    }
+                }
+                assert!(!sleeper_registered(&d0));
+            });
+            let target = consumer.thread().clone();
+            let unparker = thread::spawn(move || {
+                for i in 0..UNPARKS {
+                    target.unpark();
+                    if i.is_multiple_of(8) {
+                        thread::yield_now();
+                    }
+                }
+            });
+            for n in 0..FRAMES {
+                d1.send(0, numbered(1, n));
+                if n.is_multiple_of(64) {
+                    thread::sleep(Duration::from_micros(200));
+                } else {
+                    thread::yield_now();
+                }
+            }
+            unparker.join().unwrap();
+            consumer.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn many_blocking_round_trips_lose_no_unpark() {
+        // A lost unpark leaves one side parked for good; the bounded wait
+        // turns that into a failure.
+        const ROUNDS: u64 = 200_000;
+        within(Duration::from_secs(60), || {
+            let mut fabric = ShmDevice::fabric(2).into_iter();
+            let (d0, d1) = (fabric.next().unwrap(), fabric.next().unwrap());
+            let echo = thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    let w = d1.recv_blocking().unwrap();
+                    d1.send(0, numbered(1, w.seq));
+                }
+            });
+            for n in 0..ROUNDS {
+                d0.send(1, numbered(0, n));
+                assert_eq!(d0.recv_blocking().unwrap().seq, n);
+            }
+            echo.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn late_frames_to_a_dropped_rank_are_discarded() {
+        let mut fabric = ShmDevice::fabric(2).into_iter();
+        let (d0, d1) = (fabric.next().unwrap(), fabric.next().unwrap());
+        let queued = || d0.inboxes[1].0.lock().frames.len();
+        d0.send(1, numbered(0, 1));
+        assert_eq!(queued(), 1);
+        drop(d1);
+        assert_eq!(queued(), 0, "the dropped rank's queue was kept");
+        d0.send(1, numbered(0, 2));
+        assert_eq!(queued(), 0, "a late frame was queued");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "one consumer at a time")]
+    fn a_second_waiting_thread_is_caught() {
+        let d = ShmDevice::fabric(1).pop().expect("one device");
+        thread::scope(|s| {
+            s.spawn(|| d.recv_timeout(Duration::from_millis(500)));
+            while !sleeper_registered(&d) {
+                thread::yield_now();
+            }
+            let _ = d.recv_timeout(Duration::from_millis(1));
+        });
+    }
 
     #[test]
     fn two_rank_pingpong() {
