@@ -11,7 +11,9 @@
 //!   acquisitions, so the uncontended fast path never reads a clock),
 //!   and sliding [`WindowedHist`] rings for send/recv completion and
 //!   per-(collective, algorithm) dispatch latency — p50/p99/p999 over
-//!   the last ~10 s, queryable while traffic is in flight.
+//!   the last ~10 s, queryable while traffic is in flight. A user
+//!   point-to-point op is timed one time in [`SAMPLE_EVERY`]; every one
+//!   is counted.
 //! * **Continuous diagnostics** — every 100 ms of device time the
 //!   [`lmpi_obs::diagnose`] rules judge the [`RankStats`] reading since
 //!   the previous one (rolling deltas, not cumulative totals), so a
@@ -28,6 +30,7 @@
 //!
 //! [`Device::now_ns`]: crate::Device::now_ns
 
+use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,9 +55,48 @@ const EVAL_PERIOD_NS: u64 = 100_000_000;
 const WINDOW_SHARDS: usize = 10;
 const WINDOW_SHARD_NS: u64 = 1_000_000_000;
 
+/// One user point-to-point op in this many is stamped: it reads the
+/// clock at its post and at its completion and records the interval under
+/// the [`Windows`] lock. Every other op only bumps its window's count.
+pub(crate) const SAMPLE_EVERY: u32 = 64;
+
+/// What a user point-to-point op contributes to its send or receive
+/// window, decided at its post.
+#[derive(Clone, Copy)]
+pub(crate) enum Stamp {
+    /// Health is off, or the op is a collective's step: nothing.
+    Off,
+    /// Counted, not timed: no clock read, no lock.
+    Count,
+    /// Counted and timed from this post time (device clock, ns).
+    At(u64),
+}
+
+thread_local! {
+    /// This thread's xorshift32 state for [`draw`]; never zero.
+    static DRAW: Cell<u32> = const { Cell::new(0x9E37_79B9) };
+}
+
+/// Whether this thread's next user op is stamped: true one time in
+/// [`SAMPLE_EVERY`], at positions a xorshift32 draw picks, so no fixed
+/// slot of a periodic message pattern is always or never the sampled one.
+#[inline]
+pub(crate) fn draw() -> bool {
+    DRAW.with(|state| {
+        let mut x = state.get();
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        state.set(x);
+        x <= u32::MAX / SAMPLE_EVERY
+    })
+}
+
 /// Sliding windows for operation-completion latency. One mutex guards
-/// all of them; it is taken only on operation *completion* (not per
-/// frame), and only when health is enabled.
+/// all of them. A user send or receive takes it only when it is stamped,
+/// one op in [`SAMPLE_EVERY`]; a collective takes it once per call; the
+/// evaluation tick and a report take it to fold in the unstamped counts.
+/// With health disabled nothing takes it.
 struct Windows {
     send: WindowedHist,
     recv: WindowedHist,
@@ -73,7 +115,9 @@ struct DiagState {
     evals: u64,
 }
 
-/// Per-rank live health accounting (one per [`Inner`]).
+/// Per-rank live health accounting (one per [`Inner`]). A user send or
+/// receive costs it one relaxed add at completion, or, one op in
+/// [`SAMPLE_EVERY`], two clock reads and the [`Windows`] lock.
 pub(crate) struct HealthState {
     /// When false, every hot-path hook is a single branch and no clock
     /// is ever read on behalf of health.
@@ -88,6 +132,10 @@ pub(crate) struct HealthState {
     /// Device-clock time of the next diagnostics evaluation; checked
     /// with one relaxed load per progress-loop wakeup.
     next_eval_ns: AtomicU64,
+    /// User sends and receives completed unstamped since the last fold
+    /// into [`Windows`]: one relaxed add per op, no clock, no lock.
+    unstamped_send: AtomicU64,
+    unstamped_recv: AtomicU64,
     windows: Mutex<Windows>,
     diag: Mutex<DiagState>,
 }
@@ -99,6 +147,8 @@ impl HealthState {
             progress: ThreadHealth::new(),
             mutex_wait: AtomicHist::new(),
             next_eval_ns: AtomicU64::new(0),
+            unstamped_send: AtomicU64::new(0),
+            unstamped_recv: AtomicU64::new(0),
             windows: Mutex::new(Windows {
                 send: WindowedHist::new(WINDOW_SHARDS, WINDOW_SHARD_NS),
                 recv: WindowedHist::new(WINDOW_SHARDS, WINDOW_SHARD_NS),
@@ -108,20 +158,37 @@ impl HealthState {
         }
     }
 
-    /// Record one user send's post-to-completion latency.
+    /// Account one completed user send (`send`) or receive posted with
+    /// `stamp`; `now` reads the device clock, and only a stamped op calls
+    /// it.
     #[inline]
-    pub(crate) fn record_send(&self, t_ns: u64, dur_ns: u64) {
-        if self.enabled {
-            self.windows.lock().send.record(t_ns, dur_ns);
+    pub(crate) fn complete_op(&self, stamp: Stamp, send: bool, now: impl FnOnce() -> u64) {
+        match stamp {
+            Stamp::Off => {}
+            Stamp::Count => {
+                let n = if send {
+                    &self.unstamped_send
+                } else {
+                    &self.unstamped_recv
+                };
+                n.fetch_add(1, Ordering::Relaxed);
+            }
+            Stamp::At(t0) => {
+                let t_ns = now();
+                let mut w = self.windows.lock();
+                self.fold(&mut w, t_ns);
+                let window = if send { &mut w.send } else { &mut w.recv };
+                window.record(t_ns, t_ns.saturating_sub(t0));
+            }
         }
     }
 
-    /// Record one user receive's post-to-completion latency.
-    #[inline]
-    pub(crate) fn record_recv(&self, t_ns: u64, dur_ns: u64) {
-        if self.enabled {
-            self.windows.lock().recv.record(t_ns, dur_ns);
-        }
+    /// Move the unstamped counts into the shards current at `t_ns`.
+    fn fold(&self, w: &mut Windows, t_ns: u64) {
+        w.send
+            .count(t_ns, self.unstamped_send.swap(0, Ordering::Relaxed));
+        w.recv
+            .count(t_ns, self.unstamped_recv.swap(0, Ordering::Relaxed));
     }
 
     /// Record one collective dispatch duration under its
@@ -187,6 +254,7 @@ pub(crate) fn eval_if_due(inner: &Inner, now_ns: u64) {
     if !h.eval_due(now_ns) {
         return;
     }
+    h.fold(&mut h.windows.lock(), now_ns);
     let (snapshot, coll_mispins) = {
         let eng = inner.eng.lock();
         (eng.metrics_snapshot(&*inner.device), eng.coll.mispins)
@@ -255,8 +323,12 @@ lmpi_obs::json_struct! {
         pub mutex_wait: PercentileSummary,
         /// User send completion latency (post to completion, blocking or
         /// not) over the sliding window; collective steps are not counted.
+        /// `count` is every completion; the distribution is a random
+        /// 1-in-64 sample of them (`SAMPLE_EVERY`), and is empty until one
+        /// op has been sampled.
         pub send_window: PercentileSummary,
-        /// User receive completion latency over the sliding window.
+        /// User receive completion latency over the sliding window:
+        /// exact `count`, 1-in-64 sampled distribution, as `send_window`.
         pub recv_window: PercentileSummary,
         /// Per-(collective, algorithm) dispatch latency windows.
         pub coll_windows: Vec<CollWindow>,
@@ -280,7 +352,8 @@ pub(crate) fn build_report(inner: &Inner, now_ns: u64) -> HealthReport {
     let h = &inner.health;
     let threads = vec![h.progress.snapshot("progress")];
     let (send_window, recv_window, coll_windows) = {
-        let w = h.windows.lock();
+        let mut w = h.windows.lock();
+        h.fold(&mut w, now_ns);
         (
             w.send.summary(now_ns),
             w.recv.summary(now_ns),
@@ -463,7 +536,7 @@ pub(crate) fn render_prometheus(report: &HealthReport, out: &mut String) {
             push_metric_labeled(
                 out,
                 "lmpi_window_latency_ns",
-                "Operation-completion latency quantile over the sliding window (nanoseconds).",
+                "Operation-completion latency quantile over a 1-in-64 sample of the sliding window (nanoseconds).",
                 "gauge",
                 r,
                 &[("op", op), ("quantile", q)],
@@ -681,10 +754,8 @@ mod tests {
     #[test]
     fn disabled_health_records_nothing() {
         let h = HealthState::new(false);
-        h.record_send(0, 100);
-        h.record_recv(0, 100);
         h.record_coll("bcast", "binomial", 0, 100);
-        assert_eq!(h.windows.lock().send.summary(0).count, 0);
+        assert!(h.windows.lock().coll.is_empty());
         assert!(!h.eval_due(u64::MAX));
     }
 
@@ -696,7 +767,7 @@ mod tests {
         h.progress.add_wakeup();
         h.progress.add_frames(2);
         h.record_mutex_wait(700);
-        h.record_send(100, 42);
+        h.complete_op(Stamp::At(58), true, || 100);
         h.record_coll("barrier", "dissemination", 100, 99);
         h.evaluate(RankStats {
             rank: 3,
@@ -757,6 +828,45 @@ mod tests {
                 r#"t_storm","rank":3,"summary":"test"}],"evals":1}"#
             )
         );
+    }
+
+    #[test]
+    fn the_draw_stamps_every_window_position_at_one_in_sample_every() {
+        const WINDOWS: usize = 1_000;
+        let per = SAMPLE_EVERY as usize;
+        let mut at = vec![0u32; per];
+        for _ in 0..WINDOWS {
+            for hits in &mut at {
+                *hits += u32::from(draw());
+            }
+        }
+        assert!(
+            at.iter().all(|&n| n > 0),
+            "a position never stamped: {at:?}"
+        );
+        let fraction = at.iter().sum::<u32>() as f64 / (WINDOWS * per) as f64;
+        let want = 1.0 / SAMPLE_EVERY as f64;
+        assert!(
+            (fraction - want).abs() <= 0.25 * want,
+            "stamped fraction {fraction}, want {want} ± 25 %"
+        );
+    }
+
+    #[test]
+    fn unstamped_ops_are_counted_exactly_and_folded_by_the_next_stamp() {
+        let h = HealthState::new(true);
+        for _ in 0..99 {
+            h.complete_op(Stamp::Count, true, || {
+                unreachable!("an unstamped op reads no clock")
+            });
+        }
+        h.complete_op(Stamp::Count, false, || unreachable!());
+        assert_eq!(h.windows.lock().send.summary(0).count, 0, "not folded yet");
+        h.complete_op(Stamp::At(1_000), true, || 1_500);
+        let w = h.windows.lock();
+        let send = w.send.summary(1_500);
+        assert_eq!((send.count, send.p50_ns, send.max_ns), (100, 500, 500));
+        assert_eq!(w.recv.summary(1_500).count, 1);
     }
 
     #[test]

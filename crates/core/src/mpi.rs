@@ -41,6 +41,7 @@ use crate::device::{Cost, Device, TransportStats};
 use crate::dtype::CommittedType;
 use crate::engine::{Counters, Engine};
 use crate::error::{MpiError, MpiResult};
+use crate::health::Stamp;
 use crate::metrics::MetricsSnapshot;
 use crate::packet::{ContextId, Wire};
 use crate::request::{RecvDest, ReqState};
@@ -150,22 +151,24 @@ impl Inner {
     }
 
     /// Post a receive into `dst`: the one engine call behind every
-    /// receive post. A match on a lent payload makes the poster the
-    /// receiver's copier.
+    /// receive post, under one engine lock. `admit` runs first under that
+    /// lock and names the source, or refuses the post. A match on a lent
+    /// payload makes the poster the receiver's copier.
     #[inline]
     pub(crate) fn post_recv(
         &self,
         dst: RecvDest,
-        src: SourceSel,
         tag: TagSel,
         ctx: ContextId,
-    ) -> u64 {
+        admit: impl FnOnce(&mut Engine) -> MpiResult<SourceSel>,
+    ) -> MpiResult<u64> {
         let mut eng = self.lock_eng();
+        let src = admit(&mut eng)?;
         let id = eng.post_recv(&*self.device, dst, src, tag, ctx);
         if eng.has_pulls() {
             self.run_pulls(&mut eng, true);
         }
-        id
+        Ok(id)
     }
 
     /// Handle every frame already queued at the device, without blocking.
@@ -873,8 +876,13 @@ impl Communicator {
     // The two posts
     // ------------------------------------------------------------------
 
-    /// What every point-to-point post checks first, in this order: the
-    /// tag, revocation, a ready-mode error parked for this rank.
+    /// The revocation and parked-error checks of a point-to-point post,
+    /// made under the one engine lock the post then posts under. A post
+    /// checks, in this order: its tag (no lock), revocation, a ready-mode
+    /// error parked for this rank, then its rank range (and a typed send's
+    /// layout), which it computes before the lock and returns only after
+    /// these two. A parked error is returned by exactly one post, which
+    /// posts nothing.
     // Inlined, as are the other small helpers of the two posts and the
     // waits and conversions of `Posted` and `Request`: their callers are
     // generic entry points compiled in the caller's crate, where a plain
@@ -883,11 +891,11 @@ impl Communicator {
     // six) in a one-rank self-send loop, and the two waits of an
     // `isend`/`irecv` pair ≈ 20 ns.
     #[inline]
-    fn check_post(&self, tag: TagSel) -> MpiResult<()> {
-        Self::check_tag(tag)?;
-        self.check_not_revoked()?;
-        let pending = self.inner.eng.lock().pending_error.take();
-        pending.map_or(Ok(()), Err)
+    fn check_locked(&self, eng: &mut Engine) -> MpiResult<()> {
+        if eng.is_revoked(self.ctx) {
+            return Err(MpiError::Revoked { context: self.ctx });
+        }
+        eng.pending_error.take().map_or(Ok(()), Err)
     }
 
     /// Post a send of `data` to local rank `dst` on context `ctx`: the one
@@ -904,14 +912,18 @@ impl Communicator {
         ctx: ContextId,
         resume: bool,
     ) -> MpiResult<Posted<'b, &Self>> {
-        self.check_post(TagSel::Tag(tag))?;
-        if let SendBuf::Typed(ty, memory) = data {
-            ty.layout().fits(memory.len())?;
-        }
-        let dst = self.global(dst)?;
-        let t0 = self.stamp(ctx);
+        Self::check_tag(TagSel::Tag(tag))?;
+        let fits = match data {
+            SendBuf::Typed(ty, memory) => ty.layout().fits(memory.len()),
+            SendBuf::Slice(_) => Ok(()),
+        };
+        let dst = self.global(dst);
+        let stamp = self.stamp(ctx);
         let dev = &*self.inner.device;
         let mut eng = self.inner.lock_eng();
+        self.check_locked(&mut eng)?;
+        fits?;
+        let dst = dst?;
         let id = match data {
             // SAFETY: the `Posted<'b>` returned below holds `buf`'s borrow,
             // and each way out of it — `wait`, a `Request`'s `test`,
@@ -927,7 +939,7 @@ impl Communicator {
             self.inner.resume_progress(&eng, id);
         }
         drop(eng);
-        Ok(self.posted(id, true, t0))
+        Ok(self.posted(id, true, stamp))
     }
 
     /// Post a receive into `dst`, memory the caller has borrowed for
@@ -941,29 +953,41 @@ impl Communicator {
         tag: TagSel,
         ctx: ContextId,
     ) -> MpiResult<Posted<'b, &Self>> {
-        self.check_post(tag)?;
-        let src = self.src_sel(src)?;
-        let t0 = self.stamp(ctx);
-        let id = self.inner.post_recv(dst, src, tag, ctx);
-        Ok(self.posted(id, false, t0))
+        Self::check_tag(tag)?;
+        let src = self.src_sel(src);
+        let stamp = self.stamp(ctx);
+        let id = self.inner.post_recv(dst, tag, ctx, |eng| {
+            self.check_locked(eng)?;
+            src
+        })?;
+        Ok(self.posted(id, false, stamp))
     }
 
-    /// The post-time stamp for the send/recv health windows, which count
-    /// user operations: none when health is off, and none on the
-    /// collective context, whose steps feed their collective's window.
+    /// What the post contributes to the send/recv health windows, which
+    /// count user operations: nothing when health is off, and nothing on
+    /// the collective context, whose steps feed their collective's window.
+    /// One user op in [`SAMPLE_EVERY`](crate::health::SAMPLE_EVERY) reads
+    /// the clock here, ahead of the engine lock, so its interval includes
+    /// the lock wait.
     #[inline]
-    fn stamp(&self, ctx: ContextId) -> Option<u64> {
-        (self.inner.health.enabled && ctx == self.ctx).then(|| self.inner.device.now_ns())
+    fn stamp(&self, ctx: ContextId) -> Stamp {
+        if !self.inner.health.enabled || ctx != self.ctx {
+            Stamp::Off
+        } else if crate::health::draw() {
+            Stamp::At(self.inner.device.now_ns())
+        } else {
+            Stamp::Count
+        }
     }
 
     #[inline]
-    fn posted<'b>(&self, id: u64, send: bool, t0: Option<u64>) -> Posted<'b, &Self> {
+    fn posted<'b>(&self, id: u64, send: bool, stamp: Stamp) -> Posted<'b, &Self> {
         Posted {
             comm: self,
             id,
             live: true,
             send,
-            t0,
+            stamp,
             _buf: PhantomData,
         }
     }
@@ -1353,8 +1377,8 @@ pub(crate) struct Posted<'buf, C: Borrow<Communicator>> {
     /// Not yet collected, cancelled or abandoned.
     live: bool,
     send: bool,
-    /// Post time for the send/recv health window, if it counts there.
-    t0: Option<u64>,
+    /// What the op contributes to the send/recv health window.
+    stamp: Stamp,
     _buf: PhantomData<&'buf mut [u8]>,
 }
 
@@ -1380,16 +1404,10 @@ impl<C: Borrow<Communicator>> Posted<'_, C> {
     /// A collected success: record the health window, localize the status.
     #[inline]
     fn complete(&self, st: Status) -> MpiResult<Status> {
-        if let Some(t0) = self.t0 {
-            let health = &self.inner().health;
-            let now = self.inner().device.now_ns();
-            let dur = now.saturating_sub(t0);
-            if self.send {
-                health.record_send(now, dur);
-            } else {
-                health.record_recv(now, dur);
-            }
-        }
+        let inner = self.inner();
+        inner
+            .health
+            .complete_op(self.stamp, self.send, || inner.device.now_ns());
         localize(&self.comm.borrow().group, st)
     }
 
@@ -1424,7 +1442,7 @@ impl<'buf> Request<'buf> {
                 id: posted.id,
                 live: posted.live,
                 send: posted.send,
-                t0: posted.t0,
+                stamp: posted.stamp,
                 _buf: PhantomData,
             },
         }

@@ -313,7 +313,10 @@ impl Communicator {
         let inner = self.inner();
         let mut triple: Triple = [0; 3];
         let dst = RecvDest::contiguous(triple.as_mut_ptr().cast::<u8>(), TRIPLE_BYTES);
-        let id = inner.post_recv(dst, SourceSel::Rank(src), TagSel::Tag(tag), self.coll_ctx());
+        // No revocation check: agreement runs on revoked communicators.
+        let id = inner.post_recv(dst, TagSel::Tag(tag), self.coll_ctx(), |_| {
+            Ok(SourceSel::Rank(src))
+        })?;
         match inner.wait_request(id) {
             Ok(st) if st.len == TRIPLE_BYTES => Ok(triple),
             Ok(st) => Err(MpiError::internal(format!(

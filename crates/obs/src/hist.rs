@@ -204,9 +204,15 @@ impl LatencyHist {
 /// the device clock, read once per sample by the caller). Recording into
 /// a bucket whose epoch has passed first clears it, so stale data ages
 /// out lazily — there is no background sweeper thread.
+///
+/// A window may also [`count`](Self::count) events that carry no latency
+/// sample: the summary's `count` is then every event in the window, and
+/// its min/mean/max and percentiles describe the recorded sample alone.
 #[derive(Clone, Debug)]
 pub struct WindowedHist {
     buckets: Vec<LatencyHist>,
+    /// Events per shard, recorded or only counted.
+    counts: Vec<u64>,
     /// Epoch (`t_ns / bucket_ns`) each slot currently holds. `u64::MAX`
     /// marks a never-used slot.
     epochs: Vec<u64>,
@@ -222,6 +228,7 @@ impl WindowedHist {
         let nbuckets = nbuckets.max(2);
         WindowedHist {
             buckets: vec![LatencyHist::new(); nbuckets],
+            counts: vec![0; nbuckets],
             epochs: vec![u64::MAX; nbuckets],
             bucket_ns: bucket_ns.max(1),
         }
@@ -232,37 +239,70 @@ impl WindowedHist {
         self.bucket_ns.saturating_mul(self.buckets.len() as u64)
     }
 
-    /// Record a sample observed at wall time `t_ns`.
+    /// The slot holding wall time `t_ns`, cleared first if it still holds
+    /// an older epoch.
     #[inline]
-    pub fn record(&mut self, t_ns: u64, ns: u64) {
+    fn shard(&mut self, t_ns: u64) -> usize {
         let epoch = t_ns / self.bucket_ns;
         let slot = (epoch % self.buckets.len() as u64) as usize;
         if self.epochs[slot] != epoch {
             self.buckets[slot] = LatencyHist::new();
+            self.counts[slot] = 0;
             self.epochs[slot] = epoch;
         }
-        self.buckets[slot].record(ns);
+        slot
     }
 
-    /// Merge every shard still inside the window ending at `now_ns`
-    /// into one histogram. Shards older than the window (or from a
-    /// future epoch, after a clock step) are skipped.
-    pub fn merged(&self, now_ns: u64) -> LatencyHist {
+    /// Record a sample observed at wall time `t_ns`.
+    #[inline]
+    pub fn record(&mut self, t_ns: u64, ns: u64) {
+        let slot = self.shard(t_ns);
+        self.buckets[slot].record(ns);
+        self.counts[slot] = self.counts[slot].saturating_add(1);
+    }
+
+    /// Count `n` events at wall time `t_ns` that carry no sample: they
+    /// raise the summary's `count` and leave its distribution alone.
+    #[inline]
+    pub fn count(&mut self, t_ns: u64, n: u64) {
+        if n > 0 {
+            let slot = self.shard(t_ns);
+            self.counts[slot] = self.counts[slot].saturating_add(n);
+        }
+    }
+
+    /// Slots still inside the window ending at `now_ns`. Shards older
+    /// than the window (or from a future epoch, after a clock step) are
+    /// skipped.
+    fn live(&self, now_ns: u64) -> impl Iterator<Item = usize> + '_ {
         let now_epoch = now_ns / self.bucket_ns;
         let span = self.buckets.len() as u64;
-        let mut out = LatencyHist::new();
-        for (slot, hist) in self.buckets.iter().enumerate() {
+        (0..self.buckets.len()).filter(move |&slot| {
             let e = self.epochs[slot];
-            if e != u64::MAX && e <= now_epoch && now_epoch - e < span {
-                out.merge(hist);
-            }
+            e != u64::MAX && e <= now_epoch && now_epoch - e < span
+        })
+    }
+
+    /// Merge the recorded samples of every shard still inside the window
+    /// ending at `now_ns` into one histogram.
+    pub fn merged(&self, now_ns: u64) -> LatencyHist {
+        let mut out = LatencyHist::new();
+        for slot in self.live(now_ns) {
+            out.merge(&self.buckets[slot]);
         }
         out
     }
 
-    /// Percentile roll-up of the live window ending at `now_ns`.
+    /// Percentile roll-up of the live window ending at `now_ns`; `count`
+    /// includes the events that were only counted.
     pub fn summary(&self, now_ns: u64) -> PercentileSummary {
-        self.merged(now_ns).summary()
+        let count = self
+            .live(now_ns)
+            .fold(0u64, |n, slot| n.saturating_add(self.counts[slot]));
+        PercentileSummary {
+            count,
+            ..self.merged(now_ns).summary()
+        }
     }
 }
 
@@ -433,6 +473,24 @@ mod tests {
         assert_eq!(s.count, 1000);
         assert!(s.p999_ns >= s.p99_ns && s.p99_ns >= s.p50_ns);
         assert!(s.p999_ns <= s.max_ns);
+    }
+
+    #[test]
+    fn counted_events_raise_the_count_and_age_out_with_their_shard() {
+        let mut w = WindowedHist::new(4, 1_000_000);
+        w.record(500_000, 10); // epoch 0
+        w.count(500_000, 63);
+        w.count(1_500_000, 64); // epoch 1, no sample
+        let s = w.summary(1_600_000);
+        assert_eq!(s.count, 128);
+        assert_eq!((s.min_ns, s.max_ns, s.p50_ns), (10, 10, 10));
+        assert_eq!(s.mean_ns, 10.0, "the mean is over the recorded sample");
+        // Epoch 0 ages out with its sample and its counted events.
+        assert_eq!(w.summary(4_500_000).count, 64);
+        assert_eq!(w.summary(4_500_000).max_ns, 0);
+        // A reused slot starts from zero.
+        w.count(4_500_000, 2);
+        assert_eq!(w.summary(4_500_000).count, 66);
     }
 
     #[test]

@@ -201,8 +201,8 @@ fn phase1() -> HealthReport {
         );
         println!(
             "  rank {}: progress duty-cycle {:.3} (coverage {:.4}), \
-             {} wakeups / {} frames, {} evals, send p99 {} ns over {} \
-             completions",
+             {} wakeups / {} frames, {} evals, send p99 {} ns (1-in-64 \
+             sample) over {} completions",
             report.rank,
             progress.duty_cycle,
             progress.coverage,

@@ -9,16 +9,22 @@
 //!   text over a real in-process TCP connection, with the health and
 //!   window families present, plus a JSON health report — no mocks, no
 //!   ignored test.
+//! * Sampling: the send/recv windows count every user call exactly while
+//!   timing one in 64, and a clock-read census over a counting device
+//!   holds a rank's own thread to at most 0.1 clock reads per user op.
 
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use lmpi::obs::validate_json;
 use lmpi::{
-    run_devices, run_real_tcp, validate_prometheus, Counters, FaultConfig, FaultRates,
-    FaultyDevice, HealthReport, Mpi, MpiConfig, RelConfig, ReliableDevice, ShmDevice,
+    run_devices, run_real_tcp, validate_prometheus, Counters, Device, DeviceDefaults, FaultConfig,
+    FaultRates, FaultyDevice, HealthReport, Mpi, MpiConfig, MpiResult, Rank, RelConfig,
+    ReliableDevice, ShmDevice,
 };
+use lmpi_core::Wire;
 use lmpi_sim::for_each_case;
 
 type Stack = ReliableDevice<FaultyDevice<ShmDevice>>;
@@ -234,6 +240,119 @@ fn windows_count_user_calls_once_each() {
             .map(|w| w.window.count)
             .sum();
         assert_eq!(barriers, 10, "rank {}", report.rank);
+    }
+}
+
+/// The counts stay exact at volume, where nearly every operation is
+/// counted without a clock read and only one in 64 is timed.
+#[test]
+fn windows_count_every_call_at_volume() {
+    const CALLS: u64 = 10_000;
+    let reports = run_devices(
+        ShmDevice::fabric(2),
+        MpiConfig::device_defaults(),
+        |mpi: Mpi| {
+            let world = mpi.world();
+            let peer = 1 - world.rank();
+            for i in 0..CALLS {
+                let mut back = [0u64];
+                world.sendrecv(&[i], peer, 3, &mut back, peer, 3).unwrap();
+                assert_eq!(back, [i]);
+            }
+            mpi.health()
+        },
+    );
+    for report in &reports {
+        assert_eq!(report.send_window.count, CALLS, "rank {}", report.rank);
+        assert_eq!(report.recv_window.count, CALLS, "rank {}", report.rank);
+    }
+}
+
+thread_local! {
+    /// Device-clock reads this thread made through a [`ClockCensus`].
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `ShmDevice` that tallies `wtime`/`now_ns` calls per calling thread, so
+/// a rank's own thread can count the reads its operations make apart from
+/// its progress thread's duty-cycle clock.
+struct ClockCensus(ShmDevice);
+
+fn tally() {
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
+}
+
+impl Device for ClockCensus {
+    fn rank(&self) -> Rank {
+        self.0.rank()
+    }
+    fn nprocs(&self) -> usize {
+        self.0.nprocs()
+    }
+    fn send(&self, dst: Rank, wire: Wire) {
+        self.0.send(dst, wire);
+    }
+    fn try_recv(&self) -> MpiResult<Option<Wire>> {
+        self.0.try_recv()
+    }
+    fn recv_blocking(&self) -> MpiResult<Wire> {
+        self.0.recv_blocking()
+    }
+    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
+        self.0.recv_timeout(timeout)
+    }
+    fn supports_background_progress(&self) -> bool {
+        self.0.supports_background_progress()
+    }
+    fn wtime(&self) -> f64 {
+        tally();
+        self.0.wtime()
+    }
+    fn now_ns(&self) -> u64 {
+        tally();
+        self.0.now_ns()
+    }
+    fn substrate(&self) -> &'static str {
+        self.0.substrate()
+    }
+    fn defaults(&self) -> DeviceDefaults {
+        self.0.defaults()
+    }
+}
+
+/// With health on, a user point-to-point op reads the clock only when it
+/// is sampled (one in 64, twice each): the calling thread makes at most
+/// 0.1 clock reads per op, where timing every op made two. Counts calls,
+/// times nothing.
+#[test]
+fn health_reads_the_clock_for_one_op_in_sixty_four() {
+    const ROUNDS: u64 = 6_400;
+    let devices = ShmDevice::fabric(2).into_iter().map(ClockCensus).collect();
+    let cfg = MpiConfig::device_defaults().with_health(true);
+    let results = run_devices(devices, cfg, |mpi: Mpi| {
+        let world = mpi.world();
+        let peer = 1 - world.rank();
+        let before = CLOCK_READS.with(Cell::get);
+        for i in 0..ROUNDS {
+            let mut back = [0u64];
+            let recv = world.irecv(&mut back, peer, 4).unwrap();
+            let send = world.isend(std::slice::from_ref(&i), peer, 4).unwrap();
+            send.wait().unwrap();
+            recv.wait().unwrap();
+            assert_eq!(back, [i]);
+        }
+        let reads = CLOCK_READS.with(Cell::get) - before;
+        (reads, mpi.health())
+    });
+    for (reads, report) in &results {
+        let ops = report.send_window.count + report.recv_window.count;
+        assert_eq!(ops, 2 * ROUNDS, "rank {}", report.rank);
+        let per_op = *reads as f64 / ops as f64;
+        assert!(
+            per_op <= 0.1,
+            "rank {}: {reads} clock reads over {ops} ops ({per_op:.3} per op)",
+            report.rank
+        );
     }
 }
 

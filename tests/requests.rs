@@ -1,14 +1,17 @@
 //! Interaction tests for the request-completion surface: `wait_any`
 //! returning completions in arrival order, the all-or-nothing `test_all`
-//! contract, `cancel` on both unmatched and already-matched receives, and
-//! `wait_any` on an empty list.
+//! contract, `cancel` on both unmatched and already-matched receives,
+//! `wait_any` on an empty list, and the order in which a send or receive
+//! post reports what is wrong with it.
 //!
 //! Ordering is made deterministic with handshakes (one message in flight
 //! at a time) and the FIFO delivery guarantee of the shm channels: once a
 //! later flag message has been received, every earlier frame on the same
 //! channel has already been handled by the engine.
 
-use lmpi::{run_threads, test_all, wait_any, Mpi, MpiError};
+use std::time::{Duration, Instant};
+
+use lmpi::{run_threads, test_all, wait_any, Mpi, MpiError, MpiResult, TAG_UB};
 
 /// Three receives posted up front; the peer sends them in a scrambled
 /// order, one at a time under a handshake, so `wait_any` must surface them
@@ -166,5 +169,102 @@ fn wait_any_on_an_empty_list_is_a_typed_error() {
         let mut back = [0u8];
         world.sendrecv(&[5u8], 0, 1, &mut back, 0, 1).unwrap();
         assert_eq!(back, [5]);
+    });
+}
+
+/// The error a post that must fail returned.
+#[track_caller]
+fn post_err<T>(posted: MpiResult<T>) -> MpiError {
+    match posted {
+        Err(e) => e,
+        Ok(_) => panic!("the post succeeded"),
+    }
+}
+
+/// A post checks its tag first, then revocation, before its rank range:
+/// on a revoked communicator a bad tag is still `InvalidTag`, and a good
+/// tag to a rank that does not exist is `Revoked`. Both posts, send and
+/// receive.
+#[test]
+fn a_post_checks_its_tag_then_revocation_then_its_rank() {
+    run_threads(1, |mpi: Mpi| {
+        let world = mpi.world();
+        let mut buf = [0u8];
+        let bad = TAG_UB + 1;
+        for e in [
+            post_err(world.isend(&[1u8], 0, bad)),
+            post_err(world.irecv(&mut buf, 0, bad)),
+        ] {
+            assert!(
+                matches!(e, MpiError::InvalidTag(t) if t == bad as i32),
+                "{e:?}"
+            );
+        }
+        world.revoke().unwrap();
+        for e in [
+            post_err(world.isend(&[1u8], 7, bad)),
+            post_err(world.irecv(&mut buf, 7, bad)),
+        ] {
+            assert!(matches!(e, MpiError::InvalidTag(_)), "{e:?}");
+        }
+        for e in [
+            post_err(world.isend(&[1u8], 7, 1)),
+            post_err(world.irecv(&mut buf, 7, 1)),
+        ] {
+            assert!(matches!(e, MpiError::Revoked { .. }), "{e:?}");
+        }
+    });
+}
+
+/// Wait until this rank has dropped `n` ready-mode sends that found no
+/// receive, each of which may park an error for the next post.
+fn await_rsend_errors(mpi: &Mpi, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while mpi.counters().rsend_errors < n {
+        assert!(Instant::now() < deadline, "no ready-mode error after 10 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A ready-mode send that found no receive parks `ReadyModeNoReceive`
+/// for the rank; the next post returns it exactly once, ahead of its own
+/// rank-range error, and posts nothing; the post after that succeeds.
+/// The send post first, then the receive post.
+#[test]
+fn a_parked_ready_mode_error_is_returned_by_one_post() {
+    run_threads(2, |mpi: Mpi| {
+        let world = mpi.world();
+        if world.rank() == 0 {
+            // Nothing is posted here, so the peer's ready send is erroneous.
+            await_rsend_errors(&mpi, 1);
+            let e = post_err(world.isend(&[0u8], 7, 5));
+            assert!(
+                matches!(e, MpiError::ReadyModeNoReceive { tag: 1, .. }),
+                "{e:?}"
+            );
+            let e = post_err(world.isend(&[0u8], 7, 5));
+            assert!(
+                matches!(e, MpiError::RankOutOfRange { rank: 7, .. }),
+                "{e:?}"
+            );
+            world.send(&[0u8], 1, 5).unwrap();
+
+            await_rsend_errors(&mpi, 2);
+            let mut buf = [0u8];
+            let e = post_err(world.irecv(&mut buf, 7, 6));
+            assert!(
+                matches!(e, MpiError::ReadyModeNoReceive { tag: 2, .. }),
+                "{e:?}"
+            );
+            world.recv(&mut buf, 1, 6).unwrap();
+            assert_eq!(buf, [3]);
+        } else {
+            world.rsend(&[1u8], 0, 1).unwrap();
+            let mut go = [9u8];
+            world.recv(&mut go, 0, 5).unwrap();
+            assert_eq!(go, [0]);
+            world.rsend(&[2u8], 0, 2).unwrap();
+            world.send(&[3u8], 0, 6).unwrap();
+        }
     });
 }
