@@ -429,56 +429,59 @@ mod tests {
     /// `mark_revoked` leaves a matched pull alone: the receive completes.
     #[test]
     fn fail_peer_waits_out_a_pull_in_progress() {
-        for way in ["close", "fail_peer", "mark_revoked"] {
-            let (d0, d1) = (Loopback::lending(0, 2), Loopback::lending(1, 2));
-            let (mut e0, mut e1) = (engine(0, 2), engine(1, 2));
-            let mut buf = vec![0u8; 500];
-            let (sid, rid, lease, pull) = begin_pull(&mut e0, &d0, &mut e1, &d1, &mut buf);
-            let landed = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let (release, helper) = held_helper(s, &lease, &landed);
-                let (e0, e1, d0, lease) = (&mut e0, &mut e1, &d0, &lease);
-                match way {
-                    "close" => {
-                        let at = waits_for_the_helper(s, &landed, release, move || {
-                            assert!(!lease.close(), "withdrawn under a pull");
-                        });
-                        assert_eq!(at, 500, "{way} returned before the last chunk");
+        // A lost lease wake fails the test instead of hanging it.
+        lmpi_sim::within(std::time::Duration::from_secs(60), || {
+            for way in ["close", "fail_peer", "mark_revoked"] {
+                let (d0, d1) = (Loopback::lending(0, 2), Loopback::lending(1, 2));
+                let (mut e0, mut e1) = (engine(0, 2), engine(1, 2));
+                let mut buf = vec![0u8; 500];
+                let (sid, rid, lease, pull) = begin_pull(&mut e0, &d0, &mut e1, &d1, &mut buf);
+                let landed = AtomicUsize::new(0);
+                std::thread::scope(|s| {
+                    let (release, helper) = held_helper(s, &lease, &landed);
+                    let (e0, e1, d0, lease) = (&mut e0, &mut e1, &d0, &lease);
+                    match way {
+                        "close" => {
+                            let at = waits_for_the_helper(s, &landed, release, move || {
+                                assert!(!lease.close(), "withdrawn under a pull");
+                            });
+                            assert_eq!(at, 500, "{way} returned before the last chunk");
+                        }
+                        "fail_peer" => {
+                            let at = waits_for_the_helper(s, &landed, release, move || {
+                                e0.fail_peer(d0, 1, dead(1));
+                            });
+                            assert_eq!(at, 500, "{way} returned before the last chunk");
+                        }
+                        _ => {
+                            e1.mark_revoked(0);
+                            assert!(matches!(
+                                e1.reqs.get(rid),
+                                Some(ReqState::RecvPulling { .. })
+                            ));
+                            release.send(()).unwrap();
+                        }
                     }
-                    "fail_peer" => {
-                        let at = waits_for_the_helper(s, &landed, release, move || {
-                            e0.fail_peer(d0, 1, dead(1));
-                        });
-                        assert_eq!(at, 500, "{way} returned before the last chunk");
-                    }
-                    _ => {
-                        e1.mark_revoked(0);
-                        assert!(matches!(
-                            e1.reqs.get(rid),
-                            Some(ReqState::RecvPulling { .. })
-                        ));
-                        release.send(()).unwrap();
+                    assert_eq!(
+                        helper.join().unwrap(),
+                        500,
+                        "{way}: the helper copied it all"
+                    );
+                });
+                assert!(lease.pulled(), "{way}");
+                if way == "fail_peer" {
+                    match e0.reqs.take_if_done(sid) {
+                        Some(Err(MpiError::PeerFailed { peer: 1, .. })) => {}
+                        other => panic!("expected PeerFailed, got {other:?}"),
                     }
                 }
-                assert_eq!(
-                    helper.join().unwrap(),
-                    500,
-                    "{way}: the helper copied it all"
-                );
-            });
-            assert!(lease.pulled(), "{way}");
-            if way == "fail_peer" {
-                match e0.reqs.take_if_done(sid) {
-                    Some(Err(MpiError::PeerFailed { peer: 1, .. })) => {}
-                    other => panic!("expected PeerFailed, got {other:?}"),
-                }
+                // The receiver's own copy finds nothing left to claim.
+                assert_eq!(pull.run(true), 0, "{way}");
+                e1.finish_pull(&d1, pull, 0, None);
+                let st = e1.reqs.take_if_done(rid).unwrap().unwrap();
+                assert_eq!((st.source, st.len), (0, 500), "{way}");
             }
-            // The receiver's own copy finds nothing left to claim.
-            assert_eq!(pull.run(true), 0, "{way}");
-            e1.finish_pull(&d1, pull, 0, None);
-            let st = e1.reqs.take_if_done(rid).unwrap().unwrap();
-            assert_eq!((st.source, st.len), (0, 500), "{way}");
-        }
+        });
     }
 
     /// `abandon` of a receive being pulled returns only once the last

@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::bytes::Bytes;
-use lmpi_sim::lock::Mutex;
+use lmpi_sim::lock::{Mutex, Sleepers};
 
 use lmpi_obs::{EventKind, MsgId, Tracer};
 
@@ -246,6 +246,8 @@ pub(crate) struct Engine {
     /// waiters will find it. Stays `None` on virtual-time ranks, where
     /// transport errors surface directly from the blocking call.
     pub(crate) fatal: Option<MpiError>,
+    /// Callers parked behind the drain-role holder (`Inner::wake_waiters`).
+    pub(crate) waiters: Sleepers,
     /// Per-rank failure flags: `failed_ranks[r]` means rank `r` has been
     /// declared dead (transport liveness or agreement gossip). Failure is
     /// per-peer state — a dead rank never poisons healthy-peer traffic.
@@ -304,6 +306,7 @@ impl Engine {
             tracer: Tracer::disabled(),
             pending_error: None,
             fatal: None,
+            waiters: Sleepers::default(),
             failed_ranks: vec![false; nprocs],
             revoked: std::collections::HashSet::new(),
             next_msg_seq: 1,

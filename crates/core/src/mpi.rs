@@ -11,10 +11,11 @@
 //! **background progress thread** that holds the role only while no caller
 //! is inside, so nonblocking operations, retransmit timers and heartbeats
 //! advance while the application computes. A blocked caller that finds the
-//! role taken parks on a condvar until its request may have completed or
-//! the role comes free. Virtual-time substrates (the simulated Meiko and
-//! cluster models) have no progress thread — their cooperative scheduler
-//! cannot tolerate a foreign thread — so there the role is the caller's.
+//! role taken parks in the engine's wait slot until its request may have
+//! completed or the role comes free. Virtual-time substrates (the simulated
+//! Meiko and cluster models) have no progress thread — their cooperative
+//! scheduler cannot tolerate a foreign thread — so there the role is the
+//! caller's.
 //!
 //! Every point-to-point call is one post and one wait, as in MPICH's
 //! layering. `Communicator::post_send` (contiguous or typed, any mode) and
@@ -29,11 +30,11 @@
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lmpi_obs::Tracer;
-use lmpi_sim::lock::{Condvar, Mutex, MutexGuard};
+use lmpi_sim::lock::{Mutex, MutexGuard, Sleepers, Wake};
 
 use crate::config::MpiConfig;
 use crate::datatype::MpiData;
@@ -49,23 +50,20 @@ use crate::types::{Rank, SendMode, SourceSel, Status, Tag, TagSel, TAG_UB};
 
 /// How long the progress thread sleeps per iteration: in
 /// [`Device::recv_timeout`] while it holds the drain role on an idle wire,
-/// in `thread::park_timeout` while callers hold it. Bounds shutdown
-/// latency and keeps the reliability sublayer's retransmit/heartbeat
-/// pumps ticking on a silent wire.
+/// in its engine wait slot while callers hold it. Keeps the reliability
+/// sublayer's retransmit/heartbeat pumps ticking on a silent wire, and
+/// bounds shutdown latency while the thread waits in the device.
 const PROGRESS_TICK: Duration = Duration::from_micros(500);
 
 /// The watchdog slice: how long a blocked caller sleeps — in the device
-/// when it holds the drain role, on the condvar when it does not — before
-/// it looks at its idle clock. No wake-up depends on it expiring (see
-/// [`Inner::release`]).
+/// when it holds the drain role, in the engine's wait slot when it does
+/// not — before it looks at its idle clock. No wake-up depends on it
+/// expiring (see [`Inner::wake_waiters`]).
 const PARK_SLICE: Duration = Duration::from_millis(2);
 
 pub(crate) struct Inner {
     pub(crate) device: Box<dyn Device>,
     pub(crate) eng: Mutex<Engine>,
-    /// Signalled when protocol state advanced or the drain role came free
-    /// while a caller was parked.
-    done: Condvar,
     /// Progress watchdog deadline (microseconds of device time); `None`
     /// blocks indefinitely.
     watchdog_us: Option<u64>,
@@ -76,12 +74,11 @@ pub(crate) struct Inner {
     /// Callers currently blocked in [`Inner::progress_until`]. The
     /// progress thread takes the role only while this is zero.
     inside: AtomicU32,
-    /// The progress thread, for [`Inner::resume_progress`] and shutdown.
-    progress: OnceLock<std::thread::Thread>,
-    /// Set while the progress thread is parked without the role. Whoever
-    /// clears it owes the thread an `unpark`, which the thread reads as
-    /// "resume now".
-    yielded: AtomicBool,
+    /// The progress thread, while it yields the drain role to callers.
+    /// Under a lock of its own, taken inside the engine lock by a poster:
+    /// the thread registers every tick, which on the engine lock contended
+    /// with the draining caller.
+    progress_slot: Mutex<Sleepers>,
     /// Tells the progress thread to exit (set by [`Mpi`]'s drop).
     shutdown: AtomicBool,
     /// Bumped by whoever drains for every frame or failure verdict it
@@ -202,27 +199,27 @@ impl Inner {
             eng.fatal.get_or_insert(e);
         }
         let fatal = eng.fatal.clone();
-        self.release(role, eng, 0);
+        drop(role);
+        self.wake_waiters(eng);
         fatal.map_or(Ok(()), Err)
     }
 
-    /// Give the drain role up, under the engine lock; `own` is 1 when the
-    /// caller is itself counted in `inside`. A waiter decides "the role is
-    /// taken" while it holds the engine lock, and its condvar wait releases
-    /// that lock atomically, so every waiter either locks the engine after
-    /// this drop and finds the role free, or is already waiting when the
-    /// notification goes out: a release is never slept through.
-    fn release(&self, role: MutexGuard<'_, ()>, eng: MutexGuard<'_, Engine>, own: u32) {
-        drop(role);
+    /// Wake the callers parked behind the role holder: take them out of
+    /// `Engine::waiters` under the engine lock, unpark them after dropping
+    /// it. Whoever gives the drain role up drops it, then calls this. A
+    /// waiter decides "the role is taken" and registers under the engine
+    /// lock, so it either locks the engine after the release and finds the
+    /// role free, or is registered when the slot is taken: a release is
+    /// never slept through.
+    fn wake_waiters(&self, mut eng: MutexGuard<'_, Engine>) {
+        let wake = eng.waiters.take();
         drop(eng);
-        if self.inside.load(Ordering::Acquire) > own {
-            self.done.notify_all();
-        }
+        wake.wake();
     }
 
     /// Make progress until `done` returns `Some`: take the drain role and
     /// handle frames inline, blocking in the device between them, or park
-    /// on the condvar while another thread holds it. Either way the
+    /// in `Engine::waiters` while another thread holds it. Either way the
     /// watchdog, if armed, bounds the wait on a wall-clock transport.
     pub(crate) fn progress_until<T>(
         &self,
@@ -255,9 +252,9 @@ impl Inner {
 
     /// The blocking half of [`progress_until`](Self::progress_until) on a
     /// wall-clock transport. `eng` is held and `done` has just said `None`.
-    fn block_until<T>(
-        &self,
-        mut eng: MutexGuard<'_, Engine>,
+    fn block_until<'a, T>(
+        &'a self,
+        mut eng: MutexGuard<'a, Engine>,
         done: &mut impl FnMut(&mut Engine) -> Option<T>,
     ) -> MpiResult<T> {
         let mut timer = None;
@@ -268,7 +265,8 @@ impl Inner {
             if let Some(role) = self.drain.try_lock() {
                 break role;
             }
-            self.done.wait_for(&mut eng, PARK_SLICE);
+            let slice = Instant::now() + PARK_SLICE;
+            Sleepers::park(&self.eng, &mut eng, |e| &mut e.waiters, Some(slice));
             self.idle_check(&mut timer)?;
             if let Some(v) = done(&mut eng) {
                 return Ok(v);
@@ -288,23 +286,22 @@ impl Inner {
                 Err(e) => Err(eng.fatal.get_or_insert(e).clone()),
             };
             if let Err(e) = step {
-                self.release(role, eng, 1);
+                drop(role);
+                self.wake_waiters(eng);
                 return Err(e);
             }
             // A due metrics hook fires once the lock is released.
             let hook = eng.pending_snapshot(&*self.device);
             if let Some(v) = done(&mut eng) {
-                self.release(role, eng, 1);
+                drop(role);
+                self.wake_waiters(eng);
                 if let Some((snap, cb)) = hook {
                     (cb.lock())(&snap);
                 }
                 return Ok(v);
             }
-            drop(eng);
             // The frame may have completed another caller's request.
-            if self.inside.load(Ordering::Acquire) > 1 {
-                self.done.notify_all();
-            }
+            self.wake_waiters(eng);
             if let Some((snap, cb)) = hook {
                 (cb.lock())(&snap);
             }
@@ -337,16 +334,13 @@ impl Inner {
 
     /// Early resume: a nonblocking send still incomplete when its post
     /// returns (rendezvous) needs the progress thread now, not a tick or
-    /// two later. One flag load per post; a syscall only if it is parked.
-    fn resume_progress(&self, eng: &Engine, id: u64) {
-        if self.yielded.load(Ordering::Acquire)
-            && !eng.reqs.get(id).is_some_and(ReqState::is_done)
-            && self.yielded.swap(false, Ordering::AcqRel)
-        {
-            if let Some(thread) = self.progress.get() {
-                thread.unpark();
-            }
+    /// two later. Takes the yielding thread out of its slot under the
+    /// post's engine lock; the poster wakes it after dropping that lock.
+    fn resume_progress(&self, eng: &Engine, id: u64) -> Wake {
+        if eng.reqs.get(id).is_some_and(ReqState::is_done) {
+            return Wake::default();
         }
+        self.progress_slot.lock().take()
     }
 
     /// Block until one frame arrives and handle it (virtual-time ranks
@@ -413,18 +407,18 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
     if eng.fatal.is_none() {
         eng.fatal = Some(err);
     }
-    drop(eng);
     inner.epoch.fetch_add(1, Ordering::AcqRel);
-    inner.done.notify_all();
+    inner.wake_waiters(eng);
 }
 
 /// The background progress loop: the device's consumer while no caller is
 /// inside the library. Each iteration first settles who drains. With a
-/// caller inside it gives the role up ([`Inner::release`]) and parks for a
-/// tick; it takes the role back once nobody is inside and either nobody
-/// drained during the last tick (`epoch` stood still — so a tick landing
-/// between a caller's `send` returning and its `recv` entering does not
-/// steal that round trip) or a poster asked ([`Inner::resume_progress`]).
+/// caller inside it gives the role up ([`Inner::wake_waiters`]) and parks
+/// in `Inner::progress_slot` for a tick; it takes the role back once
+/// nobody is inside and either nobody drained during the last tick
+/// (`epoch` stood still — so a tick landing between a caller's `send`
+/// returning and its `recv` entering does not steal that round trip) or a
+/// poster woke it ([`Inner::resume_progress`]; the park reports it).
 /// Holding the role it drains queued frames and peer-failure verdicts and
 /// parks in [`Device::recv_timeout`] while idle. Transport errors are
 /// parked in [`Engine::fatal`] for waiters — this thread has nowhere else
@@ -435,7 +429,8 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
 /// (`mark` is the end of the previously credited segment, so the buckets
 /// sum to the covered wall time by construction): device polling →
 /// `Poll`, contended engine-lock acquisition → `LockWait`, frame handling
-/// → `Drain`, the idle `recv_timeout` tick and every yielded tick →
+/// → `Drain`, the idle `recv_timeout` tick and every yielded tick (the
+/// park in `Inner::progress_slot`, and the slot's lock taken around it) →
 /// `Park`. Yielded time moves `mark`, so it never enters the
 /// wakeup-to-drain samples (work noticed → first frame handled). The
 /// periodic diagnostics run on idle and yielded ticks. With health
@@ -445,7 +440,6 @@ fn progress_loop(inner: &Inner) {
 
     use crate::health::credit_segment;
 
-    let _ = inner.progress.set(std::thread::current());
     let hp = inner.health.enabled.then_some(&inner.health.progress);
     let mut mark = hp.map(|_| inner.device.now_ns()).unwrap_or(0);
     // Credit the time since `mark` to `bucket` (no clock read when off).
@@ -488,17 +482,22 @@ fn progress_loop(inner: &Inner) {
     let (mut seen, mut asked) = (inner.epoch.load(Ordering::Acquire), false);
     while !inner.shutdown.load(Ordering::Acquire) {
         if inner.inside.load(Ordering::Acquire) > 0 {
-            if let Some(role) = role.take() {
-                inner.release(role, inner.eng.lock(), 0);
+            if role.is_some() {
+                role = None;
+                inner.wake_waiters(inner.eng.lock());
             }
         } else if role.is_none() && (asked || seen == inner.epoch.load(Ordering::Acquire)) {
             role = inner.drain.try_lock();
         }
         if role.is_none() {
             seen = inner.epoch.load(Ordering::Acquire);
-            inner.yielded.store(true, Ordering::Release);
-            std::thread::park_timeout(PROGRESS_TICK);
-            asked = !inner.yielded.swap(false, Ordering::AcqRel);
+            let mut slot = inner.progress_slot.lock();
+            // Checked under the lock `Mpi::drop` takes the slot under.
+            asked = !inner.shutdown.load(Ordering::Acquire) && {
+                let tick = Instant::now() + PROGRESS_TICK;
+                Sleepers::park(&inner.progress_slot, &mut slot, |s| s, Some(tick))
+            };
+            drop(slot);
             if inner.health.enabled {
                 credit(&mut mark, Park);
                 crate::health::eval_if_due(inner, mark);
@@ -603,12 +602,10 @@ impl Mpi {
         let inner = Arc::new(Inner {
             device,
             eng: Mutex::new(eng),
-            done: Condvar::new(),
             watchdog_us: config.progress_timeout_us,
             drain: Mutex::new(()),
             inside: AtomicU32::new(0),
-            progress: OnceLock::new(),
-            yielded: AtomicBool::new(false),
+            progress_slot: Mutex::new(Sleepers::default()),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             world_coll_seq: Arc::new(AtomicU32::new(0)),
@@ -784,13 +781,12 @@ impl Drop for Mpi {
     fn drop(&mut self) {
         if let Some(handle) = self.progress.take() {
             self.inner.shutdown.store(true, Ordering::Release);
-            handle.thread().unpark();
+            let wake = self.inner.progress_slot.lock().take();
+            wake.wake();
             let _ = handle.join();
             // Surviving Communicator/Request handles drain for themselves;
-            // wake any that saw the thread holding the role (engine-lock
-            // barrier as in `Inner::release`).
-            drop(self.inner.eng.lock());
-            self.inner.done.notify_all();
+            // wake any that saw the thread holding the role.
+            self.inner.wake_waiters(self.inner.eng.lock());
         }
     }
 }
@@ -935,10 +931,9 @@ impl Communicator {
                 eng.post_send(dev, dst, tag, ctx, data, mode)
             }
         }?;
-        if resume {
-            self.inner.resume_progress(&eng, id);
-        }
+        let wake = resume.then(|| self.inner.resume_progress(&eng, id));
         drop(eng);
+        wake.unwrap_or_default().wake();
         Ok(self.posted(id, true, stamp))
     }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::{AcqRel, Relaxed};
 use std::sync::Arc;
 
-use lmpi_sim::lock::{Condvar, Mutex, MutexGuard};
+use lmpi_sim::lock::{Mutex, MutexGuard, Sleepers};
 
 use crate::dtype::FlatLayout;
 use crate::error::{MpiError, MpiResult};
@@ -169,13 +169,18 @@ impl RecvDest {
 /// either rank; nothing is acquired under the lease lock, and no copy
 /// runs under it.
 pub struct Lease {
-    state: Mutex<LeaseState>,
-    /// Signalled when a pull ends.
-    landed: Condvar,
+    lent: Mutex<Lent>,
     /// The next message byte to claim, while `Pulling`.
     cursor: AtomicUsize,
     /// Message bytes landed in the destination, while `Pulling`.
     copied: AtomicUsize,
+}
+
+/// What the lease lock guards.
+struct Lent {
+    state: LeaseState,
+    /// Threads waiting for a pull to end.
+    landed: Sleepers,
 }
 
 enum LeaseState {
@@ -211,11 +216,13 @@ impl Lease {
     /// before the borrow behind `bytes` ends (the type-level contract).
     pub(crate) unsafe fn open(bytes: &[u8]) -> Arc<Lease> {
         Arc::new(Lease {
-            state: Mutex::new(LeaseState::Open {
-                ptr: bytes.as_ptr(),
-                len: bytes.len(),
+            lent: Mutex::new(Lent {
+                state: LeaseState::Open {
+                    ptr: bytes.as_ptr(),
+                    len: bytes.len(),
+                },
+                landed: Sleepers::default(),
             }),
-            landed: Condvar::new(),
             cursor: AtomicUsize::new(0),
             copied: AtomicUsize::new(0),
         })
@@ -226,12 +233,12 @@ impl Lease {
     /// must then stay incomplete until the lease is pulled. `false` if the
     /// lease is no longer open: the sender withdrew it.
     pub(crate) fn begin_pull(&self, dst: RecvDest, chunk: usize) -> bool {
-        let mut state = self.state.lock();
-        let LeaseState::Open { ptr, len } = *state else {
+        let mut lent = self.lent.lock();
+        let LeaseState::Open { ptr, len } = lent.state else {
             return false;
         };
         let n = len.min(dst.cap);
-        *state = if n == 0 {
+        lent.state = if n == 0 {
             LeaseState::Pulled
         } else {
             LeaseState::Pulling {
@@ -259,7 +266,7 @@ impl Lease {
     /// to `copy(dst, offset, bytes)` once, and the call that counts the
     /// last byte marks the lease pulled.
     pub(crate) fn copy_chunks(&self, mut copy: impl FnMut(&RecvDest, usize, &[u8])) -> usize {
-        let (src, dst, n, chunk) = match &*self.state.lock() {
+        let (src, dst, n, chunk) = match &self.lent.lock().state {
             LeaseState::Pulling { src, dst, n, chunk } => (*src, dst.clone(), *n, *chunk),
             _ => return 0,
         };
@@ -275,20 +282,23 @@ impl Lease {
             });
             mine += len;
             if self.copied.fetch_add(len, AcqRel) + len == n {
-                *self.state.lock() = LeaseState::Pulled;
-                self.landed.notify_all();
+                let mut lent = self.lent.lock();
+                lent.state = LeaseState::Pulled;
+                let wake = lent.landed.take();
+                drop(lent);
+                wake.wake();
             }
         }
         mine
     }
 
     /// Block until no pull is in progress; returns the lease lock.
-    fn settled(&self) -> MutexGuard<'_, LeaseState> {
-        let mut state = self.state.lock();
-        while matches!(*state, LeaseState::Pulling { .. }) {
-            self.landed.wait(&mut state);
+    fn settled(&self) -> MutexGuard<'_, Lent> {
+        let mut lent = self.lent.lock();
+        while matches!(lent.state, LeaseState::Pulling { .. }) {
+            Sleepers::park(&self.lent, &mut lent, |l| &mut l.landed, None);
         }
-        state
+        lent
     }
 
     /// Block until the last byte of a pull in progress has landed.
@@ -300,10 +310,10 @@ impl Lease {
     /// shut the window if it is still open. Returns whether that withdrew
     /// the buffer unpulled — then no go-ahead will ever come for it.
     pub(crate) fn close(&self) -> bool {
-        let mut state = self.settled();
-        let withdrawn = matches!(*state, LeaseState::Open { .. });
+        let mut lent = self.settled();
+        let withdrawn = matches!(lent.state, LeaseState::Open { .. });
         if withdrawn {
-            *state = LeaseState::Withdrawn;
+            lent.state = LeaseState::Withdrawn;
         }
         withdrawn
     }
@@ -311,18 +321,18 @@ impl Lease {
     /// Whether no receiver has begun to pull the bytes, nor the sender
     /// withdrawn them.
     pub(crate) fn is_open(&self) -> bool {
-        matches!(*self.state.lock(), LeaseState::Open { .. })
+        matches!(self.lent.lock().state, LeaseState::Open { .. })
     }
 
     /// Whether every byte of the pull has landed.
     pub(crate) fn pulled(&self) -> bool {
-        matches!(*self.state.lock(), LeaseState::Pulled)
+        matches!(self.lent.lock().state, LeaseState::Pulled)
     }
 }
 
 impl std::fmt::Debug for Lease {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match *self.state.lock() {
+        f.write_str(match self.lent.lock().state {
             LeaseState::Open { .. } => "Lease(open)",
             LeaseState::Pulling { .. } => "Lease(pulling)",
             LeaseState::Pulled => "Lease(pulled)",

@@ -8,15 +8,11 @@
 //!
 //! # The inbox
 //!
-//! A rank's inbox is one lock over its queue of frames and, while its
-//! consumer is parked on it, that consumer's thread. A sender pushes its
-//! frame and takes the parked thread out under the lock, drops the lock,
-//! then unparks it. So a wake is issued only on the empty → non-empty
-//! edge with the consumer asleep, and the woken thread never finds the
-//! lock still held by its waker (which on one CPU costs a second switch).
-//! The consumer pops, or registers itself and parks, in a loop: a
-//! spurious wake-up or a stale unpark (one whose frame it already popped)
-//! costs one more look at the queue.
+//! A rank's inbox is one lock over its queue of frames and the slot its
+//! consumer parks in ([`Sleepers`]). A sender pushes its frame and takes
+//! the parked consumer out under the lock, and wakes it after dropping
+//! the lock: a wake is issued only on the empty → non-empty edge with the
+//! consumer asleep. The consumer pops, or parks, in a loop.
 //!
 //! The inbox neither spins nor yields before it parks. Rank threads and
 //! their progress threads outnumber the CPUs they run on, so a consumer
@@ -25,17 +21,16 @@
 //! the other workloads is not settled (EXPERIMENTS.md).
 //!
 //! At most one thread waits on an inbox: the engine's drain-role holder.
-//! A second waiter would overwrite the first's registration and leave it
-//! asleep until its timeout, so a debug build asserts against it.
+//! A second waiter is a drain-role bug, so a debug build asserts against
+//! it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wire};
 use lmpi_obs::Tracer;
-use lmpi_sim::lock::Mutex;
+use lmpi_sim::lock::{Mutex, Sleepers};
 
 /// Device connecting `nprocs` ranks within one process.
 pub struct ShmDevice {
@@ -75,7 +70,7 @@ struct Inbox(Mutex<InboxState>);
 struct InboxState {
     frames: VecDeque<Wire>,
     /// The consumer, while it is parked waiting for a frame.
-    sleeper: Option<Thread>,
+    consumer: Sleepers,
     /// The owning device was dropped: frames sent here are discarded.
     closed: bool,
 }
@@ -90,11 +85,9 @@ impl Inbox {
             return;
         }
         st.frames.push_back(wire);
-        let sleeper = st.sleeper.take();
+        let wake = st.consumer.take();
         drop(st);
-        if let Some(thread) = sleeper {
-            thread.unpark();
-        }
+        wake.wake();
     }
 
     /// Pop the next frame, parking until one arrives; `None` once
@@ -102,30 +95,22 @@ impl Inbox {
     fn pop_wait(&self, timeout: Option<Duration>) -> Option<Wire> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.0.lock();
-        let wire = loop {
+        let mut timed_out = false;
+        loop {
             if let Some(wire) = st.frames.pop_front() {
-                break Some(wire);
+                return Some(wire);
             }
-            let now = Instant::now();
-            if deadline.is_some_and(|end| now >= end) {
-                break None;
+            if timed_out {
+                return None;
             }
-            let me = thread::current();
             debug_assert!(
-                st.sleeper.as_ref().is_none_or(|t| t.id() == me.id()),
+                st.consumer.is_empty(),
                 "shm inbox: {:?} waits while {:?} is parked on it (one consumer at a time)",
-                me.id(),
-                st.sleeper.as_ref().map(Thread::id),
+                std::thread::current().id(),
+                st.consumer,
             );
-            st.sleeper = Some(me);
-            self.0.unlocked(&mut st, || match deadline {
-                Some(end) => thread::park_timeout(end - now),
-                None => thread::park(),
-            });
-        };
-        // Our registration, if no sender took it.
-        st.sleeper = None;
-        wire
+            timed_out = !Sleepers::park(&self.0, &mut st, |s| &mut s.consumer, deadline);
+        }
     }
 }
 
@@ -283,7 +268,8 @@ where
 mod tests {
     use super::*;
     use lmpi_core::Packet;
-    use std::sync::mpsc;
+    use lmpi_sim::within;
+    use std::thread;
 
     /// Frame number `n` from rank `src`.
     fn numbered(src: Rank, n: u64) -> Wire {
@@ -293,24 +279,7 @@ mod tests {
     }
 
     fn sleeper_registered(d: &ShmDevice) -> bool {
-        d.inbox().0.lock().sleeper.is_some()
-    }
-
-    /// Run `f` on a thread of its own and wait at most `limit` for it: a
-    /// lost unpark fails the test instead of hanging it.
-    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = mpsc::channel();
-        let handle = thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        let out = rx.recv_timeout(limit);
-        if let Err(mpsc::RecvTimeoutError::Timeout) = out {
-            panic!("still running after {limit:?}");
-        }
-        if let Err(payload) = handle.join() {
-            std::panic::resume_unwind(payload);
-        }
-        out.expect("the thread sends before it returns")
+        !d.inbox().0.lock().consumer.is_empty()
     }
 
     #[test]

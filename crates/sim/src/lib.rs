@@ -36,8 +36,9 @@ mod stats;
 mod sync;
 mod time;
 
+pub use lock::within;
 pub use rng::{for_each_case, SplitMix64};
 pub use sched::{Proc, ProcId, Sim};
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use sync::SimQueue;
 pub use time::{SimDur, SimTime};

@@ -558,27 +558,10 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    use crate::{SimQueue, SplitMix64};
+    use crate::{within, SimQueue, SplitMix64};
 
     fn switches(sim: &Sim) -> u64 {
         sim.core.state.lock().switches
-    }
-
-    /// Run `f` on a thread of its own and wait at most `limit` for it: a
-    /// lost unpark fails the test instead of hanging it.
-    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        let out = rx.recv_timeout(limit);
-        if let Err(mpsc::RecvTimeoutError::Timeout) = out {
-            panic!("still running after {limit:?}");
-        }
-        if let Err(payload) = handle.join() {
-            panic::resume_unwind(payload);
-        }
-        out.expect("the thread sends before it returns")
     }
 
     /// Sends on a channel when dropped: proof that a process thread unwound.

@@ -203,7 +203,7 @@ const CALLERS: u32 = 4;
 /// Every caller thread of rank 0 plays tagged ping-pong with its opposite
 /// number on rank 1. Whichever caller holds the drain role handles every
 /// caller's frames, so each round trip crosses the hand-off (role release,
-/// condvar wake, role take) on both ranks. Returns per rank the counters
+/// wait-slot wake, role take) on both ranks. Returns per rank the counters
 /// and the slowest round trip seen, in microseconds.
 fn many_callers_workout<D: lmpi::Device + 'static>(
     devices: Vec<D>,

@@ -8,9 +8,7 @@
 //! each folded into one; re-capture them only in a PR that changes the
 //! protocol on purpose, and say so there.
 
-use std::panic;
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::thread;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use lmpi::apps::{linsolve, particles};
@@ -25,6 +23,7 @@ use lmpi::{
     run_cluster, run_meiko, ClusterNet, ClusterTransport, Communicator, MeikoVariant, Mpi,
     MpiConfig, ReduceOp, Tracer,
 };
+use lmpi_sim::within;
 
 /// Virtual nanoseconds of one `nbytes` ping-pong between ranks 0 and 1
 /// (after one untimed warm-up round trip), and the frames the two engines
@@ -179,22 +178,9 @@ fn sim_tcp_atm_table1_rows() {
 
 // ------------------------------------------------ the armed watchdog
 
-/// Run `f` on its own thread and wait at most 60 s for it: a hung
+/// How long an armed-watchdog job may run on its thread: a hung
 /// virtual-time run fails the test instead of hanging the suite.
-fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    let out = rx.recv_timeout(Duration::from_secs(60));
-    if let Err(RecvTimeoutError::Timeout) = out {
-        panic!("virtual-time run still running after 60 s");
-    }
-    if let Err(payload) = handle.join() {
-        panic::resume_unwind(payload);
-    }
-    out.expect("the thread sends before it returns")
-}
+const BOUND: Duration = Duration::from_secs(60);
 
 /// Rank 0's virtual nanoseconds for 3 `nbytes` round trips after one
 /// warm-up, timed as `benchmark/src/layers.rs` times them.
@@ -223,7 +209,9 @@ fn rtt3_ns(mpi: Mpi, nbytes: usize) -> u64 {
 #[test]
 fn armed_watchdog_meiko_ping_pong() {
     let run = |config| {
-        bounded(move || run_meiko(2, MeikoVariant::LowLatency, config, |mpi| rtt3_ns(mpi, 1))[0])
+        within(BOUND, move || {
+            run_meiko(2, MeikoVariant::LowLatency, config, |mpi| rtt3_ns(mpi, 1))[0]
+        })
     };
     let unarmed = run(MpiConfig::device_defaults());
     assert_eq!(unarmed, 327_960);
@@ -234,7 +222,7 @@ fn armed_watchdog_meiko_ping_pong() {
 #[test]
 fn armed_watchdog_cluster_ping_pong() {
     let run = |config| {
-        bounded(move || {
+        within(BOUND, move || {
             run_cluster(2, ClusterNet::Atm, ClusterTransport::Tcp, config, |mpi| {
                 rtt3_ns(mpi, 1)
             })[0]
