@@ -248,6 +248,9 @@ pub(crate) struct Engine {
     pub(crate) fatal: Option<MpiError>,
     /// Callers parked behind the drain-role holder (`Inner::wake_waiters`).
     pub(crate) waiters: Sleepers,
+    /// The progress thread, while it yields the drain role to callers
+    /// (`progress_loop`); `Inner::resume_progress` and shutdown wake it.
+    pub(crate) progress: Sleepers,
     /// Per-rank failure flags: `failed_ranks[r]` means rank `r` has been
     /// declared dead (transport liveness or agreement gossip). Failure is
     /// per-peer state — a dead rank never poisons healthy-peer traffic.
@@ -307,6 +310,7 @@ impl Engine {
             pending_error: None,
             fatal: None,
             waiters: Sleepers::default(),
+            progress: Sleepers::default(),
             failed_ranks: vec![false; nprocs],
             revoked: std::collections::HashSet::new(),
             next_msg_seq: 1,

@@ -74,11 +74,6 @@ pub(crate) struct Inner {
     /// Callers currently blocked in [`Inner::progress_until`]. The
     /// progress thread takes the role only while this is zero.
     inside: AtomicU32,
-    /// The progress thread, while it yields the drain role to callers.
-    /// Under a lock of its own, taken inside the engine lock by a poster:
-    /// the thread registers every tick, which on the engine lock contended
-    /// with the draining caller.
-    progress_slot: Mutex<Sleepers>,
     /// Tells the progress thread to exit (set by [`Mpi`]'s drop).
     shutdown: AtomicBool,
     /// Bumped by whoever drains for every frame or failure verdict it
@@ -336,11 +331,11 @@ impl Inner {
     /// returns (rendezvous) needs the progress thread now, not a tick or
     /// two later. Takes the yielding thread out of its slot under the
     /// post's engine lock; the poster wakes it after dropping that lock.
-    fn resume_progress(&self, eng: &Engine, id: u64) -> Wake {
+    fn resume_progress(&self, eng: &mut Engine, id: u64) -> Wake {
         if eng.reqs.get(id).is_some_and(ReqState::is_done) {
             return Wake::default();
         }
-        self.progress_slot.lock().take()
+        eng.progress.take()
     }
 
     /// Block until one frame arrives and handle it (virtual-time ranks
@@ -414,7 +409,7 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
 /// The background progress loop: the device's consumer while no caller is
 /// inside the library. Each iteration first settles who drains. With a
 /// caller inside it gives the role up ([`Inner::wake_waiters`]) and parks
-/// in `Inner::progress_slot` for a tick; it takes the role back once
+/// in `Engine::progress` for a tick; it takes the role back once
 /// nobody is inside and either nobody drained during the last tick
 /// (`epoch` stood still — so a tick landing between a caller's `send`
 /// returning and its `recv` entering does not steal that round trip) or a
@@ -430,7 +425,7 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
 /// sum to the covered wall time by construction): device polling →
 /// `Poll`, contended engine-lock acquisition → `LockWait`, frame handling
 /// → `Drain`, the idle `recv_timeout` tick and every yielded tick (the
-/// park in `Inner::progress_slot`, and the slot's lock taken around it) →
+/// park in `Engine::progress`, and the engine lock taken around it) →
 /// `Park`. Yielded time moves `mark`, so it never enters the
 /// wakeup-to-drain samples (work noticed → first frame handled). The
 /// periodic diagnostics run on idle and yielded ticks. With health
@@ -491,13 +486,13 @@ fn progress_loop(inner: &Inner) {
         }
         if role.is_none() {
             seen = inner.epoch.load(Ordering::Acquire);
-            let mut slot = inner.progress_slot.lock();
+            let mut eng = inner.eng.lock();
             // Checked under the lock `Mpi::drop` takes the slot under.
             asked = !inner.shutdown.load(Ordering::Acquire) && {
                 let tick = Instant::now() + PROGRESS_TICK;
-                Sleepers::park(&inner.progress_slot, &mut slot, |s| s, Some(tick))
+                Sleepers::park(&inner.eng, &mut eng, |e| &mut e.progress, Some(tick))
             };
-            drop(slot);
+            drop(eng);
             if inner.health.enabled {
                 credit(&mut mark, Park);
                 crate::health::eval_if_due(inner, mark);
@@ -605,7 +600,6 @@ impl Mpi {
             watchdog_us: config.progress_timeout_us,
             drain: Mutex::new(()),
             inside: AtomicU32::new(0),
-            progress_slot: Mutex::new(Sleepers::default()),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             world_coll_seq: Arc::new(AtomicU32::new(0)),
@@ -781,7 +775,7 @@ impl Drop for Mpi {
     fn drop(&mut self) {
         if let Some(handle) = self.progress.take() {
             self.inner.shutdown.store(true, Ordering::Release);
-            let wake = self.inner.progress_slot.lock().take();
+            let wake = self.inner.eng.lock().progress.take();
             wake.wake();
             let _ = handle.join();
             // Surviving Communicator/Request handles drain for themselves;
@@ -931,7 +925,7 @@ impl Communicator {
                 eng.post_send(dev, dst, tag, ctx, data, mode)
             }
         }?;
-        let wake = resume.then(|| self.inner.resume_progress(&eng, id));
+        let wake = resume.then(|| self.inner.resume_progress(&mut eng, id));
         drop(eng);
         wake.unwrap_or_default().wake();
         Ok(self.posted(id, true, stamp))

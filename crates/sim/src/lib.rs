@@ -39,6 +39,6 @@ mod time;
 pub use lock::within;
 pub use rng::{for_each_case, SplitMix64};
 pub use sched::{Proc, ProcId, Sim};
-pub use stats::Summary;
+pub use stats::{Histogram, Summary};
 pub use sync::SimQueue;
 pub use time::{SimDur, SimTime};

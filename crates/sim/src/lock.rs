@@ -13,7 +13,7 @@
 //! deadline does.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{self, mpsc, PoisonError, TryLockError};
+use std::sync::{self, PoisonError, TryLockError};
 use std::thread::{self, Thread, ThreadId};
 use std::time::{Duration, Instant};
 
@@ -163,17 +163,18 @@ impl Wake {
 
 /// Run `f` on a thread of its own and wait at most `limit` for it, so a
 /// lost wake-up fails a test instead of hanging it; a panic in `f` is
-/// raised again here. A test utility, like [`crate::for_each_case`].
+/// raised again here. A test utility, like [`crate::for_each_case`]: it
+/// polls the thread every millisecond.
 pub fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::spawn(move || tx.send(f()));
-    match rx.recv_timeout(limit) {
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("still running after {limit:?}"),
-        out => match handle.join() {
-            Ok(_) => out.expect("the thread sends before it returns"),
-            Err(payload) => std::panic::resume_unwind(payload),
-        },
+    let end = Instant::now() + limit;
+    let handle = thread::spawn(f);
+    while !handle.is_finished() {
+        assert!(Instant::now() < end, "still running after {limit:?}");
+        thread::sleep(Duration::from_millis(1));
     }
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
