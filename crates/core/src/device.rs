@@ -10,7 +10,9 @@
 //! concurrently, so every method takes `&self` and interior state must be
 //! lock- or atomic-protected. Exactly one thread pulls frames out of a
 //! device at a time — the holder of the engine's drain role; concurrent
-//! `try_recv` from two threads would let handling race and break FIFO.
+//! `recv` from two threads would let handling race and break FIFO.
+
+use std::time::{Duration, Instant};
 
 use crate::error::MpiResult;
 use crate::packet::Wire;
@@ -106,6 +108,33 @@ lmpi_obs::counter_struct! {
     }
 }
 
+/// How long [`Device::recv`] may wait for a frame.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// Not at all.
+    Poll,
+    /// Until this instant at the latest.
+    Until(Instant),
+    /// Until a frame or a failure arrives.
+    Forever,
+}
+
+impl Wait {
+    /// This wait, cut short `secs` from now if that comes first (never if
+    /// `secs` is infinite): how a wrapper waits in the device it wraps
+    /// until its own next timer.
+    pub fn or_within(self, secs: f64) -> Wait {
+        let Ok(left) = Duration::try_from_secs_f64(secs.max(0.0)) else {
+            return self;
+        };
+        match (self, Instant::now() + left) {
+            (Wait::Until(t), at) if at < t => Wait::Until(at),
+            (Wait::Forever, at) => Wait::Until(at),
+            _ => self,
+        }
+    }
+}
+
 /// Transport for one rank.
 pub trait Device: Send + Sync {
     /// This rank's global rank.
@@ -118,45 +147,27 @@ pub trait Device: Send + Sync {
     /// Bulk packets (`Wire::pkt.is_bulk()`) may use a DMA/bandwidth path.
     fn send(&self, dst: Rank, wire: Wire);
 
-    /// Non-blocking poll for the next received frame. `Err` means the
-    /// transport itself failed (peer disconnect mid-frame, corrupt framing,
-    /// retransmission exhausted) and the rank should surface a typed
-    /// [`crate::MpiError`] instead of panicking.
-    fn try_recv(&self) -> MpiResult<Option<Wire>>;
+    /// The next received frame, waiting as `wait` says; `Ok(None)` when the
+    /// wait ends empty (a `Forever` wait may too). The one receive a
+    /// transport writes: a wall-clock device parks (or backs off to short
+    /// sleeps) until a frame or the deadline, a wrapper parks in the device
+    /// it wraps until the earlier of that and its own next timer, and a
+    /// virtual-time device, which never gets a progress thread, treats
+    /// `Until` as `Poll`. `Err` is a failed transport (peer disconnect
+    /// mid-frame, corrupt framing), surfaced as a typed [`crate::MpiError`].
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>>;
 
-    /// Block until a frame arrives and return it, or report a transport
-    /// failure. The default polls [`Device::try_recv`] and yields between
-    /// polls, which also keeps a wrapper's pumps (retransmit timers,
-    /// delayed-fault flushes) running; transports that can park override
-    /// it.
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(w);
-            }
-            std::thread::yield_now();
-        }
+    /// `recv(Wait::Poll)`.
+    fn try_recv(&self) -> MpiResult<Option<Wire>> {
+        self.recv(Wait::Poll)
     }
 
-    /// Wait up to `timeout` for the next frame; `Ok(None)` on timeout.
-    /// This is where a draining caller and the idle background progress
-    /// thread wait on a real transport: it must park the calling thread
-    /// (or at worst sleep in short slices) rather than spin, and it must
-    /// keep any reliability-sublayer pumps (retransmit timers, heartbeats,
-    /// delayed-fault flushes) running. The default does both for devices
-    /// that pump from `try_recv` or poll a nonblocking socket: a
-    /// sleep-sliced `try_recv` loop. No virtual-time device reaches it
-    /// ([`Device::supports_background_progress`] is false there).
-    fn recv_timeout(&self, timeout: std::time::Duration) -> MpiResult<Option<Wire>> {
-        let deadline = std::time::Instant::now() + timeout;
+    /// The next frame, however long it takes, or a transport failure.
+    fn recv_blocking(&self) -> MpiResult<Wire> {
         loop {
-            if let Some(w) = self.try_recv()? {
-                return Ok(Some(w));
+            if let Some(w) = self.recv(Wait::Forever)? {
+                return Ok(w);
             }
-            if std::time::Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
         }
     }
 
@@ -323,13 +334,13 @@ pub(crate) mod loopback {
                 self.sent.lock().unwrap().push((dst, wire));
             }
         }
-        fn try_recv(&self) -> MpiResult<Option<Wire>> {
-            Ok(self.inbox.lock().unwrap().pop_front())
-        }
-        fn recv_blocking(&self) -> MpiResult<Wire> {
-            Ok(self
-                .try_recv()?
-                .expect("loopback recv_blocking would deadlock: inbox empty"))
+        fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+            let wire = self.inbox.lock().unwrap().pop_front();
+            assert!(
+                wire.is_some() || wait != Wait::Forever,
+                "loopback recv_blocking would deadlock: inbox empty"
+            );
+            Ok(wire)
         }
         fn lends_memory(&self) -> bool {
             self.lends

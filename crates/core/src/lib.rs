@@ -71,7 +71,7 @@ pub use coll::{
 };
 pub use config::MpiConfig;
 pub use datatype::{from_bytes, to_bytes, Loc, MpiData};
-pub use device::{Cost, Device, DeviceDefaults, TransportStats};
+pub use device::{Cost, Device, DeviceDefaults, TransportStats, Wait};
 pub use dtype::{CommittedType, DataType, FlatLayout, IovRun};
 pub use engine::Counters;
 pub use error::{MpiError, MpiResult};

@@ -38,7 +38,7 @@ use lmpi_sim::lock::{Mutex, MutexGuard, Sleepers, Wake};
 
 use crate::config::MpiConfig;
 use crate::datatype::MpiData;
-use crate::device::{Cost, Device, TransportStats};
+use crate::device::{Cost, Device, TransportStats, Wait};
 use crate::dtype::CommittedType;
 use crate::engine::{Counters, Engine};
 use crate::error::{MpiError, MpiResult};
@@ -49,10 +49,11 @@ use crate::request::{RecvDest, ReqState};
 use crate::types::{Rank, SendMode, SourceSel, Status, Tag, TagSel, TAG_UB};
 
 /// How long the progress thread sleeps per iteration: in
-/// [`Device::recv_timeout`] while it holds the drain role on an idle wire,
-/// in its engine wait slot while callers hold it. Keeps the reliability
-/// sublayer's retransmit/heartbeat pumps ticking on a silent wire, and
-/// bounds shutdown latency while the thread waits in the device.
+/// [`Device::recv`] while it holds the drain role on an idle wire, in its
+/// engine wait slot while callers hold it. Bounds shutdown latency while
+/// the thread waits in the device. Wrapper devices wake for their own
+/// timers; a timer another thread arms meanwhile is seen when this wait
+/// (or a caller's [`PARK_SLICE`]) ends.
 const PROGRESS_TICK: Duration = Duration::from_micros(500);
 
 /// The watchdog slice: how long a blocked caller sleeps — in the device
@@ -273,7 +274,7 @@ impl Inner {
         // at a time. A device or protocol error becomes the rank's fatal
         // error; an idle timeout is this caller's alone.
         loop {
-            let wire = self.device.recv_timeout(PARK_SLICE);
+            let wire = self.device.recv(Wait::Until(Instant::now() + PARK_SLICE));
             let mut eng = self.eng.lock();
             let step = match wire.and_then(|w| self.drain_step(&mut eng, w, true)) {
                 Ok(0) => self.idle_check(&mut timer),
@@ -415,7 +416,7 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
 /// returning and its `recv` entering does not steal that round trip) or a
 /// poster woke it ([`Inner::resume_progress`]; the park reports it).
 /// Holding the role it drains queued frames and peer-failure verdicts and
-/// parks in [`Device::recv_timeout`] while idle. Transport errors are
+/// parks in [`Device::recv`] while idle. Transport errors are
 /// parked in [`Engine::fatal`] for waiters — this thread has nowhere else
 /// to report them — and end the loop.
 ///
@@ -424,7 +425,7 @@ fn record_fatal(inner: &Inner, mut eng: MutexGuard<'_, Engine>, err: MpiError) {
 /// (`mark` is the end of the previously credited segment, so the buckets
 /// sum to the covered wall time by construction): device polling →
 /// `Poll`, contended engine-lock acquisition → `LockWait`, frame handling
-/// → `Drain`, the idle `recv_timeout` tick and every yielded tick (the
+/// → `Drain`, the idle `recv` tick and every yielded tick (the
 /// park in `Engine::progress`, and the engine lock taken around it) →
 /// `Park`. Yielded time moves `mark`, so it never enters the
 /// wakeup-to-drain samples (work noticed → first frame handled). The
@@ -536,9 +537,9 @@ fn progress_loop(inner: &Inner) {
                 credit(&mut mark, Poll);
             }
             // Wait for the next frame with a bounded tick, so shutdown is
-            // prompt and wrapper-device pumps (retransmits, heartbeats)
-            // keep running off the `try_recv` path above.
-            match inner.device.recv_timeout(PROGRESS_TICK) {
+            // prompt.
+            let tick = Wait::Until(Instant::now() + PROGRESS_TICK);
+            match inner.device.recv(tick) {
                 Ok(wire) => {
                     // The blocking wait counts as parked even when a
                     // frame ended it; the wakeup starts here.

@@ -420,11 +420,8 @@ mod tests {
         fn send(&self, dst: Rank, wire: Wire) {
             self.0.send(dst, wire);
         }
-        fn try_recv(&self) -> MpiResult<Option<Wire>> {
-            self.0.try_recv()
-        }
-        fn recv_blocking(&self) -> MpiResult<Wire> {
-            self.0.recv_blocking()
+        fn recv(&self, wait: crate::device::Wait) -> MpiResult<Option<Wire>> {
+            self.0.recv(wait)
         }
         fn charge(&self, cost: crate::device::Cost) {
             self.0.charge(cost);

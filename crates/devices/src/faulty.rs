@@ -22,7 +22,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lmpi_core::{Cost, Device, DeviceDefaults, MpiResult, Packet, Rank, TransportStats, Wire};
+use lmpi_core::{
+    Cost, Device, DeviceDefaults, MpiResult, Packet, Rank, TransportStats, Wait, Wire,
+};
 use lmpi_obs::{EventKind, FaultKind, Tracer};
 use lmpi_sim::lock::Mutex;
 use lmpi_sim::SplitMix64;
@@ -286,8 +288,9 @@ impl<D: Device> FaultyDevice<D> {
     /// Release every queued frame whose time has come: delayed frames past
     /// their due time and held-back frames older than the holdback cap.
     /// Called from every device entry point so queues drain even when the
-    /// application goes quiet.
-    fn flush_due(&self, st: &mut FaultState) {
+    /// application goes quiet. Returns the seconds until the next queued
+    /// frame is due (infinite with none queued).
+    fn flush_due(&self, st: &mut FaultState) -> f64 {
         let now = self.inner.wtime();
         while let Some((due, _, _)) = st.delayq.front() {
             if *due > now {
@@ -305,6 +308,11 @@ impl<D: Device> FaultyDevice<D> {
                 }
             }
         }
+        let held = st.holdback.iter().flatten();
+        let next = (held.map(|(_, at)| at + HOLDBACK_MAX_AGE_S))
+            .chain(st.delayq.front().map(|(due, _, _)| *due))
+            .fold(f64::INFINITY, f64::min);
+        next - now
     }
 }
 
@@ -366,30 +374,28 @@ impl<D: Device> Device for FaultyDevice<D> {
         }
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        {
+    /// Flushes what is due, then parks in the inner device until the
+    /// caller's deadline or the next queued frame's due time.
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        loop {
             let mut st = self.state.lock();
-            if self.killed(&st) {
+            let killed = self.killed(&st);
+            let park = if killed {
+                wait
+            } else {
+                wait.or_within(self.flush_due(&mut st))
+            };
+            drop(st);
+            match self.inner.recv(park)? {
                 // Crashed: discard everything the network still delivers
                 // (self-sends excepted — they never left the rank).
-                drop(st);
-                let me = self.inner.rank();
-                loop {
-                    match self.inner.try_recv()? {
-                        Some(w) if w.src == me => return Ok(Some(w)),
-                        Some(_) => continue,
-                        None => return Ok(None),
-                    }
-                }
+                Some(w) if killed && w.src != self.inner.rank() => {}
+                Some(w) => return Ok(Some(w)),
+                None if park == wait => return Ok(None),
+                None => {}
             }
-            self.flush_due(&mut st);
         }
-        self.inner.try_recv()
     }
-
-    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
-    // the inner blocking receive would stop the delayed frames we still owe
-    // the network from flushing while we wait.
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.clone();

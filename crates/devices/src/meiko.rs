@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use lmpi_sim::lock::Mutex;
 
-use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wire};
+use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wait, Wire};
 use lmpi_netmodel::meiko::MeikoNet;
 use lmpi_netmodel::params::{CpuParams, MeikoParams};
 use lmpi_obs::Tracer;
@@ -137,12 +137,11 @@ impl Device for MeikoDevice {
         }
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self.inbox.try_pop())
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        Ok(self.inbox.pop(&self.proc))
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        Ok(match wait {
+            Wait::Forever => Some(self.inbox.pop(&self.proc)),
+            _ => self.inbox.try_pop(),
+        })
     }
 
     fn charge(&self, cost: Cost) {

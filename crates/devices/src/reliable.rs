@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lmpi_core::{
-    Cost, Device, DeviceDefaults, MpiError, MpiResult, Packet, Rank, TransportStats, Wire,
+    Cost, Device, DeviceDefaults, MpiError, MpiResult, Packet, Rank, TransportStats, Wait, Wire,
 };
 use lmpi_obs::{EventKind, Tracer};
 use lmpi_sim::lock::Mutex;
@@ -284,6 +284,11 @@ pub struct ReliableDevice<D: Device> {
     inner: D,
     cfg: RelConfig,
     state: Mutex<RelState>,
+    /// The receive token, held across "take a frame from `inner`, ingest
+    /// it" so frames are ingested in the order they were taken, and the
+    /// inner device has one consumer. [`Device::recv`] holds it, parked
+    /// or not; a pump elsewhere drains `inner` only if it gets it.
+    rx: Mutex<()>,
     stats: Arc<RelStats>,
     tracer: Tracer,
 }
@@ -325,6 +330,7 @@ impl<D: Device> ReliableDevice<D> {
                 deliverable: VecDeque::new(),
                 fail_queue: VecDeque::new(),
             }),
+            rx: Mutex::new(()),
             stats: Arc::new(RelStats::default()),
             tracer: Tracer::disabled(),
         }
@@ -381,32 +387,13 @@ impl<D: Device> ReliableDevice<D> {
                 p.liveness = Liveness::Alive;
             }
         }
-        let mut progress = false;
-        if wire.ack > 0 {
-            let before = p.unacked.len();
-            while p.unacked.front().is_some_and(|f| f.wire.seq <= wire.ack) {
-                p.unacked.pop_front();
-            }
-            progress |= p.unacked.len() < before;
+        let before = p.unacked.len();
+        while p.unacked.front().is_some_and(|f| f.wire.seq <= wire.ack) {
+            p.unacked.pop_front();
         }
-        if self.cfg.mode == RelMode::SelectiveRepeat && wire.ack_bits != 0 {
-            // Bit k advertises sequence `ack + 2 + k` held out of order at
-            // the peer: mark it so the timer resends only the holes.
-            for f in p.unacked.iter_mut() {
-                if f.sacked {
-                    continue;
-                }
-                if let Some(k) = f.wire.seq.checked_sub(wire.ack + 2) {
-                    if k < 64 && wire.ack_bits & (1 << k) != 0 {
-                        f.sacked = true;
-                        progress = true;
-                    }
-                }
-            }
-        }
-        if progress {
-            // Forward progress: reset the backoff clock and the elapsed
-            // baseline the exhaustion report measures from.
+        if p.unacked.len() < before {
+            // The cumulative ack advanced: reset the backoff clock and the
+            // elapsed baseline the exhaustion report measures from.
             p.retries = 0;
             p.cur_rto_us = self.cfg.rto_us;
             let now = self.now_s();
@@ -416,6 +403,16 @@ impl<D: Device> ReliableDevice<D> {
             } else {
                 now + self.cfg.rto_us * 1e-6
             };
+        }
+        if self.cfg.mode == RelMode::SelectiveRepeat && wire.ack_bits != 0 {
+            // Bit k advertises sequence `ack + 2 + k` held out of order at
+            // the peer: mark it so the timer resends only the holes. That
+            // is all a SACK does: the hole's timer keeps running.
+            for f in p.unacked.iter_mut() {
+                if let Some(k) = f.wire.seq.checked_sub(wire.ack + 2) {
+                    f.sacked |= k < 64 && wire.ack_bits & (1 << k) != 0;
+                }
+            }
         }
         if is_pure_ack(&wire) {
             return; // sublayer-internal; nothing to deliver
@@ -517,11 +514,12 @@ impl<D: Device> ReliableDevice<D> {
         );
     }
 
-    /// One progress step: drain the wire, fire retransmit timers, run the
-    /// liveness thresholds, emit keepalives on idle links, flush owed
-    /// acks. Returns an error if the inner transport failed.
-    fn pump(&self, st: &mut RelState) -> MpiResult<()> {
-        while let Some(wire) = self.inner.try_recv()? {
+    /// One progress step: drain the wire (only if `drain`: the caller
+    /// holds the receive token), fire retransmit timers, run the liveness
+    /// thresholds, emit keepalives on idle links, flush owed acks. Returns
+    /// an error if the inner transport failed.
+    fn pump(&self, st: &mut RelState, drain: bool) -> MpiResult<()> {
+        while let Some(wire) = if drain { self.inner.try_recv()? } else { None } {
             self.handle_incoming(st, wire);
         }
         let now = self.now_s();
@@ -647,6 +645,27 @@ impl<D: Device> ReliableDevice<D> {
         }
         Ok(())
     }
+
+    /// When `pump` next has work (device clock; infinite if never): the
+    /// earliest retransmit timer (infinite on an empty window) and, with
+    /// heartbeats on, keepalive and silence threshold.
+    fn next_timer(&self, st: &RelState) -> f64 {
+        let (c, me) = (&self.cfg, self.inner.rank());
+        let mut next = f64::INFINITY;
+        for (dst, p) in st.peers.iter().enumerate() {
+            next = next.min(p.rto_deadline);
+            if c.heartbeat_us > 0.0 && dst != me && p.liveness != Liveness::Dead {
+                let silence_us = match p.liveness {
+                    Liveness::Alive => c.suspect_timeout_us,
+                    _ => c.dead_timeout_us,
+                };
+                next = next
+                    .min(p.last_tx_s + c.heartbeat_us * 1e-6)
+                    .min(p.last_heard_s + silence_us * 1e-6);
+            }
+        }
+        next
+    }
 }
 
 /// How long a dropping device lingers to finish retransmitting
@@ -664,11 +683,12 @@ impl<D: Device> Drop for ReliableDevice<D> {
         // drain open: `declare_dead` already cleared their windows.
         for _ in 0..500_000 {
             let mut st = self.state.lock();
-            if self.pump(&mut st).is_err() {
+            let token = self.rx.try_lock();
+            if self.pump(&mut st, token.is_some()).is_err() {
                 return;
             }
             let drained = st.peers.iter().all(|p| p.unacked.is_empty());
-            drop(st);
+            drop((token, st));
             if drained || self.now_s() >= deadline {
                 return;
             }
@@ -694,9 +714,11 @@ impl<D: Device> Device for ReliableDevice<D> {
         while st.peers[dst].unacked.len() >= self.cfg.window
             && st.peers[dst].liveness != Liveness::Dead
         {
-            if self.pump(&mut st).is_err() {
+            let token = self.rx.try_lock();
+            if self.pump(&mut st, token.is_some()).is_err() {
                 return; // inner transport failure; surfaces on receive
             }
+            drop(token);
             if st.peers[dst].unacked.len() >= self.cfg.window
                 && st.peers[dst].liveness != Liveness::Dead
             {
@@ -729,18 +751,33 @@ impl<D: Device> Device for ReliableDevice<D> {
         self.inner.send(dst, wire);
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        let mut st = self.state.lock();
-        self.pump(&mut st)?;
-        // Peer death is *not* an `Err` here: only operations touching the
-        // dead peer fail (via `take_failed_peer` → engine), while frames
-        // among healthy peers keep flowing through this channel.
-        Ok(st.deliverable.pop_front())
+    /// Pumps, then parks in the inner device — holding the receive token,
+    /// not `state` — until the caller's deadline or this layer's next
+    /// timer, and ingests what arrives. A timer another thread arms
+    /// meanwhile is seen when this wait ends.
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        let _token = self.rx.lock();
+        loop {
+            let mut st = self.state.lock();
+            self.pump(&mut st, true)?;
+            // Peer death is *not* an `Err` here: only operations touching
+            // the dead peer fail (via `take_failed_peer` → engine), while
+            // frames among healthy peers keep flowing through this channel.
+            if let Some(wire) = st.deliverable.pop_front() {
+                return Ok(Some(wire));
+            }
+            if wait == Wait::Poll {
+                return Ok(None);
+            }
+            let park = wait.or_within(self.next_timer(&st) - self.now_s());
+            drop(st);
+            match self.inner.recv(park)? {
+                Some(wire) => self.handle_incoming(&mut self.state.lock(), wire),
+                None if park == wait => return Ok(None),
+                None => {}
+            }
+        }
     }
-
-    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
-    // the retransmit/heartbeat pump rides `try_recv`, so the inner blocking
-    // receive can't be used.
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.clone();
@@ -818,11 +855,10 @@ mod tests {
         fn send(&self, dst: Rank, wire: Wire) {
             self.sent.lock().unwrap().push((dst, wire));
         }
-        fn try_recv(&self) -> MpiResult<Option<Wire>> {
-            Ok(self.inbox.lock().unwrap().pop_front())
-        }
-        fn recv_blocking(&self) -> MpiResult<Wire> {
-            Ok(self.try_recv()?.expect("mock inbox empty"))
+        fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+            let wire = self.inbox.lock().unwrap().pop_front();
+            assert!(wire.is_some() || wait != Wait::Forever, "mock inbox empty");
+            Ok(wire)
         }
         fn wtime(&self) -> f64 {
             *self.clock.lock().unwrap()
@@ -966,6 +1002,28 @@ mod tests {
         assert_eq!(resent, vec![1], "sacked frames 2 and 3 are not resent");
         let (_, retx, ..) = d.stats_handle().snapshot();
         assert_eq!(retx, 1);
+    }
+
+    #[test]
+    fn a_sack_does_not_rearm_the_holes_timer() {
+        // Only an advance of the cumulative ack restarts the retransmit
+        // timer: a steady stream of SACKs must not postpone the hole's
+        // resend by a full RTO each.
+        let d = rel(0, 2);
+        for _ in 0..4 {
+            d.send(1, Wire::bare(0, Packet::Credit));
+        }
+        d.inner().advance(0.0015);
+        d.inner().inject(pure_ack(1, 0, 0b11)); // frames 2 and 3 held
+        let _ = d.try_recv().unwrap();
+        d.inner().advance(0.0006); // 2.1 ms: past the 2 ms RTO of t = 0
+        let _ = d.try_recv().unwrap();
+        let resent: Vec<u64> = d.inner().sent_frames()[4..]
+            .iter()
+            .filter(|(_, w)| !is_pure_ack(w))
+            .map(|(_, w)| w.seq)
+            .collect();
+        assert_eq!(resent, vec![1, 4], "the holes are resent on time");
     }
 
     #[test]

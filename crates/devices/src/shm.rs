@@ -26,9 +26,9 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wire};
+use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wait, Wire};
 use lmpi_obs::Tracer;
 use lmpi_sim::lock::{Mutex, Sleepers};
 
@@ -90,16 +90,20 @@ impl Inbox {
         wake.wake();
     }
 
-    /// Pop the next frame, parking until one arrives; `None` once
-    /// `timeout` (if any) has passed with the queue still empty.
-    fn pop_wait(&self, timeout: Option<Duration>) -> Option<Wire> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    /// Pop the next frame, parking until one arrives; `None` once `wait`
+    /// is over with the queue still empty.
+    fn pop_wait(&self, wait: Wait) -> Option<Wire> {
         let mut st = self.0.lock();
         let mut timed_out = false;
         loop {
             if let Some(wire) = st.frames.pop_front() {
                 return Some(wire);
             }
+            let deadline = match wait {
+                Wait::Poll => return None,
+                Wait::Until(t) => Some(t),
+                Wait::Forever => None,
+            };
             if timed_out {
                 return None;
             }
@@ -166,19 +170,8 @@ impl Device for ShmDevice {
         self.inboxes[dst].push(wire);
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self.inbox().0.lock().frames.pop_front())
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        Ok(self
-            .inbox()
-            .pop_wait(None)
-            .expect("an untimed wait returns only with a frame"))
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        Ok(self.inbox().pop_wait(Some(timeout)))
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        Ok(self.inbox().pop_wait(wait))
     }
 
     fn supports_background_progress(&self) -> bool {
@@ -270,6 +263,12 @@ mod tests {
     use lmpi_core::Packet;
     use lmpi_sim::within;
     use std::thread;
+    use std::time::Duration;
+
+    /// A wait that ends `timeout` from now.
+    fn until(timeout: Duration) -> Wait {
+        Wait::Until(Instant::now() + timeout)
+    }
 
     /// Frame number `n` from rank `src`.
     fn numbered(src: Rank, n: u64) -> Wire {
@@ -307,7 +306,7 @@ mod tests {
             let wire = if polls.is_multiple_of(2) {
                 consumer.try_recv().unwrap()
             } else {
-                consumer.recv_timeout(Duration::from_micros(200)).unwrap()
+                consumer.recv(until(Duration::from_micros(200))).unwrap()
             };
             if let Some(w) = wire {
                 assert_eq!(w.seq, next[w.src], "frame from rank {} overtook", w.src);
@@ -330,7 +329,7 @@ mod tests {
             Duration::from_millis(5),
         ] {
             let start = Instant::now();
-            assert!(d.recv_timeout(timeout).unwrap().is_none());
+            assert!(d.recv(until(timeout)).unwrap().is_none());
             assert!(start.elapsed() >= timeout, "returned early for {timeout:?}");
             assert!(!sleeper_registered(&d), "left a sleeper after {timeout:?}");
         }
@@ -355,7 +354,7 @@ mod tests {
                     timed = !timed;
                     let start = Instant::now();
                     let wire = if timed {
-                        d0.recv_timeout(TIMEOUT).unwrap()
+                        d0.recv(until(TIMEOUT)).unwrap()
                     } else {
                         Some(d0.recv_blocking().unwrap())
                     };
@@ -432,11 +431,11 @@ mod tests {
     fn a_second_waiting_thread_is_caught() {
         let d = ShmDevice::fabric(1).pop().expect("one device");
         thread::scope(|s| {
-            s.spawn(|| d.recv_timeout(Duration::from_millis(500)));
+            s.spawn(|| d.recv(until(Duration::from_millis(500))));
             while !sleeper_registered(&d) {
                 thread::yield_now();
             }
-            let _ = d.recv_timeout(Duration::from_millis(1));
+            let _ = d.recv(until(Duration::from_millis(1)));
         });
     }
 

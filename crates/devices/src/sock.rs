@@ -20,7 +20,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
-use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wire};
+use lmpi_core::{
+    Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wait, Wire,
+};
 use lmpi_netmodel::ip::{Fabric, ReliableDgram, SockFabric, SockNode};
 use lmpi_netmodel::params::{AtmParams, CpuParams, EthParams, SocketParams};
 use lmpi_obs::{ThreadHealth, Tracer};
@@ -42,17 +44,17 @@ pub const MATCH_US: f64 = 35.0;
 pub trait MsgChannel: Send + Sync {
     /// Transmit `wire`, whose on-the-wire size is `nbytes`.
     fn send(&self, dst: Rank, wire: Wire, nbytes: usize);
-    /// Non-blocking receive; `Err` reports a broken transport (peer
-    /// disconnect mid-frame, corrupt framing).
-    fn try_recv(&self) -> MpiResult<Option<Wire>>;
-    /// Blocking receive, or a transport failure.
-    fn recv_blocking(&self) -> MpiResult<Wire>;
-    /// Receive with a bounded wait; `Ok(None)` on timeout. Only called on
-    /// channels that support a background progress thread, and those
-    /// override it with a wait that backs off to sleeping; the default —
-    /// one poll — serves the simulated channels, which are never asked.
-    fn recv_timeout(&self, _timeout: Duration) -> MpiResult<Option<Wire>> {
-        self.try_recv()
+    /// The next frame, waiting as `wait` says ([`Device::recv`]); `Err`
+    /// reports a broken transport (peer disconnect mid-frame, corrupt
+    /// framing).
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>>;
+    /// The next frame, however long it takes, or a transport failure.
+    fn recv_blocking(&self) -> MpiResult<Wire> {
+        loop {
+            if let Some(w) = self.recv(Wait::Forever)? {
+                return Ok(w);
+            }
+        }
     }
     /// Whether a background progress thread may own this channel's receive
     /// side (real transports only; simulated channels advance a virtual
@@ -132,16 +134,8 @@ impl<C: MsgChannel> Device for SockDevice<C> {
         self.chan.send(dst, wire, nbytes);
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        self.chan.try_recv()
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        self.chan.recv_blocking()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        self.chan.recv_timeout(timeout)
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        self.chan.recv(wait)
     }
 
     fn supports_background_progress(&self) -> bool {
@@ -202,15 +196,12 @@ impl MsgChannel for SimTcpChannel {
         self.node.send(&self.proc, dst, wire, nbytes);
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self
-            .node
-            .try_recv(&self.proc, MPI_READS_PER_MSG)
-            .map(|(w, _)| w))
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        Ok(self.node.recv(&self.proc, MPI_READS_PER_MSG).0)
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        let (node, proc) = (&self.node, &self.proc);
+        Ok(match wait {
+            Wait::Forever => Some(node.recv(proc, MPI_READS_PER_MSG).0),
+            _ => node.try_recv(proc, MPI_READS_PER_MSG).map(|(w, _)| w),
+        })
     }
 
     fn charge_us(&self, us: f64) {
@@ -248,15 +239,12 @@ impl MsgChannel for SimUdpChannel {
         self.rel.send(&self.proc, dst, wire, nbytes);
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        Ok(self
-            .rel
-            .try_recv(&self.proc, MPI_READS_PER_MSG)
-            .map(|(w, _)| w))
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        Ok(self.rel.recv(&self.proc, MPI_READS_PER_MSG).0)
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        let (rel, proc) = (&self.rel, &self.proc);
+        Ok(match wait {
+            Wait::Forever => Some(rel.recv(proc, MPI_READS_PER_MSG).0),
+            _ => rel.try_recv(proc, MPI_READS_PER_MSG).map(|(w, _)| w),
+        })
     }
 
     fn charge_us(&self, us: f64) {
@@ -545,7 +533,7 @@ fn write_frame<W: IoWrite>(
 /// inside — sweeps every peer's socket itself, reassembling partial frames
 /// per peer, so a peer stalled mid-frame parks bytes in its own buffer
 /// without blocking anyone else's traffic. Transport failures (disconnect
-/// mid-frame, corrupt framing) come out of `try_recv` as typed errors,
+/// mid-frame, corrupt framing) come out of `recv` as typed errors,
 /// after the failing peer's earlier frames.
 pub struct RealTcpChannel {
     writers: Vec<Option<Mutex<TcpStream>>>,
@@ -794,16 +782,32 @@ impl Inbox {
     }
 }
 
-/// Backoff between empty polls: spin briefly (frames often arrive
-/// back-to-back), then yield, then sleep — bursty traffic stays at spin
-/// latency while a quiet mesh costs ~no CPU.
-fn idle_backoff(idle: u32, left: Duration) {
-    if idle < 64 {
-        std::hint::spin_loop();
-    } else if idle < 256 {
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(left.min(Duration::from_micros(200)));
+/// The wait of a nonblocking socket transport (real TCP and UDP): poll,
+/// and between empty polls spin, then yield, then sleep up to 200 µs at a
+/// time, by the count of empty polls in a row `poll` returns. The transport
+/// keeps that count across waits, so a waiter that comes back every tick
+/// (the progress thread) resumes sleeping instead of spinning.
+pub(crate) fn socket_wait(
+    wait: Wait,
+    mut poll: impl FnMut() -> MpiResult<(Option<Wire>, u32)>,
+) -> MpiResult<Option<Wire>> {
+    loop {
+        let (next, idle) = poll()?;
+        let left = match wait {
+            _ if next.is_some() => return Ok(next),
+            Wait::Poll => return Ok(None),
+            Wait::Until(t) => t.saturating_duration_since(Instant::now()),
+            Wait::Forever => Duration::MAX,
+        };
+        if left.is_zero() {
+            return Ok(None);
+        } else if idle < 64 {
+            std::hint::spin_loop();
+        } else if idle < 256 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(left.min(Duration::from_micros(200)));
+        }
     }
 }
 
@@ -827,36 +831,13 @@ impl MsgChannel for RealTcpChannel {
         }
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        self.inbox.lock().poll().transpose()
-    }
-
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        loop {
-            if let Some(wire) = self.recv_timeout(Duration::from_secs(1))? {
-                return Ok(wire);
-            }
-        }
-    }
-
-    /// Poll until a frame arrives or `timeout` passes, backing off by
-    /// [`Inbox::idle`]; the inbox lock is never held across the backoff.
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let idle = {
-                let mut inbox = self.inbox.lock();
-                if let Some(next) = inbox.poll() {
-                    return next.map(Some);
-                }
-                inbox.idle
-            };
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-            idle_backoff(idle, left);
-        }
+    /// Polls, backing off by [`Inbox::idle`] between empty polls; the
+    /// inbox lock is never held across the backoff.
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        socket_wait(wait, || {
+            let mut inbox = self.inbox.lock();
+            Ok((inbox.poll().transpose()?, inbox.idle))
+        })
     }
 
     fn supports_background_progress(&self) -> bool {
@@ -1063,7 +1044,7 @@ mod tests {
     /// The channel's next frame or failure; the test fails after 5 s of
     /// silence.
     fn next(chan: &RealTcpChannel) -> MpiResult<Wire> {
-        chan.recv_timeout(Duration::from_secs(5))
+        chan.recv(Wait::Until(Instant::now() + Duration::from_secs(5)))
             .map(|w| w.expect("nothing arrived within 5 s"))
     }
 
@@ -1092,7 +1073,7 @@ mod tests {
         // parked frame.
         a.write_all(&frame_a[frame_a.len() / 2..]).unwrap();
         assert_eq!(next(&chan).unwrap().src, 1);
-        assert!(chan.try_recv().unwrap().is_none());
+        assert!(chan.recv(Wait::Poll).unwrap().is_none());
     }
 
     /// Peer A (rank 1) sends two good frames and then `tail`, closing its

@@ -31,7 +31,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use lmpi_core::{
-    Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, TransportStats, Wire,
+    Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, TransportStats, Wait, Wire,
 };
 use lmpi_obs::Tracer;
 use lmpi_sim::lock::Mutex;
@@ -112,6 +112,9 @@ struct RecvState {
     peer_bytes: HashMap<u64, usize>,
     /// Fully reassembled, decoded frames awaiting delivery.
     ready: VecDeque<Wire>,
+    /// Polls since the last one that found a frame or a datagram: the
+    /// socket wait's backoff step, kept across waits.
+    idle: u32,
 }
 
 /// Lossy datagram device over real UDP loopback sockets. Always stack
@@ -182,6 +185,7 @@ impl UdpDevice {
                 order: VecDeque::new(),
                 peer_bytes: HashMap::new(),
                 ready: VecDeque::new(),
+                idle: 0,
             }),
             evicted: AtomicU64::new(0),
             tx_scratch: Mutex::new(TxScratch::default()),
@@ -308,13 +312,18 @@ impl UdpDevice {
         }
     }
 
-    /// Pull everything currently queued in the kernel into reassembly.
-    fn drain_socket(&self, st: &mut RecvState) -> MpiResult<()> {
+    /// Pull everything currently queued in the kernel into reassembly;
+    /// whether there was anything.
+    fn drain_socket(&self, st: &mut RecvState) -> MpiResult<bool> {
         let mut buf = [0u8; FRAG_HEADER + FRAG_PAYLOAD];
+        let mut got = false;
         loop {
             match self.sock.recv_from(&mut buf) {
-                Ok((n, _)) => self.ingest(st, &buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Ok((n, _)) => {
+                    got = true;
+                    self.ingest(st, &buf[..n]);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(got),
                 // A peer that exited has its port closed; the kernel may
                 // surface that as a connection-refused/reset on the next
                 // receive. On a lossy medium that's just a drop.
@@ -366,15 +375,19 @@ impl Device for UdpDevice {
         }
     }
 
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        let mut st = self.state.lock();
-        self.drain_socket(&mut st)?;
-        Ok(st.ready.pop_front())
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        crate::sock::socket_wait(wait, || {
+            let mut st = self.state.lock();
+            let got = self.drain_socket(&mut st)?;
+            let next = st.ready.pop_front();
+            st.idle = if got || next.is_some() {
+                0
+            } else {
+                st.idle.saturating_add(1)
+            };
+            Ok((next, st.idle))
+        })
     }
-
-    // `recv_blocking` and `recv_timeout` stay the trait's polling defaults:
-    // the socket is nonblocking (eviction scans must run between
-    // datagrams), so there is no kernel wait to park in.
 
     fn supports_background_progress(&self) -> bool {
         true
@@ -622,19 +635,10 @@ mod tests {
         );
     }
 
-    /// Real-socket smoke test: ping-pong and a collective over loopback
-    /// UDP under the reliability layer. Ignored by default — CI sandboxes
-    /// may forbid binding sockets. Opt in by setting
-    /// `LMPI_REAL_UDP_LOOPBACK=1` and running `cargo test -- --ignored`
-    /// (the test also skips itself without the variable, so a bare
-    /// `--ignored` sweep stays green in sandboxes that cannot bind).
+    /// Real-socket smoke test: a small and a large message each way over
+    /// loopback UDP under the reliability layer.
     #[test]
-    #[ignore = "needs real loopback sockets; set LMPI_REAL_UDP_LOOPBACK=1 and run with --ignored"]
     fn loopback_pingpong_over_reliable_udp() {
-        if std::env::var_os("LMPI_REAL_UDP_LOOPBACK").is_none_or(|v| v != "1") {
-            eprintln!("skipping: LMPI_REAL_UDP_LOOPBACK=1 not set");
-            return;
-        }
         let results = run_real_udp(2, MpiConfig::device_defaults(), |mpi| {
             let world = mpi.world();
             if world.rank() == 0 {

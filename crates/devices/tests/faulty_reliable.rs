@@ -3,12 +3,19 @@
 //! frames once the go-back-N sublayer is stacked on top — and fails with a
 //! *typed error*, never a panic, when it is not.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use lmpi_core::{Mpi, MpiConfig, MpiError, MpiResult, ReduceOp};
+use lmpi_core::{
+    wait_all, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Packet, Rank, ReduceOp,
+    SourceSel, TagSel, Wait, Wire,
+};
 use lmpi_devices::faulty::{FaultConfig, FaultRates, FaultStats, FaultyDevice};
 use lmpi_devices::reliable::{RelConfig, RelStats, ReliableDevice};
 use lmpi_devices::shm::{run_devices, ShmDevice};
+use lmpi_devices::udp::run_real_udp;
+use lmpi_sim::within;
 
 /// ≥5% drop plus reordering, duplication and delay on every packet class —
 /// well past the acceptance bar.
@@ -252,4 +259,168 @@ fn unreliable_duplication_yields_typed_transport_error() {
         // a failure.
         other => panic!("rank 0: expected a typed Transport error, got {other:?}"),
     }
+}
+
+/// A shm device that counts the receive calls reaching it.
+struct Counting(ShmDevice, Arc<AtomicU64>);
+
+impl Device for Counting {
+    fn rank(&self) -> Rank {
+        self.0.rank()
+    }
+    fn nprocs(&self) -> usize {
+        self.0.nprocs()
+    }
+    fn send(&self, dst: Rank, wire: Wire) {
+        self.0.send(dst, wire);
+    }
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.recv(wait)
+    }
+    fn supports_background_progress(&self) -> bool {
+        true
+    }
+    fn wtime(&self) -> f64 {
+        self.0.wtime()
+    }
+    fn defaults(&self) -> DeviceDefaults {
+        self.0.defaults()
+    }
+}
+
+/// A wait that ends `ms` milliseconds from now.
+fn within_ms(ms: u64) -> Wait {
+    Wait::Until(Instant::now() + Duration::from_millis(ms))
+}
+
+#[test]
+fn an_idle_wait_parks_in_the_device_below() {
+    // With no timer armed, the wrappers wait in the shm inbox for the
+    // whole wait: a poll at each layer and one park, not a poll per sleep
+    // slice.
+    let calls = Arc::new(AtomicU64::new(0));
+    let mut fabric = ShmDevice::fabric(2);
+    let shm = Counting(fabric.remove(0), calls.clone());
+    let dev = ReliableDevice::new(
+        FaultyDevice::new(shm, FaultConfig::lossless(0)),
+        RelConfig::default(),
+    );
+    within(Duration::from_secs(10), move || {
+        let start = Instant::now();
+        assert!(dev.recv(within_ms(20)).unwrap().is_none());
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    });
+    let n = calls.load(Ordering::Relaxed);
+    assert!(n <= 5, "{n} inner receive calls in one idle 20 ms wait");
+}
+
+#[test]
+fn a_parked_sender_fires_its_own_retransmit() {
+    // Seed 10 at 50 % drops rank 0's first frame and passes its resend.
+    // Nothing else moves: the frame reaches rank 1 only if rank 0, parked
+    // in its own receive, wakes for the retransmit timer.
+    let mut fabric = ShmDevice::fabric(2).into_iter();
+    let lossy = FaultConfig::uniform(10, FaultRates::drop_only(0.5));
+    let faulty = FaultyDevice::new(fabric.next().unwrap(), lossy);
+    let faults = faulty.stats_handle();
+    let d0 = ReliableDevice::new(faulty, RelConfig::default());
+    let rel = d0.stats_handle();
+    let d1 = ReliableDevice::new(
+        FaultyDevice::new(fabric.next().unwrap(), FaultConfig::lossless(1)),
+        RelConfig::default(),
+    );
+    let got = within(Duration::from_secs(10), move || {
+        let sender = std::thread::spawn(move || {
+            d0.send(1, Wire::bare(0, Packet::EagerAck { send_id: 7 }));
+            // Only the ack comes back, and the sublayer consumes it.
+            assert!(d0.recv(within_ms(300)).unwrap().is_none());
+        });
+        let got = d1.recv(within_ms(300)).unwrap();
+        let _ = d1.try_recv(); // the ack
+        sender.join().unwrap();
+        got
+    });
+    assert!(
+        matches!(got.map(|w| w.pkt), Some(Packet::EagerAck { send_id: 7 })),
+        "the resend never arrived"
+    );
+    assert!(faults.snapshot().1 >= 1, "the first copy was not dropped");
+    assert!(rel.snapshot().1 >= 1, "no retransmit fired");
+}
+
+#[test]
+fn window_stalls_beside_self_sends_keep_order() {
+    // A two-frame window stalls rank 0's sends on acks while its own
+    // self-sends arrive through the same inbox; whichever of rank 0's
+    // threads drains must ingest both in the order it took them.
+    const N: u32 = 20_000;
+    let rel = RelConfig {
+        window: 2,
+        ..RelConfig::default()
+    };
+    let devices: Vec<_> = ShmDevice::fabric(2)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, dev)| {
+            ReliableDevice::new(
+                FaultyDevice::new(dev, FaultConfig::lossless(rank as u64)),
+                rel,
+            )
+        })
+        .collect();
+    within(Duration::from_secs(60), move || {
+        run_devices(devices, MpiConfig::device_defaults(), |mpi| {
+            let world = mpi.world();
+            let me = world.rank();
+            let vals: Vec<u32> = (0..N).collect();
+            if me == 0 {
+                let mut reqs = Vec::new();
+                for v in &vals {
+                    reqs.push(world.isend(std::slice::from_ref(v), 1, 0).unwrap());
+                    reqs.push(world.isend(std::slice::from_ref(v), 0, 1).unwrap());
+                }
+                for i in 0..N {
+                    let mut v = [u32::MAX];
+                    world.recv(&mut v, 0, 1).unwrap();
+                    assert_eq!(v[0], i, "self-send {i} out of order");
+                }
+                wait_all(reqs).unwrap();
+            } else {
+                // Only the progress thread drains while rank 0 fills the
+                // window.
+                std::thread::sleep(Duration::from_millis(20));
+                for i in 0..N {
+                    let mut v = [u32::MAX];
+                    world.recv(&mut v, 0, 0).unwrap();
+                    assert_eq!(v[0], i, "message {i} from rank 0 out of order");
+                }
+            }
+            world.barrier().unwrap();
+            let extra = world.iprobe(SourceSel::Any, TagSel::Any).unwrap();
+            assert!(extra.is_none(), "rank {me}: a message arrived twice");
+        });
+    });
+}
+
+#[test]
+fn real_udp_self_sends_are_prompt() {
+    let elapsed = within(Duration::from_secs(30), || {
+        run_real_udp(1, MpiConfig::device_defaults(), |mpi| {
+            let world = mpi.world();
+            let start = Instant::now();
+            for i in 0..1_000u32 {
+                world.send(&[i], 0, 0).unwrap();
+                let mut v = [u32::MAX];
+                world.recv(&mut v, 0, 0).unwrap();
+                assert_eq!(v[0], i);
+            }
+            start.elapsed()
+        })
+        .expect("udp socket")[0]
+    });
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "1 000 round trips took {elapsed:?}"
+    );
 }

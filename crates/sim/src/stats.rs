@@ -1,5 +1,5 @@
 //! Lightweight statistics used by the network models and the benchmark
-//! harness: counters, running summaries, and log-bucketed histograms.
+//! harness: running summaries.
 
 use std::fmt;
 
@@ -99,72 +99,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A power-of-two bucketed histogram of non-negative integer samples
-/// (e.g. message sizes or queue depths).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// `buckets[i]` counts samples in `[2^(i-1), 2^i)`; bucket 0 counts 0.
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram covering the full `u64` range.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            total: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: u64) {
-        let idx = if x == 0 {
-            0
-        } else {
-            64 - x.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Upper bound of the bucket containing the p-quantile (0.0..=1.0).
-    pub fn quantile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((p.clamp(0.0, 1.0)) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
-            }
-        }
-        None
-    }
-
-    /// Iterate over non-empty buckets as `(upper_bound, count)`.
-    pub fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,27 +145,5 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
         assert!((a.stddev().unwrap() - all.stddev().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
-        for x in [0u64, 1, 1, 2, 3, 4, 100, 1000] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.quantile(0.0), Some(0));
-        assert_eq!(h.quantile(1.0), Some(1024));
-        // Median lands in the [2,4) bucket (upper bound 4).
-        assert_eq!(h.quantile(0.5), Some(4));
-        let buckets: Vec<_> = h.nonempty().collect();
-        assert!(buckets.contains(&(2, 2)), "two samples of value 1 in [1,2)");
-        assert!(buckets.contains(&(128, 1)));
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
     }
 }

@@ -48,7 +48,7 @@ pub use lmpi_core::{
     DeviceDefaults, DiagSummary, FlatLayout, Group, HealthReport, HistEntry, IovRun, Loc,
     MetricsServer, MetricsSnapshot, Mpi, MpiConfig, MpiData, MpiError, MpiResult, PersistentRecv,
     PersistentSend, Rank, ReduceOp, Reducible, Request, SendMode, SourceSel, Status, TableEntry,
-    Tag, TagSel, TransportStats, TAG_UB,
+    Tag, TagSel, TransportStats, Wait, TAG_UB,
 };
 
 /// Protocol observability: tracing, histograms, trace export, Table-1

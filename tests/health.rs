@@ -24,7 +24,7 @@ use lmpi::{
     FaultRates, FaultyDevice, HealthReport, Mpi, MpiConfig, MpiResult, Rank, RelConfig,
     ReliableDevice, ShmDevice,
 };
-use lmpi_core::Wire;
+use lmpi_core::{Wait, Wire};
 use lmpi_sim::for_each_case;
 
 type Stack = ReliableDevice<FaultyDevice<ShmDevice>>;
@@ -292,14 +292,8 @@ impl Device for ClockCensus {
     fn send(&self, dst: Rank, wire: Wire) {
         self.0.send(dst, wire);
     }
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
-        self.0.try_recv()
-    }
-    fn recv_blocking(&self) -> MpiResult<Wire> {
-        self.0.recv_blocking()
-    }
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        self.0.recv_timeout(timeout)
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        self.0.recv(wait)
     }
     fn supports_background_progress(&self) -> bool {
         self.0.supports_background_progress()

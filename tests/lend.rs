@@ -18,13 +18,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::Duration;
 
 use lmpi::{
     run_devices, run_threads, run_threads_with_config, DataType, Device, DeviceDefaults,
     FaultConfig, FaultyDevice, Mpi, MpiConfig, MpiError, MpiResult, Rank, ShmDevice,
 };
-use lmpi_core::Wire;
+use lmpi_core::{Wait, Wire};
 use lmpi_sim::for_each_case;
 
 const EAGER: usize = 180;
@@ -471,13 +470,9 @@ impl Device for Rig {
         }
         self.inner.send(dst, wire);
     }
-    fn try_recv(&self) -> MpiResult<Option<Wire>> {
+    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
         self.pump()?;
-        self.inner.try_recv()
-    }
-    fn recv_timeout(&self, timeout: Duration) -> MpiResult<Option<Wire>> {
-        self.pump()?;
-        self.inner.recv_timeout(timeout)
+        self.inner.recv(wait)
     }
     fn supports_background_progress(&self) -> bool {
         true
