@@ -316,86 +316,35 @@ impl CollState {
 // ---------------------------------------------------------------------
 
 impl Communicator {
-    /// Pick the broadcast algorithm for a `bytes`-byte payload:
-    /// config pin, else the hardware broadcast when the device has one
-    /// (the paper's design), else the decision table.
-    pub(crate) fn select_bcast(&self, bytes: u64) -> BcastAlgo {
+    /// Pick `collective`'s algorithm for a `bytes`-byte payload: the
+    /// config pin (read by `pin`) if one is set, else `preferred`, else the
+    /// decision table's entry for this substrate and size, else `fallback`.
+    /// A pin that overrides a different choice counts as a mispin.
+    pub(crate) fn select<A: Copy + PartialEq>(
+        &self,
+        collective: &str,
+        bytes: u64,
+        preferred: Option<A>,
+        from_name: fn(&str) -> Option<A>,
+        fallback: A,
+        pin: fn(&CollPins) -> Option<A>,
+    ) -> A {
         let inner = self.inner();
         let mut eng = inner.eng.lock();
-        let unpinned = if inner.device.has_hw_bcast() {
-            BcastAlgo::Hw
-        } else {
+        let unpinned = preferred.unwrap_or_else(|| {
             eng.coll
                 .table
-                .lookup(inner.device.substrate(), "bcast", self.size(), bytes)
-                .and_then(BcastAlgo::from_name)
-                .unwrap_or(BcastAlgo::Binomial)
-        };
-        if let Some(a) = eng.coll.pins.bcast {
-            if a != unpinned {
-                eng.coll.mispins += 1;
+                .lookup(inner.device.substrate(), collective, self.size(), bytes)
+                .and_then(from_name)
+                .unwrap_or(fallback)
+        });
+        match pin(&eng.coll.pins) {
+            Some(a) => {
+                eng.coll.mispins += u64::from(a != unpinned);
+                a
             }
-            return a;
+            None => unpinned,
         }
-        unpinned
-    }
-
-    /// Pick the allreduce algorithm for a `bytes`-byte vector.
-    pub(crate) fn select_allreduce(&self, bytes: u64) -> AllreduceAlgo {
-        let inner = self.inner();
-        let mut eng = inner.eng.lock();
-        let unpinned = eng
-            .coll
-            .table
-            .lookup(inner.device.substrate(), "allreduce", self.size(), bytes)
-            .and_then(AllreduceAlgo::from_name)
-            .unwrap_or(AllreduceAlgo::ReduceBcast);
-        if let Some(a) = eng.coll.pins.allreduce {
-            if a != unpinned {
-                eng.coll.mispins += 1;
-            }
-            return a;
-        }
-        unpinned
-    }
-
-    /// Pick the barrier algorithm.
-    pub(crate) fn select_barrier(&self) -> BarrierAlgo {
-        let inner = self.inner();
-        let mut eng = inner.eng.lock();
-        let unpinned = eng
-            .coll
-            .table
-            .lookup(inner.device.substrate(), "barrier", self.size(), 0)
-            .and_then(BarrierAlgo::from_name)
-            .unwrap_or(BarrierAlgo::Dissemination);
-        if let Some(a) = eng.coll.pins.barrier {
-            if a != unpinned {
-                eng.coll.mispins += 1;
-            }
-            return a;
-        }
-        unpinned
-    }
-
-    /// Pick the allgather algorithm for a `bytes`-byte per-rank
-    /// contribution.
-    pub(crate) fn select_allgather(&self, bytes: u64) -> AllgatherAlgo {
-        let inner = self.inner();
-        let mut eng = inner.eng.lock();
-        let unpinned = eng
-            .coll
-            .table
-            .lookup(inner.device.substrate(), "allgather", self.size(), bytes)
-            .and_then(AllgatherAlgo::from_name)
-            .unwrap_or(AllgatherAlgo::Ring);
-        if let Some(a) = eng.coll.pins.allgather {
-            if a != unpinned {
-                eng.coll.mispins += 1;
-            }
-            return a;
-        }
-        unpinned
     }
 }
 

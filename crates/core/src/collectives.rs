@@ -135,7 +135,14 @@ impl Communicator {
     /// `MPI_Barrier`: algorithm chosen by the dispatch layer
     /// (dissemination or tree; see [`crate::coll`]).
     pub fn barrier(&self) -> MpiResult<()> {
-        let algo = self.select_barrier();
+        let algo = self.select(
+            "barrier",
+            0,
+            None,
+            BarrierAlgo::from_name,
+            BarrierAlgo::Dissemination,
+            |p| p.barrier,
+        );
         let seq = self.next_coll_seq();
         self.traced(CollOp::Barrier, algo.as_obs(), || match algo {
             BarrierAlgo::Dissemination => self.barrier_dissemination_seq(seq),
@@ -155,7 +162,15 @@ impl Communicator {
     /// bandwidth crossover, scatter-allgather above it).
     pub fn bcast<T: MpiData>(&self, buf: &mut [T], root: Rank) -> MpiResult<()> {
         self.global(root)?;
-        let algo = self.select_bcast(T::byte_len(buf.len()) as u64);
+        let hw = self.inner().device.has_hw_bcast().then_some(BcastAlgo::Hw);
+        let algo = self.select(
+            "bcast",
+            T::byte_len(buf.len()) as u64,
+            hw,
+            BcastAlgo::from_name,
+            BcastAlgo::Binomial,
+            |p| p.bcast,
+        );
         let seq = self.next_coll_seq();
         self.traced(CollOp::Bcast, algo.as_obs(), || {
             if self.size() == 1 {
@@ -409,7 +424,14 @@ impl Communicator {
     /// gather+bcast). Returns all contributions concatenated in rank
     /// order.
     pub fn allgather<T: MpiData + Default>(&self, send: &[T]) -> MpiResult<Vec<T>> {
-        let algo = self.select_allgather(T::byte_len(send.len()) as u64);
+        let algo = self.select(
+            "allgather",
+            T::byte_len(send.len()) as u64,
+            None,
+            AllgatherAlgo::from_name,
+            AllgatherAlgo::Ring,
+            |p| p.allgather,
+        );
         let seq = self.next_coll_seq();
         self.traced(CollOp::Allgather, algo.as_obs(), || match algo {
             AllgatherAlgo::Ring => self.allgather_ring_seq(send, seq),
@@ -521,7 +543,14 @@ impl Communicator {
         send: &[T],
         op: ReduceOp,
     ) -> MpiResult<Vec<T>> {
-        let algo = self.select_allreduce(T::byte_len(send.len()) as u64);
+        let algo = self.select(
+            "allreduce",
+            T::byte_len(send.len()) as u64,
+            None,
+            AllreduceAlgo::from_name,
+            AllreduceAlgo::ReduceBcast,
+            |p| p.allreduce,
+        );
         let seq = self.next_coll_seq();
         self.traced(CollOp::Allreduce, algo.as_obs(), || match algo {
             AllreduceAlgo::ReduceBcast => self.allreduce_reduce_bcast_seq(send, op, seq),

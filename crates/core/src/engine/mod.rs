@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::bytes::Bytes;
-use lmpi_sim::lock::{Mutex, Sleepers};
+use lmpi_sim::lock::Sleepers;
 
 use lmpi_obs::{EventKind, MsgId, Tracer};
 
@@ -260,21 +260,11 @@ pub(crate) struct Engine {
     /// Next flight-recorder message number to mint (per-sender
     /// monotonic, starts at 1 — 0 is the "no message" sentinel).
     next_msg_seq: u32,
-    /// Periodic metrics snapshot hook: `(interval_ns, next_due_ns,
-    /// callback)`. Checked only on frame handling, so an unset hook
-    /// costs one `Option` branch. The callback lives behind an
-    /// `Arc<Mutex<_>>` so the driver can *snapshot under the engine
-    /// lock but invoke after releasing it* — the hook may therefore
-    /// call back into the owning `Mpi` handle.
-    metrics_hook: Option<(u64, u64, Arc<Mutex<MetricsHookFn>>)>,
     /// Collective dispatch state: config pins, the decision table, and the
     /// per-(collective, algorithm) dispatch tally behind
     /// `lmpi_coll_dispatch_total`.
     pub(crate) coll: crate::coll::CollState,
 }
-
-/// Callback type for [`crate::Mpi::set_metrics_hook`].
-pub(crate) type MetricsHookFn = Box<dyn FnMut(&crate::metrics::MetricsSnapshot) + Send>;
 
 impl Engine {
     pub(crate) fn new(
@@ -314,7 +304,6 @@ impl Engine {
             failed_ranks: vec![false; nprocs],
             revoked: std::collections::HashSet::new(),
             next_msg_seq: 1,
-            metrics_hook: None,
             coll: Default::default(),
         }
     }
@@ -339,18 +328,6 @@ impl Engine {
         c
     }
 
-    /// Install (or replace) the periodic snapshot hook: `cb` fires from
-    /// frame handling whenever at least `every_ns` device-clock
-    /// nanoseconds have passed since the previous firing.
-    pub(crate) fn set_metrics_hook(&mut self, dev: &dyn Device, every_ns: u64, cb: MetricsHookFn) {
-        let every_ns = every_ns.max(1);
-        self.metrics_hook = Some((
-            every_ns,
-            dev.now_ns().saturating_add(every_ns),
-            Arc::new(Mutex::new(cb)),
-        ));
-    }
-
     /// Build a point-in-time metrics snapshot.
     pub(crate) fn metrics_snapshot(&self, dev: &dyn Device) -> crate::metrics::MetricsSnapshot {
         crate::metrics::MetricsSnapshot::new(
@@ -360,31 +337,6 @@ impl Engine {
             dev.transport_stats(),
         )
         .with_coll_dispatch(self.coll.dispatch_entries())
-    }
-
-    /// If the metrics hook is due, build its snapshot *now* (under the
-    /// caller's engine lock, so the numbers are coherent) and hand back
-    /// the callback for the caller to invoke **after releasing the
-    /// lock**. An unset or not-yet-due hook costs one branch. The due
-    /// time advances here, so concurrent callers fire at most one hook
-    /// per interval.
-    pub(crate) fn pending_snapshot(
-        &mut self,
-        dev: &dyn Device,
-    ) -> Option<(crate::metrics::MetricsSnapshot, Arc<Mutex<MetricsHookFn>>)> {
-        let (every_ns, next_due_ns, _) = self.metrics_hook.as_ref()?;
-        let now = dev.now_ns();
-        if now < *next_due_ns {
-            return None;
-        }
-        let every_ns = *every_ns;
-        let snap = self.metrics_snapshot(dev);
-        let (_, next_due, cb) = self
-            .metrics_hook
-            .as_mut()
-            .expect("checked Some above; no intervening mutation");
-        *next_due = now.saturating_add(every_ns);
-        Some((snap, Arc::clone(cb)))
     }
 
     pub(crate) fn eager_threshold(&self) -> usize {
@@ -619,10 +571,6 @@ impl Engine {
         }
         self.flush_pending(dev)?;
         self.explicit_credit_returns(dev);
-        // The metrics hook is NOT fired here: `handle_wire` always runs
-        // under the engine lock, and the hook must be invoked outside it
-        // (see `pending_snapshot`). The drivers in `mpi.rs` check after
-        // they release the lock.
         Ok(())
     }
 

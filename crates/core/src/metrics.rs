@@ -3,8 +3,8 @@
 //! summaries, rendered as JSON (via [`lmpi_obs::to_json`]) or Prometheus
 //! text exposition format.
 //!
-//! A snapshot is built either on demand ([`crate::Mpi::metrics_snapshot`])
-//! or periodically from frame handling ([`crate::Mpi::set_metrics_hook`]).
+//! A snapshot is built on demand ([`crate::Mpi::metrics_snapshot`]) or
+//! for each scrape of [`crate::Mpi::serve_metrics`].
 //! The Prometheus rendering labels every sample with the rank so a
 //! multi-rank job scrapes into one flat series set.
 

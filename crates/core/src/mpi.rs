@@ -168,19 +168,14 @@ impl Inner {
     /// The caller holds the drain role. `Err` is a transport failure
     /// (device broke, or [`drain_step`](Self::drain_step) refused a frame).
     fn drain_queued(&self) -> MpiResult<()> {
-        let mut handled = 0;
         loop {
             let wire = self.device.try_recv()?;
             let last = wire.is_none();
-            handled += self.drain_step(&mut self.eng.lock(), wire, false)?;
+            self.drain_step(&mut self.eng.lock(), wire, false)?;
             if last {
-                break;
+                return Ok(());
             }
         }
-        if handled > 0 {
-            self.run_metrics_hook();
-        }
-        Ok(())
     }
 
     /// Nonblocking progress: if the drain role is free, take it and handle
@@ -233,7 +228,6 @@ impl Inner {
                 // Loop, so `done` re-evaluates against what that frame
                 // completed.
                 self.step_blocking()?;
-                self.run_metrics_hook();
             }
         }
         let mut eng = self.eng.lock();
@@ -286,21 +280,13 @@ impl Inner {
                 self.wake_waiters(eng);
                 return Err(e);
             }
-            // A due metrics hook fires once the lock is released.
-            let hook = eng.pending_snapshot(&*self.device);
             if let Some(v) = done(&mut eng) {
                 drop(role);
                 self.wake_waiters(eng);
-                if let Some((snap, cb)) = hook {
-                    (cb.lock())(&snap);
-                }
                 return Ok(v);
             }
             // The frame may have completed another caller's request.
             self.wake_waiters(eng);
-            if let Some((snap, cb)) = hook {
-                (cb.lock())(&snap);
-            }
         }
     }
 
@@ -381,17 +367,6 @@ impl Inner {
             g
         } else {
             self.eng.lock()
-        }
-    }
-
-    /// Fire the periodic metrics hook if due. Must be called while the
-    /// engine lock is **not** held: the snapshot is taken under a short
-    /// lock, the callback runs after release — so the hook may call back
-    /// into this rank's API.
-    pub(crate) fn run_metrics_hook(&self) {
-        let pending = self.eng.lock().pending_snapshot(&*self.device);
-        if let Some((snap, cb)) = pending {
-            (cb.lock())(&snap);
         }
     }
 }
@@ -563,7 +538,6 @@ fn progress_loop(inner: &Inner) {
             if let Some(h) = hp {
                 h.add_wakeup();
             }
-            inner.run_metrics_hook();
         }
     }
 }
@@ -681,29 +655,6 @@ impl Mpi {
     /// device stack's [`TransportStats`], stamped with the device clock.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.eng.lock().metrics_snapshot(&*self.inner.device)
-    }
-
-    /// Install a periodic metrics hook: `cb` fires from frame handling
-    /// whenever at least `every_ns` device-clock nanoseconds have passed
-    /// since the previous firing. One hook per rank; installing again
-    /// replaces it. The hook fires on whichever thread handled the frame:
-    /// a blocked caller, or the background progress thread.
-    ///
-    /// The snapshot is taken under the engine lock but the hook is
-    /// invoked **after the lock is released**, so the callback may call
-    /// back into this rank's API (e.g. [`Mpi::counters`] or
-    /// [`Mpi::health`]) to enrich what it exports. It should still not
-    /// block on MPI *completion* calls — it runs on whichever thread
-    /// drives progress, and waiting there would stall that progress.
-    pub fn set_metrics_hook(
-        &self,
-        every_ns: u64,
-        cb: impl FnMut(&MetricsSnapshot) + Send + 'static,
-    ) {
-        self.inner
-            .eng
-            .lock()
-            .set_metrics_hook(&*self.inner.device, every_ns, Box::new(cb));
     }
 
     /// Install a protocol-event tracer on this rank's engine. Clones of an

@@ -62,6 +62,7 @@ macro_rules! forward_to_inner {
 
 pub mod codec;
 pub mod faulty;
+pub mod launch;
 pub mod meiko;
 pub mod reliable;
 pub mod shm;

@@ -15,10 +15,6 @@
 //!   receive gets its data deposited directly — no bounce copy), and
 //!   broadcast is built from point-to-point messages.
 
-use std::sync::Arc;
-
-use lmpi_sim::lock::Mutex;
-
 use lmpi_core::{Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wait, Wire};
 use lmpi_netmodel::meiko::MeikoNet;
 use lmpi_netmodel::params::{CpuParams, MeikoParams};
@@ -223,27 +219,11 @@ where
 {
     let sim = Sim::new();
     let net: MeikoNet<Wire> = MeikoNet::new(&sim, nprocs, MeikoParams::default());
-    let results: Arc<Mutex<Vec<Option<T>>>> =
-        Arc::new(Mutex::new((0..nprocs).map(|_| None).collect()));
-    let f = Arc::new(f);
-    for rank in 0..nprocs {
+    let make = (0..nprocs).map(|rank| {
         let net = net.clone();
-        let f = f.clone();
-        let results = results.clone();
-        sim.spawn(format!("rank{rank}"), move |p| {
-            let dev = MeikoDevice::new(net, p.clone(), rank, variant);
-            let mpi = Mpi::new(Box::new(dev), config);
-            let out = f(mpi);
-            results.lock()[rank] = Some(out);
-        });
-    }
-    sim.run();
-    Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("results still shared"))
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("rank produced no result"))
-        .collect()
+        move |p: &Proc| MeikoDevice::new(net, p.clone(), rank, variant)
+    });
+    crate::launch::run_sim_ranks(&sim, make, config, f)
 }
 
 #[cfg(test)]

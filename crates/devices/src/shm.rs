@@ -25,6 +25,7 @@
 //! it.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -202,7 +203,7 @@ impl Device for ShmDevice {
 }
 
 /// Run an `nprocs`-rank MPI program on threads, returning each rank's
-/// result in rank order. Panics in any rank propagate.
+/// result in rank order. A rank's panic resumes here with its own payload.
 pub fn run<T, F>(nprocs: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -233,28 +234,11 @@ where
     T: Send + 'static,
     F: Fn(Mpi) -> T + Send + Sync + 'static,
 {
-    let f = std::sync::Arc::new(f);
-    let handles: Vec<_> = devices
+    let make = devices
         .into_iter()
-        .map(|dev| {
-            let f = f.clone();
-            std::thread::Builder::new()
-                .name(format!("mpi-rank-{}", dev.rank()))
-                .spawn(move || f(Mpi::new(Box::new(dev), config)))
-                .expect("failed to spawn rank thread")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .enumerate()
-        .map(|(rank, h)| match h.join() {
-            Ok(v) => v,
-            Err(e) => {
-                std::panic::resume_unwind(Box::new(format!("rank {rank} panicked: {e:?}"))
-                    as Box<dyn std::any::Any + Send>)
-            }
-        })
-        .collect()
+        .map(|dev| move || Ok::<_, Infallible>(dev));
+    let Ok(results) = crate::launch::run_rank_threads(make, config, f);
+    results
 }
 
 #[cfg(test)]

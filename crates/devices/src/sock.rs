@@ -15,9 +15,9 @@
 //!   rank's drain-role holder sweeps the sockets itself.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write as IoWrite};
+use std::io::{ErrorKind, IoSlice, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use lmpi_core::{
@@ -30,6 +30,7 @@ use lmpi_sim::lock::Mutex;
 use lmpi_sim::{Proc, Sim, SimDur};
 
 use crate::codec;
+use crate::launch::{peer_setup_failed, MeshSetup};
 
 /// Reads the paper's MPI performs per incoming message: one for the type
 /// byte, one for the envelope together with the (small) data. Raw sockets
@@ -322,26 +323,17 @@ where
     let sim = Sim::new();
     let fabric = make_fabric(&sim, net, nprocs);
     let params = socket_params(net, transport);
-    let results: Arc<Mutex<Vec<Option<T>>>> =
-        Arc::new(Mutex::new((0..nprocs).map(|_| None).collect()));
-    let f = Arc::new(f);
-
     match transport {
         ClusterTransport::Tcp => {
             let sock: SockFabric<Wire> = SockFabric::new(&sim, nprocs, fabric, params, 0.0, 12345);
-            for rank in 0..nprocs {
+            let make = (0..nprocs).map(|rank| {
                 let node = sock.node(rank);
-                let f = f.clone();
-                let results = results.clone();
-                sim.spawn(format!("rank{rank}"), move |p| {
-                    let dev = SockDevice::new(SimTcpChannel::new(node, p.clone()), rank, nprocs);
-                    let out = f(Mpi::new(Box::new(dev), config));
-                    results.lock()[rank] = Some(out);
-                });
-            }
+                move |p: &Proc| SockDevice::new(SimTcpChannel::new(node, p.clone()), rank, nprocs)
+            });
+            crate::launch::run_sim_ranks(&sim, make, config, f)
         }
         ClusterTransport::Udp => {
-            let eps: Vec<ReliableDgram<Wire>> = ReliableDgram::fabric(
+            let eps = ReliableDgram::fabric(
                 &sim,
                 nprocs,
                 fabric,
@@ -350,25 +342,13 @@ where
                 12345,
                 SimDur::from_ms(50),
             );
-            for (rank, rel) in eps.into_iter().enumerate() {
-                let f = f.clone();
-                let results = results.clone();
+            let make = eps.into_iter().enumerate().map(|(rank, rel)| {
                 let rel = Arc::new(rel);
-                sim.spawn(format!("rank{rank}"), move |p| {
-                    let dev = SockDevice::new(SimUdpChannel::new(rel, p.clone()), rank, nprocs);
-                    let out = f(Mpi::new(Box::new(dev), config));
-                    results.lock()[rank] = Some(out);
-                });
-            }
+                move |p: &Proc| SockDevice::new(SimUdpChannel::new(rel, p.clone()), rank, nprocs)
+            });
+            crate::launch::run_sim_ranks(&sim, make, config, f)
         }
     }
-    sim.run();
-    Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("results still shared"))
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("rank produced no result"))
-        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -413,79 +393,31 @@ pub fn connect_with_backoff(
     }
 }
 
-fn peer_setup_failed(cause: &str) -> std::io::Error {
-    std::io::Error::other(format!("mesh setup failed at {cause}"))
-}
-
-/// Accept with a deadline: a peer that died before dialing in must not
-/// hang mesh setup forever. The accepted stream is left **nonblocking**:
-/// accepted sockets don't inherit the listener's flag, and flipping them
-/// back to blocking is exactly the bug that let one peer stalled mid-frame
-/// wedge every other peer's traffic.
-fn accept_with_deadline(
-    listener: &TcpListener,
-    timeout: Duration,
+/// Retry a step on a nonblocking setup socket while it reads
+/// `WouldBlock`, once a millisecond, until it is done, another rank's
+/// setup fails or [`CONNECT_TIMEOUT`] passes: a peer that died before
+/// dialing in, or before announcing its rank, must not hang mesh setup.
+fn poll_setup<X>(
     abort: &OnceLock<String>,
-) -> std::io::Result<(TcpStream, SocketAddr)> {
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + timeout;
+    mut step: impl FnMut() -> std::io::Result<X>,
+) -> std::io::Result<X> {
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     loop {
-        match listener.accept() {
-            Ok((stream, addr)) => {
-                stream.set_nonblocking(true)?;
-                return Ok((stream, addr));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if let Some(cause) = abort.get() {
-                    return Err(peer_setup_failed(cause));
-                }
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "timed out waiting for a peer to connect",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(e),
+        match step() {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            done => return done,
         }
-    }
-}
-
-/// `read_exact` against a nonblocking stream, polling until `timeout`:
-/// used for the tiny handshake id, before the stream joins the inbox.
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    timeout: Duration,
-) -> std::io::Result<()> {
-    let deadline = Instant::now() + timeout;
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed during handshake",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "timed out reading handshake id",
-                    ));
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(e) => return Err(e),
+        if let Some(cause) = abort.get() {
+            return Err(peer_setup_failed(cause));
         }
+        if Instant::now() >= deadline {
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "timed out waiting for a peer",
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
-    Ok(())
 }
 
 /// Write `wire` to `stream` as one length-delimited frame: the 4-byte
@@ -554,17 +486,8 @@ impl RealTcpChannel {
     /// exhaustion — a full mesh in one process holds `2 n (n - 1)`
     /// sockets), every rank's call returns an error, promptly, and no rank
     /// is left running on a partial mesh or holding its descriptors.
-    pub fn connect(rank: Rank, nprocs: usize, rendezvous: &TcpRendezvous) -> std::io::Result<Self> {
-        let mesh = Self::dial_mesh(rank, nprocs, rendezvous);
-        if let Err(e) = &mesh {
-            // First failure wins: it is the cause, later ones its echoes.
-            let _ = rendezvous.failed.set(format!("rank {rank}: {e}"));
-        }
-        rendezvous.barrier.wait();
-        let (writers, conns) = mesh?;
-        if let Some(cause) = rendezvous.failed.get() {
-            return Err(peer_setup_failed(cause));
-        }
+    pub fn connect(rank: Rank, nprocs: usize, rendezvous: &MeshSetup) -> std::io::Result<Self> {
+        let (writers, conns) = rendezvous.agree(rank, Self::dial_mesh(rank, nprocs, rendezvous))?;
         Ok(Self::from_mesh(writers, conns, rendezvous.t0))
     }
 
@@ -585,19 +508,11 @@ impl RealTcpChannel {
     }
 
     /// This rank's sockets: the write half per peer and the read half for
-    /// the inbox. Reaches the address barrier even when it fails.
-    fn dial_mesh(
-        rank: Rank,
-        nprocs: usize,
-        rendezvous: &TcpRendezvous,
-    ) -> std::io::Result<MeshHalves> {
+    /// the inbox. Reaches the address exchange even when it fails.
+    fn dial_mesh(rank: Rank, nprocs: usize, rendezvous: &MeshSetup) -> std::io::Result<MeshHalves> {
         let abort = &rendezvous.failed;
-        let bound = TcpListener::bind("127.0.0.1:0").and_then(|l| Ok((l.local_addr()?, l)));
-        if let Ok((addr, _)) = &bound {
-            rendezvous.addrs.lock()[rank] = Some(*addr);
-        }
-        rendezvous.barrier.wait();
-        let (_, listener) = bound?;
+        let bound = TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr().map(|a| (l, a)));
+        let (listener, addrs) = rendezvous.exchange(rank, bound)?;
 
         let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..nprocs).map(|_| None).collect();
         let mut conns: Vec<PeerConn> = Vec::with_capacity(nprocs - 1);
@@ -607,10 +522,7 @@ impl RealTcpChannel {
         // its stream is still blocking; every stream then goes nonblocking
         // for the sweep (the writer half shares the fd, hence
         // `write_frame`'s `WouldBlock` retry on the send path).
-        for (peer, writer) in writers.iter_mut().enumerate().take(rank) {
-            let addr = rendezvous.addrs.lock()[peer].ok_or_else(|| {
-                std::io::Error::other(format!("rank {peer} published no listener address"))
-            })?;
+        for (peer, (writer, &addr)) in writers.iter_mut().zip(&addrs).enumerate().take(rank) {
             let mut stream = connect_with_backoff(addr, CONNECT_TIMEOUT, abort)?;
             stream.set_nodelay(true)?;
             stream.write_all(&(rank as u32).to_le_bytes())?;
@@ -618,11 +530,22 @@ impl RealTcpChannel {
             conns.push(PeerConn::new(peer, stream.try_clone()?));
             *writer = Some(Mutex::new(stream));
         }
+        // An accepted stream does not inherit the listener's flag, and is
+        // left nonblocking: a blocking one is exactly the bug that let one
+        // peer stalled mid-frame wedge every other peer's traffic.
+        listener.set_nonblocking(true)?;
         for _ in rank + 1..nprocs {
-            let (mut stream, _) = accept_with_deadline(&listener, CONNECT_TIMEOUT, abort)?;
+            let (mut stream, _) = poll_setup(abort, || listener.accept())?;
+            stream.set_nonblocking(true)?;
             stream.set_nodelay(true)?;
-            let mut id = [0u8; 4];
-            read_exact_deadline(&mut stream, &mut id, CONNECT_TIMEOUT)?;
+            let (mut id, mut filled) = ([0u8; 4], 0);
+            poll_setup(abort, || loop {
+                match stream.read(&mut id[filled..])? {
+                    0 => return Err(ErrorKind::UnexpectedEof.into()),
+                    n if filled + n == id.len() => return Ok(()),
+                    n => filled += n,
+                }
+            })?;
             let peer = u32::from_le_bytes(id) as usize;
             conns.push(PeerConn::new(peer, stream.try_clone()?));
             writers[peer] = Some(Mutex::new(stream));
@@ -631,24 +554,9 @@ impl RealTcpChannel {
     }
 
     /// Shared connection-setup state for one job.
-    pub fn rendezvous(nprocs: usize) -> TcpRendezvous {
-        TcpRendezvous {
-            addrs: Mutex::new(vec![None; nprocs]),
-            barrier: Barrier::new(nprocs),
-            failed: OnceLock::new(),
-            t0: Instant::now(),
-        }
+    pub fn rendezvous(nprocs: usize) -> MeshSetup {
+        MeshSetup::new(nprocs)
     }
-}
-
-/// Shared state for establishing the mesh (addresses + barrier).
-pub struct TcpRendezvous {
-    addrs: Mutex<Vec<Option<SocketAddr>>>,
-    barrier: Barrier,
-    /// Set by the first rank whose setup fails, to what went wrong; see
-    /// [`RealTcpChannel::connect`].
-    failed: OnceLock<String>,
-    t0: Instant,
 }
 
 /// Sanity bound on incoming frame length words: anything larger is corrupt
@@ -863,32 +771,16 @@ where
     F: Fn(Mpi) -> T + Send + Sync + 'static,
 {
     let rendezvous = Arc::new(RealTcpChannel::rendezvous(nprocs));
-    let f = Arc::new(f);
-    let handles: Vec<_> = (0..nprocs)
-        .map(|rank| {
-            let rendezvous = rendezvous.clone();
-            let f = f.clone();
-            std::thread::Builder::new()
-                .name(format!("tcp-rank-{rank}"))
-                .spawn(move || -> MpiResult<T> {
-                    let chan = RealTcpChannel::connect(rank, nprocs, &rendezvous).map_err(|e| {
-                        MpiError::transport(format!("tcp mesh setup failed for rank {rank}: {e}"))
-                    })?;
-                    Ok(f(Mpi::new(
-                        Box::new(SockDevice::new(chan, rank, nprocs)),
-                        config,
-                    )))
-                })
-                .expect("spawn rank thread")
-        })
-        .collect();
-    // Join every rank before reporting: a failed run must not leave rank
-    // threads (and their sockets) behind.
-    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-    joined
-        .into_iter()
-        .map(|res| res.unwrap_or_else(|p| std::panic::resume_unwind(p)))
-        .collect()
+    let make = (0..nprocs).map(|rank| {
+        let rendezvous = rendezvous.clone();
+        move || match RealTcpChannel::connect(rank, nprocs, &rendezvous) {
+            Ok(chan) => Ok(SockDevice::new(chan, rank, nprocs)),
+            Err(e) => Err(MpiError::transport(format!(
+                "tcp mesh setup failed for rank {rank}: {e}"
+            ))),
+        }
+    });
+    crate::launch::run_rank_threads(make, config, f)
 }
 
 #[cfg(test)]

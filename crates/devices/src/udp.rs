@@ -27,7 +27,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lmpi_core::{
@@ -37,6 +37,7 @@ use lmpi_obs::Tracer;
 use lmpi_sim::lock::Mutex;
 
 use crate::codec;
+use crate::launch::MeshSetup;
 use crate::reliable::{RelConfig, ReliableDevice};
 use crate::sock::SOCK_DEFAULTS;
 
@@ -62,14 +63,6 @@ const MAX_FRAGS: u32 = 1 << 12;
 /// not fit is dropped outright. Legitimate traffic never gets near this:
 /// the shipped rendezvous chunking keeps frames to one datagram each.
 const REASSEMBLY_BUDGET_PER_PEER: usize = 8 << 20;
-
-/// Shared connection-setup state for one job: every rank binds an
-/// ephemeral loopback port, publishes it, and waits at the barrier.
-pub struct UdpRendezvous {
-    addrs: Mutex<Vec<Option<SocketAddr>>>,
-    barrier: Barrier,
-    t0: Instant,
-}
 
 fn frag_header(frame_id: u64, idx: u32, count: u32) -> [u8; FRAG_HEADER] {
     let mut h = [0u8; FRAG_HEADER];
@@ -103,6 +96,7 @@ struct Partial {
     bytes: usize,
 }
 
+#[derive(Default)]
 struct RecvState {
     partial: HashMap<u64, Partial>,
     /// Insertion order of `partial` keys, for oldest-first eviction.
@@ -144,35 +138,19 @@ struct TxScratch {
 
 impl UdpDevice {
     /// Shared rendezvous state for `nprocs` ranks of one job.
-    pub fn rendezvous(nprocs: usize) -> UdpRendezvous {
-        UdpRendezvous {
-            addrs: Mutex::new(vec![None; nprocs]),
-            barrier: Barrier::new(nprocs),
-            t0: Instant::now(),
-        }
+    pub fn rendezvous(nprocs: usize) -> MeshSetup {
+        MeshSetup::new(nprocs)
     }
 
     /// Bind this rank's socket, publish its address and collect the full
     /// mesh. Call once per rank, concurrently, with a shared rendezvous.
-    pub fn connect(rank: Rank, nprocs: usize, rendezvous: &UdpRendezvous) -> std::io::Result<Self> {
-        let sock = UdpSocket::bind("127.0.0.1:0")?;
-        sock.set_nonblocking(true)?;
-        {
-            let mut addrs = rendezvous.addrs.lock();
-            addrs[rank] = Some(sock.local_addr()?);
-        }
-        rendezvous.barrier.wait();
-        let peers = {
-            let addrs = rendezvous.addrs.lock();
-            addrs
-                .iter()
-                .map(|a| {
-                    a.ok_or_else(|| {
-                        std::io::Error::other("peer address missing after rendezvous barrier")
-                    })
-                })
-                .collect::<std::io::Result<Vec<SocketAddr>>>()?
-        };
+    /// Setup is all or nothing, as for [`crate::sock::RealTcpChannel::connect`].
+    pub fn connect(rank: Rank, nprocs: usize, rendezvous: &MeshSetup) -> std::io::Result<Self> {
+        let bound = UdpSocket::bind("127.0.0.1:0").and_then(|s| {
+            s.set_nonblocking(true)?;
+            s.local_addr().map(|a| (s, a))
+        });
+        let (sock, peers) = rendezvous.exchange(rank, bound)?;
         Ok(UdpDevice {
             sock,
             peers,
@@ -180,13 +158,7 @@ impl UdpDevice {
             nprocs,
             t0: rendezvous.t0,
             next_frame: AtomicU64::new(1),
-            state: Mutex::new(RecvState {
-                partial: HashMap::new(),
-                order: VecDeque::new(),
-                peer_bytes: HashMap::new(),
-                ready: VecDeque::new(),
-                idle: 0,
-            }),
+            state: Mutex::new(RecvState::default()),
             evicted: AtomicU64::new(0),
             tx_scratch: Mutex::new(TxScratch::default()),
             tracer: Tracer::disabled(),
@@ -428,30 +400,16 @@ where
     F: Fn(Mpi) -> T + Send + Sync + 'static,
 {
     let rendezvous = Arc::new(UdpDevice::rendezvous(nprocs));
-    let f = Arc::new(f);
-    let handles: Vec<_> = (0..nprocs)
-        .map(|rank| {
-            let rendezvous = rendezvous.clone();
-            let f = f.clone();
-            std::thread::Builder::new()
-                .name(format!("udp-rank-{rank}"))
-                .spawn(move || -> MpiResult<T> {
-                    let udp = UdpDevice::connect(rank, nprocs, &rendezvous).map_err(|e| {
-                        MpiError::transport(format!("udp mesh setup failed for rank {rank}: {e}"))
-                    })?;
-                    let dev = ReliableDevice::new(udp, RelConfig::default());
-                    Ok(f(Mpi::new(Box::new(dev), config)))
-                })
-                .expect("spawn rank thread")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok(res) => res,
-            Err(p) => std::panic::resume_unwind(p),
-        })
-        .collect()
+    let make = (0..nprocs).map(|rank| {
+        let rendezvous = rendezvous.clone();
+        move || match UdpDevice::connect(rank, nprocs, &rendezvous) {
+            Ok(udp) => Ok(ReliableDevice::new(udp, RelConfig::default())),
+            Err(e) => Err(MpiError::transport(format!(
+                "udp mesh setup failed for rank {rank}: {e}"
+            ))),
+        }
+    });
+    crate::launch::run_rank_threads(make, config, f)
 }
 
 #[cfg(test)]

@@ -58,13 +58,14 @@ pub use lmpi_core::obs;
 pub use lmpi_core::{CollAlgo, CollOp, EventKind, MsgId, TraceBuffer, Tracer};
 
 pub use lmpi_devices::faulty::{FaultConfig, FaultRates, FaultStats, FaultyDevice, PacketClass};
+pub use lmpi_devices::launch::MeshSetup;
 pub use lmpi_devices::meiko::{run_meiko, MeikoDevice, MeikoVariant};
 pub use lmpi_devices::reliable::{Liveness, RelConfig, RelMode, RelStats, ReliableDevice};
 pub use lmpi_devices::shm::{
     run as run_threads, run_devices, run_with_config as run_threads_with_config, ShmDevice,
 };
 pub use lmpi_devices::sock::{run_cluster, run_real_tcp, ClusterNet, ClusterTransport, SockDevice};
-pub use lmpi_devices::udp::{run_real_udp, UdpDevice, UdpRendezvous};
+pub use lmpi_devices::udp::{run_real_udp, UdpDevice};
 
 /// The paper's application kernels (re-exported from `lmpi-apps`).
 pub mod apps {
