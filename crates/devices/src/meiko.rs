@@ -87,7 +87,7 @@ impl Device for MeikoDevice {
                 let nbytes = data.len();
                 if self.variant == MeikoVariant::Mpich {
                     self.proc
-                        .advance(SimDur::from_us_f64(p.mpich_send_ovh_us * 0.5));
+                        .charge(SimDur::from_us_f64(p.mpich_send_ovh_us * 0.5));
                 }
                 self.net.dma(&self.proc, self.rank, dst, wire, nbytes);
             }
@@ -111,7 +111,7 @@ impl Device for MeikoDevice {
                 // the SPARC. This is why Fig. 2's MPICH curve is a constant
                 // offset above the tport curve with no 180-byte bend.
                 let nbytes = data.len();
-                self.proc.advance(SimDur::from_us_f64(p.mpich_send_ovh_us));
+                self.proc.charge(SimDur::from_us_f64(p.mpich_send_ovh_us));
                 let delay = SimDur::from_us_f64(
                     p.tport_base_us + nbytes as f64 * (p.tport_per_byte_us + p.mpich_per_byte_us),
                 );
@@ -124,7 +124,7 @@ impl Device for MeikoDevice {
                 // per-message overhead for the baseline variant.
                 if self.variant == MeikoVariant::Mpich {
                     if let lmpi_core::Packet::RndvReq { .. } = &wire.pkt {
-                        self.proc.advance(SimDur::from_us_f64(p.mpich_send_ovh_us));
+                        self.proc.charge(SimDur::from_us_f64(p.mpich_send_ovh_us));
                     }
                 }
                 let nbytes = Self::ctl_bytes(&wire);
@@ -156,7 +156,7 @@ impl Device for MeikoDevice {
             (_, Cost::Flops(n)) => n as f64 * self.cpu.us_per_flop,
         };
         if us > 0.0 {
-            self.proc.advance(SimDur::from_us_f64(us));
+            self.proc.charge(SimDur::from_us_f64(us));
         }
     }
 

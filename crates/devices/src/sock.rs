@@ -206,7 +206,7 @@ impl MsgChannel for SimTcpChannel {
     }
 
     fn charge_us(&self, us: f64) {
-        self.proc.advance(SimDur::from_us_f64(us));
+        self.proc.charge(SimDur::from_us_f64(us));
     }
 
     fn wtime(&self) -> f64 {
@@ -249,7 +249,7 @@ impl MsgChannel for SimUdpChannel {
     }
 
     fn charge_us(&self, us: f64) {
-        self.proc.advance(SimDur::from_us_f64(us));
+        self.proc.charge(SimDur::from_us_f64(us));
     }
 
     fn wtime(&self) -> f64 {

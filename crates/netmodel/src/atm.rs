@@ -15,6 +15,7 @@ use lmpi_sim::{Sim, SimDur, SimTime};
 use crate::params::AtmParams;
 
 struct Inner {
+    sim: Sim,
     params: AtmParams,
     /// Per-host input link (host → switch) busy time.
     in_link: Vec<Mutex<SimTime>>,
@@ -31,9 +32,10 @@ pub struct AtmFabric {
 
 impl AtmFabric {
     /// A switch with `ports` host ports.
-    pub fn new(_sim: &Sim, ports: usize, params: AtmParams) -> Self {
+    pub fn new(sim: &Sim, ports: usize, params: AtmParams) -> Self {
         AtmFabric {
             inner: Arc::new(Inner {
+                sim: sim.clone(),
                 params,
                 in_link: (0..ports).map(|_| Mutex::new(SimTime::ZERO)).collect(),
                 out_port: (0..ports).map(|_| Mutex::new(SimTime::ZERO)).collect(),
@@ -55,7 +57,8 @@ impl AtmFabric {
 
     /// Book the fabric time for an `nbytes` message from `src` to `dst`,
     /// bytes ready from `t0` at `copy_rate_us` µs/B. Returns last-byte
-    /// arrival at `dst`'s adapter.
+    /// arrival at `dst`'s adapter. The ports are shared between hosts: the
+    /// calling process must have settled its charges.
     pub fn transmit(
         &self,
         src: usize,
@@ -64,6 +67,10 @@ impl AtmFabric {
         nbytes: usize,
         copy_rate_us: f64,
     ) -> SimTime {
+        debug_assert!(
+            self.inner.sim.settled(),
+            "ATM ports booked ahead of the clock"
+        );
         let p = &self.inner.params;
         let mut in_busy = self.inner.in_link[src].lock();
         let mut out_busy = self.inner.out_port[dst].lock();

@@ -14,6 +14,7 @@ use lmpi_sim::{Sim, SimDur, SimTime};
 use crate::params::EthParams;
 
 struct Inner {
+    sim: Sim,
     params: EthParams,
     /// When the shared medium becomes free.
     busy_until: Mutex<SimTime>,
@@ -28,11 +29,12 @@ pub struct EthFabric {
 }
 
 impl EthFabric {
-    /// A fresh segment. The fabric is stateless with respect to `Sim`
-    /// beyond virtual timestamps, so it only needs the parameters.
-    pub fn new(_sim: &Sim, params: EthParams) -> Self {
+    /// A fresh segment. The fabric keeps no events of its own, only
+    /// virtual timestamps; `sim` is kept to check that bookings are settled.
+    pub fn new(sim: &Sim, params: EthParams) -> Self {
         EthFabric {
             inner: Arc::new(Inner {
+                sim: sim.clone(),
                 params,
                 busy_until: Mutex::new(SimTime::ZERO),
                 frames: Mutex::new(0),
@@ -54,7 +56,13 @@ impl EthFabric {
     /// the shared medium. Callers invoke this *after* modelling the copy
     /// (so `t0 + nbytes·copy_rate ≤ now`), which keeps the ledger
     /// consistent: bookings are made in nondecreasing virtual-time order.
+    /// The medium is shared between hosts: the calling process must have
+    /// settled its charges.
     pub fn transmit(&self, t0: SimTime, nbytes: usize, copy_rate_us: f64) -> SimTime {
+        debug_assert!(
+            self.inner.sim.settled(),
+            "Ethernet booked ahead of the clock"
+        );
         let p = &self.inner.params;
         let mut busy = self.inner.busy_until.lock();
         let mut frames = self.inner.frames.lock();

@@ -32,6 +32,7 @@ pub enum Fabric {
 }
 
 impl Fabric {
+    /// Book the link layer for one message; the caller has settled.
     fn transmit(
         &self,
         src: usize,
@@ -57,6 +58,14 @@ struct SockInner<T> {
     rng: Mutex<SplitMix64>,
     /// Datagrams dropped so far (diagnostics).
     dropped: Mutex<u64>,
+}
+
+impl<T> SockInner<T> {
+    /// Draw from the shared loss stream: whether this datagram is dropped.
+    fn lose(&self) -> bool {
+        debug_assert!(self.sim.settled(), "loss drawn ahead of the clock");
+        self.rng.lock().chance(self.loss)
+    }
 }
 
 /// A simulated socket fabric: one endpoint per node, message-oriented for
@@ -143,13 +152,15 @@ impl<T: Send + 'static> SockNode<T> {
     pub fn send(&self, proc: &Proc, dst: usize, msg: T, nbytes: usize) {
         let inner = &self.fabric.inner;
         let p = inner.params;
-        proc.advance(SimDur::from_us_f64(p.send_fixed_us));
+        proc.charge(SimDur::from_us_f64(p.send_fixed_us));
         let t0 = proc.now();
-        proc.advance(SimDur::from_us_f64(nbytes as f64 * p.copy_per_byte_us));
+        proc.charge(SimDur::from_us_f64(nbytes as f64 * p.copy_per_byte_us));
+        // The fabric and the loss stream are shared with the other nodes.
+        proc.settle();
         let arrival = inner
             .fabric
             .transmit(self.node, dst, t0, nbytes, p.copy_per_byte_us);
-        if inner.loss > 0.0 && inner.rng.lock().chance(inner.loss) {
+        if inner.loss > 0.0 && inner.lose() {
             *inner.dropped.lock() += 1;
             return;
         }
@@ -170,7 +181,7 @@ impl<T: Send + 'static> SockNode<T> {
     pub fn recv(&self, proc: &Proc, reads: u32) -> (T, usize) {
         let inner = &self.fabric.inner;
         let msg = inner.inboxes[self.node].pop(proc);
-        proc.advance(SimDur::from_us_f64(
+        proc.charge(SimDur::from_us_f64(
             inner.params.read_fixed_us * reads as f64,
         ));
         msg
@@ -181,7 +192,7 @@ impl<T: Send + 'static> SockNode<T> {
     pub fn recv_timeout(&self, proc: &Proc, reads: u32, timeout: SimDur) -> Option<(T, usize)> {
         let inner = &self.fabric.inner;
         let msg = inner.inboxes[self.node].pop_timeout(proc, timeout)?;
-        proc.advance(SimDur::from_us_f64(
+        proc.charge(SimDur::from_us_f64(
             inner.params.read_fixed_us * reads as f64,
         ));
         Some(msg)
@@ -191,7 +202,7 @@ impl<T: Send + 'static> SockNode<T> {
     pub fn try_recv(&self, proc: &Proc, reads: u32) -> Option<(T, usize)> {
         let inner = &self.fabric.inner;
         let msg = inner.inboxes[self.node].try_pop()?;
-        proc.advance(SimDur::from_us_f64(
+        proc.charge(SimDur::from_us_f64(
             inner.params.read_fixed_us * reads as f64,
         ));
         Some(msg)

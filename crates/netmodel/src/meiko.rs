@@ -94,7 +94,7 @@ impl<T: Send + 'static> MeikoNet<T> {
     /// after the wire time.
     pub fn txn(&self, proc: &Proc, dst: usize, payload: T, nbytes: usize) {
         let p = &self.inner.params;
-        proc.advance(SimDur::from_us_f64(p.txn_issue_us));
+        proc.charge(SimDur::from_us_f64(p.txn_issue_us));
         let wire = SimDur::from_us_f64(p.txn_wire_us + nbytes as f64 * p.txn_per_byte_us);
         let inbox = self.inner.nodes[dst].inbox.clone();
         self.inner.sim.after(wire, move |_| inbox.push(payload));
@@ -106,10 +106,16 @@ impl<T: Send + 'static> MeikoNet<T> {
     /// inbox `dma_notify` after the last byte.
     pub fn dma(&self, proc: &Proc, src: usize, dst: usize, payload: T, nbytes: usize) {
         let p = &self.inner.params;
-        proc.advance(SimDur::from_us_f64(p.dma_setup_us));
+        proc.charge(SimDur::from_us_f64(p.dma_setup_us));
+        // The DMA engine is the node's, not the process's.
+        proc.settle();
         let now = proc.now();
         let xfer = SimDur::from_us_f64(nbytes as f64 * p.dma_per_byte_us);
         let done = {
+            debug_assert!(
+                self.inner.sim.settled(),
+                "DMA engine booked ahead of the clock"
+            );
             let mut busy = self.inner.nodes[src].dma_busy_until.lock();
             let start = (*busy).max(now);
             *busy = start + xfer;
@@ -129,7 +135,7 @@ impl<T: Clone + Send + 'static> MeikoNet<T> {
     /// `txn_issue`.
     pub fn hw_bcast(&self, proc: &Proc, dsts: &[usize], payload: T, nbytes: usize) {
         let p = &self.inner.params;
-        proc.advance(SimDur::from_us_f64(p.txn_issue_us));
+        proc.charge(SimDur::from_us_f64(p.txn_issue_us));
         let wire = SimDur::from_us_f64(p.bcast_base_us + nbytes as f64 * p.bcast_per_byte_us);
         let inboxes: Vec<SimQueue<T>> = dsts
             .iter()
@@ -181,7 +187,7 @@ impl Tport {
         let p = *self.net.params();
         let nbytes = data.len();
         // The tport hands off quickly; the SPARC is busy only briefly.
-        proc.advance(SimDur::from_us_f64(p.txn_issue_us * 0.4));
+        proc.charge(SimDur::from_us_f64(p.txn_issue_us * 0.4));
         let wire = SimDur::from_us_f64(
             (p.tport_base_us - p.txn_issue_us * 0.4) + nbytes as f64 * p.tport_per_byte_us,
         );

@@ -32,9 +32,32 @@
 //! after the token was seen, and make one later `park` on that thread
 //! return at once. std's blocking primitives already tolerate such
 //! spurious wake-ups.
+//!
+//! # Running ahead
+//!
+//! [`Proc::charge`] records CPU time without giving the token up: the
+//! process keeps running, and its clock ([`Proc::now`], [`Sim::now`]) reads
+//! the settled time plus the charges not yet settled. Every call into the
+//! simulator settles first: [`Sim::after`], [`Sim::spawn`], every
+//! [`SimQueue`](crate::SimQueue) call, a park, [`Proc::advance`] and
+//! [`Proc::yield_now`], the process's exit (a panicking one included, so
+//! the first panic is still chosen in virtual-time order), and
+//! [`Proc::settle`]. A settle queues the first charge as its own
+//! `advance` would have and gives the token up; when that wake fires, the
+//! event loop queues the next charge itself, with a fresh sequence number
+//! under a new epoch, and hands no token over. So each charge ends at the
+//! same `(time, seq)` as separate `advance`s would have given it, with one
+//! hand-off for the whole chain instead of one per charge.
+//!
+//! `charge` promises exactly that equivalence, and no more: the process
+//! runs ahead of every other process. State it shares with other processes
+//! *outside* the simulator (a network model's port ledger, a shared random
+//! stream) is read and written at the settled time only if the process
+//! calls [`Proc::settle`] (or `advance`) before touching it; such accessors
+//! `debug_assert!` [`Sim::settled`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
@@ -112,6 +135,9 @@ struct ProcSlot {
     /// The process's OS thread, unparked when the token is handed to it.
     thread: Thread,
     join: Option<JoinHandle<()>>,
+    /// Settled charges still to replay after the wake in the queue, oldest
+    /// first: `dispatch` queues each one when the wake before it fires.
+    chain: VecDeque<SimDur>,
 }
 
 type StateGuard<'a> = MutexGuard<'a, SchedState>;
@@ -134,40 +160,36 @@ struct SchedState {
     /// The thread in [`Sim::run`], unparked when the token comes back to
     /// it; recorded when `run` starts.
     run_thread: Option<Thread>,
+    /// Charges the token holder has run ahead through ([`Proc::charge`]),
+    /// oldest first. Empty whenever the event loop runs.
+    ahead: Vec<SimDur>,
+    /// Their sum: the holder's clock reads `now + ahead_sum`.
+    ahead_sum: SimDur,
 }
 
-pub(crate) struct Core {
+impl SchedState {
+    /// Queue `kind` at `at`, behind everything queued before it for `at`.
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        debug_assert!(at >= self.now, "cannot schedule in the past");
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse(QueuedEvent { at, seq, kind }));
+    }
+
+    /// Queue `pid`'s wake `d` from now under a new epoch: one advance.
+    fn advance(&mut self, pid: ProcId, d: SimDur) {
+        let slot = &mut self.procs[pid];
+        slot.epoch += 1;
+        let token = WakeToken {
+            pid,
+            epoch: slot.epoch,
+        };
+        self.push(self.now + d, EventKind::Wake(token));
+    }
+}
+
+struct Core {
     state: Mutex<SchedState>,
-}
-
-impl Core {
-    fn schedule_wake_locked(&self, st: &mut SchedState, at: SimTime, token: WakeToken) {
-        debug_assert!(at >= st.now, "cannot schedule in the past");
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Reverse(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Wake(token),
-        }));
-    }
-
-    /// Wake `pid` at the current virtual time if it is parked at `epoch`.
-    pub(crate) fn wake_now(&self, token: WakeToken) {
-        let mut st = self.state.lock();
-        if let Some(slot) = st.procs.get(token.pid) {
-            if slot.status == ProcStatus::Parked && slot.epoch == token.epoch {
-                let now = st.now;
-                // Mark runnable so duplicate wakes are not queued.
-                st.procs[token.pid].status = ProcStatus::Runnable;
-                self.schedule_wake_locked(&mut st, now, token);
-            }
-        }
-    }
-
-    pub(crate) fn now(&self) -> SimTime {
-        self.state.lock().now
-    }
 }
 
 /// Handle to a simulation. Cheap to clone; all clones refer to the same run.
@@ -198,18 +220,76 @@ impl Sim {
                     poisoned: false,
                     switches: 0,
                     run_thread: None,
+                    ahead: Vec::new(),
+                    ahead_sum: SimDur::ZERO,
                 }),
             }),
         }
     }
 
-    pub(crate) fn core(&self) -> &Arc<Core> {
-        &self.core
+    /// Current virtual time: the running process's settled time plus the
+    /// charges it has run ahead through.
+    pub fn now(&self) -> SimTime {
+        let st = self.core.state.lock();
+        st.now + st.ahead_sum
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.core.now()
+    /// Whether the running process has no charge left to settle: what
+    /// model state shared between processes asserts before it is touched.
+    pub fn settled(&self) -> bool {
+        self.core.state.lock().ahead.is_empty()
+    }
+
+    /// Hand-offs of the run token from one OS thread to another so far.
+    /// Each is an `unpark` and a `park`: the simulator's cost per event.
+    /// A deterministic program makes the same number on every run.
+    pub fn switches(&self) -> u64 {
+        self.core.state.lock().switches
+    }
+
+    /// Settle the running process's charges (see the module docs); a
+    /// no-op when nothing is ahead, as always in a timer callback.
+    pub(crate) fn settle(&self) {
+        drop(self.lock_settled());
+    }
+
+    /// The state lock, taken once the token holder's charges are settled:
+    /// the first is queued as an advance, the token is given up, and the
+    /// lock comes back when the last charge has elapsed.
+    fn lock_settled(&self) -> StateGuard<'_> {
+        let mut st = self.core.state.lock();
+        if st.ahead.is_empty() {
+            return st;
+        }
+        let Token::Proc(pid) = st.token else {
+            unreachable!("charges recorded outside a process")
+        };
+        debug_assert_eq!(
+            thread::current().id(),
+            st.procs[pid].thread.id(),
+            "settle off the token holder's thread"
+        );
+        let mut ahead = std::mem::take(&mut st.ahead);
+        st.ahead_sum = SimDur::ZERO;
+        let mut charges = ahead.drain(..);
+        let first = charges.next().expect("ahead is not empty");
+        st.procs[pid].chain.extend(charges);
+        st.ahead = ahead;
+        st.advance(pid, first);
+        self.yield_token(st, pid)
+    }
+
+    /// Wake `pid` at the current virtual time if it is parked at `epoch`.
+    pub(crate) fn wake_now(&self, token: WakeToken) {
+        let mut st = self.lock_settled();
+        if let Some(slot) = st.procs.get_mut(token.pid) {
+            if slot.status == ProcStatus::Parked && slot.epoch == token.epoch {
+                // Mark runnable so duplicate wakes are not queued.
+                slot.status = ProcStatus::Runnable;
+                let now = st.now;
+                st.push(now, EventKind::Wake(token));
+            }
+        }
     }
 
     /// Run `f` after `delay` of virtual time.
@@ -220,15 +300,9 @@ impl Sim {
     /// callback that panics fails the run: [`Sim::run`] panics with its
     /// message.
     pub fn after(&self, delay: SimDur, f: impl FnOnce(&Sim) + Send + 'static) {
-        let mut st = self.core.state.lock();
+        let mut st = self.lock_settled();
         let at = st.now + delay;
-        let seq = st.seq;
-        st.seq += 1;
-        st.queue.push(Reverse(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Call(Box::new(f)),
-        }));
+        st.push(at, EventKind::Call(Box::new(f)));
     }
 
     /// Spawn a simulated process. Its closure starts executing at the current
@@ -242,7 +316,7 @@ impl Sim {
         let name = name.into();
         // The new thread waits for the lock held here, so its slot exists
         // before it first looks for the token.
-        let mut st = self.core.state.lock();
+        let mut st = self.lock_settled();
         let pid = st.procs.len();
         let sim = self.clone();
         let handle = thread::Builder::new()
@@ -250,7 +324,7 @@ impl Sim {
             .spawn(move || {
                 let proc = Proc { sim, pid };
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    proc.wait_for_token();
+                    drop(proc.sim.wait_for_token(pid));
                     f(&proc)
                 }));
                 proc.finish(result);
@@ -262,11 +336,11 @@ impl Sim {
             epoch: 0,
             thread: handle.thread().clone(),
             join: Some(handle),
+            chain: VecDeque::new(),
         });
         st.live += 1;
         let now = st.now;
-        self.core
-            .schedule_wake_locked(&mut st, now, WakeToken { pid, epoch: 0 });
+        st.push(now, EventKind::Wake(WakeToken { pid, epoch: 0 }));
         pid
     }
 
@@ -281,8 +355,10 @@ impl Sim {
     pub fn run(&self) {
         let mut st = self.core.state.lock();
         st.run_thread = Some(thread::current());
-        self.dispatch(st, Token::Run);
-        let mut st = self.wait_until(|st| st.token == Token::Run);
+        let mut st = match self.dispatch(st, Token::Run) {
+            Some(st) => st,
+            None => self.wait_until(|st| st.token == Token::Run),
+        };
         if let Some(msg) = st.panicked.take() {
             // Poison the run so parked processes unwind rather than wait
             // forever, then join everything and propagate.
@@ -316,13 +392,14 @@ impl Sim {
     }
 
     /// The event loop, run by `me`, the thread giving up the run token.
-    /// Pops events in `(time, seq)` order, running callbacks inline, until
-    /// the first live wake, and gives the token to that process; to `run`
-    /// once the queue is empty or a panic is recorded. Consumes the lock.
-    /// Returns whether `me` still holds the token; if not, the new holder's
-    /// thread is unparked once the lock is released, and the caller must
-    /// wait (or exit).
-    fn dispatch<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> bool {
+    /// Pops events in `(time, seq)` order, running callbacks inline and
+    /// replaying settled charge chains, until the first live wake, and
+    /// gives the token to that process; to `run` once the queue is empty or
+    /// a panic is recorded. Returns the lock if `me` still holds the token;
+    /// if not, the new holder's thread is unparked once the lock is
+    /// released, and the caller must wait (or exit).
+    fn dispatch<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> Option<StateGuard<'a>> {
+        debug_assert!(st.ahead.is_empty(), "event loop ran with charges unsettled");
         let next = loop {
             if st.panicked.is_some() || st.poisoned {
                 break Token::Run;
@@ -337,6 +414,12 @@ impl Sim {
                     let slot = &mut st.procs[token.pid];
                     // Drop stale wakes (process moved on or finished).
                     if slot.status == ProcStatus::Finished || slot.epoch != token.epoch {
+                        continue;
+                    }
+                    if let Some(d) = slot.chain.pop_front() {
+                        // The process's next advance, made at this instant
+                        // as its own call would have made it.
+                        st.advance(token.pid, d);
                         continue;
                     }
                     slot.status = ProcStatus::Runnable;
@@ -356,7 +439,7 @@ impl Sim {
         };
         st.token = next;
         if next == me {
-            return true;
+            return Some(st);
         }
         st.switches += 1;
         let thread = match next {
@@ -367,7 +450,29 @@ impl Sim {
         // would go back to sleep and need a second switch to get it.
         drop(st);
         thread.unpark();
-        false
+        None
+    }
+
+    /// Give the token up from `pid`'s thread: run the event loop, then wait
+    /// until the token comes back (at once, with no thread switch, when
+    /// `pid`'s own wake is the next live event). Returns the lock.
+    fn yield_token<'a>(&'a self, st: StateGuard<'a>, pid: ProcId) -> StateGuard<'a> {
+        match self.dispatch(st, Token::Proc(pid)) {
+            Some(st) => st,
+            None => self.wait_for_token(pid),
+        }
+    }
+
+    fn wait_for_token(&self, pid: ProcId) -> StateGuard<'_> {
+        let me = Token::Proc(pid);
+        let st = self.wait_until(|st| st.token == me || st.poisoned);
+        if st.poisoned {
+            // A process or callback panicked and the run is being torn down;
+            // unwind this thread too so `run()` can finish joining.
+            drop(st);
+            panic!("simulation aborted after a panic elsewhere in the run");
+        }
+        st
     }
 
     /// Park the calling thread until `ready` holds, and return the lock.
@@ -432,7 +537,7 @@ impl Proc {
         self.pid
     }
 
-    /// Current virtual time.
+    /// Current virtual time, charges not yet settled included.
     pub fn now(&self) -> SimTime {
         self.sim.now()
     }
@@ -450,21 +555,25 @@ impl Proc {
     /// Advance the virtual clock by `d`, modelling local computation or a
     /// fixed processing overhead. Other events fire in the meantime.
     pub fn advance(&self, d: SimDur) {
+        self.charge(d);
+        self.settle();
+    }
+
+    /// Charge `d` of CPU time and keep running: [`Proc::advance`] without
+    /// giving the token up until the next call into the simulator settles
+    /// it ("Running ahead" in the module docs).
+    pub fn charge(&self, d: SimDur) {
         let mut st = self.sim.core.state.lock();
-        debug_assert_eq!(st.token, Token::Proc(self.pid), "advance from wrong thread");
-        st.procs[self.pid].epoch += 1;
-        let epoch = st.procs[self.pid].epoch;
-        let at = st.now + d;
-        self.sim.core.schedule_wake_locked(
-            &mut st,
-            at,
-            WakeToken {
-                pid: self.pid,
-                epoch,
-            },
-        );
-        // Stay Runnable: the wake is already queued.
-        self.yield_token(st);
+        debug_assert_eq!(st.token, Token::Proc(self.pid), "charge from wrong thread");
+        st.ahead.push(d);
+        st.ahead_sum += d;
+    }
+
+    /// Let every charge made so far elapse, exactly as the same sequence of
+    /// [`Proc::advance`]s would. Call it before touching model state shared
+    /// with other processes outside the simulator.
+    pub fn settle(&self) {
+        self.sim.settle();
     }
 
     /// Let all other events scheduled for the current instant run first.
@@ -475,7 +584,7 @@ impl Proc {
     /// Park this process and return a token with which sync primitives can
     /// wake it. Internal to the sync module.
     pub(crate) fn prepare_park(&self) -> WakeToken {
-        let mut st = self.sim.core.state.lock();
+        let mut st = self.sim.lock_settled();
         debug_assert_eq!(st.token, Token::Proc(self.pid), "park from wrong thread");
         st.procs[self.pid].epoch += 1;
         let epoch = st.procs[self.pid].epoch;
@@ -491,7 +600,8 @@ impl Proc {
     pub(crate) fn park(&self) {
         let st = self.sim.core.state.lock();
         debug_assert_eq!(st.token, Token::Proc(self.pid));
-        self.yield_token(st);
+        debug_assert!(st.ahead.is_empty(), "charged between prepare_park and park");
+        drop(self.sim.yield_token(st, self.pid));
     }
 
     /// Schedule a wake for ourselves at `now + d` under the current park
@@ -499,39 +609,25 @@ impl Proc {
     /// and `park`.
     pub(crate) fn schedule_timeout(&self, token: WakeToken, d: SimDur) {
         let mut st = self.sim.core.state.lock();
+        debug_assert!(st.ahead.is_empty(), "charged between prepare_park and park");
         let at = st.now + d;
         // A timeout wake must mark the proc Runnable when it fires; wake
         // events for Parked procs do that in the event loop, but we must
         // not enqueue a *second* wake if something else already woke us —
         // the epoch check in the event loop handles that, and waking an
         // already-Runnable proc is prevented by the status check there too.
-        self.sim.core.schedule_wake_locked(&mut st, at, token);
+        st.push(at, EventKind::Wake(token));
     }
 
-    /// Run the event loop on this thread, then wait until the token comes
-    /// back: at once, with no thread switch, when our own wake is the next
-    /// live event.
-    fn yield_token(&self, st: StateGuard<'_>) {
-        if !self.sim.dispatch(st, Token::Proc(self.pid)) {
-            self.wait_for_token();
-        }
-    }
-
-    fn wait_for_token(&self) {
-        let me = Token::Proc(self.pid);
-        let st = self.sim.wait_until(|st| st.token == me || st.poisoned);
-        if st.poisoned {
-            // A process or callback panicked and the run is being torn down;
-            // unwind this thread too so `run()` can finish joining.
-            drop(st);
-            panic!("simulation aborted after a panic elsewhere in the run");
-        }
-    }
-
-    /// The exit path of a process thread: record a panic, then run the
-    /// event loop once more to hand the token on. A finished process's
+    /// The exit path of a process thread: settle, record a panic, then run
+    /// the event loop once more to hand the token on. A finished process's
     /// wakes are all stale, so the token never comes back to it.
     fn finish(&self, result: std::thread::Result<()>) {
+        // The exit, and a panic's claim to be the run's first, happen when
+        // the last charge has elapsed. A settle that unwinds met a poisoned
+        // run, which already carries its message.
+        let settled = panic::catch_unwind(AssertUnwindSafe(|| self.settle()));
+        let result = result.and(settled);
         let mut st = self.sim.core.state.lock();
         st.procs[self.pid].status = ProcStatus::Finished;
         // Bump the epoch so any in-flight wake events for us are stale.
@@ -547,7 +643,7 @@ impl Proc {
                 ));
             }
         }
-        self.sim.dispatch(st, Token::Proc(self.pid));
+        drop(self.sim.dispatch(st, Token::Proc(self.pid)));
     }
 }
 
@@ -664,6 +760,24 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("bad", |_p| panic!("boom"));
         sim.run();
+    }
+
+    #[test]
+    fn a_panic_after_charges_is_recorded_when_they_end() {
+        // a's panic comes first in real time but at 10 µs of virtual time,
+        // after b's at 5 µs: the exit path settles before it records.
+        let sim = Sim::new();
+        sim.spawn("a", |p| {
+            p.charge(SimDur::from_us(10));
+            panic!("a boom");
+        });
+        sim.spawn("b", |p| {
+            p.advance(SimDur::from_us(5));
+            panic!("b boom");
+        });
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must fail");
+        let msg = payload_to_string(err.as_ref());
+        assert!(msg.contains("process 'b' panicked: b boom"), "{msg}");
     }
 
     #[test]

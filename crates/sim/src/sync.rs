@@ -5,7 +5,9 @@
 //! parks the process thread, which runs the event loop until it hands the
 //! run token to the next process. Waking is always mediated by the event
 //! queue, so wake order is deterministic (FIFO among waiters, at the
-//! virtual instant of the wake).
+//! virtual instant of the wake). Every call settles the calling process's
+//! charges first ([`Proc::charge`]), so it acts at the time the same
+//! process would have reached with `advance`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -50,18 +52,20 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Append an item, waking the longest-waiting consumer if any.
     pub fn push(&self, item: T) {
+        self.sim.settle();
         let waiter = {
             let mut inner = self.inner.lock();
             inner.items.push_back(item);
             inner.waiters.pop_front()
         };
         if let Some(token) = waiter {
-            self.sim.core().wake_now(token);
+            self.sim.wake_now(token);
         }
     }
 
     /// Remove the head item without blocking.
     pub fn try_pop(&self) -> Option<T> {
+        self.sim.settle();
         self.inner.lock().items.pop_front()
     }
 
@@ -98,6 +102,7 @@ impl<T: Send + 'static> SimQueue<T> {
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
+        self.sim.settle();
         self.inner.lock().items.len()
     }
 

@@ -8,7 +8,7 @@
 //! each folded into one; re-capture them only in a PR that changes the
 //! protocol on purpose, and say so there.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use lmpi::apps::{linsolve, particles};
@@ -21,8 +21,10 @@ use lmpi::sim::params::{AtmParams, EthParams, MeikoParams, SocketParams};
 use lmpi::sim::{Proc, Sim};
 use lmpi::{
     run_cluster, run_meiko, ClusterNet, ClusterTransport, Communicator, MeikoVariant, Mpi,
-    MpiConfig, ReduceOp, Tracer,
+    MpiConfig, ReduceOp, SockDevice, Tracer,
 };
+use lmpi_core::Wire;
+use lmpi_devices::sock::SimTcpChannel;
 use lmpi_sim::within;
 
 /// Virtual nanoseconds of one `nbytes` ping-pong between ranks 0 and 1
@@ -102,29 +104,67 @@ fn cluster_md_step() {
         ClusterNet::Atm,
         ClusterTransport::Tcp,
         MpiConfig::device_defaults(),
-        |mpi: Mpi| {
-            let world = mpi.world();
-            let ps = particles::generate_particles(128, 7);
-            let mut blob = vec![0u8; 4 << 10];
-            let mut step_ns = 0;
-            for step in 0..2u8 {
-                if world.rank() == 0 {
-                    blob.fill(step + 1);
-                }
-                let t0 = mpi.wtime();
-                let forces = particles::forces_ring(&world, &ps).unwrap();
-                let local: f64 = forces.iter().map(|(fx, fy)| fx.abs() + fy.abs()).sum();
-                let total = world.allreduce(&[local], ReduceOp::Sum).unwrap()[0];
-                world.bcast(&mut blob, 0).unwrap();
-                step_ns = ((mpi.wtime() - t0) * 1e9).round() as u64;
-                assert!(total > 0.0);
-                assert!(blob.iter().all(|&b| b == step + 1));
-            }
-            (step_ns, mpi.counters().wires_handled)
-        },
+        md_two_steps,
     );
     let frames: u64 = out.iter().map(|o| o.1).sum();
     assert_eq!((out[0].0, frames), (12_795_495, 174));
+}
+
+/// One rank of [`cluster_md_step`]: a warm-up step, then the timed one.
+fn md_two_steps(mpi: Mpi) -> (u64, u64) {
+    let world = mpi.world();
+    let ps = particles::generate_particles(128, 7);
+    let mut blob = vec![0u8; 4 << 10];
+    let mut step_ns = 0;
+    for step in 0..2u8 {
+        if world.rank() == 0 {
+            blob.fill(step + 1);
+        }
+        let t0 = mpi.wtime();
+        let forces = particles::forces_ring(&world, &ps).unwrap();
+        let local: f64 = forces.iter().map(|(fx, fy)| fx.abs() + fy.abs()).sum();
+        let total = world.allreduce(&[local], ReduceOp::Sum).unwrap()[0];
+        world.bcast(&mut blob, 0).unwrap();
+        step_ns = ((mpi.wtime() - t0) * 1e9).round() as u64;
+        assert!(total > 0.0);
+        assert!(blob.iter().all(|&b| b == step + 1));
+    }
+    (step_ns, mpi.counters().wires_handled)
+}
+
+/// The simulator's run-token hand-offs for [`cluster_md_step`]'s job. The
+/// job is built here as `run_cluster` builds it (same fabric, seed, spawn
+/// order and names), so that the test holds the `Sim`; its virtual result
+/// must equal `cluster_md_step`'s literal. Hand-offs follow from the event
+/// order alone, so the count is exact and the same on every run.
+#[test]
+fn cluster_md_step_hand_offs() {
+    const RANKS: usize = 8;
+    let job = || {
+        let sim = Sim::new();
+        let fabric = Fabric::Atm(AtmFabric::new(&sim, RANKS, AtmParams::default()));
+        let sock: SockFabric<Wire> =
+            SockFabric::new(&sim, RANKS, fabric, SocketParams::tcp_atm(), 0.0, 12345);
+        let out = Arc::new(lmpi_sim::lock::Mutex::new(vec![(0, 0); RANKS]));
+        for rank in 0..RANKS {
+            let (node, out) = (sock.node(rank), out.clone());
+            sim.spawn(format!("rank{rank}"), move |p| {
+                let chan = SimTcpChannel::new(node, p.clone());
+                let dev = SockDevice::new(chan, rank, RANKS);
+                out.lock()[rank] =
+                    md_two_steps(Mpi::new(Box::new(dev), MpiConfig::device_defaults()));
+            });
+        }
+        sim.run();
+        let out = out.lock();
+        let frames: u64 = out.iter().map(|o| o.1).sum();
+        (out[0].0, frames, sim.switches())
+    };
+    let first = within(Duration::from_secs(120), job);
+    assert_eq!(first, (12_795_495, 174, 476));
+    for _ in 0..19 {
+        assert_eq!(within(Duration::from_secs(120), job), first);
+    }
 }
 
 /// The generated Table 1 on simulated TCP over ATM, as
