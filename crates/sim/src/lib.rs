@@ -7,8 +7,9 @@
 //! up runs the event loop and hands it straight to the next process, so every
 //! run is exactly reproducible and free of data races by construction.
 //! Blocking process code (each MPI rank) reads like ordinary sequential code;
-//! cost models advance the virtual clock via [`Proc::advance`] and timer
-//! callbacks via [`Sim::after`].
+//! cost models charge CPU time with [`Proc::charge`] (the process runs ahead
+//! and settles at its next simulator call) or [`Proc::advance`], and
+//! schedule timer callbacks with [`Sim::after`].
 //!
 //! ```
 //! use lmpi_sim::{Sim, SimDur, SimQueue};

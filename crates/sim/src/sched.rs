@@ -518,8 +518,9 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Per-process handle passed to each spawned closure.
 ///
-/// All blocking operations (`advance`, and the waits on the primitives in
-/// [`crate::sync`]) must be called only from the owning process thread.
+/// Its clock operations (`charge`, `settle`, `advance`) and the waits on a
+/// [`SimQueue`](crate::SimQueue) must be called only from the owning
+/// process thread.
 #[derive(Clone)]
 pub struct Proc {
     sim: Sim,
