@@ -70,9 +70,10 @@ lmpi_obs::counter_struct! {
     /// device stack. Layered devices (`ReliableDevice` over `FaultyDevice`
     /// over a base transport) merge their own tallies with their inner
     /// device's (`merged`), so [`crate::Mpi::transport_stats`] sees the
-    /// whole stack. All fields are cumulative frame counts; each is
-    /// exported as `lmpi_transport_<field>_total` by the metrics snapshot,
-    /// with the first sentence of its doc as the family's HELP.
+    /// whole stack. All fields are cumulative counts (of frames, peers or
+    /// waits, as each says); each is exported as
+    /// `lmpi_transport_<field>_total` by the metrics snapshot, with the
+    /// first sentence of its doc as the family's HELP.
     #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
     pub struct TransportStats {
         /// Data frames accepted for (first) transmission by a reliability layer.
@@ -105,6 +106,11 @@ lmpi_obs::counter_struct! {
         pub peers_suspected: u64,
         /// Peers declared dead (terminal; each peer counts at most once).
         pub peers_dead: u64,
+        /// Times this rank's consumer parked on its empty shm inbox.
+        pub inbox_parks: u64,
+        /// Times a send found this rank's shm inbox consumer parked and
+        /// woke it.
+        pub inbox_wakes: u64,
     }
 }
 
@@ -244,8 +250,8 @@ pub trait Device: Send + Sync {
     /// installed separately via [`crate::Mpi::set_tracer`].
     fn set_tracer(&mut self, _tracer: Tracer) {}
 
-    /// Cumulative reliability / fault-injection statistics for this device
-    /// stack (zeroes for transports with neither layer).
+    /// Cumulative reliability, fault-injection and inbox statistics for
+    /// this device stack (zero in every field no layer of it counts).
     fn transport_stats(&self) -> TransportStats {
         TransportStats::default()
     }

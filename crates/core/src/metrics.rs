@@ -406,7 +406,8 @@ mod tests {
                 r#"es_helped":0},"#,
                 r#""transport":{"data_frames_sent":0,"retransmits":5,"dup_suppressed":0,"ooo_dropped":0,"pu"#,
                 r#"re_acks_sent":0,"reassembly_evicted":4,"faults_dropped":0,"faults_duplicated":0,"faults_"#,
-                r#"reordered":0,"faults_delayed":0,"heartbeats_sent":11,"peers_suspected":0,"peers_dead":1}"#,
+                r#"reordered":0,"faults_delayed":0,"heartbeats_sent":11,"peers_suspected":0,"peers_dead":1,"#,
+                r#""inbox_parks":0,"inbox_wakes":0}"#,
                 r#","hists":[{"name":"pingpong_half_trip","summary":{"count":3,"min_ns":100,"max_ns":300,"m"#,
                 r#"ean_ns":200,"p50_ns":207,"p90_ns":300,"p99_ns":300,"p999_ns":300}}],"coll_dispatch":[{"c"#,
                 r#"ollective":"barrier","algorithm":"dissemination","count":3},{"collective":"allreduce","a"#,

@@ -668,8 +668,9 @@ impl Mpi {
         self.inner.eng.lock().tracer = tracer;
     }
 
-    /// Cumulative reliability / fault-injection statistics from the device
-    /// stack under this rank (zeroes for plain transports).
+    /// Cumulative reliability, fault-injection and inbox statistics from
+    /// the device stack under this rank (zero in every field no layer of
+    /// it counts).
     pub fn transport_stats(&self) -> TransportStats {
         self.inner.device.transport_stats()
     }

@@ -29,7 +29,9 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lmpi_core::{Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, Wait, Wire};
+use lmpi_core::{
+    Device, DeviceDefaults, Mpi, MpiConfig, MpiResult, Rank, TransportStats, Wait, Wire,
+};
 use lmpi_obs::Tracer;
 use lmpi_sim::lock::{Mutex, Sleepers};
 
@@ -74,6 +76,10 @@ struct InboxState {
     consumer: Sleepers,
     /// The owning device was dropped: frames sent here are discarded.
     closed: bool,
+    /// [`TransportStats::inbox_parks`].
+    parks: u64,
+    /// [`TransportStats::inbox_wakes`].
+    wakes: u64,
 }
 
 impl Inbox {
@@ -86,6 +92,9 @@ impl Inbox {
             return;
         }
         st.frames.push_back(wire);
+        if !st.consumer.is_empty() {
+            st.wakes += 1;
+        }
         let wake = st.consumer.take();
         drop(st);
         wake.wake();
@@ -114,6 +123,7 @@ impl Inbox {
                 std::thread::current().id(),
                 st.consumer,
             );
+            st.parks += 1;
             timed_out = !Sleepers::park(&self.0, &mut st, |s| &mut s.consumer, deadline);
         }
     }
@@ -199,6 +209,15 @@ impl Device for ShmDevice {
 
     fn substrate(&self) -> &'static str {
         "shm"
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        let st = self.inbox().0.lock();
+        TransportStats {
+            inbox_parks: st.parks,
+            inbox_wakes: st.wakes,
+            ..TransportStats::default()
+        }
     }
 }
 
@@ -394,6 +413,36 @@ mod tests {
             }
             echo.join().unwrap();
         });
+    }
+
+    #[test]
+    fn parks_and_wakes_count_each_park_and_each_wake() {
+        let counts = |d: &ShmDevice| {
+            let t = d.transport_stats();
+            (t.inbox_parks, t.inbox_wakes)
+        };
+        // A frame already queued is popped with no park and no wake.
+        let d = ShmDevice::fabric(1).pop().expect("one device");
+        d.send(0, numbered(0, 1));
+        assert_eq!(d.recv_blocking().unwrap().seq, 1);
+        assert_eq!(counts(&d), (0, 0));
+        // A wait that runs out parks once and is woken by no one.
+        assert!(d.recv(until(Duration::from_millis(1))).unwrap().is_none());
+        assert_eq!(counts(&d), (1, 0));
+        // A send to a parked consumer wakes it, once.
+        let mut fabric = ShmDevice::fabric(2).into_iter();
+        let (d0, d1) = (fabric.next().unwrap(), fabric.next().unwrap());
+        let got = within(Duration::from_secs(10), move || {
+            thread::scope(|s| {
+                let waiter = s.spawn(|| d0.recv_blocking().unwrap().seq);
+                while !sleeper_registered(&d0) {
+                    thread::yield_now();
+                }
+                d1.send(0, numbered(1, 7));
+                (waiter.join().unwrap(), counts(&d0))
+            })
+        });
+        assert_eq!(got, (7, (1, 1)));
     }
 
     #[test]
