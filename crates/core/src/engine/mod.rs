@@ -81,9 +81,14 @@ lmpi_obs::counter_struct! {
         /// [`crate::Mpi::counters`] from the matching engine.
         pub unexpected_hits: u64,
         /// High-water mark of simultaneously occupied matching bins (posted +
-        /// unexpected hash bins; wildcard queue excluded). Unit: bins. Filled
-        /// in by [`crate::Mpi::counters`] from the matching engine.
+        /// unexpected hash bins; wildcard queue excluded). Unit: bins, so
+        /// it measures how many keys were live, not how deep any one was.
+        /// Filled in by [`crate::Mpi::counters`] from the matching engine.
         pub match_bins_hwm: u64,
+        /// High-water mark of the receives queued in one posted matching
+        /// bin. Unit: receives. Filled in by [`crate::Mpi::counters`] from
+        /// the matching engine.
+        pub match_bin_depth_hwm: u64,
         /// Times the background progress thread woke up and advanced protocol
         /// state (handled at least one frame or peer-failure verdict). Zero
         /// on substrates without the thread, and near zero while callers
@@ -324,6 +329,7 @@ impl Engine {
         c.matches = self.match_eng.matches;
         c.unexpected_hits = self.match_eng.unexpected_hits;
         c.match_bins_hwm = self.match_eng.bins_hwm;
+        c.match_bin_depth_hwm = self.match_eng.bin_depth_hwm;
         c.pool_grows = self.payload_pool.grows();
         c
     }
@@ -687,6 +693,37 @@ mod testkit {
 mod tests {
     use super::testkit::*;
     use super::*;
+
+    /// The diagnostics' bin-skew rule reads the deepest posted bin: two
+    /// windows of receives on 64 distinct tags (the `shm_stream` shape)
+    /// are broad, not deep; two windows of 16 on one key are deep.
+    #[test]
+    fn bin_skew_is_found_for_a_deep_bin_not_for_many_bins() {
+        let skew = |tags: &[u32]| {
+            let (d0, d1) = (Loopback::new(0, 2), Loopback::new(1, 2));
+            let (mut e0, mut e1) = (engine(0, 2), engine(1, 2));
+            let mut bufs = vec![[0u8; 1]; tags.len()];
+            for _ in 0..2 {
+                for (buf, &tag) in bufs.iter_mut().zip(tags) {
+                    e1.post_recv(&d1, dest(buf), SourceSel::Rank(0), TagSel::Tag(tag), 0);
+                }
+                for &tag in tags {
+                    e0.post_send(&d0, 1, tag, 0, Bytes::from_static(b"x"), SendMode::Standard)
+                        .unwrap();
+                }
+                pump(&mut e0, &d0, &mut e1, &d1);
+            }
+            let stats = e1.metrics_snapshot(&d1).rank_stats();
+            assert_eq!(stats.matches, 2 * tags.len() as u64);
+            let found = lmpi_obs::diagnose(&Default::default(), &[], &[stats])
+                .iter()
+                .any(|d| d.kind == lmpi_obs::DiagKind::MatcherBinSkew);
+            (stats.match_bin_depth_hwm, found)
+        };
+        let distinct: Vec<u32> = (0..64).collect();
+        assert_eq!(skew(&distinct), (1, false));
+        assert_eq!(skew(&[7; 16]), (16, true));
+    }
 
     #[test]
     fn tracer_records_protocol_events_in_order() {

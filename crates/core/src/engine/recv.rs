@@ -608,7 +608,8 @@ mod tests {
     /// One message, delivered with the receive posted first and then with
     /// the message arriving first: the envelope path is one function, so
     /// the two differ only in what the second arrival is charged (posted
-    /// vs buffered copy) and in the unexpected-queue tallies.
+    /// vs buffered copy), in the unexpected-queue tallies and in the
+    /// posted bin's depth.
     #[test]
     fn receive_first_and_message_first_differ_only_in_the_copy() {
         type Outcome = (Status, Vec<u8>, Vec<Cost>, Counters, Counters);
@@ -648,7 +649,9 @@ mod tests {
             let mut counters = e1.folded_counters();
             assert_eq!(counters.unexpected_hits, u64::from(!recv_first));
             assert_eq!(counters.unexpected_hwm, u64::from(!recv_first));
+            assert_eq!(counters.match_bin_depth_hwm, u64::from(recv_first));
             (counters.unexpected_hits, counters.unexpected_hwm) = (0, 0);
+            counters.match_bin_depth_hwm = 0;
             (st, buf, charges, counters, e0.folded_counters())
         }
         for (len, mode) in [

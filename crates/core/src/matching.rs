@@ -175,8 +175,11 @@ pub struct MatchEngine {
     /// Currently non-empty bins (posted and unexpected maps combined).
     occupied_bins: usize,
     /// High-water mark of simultaneously occupied bins (Table 1
-    /// instrumentation; wildcard queue excluded).
+    /// instrumentation; wildcard queue excluded): breadth, not depth.
     pub bins_hwm: u64,
+    /// High-water mark of the receives queued in one posted bin: how far
+    /// a lookup may have to walk past one key.
+    pub bin_depth_hwm: u64,
     /// Total successful matches (Table 1 instrumentation).
     pub matches: u64,
     /// Matches that hit the unexpected queue (message beat the receive).
@@ -268,6 +271,7 @@ impl MatchEngine {
                 let q = self.posted_bins.entry((context, s, t)).or_default();
                 let newly_occupied = q.is_empty();
                 q.push_back(PostedEntry { seq, recv });
+                self.bin_depth_hwm = self.bin_depth_hwm.max(q.len() as u64);
                 if newly_occupied {
                     self.note_bin_occupied();
                 }
@@ -717,5 +721,21 @@ mod tests {
         // Re-occupying a retained bin counts again but stays at the peak.
         m.add_unexpected(rndv(0, 1, 0, 3));
         assert_eq!(m.bins_hwm, 3);
+    }
+
+    #[test]
+    fn bin_depth_hwm_tracks_the_deepest_posted_bin() {
+        let mut m = MatchEngine::new();
+        for tag in 0..64 {
+            m.match_posted(tag as u64, SourceSel::Rank(1), TagSel::Tag(tag), 0);
+        }
+        assert_eq!((m.bins_hwm, m.bin_depth_hwm), (64, 1));
+        for id in 0..16 {
+            m.match_posted(100 + id, SourceSel::Rank(2), TagSel::Tag(5), 0);
+        }
+        assert_eq!((m.bins_hwm, m.bin_depth_hwm), (65, 16));
+        // Draining the bin does not lower the high-water mark.
+        while m.match_incoming(&env(2, 5, 0)).is_some() {}
+        assert_eq!(m.bin_depth_hwm, 16);
     }
 }

@@ -44,9 +44,9 @@ lmpi_obs::json_struct! {
     /// Point-in-time metrics for one rank.
     ///
     /// Counter semantics follow the field docs on [`Counters`] and
-    /// [`TransportStats`]; `unexpected_hwm` and `match_bins_hwm` are
-    /// high-water marks (gauges), `credit_stall_ns` is cumulative
-    /// device-clock nanoseconds, everything else is a cumulative count.
+    /// [`TransportStats`]; the `_hwm` fields are high-water marks
+    /// (gauges), `credit_stall_ns` is cumulative device-clock
+    /// nanoseconds, everything else is a cumulative count.
     #[derive(Clone, Debug)]
     pub struct MetricsSnapshot {
         /// Rank the snapshot describes.
@@ -107,7 +107,7 @@ impl MetricsSnapshot {
             matches: c.matches,
             unexpected_hits: c.unexpected_hits,
             unexpected_hwm: c.unexpected_hwm,
-            match_bins_hwm: c.match_bins_hwm,
+            match_bin_depth_hwm: c.match_bin_depth_hwm,
             data_frames_sent: t.data_frames_sent,
             retransmits: t.retransmits,
             peers_dead: t.peers_dead,
@@ -402,7 +402,7 @@ mod tests {
                 r#"{"rank":1,"t_ns":42000,"counters":{"eager_sent":7,"rndv_sent":0,"rndv_chunks_sent":9,"se"#,
                 r#"nds_queued":0,"acks_sent":0,"credits_sent":0,"bytes_sent":0,"bytes_received":0,"wires_ha"#,
                 r#"ndled":0,"rsend_errors":0,"unexpected_hwm":3,"credit_stall_ns":1234,"matches":0,"unexpec"#,
-                r#"ted_hits":0,"match_bins_hwm":2,"progress_wakeups":0,"progress_frames":0,"pool_grows":0,"rndv_pulled":0,"pull_byt"#,
+                r#"ted_hits":0,"match_bins_hwm":2,"match_bin_depth_hwm":0,"progress_wakeups":0,"progress_frames":0,"pool_grows":0,"rndv_pulled":0,"pull_byt"#,
                 r#"es_helped":0},"#,
                 r#""transport":{"data_frames_sent":0,"retransmits":5,"dup_suppressed":0,"ooo_dropped":0,"pu"#,
                 r#"re_acks_sent":0,"reassembly_evicted":4,"faults_dropped":0,"faults_duplicated":0,"faults_"#,

@@ -645,7 +645,7 @@ impl Mpi {
 
     /// Protocol counters accumulated so far (Table-1 instrumentation).
     /// Matching-engine tallies (`matches`, `unexpected_hits`,
-    /// `match_bins_hwm`) are folded in here so callers see one coherent
+    /// `match_bins_hwm`, `match_bin_depth_hwm`) are folded in here so callers see one coherent
     /// snapshot.
     pub fn counters(&self) -> Counters {
         self.inner.eng.lock().folded_counters()

@@ -75,8 +75,8 @@ pub struct RankStats {
     pub unexpected_hits: u64,
     /// Unexpected-queue high water mark (messages; gauge).
     pub unexpected_hwm: u64,
-    /// Deepest posted-receive matching bin seen (messages; gauge).
-    pub match_bins_hwm: u64,
+    /// Deepest posted-receive matching bin seen (receives; gauge).
+    pub match_bin_depth_hwm: u64,
     /// Data frames the reliability layer transmitted.
     pub data_frames_sent: u64,
     /// Frames the reliability layer retransmitted.
@@ -260,14 +260,14 @@ pub fn diagnose(
         }
 
         // Rule 4: matcher-bin skew.
-        if s.match_bins_hwm >= BIN_SKEW_DEPTH && s.matches >= MIN_MATCHES {
+        if s.match_bin_depth_hwm >= BIN_SKEW_DEPTH && s.matches >= MIN_MATCHES {
             found(
                 DiagKind::MatcherBinSkew,
                 format!(
                     "rank {}'s deepest matching bin held {} posted receives (over {} \
                      matches); many receives share one (context,src,tag) key and \
                      matching degrades toward a linear scan",
-                    s.rank, s.match_bins_hwm, s.matches,
+                    s.rank, s.match_bin_depth_hwm, s.matches,
                 ),
                 |k| matches!(k, EventKind::RecvPosted { .. }),
             );
@@ -438,7 +438,7 @@ mod tests {
         let mut s = stats(1);
         s.unexpected_hwm = 40;
         s.matches = 64;
-        s.match_bins_hwm = 32;
+        s.match_bin_depth_hwm = 32;
         s.unexpected_hits = 40;
         let diags = diagnose(&FlightRecord::default(), &[], &[s]);
         let kinds: Vec<DiagKind> = diags.iter().map(|d| d.kind).collect();
