@@ -17,6 +17,7 @@
 //!   latency to *all* destinations (the CS/2 network broadcasts in the
 //!   fabric, not as repeated point-to-point sends).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lmpi_sim::lock::Mutex;
@@ -156,6 +157,9 @@ impl<T: Clone + Send + 'static> MeikoNet<T> {
 pub struct Tport {
     net: MeikoNet<TportMsg>,
     node: usize,
+    /// Arrivals a `recv` for another tag took off the inbox, oldest
+    /// first.
+    aside: Mutex<VecDeque<TportMsg>>,
 }
 
 /// A tagged tport message.
@@ -177,6 +181,7 @@ impl Tport {
             .map(|node| Tport {
                 net: net.clone(),
                 node,
+                aside: Mutex::new(VecDeque::new()),
             })
             .collect()
     }
@@ -201,18 +206,23 @@ impl Tport {
     }
 
     /// `tport_recv`: block until a message with `tag` arrives (the Elan has
-    /// already matched by tag; out-of-tag messages are queued aside).
+    /// already matched by tag; out-of-tag messages are queued aside). The
+    /// oldest message set aside with `tag` is served first; only a new
+    /// arrival is waited for.
     pub fn recv(&self, proc: &Proc, tag: u32) -> TportMsg {
-        // Simple model: tags arrive in order per benchmark usage; scan the
-        // inbox for the tag, requeueing others.
+        {
+            let mut aside = self.aside.lock();
+            if let Some(at) = aside.iter().position(|m| m.tag == tag) {
+                return aside.remove(at).expect("position is in range");
+            }
+        }
         let inbox = self.net.inbox(self.node);
         loop {
             let msg = inbox.pop(proc);
             if msg.tag == tag {
                 return msg;
             }
-            inbox.push(msg);
-            proc.yield_now();
+            self.aside.lock().push_back(msg);
         }
     }
 
@@ -329,5 +339,39 @@ mod tests {
         sim.run();
         let v = rtt_us(rtt);
         assert!((v - 52.05).abs() < 0.5, "tport 1-byte RTT {v} != 52us");
+    }
+
+    #[test]
+    fn tport_recv_serves_a_tag_that_arrived_behind_another() {
+        // Tag 1 lands first, then tag 2; the receiver asks for 2, then 1,
+        // then 1 again (a second tag-1 message sent last). A receive that
+        // requeues the other tag and waits again spins at one instant for
+        // ever; the bounded wait turns that into a failure.
+        let got = lmpi_sim::within(std::time::Duration::from_secs(3), || {
+            let sim = Sim::new();
+            let mut ports = Tport::fabric(&sim, 2, MeikoParams::default());
+            let p1 = ports.pop().unwrap();
+            let p0 = ports.pop().unwrap();
+            let got = StdArc::new(Mutex::new(Vec::new()));
+            let g = got.clone();
+            sim.spawn("send", move |p| {
+                p0.send(p, 1, 1, vec![10]);
+                p.advance(SimDur::from_us_f64(100.0));
+                p0.send(p, 1, 2, vec![20]);
+                p.advance(SimDur::from_us_f64(100.0));
+                p0.send(p, 1, 1, vec![11]);
+            });
+            sim.spawn("recv", move |p| {
+                for tag in [2, 1, 1] {
+                    let m = p1.recv(p, tag);
+                    assert_eq!((m.src, m.tag), (0, tag));
+                    g.lock().push(m.data[0]);
+                }
+            });
+            sim.run();
+            let got = got.lock().clone();
+            got
+        });
+        assert_eq!(got, [20, 10, 11]);
     }
 }
