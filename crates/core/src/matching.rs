@@ -722,20 +722,4 @@ mod tests {
         m.add_unexpected(rndv(0, 1, 0, 3));
         assert_eq!(m.bins_hwm, 3);
     }
-
-    #[test]
-    fn bin_depth_hwm_tracks_the_deepest_posted_bin() {
-        let mut m = MatchEngine::new();
-        for tag in 0..64 {
-            m.match_posted(tag as u64, SourceSel::Rank(1), TagSel::Tag(tag), 0);
-        }
-        assert_eq!((m.bins_hwm, m.bin_depth_hwm), (64, 1));
-        for id in 0..16 {
-            m.match_posted(100 + id, SourceSel::Rank(2), TagSel::Tag(5), 0);
-        }
-        assert_eq!((m.bins_hwm, m.bin_depth_hwm), (65, 16));
-        // Draining the bin does not lower the high-water mark.
-        while m.match_incoming(&env(2, 5, 0)).is_some() {}
-        assert_eq!(m.bin_depth_hwm, 16);
-    }
 }

@@ -18,8 +18,8 @@
 //! lock released, and looks again before it parks; a poll never yields.
 //! When the sender shares the consumer's CPU, the yield lets it answer
 //! first, so the round trip needs no park, no wake and no timer: an 8 B
-//! MPI round trip of two ranks on one CPU fell from 5.9 to 3.6 µs, and
-//! parks plus wakes per round trip from about 2 to 0 (EXPERIMENTS.md
+//! MPI round trip of two ranks on one CPU fell from 6.4 to 4.6 µs, and
+//! parks plus wakes per round trip from 2.3 to 0.001 (EXPERIMENTS.md
 //! "The shm inbox yields once before it parks"). On an idle CPU the yield
 //! returns at once and costs one system call. The inbox never spins: rank
 //! threads and their progress threads outnumber the CPUs they run on, so
