@@ -85,159 +85,83 @@ pub(crate) fn coll_tag(op: Tag, seq: u32, algo: Tag, step: usize) -> Tag {
 // Algorithm families
 // ---------------------------------------------------------------------
 
-/// Broadcast algorithm family.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BcastAlgo {
-    /// Binomial tree of point-to-point messages (latency-optimal).
-    Binomial,
-    /// Root scatters equal blocks, then a ring allgather reassembles them
-    /// (van de Geijn; bandwidth-optimal for large payloads).
-    ScatterAllgather,
-    /// The device's hardware broadcast (Meiko CS/2). Pinning this on a
-    /// device without one yields a typed `Unsupported` error.
-    Hw,
+/// Declare an algorithm family: a subset of [`CollAlgo`]'s variants, whose
+/// names (the decision-table format) are [`CollAlgo::name`]'s.
+macro_rules! algo_family {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident,)* }) => {
+        $(#[$meta])*
+        #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Stable short name, matching the decision-table format.
+            pub fn name(self) -> &'static str {
+                self.as_obs().name()
+            }
+
+            /// Parse a decision-table algorithm name.
+            pub fn from_name(name: &str) -> Option<Self> {
+                [$($name::$variant),*].into_iter().find(|a| a.name() == name)
+            }
+
+            pub(crate) fn as_obs(self) -> CollAlgo {
+                match self {
+                    $($name::$variant => CollAlgo::$variant,)*
+                }
+            }
+        }
+    };
 }
 
-impl BcastAlgo {
-    /// Stable short name, matching the decision-table format.
-    pub fn name(self) -> &'static str {
-        match self {
-            BcastAlgo::Binomial => "binomial",
-            BcastAlgo::ScatterAllgather => "scatter_allgather",
-            BcastAlgo::Hw => "hw",
-        }
-    }
-
-    /// Parse a decision-table algorithm name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "binomial" => Some(BcastAlgo::Binomial),
-            "scatter_allgather" => Some(BcastAlgo::ScatterAllgather),
-            "hw" => Some(BcastAlgo::Hw),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_obs(self) -> CollAlgo {
-        match self {
-            BcastAlgo::Binomial => CollAlgo::Binomial,
-            BcastAlgo::ScatterAllgather => CollAlgo::ScatterAllgather,
-            BcastAlgo::Hw => CollAlgo::Hw,
-        }
-    }
-}
-
-/// Allreduce algorithm family.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum AllreduceAlgo {
-    /// Binomial reduce to rank 0, then broadcast (the paper's design —
-    /// the broadcast phase rides the hardware broadcast where available).
-    ReduceBcast,
-    /// Ring reduce-scatter followed by a ring allgather
-    /// (bandwidth-optimal: each rank moves `2 (n-1)/n` of the vector).
-    Ring,
-    /// Recursive doubling with the MPICH non-power-of-two fold
-    /// (latency-optimal: `ceil(log2 n)` full-vector exchanges).
-    RecursiveDoubling,
-}
-
-impl AllreduceAlgo {
-    /// Stable short name, matching the decision-table format.
-    pub fn name(self) -> &'static str {
-        match self {
-            AllreduceAlgo::ReduceBcast => "reduce_bcast",
-            AllreduceAlgo::Ring => "ring",
-            AllreduceAlgo::RecursiveDoubling => "recursive_doubling",
-        }
-    }
-
-    /// Parse a decision-table algorithm name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "reduce_bcast" => Some(AllreduceAlgo::ReduceBcast),
-            "ring" => Some(AllreduceAlgo::Ring),
-            "recursive_doubling" => Some(AllreduceAlgo::RecursiveDoubling),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_obs(self) -> CollAlgo {
-        match self {
-            AllreduceAlgo::ReduceBcast => CollAlgo::ReduceBcast,
-            AllreduceAlgo::Ring => CollAlgo::Ring,
-            AllreduceAlgo::RecursiveDoubling => CollAlgo::RecursiveDoubling,
-        }
+algo_family! {
+    /// Broadcast algorithm family.
+    BcastAlgo {
+        /// Binomial tree of point-to-point messages (latency-optimal).
+        Binomial,
+        /// Root scatters equal blocks, then a ring allgather reassembles them
+        /// (van de Geijn; bandwidth-optimal for large payloads).
+        ScatterAllgather,
+        /// The device's hardware broadcast (Meiko CS/2). Pinning this on a
+        /// device without one yields a typed `Unsupported` error.
+        Hw,
     }
 }
 
-/// Barrier algorithm family.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BarrierAlgo {
-    /// Dissemination exchange, `ceil(log2 n)` rounds.
-    Dissemination,
-    /// Binomial gather-up plus binomial release-down, `2 ceil(log2 n)`
-    /// rounds but half the messages per round.
-    Tree,
-}
-
-impl BarrierAlgo {
-    /// Stable short name, matching the decision-table format.
-    pub fn name(self) -> &'static str {
-        match self {
-            BarrierAlgo::Dissemination => "dissemination",
-            BarrierAlgo::Tree => "tree",
-        }
-    }
-
-    /// Parse a decision-table algorithm name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "dissemination" => Some(BarrierAlgo::Dissemination),
-            "tree" => Some(BarrierAlgo::Tree),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_obs(self) -> CollAlgo {
-        match self {
-            BarrierAlgo::Dissemination => CollAlgo::Dissemination,
-            BarrierAlgo::Tree => CollAlgo::Tree,
-        }
+algo_family! {
+    /// Allreduce algorithm family.
+    AllreduceAlgo {
+        /// Binomial reduce to rank 0, then broadcast (the paper's design —
+        /// the broadcast phase rides the hardware broadcast where available).
+        ReduceBcast,
+        /// Ring reduce-scatter followed by a ring allgather
+        /// (bandwidth-optimal: each rank moves `2 (n-1)/n` of the vector).
+        Ring,
+        /// Recursive doubling with the MPICH non-power-of-two fold
+        /// (latency-optimal: `ceil(log2 n)` full-vector exchanges).
+        RecursiveDoubling,
     }
 }
 
-/// Allgather algorithm family.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum AllgatherAlgo {
-    /// Ring exchange, `n - 1` steps of one block each.
-    Ring,
-    /// Gather to local rank 0, then broadcast the concatenation.
-    GatherBcast,
+algo_family! {
+    /// Barrier algorithm family.
+    BarrierAlgo {
+        /// Dissemination exchange, `ceil(log2 n)` rounds.
+        Dissemination,
+        /// Binomial gather-up plus binomial release-down, `2 ceil(log2 n)`
+        /// rounds but half the messages per round.
+        Tree,
+    }
 }
 
-impl AllgatherAlgo {
-    /// Stable short name, matching the decision-table format.
-    pub fn name(self) -> &'static str {
-        match self {
-            AllgatherAlgo::Ring => "ring",
-            AllgatherAlgo::GatherBcast => "gather_bcast",
-        }
-    }
-
-    /// Parse a decision-table algorithm name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "ring" => Some(AllgatherAlgo::Ring),
-            "gather_bcast" => Some(AllgatherAlgo::GatherBcast),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_obs(self) -> CollAlgo {
-        match self {
-            AllgatherAlgo::Ring => CollAlgo::Ring,
-            AllgatherAlgo::GatherBcast => CollAlgo::GatherBcast,
-        }
+algo_family! {
+    /// Allgather algorithm family.
+    AllgatherAlgo {
+        /// Ring exchange, `n - 1` steps of one block each.
+        Ring,
+        /// Gather to local rank 0, then broadcast the concatenation.
+        GatherBcast,
     }
 }
 

@@ -71,9 +71,8 @@ lmpi_obs::counter_struct! {
     /// over a base transport) merge their own tallies with their inner
     /// device's (`merged`), so [`crate::Mpi::transport_stats`] sees the
     /// whole stack. All fields are cumulative counts (of frames, peers or
-    /// waits, as each says); each is exported as
-    /// `lmpi_transport_<field>_total` by the metrics snapshot, with the
-    /// first sentence of its doc as the family's HELP.
+    /// waits, as each says); the metrics snapshot carries each under
+    /// `transport.<field>`.
     #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
     pub struct TransportStats {
         /// Data frames accepted for (first) transmission by a reliability layer.

@@ -40,10 +40,9 @@ mod send;
 lmpi_obs::counter_struct! {
     /// Protocol event counters, used by the Table-1 experiment, the metrics
     /// snapshot exporter, and tests. All fields are plain `u64`s;
-    /// time-valued fields state their unit in the name and doc. The
-    /// metrics snapshot exports each as `lmpi_<field>_total`, or as a gauge
-    /// `lmpi_<field>` for a `*_hwm` high-water mark, with the first
-    /// sentence of its doc as the family's HELP.
+    /// time-valued fields state their unit in the name and doc. Every
+    /// field is a cumulative count except the `*_hwm` high-water marks;
+    /// the metrics snapshot carries each under `counters.<field>`.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct Counters {
         /// Eager (optimistic) messages transmitted.

@@ -21,7 +21,7 @@
 //!   one evaluation period. This module only takes the readings and
 //!   keeps the findings; the rules live in `lmpi_obs::diag`.
 //! * **[`MetricsServer`]** — a `std::net::TcpListener` HTTP responder
-//!   (no new dependencies) serving the Prometheus rendering at
+//!   (no new dependencies) serving the [`crate::MetricsSnapshot`] JSON at
 //!   `/metrics` and the [`HealthReport`] JSON at `/health`.
 //!
 //! All timestamps come from the device clock ([`Device::now_ns`]), the
@@ -45,7 +45,6 @@ use lmpi_obs::{
 };
 
 use crate::error::{MpiError, MpiResult};
-use crate::metrics::push_metric_labeled;
 use crate::mpi::Inner;
 
 /// Diagnostics evaluation period (100 ms of device time).
@@ -288,20 +287,6 @@ lmpi_obs::json_struct! {
 }
 
 lmpi_obs::json_struct! {
-    /// A diagnostic finding in a [`HealthReport`] (the serializable face of
-    /// [`lmpi_obs::Diagnostic`]).
-    #[derive(Clone, Debug)]
-    pub struct DiagSummary {
-        /// Stable rule name (`"retransmit_storm"`, `"progress_starvation"`, ...).
-        pub kind: String,
-        /// Rank exhibiting the pathology.
-        pub rank: u32,
-        /// Human-readable account with the numbers that tripped the rule.
-        pub summary: String,
-    }
-}
-
-lmpi_obs::json_struct! {
     /// Point-in-time live-health picture for one rank: thread duty cycles,
     /// engine-mutex contention, sliding-window tail latency, and the
     /// diagnostics active as of the last evaluation. Serializes to JSON via
@@ -316,8 +301,8 @@ lmpi_obs::json_struct! {
         pub enabled: bool,
         /// Per-service-thread time accounting. A rank has one service
         /// thread, `progress`, on every device: real TCP's sockets are read
-        /// by the drain-role holder, not a thread of their own. A list, so
-        /// the JSON and Prometheus shapes stay as they were.
+        /// by the drain-role holder, not a thread of their own. A list, one
+        /// entry per service thread.
         pub threads: Vec<ThreadHealthSnapshot>,
         /// Engine-mutex wait-time distribution (contended acquisitions only).
         pub mutex_wait: PercentileSummary,
@@ -332,8 +317,10 @@ lmpi_obs::json_struct! {
         pub recv_window: PercentileSummary,
         /// Per-(collective, algorithm) dispatch latency windows.
         pub coll_windows: Vec<CollWindow>,
-        /// Diagnostics active as of the last evaluation.
-        pub diagnostics: Vec<DiagSummary>,
+        /// Diagnostics active as of the last evaluation, rendered as
+        /// [`lmpi_obs::diagnostics_json`] renders them. The live evaluator
+        /// reads no trace, so each `evidence` list is empty.
+        pub diagnostics: Vec<Diagnostic>,
         /// Diagnostics evaluations performed so far.
         pub evals: u64,
     }
@@ -369,17 +356,7 @@ pub(crate) fn build_report(inner: &Inner, now_ns: u64) -> HealthReport {
     };
     let (diagnostics, evals) = {
         let d = h.diag.lock();
-        (
-            d.active
-                .iter()
-                .map(|di| DiagSummary {
-                    kind: di.kind.name().to_string(),
-                    rank: di.rank,
-                    summary: di.summary.clone(),
-                })
-                .collect::<Vec<_>>(),
-            d.evals,
-        )
+        (d.active.clone(), d.evals)
     };
     HealthReport {
         rank: inner.device.rank() as u32,
@@ -395,190 +372,6 @@ pub(crate) fn build_report(inner: &Inner, now_ns: u64) -> HealthReport {
     }
 }
 
-/// Append the health and window metric families to a Prometheus
-/// rendering (each sample carries the rank label like every other
-/// family; see [`crate::MetricsSnapshot::to_prometheus`]).
-pub(crate) fn render_prometheus(report: &HealthReport, out: &mut String) {
-    let r = report.rank;
-    for t in &report.threads {
-        let th = t.name.as_str();
-        for (bucket, ns) in [
-            ("lock_wait", t.lock_wait_ns),
-            ("drain", t.drain_ns),
-            ("poll", t.poll_ns),
-            ("park", t.park_ns),
-        ] {
-            push_metric_labeled(
-                out,
-                "lmpi_health_thread_time_ns_total",
-                "Service-thread wall time by duty-cycle bucket (nanoseconds).",
-                "counter",
-                r,
-                &[("thread", th), ("bucket", bucket)],
-                ns as f64,
-            );
-        }
-        push_metric_labeled(
-            out,
-            "lmpi_health_thread_duty_cycle",
-            "Fraction of service-thread wall time spent not parked.",
-            "gauge",
-            r,
-            &[("thread", th)],
-            t.duty_cycle,
-        );
-        push_metric_labeled(
-            out,
-            "lmpi_health_thread_coverage",
-            "Fraction of service-thread wall time the buckets account for.",
-            "gauge",
-            r,
-            &[("thread", th)],
-            t.coverage,
-        );
-        push_metric_labeled(
-            out,
-            "lmpi_health_thread_wakeups_total",
-            "Productive service-thread wakeups.",
-            "counter",
-            r,
-            &[("thread", th)],
-            t.wakeups as f64,
-        );
-        push_metric_labeled(
-            out,
-            "lmpi_health_thread_frames_total",
-            "Frames handled by the service thread.",
-            "counter",
-            r,
-            &[("thread", th)],
-            t.frames as f64,
-        );
-        for (q, v) in quantiles(&t.wakeup_to_drain) {
-            push_metric_labeled(
-                out,
-                "lmpi_health_wakeup_to_drain_ns",
-                "Wakeup-to-first-frame-handled latency quantile (nanoseconds).",
-                "gauge",
-                r,
-                &[("thread", th), ("quantile", q)],
-                v as f64,
-            );
-        }
-    }
-    for (q, v) in quantiles(&report.mutex_wait) {
-        push_metric_labeled(
-            out,
-            "lmpi_health_mutex_wait_ns",
-            "Engine-mutex wait-time quantile, contended acquisitions (nanoseconds).",
-            "gauge",
-            r,
-            &[("quantile", q)],
-            v as f64,
-        );
-    }
-    push_metric_labeled(
-        out,
-        "lmpi_health_mutex_waits_total",
-        "Contended engine-mutex acquisitions sampled.",
-        "counter",
-        r,
-        &[],
-        report.mutex_wait.count as f64,
-    );
-    push_metric_labeled(
-        out,
-        "lmpi_health_evals_total",
-        "Periodic diagnostics evaluations performed.",
-        "counter",
-        r,
-        &[],
-        report.evals as f64,
-    );
-    push_metric_labeled(
-        out,
-        "lmpi_health_diagnostics_active",
-        "Diagnostics active as of the last evaluation.",
-        "gauge",
-        r,
-        &[],
-        report.diagnostics.len() as f64,
-    );
-    let mut kinds: Vec<(&str, u64)> = Vec::new();
-    for d in &report.diagnostics {
-        match kinds.iter_mut().find(|(k, _)| *k == d.kind.as_str()) {
-            Some(e) => e.1 += 1,
-            None => kinds.push((d.kind.as_str(), 1)),
-        }
-    }
-    for (kind, n) in kinds {
-        push_metric_labeled(
-            out,
-            "lmpi_health_diagnostic",
-            "Active diagnostics by rule kind.",
-            "gauge",
-            r,
-            &[("kind", kind)],
-            n as f64,
-        );
-    }
-    for (op, s) in [("send", &report.send_window), ("recv", &report.recv_window)] {
-        push_metric_labeled(
-            out,
-            "lmpi_window_count",
-            "Operation completions in the sliding window.",
-            "gauge",
-            r,
-            &[("op", op)],
-            s.count as f64,
-        );
-        for (q, v) in quantiles(s) {
-            push_metric_labeled(
-                out,
-                "lmpi_window_latency_ns",
-                "Operation-completion latency quantile over a 1-in-64 sample of the sliding window (nanoseconds).",
-                "gauge",
-                r,
-                &[("op", op), ("quantile", q)],
-                v as f64,
-            );
-        }
-    }
-    for cw in &report.coll_windows {
-        push_metric_labeled(
-            out,
-            "lmpi_window_coll_count",
-            "Collective dispatches in the sliding window.",
-            "gauge",
-            r,
-            &[
-                ("collective", cw.collective.as_str()),
-                ("algorithm", cw.algorithm.as_str()),
-            ],
-            cw.window.count as f64,
-        );
-        for (q, v) in quantiles(&cw.window) {
-            push_metric_labeled(
-                out,
-                "lmpi_window_coll_latency_ns",
-                "Collective dispatch latency quantile over the sliding window (nanoseconds).",
-                "gauge",
-                r,
-                &[
-                    ("collective", cw.collective.as_str()),
-                    ("algorithm", cw.algorithm.as_str()),
-                    ("quantile", q),
-                ],
-                v as f64,
-            );
-        }
-    }
-}
-
-fn quantiles(s: &PercentileSummary) -> [(&'static str, u64); 3] {
-    [("0.5", s.p50_ns), ("0.99", s.p99_ns), ("0.999", s.p999_ns)]
-}
-
 // ---------------------------------------------------------------------
 // The scrape endpoint
 // ---------------------------------------------------------------------
@@ -586,9 +379,7 @@ fn quantiles(s: &PercentileSummary) -> [(&'static str, u64); 3] {
 /// Handle to the background HTTP responder spawned by
 /// [`crate::Mpi::serve_metrics`]. Serves:
 ///
-/// * `GET /metrics` (or `/`) — the full Prometheus text rendering:
-///   every [`crate::MetricsSnapshot`] family plus the `lmpi_health_*`
-///   and `lmpi_window_*` families.
+/// * `GET /metrics` (or `/`) — the [`crate::MetricsSnapshot`] as JSON.
 /// * `GET /health` — the [`HealthReport`] as JSON.
 ///
 /// The server holds only a [`Weak`] reference to the rank's state, so it
@@ -673,15 +464,8 @@ fn serve_loop(listener: TcpListener, weak: Weak<Inner>, shutdown: Arc<AtomicBool
         };
         match path.as_str() {
             "/metrics" | "/" => {
-                let now = inner.device.now_ns();
-                eval_if_due(&inner, now);
-                let mut body = inner
-                    .eng
-                    .lock()
-                    .metrics_snapshot(&*inner.device)
-                    .to_prometheus();
-                render_prometheus(&build_report(&inner, now), &mut body);
-                respond(&mut stream, 200, "text/plain; version=0.0.4", &body);
+                let body = inner.eng.lock().metrics_snapshot(&*inner.device).to_json();
+                respond(&mut stream, 200, "application/json", &body);
             }
             "/health" | "/health.json" => {
                 let now = inner.device.now_ns();
@@ -750,6 +534,7 @@ pub(crate) fn credit_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmpi_obs::{diagnostics_json, DiagKind, EventKind, Tracer};
 
     #[test]
     fn disabled_health_records_nothing() {
@@ -760,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn render_prometheus_emits_validating_health_families() {
+    fn health_report_renders_the_published_json() {
         let h = HealthState::new(true);
         h.progress.credit(TimeBucket::Drain, 0, 500);
         h.progress.credit(TimeBucket::Park, 500, 1_000);
@@ -790,28 +575,17 @@ mod tests {
                 algorithm: "dissemination".into(),
                 window: w.coll[0].2.summary(10_000),
             }],
-            diagnostics: vec![DiagSummary {
-                kind: "retransmit_storm".into(),
+            diagnostics: vec![Diagnostic {
+                kind: DiagKind::RetransmitStorm,
                 rank: 3,
                 summary: "test".into(),
+                evidence: Vec::new(),
             }],
             evals: 1,
         };
-        let mut out = String::new();
-        render_prometheus(&report, &mut out);
-        crate::metrics::validate_prometheus(&out).expect("health families must validate");
-        assert!(out.contains(
-            "lmpi_health_thread_time_ns_total{rank=\"3\",thread=\"progress\",bucket=\"drain\"} 500"
-        ));
-        assert!(out.contains("lmpi_health_thread_duty_cycle{rank=\"3\",thread=\"progress\"} 0.5"));
-        assert!(out.contains("lmpi_window_count{rank=\"3\",op=\"send\"} 1"));
-        assert!(out.contains(
-            "lmpi_window_coll_latency_ns{rank=\"3\",collective=\"barrier\",algorithm=\"dissemination\",quantile=\"0.99\"}"
-        ));
-        assert!(out.contains("lmpi_health_diagnostic{rank=\"3\",kind=\"retransmit_storm\"} 1"));
         let json = report.to_json();
         lmpi_obs::validate_json(&json).expect("health report JSON must validate");
-        // Captured from the serde-derive exporter this one replaced.
+        // The published format, byte for byte.
         assert_eq!(
             json,
             concat!(
@@ -825,9 +599,36 @@ mod tests {
                 r#"n_ns":0,"p50_ns":0,"p90_ns":0,"p99_ns":0,"p999_ns":0},"coll_windows":[{"collective":"bar"#,
                 r#"rier","algorithm":"dissemination","window":{"count":1,"min_ns":99,"max_ns":99,"mean_ns":"#,
                 r#"99,"p50_ns":99,"p90_ns":99,"p99_ns":99,"p999_ns":99}}],"diagnostics":[{"kind":"retransmi"#,
-                r#"t_storm","rank":3,"summary":"test"}],"evals":1}"#
+                r#"t_storm","rank":3,"summary":"test","evidence":[]}],"evals":1}"#
             )
         );
+    }
+
+    #[test]
+    fn a_report_renders_its_findings_as_diagnostics_json_does() {
+        let t = Tracer::enabled(2, 16);
+        t.emit_at(50_000, EventKind::PeerDead { peer: 1 });
+        let stats = RankStats {
+            rank: 2,
+            peers_dead: 1,
+            ..RankStats::default()
+        };
+        let found = diagnose(&FlightRecord::default(), &[t.snapshot()], &[stats]);
+        assert_eq!(found[0].evidence.len(), 1);
+        let report = HealthReport {
+            rank: 2,
+            t_ns: 0,
+            enabled: true,
+            threads: Vec::new(),
+            mutex_wait: PercentileSummary::default(),
+            send_window: PercentileSummary::default(),
+            recv_window: PercentileSummary::default(),
+            coll_windows: Vec::new(),
+            diagnostics: found.clone(),
+            evals: 1,
+        };
+        let rendered = format!(",\"diagnostics\":{},", diagnostics_json(&found));
+        assert!(report.to_json().contains(&rendered), "{rendered}");
     }
 
     #[test]

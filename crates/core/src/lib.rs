@@ -76,9 +76,9 @@ pub use dtype::{CommittedType, DataType, FlatLayout, IovRun};
 pub use engine::Counters;
 pub use error::{MpiError, MpiResult};
 pub use group::Group;
-pub use health::{CollWindow, DiagSummary, HealthReport, MetricsServer};
+pub use health::{CollWindow, HealthReport, MetricsServer};
 pub use lmpi_obs::{CollAlgo, CollOp, EventKind, MsgId, TraceBuffer, Tracer};
-pub use metrics::{validate_prometheus, CollDispatchEntry, HistEntry, MetricsSnapshot};
+pub use metrics::{CollDispatchEntry, HistEntry, MetricsSnapshot};
 pub use mpi::{test_all, wait_all, wait_any, Communicator, Mpi, Request};
 pub use packet::{ContextId, Envelope, FramePool, Packet, Wire, ENVELOPE_WIRE_BYTES};
 pub use persistent::{start_all, PersistentRecv, PersistentSend};

@@ -691,10 +691,9 @@ impl Mpi {
 
     /// Spawn the zero-dependency HTTP scrape endpoint on `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port — read it back from
-    /// [`MetricsServer::addr`]). Serves the Prometheus text rendering at
-    /// `/metrics` (all [`MetricsSnapshot`] families plus the
-    /// `lmpi_health_*` / `lmpi_window_*` families) and the
-    /// [`HealthReport`] JSON at `/health`. The server holds only a weak
+    /// [`MetricsServer::addr`]). Serves the [`MetricsSnapshot`] JSON at
+    /// `/metrics` and the [`HealthReport`] JSON at `/health`, both
+    /// `application/json`. The server holds only a weak
     /// reference to this rank and answers 503 once the rank is dropped;
     /// drop the returned handle to shut it down promptly.
     ///

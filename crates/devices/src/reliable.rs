@@ -516,8 +516,10 @@ impl<D: Device> ReliableDevice<D> {
 
     /// One progress step: drain the wire (only if `drain`: the caller
     /// holds the receive token), fire retransmit timers, run the liveness
-    /// thresholds, emit keepalives on idle links, flush owed acks. Returns
-    /// an error if the inner transport failed.
+    /// thresholds, emit keepalives on idle links, flush owed acks. Only a
+    /// draining pump declares a peer dead: without the token the peer's
+    /// acks and frames may sit unread in `inner`. Returns an error if the
+    /// inner transport failed.
     fn pump(&self, st: &mut RelState, drain: bool) -> MpiResult<()> {
         while let Some(wire) = if drain { self.inner.try_recv()? } else { None } {
             self.handle_incoming(st, wire);
@@ -527,26 +529,28 @@ impl<D: Device> ReliableDevice<D> {
         for dst in 0..st.peers.len() {
             let p = &mut st.peers[dst];
             if !p.unacked.is_empty() && now >= p.rto_deadline {
-                p.retries += 1;
-                if p.retries > self.cfg.max_retries {
-                    // Real elapsed time since forward progress stopped —
-                    // not `cur_rto_us * retries`, which overstates the
-                    // wait under exponential backoff.
-                    let waited_us = ((now - p.stalled_since_s).max(0.0) * 1e6) as u64;
-                    let attempts = p.retries;
-                    self.declare_dead(
-                        st,
-                        dst,
-                        MpiError::peer_failed(
+                if p.retries >= self.cfg.max_retries {
+                    if drain {
+                        // Real elapsed time since forward progress stopped
+                        // — not `cur_rto_us * retries`, which overstates
+                        // the wait under exponential backoff.
+                        let waited_us = ((now - p.stalled_since_s).max(0.0) * 1e6) as u64;
+                        let attempts = p.retries + 1;
+                        self.declare_dead(
+                            st,
                             dst,
-                            format!(
-                                "retransmission exhausted after {attempts} attempts \
-                                 over {waited_us} us (peer dead or all retransmits lost)"
+                            MpiError::peer_failed(
+                                dst,
+                                format!(
+                                    "retransmission exhausted after {attempts} attempts \
+                                     over {waited_us} us (peer dead or all retransmits lost)"
+                                ),
                             ),
-                        ),
-                    );
+                        );
+                    }
                     continue;
                 }
+                p.retries += 1;
                 // Resend with a refreshed piggybacked ack: the whole
                 // unacked window under go-back-N, only the un-sacked holes
                 // under selective repeat.
@@ -586,15 +590,17 @@ impl<D: Device> ReliableDevice<D> {
                 }
                 let silence_us = (now - p.last_heard_s) * 1e6;
                 if silence_us >= self.cfg.dead_timeout_us {
-                    let silence_us = silence_us as u64;
-                    self.declare_dead(
-                        st,
-                        dst,
-                        MpiError::peer_failed(
+                    if drain {
+                        let silence_us = silence_us as u64;
+                        self.declare_dead(
+                            st,
                             dst,
-                            format!("no frame heard for {silence_us} us (heartbeat timeout)"),
-                        ),
-                    );
+                            MpiError::peer_failed(
+                                dst,
+                                format!("no frame heard for {silence_us} us (heartbeat timeout)"),
+                            ),
+                        );
+                    }
                 } else if p.liveness == Liveness::Alive && silence_us >= self.cfg.suspect_timeout_us
                 {
                     p.liveness = Liveness::Suspect;
@@ -754,9 +760,14 @@ impl<D: Device> Device for ReliableDevice<D> {
     /// Pumps, then parks in the inner device — holding the receive token,
     /// not `state` — until the caller's deadline or this layer's next
     /// timer, and ingests what arrives. A timer another thread arms
-    /// meanwhile is seen when this wait ends.
+    /// meanwhile is seen when this wait ends. A peer this call declares
+    /// dead ends the wait too, so the engine fails its operations now.
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
         let _token = self.rx.lock();
+        // Only a token holder declares a death, so a change here is this
+        // call's own verdict (one thread: `Relaxed` suffices), not one
+        // queued earlier and not yet taken.
+        let dead_before = self.stats.peers_dead.load(Ordering::Relaxed);
         loop {
             let mut st = self.state.lock();
             self.pump(&mut st, true)?;
@@ -766,7 +777,7 @@ impl<D: Device> Device for ReliableDevice<D> {
             if let Some(wire) = st.deliverable.pop_front() {
                 return Ok(Some(wire));
             }
-            if wait == Wait::Poll {
+            if wait == Wait::Poll || self.stats.peers_dead.load(Ordering::Relaxed) != dead_before {
                 return Ok(None);
             }
             let park = wait.or_within(self.next_timer(&st) - self.now_s());
@@ -1238,6 +1249,31 @@ mod tests {
         assert!(d.take_failed_peer().is_none());
         let (_, _, dead) = d.stats_handle().liveness_snapshot();
         assert_eq!(dead, 1);
+    }
+
+    #[test]
+    fn only_a_draining_pump_declares_a_peer_dead() {
+        let cfg = RelConfig {
+            max_retries: 1,
+            ..hb_cfg()
+        };
+        let d = ReliableDevice::new(MockDev::new(0, 3), cfg);
+        d.send(2, Wire::bare(0, Packet::Credit));
+        // Peer 1 spoke and peer 2 acked, but neither frame is read yet.
+        d.inner().inject(data_frame(1, 1, 0));
+        d.inner().inject(pure_ack(2, 1, 0));
+        for _ in 0..3 {
+            d.inner().advance(0.025); // past the dead threshold and every RTO
+            d.pump(&mut d.state.lock(), false).unwrap();
+        }
+        for peer in [1, 2] {
+            assert_ne!(d.peer_liveness(peer), Liveness::Dead, "peer {peer}");
+        }
+        d.pump(&mut d.state.lock(), true).unwrap();
+        for peer in [1, 2] {
+            assert_eq!(d.peer_liveness(peer), Liveness::Alive, "peer {peer}");
+        }
+        assert!(d.take_failed_peer().is_none());
     }
 
     #[test]

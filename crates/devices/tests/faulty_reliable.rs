@@ -316,6 +316,29 @@ fn an_idle_wait_parks_in_the_device_below() {
 }
 
 #[test]
+fn a_peer_declared_dead_ends_the_wait() {
+    // Rank 1 never speaks: rank 0's silence threshold (1 ms) passes long
+    // before the caller's 2 s deadline, and the verdict must end the wait.
+    let mut fabric = ShmDevice::fabric(2).into_iter();
+    let cfg = RelConfig::default().with_heartbeat(100.0, 200.0, 1_000.0);
+    let d0 = ReliableDevice::new(fabric.next().unwrap(), cfg);
+    let _silent = fabric.next().unwrap();
+    let (got, elapsed) = within(Duration::from_secs(10), move || {
+        let start = Instant::now();
+        assert!(d0.recv(within_ms(2_000)).unwrap().is_none());
+        (d0.take_failed_peer(), start.elapsed())
+    });
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "the wait ran {elapsed:?} past the verdict"
+    );
+    assert!(
+        matches!(got, Some((1, MpiError::PeerFailed { peer: 1, .. }))),
+        "{got:?}"
+    );
+}
+
+#[test]
 fn a_parked_sender_fires_its_own_retransmit() {
     // Seed 10 at 50 % drops rank 0's first frame and passes its resend.
     // Nothing else moves: the frame reaches rank 1 only if rank 0, parked

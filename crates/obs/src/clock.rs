@@ -42,12 +42,6 @@ impl MonotonicClock {
     pub fn new() -> Self {
         MonotonicClock { t0: Instant::now() }
     }
-
-    /// A clock sharing an existing epoch, so several ranks report on a
-    /// common timeline (mirrors how `ShmDevice::fabric` shares one `t0`).
-    pub fn with_epoch(t0: Instant) -> Self {
-        MonotonicClock { t0 }
-    }
 }
 
 impl Default for MonotonicClock {

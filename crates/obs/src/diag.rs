@@ -32,7 +32,7 @@
 
 use crate::correlate::FlightRecord;
 use crate::event::{Event, EventKind};
-use crate::json::{array, Obj};
+use crate::json::{array, Obj, ToJson};
 use crate::tracer::TraceBuffer;
 
 /// Credit starvation: stalled fraction of the span above this…
@@ -327,32 +327,32 @@ pub fn diagnose(
     out
 }
 
-/// Render diagnostics as a JSON array (one object per finding, evidence
-/// as `{t_ns, msg, event}` rows).
+/// One finding as an object, evidence as `{t_ns, msg, event}` rows.
+impl ToJson for Diagnostic {
+    fn to_json(&self) -> String {
+        let ev: Vec<String> = self
+            .evidence
+            .iter()
+            .map(|e| {
+                Obj::new()
+                    .u64("t_ns", e.t_ns)
+                    .str("msg", &format!("{}:{}", e.msg.src, e.msg.seq))
+                    .str("event", e.kind.name())
+                    .finish()
+            })
+            .collect();
+        Obj::new()
+            .str("kind", self.kind.name())
+            .u64("rank", self.rank as u64)
+            .str("summary", &self.summary)
+            .raw("evidence", &array(&ev))
+            .finish()
+    }
+}
+
+/// Render diagnostics as a JSON array, one object per finding.
 pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
-    let rows: Vec<String> = diags
-        .iter()
-        .map(|d| {
-            let ev: Vec<String> = d
-                .evidence
-                .iter()
-                .map(|e| {
-                    Obj::new()
-                        .u64("t_ns", e.t_ns)
-                        .str("msg", &format!("{}:{}", e.msg.src, e.msg.seq))
-                        .str("event", e.kind.name())
-                        .finish()
-                })
-                .collect();
-            Obj::new()
-                .str("kind", d.kind.name())
-                .u64("rank", d.rank as u64)
-                .str("summary", &d.summary)
-                .raw("evidence", &array(&ev))
-                .finish()
-        })
-        .collect();
-    array(&rows)
+    array(&diags.iter().map(ToJson::to_json).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

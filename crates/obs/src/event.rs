@@ -195,7 +195,7 @@ pub enum CollAlgo {
 }
 
 impl CollAlgo {
-    /// Stable short name, used by the Chrome exporter and metrics labels.
+    /// Stable short name, used by the Chrome exporter and the reports.
     pub fn name(self) -> &'static str {
         match self {
             CollAlgo::Direct => "direct",

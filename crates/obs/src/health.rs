@@ -34,26 +34,6 @@ pub enum TimeBucket {
     Park = 3,
 }
 
-impl TimeBucket {
-    /// Stable lowercase name, used as a Prometheus label value.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimeBucket::LockWait => "lock_wait",
-            TimeBucket::Drain => "drain",
-            TimeBucket::Poll => "poll",
-            TimeBucket::Park => "park",
-        }
-    }
-
-    /// All buckets, in label order.
-    pub const ALL: [TimeBucket; 4] = [
-        TimeBucket::LockWait,
-        TimeBucket::Drain,
-        TimeBucket::Poll,
-        TimeBucket::Park,
-    ];
-}
-
 /// Lock-free log-bucketed histogram. Same bucket layout as
 /// [`LatencyHist`]; recording is a handful of relaxed atomic RMWs, so
 /// it is safe to call from any thread without coordination. Snapshots

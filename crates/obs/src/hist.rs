@@ -234,11 +234,6 @@ impl WindowedHist {
         }
     }
 
-    /// Window length in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.bucket_ns.saturating_mul(self.buckets.len() as u64)
-    }
-
     /// The slot holding wall time `t_ns`, cleared first if it still holds
     /// an older epoch.
     #[inline]

@@ -193,8 +193,6 @@ macro_rules! json_struct {
 
 /// Declare a struct of `u64` tallies from one field list: the struct and
 /// its [`ToJson`] impl (as [`json_struct!`](crate::json_struct)), plus
-/// `fields()` — each field's name, doc comment and value in declaration
-/// order, from which an exporter names one family per field — and
 /// `merged()`, the field-by-field sum of two tallies.
 ///
 /// ```
@@ -206,26 +204,20 @@ macro_rules! json_struct {
 ///     }
 /// }
 /// let c = C { sent: 2 }.merged(C { sent: 3 });
-/// assert_eq!(c.fields(), [("sent", " Frames sent.", 5)]);
+/// assert_eq!(lmpi_obs::to_json(&c).unwrap(), r#"{"sent":5}"#);
 /// ```
 #[macro_export]
 macro_rules! counter_struct {
     ($(#[$meta:meta])* $vis:vis struct $name:ident {
-        $($(#[doc = $doc:literal])* $fvis:vis $field:ident: u64),* $(,)?
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: u64),* $(,)?
     }) => {
         $crate::json_struct! {
             $(#[$meta])* $vis struct $name {
-                $($(#[doc = $doc])* $fvis $field: u64),*
+                $($(#[$fmeta])* $fvis $field: u64),*
             }
         }
 
         impl $name {
-            /// `(name, doc comment, value)` of every field, in declaration
-            /// order.
-            pub fn fields(&self) -> Vec<(&'static str, &'static str, u64)> {
-                vec![$((stringify!($field), concat!($($doc),*), self.$field)),*]
-            }
-
             /// The field-by-field sum of `self` and `other`.
             pub fn merged(self, other: Self) -> Self {
                 $name { $($field: self.$field + other.$field),* }

@@ -499,11 +499,6 @@ impl Sim {
             let _ = h.join();
         }
     }
-
-    /// Number of processes ever spawned.
-    pub fn proc_count(&self) -> usize {
-        self.core.state.lock().procs.len()
-    }
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {

@@ -14,21 +14,20 @@
 //!
 //! * `flight_timeline.json`    — per-message timelines with phase dwells;
 //! * `flight_diagnostics.json` — the typed diagnostics with evidence;
-//! * `flight_snapshot.prom`    — Prometheus text exposition of rank 0's
-//!   counters, transport stats and the per-message latency histogram;
-//! * `flight_snapshot.json`    — the same snapshot as JSON.
+//! * `flight_snapshot.json`    — rank 0's counters, transport stats,
+//!   collective dispatch tally and per-message latency histogram.
 //!
 //! Run with `cargo run --release --example flight_report`.
 
 use std::sync::Arc;
 
 use lmpi::obs::{
-    chrome_trace_json, correlate, diagnose, diagnostics_json, flight_json, validate_json, DiagKind,
-    LatencyHist, RankStats, TraceBuffer, Tracer,
+    chrome_trace_json, correlate, diagnose, diagnostics_json, flight_json, parse_json,
+    validate_json, DiagKind, Json, LatencyHist, RankStats, TraceBuffer, Tracer,
 };
 use lmpi::{
-    run_devices, validate_prometheus, FaultConfig, FaultRates, FaultyDevice, MetricsSnapshot,
-    MpiConfig, RelConfig, ReliableDevice, ShmDevice,
+    run_devices, FaultConfig, FaultRates, FaultyDevice, MetricsSnapshot, MpiConfig, RelConfig,
+    ReliableDevice, ShmDevice,
 };
 
 /// Small eager messages rank 0 bursts at rank 1 before any receive is
@@ -243,20 +242,27 @@ fn main() {
         .expect("rank 0 outcome")
         .snapshot
         .with_hist("msg_total", total_hist.summary());
-    let prom = snap.to_prometheus();
-    let samples = validate_prometheus(&prom).expect("snapshot must parse as Prometheus text");
+    let snap_json = snap.to_json();
+    let parsed = parse_json(&snap_json).expect("snapshot JSON malformed");
     // Collective dispatch accounting: the 2-rank table picks
     // dissemination / recursive doubling / binomial for the phase above,
-    // and each selection must surface as a labelled counter sample.
-    for labels in [
-        "collective=\"barrier\",algorithm=\"dissemination\"",
-        "collective=\"allreduce\",algorithm=\"recursive_doubling\"",
-        "collective=\"bcast\",algorithm=\"binomial\"",
+    // and each selection must surface as a counted `coll_dispatch` row.
+    let rows = parsed.get("coll_dispatch").and_then(Json::as_array);
+    for (collective, algorithm) in [
+        ("barrier", "dissemination"),
+        ("allreduce", "recursive_doubling"),
+        ("bcast", "binomial"),
     ] {
-        let sample = format!("lmpi_coll_dispatch_total{{rank=\"0\",{labels}}}");
+        let counted = rows.is_some_and(|rows| {
+            rows.iter().any(|r| {
+                r.get("collective").and_then(Json::as_str) == Some(collective)
+                    && r.get("algorithm").and_then(Json::as_str) == Some(algorithm)
+                    && r.get("count").and_then(Json::as_u64) > Some(0)
+            })
+        });
         assert!(
-            prom.contains(&sample),
-            "metrics snapshot is missing {sample}:\n{prom}"
+            counted,
+            "metrics snapshot has no {collective}/{algorithm} dispatch:\n{snap_json}"
         );
     }
     // And the flight recorder must stamp the chosen algorithm on the
@@ -269,13 +275,10 @@ fn main() {
             "chrome trace is missing the {algo} CollBegin annotation"
         );
     }
-    let snap_json = snap.to_json();
-    validate_json(&snap_json).expect("snapshot JSON malformed");
-    std::fs::write("target/flight_snapshot.prom", &prom).expect("write prom snapshot");
     std::fs::write("target/flight_snapshot.json", &snap_json).expect("write json snapshot");
 
     println!(
         "wrote target/flight_timeline.json, target/flight_diagnostics.json, \
-         target/flight_snapshot.prom ({samples} samples), target/flight_snapshot.json"
+         target/flight_snapshot.json"
     );
 }

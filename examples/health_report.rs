@@ -9,9 +9,9 @@
 //!   says `recursive_doubling` for tiny payloads) trips the live
 //!   `coll_mistuned` diagnostic;
 //! * the scrape endpoint, queried over real TCP *while traffic is in
-//!   flight*, serves `validate_prometheus`-clean text carrying the
-//!   `lmpi_health_*` and `lmpi_window_*` families, and `/health.json`
-//!   serves valid JSON;
+//!   flight*, serves the metrics snapshot at `/metrics` and the health
+//!   report at `/health.json`, both valid JSON carrying the counters,
+//!   service-thread buckets and windows;
 //! * send/recv and per-(collective, algorithm) sliding windows have
 //!   samples.
 //!
@@ -34,10 +34,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use lmpi::obs::validate_json;
+use lmpi::obs::{parse_json, validate_json, DiagKind, Json};
 use lmpi::{
-    run_devices, validate_prometheus, AllreduceAlgo, Communicator, FaultConfig, FaultRates,
-    FaultyDevice, HealthReport, MpiConfig, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
+    run_devices, AllreduceAlgo, Communicator, FaultConfig, FaultRates, FaultyDevice, HealthReport,
+    MpiConfig, ReduceOp, RelConfig, ReliableDevice, ShmDevice,
 };
 
 /// Least phase-1 ping-pong + mis-pinned-allreduce iterations (the mid-run
@@ -78,34 +78,49 @@ fn everyone(world: &Communicator, mine: bool) -> bool {
     world.allreduce(&[u64::from(mine)], ReduceOp::Min).unwrap()[0] == 1
 }
 
-/// Scrape `/metrics` and `/health.json` mid-run and assert the exposition
-/// is clean and carries the health and window families.
-fn scrape_and_check(addr: SocketAddr) {
-    let (status, prom) = http_get(addr, "/metrics");
-    assert!(status.contains("200"), "scrape failed: {status}");
-    let samples = validate_prometheus(&prom)
-        .unwrap_or_else(|e| panic!("scrape output failed Prometheus validation: {e}\n{prom}"));
-    for family in [
-        "lmpi_health_thread_time_ns_total",
-        "lmpi_health_thread_duty_cycle",
-        "lmpi_health_thread_wakeups_total",
-        "lmpi_health_wakeup_to_drain_ns",
-        "lmpi_health_mutex_wait_ns",
-        "lmpi_health_evals_total",
-        "lmpi_window_latency_ns",
-        "lmpi_window_count",
-        "lmpi_window_coll_latency_ns",
-    ] {
-        assert!(
-            prom.contains(family),
-            "scrape output is missing the {family} family:\n{prom}"
-        );
-    }
-    println!("  live scrape: {samples} Prometheus samples, families present");
+/// Fetch `path` and parse its body as JSON.
+fn get_json(addr: SocketAddr, path: &str) -> Json {
+    let (status, body) = http_get(addr, path);
+    assert!(status.contains("200"), "{path} failed: {status}");
+    parse_json(&body).unwrap_or_else(|e| panic!("{path} is malformed: {e}\n{body}"))
+}
 
-    let (status, body) = http_get(addr, "/health.json");
-    assert!(status.contains("200"), "health.json failed: {status}");
-    validate_json(&body).expect("health.json is malformed");
+/// Assert every key in `keys` is present in `obj`.
+fn has_keys(what: &str, obj: &Json, keys: &[&str]) {
+    for key in keys {
+        assert!(obj.get(key).is_some(), "{what} is missing {key}: {obj:?}");
+    }
+}
+
+/// Scrape `/metrics` and `/health.json` mid-run and assert both are JSON
+/// carrying the counters, the service-thread buckets and the windows.
+fn scrape_and_check(addr: SocketAddr) {
+    let metrics = get_json(addr, "/metrics");
+    has_keys(
+        "/metrics",
+        &metrics,
+        &["counters", "transport", "coll_dispatch"],
+    );
+    let health = get_json(addr, "/health.json");
+    let threads = health.get("threads").and_then(Json::as_array);
+    let thread = threads
+        .and_then(<[Json]>::first)
+        .expect("no service thread");
+    let buckets = ["lock_wait_ns", "drain_ns", "poll_ns", "park_ns"];
+    let derived = ["duty_cycle", "wakeups", "wakeup_to_drain"];
+    has_keys(
+        "the progress thread",
+        thread,
+        &[&buckets[..], &derived].concat(),
+    );
+    has_keys(
+        "/health.json",
+        &health,
+        &["mutex_wait", "evals", "send_window", "recv_window"],
+    );
+    let coll = health.get("coll_windows").and_then(Json::as_array);
+    assert!(coll.is_some_and(|w| !w.is_empty()), "no collective window");
+    println!("  live scrape: /metrics and /health.json carry every key");
 
     let (status, _) = http_get(addr, "/nope");
     assert!(
@@ -195,7 +210,10 @@ fn phase1() -> HealthReport {
                 .collect::<Vec<_>>()
         );
         assert!(
-            report.diagnostics.iter().any(|d| d.kind == "coll_mistuned"),
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.kind == DiagKind::CollMistuned),
             "mis-pinned allreduce was not diagnosed live; active: {:?}",
             report.diagnostics
         );
@@ -215,7 +233,9 @@ fn phase1() -> HealthReport {
         for d in &report.diagnostics {
             println!(
                 "  rank {} diagnostic [{}]: {}",
-                report.rank, d.kind, d.summary
+                report.rank,
+                d.kind.name(),
+                d.summary
             );
         }
     }
@@ -266,7 +286,7 @@ fn phase2() {
             seen |= report
                 .diagnostics
                 .iter()
-                .any(|d| d.kind == "retransmit_storm");
+                .any(|d| d.kind == DiagKind::RetransmitStorm);
             evaluated = report.evals > evals0;
             round += 1;
         }

@@ -42,13 +42,13 @@
 #![warn(missing_docs)]
 
 pub use lmpi_core::{
-    dims_create, from_bytes, start_all, test_all, to_bytes, validate_prometheus, wait_all,
-    wait_any, AllgatherAlgo, AllreduceAlgo, BarrierAlgo, BcastAlgo, CartComm, CollDispatchEntry,
-    CollPins, CollTable, CollWindow, CommittedType, Communicator, Cost, Counters, DataType, Device,
-    DeviceDefaults, DiagSummary, FlatLayout, Group, HealthReport, HistEntry, IovRun, Loc,
-    MetricsServer, MetricsSnapshot, Mpi, MpiConfig, MpiData, MpiError, MpiResult, PersistentRecv,
-    PersistentSend, Rank, ReduceOp, Reducible, Request, SendMode, SourceSel, Status, TableEntry,
-    Tag, TagSel, TransportStats, Wait, TAG_UB,
+    dims_create, from_bytes, start_all, test_all, to_bytes, wait_all, wait_any, AllgatherAlgo,
+    AllreduceAlgo, BarrierAlgo, BcastAlgo, CartComm, CollDispatchEntry, CollPins, CollTable,
+    CollWindow, CommittedType, Communicator, Cost, Counters, DataType, Device, DeviceDefaults,
+    FlatLayout, Group, HealthReport, HistEntry, IovRun, Loc, MetricsServer, MetricsSnapshot, Mpi,
+    MpiConfig, MpiData, MpiError, MpiResult, PersistentRecv, PersistentSend, Rank, ReduceOp,
+    Reducible, Request, SendMode, SourceSel, Status, TableEntry, Tag, TagSel, TransportStats, Wait,
+    TAG_UB,
 };
 
 /// Protocol observability: tracing, histograms, trace export, Table-1

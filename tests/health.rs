@@ -5,10 +5,9 @@
 //!   the engine counters — `ThreadHealth` wakeups/frames bracket the
 //!   `Counters::progress_*` values, the four buckets sum to (almost
 //!   exactly) the credited wall span, and no bucket ever exceeds it.
-//! * Round-trip: `Mpi::serve_metrics` serves `validate_prometheus`-clean
-//!   text over a real in-process TCP connection, with the health and
-//!   window families present, plus a JSON health report — no mocks, no
-//!   ignored test.
+//! * Round-trip: `Mpi::serve_metrics` serves the metrics snapshot and the
+//!   health report as JSON over a real in-process TCP connection — no
+//!   mocks, no ignored test.
 //! * Sampling: the send/recv windows count every user call exactly while
 //!   timing one in 64, and a clock-read census over a counting device
 //!   holds a rank's own thread to at most 0.1 clock reads per user op.
@@ -18,11 +17,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use lmpi::obs::validate_json;
+use lmpi::obs::{parse_json, validate_json, Json};
 use lmpi::{
-    run_devices, run_real_tcp, validate_prometheus, Counters, Device, DeviceDefaults, FaultConfig,
-    FaultRates, FaultyDevice, HealthReport, Mpi, MpiConfig, MpiResult, Rank, RelConfig,
-    ReliableDevice, ShmDevice,
+    run_devices, run_real_tcp, Counters, Device, DeviceDefaults, FaultConfig, FaultRates,
+    FaultyDevice, HealthReport, Mpi, MpiConfig, MpiResult, Rank, RelConfig, ReliableDevice,
+    ShmDevice,
 };
 use lmpi_core::{Wait, Wire};
 use lmpi_sim::for_each_case;
@@ -379,7 +378,7 @@ fn real_tcp_rank_reports_one_service_thread() {
 /// Skips at runtime (with a message) only if loopback binding is
 /// impossible in the sandbox — never `#[ignore]`d.
 #[test]
-fn scrape_endpoint_round_trips_prometheus_and_json() {
+fn scrape_endpoint_round_trips_json() {
     let outcomes = run_devices(
         ShmDevice::fabric(2),
         MpiConfig::device_defaults(),
@@ -428,26 +427,21 @@ fn scrape_endpoint_round_trips_prometheus_and_json() {
                     (head.to_string(), body.to_string())
                 };
 
-                let (head, prom) = get("/metrics");
+                let (head, metrics) = get("/metrics");
                 assert!(head.starts_with("HTTP/1.1 200"), "bad status: {head}");
                 assert!(
-                    head.contains("text/plain"),
+                    head.contains("application/json"),
                     "metrics content type missing: {head}"
                 );
-                let n = validate_prometheus(&prom)
-                    .unwrap_or_else(|e| panic!("invalid Prometheus text: {e}\n{prom}"));
-                assert!(n > 0, "empty exposition");
-                for family in [
-                    "lmpi_health_thread_time_ns_total",
-                    "lmpi_health_thread_duty_cycle",
-                    "lmpi_health_mutex_wait_ns",
-                    "lmpi_window_latency_ns",
-                    "lmpi_window_count",
-                    // The base snapshot families must still be there too.
-                    "lmpi_matches_total",
-                    "lmpi_caller_frames_total",
-                ] {
-                    assert!(prom.contains(family), "missing {family}:\n{prom}");
+                validate_json(&metrics).expect("metrics JSON malformed");
+                let snap = parse_json(&metrics).unwrap();
+                let counters = snap.get("counters").expect("no counters");
+                for key in ["wires_handled", "progress_frames", "matches"] {
+                    let n = counters.get(key).and_then(Json::as_u64);
+                    assert!(n.is_some(), "missing counters.{key}:\n{metrics}");
+                }
+                for key in ["transport", "coll_dispatch"] {
+                    assert!(snap.get(key).is_some(), "missing {key}:\n{metrics}");
                 }
 
                 let (head, json) = get("/health.json");
