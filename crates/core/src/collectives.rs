@@ -133,7 +133,7 @@ impl Communicator {
     // ------------------------------------------------------------------
 
     /// `MPI_Barrier`: algorithm chosen by the dispatch layer
-    /// (dissemination or tree; see [`crate::coll`]).
+    /// (dissemination or tree; see the `coll` module).
     pub fn barrier(&self) -> MpiResult<()> {
         let algo = self.select(
             "barrier",

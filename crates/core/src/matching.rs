@@ -90,7 +90,7 @@ impl Hasher for BinHasher {
 type BinMap<V> = HashMap<BinKey, V, BuildHasherDefault<BinHasher>>;
 
 /// A receive waiting to be matched. `dst` describes where the payload goes;
-/// see [`RecvDest`] for the safety contract.
+/// see `request::RecvDest` for the safety contract.
 #[derive(Debug)]
 pub struct PostedRecv {
     /// Receiver request id (slot in the request table).

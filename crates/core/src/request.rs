@@ -144,7 +144,7 @@ impl RecvDest {
 /// rides inside the `RndvReq` frame and the receiver, once it has matched
 /// the envelope, turns it into a copy job straight out of the sender's
 /// memory into its own receive buffer — the one copy of the transfer.
-/// Whoever takes part copies claimed chunks of it ([`Lease::help`]) with
+/// Whoever takes part copies claimed chunks of it (`Lease::help`) with
 /// no engine lock held: the receiver's thread that matched, and the
 /// sender's thread that took the go-ahead if it is a caller blocked in
 /// the library.
@@ -157,7 +157,7 @@ impl RecvDest {
 /// and **a send that lent its buffer does not complete — `Ok` or `Err`,
 /// waited, cancelled, dropped, timed out or failed — until its lease is
 /// closed**: pulled, or withdrawn by the sender's engine
-/// ([`Lease::close`]) before the receiver began. A close waits out a pull
+/// (`Lease::close`) before the receiver began. A close waits out a pull
 /// in progress, and a receiver that comes after a withdrawal finds no
 /// window and reads nothing. The receiver's side is symmetric: **a
 /// receive whose lease is `Pulling` does not complete, and is not given
@@ -165,7 +165,7 @@ impl RecvDest {
 /// of it has landed, so neither buffer is let go under a copy. Other
 /// ranks' engines and devices hold clones of the `Arc`, possibly for
 /// ever; none of them can reach the memory except through
-/// [`copy_chunks`](Lease::copy_chunks). Lock order is engine → lease, on
+/// `Lease::copy_chunks`. Lock order is engine → lease, on
 /// either rank; nothing is acquired under the lease lock, and no copy
 /// runs under it.
 pub struct Lease {

@@ -739,7 +739,7 @@ impl MsgChannel for RealTcpChannel {
         }
     }
 
-    /// Polls, backing off by [`Inbox::idle`] between empty polls; the
+    /// Polls, backing off by `Inbox::idle` between empty polls; the
     /// inbox lock is never held across the backoff.
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
         socket_wait(wait, || {

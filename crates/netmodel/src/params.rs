@@ -2,7 +2,7 @@
 //!
 //! Every constant is calibrated against a number the paper reports; the doc
 //! comment on each field says which. Times are microseconds (converted to
-//! [`SimDur`] at use sites); rates are microseconds per byte.
+//! [`SimDur`](lmpi_sim::SimDur) at use sites); rates are microseconds per byte.
 //!
 //! The decompositions are not unique — the paper gives totals, not
 //! per-component budgets — but the *totals* these parameters produce match

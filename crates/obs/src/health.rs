@@ -9,7 +9,7 @@
 //! construction, and a duty-cycle read is just four atomic loads.
 //!
 //! [`AtomicHist`] is the lock-free sibling of
-//! [`LatencyHist`](crate::LatencyHist): same 496-slot log-bucketed
+//! [`LatencyHist`]: same 496-slot log-bucketed
 //! layout, relaxed-atomic counters, so hot paths (engine-mutex
 //! acquisition, wakeup-to-drain) can record without taking any lock.
 //!

@@ -21,7 +21,7 @@
 //!   API / protocol / wire phases, reproducing Table 1;
 //! * the **flight recorder** — every event can carry a [`MsgId`]
 //!   (source rank + per-sender sequence number) threaded through the
-//!   engine and wire headers, [`correlate`] stitches the per-rank rings
+//!   engine and wire headers, [`correlate()`] stitches the per-rank rings
 //!   into per-message causal timelines with phase dwell times and
 //!   invariant checks, and [`diag`] is the one rule engine (credit
 //!   starvation, retransmit storms, unexpected-queue growth, matcher-bin

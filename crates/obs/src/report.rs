@@ -3,7 +3,7 @@
 //! The paper decomposes a TCP round trip into API, protocol-engine, and
 //! wire components (Table 1). This module reproduces that decomposition
 //! from the flight record: given the [`MessageTimeline`]s of a two-rank
-//! ping-pong (built by [`crate::correlate`], the one reader that maps
+//! ping-pong (built by [`crate::correlate()`], the one reader that maps
 //! events to a message's phases), [`attribute_ping_pong`] walks message
 //! half-trips and charges each gap between phase timestamps to exactly
 //! one phase:

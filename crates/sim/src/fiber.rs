@@ -1,0 +1,218 @@
+//! Stackful coroutines on glibc's `ucontext` calls: each simulated process
+//! runs on a stack of its own, and the scheduler switches between them in
+//! user space, on the thread that calls [`Sim::run`](crate::Sim::run).
+//!
+//! A [`Fiber`] owns a stack mapped with `mmap(MAP_NORESERVE)` under a
+//! `PROT_NONE` guard, so only the pages a process touches become resident
+//! (a heap allocation could be served from an arena that touches every
+//! page), and an overflow faults instead of running into other memory.
+//! [`switch`] saves the running context and resumes another with
+//! `swapcontext`: no kernel scheduler, no futex, and the only system call
+//! is the signal-mask update `swapcontext` makes.
+
+use std::ffi::{c_int, c_long, c_ulong, c_void};
+use std::ptr::{self, NonNull};
+
+#[cfg(not(all(
+    target_os = "linux",
+    target_env = "gnu",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("lmpi-sim's fibers mirror glibc's ucontext_t on x86_64 and aarch64 Linux only");
+
+/// Usable bytes of each process's stack: what a spawned OS thread gets by
+/// default.
+const STACK_BYTES: usize = 2 << 20;
+
+/// glibc's `stack_t`. The pointers of this and of [`Context`] are held as
+/// addresses: Rust never dereferences them, and a context is plain data.
+#[repr(C)]
+struct StackT {
+    sp: usize,
+    flags: c_int,
+    size: usize,
+}
+
+/// glibc's `ucontext_t`: the leading fields `makecontext` reads are named,
+/// the rest (registers, signal mask, FP state) is opaque and sized above
+/// both targets' (928 bytes on x86_64, 4 520 on aarch64). Boxed wherever it
+/// lives, because glibc stores a pointer into the context itself.
+#[repr(C, align(16))]
+pub(crate) struct Context {
+    flags: c_ulong,
+    link: usize,
+    stack: StackT,
+    rest: [u64; 640],
+}
+
+impl Context {
+    /// An empty save area for [`switch`] to fill.
+    pub(crate) fn empty() -> Context {
+        Context {
+            flags: 0,
+            link: 0,
+            stack: StackT {
+                sp: 0,
+                flags: 0,
+                size: 0,
+            },
+            rest: [0; 640],
+        }
+    }
+}
+
+const PROT_NONE: c_int = 0;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_NORESERVE: c_int = 0x4000;
+const MAP_STACK: c_int = 0x20000;
+const SC_PAGESIZE: c_int = 30;
+
+extern "C" {
+    fn getcontext(ucp: *mut Context) -> c_int;
+    fn makecontext(ucp: *mut Context, func: extern "C" fn(u32, u32), argc: c_int, ...);
+    fn swapcontext(oucp: *mut Context, ucp: *const Context) -> c_int;
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn sysconf(name: c_int) -> c_long;
+}
+
+/// The body a fiber runs. It returns the context to resume once it is
+/// done; the fiber is never resumed after that.
+type Body = Box<dyn FnOnce() -> *const Context + Send>;
+
+/// A fiber's saved context and, until it first runs, its body. `ctx`
+/// comes first, so a pointer to the block is a pointer to it.
+#[repr(C)]
+struct Block {
+    ctx: Context,
+    body: Option<Body>,
+}
+
+/// A coroutine with its own stack. Created suspended at the start of its
+/// body; [`switch`] to [`Fiber::context`] runs it.
+pub(crate) struct Fiber {
+    /// From `Box::leak`, freed on drop. Reached through this pointer
+    /// only, so the running fiber's own accesses alias no `Box`.
+    block: NonNull<Block>,
+    /// The mapping: the guard, then `STACK_BYTES` of stack above it.
+    map: NonNull<c_void>,
+    map_len: usize,
+}
+
+// SAFETY: the fields are the addresses of the block and the mapping the
+// fiber owns, and the mapping's length; nothing else holds them. The
+// values on the fiber's stack run only on the thread in `Sim::run`: the
+// scheduler switches only there (`Sim::dispatch` asserts it), and a fiber
+// still suspended when a run returns or unwinds is never resumed (a
+// finished run leaves none; a failed one is poisoned and refuses `run`).
+unsafe impl Send for Fiber {}
+
+impl Fiber {
+    /// A suspended fiber that will run `body` when first switched to.
+    ///
+    /// # Panics
+    /// If the stack cannot be mapped.
+    pub(crate) fn new(body: impl FnOnce() -> *const Context + Send + 'static) -> Fiber {
+        // SAFETY: plain system calls on a fresh private mapping, checked;
+        // `getcontext` fills the boxed context `makecontext` then points at
+        // the mapped stack and the trampoline, with the block's address
+        // split into the two `int` arguments `makecontext` passes on.
+        unsafe {
+            let guard = usize::try_from(sysconf(SC_PAGESIZE)).expect("page size");
+            let map_len = guard + STACK_BYTES;
+            let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
+            let map = mmap(
+                ptr::null_mut(),
+                map_len,
+                PROT_READ | PROT_WRITE,
+                flags,
+                -1,
+                0,
+            );
+            assert!(
+                map as isize != -1,
+                "failed to map a simulated process's stack"
+            );
+            let map = NonNull::new(map).expect("mmap returned null");
+            let block = NonNull::from(Box::leak(Box::new(Block {
+                ctx: Context::empty(),
+                body: Some(Box::new(body)),
+            })));
+            let fiber = Fiber {
+                block,
+                map,
+                map_len,
+            };
+            assert_eq!(mprotect(map.as_ptr(), guard, PROT_NONE), 0, "stack guard");
+            let ctx = fiber.context();
+            assert_eq!(getcontext(ctx), 0, "getcontext");
+            (*ctx).link = 0;
+            (*ctx).stack = StackT {
+                sp: map.as_ptr() as usize + guard,
+                flags: 0,
+                size: STACK_BYTES,
+            };
+            let at = block.as_ptr() as u64;
+            makecontext(ctx, trampoline, 2, (at >> 32) as u32, at as u32);
+            fiber
+        }
+    }
+
+    /// The fiber's save area: what [`switch`] resumes, and where the fiber
+    /// saves itself when it switches away.
+    pub(crate) fn context(&self) -> *mut Context {
+        self.block.as_ptr().cast()
+    }
+}
+
+impl Drop for Fiber {
+    /// Unmaps the stack. A fiber dropped suspended leaks the values on its
+    /// stack; one never started drops its body.
+    fn drop(&mut self) {
+        // SAFETY: the block came from `Box::leak` and the mapping from
+        // `mmap` in `new`; the fiber is not running (its owner is on
+        // another stack) and is never resumed again.
+        unsafe {
+            drop(Box::from_raw(self.block.as_ptr()));
+            munmap(self.map.as_ptr(), self.map_len);
+        }
+    }
+}
+
+/// Save the running context in `from` and resume `to`; returns when
+/// something switches back to `from`.
+///
+/// # Safety
+/// `from` is the running context's save area and stays valid until it is
+/// resumed; `to` is suspended (made by [`Fiber::new`] or saved by an
+/// earlier `switch`, and not resumed since) and its stack is still mapped.
+pub(crate) unsafe fn switch(from: *mut Context, to: *const Context) {
+    assert_eq!(swapcontext(from, to), 0, "swapcontext");
+}
+
+/// Where every fiber starts: runs its body on the fiber's stack, then
+/// switches to the context the body names, for good.
+extern "C" fn trampoline(hi: u32, lo: u32) {
+    let block = ((u64::from(hi) << 32) | u64::from(lo)) as *mut Block;
+    // SAFETY: `new` passed this block's address, and the fiber's first
+    // resume is the only one that reaches here, so the body is still in it.
+    let body = unsafe { (*block).body.take() }.expect("a fiber starts once");
+    // A panic that escapes the body unwinds into this `extern "C"` frame,
+    // which aborts the process: the scheduler's body catches its own.
+    let next = body();
+    // SAFETY: the body returned with every value of its frame dropped and
+    // named a suspended context; this one is never resumed.
+    unsafe { switch(block.cast(), next) };
+    unreachable!("a finished fiber was resumed");
+}

@@ -1,11 +1,13 @@
 //! # lmpi-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the Meiko CS/2 and Ethernet/ATM cluster models in
-//! `lmpi-netmodel`. Simulated processes are OS threads scheduled
-//! *cooperatively*: exactly one thread runs at any moment, the holder of a
-//! run token. There is no scheduler thread: the process that gives the token
-//! up runs the event loop and hands it straight to the next process, so every
-//! run is exactly reproducible and free of data races by construction.
+//! `lmpi-netmodel`. Simulated processes are stackful coroutines scheduled
+//! *cooperatively* on the thread that calls [`Sim::run`]: each has a stack
+//! of its own, and exactly one runs at any moment, the holder of a run
+//! token. There is no scheduler: the process that gives the token up runs
+//! the event loop and switches straight to the next process in user space,
+//! so every run is exactly reproducible and free of data races by
+//! construction.
 //! Blocking process code (each MPI rank) reads like ordinary sequential code;
 //! cost models charge CPU time with [`Proc::charge`] (the process runs ahead
 //! and settles at its next simulator call) or [`Proc::advance`], and
@@ -30,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod fiber;
 pub mod lock;
 mod rng;
 mod sched;

@@ -1,17 +1,19 @@
 //! The discrete-event scheduler and cooperative process model.
 //!
 //! A [`Sim`] owns a virtual clock and an event queue. Simulated processes are
-//! real OS threads, but **exactly one thread runs at a time**: the one holding
-//! the run token. There is no scheduler thread. A process that gives the token
-//! up (it advances the clock, parks, or finishes) runs the event loop itself:
-//! it fires timer callbacks inline and stops at the first live wake. A wake
-//! for itself returns at once with no thread switch; a wake for another
-//! process hands the token straight to that process's thread. The thread in
-//! [`Sim::run`] starts the loop and gets the token back only when the queue
-//! is empty or a panic is recorded. This gives the programming convenience of
-//! blocking code (each MPI rank is written as straight-line blocking code)
-//! with the determinism of a sequential discrete-event simulation: runs are
-//! exactly reproducible, and there are no data races by construction.
+//! stackful coroutines (the `fiber` module), each on a stack of its own,
+//! all run by the thread that calls [`Sim::run`]; **exactly one runs at a
+//! time**: the one holding the run token. There is no scheduler thread or
+//! coroutine. A process that gives the token up (it advances the clock,
+//! parks, or finishes) runs the event loop itself: it fires timer callbacks
+//! inline and stops at the first live wake. A wake for itself returns at
+//! once with no switch; a wake for another process hands the token straight
+//! to that process's stack. [`Sim::run`] starts the loop and gets the token
+//! back only when the queue is empty or a panic is recorded. This gives the
+//! programming convenience of blocking code (each MPI rank is written as
+//! straight-line blocking code) with the determinism of a sequential
+//! discrete-event simulation: runs are exactly reproducible, and there are
+//! no data races by construction.
 //!
 //! Events are ordered by `(time, sequence-number)`, the sequence number being
 //! assigned at scheduling time, so simultaneous events fire in the order they
@@ -20,18 +22,17 @@
 //! # The hand-off
 //!
 //! The token lives in the state mutex. A hand-off sets it under the lock,
-//! drops the lock, then unparks the new holder's thread: one `unpark`, and
-//! no lock is held across the switch. A waiting thread re-locks, checks the
-//! token, unlocks and parks, in a loop. Notifying a condvar under the lock
-//! instead cost a second switch on one CPU (the woken thread found the lock
-//! taken and slept again): a two-process lockstep `advance` took 7-8 µs
-//! that way and takes about 1.8 µs this way on the 2-vCPU reference box.
+//! drops the lock, then saves the giver's registers and resumes the new
+//! holder's with one `swapcontext`: a user-space switch on one OS thread,
+//! with no futex wait and no kernel scheduler between the two processes.
+//! The resumed process re-locks and finds the token its own. A lockstep
+//! hand-off costs about 0.4 µs of CPU on the 2-vCPU reference box, against
+//! 1.4-1.9 µs for an `unpark` and a futex wait when every process was an
+//! OS thread (EXPERIMENTS.md). No lock is held across a switch, so the
+//! process that resumes can take any lock the one that yielded could.
 //!
-//! So code in a process, and the thread in [`Sim::run`], must not rely on
-//! `std::thread::park` tokens: an unpark meant for the scheduler can land
-//! after the token was seen, and make one later `park` on that thread
-//! return at once. std's blocking primitives already tolerate such
-//! spurious wake-ups.
+//! Thread-local state is the run thread's, shared by every process, and
+//! `std::thread::current()` names that thread in each of them.
 //!
 //! # Running ahead
 //!
@@ -60,8 +61,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle, Thread};
 
+use crate::fiber::{self, Context, Fiber};
 use crate::lock::{Mutex, MutexGuard};
 
 use crate::time::{SimDur, SimTime};
@@ -118,11 +119,11 @@ enum ProcStatus {
     Finished,
 }
 
-/// Which thread holds the run token.
+/// Who holds the run token.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Token {
-    /// The thread that calls [`Sim::run`]: before the run starts, and once
-    /// nothing is queued or a panic is recorded.
+    /// The thread in [`Sim::run`], on its own stack: before the run
+    /// starts, and once nothing is queued or a panic is recorded.
     Run,
     Proc(ProcId),
 }
@@ -132,9 +133,9 @@ struct ProcSlot {
     status: ProcStatus,
     /// Incremented on every park; used to invalidate stale wake events.
     epoch: u64,
-    /// The process's OS thread, unparked when the token is handed to it.
-    thread: Thread,
-    join: Option<JoinHandle<()>>,
+    /// The process's stack and saved context, resumed when the token is
+    /// handed to it; dropped (unmapped) by the `run` it finished in.
+    fiber: Option<Fiber>,
     /// Settled charges still to replay after the wake in the queue, oldest
     /// first: `dispatch` queues each one when the wake before it fires.
     chain: VecDeque<SimDur>,
@@ -151,15 +152,18 @@ struct SchedState {
     live: usize,
     /// First panic message captured from a process or a timer callback.
     panicked: Option<String>,
-    /// Set when tearing down after a panic: parked processes unwind instead
-    /// of waiting forever for a token that will never come, and no thread
-    /// dispatches another event.
+    /// Set when tearing down after a panic or a deadlock: a process
+    /// resumed from then on unwinds instead of running on, no process or
+    /// callback dispatches another event, and the run cannot be restarted.
     poisoned: bool,
-    /// Hand-offs of the run token from one OS thread to another.
+    /// Hand-offs of the run token from one stack to another.
     switches: u64,
-    /// The thread in [`Sim::run`], unparked when the token comes back to
-    /// it; recorded when `run` starts.
-    run_thread: Option<Thread>,
+    /// Where the thread in [`Sim::run`] saves itself while a process runs;
+    /// present while `run` is.
+    run_ctx: Option<Box<Context>>,
+    /// [`thread_tag`] of the thread in [`Sim::run`]: the one thread that
+    /// may switch between this run's stacks.
+    run_thread: usize,
     /// Charges the token holder has run ahead through ([`Proc::charge`]),
     /// oldest first. Empty whenever the event loop runs.
     ahead: Vec<SimDur>,
@@ -185,6 +189,18 @@ impl SchedState {
             epoch: slot.epoch,
         };
         self.push(self.now + d, EventKind::Wake(token));
+    }
+
+    /// The save area of `who`: `run`'s, or the process's fiber.
+    fn context(&mut self, who: Token) -> *mut Context {
+        match who {
+            Token::Run => self.run_ctx.as_deref_mut().expect("a switch outside run"),
+            Token::Proc(pid) => self.procs[pid]
+                .fiber
+                .as_ref()
+                .expect("a switch to a released process")
+                .context(),
+        }
     }
 }
 
@@ -219,7 +235,8 @@ impl Sim {
                     panicked: None,
                     poisoned: false,
                     switches: 0,
-                    run_thread: None,
+                    run_ctx: None,
+                    run_thread: 0,
                     ahead: Vec::new(),
                     ahead_sum: SimDur::ZERO,
                 }),
@@ -240,9 +257,10 @@ impl Sim {
         self.core.state.lock().ahead.is_empty()
     }
 
-    /// Hand-offs of the run token from one OS thread to another so far.
-    /// Each is an `unpark` and a `park`: the simulator's cost per event.
-    /// A deterministic program makes the same number on every run.
+    /// Hand-offs of the run token from one stack to another so far (a
+    /// process's, or that of the thread in [`Sim::run`]). Each is a
+    /// user-space context switch: the simulator's cost per event. A
+    /// deterministic program makes the same number on every run.
     pub fn switches(&self) -> u64 {
         self.core.state.lock().switches
     }
@@ -264,11 +282,6 @@ impl Sim {
         let Token::Proc(pid) = st.token else {
             unreachable!("charges recorded outside a process")
         };
-        debug_assert_eq!(
-            thread::current().id(),
-            st.procs[pid].thread.id(),
-            "settle off the token holder's thread"
-        );
         let mut ahead = std::mem::take(&mut st.ahead);
         st.ahead_sum = SimDur::ZERO;
         let mut charges = ahead.drain(..);
@@ -276,7 +289,7 @@ impl Sim {
         st.procs[pid].chain.extend(charges);
         st.ahead = ahead;
         st.advance(pid, first);
-        self.yield_token(st, pid)
+        self.dispatch(st, Token::Proc(pid))
     }
 
     /// Wake `pid` at the current virtual time if it is parked at `epoch`.
@@ -294,11 +307,11 @@ impl Sim {
 
     /// Run `f` after `delay` of virtual time.
     ///
-    /// Callbacks execute while no process runs, on whichever thread is
-    /// dispatching events, and may schedule further events, wake processes
-    /// via sync primitives, or spawn new processes. They must not block. A
-    /// callback that panics fails the run: [`Sim::run`] panics with its
-    /// message.
+    /// Callbacks execute while no process runs, on the stack of whichever
+    /// process (or `run`) is dispatching events, and may schedule further
+    /// events, wake processes via sync primitives, or spawn new processes.
+    /// They must not block. A callback that panics fails the run:
+    /// [`Sim::run`] panics with its message.
     pub fn after(&self, delay: SimDur, f: impl FnOnce(&Sim) + Send + 'static) {
         let mut st = self.lock_settled();
         let at = st.now + delay;
@@ -307,6 +320,9 @@ impl Sim {
 
     /// Spawn a simulated process. Its closure starts executing at the current
     /// virtual time, once the event loop reaches its start event.
+    ///
+    /// # Panics
+    /// If the process's stack cannot be mapped.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&Proc) + Send + 'static,
@@ -314,28 +330,22 @@ impl Sim {
         // handle in longer-lived structures (e.g. device layers).
     {
         let name = name.into();
-        // The new thread waits for the lock held here, so its slot exists
-        // before it first looks for the token.
         let mut st = self.lock_settled();
         let pid = st.procs.len();
         let sim = self.clone();
-        let handle = thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                let proc = Proc { sim, pid };
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    drop(proc.sim.wait_for_token(pid));
-                    f(&proc)
-                }));
-                proc.finish(result);
-            })
-            .expect("failed to spawn simulation thread");
+        let fiber = Fiber::new(move || {
+            let proc = Proc { sim, pid };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                drop(proc.sim.resumed(Token::Proc(pid)));
+                f(&proc)
+            }));
+            proc.finish(result)
+        });
         st.procs.push(ProcSlot {
             name,
             status: ProcStatus::Runnable,
             epoch: 0,
-            thread: handle.thread().clone(),
-            join: Some(handle),
+            fiber: Some(fiber),
             chain: VecDeque::new(),
         });
         st.live += 1;
@@ -345,38 +355,44 @@ impl Sim {
     }
 
     /// Drive the simulation until every process has finished and the event
-    /// queue is empty.
+    /// queue is empty. Every process runs on the calling thread.
     ///
     /// # Panics
     /// Panics if a process or a timer callback panicked (propagating its
-    /// message, once every process thread has exited), or if the event queue
-    /// drains while processes are still parked (deadlock), in which case the
-    /// panic message names the stuck processes.
+    /// message, once every unfinished process has been resumed to unwind),
+    /// or if the event queue drains while processes are still parked
+    /// (deadlock), in which case the panic message names the stuck
+    /// processes. Either way the run is over: calling `run` again panics.
     pub fn run(&self) {
         let mut st = self.core.state.lock();
-        st.run_thread = Some(thread::current());
-        let mut st = match self.dispatch(st, Token::Run) {
-            Some(st) => st,
-            None => self.wait_until(|st| st.token == Token::Run),
-        };
+        assert!(!st.poisoned, "Sim::run after the run failed");
+        assert!(st.run_ctx.is_none(), "Sim::run while the run is running");
+        st.run_ctx = Some(Box::new(Context::empty()));
+        st.run_thread = thread_tag();
+        let mut st = self.dispatch(st, Token::Run);
         if let Some(msg) = st.panicked.take() {
-            // Poison the run so parked processes unwind rather than wait
-            // forever, then join everything and propagate.
+            // Poison the run and resume every unfinished process once:
+            // each unwinds from where it stopped (or before its closure
+            // starts) and exits back here.
             st.poisoned = true;
-            let threads: Vec<Thread> = st.procs.iter().map(|p| p.thread.clone()).collect();
-            drop(st);
-            for t in threads {
-                t.unpark();
+            let unfinished: Vec<ProcId> = (0..st.procs.len())
+                .filter(|&pid| st.procs[pid].status != ProcStatus::Finished)
+                .collect();
+            for pid in unfinished {
+                st.token = Token::Proc(pid);
+                st = self.switch_to_holder(st, Token::Run);
             }
-            self.join_all();
+            release_finished(st);
             panic!("{msg}");
         }
         debug_assert!(st.queue.is_empty(), "token returned with events queued");
         if st.live == 0 {
-            drop(st);
-            self.join_all();
+            release_finished(st);
             return;
         }
+        // The parked processes stay suspended, stacks and all, and are
+        // never resumed.
+        st.poisoned = true;
         let stuck: Vec<String> = st
             .procs
             .iter()
@@ -391,14 +407,31 @@ impl Sim {
         );
     }
 
-    /// The event loop, run by `me`, the thread giving up the run token.
-    /// Pops events in `(time, seq)` order, running callbacks inline and
-    /// replaying settled charge chains, until the first live wake, and
+    /// The event loop, run on the stack of `me`, who gives up the run
+    /// token. Pops events in `(time, seq)` order, running callbacks inline
+    /// and replaying settled charge chains, until the first live wake, and
     /// gives the token to that process; to `run` once the queue is empty or
-    /// a panic is recorded. Returns the lock if `me` still holds the token;
-    /// if not, the new holder's thread is unparked once the lock is
-    /// released, and the caller must wait (or exit).
-    fn dispatch<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> Option<StateGuard<'a>> {
+    /// a panic is recorded. Switches to the new holder unless it is `me`,
+    /// and returns the lock once `me` holds the token again.
+    ///
+    /// # Panics
+    /// Unless `me` holds the token and this is the thread in `run`: a
+    /// process's call through another process's handle, or from a thread
+    /// of its own, must not save itself into a context it does not own.
+    fn dispatch<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> StateGuard<'a> {
+        assert!(
+            st.token == me && st.run_thread == thread_tag(),
+            "a simulator call from outside the running process"
+        );
+        if self.next_holder(&mut st) == me {
+            return st;
+        }
+        st.switches += 1;
+        self.switch_to_holder(st, me)
+    }
+
+    /// The event loop proper: sets and returns the token's next holder.
+    fn next_holder<'a>(&'a self, st: &mut StateGuard<'a>) -> Token {
         debug_assert!(st.ahead.is_empty(), "event loop ran with charges unsettled");
         let next = loop {
             if st.panicked.is_some() || st.poisoned {
@@ -426,9 +459,10 @@ impl Sim {
                     break Token::Proc(token.pid);
                 }
                 EventKind::Call(f) => {
-                    drop(st);
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| f(self)));
-                    st = self.core.state.lock();
+                    let result = self
+                        .core
+                        .state
+                        .unlocked(st, || panic::catch_unwind(AssertUnwindSafe(|| f(self))));
                     if let Err(payload) = result {
                         let msg = payload_to_string(payload.as_ref());
                         st.panicked
@@ -438,67 +472,55 @@ impl Sim {
             }
         };
         st.token = next;
-        if next == me {
-            return Some(st);
-        }
-        st.switches += 1;
-        let thread = match next {
-            Token::Run => st.run_thread.clone().expect("dispatch before run"),
-            Token::Proc(pid) => st.procs[pid].thread.clone(),
-        };
-        // Unpark with the lock released: a woken thread that found it held
-        // would go back to sleep and need a second switch to get it.
+        next
+    }
+
+    /// Save `me` and resume the token's holder, with the lock released so
+    /// that the holder can take it; returns the lock once `me` is resumed.
+    fn switch_to_holder<'a>(&'a self, mut st: StateGuard<'a>, me: Token) -> StateGuard<'a> {
+        let holder = st.token;
+        let (from, to) = (st.context(me), st.context(holder));
         drop(st);
-        thread.unpark();
-        None
+        // SAFETY: `from` is `me`'s save area, which outlives its suspension
+        // (`run`'s is dropped only when `run` returns; a process's fiber
+        // only once it finished); `to` belongs to the holder, which is
+        // suspended (it gave the token up in a switch, or never ran), and
+        // only the token holder resumes anyone.
+        unsafe { fiber::switch(from, to) };
+        self.resumed(me)
     }
 
-    /// Give the token up from `pid`'s thread: run the event loop, then wait
-    /// until the token comes back (at once, with no thread switch, when
-    /// `pid`'s own wake is the next live event). Returns the lock.
-    fn yield_token<'a>(&'a self, st: StateGuard<'a>, pid: ProcId) -> StateGuard<'a> {
-        match self.dispatch(st, Token::Proc(pid)) {
-            Some(st) => st,
-            None => self.wait_for_token(pid),
-        }
-    }
-
-    fn wait_for_token(&self, pid: ProcId) -> StateGuard<'_> {
-        let me = Token::Proc(pid);
-        let st = self.wait_until(|st| st.token == me || st.poisoned);
-        if st.poisoned {
-            // A process or callback panicked and the run is being torn down;
-            // unwind this thread too so `run()` can finish joining.
+    /// The lock, for `me` just resumed with the token. A process resumed
+    /// in a poisoned run unwinds instead, so that `run` can finish.
+    fn resumed(&self, me: Token) -> StateGuard<'_> {
+        let st = self.core.state.lock();
+        if st.poisoned && me != Token::Run {
             drop(st);
             panic!("simulation aborted after a panic elsewhere in the run");
         }
+        debug_assert_eq!(st.token, me, "resumed without the run token");
         st
     }
+}
 
-    /// Park the calling thread until `ready` holds, and return the lock.
-    /// The check runs under the lock and the park outside it; an unpark
-    /// that lands between the two makes the park return at once, and a
-    /// stale one costs one more check.
-    fn wait_until(&self, ready: impl Fn(&SchedState) -> bool) -> StateGuard<'_> {
-        loop {
-            let st = self.core.state.lock();
-            if ready(&st) {
-                return st;
-            }
-            drop(st);
-            thread::park();
-        }
-    }
+/// A number no other live thread shares: the address of a thread-local.
+fn thread_tag() -> usize {
+    thread_local!(static TAG: u8 = const { 0 });
+    TAG.with(|tag| tag as *const u8 as usize)
+}
 
-    fn join_all(&self) {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut st = self.core.state.lock();
-            st.procs.iter_mut().filter_map(|p| p.join.take()).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
+/// Unmap the stacks of the finished processes and drop `run`'s save area;
+/// the state lock is released first, so nothing dropped runs under it.
+fn release_finished(mut st: StateGuard<'_>) {
+    let fibers: Vec<Fiber> = st
+        .procs
+        .iter_mut()
+        .filter(|p| p.status == ProcStatus::Finished)
+        .filter_map(|p| p.fiber.take())
+        .collect();
+    let run_ctx = st.run_ctx.take();
+    drop(st);
+    drop((fibers, run_ctx));
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -515,7 +537,7 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Its clock operations (`charge`, `settle`, `advance`) and the waits on a
 /// [`SimQueue`](crate::SimQueue) must be called only from the owning
-/// process thread.
+/// process.
 #[derive(Clone)]
 pub struct Proc {
     sim: Sim,
@@ -560,7 +582,11 @@ impl Proc {
     /// it ("Running ahead" in the module docs).
     pub fn charge(&self, d: SimDur) {
         let mut st = self.sim.core.state.lock();
-        debug_assert_eq!(st.token, Token::Proc(self.pid), "charge from wrong thread");
+        debug_assert_eq!(
+            st.token,
+            Token::Proc(self.pid),
+            "charge off the token holder"
+        );
         st.ahead.push(d);
         st.ahead_sum += d;
     }
@@ -581,7 +607,7 @@ impl Proc {
     /// wake it. Internal to the sync module.
     pub(crate) fn prepare_park(&self) -> WakeToken {
         let mut st = self.sim.lock_settled();
-        debug_assert_eq!(st.token, Token::Proc(self.pid), "park from wrong thread");
+        debug_assert_eq!(st.token, Token::Proc(self.pid), "park off the token holder");
         st.procs[self.pid].epoch += 1;
         let epoch = st.procs[self.pid].epoch;
         st.procs[self.pid].status = ProcStatus::Parked;
@@ -597,7 +623,7 @@ impl Proc {
         let st = self.sim.core.state.lock();
         debug_assert_eq!(st.token, Token::Proc(self.pid));
         debug_assert!(st.ahead.is_empty(), "charged between prepare_park and park");
-        drop(self.sim.yield_token(st, self.pid));
+        drop(self.sim.dispatch(st, Token::Proc(self.pid)));
     }
 
     /// Schedule a wake for ourselves at `now + d` under the current park
@@ -615,10 +641,11 @@ impl Proc {
         st.push(at, EventKind::Wake(token));
     }
 
-    /// The exit path of a process thread: settle, record a panic, then run
-    /// the event loop once more to hand the token on. A finished process's
+    /// The exit path of a process: settle, record a panic, then run the
+    /// event loop once more to pick the next holder, whose context the
+    /// fiber switches to once this frame is gone. A finished process's
     /// wakes are all stale, so the token never comes back to it.
-    fn finish(&self, result: std::thread::Result<()>) {
+    fn finish(&self, result: std::thread::Result<()>) -> *const Context {
         // The exit, and a panic's claim to be the run's first, happen when
         // the last charge has elapsed. A settle that unwinds met a poisoned
         // run, which already carries its message.
@@ -639,7 +666,10 @@ impl Proc {
                 ));
             }
         }
-        drop(self.sim.dispatch(st, Token::Proc(self.pid)));
+        let next = self.sim.next_holder(&mut st);
+        debug_assert_ne!(next, Token::Proc(self.pid), "a finished process was woken");
+        st.switches += 1;
+        st.context(next)
     }
 }
 
@@ -656,7 +686,7 @@ mod tests {
         sim.core.state.lock().switches
     }
 
-    /// Sends on a channel when dropped: proof that a process thread unwound.
+    /// Sends on a channel when dropped: proof that a process unwound.
     struct DropSignal(mpsc::Sender<()>);
 
     impl Drop for DropSignal {
@@ -808,7 +838,7 @@ mod tests {
         let msg = payload_to_string(err.as_ref());
         assert!(msg.contains("cb boom"), "{msg}");
         rx.recv_timeout(Duration::from_secs(2))
-            .expect("waiter thread still parked");
+            .expect("waiter still parked");
     }
 
     #[test]
@@ -833,12 +863,12 @@ mod tests {
         let msg = payload_to_string(err.as_ref());
         assert!(msg.contains("process 'a' panicked: a boom"), "{msg}");
         assert!(!ran.load(Ordering::SeqCst), "a poisoned run ran a callback");
-        // `run` joined both threads before it panicked.
+        // `run` resumed b to unwind before it panicked.
         assert_eq!(rx.try_iter().count(), 2);
     }
 
     #[test]
-    fn a_lone_process_advances_without_a_thread_switch() {
+    fn a_lone_process_advances_without_a_switch() {
         const STEPS: u64 = 10_000;
         let sim = Sim::new();
         let seen = Arc::new(Mutex::new((0, 0)));
@@ -927,7 +957,7 @@ mod tests {
         sim.run();
 
         // Captured from the kernel with a dedicated scheduler thread; the
-        // event loop must pick the same order whichever thread runs it.
+        // event loop must pick the same order whichever stack runs it.
         // At 10 µs the callback (queued first) runs before both wakes; a's
         // stale 100 µs timeout is dropped; c's push wakes a after c exits.
         let expected: Vec<(u64, &str)> = vec![
@@ -1026,7 +1056,7 @@ mod tests {
         for n in 0..=PARKED {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             rx.recv_timeout(left)
-                .unwrap_or_else(|_| panic!("only {n} of {} threads unwound", PARKED + 1));
+                .unwrap_or_else(|_| panic!("only {n} of {} processes unwound", PARKED + 1));
         }
         let msg = runner.join().expect("run panics once, caught");
         assert!(msg.contains("process 'bad' panicked: bad boom"), "{msg}");
@@ -1054,9 +1084,10 @@ mod tests {
     }
 
     #[test]
-    fn many_lockstep_hand_offs_lose_no_unpark() {
-        // A lost unpark leaves both processes parked for good; the bounded
-        // wait turns that into a failure.
+    fn many_lockstep_hand_offs_count_exactly() {
+        // 200 000 switches between two stacks, each saving and restoring
+        // a context: every one is counted, and the run ends in bounded
+        // time.
         const STEPS: u64 = 100_000;
         let sim = Sim::new();
         for name in ["a", "b"] {
@@ -1069,5 +1100,118 @@ mod tests {
         let s = sim.clone();
         within(Duration::from_secs(120), move || s.run());
         assert_eq!(switches(&sim), 2 * STEPS + 3);
+    }
+
+    #[test]
+    fn every_process_runs_on_the_thread_in_run() {
+        // 64 processes pass a baton round a ring: each observes the thread
+        // `run` was called on, before and after each of its parks. None
+        // has an OS thread of its own.
+        const PROCS: usize = 64;
+        const ROUNDS: u32 = 3;
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let ring: Vec<SimQueue<u32>> = (0..PROCS).map(|_| SimQueue::new(&sim)).collect();
+        ring[0].push(0);
+        for i in 0..PROCS {
+            let (seen, ring) = (seen.clone(), ring.clone());
+            sim.spawn(format!("p{i}"), move |p| {
+                for _ in 0..ROUNDS {
+                    seen.lock().push(std::thread::current().id());
+                    let baton = ring[i].pop(p);
+                    seen.lock().push(std::thread::current().id());
+                    p.advance(SimDur::from_us(1));
+                    ring[(i + 1) % PROCS].push(baton + 1);
+                }
+            });
+        }
+        let s = sim.clone();
+        let runner = within(Duration::from_secs(60), move || {
+            s.run();
+            std::thread::current().id()
+        });
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2 * PROCS * ROUNDS as usize);
+        assert!(
+            seen.iter().all(|&id| id == runner),
+            "a process ran off the run thread"
+        );
+        assert_ne!(runner, std::thread::current().id());
+        assert_eq!(ring[0].try_pop(), Some(PROCS as u32 * ROUNDS));
+    }
+
+    #[test]
+    fn a_park_through_another_process_handle_fails_the_run() {
+        // b parks with a's handle while a is parked: b must not save itself
+        // into a's context.
+        let sim = Sim::new();
+        let q: SimQueue<()> = SimQueue::new(&sim);
+        let (tx, rx) = mpsc::channel::<Proc>();
+        let qa = q.clone();
+        sim.spawn("a", move |p| {
+            tx.send(p.clone()).unwrap();
+            qa.pop(p);
+        });
+        sim.spawn("b", move |_p| {
+            let a = rx.recv().unwrap();
+            q.pop(&a);
+        });
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must fail");
+        let msg = payload_to_string(err.as_ref());
+        assert!(msg.contains("process 'b' panicked"), "{msg}");
+    }
+
+    #[test]
+    fn a_simulator_call_from_a_thread_of_a_process_panics_there() {
+        let sim = Sim::new();
+        let outcome = Arc::new(Mutex::new(String::new()));
+        let o = outcome.clone();
+        sim.spawn("p", move |p| {
+            let helper = p.clone();
+            let err = std::thread::spawn(move || helper.advance(SimDur::from_us(1)))
+                .join()
+                .expect_err("an advance off the run thread must panic");
+            *o.lock() = payload_to_string(err.as_ref());
+        });
+        within(Duration::from_secs(60), move || sim.run());
+        let msg = outcome.lock().clone();
+        assert!(msg.contains("outside the running process"), "{msg}");
+    }
+
+    #[test]
+    fn a_process_may_use_a_mebibyte_of_stack() {
+        // 256 nested frames of 4 KiB each, parking in the deepest one so
+        // that the deep stack is switched away from and back to.
+        fn descend(p: &Proc, q: &SimQueue<()>, depth: u32, top: usize) -> usize {
+            let mut frame = [0u8; 4096];
+            frame[depth as usize % 4096] = 1;
+            let here = std::hint::black_box(&mut frame).as_ptr() as usize;
+            let span = if depth == 0 {
+                q.pop(p);
+                top.abs_diff(here)
+            } else {
+                descend(p, q, depth - 1, top)
+            };
+            std::hint::black_box(&frame);
+            span
+        }
+        let sim = Sim::new();
+        let q: SimQueue<()> = SimQueue::new(&sim);
+        let used = Arc::new(AtomicUsize::new(0));
+        let (u, qd) = (used.clone(), q.clone());
+        sim.spawn("deep", move |p| {
+            let top = std::hint::black_box(&0u8) as *const u8 as usize;
+            u.store(descend(p, &qd, 256, top), Ordering::SeqCst);
+        });
+        sim.spawn("waker", move |p| {
+            p.advance(SimDur::from_us(1));
+            q.push(());
+        });
+        within(Duration::from_secs(60), move || sim.run());
+        assert!(
+            used.load(Ordering::SeqCst) >= 1 << 20,
+            "{} bytes",
+            used.load(Ordering::SeqCst)
+        );
     }
 }

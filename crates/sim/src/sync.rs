@@ -2,8 +2,8 @@
 //! of messages (a NIC inbox).
 //!
 //! It is a *virtual-time* primitive: waiting consumes no host CPU, it
-//! parks the process thread, which runs the event loop until it hands the
-//! run token to the next process. Waking is always mediated by the event
+//! parks the process, which runs the event loop until it hands the run
+//! token to the next process. Waking is always mediated by the event
 //! queue, so wake order is deterministic (FIFO among waiters, at the
 //! virtual instant of the wake). Every call settles the calling process's
 //! charges first ([`Proc::charge`]), so it acts at the time the same

@@ -1,7 +1,7 @@
 //! `Proc::charge` against `Proc::advance`: a process that runs ahead
 //! through its charges must leave every observable of the run as it was —
 //! the order and virtual time of every simulator call, the final clock, a
-//! panic's message — while the run token changes threads less often.
+//! panic's message — while the run token changes hands less often.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;

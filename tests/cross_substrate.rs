@@ -3,6 +3,7 @@
 //! Ethernet/ATM cluster over TCP and UDP, real TCP loopback), and the
 //! simulated substrates are exactly deterministic.
 
+use lmpi::obs::{chrome_trace_json, TraceBuffer, Tracer};
 use lmpi::{
     run_cluster, run_meiko, run_real_tcp, run_threads, ClusterNet, ClusterTransport, MeikoVariant,
     Mpi, MpiConfig, ReduceOp, SourceSel, TagSel,
@@ -152,6 +153,43 @@ fn simulated_runs_are_bit_reproducible() {
         run_times(),
         "virtual completion times must be bit-identical"
     );
+}
+
+/// Simulated ranks are coroutines on the one thread in `Sim::run`, so they
+/// share that thread's trace id; the Chrome export still shows each rank
+/// as its own process row with one thread row under it.
+#[test]
+fn simulated_chrome_trace_has_one_row_per_rank() {
+    const RANKS: usize = 3;
+    let tracers: Vec<Tracer> = (0..RANKS as u32)
+        .map(|r| Tracer::enabled(r, 1 << 12))
+        .collect();
+    let t = tracers.clone();
+    run_cluster(
+        RANKS,
+        ClusterNet::Atm,
+        ClusterTransport::Tcp,
+        MpiConfig::device_defaults(),
+        move |mpi| {
+            let world = mpi.world();
+            mpi.set_tracer(t[world.rank()].clone());
+            world.allreduce(&[1u64], ReduceOp::Sum).unwrap();
+            world.barrier().unwrap();
+        },
+    );
+    let bufs: Vec<TraceBuffer> = tracers.iter().map(Tracer::snapshot).collect();
+    let json = chrome_trace_json(&bufs);
+    for (rank, buf) in bufs.iter().enumerate() {
+        assert!(!buf.events.is_empty(), "rank {rank} traced nothing");
+        assert!(
+            buf.events.iter().all(|ev| ev.tid == buf.events[0].tid),
+            "rank {rank}'s events span several thread rows"
+        );
+        for row in ["process_name", "thread_name"] {
+            let record = format!(r#""name":"{row}","pid":{rank},"#);
+            assert_eq!(json.matches(&record).count(), 1, "{row} of rank {rank}");
+        }
+    }
 }
 
 #[test]
