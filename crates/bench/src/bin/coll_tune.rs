@@ -412,7 +412,7 @@ fn check_table() -> ExitCode {
         }
     };
     let known_substrates = [
-        "any", "generic", "shm", "meiko", "sim-tcp", "sim-udp", "real-tcp", "real-udp", "sock",
+        "any", "generic", "shm", "meiko", "sim-tcp", "real-tcp", "real-udp", "sock",
     ];
     let mut failures = Vec::new();
     for (i, e) in table.entries().iter().enumerate() {
@@ -438,9 +438,7 @@ fn check_table() -> ExitCode {
     }
     // Every dispatch-grid point (and a margin beyond it) must resolve.
     for coll in ["barrier", "bcast", "allreduce", "allgather"] {
-        for sub in [
-            "shm", "meiko", "sim-tcp", "sim-udp", "real-tcp", "real-udp", "generic",
-        ] {
+        for sub in ["shm", "meiko", "sim-tcp", "real-tcp", "real-udp", "generic"] {
             for n in [2usize, 3, 4, 8, 64] {
                 for bytes in [0u64, 64, 4096, 65536, 1 << 20, 1 << 26] {
                     if table.lookup(sub, coll, n, bytes).is_none() {

@@ -12,7 +12,7 @@
 //! device at a time — the holder of the engine's drain role; concurrent
 //! `recv` from two threads would let handling race and break FIFO.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::MpiResult;
 use crate::packet::Wire;
@@ -113,29 +113,58 @@ lmpi_obs::counter_struct! {
     }
 }
 
-/// How long [`Device::recv`] may wait for a frame.
+/// How long [`Device::recv`] may wait for a frame. A timed wait is a
+/// length, not an instant: the device measures it from the call on its own
+/// clock (the wall clock on a real transport, virtual time on a simulated
+/// one), so a caller reads no clock to make one.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Wait {
     /// Not at all.
     Poll,
-    /// Until this instant at the latest.
-    Until(Instant),
+    /// For this long at most, from the call.
+    Within(Duration),
     /// Until a frame or a failure arrives.
     Forever,
 }
 
 impl Wait {
-    /// This wait, cut short `secs` from now if that comes first (never if
-    /// `secs` is infinite): how a wrapper waits in the device it wraps
-    /// until its own next timer.
+    /// This wait or one of `secs`, whichever is shorter (uncut if `secs`
+    /// is infinite): how a wrapper waits in the device it wraps until its
+    /// own next timer. `secs` rounds up to a whole nanosecond, so a wait
+    /// cut for a timer does not end before the timer is due.
     pub fn or_within(self, secs: f64) -> Wait {
-        let Ok(left) = Duration::try_from_secs_f64(secs.max(0.0)) else {
+        let ns = (secs.max(0.0) * 1e9).ceil();
+        if ns >= u64::MAX as f64 {
             return self;
-        };
-        match (self, Instant::now() + left) {
-            (Wait::Until(t), at) if at < t => Wait::Until(at),
-            (Wait::Forever, at) => Wait::Until(at),
+        }
+        let cut = Duration::from_nanos(ns as u64);
+        match self {
+            Wait::Within(d) if d > cut => Wait::Within(cut),
+            Wait::Forever => Wait::Within(cut),
             _ => self,
+        }
+    }
+
+    /// The second, on a device clock that `now` reads, at which this wait
+    /// ends: negative infinity for `Poll`, infinity for `Forever`; only
+    /// `Within` reads the clock. A wrapper pins its caller's wait so once,
+    /// and waits below for [`Wait::left`] of it, so that frames which
+    /// deliver nothing do not stretch the caller's wait.
+    pub fn ends_at(self, now: impl FnOnce() -> f64) -> f64 {
+        match self {
+            Wait::Poll => f64::NEG_INFINITY,
+            Wait::Within(d) => now() + d.as_secs_f64(),
+            Wait::Forever => f64::INFINITY,
+        }
+    }
+
+    /// What is left at `now` of a wait that ends at `end` (both in the
+    /// device's seconds, see [`Wait::ends_at`]): `Poll` once it is over.
+    pub fn left(end: f64, now: f64) -> Wait {
+        if end <= now {
+            Wait::Poll
+        } else {
+            Wait::Forever.or_within(end - now)
         }
     }
 }
@@ -154,12 +183,15 @@ pub trait Device: Send + Sync {
 
     /// The next received frame, waiting as `wait` says; `Ok(None)` when the
     /// wait ends empty (a `Forever` wait may too). The one receive a
-    /// transport writes: a wall-clock device parks (or backs off to short
-    /// sleeps) until a frame or the deadline, a wrapper parks in the device
-    /// it wraps until the earlier of that and its own next timer, and a
-    /// virtual-time device, which never gets a progress thread, treats
-    /// `Until` as `Poll`. `Err` is a failed transport (peer disconnect
-    /// mid-frame, corrupt framing), surfaced as a typed [`crate::MpiError`].
+    /// transport writes, and every one measures a `Within` wait on its own
+    /// clock: a wall-clock device turns it into an `Instant` once, when it
+    /// is about to park (or back off to short sleeps), a virtual-time
+    /// device parks its simulated process for that much virtual time, and
+    /// a wrapper pins the caller's deadline once on its inner device's
+    /// clock and parks in that device until the earlier of the deadline
+    /// and its own next timer. `Err` is a failed transport (peer
+    /// disconnect mid-frame, corrupt framing), surfaced as a typed
+    /// [`crate::MpiError`].
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>>;
 
     /// `recv(Wait::Poll)`.
@@ -368,6 +400,27 @@ mod tests {
     use super::*;
     use crate::error::MpiError;
     use crate::packet::Packet;
+
+    #[test]
+    fn a_wait_is_cut_to_the_shorter_and_pinned_once() {
+        let within = |secs: f64| Wait::Within(Duration::from_secs_f64(secs));
+        assert_eq!(within(0.5).or_within(0.25), within(0.25));
+        assert_eq!(within(0.25).or_within(0.5), within(0.25));
+        assert_eq!(Wait::Forever.or_within(0.25), within(0.25));
+        assert_eq!(Wait::Forever.or_within(f64::INFINITY), Wait::Forever);
+        assert_eq!(Wait::Poll.or_within(0.25), Wait::Poll);
+        // A cut for a timer rounds up: it never ends before the timer.
+        let ns = |n| Wait::Within(Duration::from_nanos(n));
+        assert_eq!(Wait::Forever.or_within(1.5e-9), ns(2));
+        assert_eq!(Wait::Forever.or_within(-1.0), ns(0));
+        // Pinned at 0.5 s, a 0.25 s wait has 0.125 s left at 0.625 s.
+        let end = within(0.25).ends_at(|| 0.5);
+        assert_eq!(Wait::left(end, 0.625), within(0.125));
+        assert_eq!(Wait::left(end, 0.75), Wait::Poll);
+        let never = || -> f64 { panic!("only a timed wait reads the clock") };
+        assert_eq!(Wait::left(Wait::Poll.ends_at(never), 0.0), Wait::Poll);
+        assert_eq!(Wait::left(Wait::Forever.ends_at(never), 0.0), Wait::Forever);
+    }
 
     /// A device without hardware broadcast reports a typed error from the
     /// default `hw_bcast` instead of panicking.

@@ -268,7 +268,7 @@ impl Inner {
         // at a time. A device or protocol error becomes the rank's fatal
         // error; an idle timeout is this caller's alone.
         loop {
-            let wire = self.device.recv(Wait::Until(Instant::now() + PARK_SLICE));
+            let wire = self.device.recv(Wait::Within(PARK_SLICE));
             let mut eng = self.eng.lock();
             let step = match wire.and_then(|w| self.drain_step(&mut eng, w, true)) {
                 Ok(0) => self.idle_check(&mut timer),
@@ -513,8 +513,7 @@ fn progress_loop(inner: &Inner) {
             }
             // Wait for the next frame with a bounded tick, so shutdown is
             // prompt.
-            let tick = Wait::Until(Instant::now() + PROGRESS_TICK);
-            match inner.device.recv(tick) {
+            match inner.device.recv(Wait::Within(PROGRESS_TICK)) {
                 Ok(wire) => {
                     // The blocking wait counts as parked even when a
                     // frame ended it; the wakeup starts here.

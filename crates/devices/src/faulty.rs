@@ -285,13 +285,13 @@ impl<D: Device> FaultyDevice<D> {
         &self.inner
     }
 
-    /// Release every queued frame whose time has come: delayed frames past
-    /// their due time and held-back frames older than the holdback cap.
-    /// Called from every device entry point so queues drain even when the
-    /// application goes quiet. Returns the seconds until the next queued
-    /// frame is due (infinite with none queued).
-    fn flush_due(&self, st: &mut FaultState) -> f64 {
-        let now = self.inner.wtime();
+    /// Release every queued frame whose time has come at `now` (the inner
+    /// device's clock): delayed frames past their due time and held-back
+    /// frames older than the holdback cap. Called from every device entry
+    /// point so queues drain even when the application goes quiet. Returns
+    /// the seconds until the next queued frame is due (infinite with none
+    /// queued).
+    fn flush_due(&self, st: &mut FaultState, now: f64) -> f64 {
         while let Some((due, _, _)) = st.delayq.front() {
             if *due > now {
                 break;
@@ -334,7 +334,7 @@ impl<D: Device> Device for FaultyDevice<D> {
             return;
         }
         st.offered += 1;
-        self.flush_due(&mut st);
+        self.flush_due(&mut st, self.inner.wtime());
 
         // A frame to `dst` releases any frame held back for `dst` — but
         // *after* this one, completing the swap.
@@ -375,15 +375,19 @@ impl<D: Device> Device for FaultyDevice<D> {
     }
 
     /// Flushes what is due, then parks in the inner device until the
-    /// caller's deadline or the next queued frame's due time.
+    /// caller's deadline, pinned once on the inner clock, or the next
+    /// queued frame's due time.
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+        let end = wait.ends_at(|| self.inner.wtime());
         loop {
             let mut st = self.state.lock();
             let killed = self.killed(&st);
+            let now = self.inner.wtime();
+            let left = Wait::left(end, now);
             let park = if killed {
-                wait
+                left
             } else {
-                wait.or_within(self.flush_due(&mut st))
+                left.or_within(self.flush_due(&mut st, now))
             };
             drop(st);
             match self.inner.recv(park)? {
@@ -391,7 +395,7 @@ impl<D: Device> Device for FaultyDevice<D> {
                 // (self-sends excepted — they never left the rank).
                 Some(w) if killed && w.src != self.inner.rank() => {}
                 Some(w) => return Ok(Some(w)),
-                None if park == wait => return Ok(None),
+                None if park == left => return Ok(None),
                 None => {}
             }
         }

@@ -136,6 +136,7 @@ impl Device for MeikoDevice {
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
         Ok(match wait {
             Wait::Forever => Some(self.inbox.pop(&self.proc)),
+            Wait::Within(d) if !d.is_zero() => self.inbox.pop_timeout(&self.proc, SimDur::from(d)),
             _ => self.inbox.try_pop(),
         })
     }

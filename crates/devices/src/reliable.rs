@@ -49,7 +49,7 @@ use lmpi_core::{
     Cost, Device, DeviceDefaults, MpiError, MpiResult, Packet, Rank, TransportStats, Wait, Wire,
 };
 use lmpi_obs::{EventKind, Tracer};
-use lmpi_sim::lock::Mutex;
+use lmpi_sim::lock::{Mutex, MutexGuard};
 
 /// Retransmission strategy on a gap in the sequence space.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -672,6 +672,23 @@ impl<D: Device> ReliableDevice<D> {
         }
         next
     }
+
+    /// Wait in `inner`, with the receive token held and `state` not,
+    /// until a frame, this layer's next timer or `end` (device clock),
+    /// whichever comes first, and ingest what arrives; whether the wait
+    /// ended on a frame. `Err` is a failed inner transport.
+    fn park_for_timer(&self, st: MutexGuard<'_, RelState>, end: f64) -> MpiResult<bool> {
+        let now = self.now_s();
+        let park = Wait::left(end, now).or_within(self.next_timer(&st) - now);
+        drop(st);
+        Ok(match self.inner.recv(park)? {
+            Some(wire) => {
+                self.handle_incoming(&mut self.state.lock(), wire);
+                true
+            }
+            None => false,
+        })
+    }
 }
 
 /// How long a dropping device lingers to finish retransmitting
@@ -682,23 +699,27 @@ impl<D: Device> ReliableDevice<D> {
 const DRAIN_LINGER_S: f64 = 1.0;
 
 impl<D: Device> Drop for ReliableDevice<D> {
+    /// Parks in `inner` until every window is acknowledged or the linger
+    /// is over; `&mut self` makes this the only receiver. Dead peers do
+    /// not hold it open: `declare_dead` already cleared their windows. A
+    /// wait that passes no time on the device's clock (a clock that only
+    /// its owner moves) ends it too, instead of spinning.
     fn drop(&mut self) {
         let deadline = self.now_s() + DRAIN_LINGER_S;
-        // Iteration cap so a virtual-clock device that no longer advances
-        // time can't spin the teardown forever. Dead peers don't hold the
-        // drain open: `declare_dead` already cleared their windows.
-        for _ in 0..500_000 {
+        loop {
             let mut st = self.state.lock();
-            let token = self.rx.try_lock();
-            if self.pump(&mut st, token.is_some()).is_err() {
+            if self.pump(&mut st, true).is_err() || st.peers.iter().all(|p| p.unacked.is_empty()) {
                 return;
             }
-            let drained = st.peers.iter().all(|p| p.unacked.is_empty());
-            drop((token, st));
-            if drained || self.now_s() >= deadline {
+            let before = self.now_s();
+            if before >= deadline {
                 return;
             }
-            std::thread::yield_now();
+            match self.park_for_timer(st, deadline) {
+                Ok(true) => {}
+                Ok(false) if self.now_s() > before => {}
+                _ => return,
+            }
         }
     }
 }
@@ -717,21 +738,30 @@ impl<D: Device> Device for ReliableDevice<D> {
         // the envelope-credit stall one layer up. A *dead* peer stops
         // stalling: frames to it are dropped and the failure surfaces
         // through `take_failed_peer`, never blocking healthy traffic.
-        while st.peers[dst].unacked.len() >= self.cfg.window
-            && st.peers[dst].liveness != Liveness::Dead
-        {
+        // The caller may hold the engine lock, so the receive token is
+        // only tried: with it, the stall parks in `inner` until a frame or
+        // the next timer; without it, another thread is draining, and the
+        // stall yields to it.
+        let full = |st: &RelState| {
+            st.peers[dst].unacked.len() >= self.cfg.window
+                && st.peers[dst].liveness != Liveness::Dead
+        };
+        while full(&st) {
             let token = self.rx.try_lock();
             if self.pump(&mut st, token.is_some()).is_err() {
                 return; // inner transport failure; surfaces on receive
             }
-            drop(token);
-            if st.peers[dst].unacked.len() >= self.cfg.window
-                && st.peers[dst].liveness != Liveness::Dead
-            {
+            if !full(&st) {
+                break;
+            }
+            if token.is_none() {
                 drop(st);
                 std::thread::yield_now();
-                st = self.state.lock();
+            } else if self.park_for_timer(st, f64::INFINITY).is_err() {
+                return;
             }
+            drop(token);
+            st = self.state.lock();
         }
         if st.peers[dst].liveness == Liveness::Dead {
             return;
@@ -759,15 +789,18 @@ impl<D: Device> Device for ReliableDevice<D> {
 
     /// Pumps, then parks in the inner device — holding the receive token,
     /// not `state` — until the caller's deadline or this layer's next
-    /// timer, and ingests what arrives. A timer another thread arms
-    /// meanwhile is seen when this wait ends. A peer this call declares
-    /// dead ends the wait too, so the engine fails its operations now.
+    /// timer, and ingests what arrives. The deadline is pinned once, on
+    /// the inner device's clock, so frames that deliver nothing (pure
+    /// acks) do not stretch it. A timer another thread arms meanwhile is
+    /// seen when this wait ends. A peer this call declares dead ends the
+    /// wait too, so the engine fails its operations now.
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
         let _token = self.rx.lock();
         // Only a token holder declares a death, so a change here is this
         // call's own verdict (one thread: `Relaxed` suffices), not one
         // queued earlier and not yet taken.
         let dead_before = self.stats.peers_dead.load(Ordering::Relaxed);
+        let end = wait.ends_at(|| self.now_s());
         loop {
             let mut st = self.state.lock();
             self.pump(&mut st, true)?;
@@ -780,12 +813,8 @@ impl<D: Device> Device for ReliableDevice<D> {
             if wait == Wait::Poll || self.stats.peers_dead.load(Ordering::Relaxed) != dead_before {
                 return Ok(None);
             }
-            let park = wait.or_within(self.next_timer(&st) - self.now_s());
-            drop(st);
-            match self.inner.recv(park)? {
-                Some(wire) => self.handle_incoming(&mut self.state.lock(), wire),
-                None if park == wait => return Ok(None),
-                None => {}
+            if !self.park_for_timer(st, end)? && self.now_s() >= end {
+                return Ok(None);
             }
         }
     }

@@ -107,19 +107,23 @@ impl Inbox {
 
     /// Pop the next frame, parking until one arrives; `None` once `wait`
     /// is over with the queue still empty. A wait that may block yields
-    /// the CPU once, with the lock released, before it parks.
+    /// the CPU once, with the lock released, before it parks; a timed one
+    /// reads the clock once, at its first empty look.
     fn pop_wait(&self, wait: Wait) -> Option<Wire> {
         let mut st = self.0.lock();
         let (mut yielded, mut timed_out) = (false, false);
+        let mut deadline = None;
         loop {
             if let Some(wire) = st.frames.pop_front() {
                 return Some(wire);
             }
-            let deadline = match wait {
+            match wait {
                 Wait::Poll => return None,
-                Wait::Until(t) => Some(t),
-                Wait::Forever => None,
-            };
+                Wait::Within(d) => {
+                    deadline.get_or_insert_with(|| Instant::now() + d);
+                }
+                Wait::Forever => {}
+            }
             if timed_out {
                 return None;
             }
@@ -279,11 +283,6 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    /// A wait that ends `timeout` from now.
-    fn until(timeout: Duration) -> Wait {
-        Wait::Until(Instant::now() + timeout)
-    }
-
     /// Frame number `n` from rank `src`.
     fn numbered(src: Rank, n: u64) -> Wire {
         let mut w = Wire::bare(src, Packet::Credit);
@@ -320,7 +319,9 @@ mod tests {
             let wire = if polls.is_multiple_of(2) {
                 consumer.try_recv().unwrap()
             } else {
-                consumer.recv(until(Duration::from_micros(200))).unwrap()
+                consumer
+                    .recv(Wait::Within(Duration::from_micros(200)))
+                    .unwrap()
             };
             if let Some(w) = wire {
                 assert_eq!(w.seq, next[w.src], "frame from rank {} overtook", w.src);
@@ -343,7 +344,7 @@ mod tests {
             Duration::from_millis(5),
         ] {
             let start = Instant::now();
-            assert!(d.recv(until(timeout)).unwrap().is_none());
+            assert!(d.recv(Wait::Within(timeout)).unwrap().is_none());
             assert!(start.elapsed() >= timeout, "returned early for {timeout:?}");
             assert!(!sleeper_registered(&d), "left a sleeper after {timeout:?}");
         }
@@ -368,7 +369,7 @@ mod tests {
                     timed = !timed;
                     let start = Instant::now();
                     let wire = if timed {
-                        d0.recv(until(TIMEOUT)).unwrap()
+                        d0.recv(Wait::Within(TIMEOUT)).unwrap()
                     } else {
                         Some(d0.recv_blocking().unwrap())
                     };
@@ -438,7 +439,10 @@ mod tests {
         assert_eq!(d.recv_blocking().unwrap().seq, 1);
         assert_eq!(counts(&d), (0, 0));
         // A wait that runs out parks once and is woken by no one.
-        assert!(d.recv(until(Duration::from_millis(1))).unwrap().is_none());
+        assert!(d
+            .recv(Wait::Within(Duration::from_millis(1)))
+            .unwrap()
+            .is_none());
         assert_eq!(counts(&d), (1, 0));
         // A send to a parked consumer wakes it, once.
         let mut fabric = ShmDevice::fabric(2).into_iter();
@@ -475,11 +479,11 @@ mod tests {
     fn a_second_waiting_thread_is_caught() {
         let d = ShmDevice::fabric(1).pop().expect("one device");
         thread::scope(|s| {
-            s.spawn(|| d.recv(until(Duration::from_millis(500))));
+            s.spawn(|| d.recv(Wait::Within(Duration::from_millis(500))));
             while !sleeper_registered(&d) {
                 thread::yield_now();
             }
-            let _ = d.recv(until(Duration::from_millis(1)));
+            let _ = d.recv(Wait::Within(Duration::from_millis(1)));
         });
     }
 

@@ -3,13 +3,13 @@
 //! control.
 //!
 //! The device is written against a small [`MsgChannel`] abstraction with
-//! three implementations:
+//! two implementations:
 //!
-//! * [`SimTcpChannel`] — the simulated kernel TCP socket over a simulated
+//! * [`SimTcpChannel`] — a simulated kernel socket over a simulated
 //!   Ethernet segment or ATM switch (`lmpi-netmodel`), reproducing the
-//!   paper's latency anatomy (Table 1);
-//! * [`SimUdpChannel`] — the simulated UDP socket under the reliability
-//!   layer (acks + retransmission), the paper's UDP variant;
+//!   paper's latency anatomy (Table 1). With TCP's costs it is the TCP
+//!   cluster; with UDP's, under [`ReliableDevice`], it is the paper's
+//!   reliable-UDP variant, the same sublayer real UDP runs under;
 //! * [`RealTcpChannel`] — actual `std::net` TCP over loopback, proving the
 //!   same device code is a working transport. It runs no thread: the
 //!   rank's drain-role holder sweeps the sockets itself.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use lmpi_core::{
     Cost, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Rank, Wait, Wire,
 };
-use lmpi_netmodel::ip::{Fabric, ReliableDgram, SockFabric, SockNode};
+use lmpi_netmodel::ip::{Fabric, SockFabric, SockNode};
 use lmpi_netmodel::params::{AtmParams, CpuParams, EthParams, SocketParams};
 use lmpi_obs::{ThreadHealth, Tracer};
 use lmpi_sim::lock::Mutex;
@@ -31,6 +31,7 @@ use lmpi_sim::{Proc, Sim, SimDur};
 
 use crate::codec;
 use crate::launch::{peer_setup_failed, MeshSetup};
+use crate::reliable::{RelConfig, ReliableDevice};
 
 /// Reads the paper's MPI performs per incoming message: one for the type
 /// byte, one for the envelope together with the (small) data. Raw sockets
@@ -176,10 +177,12 @@ impl<C: MsgChannel> Device for SockDevice<C> {
 }
 
 // ----------------------------------------------------------------------
-// Simulated TCP
+// Simulated sockets
 // ----------------------------------------------------------------------
 
-/// Simulated kernel TCP socket channel.
+/// A simulated kernel socket channel: TCP's or UDP's, as the
+/// [`SockFabric`]'s costs and loss say. A timed wait parks the simulated
+/// process for that much virtual time.
 pub struct SimTcpChannel {
     node: SockNode<Wire>,
     proc: Proc,
@@ -201,6 +204,9 @@ impl MsgChannel for SimTcpChannel {
         let (node, proc) = (&self.node, &self.proc);
         Ok(match wait {
             Wait::Forever => Some(node.recv(proc, MPI_READS_PER_MSG).0),
+            Wait::Within(d) if !d.is_zero() => node
+                .recv_timeout(proc, MPI_READS_PER_MSG, SimDur::from(d))
+                .map(|(w, _)| w),
             _ => node.try_recv(proc, MPI_READS_PER_MSG).map(|(w, _)| w),
         })
     }
@@ -215,49 +221,6 @@ impl MsgChannel for SimTcpChannel {
 
     fn substrate(&self) -> &'static str {
         "sim-tcp"
-    }
-}
-
-// ----------------------------------------------------------------------
-// Simulated reliable UDP
-// ----------------------------------------------------------------------
-
-/// Simulated UDP channel under the ack/retransmit reliability layer.
-pub struct SimUdpChannel {
-    rel: Arc<ReliableDgram<Wire>>,
-    proc: Proc,
-}
-
-impl SimUdpChannel {
-    /// Wrap a reliable-datagram endpoint driven by `proc`.
-    pub fn new(rel: Arc<ReliableDgram<Wire>>, proc: Proc) -> Self {
-        SimUdpChannel { rel, proc }
-    }
-}
-
-impl MsgChannel for SimUdpChannel {
-    fn send(&self, dst: Rank, wire: Wire, nbytes: usize) {
-        self.rel.send(&self.proc, dst, wire, nbytes);
-    }
-
-    fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
-        let (rel, proc) = (&self.rel, &self.proc);
-        Ok(match wait {
-            Wait::Forever => Some(rel.recv(proc, MPI_READS_PER_MSG).0),
-            _ => rel.try_recv(proc, MPI_READS_PER_MSG).map(|(w, _)| w),
-        })
-    }
-
-    fn charge_us(&self, us: f64) {
-        self.proc.charge(SimDur::from_us_f64(us));
-    }
-
-    fn wtime(&self) -> f64 {
-        self.proc.now().as_secs_f64()
-    }
-
-    fn substrate(&self) -> &'static str {
-        "sim-udp"
     }
 }
 
@@ -279,7 +242,8 @@ pub enum ClusterNet {
 pub enum ClusterTransport {
     /// Kernel TCP (reliable stream).
     Tcp,
-    /// Kernel UDP plus the user-level reliability layer.
+    /// Kernel UDP plus the user-level reliability layer
+    /// ([`ReliableDevice`]).
     Udp,
 }
 
@@ -323,28 +287,29 @@ where
     let sim = Sim::new();
     let fabric = make_fabric(&sim, net, nprocs);
     let params = socket_params(net, transport);
+    let sock: SockFabric<Wire> = SockFabric::new(&sim, nprocs, fabric, params, 0.0, 12345);
+    let socket = move |rank: Rank, p: &Proc| {
+        SockDevice::new(SimTcpChannel::new(sock.node(rank), p.clone()), rank, nprocs)
+    };
     match transport {
         ClusterTransport::Tcp => {
-            let sock: SockFabric<Wire> = SockFabric::new(&sim, nprocs, fabric, params, 0.0, 12345);
             let make = (0..nprocs).map(|rank| {
-                let node = sock.node(rank);
-                move |p: &Proc| SockDevice::new(SimTcpChannel::new(node, p.clone()), rank, nprocs)
+                let socket = socket.clone();
+                move |p: &Proc| socket(rank, p)
             });
             crate::launch::run_sim_ranks(&sim, make, config, f)
         }
         ClusterTransport::Udp => {
-            let eps = ReliableDgram::fabric(
-                &sim,
-                nprocs,
-                fabric,
-                params,
-                0.0,
-                12345,
-                SimDur::from_ms(50),
-            );
-            let make = eps.into_iter().enumerate().map(|(rank, rel)| {
-                let rel = Arc::new(rel);
-                move |p: &Proc| SockDevice::new(SimUdpChannel::new(rel, p.clone()), rank, nprocs)
+            // The default 2 ms RTO is shorter than one 48 KiB rendezvous
+            // chunk takes to serialise on 10 Mbit/s Ethernet (about 39 ms),
+            // so every chunk would be resent.
+            let rel = RelConfig {
+                rto_us: 50_000.0,
+                ..RelConfig::default()
+            };
+            let make = (0..nprocs).map(|rank| {
+                let socket = socket.clone();
+                move |p: &Proc| ReliableDevice::new(socket(rank, p), rel)
             });
             crate::launch::run_sim_ranks(&sim, make, config, f)
         }
@@ -694,17 +659,24 @@ impl Inbox {
 /// and between empty polls spin, then yield, then sleep up to 200 µs at a
 /// time, by the count of empty polls in a row `poll` returns. The transport
 /// keeps that count across waits, so a waiter that comes back every tick
-/// (the progress thread) resumes sleeping instead of spinning.
+/// (the progress thread) resumes sleeping instead of spinning. A timed
+/// wait reads the clock first at its first empty poll.
 pub(crate) fn socket_wait(
     wait: Wait,
     mut poll: impl FnMut() -> MpiResult<(Option<Wire>, u32)>,
 ) -> MpiResult<Option<Wire>> {
+    let mut deadline = None;
     loop {
         let (next, idle) = poll()?;
         let left = match wait {
             _ if next.is_some() => return Ok(next),
             Wait::Poll => return Ok(None),
-            Wait::Until(t) => t.saturating_duration_since(Instant::now()),
+            Wait::Within(d) => {
+                let now = Instant::now();
+                deadline
+                    .get_or_insert(now + d)
+                    .saturating_duration_since(now)
+            }
             Wait::Forever => Duration::MAX,
         };
         if left.is_zero() {
@@ -862,6 +834,56 @@ mod tests {
         );
     }
 
+    /// What rank 1's `recv(wait)` on a simulated socket returns, and the
+    /// virtual time it returns at, when rank 0 sends one frame at `send_at`
+    /// (none if `None`). The kernel paths are free, so a frame is readable
+    /// the moment its last cell lands.
+    fn timed_recv(send_at: Option<SimDur>, wait: Wait) -> (Option<Wire>, SimDur) {
+        let sim = Sim::new();
+        let fabric = Fabric::Atm(lmpi_netmodel::atm::AtmFabric::new(
+            &sim,
+            2,
+            AtmParams::default(),
+        ));
+        let free = SocketParams {
+            send_fixed_us: 0.0,
+            copy_per_byte_us: 0.0,
+            recv_fixed_us: 0.0,
+            read_fixed_us: 0.0,
+        };
+        let sock: SockFabric<Wire> = SockFabric::new(&sim, 2, fabric, free, 0.0, 1);
+        let out = Arc::new(Mutex::new((None, SimDur::ZERO)));
+        if let Some(at) = send_at {
+            let node = sock.node(0);
+            sim.spawn("sender", move |p| {
+                p.advance(at);
+                node.send(p, 1, Wire::bare(0, Packet::Credit), 1);
+            });
+        }
+        let (node, got) = (sock.node(1), out.clone());
+        sim.spawn("waiter", move |p| {
+            let wire = SimTcpChannel::new(node, p.clone()).recv(wait).unwrap();
+            *got.lock() = (wire, p.now() - lmpi_sim::SimTime::ZERO);
+        });
+        sim.run();
+        let out = out.lock().clone();
+        out
+    }
+
+    #[test]
+    fn a_timed_wait_runs_in_virtual_time() {
+        let ms = |f: f64| SimDur::from_secs_f64(f * 1e-3);
+        let within_1ms = Wait::Within(Duration::from_millis(1));
+        let (wire, at) = timed_recv(None, within_1ms);
+        assert!(wire.is_none());
+        assert_eq!(at, ms(1.0), "an empty wait ends when it is over");
+        let (wire, land) = timed_recv(Some(SimDur::ZERO), Wait::Forever);
+        assert!(wire.is_some() && land < ms(0.5));
+        let (wire, at) = timed_recv(Some(ms(0.5) - land), within_1ms);
+        assert!(wire.is_some(), "the frame landed inside the wait");
+        assert_eq!(at, ms(0.5), "a frame ends the wait when it lands");
+    }
+
     #[test]
     fn real_tcp_roundtrip_works() {
         let results = run_real_tcp(3, MpiConfig::device_defaults(), |mpi| {
@@ -936,7 +958,7 @@ mod tests {
     /// The channel's next frame or failure; the test fails after 5 s of
     /// silence.
     fn next(chan: &RealTcpChannel) -> MpiResult<Wire> {
-        chan.recv(Wait::Until(Instant::now() + Duration::from_secs(5)))
+        chan.recv(Wait::Within(Duration::from_secs(5)))
             .map(|w| w.expect("nothing arrived within 5 s"))
     }
 

@@ -9,9 +9,11 @@
 //! twice more than raw TCP ("read for msg type", "read for envelope").
 //!
 //! TCP is modelled as reliable and ordered (the fabrics are lossless);
-//! UDP adds optional datagram loss, and [`ReliableDgram`] layers
-//! acknowledgments and retransmission on top — the paper's "additional
-//! measures taken to make the UDP communication reliable".
+//! UDP adds optional datagram loss ([`SockFabric::new`]'s `loss`). The
+//! paper's "additional measures taken to make the UDP communication
+//! reliable" are not modelled here: the MPI device stack puts its own
+//! reliability sublayer (`lmpi_devices::reliable::ReliableDevice`) over
+//! these sockets, the same one that runs over real UDP.
 
 use std::sync::Arc;
 
@@ -123,11 +125,6 @@ impl<T: Send + 'static> SockFabric<T> {
         }
     }
 
-    /// Cost parameters in effect.
-    pub fn params(&self) -> SocketParams {
-        self.inner.params
-    }
-
     /// Datagrams dropped by loss injection.
     pub fn dropped(&self) -> u64 {
         *self.inner.dropped.lock()
@@ -135,16 +132,6 @@ impl<T: Send + 'static> SockFabric<T> {
 }
 
 impl<T: Send + 'static> SockNode<T> {
-    /// This endpoint's node id.
-    pub fn id(&self) -> usize {
-        self.node
-    }
-
-    /// The owning fabric.
-    pub fn fabric(&self) -> &SockFabric<T> {
-        &self.fabric
-    }
-
     /// Blocking `write()` of a message of `nbytes`: charges the kernel send
     /// path and the synchronous copy, then pipelines segments onto the
     /// fabric. The message lands in `dst`'s inbox `recv_fixed` after its
@@ -206,235 +193,6 @@ impl<T: Send + 'static> SockNode<T> {
             inner.params.read_fixed_us * reads as f64,
         ));
         Some(msg)
-    }
-
-    /// Whether data is waiting (a `select()` that costs nothing — used by
-    /// progress loops before committing to read costs).
-    pub fn readable(&self) -> bool {
-        !self.fabric.inner.inboxes[self.node].is_empty()
-    }
-}
-
-/// Reliable datagram layer over a lossy [`SockFabric`]: sequence numbers,
-/// cumulative acknowledgments, and timeout retransmission. The payload is
-/// buffered until acknowledged.
-pub struct ReliableDgram<T: Clone> {
-    sock: SockNode<Env<T>>,
-    state: Mutex<RelState<T>>,
-    /// Retransmission timeout.
-    pub rto: SimDur,
-}
-
-/// Reliable-datagram wire envelope (public only because it appears in
-/// [`ReliableDgram::new`]'s endpoint type).
-#[derive(Clone)]
-pub enum Env<T> {
-    /// A sequenced payload.
-    Data {
-        /// Per-(src,dst) sequence number.
-        seq: u64,
-        /// Sending node.
-        src: usize,
-        /// The payload.
-        msg: T,
-    },
-    /// Cumulative acknowledgment: everything below `seq` received.
-    Ack {
-        /// Next expected sequence number.
-        seq: u64,
-        /// Acknowledging node.
-        src: usize,
-    },
-}
-
-struct RelState<T> {
-    next_send_seq: Vec<u64>,
-    next_recv_seq: Vec<u64>,
-    /// Unacknowledged messages per destination: (seq, msg, nbytes).
-    unacked: Vec<Vec<(u64, T, usize)>>,
-    /// Out-of-order arrivals parked per source.
-    parked: Vec<Vec<(u64, T, usize)>>,
-    /// In-order messages ready for the application.
-    ready: std::collections::VecDeque<(T, usize)>,
-    acks_sent: u64,
-    retransmits: u64,
-}
-
-impl<T: Clone + Send + 'static> ReliableDgram<T> {
-    /// Wrap a datagram endpoint. `nodes` must match the fabric size.
-    pub fn new(sock: SockNode<Env<T>>, nodes: usize, rto: SimDur) -> Self {
-        ReliableDgram {
-            sock,
-            state: Mutex::new(RelState {
-                next_send_seq: vec![0; nodes],
-                next_recv_seq: vec![0; nodes],
-                unacked: (0..nodes).map(|_| Vec::new()).collect(),
-                parked: (0..nodes).map(|_| Vec::new()).collect(),
-                ready: std::collections::VecDeque::new(),
-                acks_sent: 0,
-                retransmits: 0,
-            }),
-            rto,
-        }
-    }
-
-    /// Construct endpoints for every node of a fresh lossy fabric.
-    pub fn fabric(
-        sim: &Sim,
-        nodes: usize,
-        fabric: Fabric,
-        params: SocketParams,
-        loss: f64,
-        seed: u64,
-        rto: SimDur,
-    ) -> Vec<ReliableDgram<T>> {
-        let sock: SockFabric<Env<T>> = SockFabric::new(sim, nodes, fabric, params, loss, seed);
-        (0..nodes)
-            .map(|n| ReliableDgram::new(sock.node(n), nodes, rto))
-            .collect()
-    }
-
-    /// Send reliably: transmit, record as unacked.
-    pub fn send(&self, proc: &Proc, dst: usize, msg: T, nbytes: usize) {
-        let seq = {
-            let mut st = self.state.lock();
-            let seq = st.next_send_seq[dst];
-            st.next_send_seq[dst] += 1;
-            st.unacked[dst].push((seq, msg.clone(), nbytes));
-            seq
-        };
-        self.sock.send(
-            proc,
-            dst,
-            Env::Data {
-                seq,
-                src: self.sock.id(),
-                msg,
-            },
-            nbytes,
-        );
-    }
-
-    /// Receive the next in-order message, driving acknowledgments and
-    /// retransmissions. `reads` as in [`SockNode::recv`].
-    pub fn recv(&self, proc: &Proc, reads: u32) -> (T, usize) {
-        loop {
-            if let Some(m) = self.state.lock().ready.pop_front() {
-                return m;
-            }
-            // Wait up to one RTO for traffic, then retransmit unacked.
-            match self.poll_wire(proc, reads) {
-                true => continue,
-                false => self.retransmit_all(proc),
-            }
-        }
-    }
-
-    /// Non-blocking receive: drain arrived wire traffic, then return the
-    /// next in-order message if any.
-    pub fn try_recv(&self, proc: &Proc, reads: u32) -> Option<(T, usize)> {
-        while let Some((env, nbytes)) = self.sock.try_recv(proc, reads) {
-            self.handle(proc, env, nbytes);
-        }
-        self.state.lock().ready.pop_front()
-    }
-
-    fn poll_wire(&self, proc: &Proc, reads: u32) -> bool {
-        match self.sock.recv_timeout(proc, reads, self.rto) {
-            Some((env, nbytes)) => {
-                self.handle(proc, env, nbytes);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn handle(&self, proc: &Proc, env: Env<T>, nbytes: usize) {
-        match env {
-            Env::Data { seq, src, msg } => {
-                {
-                    let mut st = self.state.lock();
-                    let expected = st.next_recv_seq[src];
-                    if seq < expected {
-                        // Duplicate of something already delivered: re-ack.
-                    } else if seq == expected {
-                        st.next_recv_seq[src] = seq + 1;
-                        st.ready.push_back((msg, nbytes));
-                        // Drain consecutively parked followers.
-                        loop {
-                            let next = st.next_recv_seq[src];
-                            let Some(pos) = st.parked[src].iter().position(|(s, _, _)| *s == next)
-                            else {
-                                break;
-                            };
-                            let (_, m, n) = st.parked[src].remove(pos);
-                            st.ready.push_back((m, n));
-                            st.next_recv_seq[src] = next + 1;
-                        }
-                    } else {
-                        // Out of order: park unless duplicate.
-                        if !st.parked[src].iter().any(|(s, _, _)| *s == seq) {
-                            st.parked[src].push((seq, msg, nbytes));
-                        }
-                    }
-                    st.acks_sent += 1;
-                }
-                // Cumulative ack of everything below next_recv_seq.
-                let ack_seq = self.state.lock().next_recv_seq[src];
-                self.sock.send(
-                    proc,
-                    src,
-                    Env::Ack {
-                        seq: ack_seq,
-                        src: self.sock.id(),
-                    },
-                    8,
-                );
-            }
-            Env::Ack { seq, src } => {
-                let mut st = self.state.lock();
-                st.unacked[src].retain(|(s, _, _)| *s >= seq);
-            }
-        }
-    }
-
-    fn retransmit_all(&self, proc: &Proc) {
-        let pending: Vec<(usize, u64, T, usize)> = {
-            let mut st = self.state.lock();
-            st.retransmits += st.unacked.iter().map(|v| v.len() as u64).sum::<u64>();
-            st.unacked
-                .iter()
-                .enumerate()
-                .flat_map(|(dst, v)| {
-                    v.iter()
-                        .map(move |(s, m, n)| (dst, *s, m.clone(), *n))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
-        for (dst, seq, msg, nbytes) in pending {
-            self.sock.send(
-                proc,
-                dst,
-                Env::Data {
-                    seq,
-                    src: self.sock.id(),
-                    msg,
-                },
-                nbytes,
-            );
-        }
-    }
-
-    /// `(acks sent, retransmissions)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.acks_sent, st.retransmits)
-    }
-
-    /// Whether any messages await acknowledgment.
-    pub fn has_unacked(&self) -> bool {
-        self.state.lock().unacked.iter().any(|v| !v.is_empty())
     }
 }
 
@@ -559,55 +317,5 @@ mod tests {
         assert!(received < 100, "some datagrams must drop");
         assert!(received > 10, "not all datagrams should drop");
         assert_eq!(s2.dropped() + received as u64, 100);
-    }
-
-    #[test]
-    fn reliable_dgram_delivers_in_order_despite_loss() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let sim = Sim::new();
-        let fabric = eth_fabric(&sim);
-        let mut eps: Vec<ReliableDgram<u32>> = ReliableDgram::fabric(
-            &sim,
-            2,
-            fabric,
-            SocketParams::udp_eth(),
-            0.3,
-            99,
-            SimDur::from_ms(20),
-        );
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        let got = StdArc::new(Mutex::new(Vec::new()));
-        let g = got.clone();
-        let all_acked = StdArc::new(AtomicBool::new(false));
-        let acked2 = all_acked.clone();
-        sim.spawn("send", move |p| {
-            for i in 0..30u32 {
-                e0.send(p, 1, i, 4);
-            }
-            // Serve retransmissions until everything is acked.
-            while e0.has_unacked() {
-                let _ = e0.poll_wire(p, 1) || {
-                    e0.retransmit_all(p);
-                    true
-                };
-            }
-            acked2.store(true, Ordering::SeqCst);
-        });
-        sim.spawn("recv", move |p| {
-            for _ in 0..30 {
-                let (v, _) = e1.recv(p, 1);
-                g.lock().push(v);
-            }
-            // Keep re-acknowledging retransmitted duplicates (whose acks
-            // may themselves be lost) until the sender reports all-acked.
-            while !all_acked.load(Ordering::SeqCst) {
-                if e1.try_recv(p, 1).is_none() {
-                    p.advance(SimDur::from_ms(5));
-                }
-            }
-        });
-        sim.run();
-        assert_eq!(*got.lock(), (0..30).collect::<Vec<u32>>());
     }
 }

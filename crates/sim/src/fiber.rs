@@ -9,9 +9,19 @@
 //! [`switch`] saves the running context and resumes another with
 //! `swapcontext`: no kernel scheduler, no futex, and the only system call
 //! is the signal-mask update `swapcontext` makes.
+//!
+//! A process that overflows its stack faults on its guard page. Rust's
+//! own handler knows only the guard pages of the threads it started, so
+//! [`catch_overflows`] installs a `SIGSEGV` handler that runs on the
+//! thread's alternate signal stack (std's) and knows the running fiber's guard
+//! (each [`switch`] records it): a fault there prints the process's name,
+//! as Rust does for a thread's, and aborts. Any other fault goes to the
+//! handler that was installed before.
 
+use std::cell::Cell;
 use std::ffi::{c_int, c_long, c_ulong, c_void};
 use std::ptr::{self, NonNull};
+use std::sync::{Once, OnceLock};
 
 #[cfg(not(all(
     target_os = "linux",
@@ -37,12 +47,16 @@ struct StackT {
 /// the rest (registers, signal mask, FP state) is opaque and sized above
 /// both targets' (928 bytes on x86_64, 4 520 on aarch64). Boxed wherever it
 /// lives, because glibc stores a pointer into the context itself.
+///
+/// `guard` follows glibc's part and is ours: the stack guard of the fiber
+/// this context belongs to.
 #[repr(C, align(16))]
 pub(crate) struct Context {
     flags: c_ulong,
     link: usize,
     stack: StackT,
     rest: [u64; 640],
+    guard: Guard,
 }
 
 impl Context {
@@ -57,8 +71,37 @@ impl Context {
                 size: 0,
             },
             rest: [0; 640],
+            guard: Guard::NONE,
         }
     }
+}
+
+/// A fiber's guard page, `[lo, hi)`, and its process's name (`len`
+/// bytes at address `name`, owned by the fiber's block): what the
+/// overflow handler needs, in a form it can read without allocating or
+/// locking. Addresses, like [`StackT`]'s.
+#[repr(C)]
+#[derive(Copy, Clone)]
+struct Guard {
+    lo: usize,
+    hi: usize,
+    name: usize,
+    len: usize,
+}
+
+impl Guard {
+    /// No guard: the run thread's own stack.
+    const NONE: Guard = Guard {
+        lo: 0,
+        hi: 0,
+        name: 0,
+        len: 0,
+    };
+}
+
+thread_local! {
+    /// The guard of the fiber running on this thread, set by [`switch`].
+    static RUNNING: Cell<Guard> = const { Cell::new(Guard::NONE) };
 }
 
 const PROT_NONE: c_int = 0;
@@ -69,6 +112,38 @@ const MAP_ANONYMOUS: c_int = 0x20;
 const MAP_NORESERVE: c_int = 0x4000;
 const MAP_STACK: c_int = 0x20000;
 const SC_PAGESIZE: c_int = 30;
+const SIGSEGV: c_int = 11;
+const SA_SIGINFO: c_int = 4;
+const SA_ONSTACK: c_int = 0x0800_0000;
+
+/// glibc's `struct sigaction` (the same layout on both targets).
+#[repr(C)]
+#[derive(Copy, Clone)]
+struct SigAction {
+    handler: usize,
+    mask: [u64; 16],
+    flags: c_int,
+    restorer: usize,
+}
+
+impl SigAction {
+    /// `SIG_DFL`, no flags.
+    const DEFAULT: SigAction = SigAction {
+        handler: 0,
+        mask: [0; 16],
+        flags: 0,
+        restorer: 0,
+    };
+}
+
+/// The leading fields of the kernel's `siginfo_t` for a fault.
+#[repr(C)]
+struct SigInfo {
+    signo: c_int,
+    errno: c_int,
+    code: c_int,
+    addr: usize,
+}
 
 extern "C" {
     fn getcontext(ucp: *mut Context) -> c_int;
@@ -85,18 +160,22 @@ extern "C" {
     fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
     fn sysconf(name: c_int) -> c_long;
+    fn sigaction(sig: c_int, act: *const SigAction, old: *mut SigAction) -> c_int;
+    fn write(fd: c_int, buf: *const c_void, n: usize) -> isize;
 }
 
 /// The body a fiber runs. It returns the context to resume once it is
 /// done; the fiber is never resumed after that.
 type Body = Box<dyn FnOnce() -> *const Context + Send>;
 
-/// A fiber's saved context and, until it first runs, its body. `ctx`
-/// comes first, so a pointer to the block is a pointer to it.
+/// A fiber's saved context, its process's name and, until it first runs,
+/// its body. `ctx` comes first, so a pointer to the block is a pointer to
+/// it.
 #[repr(C)]
 struct Block {
     ctx: Context,
     body: Option<Body>,
+    name: Box<str>,
 }
 
 /// A coroutine with its own stack. Created suspended at the start of its
@@ -119,11 +198,12 @@ pub(crate) struct Fiber {
 unsafe impl Send for Fiber {}
 
 impl Fiber {
-    /// A suspended fiber that will run `body` when first switched to.
+    /// A suspended fiber that will run `body` when first switched to, for
+    /// the process called `name`.
     ///
     /// # Panics
     /// If the stack cannot be mapped.
-    pub(crate) fn new(body: impl FnOnce() -> *const Context + Send + 'static) -> Fiber {
+    pub(crate) fn new(name: &str, body: impl FnOnce() -> *const Context + Send + 'static) -> Fiber {
         // SAFETY: plain system calls on a fresh private mapping, checked;
         // `getcontext` fills the boxed context `makecontext` then points at
         // the mapped stack and the trampoline, with the block's address
@@ -148,6 +228,7 @@ impl Fiber {
             let block = NonNull::from(Box::leak(Box::new(Block {
                 ctx: Context::empty(),
                 body: Some(Box::new(body)),
+                name: name.into(),
             })));
             let fiber = Fiber {
                 block,
@@ -162,6 +243,13 @@ impl Fiber {
                 sp: map.as_ptr() as usize + guard,
                 flags: 0,
                 size: STACK_BYTES,
+            };
+            let name = &(*block.as_ptr()).name;
+            (*ctx).guard = Guard {
+                lo: map.as_ptr() as usize,
+                hi: map.as_ptr() as usize + guard,
+                name: name.as_ptr() as usize,
+                len: name.len(),
             };
             let at = block.as_ptr() as u64;
             makecontext(ctx, trampoline, 2, (at >> 32) as u32, at as u32);
@@ -198,7 +286,66 @@ impl Drop for Fiber {
 /// resumed; `to` is suspended (made by [`Fiber::new`] or saved by an
 /// earlier `switch`, and not resumed since) and its stack is still mapped.
 pub(crate) unsafe fn switch(from: *mut Context, to: *const Context) {
+    RUNNING.set((*to).guard);
     assert_eq!(swapcontext(from, to), 0, "swapcontext");
+}
+
+/// The action `SIGSEGV` had before [`catch_overflows`] installed its own.
+static PREVIOUS: OnceLock<SigAction> = OnceLock::new();
+
+/// Make a fiber's stack overflow name its process: install the `SIGSEGV`
+/// handler, once per program. It runs on the faulting thread's alternate
+/// signal stack, which std gives every thread it starts, the main thread
+/// included; on a thread started elsewhere, with none, an overflow stays a
+/// bare `SIGSEGV`.
+pub(crate) fn catch_overflows() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let ours = SigAction {
+            handler: on_segv as extern "C" fn(c_int, *mut SigInfo, *mut c_void) as usize,
+            mask: [0; 16],
+            flags: SA_SIGINFO | SA_ONSTACK,
+            restorer: 0,
+        };
+        let mut previous = SigAction::DEFAULT;
+        // SAFETY: `sigaction` reads and writes the plain structs it is
+        // given; the previous action is stored before ours can run.
+        unsafe {
+            assert_eq!(
+                sigaction(SIGSEGV, ptr::null(), &mut previous),
+                0,
+                "sigaction"
+            );
+            let _ = PREVIOUS.set(previous);
+            assert_eq!(sigaction(SIGSEGV, &ours, ptr::null_mut()), 0, "sigaction");
+        }
+    });
+}
+
+/// The `SIGSEGV` handler, on the alternate signal stack. A fault on the
+/// running fiber's guard page writes the process's name to stderr and
+/// aborts; any other puts the previous action back and returns, so the
+/// faulting instruction runs again under it.
+extern "C" fn on_segv(_: c_int, info: *mut SigInfo, _: *mut c_void) {
+    let running = RUNNING.get();
+    // SAFETY: the kernel passes a filled `siginfo_t`; the name lives in the
+    // running fiber's block, which outlives the fiber's run; `write`,
+    // `sigaction` and `abort` are async-signal-safe.
+    unsafe {
+        if (running.lo..running.hi).contains(&(*info).addr) {
+            let name = std::slice::from_raw_parts(running.name as *const u8, running.len);
+            for part in [
+                &b"simulated process '"[..],
+                name,
+                b"' has overflowed its stack\n",
+            ] {
+                write(2, part.as_ptr().cast(), part.len());
+            }
+            std::process::abort();
+        }
+        let previous = PREVIOUS.get().unwrap_or(&SigAction::DEFAULT);
+        sigaction(SIGSEGV, previous, ptr::null_mut());
+    }
 }
 
 /// Where every fiber starts: runs its body on the fiber's stack, then

@@ -333,7 +333,7 @@ impl Sim {
         let mut st = self.lock_settled();
         let pid = st.procs.len();
         let sim = self.clone();
-        let fiber = Fiber::new(move || {
+        let fiber = Fiber::new(&name, move || {
             let proc = Proc { sim, pid };
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 drop(proc.sim.resumed(Token::Proc(pid)));
@@ -369,6 +369,7 @@ impl Sim {
         assert!(st.run_ctx.is_none(), "Sim::run while the run is running");
         st.run_ctx = Some(Box::new(Context::empty()));
         st.run_thread = thread_tag();
+        fiber::catch_overflows();
         let mut st = self.dispatch(st, Token::Run);
         if let Some(msg) = st.panicked.take() {
             // Poison the run and resume every unfinished process once:

@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::time::Duration;
 
 /// An instant on the virtual clock, in nanoseconds since simulation start.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -132,6 +133,16 @@ impl SimDur {
     pub fn saturating_sub(self, rhs: SimDur) -> SimDur {
         SimDur {
             ns: self.ns.saturating_sub(rhs.ns),
+        }
+    }
+}
+
+/// A wall-clock length as virtual time, to the nanosecond (saturating at
+/// about 584 years).
+impl From<Duration> for SimDur {
+    fn from(d: Duration) -> Self {
+        SimDur {
+            ns: u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
         }
     }
 }

@@ -102,6 +102,30 @@ enum Outcome {
     Other(String),
 }
 
+impl Outcome {
+    /// The kind and, for a delivery, the payload's length: a failure
+    /// message names these, not the bytes.
+    fn brief(&self) -> String {
+        match self {
+            Outcome::Ok(bytes) => format!("Ok({} B)", bytes.len()),
+            Outcome::PeerFailed => "PeerFailed".into(),
+            Outcome::Other(e) => format!("Other({e})"),
+        }
+    }
+}
+
+/// How `got` differs from `want`: both outcomes briefly and, for two
+/// deliveries, the first byte offset at which they differ.
+fn divergence(got: &Outcome, want: &Outcome) -> String {
+    let mut what = format!("{} vs {}", got.brief(), want.brief());
+    if let (Outcome::Ok(a), Outcome::Ok(b)) = (got, want) {
+        if let Some(at) = a.iter().zip(b).position(|(x, y)| x != y) {
+            what += &format!(", first differing byte at offset {at}");
+        }
+    }
+    what
+}
+
 fn classify(r: MpiResult<Status>, bytes: Vec<u8>) -> Outcome {
     match r {
         Result::Ok(_) => Outcome::Ok(bytes),
@@ -315,7 +339,8 @@ fn killing_one_rank_never_poisons_survivor_traffic() {
                     assert!(
                         o == reference,
                         "rank {rank} op {i} ({op:?}) diverged from the \
-                         fault-free run: {o:?} vs {reference:?}"
+                         fault-free run: {}",
+                        divergence(o, reference)
                     );
                 }
             }
