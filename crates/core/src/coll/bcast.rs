@@ -8,7 +8,7 @@ use crate::types::{Rank, Tag};
 
 impl Communicator {
     /// Binomial-tree broadcast over explicit wire tag `tag`. Shared by the
-    /// standalone broadcast, the scatter-allgather reassembly fallback,
+    /// standalone broadcast, the tree barrier's release phase,
     /// and the compound collectives (allgather gather+bcast, allreduce
     /// reduce+bcast), each of which supplies a tag in its own window.
     pub(crate) fn bcast_binomial_tagged<T: MpiData>(

@@ -87,9 +87,6 @@ lmpi_obs::counter_struct! {
         pub ooo_dropped: u64,
         /// Pure (non-piggybacked) acknowledgement frames sent.
         pub pure_acks_sent: u64,
-        /// Partial frames evicted from a fragment-reassembly buffer to bound
-        /// per-peer memory (UDP transport).
-        pub reassembly_evicted: u64,
         /// Frames deliberately dropped by fault injection.
         pub faults_dropped: u64,
         /// Frames deliberately duplicated by fault injection.

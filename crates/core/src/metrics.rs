@@ -135,7 +135,6 @@ mod tests {
         };
         let t = TransportStats {
             retransmits: 5,
-            reassembly_evicted: 4,
             heartbeats_sent: 11,
             peers_dead: 1,
             ..TransportStats::default()
@@ -175,7 +174,7 @@ mod tests {
                 r#"ted_hits":0,"match_bins_hwm":2,"match_bin_depth_hwm":0,"progress_wakeups":0,"progress_frames":0,"pool_grows":0,"rndv_pulled":0,"pull_byt"#,
                 r#"es_helped":0},"#,
                 r#""transport":{"data_frames_sent":0,"retransmits":5,"dup_suppressed":0,"ooo_dropped":0,"pu"#,
-                r#"re_acks_sent":0,"reassembly_evicted":4,"faults_dropped":0,"faults_duplicated":0,"faults_"#,
+                r#"re_acks_sent":0,"faults_dropped":0,"faults_duplicated":0,"faults_"#,
                 r#"reordered":0,"faults_delayed":0,"heartbeats_sent":11,"peers_suspected":0,"peers_dead":1,"#,
                 r#""inbox_parks":0,"inbox_wakes":0}"#,
                 r#","hists":[{"name":"pingpong_half_trip","summary":{"count":3,"min_ns":100,"max_ns":300,"m"#,

@@ -86,7 +86,7 @@ where
 /// address every rank published, the barrier they meet at, the first setup
 /// failure and the job's clock origin. Create it with
 /// [`crate::sock::RealTcpChannel::rendezvous`] or
-/// [`crate::udp::UdpDevice::rendezvous`] and share it between the ranks'
+/// [`crate::udp::RealUdpChannel::rendezvous`] and share it between the ranks'
 /// `connect` calls.
 ///
 /// Setup is all or nothing: a rank that fails a step still reaches that
@@ -150,7 +150,7 @@ pub(crate) fn peer_setup_failed(cause: &str) -> std::io::Error {
 mod tests {
     use super::*;
     use crate::shm::{run, ShmDevice};
-    use crate::udp::UdpDevice;
+    use crate::udp::RealUdpChannel;
     use lmpi_core::MpiError;
     use lmpi_sim::within;
     use std::net::UdpSocket;
@@ -173,7 +173,7 @@ mod tests {
         let outcomes = within(Duration::from_secs(1), || {
             let rendezvous = Arc::new(MeshSetup::new(2));
             let r = rendezvous.clone();
-            let rank1 = std::thread::spawn(move || UdpDevice::connect(1, 2, &r).map(|_| ()));
+            let rank1 = std::thread::spawn(move || RealUdpChannel::connect(1, 2, &r).map(|_| ()));
             let rank0 = rendezvous
                 .exchange::<UdpSocket>(0, Err(std::io::Error::other("no socket")))
                 .map(|_| ());

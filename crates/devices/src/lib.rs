@@ -1,12 +1,12 @@
 //! # lmpi-devices — transport layers for the lmpi MPI library
 //!
-//! Four [`lmpi_core::Device`] implementations, mirroring the paper's two
-//! platforms plus two real substrates:
+//! Three [`lmpi_core::Device`] implementations, mirroring the paper's two
+//! platforms plus a real in-process substrate:
 //!
 //! | module  | transport | time | role in the paper |
 //! |---------|-----------|------|-------------------|
 //! | `meiko` | simulated Meiko CS/2 Elan (transactions, DMA, hardware broadcast) | virtual | §4: the low-latency implementation (SPARC matching) and the MPICH/tport baseline (Elan matching) |
-//! | `sock`  | simulated kernel TCP/UDP over shared Ethernet or an ATM switch, and real `std::net` TCP | virtual / real | §5: the cluster implementation with credit flow control |
+//! | `sock`  | one sockets device over three channels: simulated kernel TCP/UDP over shared Ethernet or an ATM switch, real `std::net` TCP, and real UDP (`udp`) | virtual / real | §5: the cluster implementation with credit flow control |
 //! | `shm`   | in-process channels between rank threads | real | functional testing and wall-clock benchmarks |
 //!
 //! Two composable wrappers complete the fault-tolerance story of the

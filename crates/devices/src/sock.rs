@@ -3,16 +3,19 @@
 //! control.
 //!
 //! The device is written against a small [`MsgChannel`] abstraction with
-//! two implementations:
+//! three implementations:
 //!
 //! * [`SimTcpChannel`] — a simulated kernel socket over a simulated
 //!   Ethernet segment or ATM switch (`lmpi-netmodel`), reproducing the
 //!   paper's latency anatomy (Table 1). With TCP's costs it is the TCP
 //!   cluster; with UDP's, under [`ReliableDevice`], it is the paper's
-//!   reliable-UDP variant, the same sublayer real UDP runs under;
+//!   reliable-UDP variant;
 //! * [`RealTcpChannel`] — actual `std::net` TCP over loopback, proving the
 //!   same device code is a working transport. It runs no thread: the
-//!   rank's drain-role holder sweeps the sockets itself.
+//!   rank's drain-role holder sweeps the sockets itself;
+//! * [`RealUdpChannel`](crate::udp::RealUdpChannel) — actual `std::net`
+//!   UDP over loopback, one datagram per frame, under the same
+//!   [`ReliableDevice`] as simulated UDP.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write as IoWrite};
@@ -100,8 +103,9 @@ pub const SOCK_DEFAULTS: DeviceDefaults = DeviceDefaults {
     eager_threshold: 8 << 10,
     env_slots: 32,
     recv_buf_per_sender: 256 << 10,
-    // Chunks stay under the UDP fragmenter's 60_000-byte fragment payload
-    // so each chunk is one datagram; the window covers the cluster's
+    // An eager frame or a chunk, with its 57-byte encoded head, fits one
+    // 65 507-byte UDP datagram (real UDP sends one datagram per frame and
+    // refuses a larger one); the window covers the cluster's
     // bandwidth-delay product at Table-1 round-trip times.
     rndv_chunk: 48 << 10,
     rndv_window: 8,
@@ -983,7 +987,7 @@ mod tests {
             let wire = next(&chan).unwrap_or_else(|e| panic!("frame {k}: {e}"));
             assert_eq!(wire.src, 2, "only B's frames can arrive while A stalls");
         }
-        // A wakes up and sends the rest: per-peer reassembly finishes the
+        // A wakes up and sends the rest: its own buffer completes the
         // parked frame.
         a.write_all(&frame_a[frame_a.len() / 2..]).unwrap();
         assert_eq!(next(&chan).unwrap().src, 1);

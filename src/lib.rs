@@ -12,8 +12,10 @@
 //!   [`run_cluster`];
 //! * **real threads** ([`run_threads`]), **real TCP loopback**
 //!   ([`run_real_tcp`]) and **real UDP loopback under selective repeat**
-//!   ([`run_real_udp`]) — both socket launchers return `MpiResult`, as
-//!   mesh setup can fail — for functional use and wall-clock benchmarking.
+//!   ([`run_real_udp`]) — one sockets device ([`SockDevice`]) over a TCP
+//!   or a UDP channel ([`RealUdpChannel`]: one datagram per frame); both
+//!   socket launchers return `MpiResult`, as mesh setup can fail — for
+//!   functional use and wall-clock benchmarking.
 //!
 //! For fault-tolerance work, [`FaultyDevice`] injects deterministic seeded
 //! drop/duplicate/reorder/delay faults over any device (and can kill a
@@ -65,7 +67,7 @@ pub use lmpi_devices::shm::{
     run as run_threads, run_devices, run_with_config as run_threads_with_config, ShmDevice,
 };
 pub use lmpi_devices::sock::{run_cluster, run_real_tcp, ClusterNet, ClusterTransport, SockDevice};
-pub use lmpi_devices::udp::{run_real_udp, UdpDevice};
+pub use lmpi_devices::udp::{run_real_udp, RealUdpChannel};
 
 /// The paper's application kernels (re-exported from `lmpi-apps`).
 pub mod apps {

@@ -1,12 +1,12 @@
 //! Cross-substrate integration: the same MPI programs produce identical
 //! results on every transport (real threads, simulated Meiko, simulated
-//! Ethernet/ATM cluster over TCP and UDP, real TCP loopback), and the
+//! Ethernet/ATM cluster over TCP and UDP, real TCP and UDP loopback), and the
 //! simulated substrates are exactly deterministic.
 
 use lmpi::obs::{chrome_trace_json, TraceBuffer, Tracer};
 use lmpi::{
-    run_cluster, run_meiko, run_real_tcp, run_threads, ClusterNet, ClusterTransport, MeikoVariant,
-    Mpi, MpiConfig, ReduceOp, SourceSel, TagSel,
+    run_cluster, run_meiko, run_real_tcp, run_real_udp, run_threads, ClusterNet, ClusterTransport,
+    MeikoVariant, Mpi, MpiConfig, ReduceOp, SourceSel, TagSel,
 };
 
 /// A program exercising p2p (all modes), wildcards, nonblocking ops and
@@ -114,6 +114,8 @@ fn all_substrates_agree() {
     assert_eq!(udp, reference, "sim ATM UDP disagrees");
     let real = run_real_tcp(n, MpiConfig::device_defaults(), workout).expect("real tcp mesh");
     assert_eq!(real, reference, "real TCP disagrees");
+    let real = run_real_udp(n, MpiConfig::device_defaults(), workout).expect("real udp mesh");
+    assert_eq!(real, reference, "real UDP disagrees");
 }
 
 #[test]

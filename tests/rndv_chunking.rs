@@ -16,8 +16,8 @@
 
 use lmpi::{
     run_cluster, run_devices, run_meiko, run_real_tcp, run_real_udp, ClusterNet, ClusterTransport,
-    FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, RelConfig, ReliableDevice,
-    ShmDevice, UdpDevice,
+    FaultConfig, FaultRates, FaultyDevice, MeikoVariant, Mpi, MpiConfig, RealUdpChannel, RelConfig,
+    ReliableDevice, ShmDevice, SockDevice,
 };
 use lmpi_sim::for_each_case;
 
@@ -131,14 +131,14 @@ fn boundary_sizes_on_real_udp() {
 #[test]
 fn boundary_sizes_on_lossy_udp_selective_repeat() {
     let nprocs = 2;
-    let rendezvous = std::sync::Arc::new(UdpDevice::rendezvous(nprocs));
+    let rendezvous = std::sync::Arc::new(RealUdpChannel::rendezvous(nprocs));
     // `connect` blocks on a barrier until every rank has published its
     // address, so each rank must connect from its own thread.
     let handles: Vec<_> = (0..nprocs)
         .map(|rank| {
             let rendezvous = rendezvous.clone();
             std::thread::spawn(move || {
-                UdpDevice::connect(rank, nprocs, &rendezvous).expect("bind loopback")
+                RealUdpChannel::connect(rank, nprocs, &rendezvous).expect("bind loopback")
             })
         })
         .collect();
@@ -153,7 +153,7 @@ fn boundary_sizes_on_lossy_udp_selective_repeat() {
         .into_iter()
         .enumerate()
         .map(|(rank, h)| {
-            let udp = h.join().expect("connect thread");
+            let udp = SockDevice::new(h.join().expect("connect thread"), rank, nprocs);
             let faulty =
                 FaultyDevice::new(udp, FaultConfig::uniform(0xC0FFEE ^ rank as u64, rates));
             ReliableDevice::new(faulty, RelConfig::default())
