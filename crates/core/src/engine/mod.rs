@@ -7,8 +7,8 @@
 //! * larger messages send the envelope first, wait for the receiver to match
 //!   it, then move the data directly into the user buffer (high bandwidth,
 //!   two extra network crossings);
-//! * ready-mode sends always go eagerly, since the user asserts the receive
-//!   is posted;
+//! * ready-mode sends go eagerly up to one chunk (the user asserts the
+//!   receive is posted) and as standard sends past it;
 //! * flow control gates every envelope and every eagerly-sent byte, with
 //!   credits returned piggybacked on reverse traffic.
 //!

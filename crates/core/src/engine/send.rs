@@ -189,8 +189,11 @@ impl Engine {
         Ok(req_id)
     }
 
+    /// A ready-mode send skips rendezvous only if one chunk and the
+    /// receiver's reserve hold it; a larger one is a standard send.
     fn is_eager(&self, p: &PendingSend) -> bool {
-        p.mode == SendMode::Ready || p.env.len <= self.eager_threshold
+        let ready = p.mode == SendMode::Ready && p.env.len as u64 <= self.flow.recv_buf;
+        p.env.len <= self.eager_threshold || (ready && p.env.len <= self.rndv_chunk)
     }
 
     fn can_transmit(&self, dst: Rank, p: &PendingSend) -> bool {
@@ -739,21 +742,35 @@ mod tests {
         assert_eq!(&b1, b"b");
     }
 
+    /// A ready send above the eager threshold still travels with its
+    /// envelope while one chunk holds it; past that it is a standard
+    /// rendezvous send, so no frame outgrows what a standard send makes.
     #[test]
-    fn ready_send_skips_rendezvous_even_when_large() {
+    fn ready_send_is_eager_up_to_one_chunk() {
         let d0 = Loopback::new(0, 2);
         let d1 = Loopback::new(1, 2);
         let mut e0 = engine(0, 2);
         let mut e1 = engine(1, 2);
 
-        let mut buf = vec![0u8; 4096];
-        let rid = e1.post_recv(&d1, dest(&mut buf), SourceSel::Any, TagSel::Any, 0);
-        e0.post_send(&d0, 1, 0, 0, Bytes::from(vec![9u8; 4096]), SendMode::Ready)
+        let (mut one, mut more) = (vec![0u8; 256], vec![0u8; 4096]);
+        let r0 = e1.post_recv(&d1, dest(&mut one), SourceSel::Any, TagSel::Tag(0), 0);
+        let r1 = e1.post_recv(&d1, dest(&mut more), SourceSel::Any, TagSel::Tag(1), 0);
+        e0.post_send(&d0, 1, 0, 0, Bytes::from(vec![9u8; 256]), SendMode::Ready)
             .unwrap();
         pump(&mut e0, &d0, &mut e1, &d1);
-        assert!(e1.reqs.take_if_done(rid).unwrap().is_ok());
-        assert_eq!(e0.counters.eager_sent, 1, "ready mode is always optimistic");
+        assert!(e1.reqs.take_if_done(r0).unwrap().is_ok());
+        assert_eq!(e0.counters.eager_sent, 1, "one chunk rides the envelope");
         assert_eq!(e0.counters.rndv_sent, 0);
+
+        let sid = e0
+            .post_send(&d0, 1, 1, 0, Bytes::from(vec![7u8; 4096]), SendMode::Ready)
+            .unwrap();
+        pump(&mut e0, &d0, &mut e1, &d1);
+        assert!(e1.reqs.take_if_done(r1).unwrap().is_ok());
+        assert!(e0.reqs.take_if_done(sid).unwrap().is_ok());
+        assert_eq!(e0.counters.eager_sent, 1);
+        assert_eq!(e0.counters.rndv_sent, 1, "past one chunk it is standard");
+        assert!(one == [9u8; 256] && more == [7u8; 4096]);
     }
 
     #[test]
@@ -1015,7 +1032,7 @@ mod tests {
         assert!(lent(&lending, SendMode::Standard, &bytes));
         assert!(lent(&lending, SendMode::Synchronous, &bytes));
         assert!(!lent(&lending, SendMode::Buffered, &bytes));
-        assert!(!lent(&lending, SendMode::Ready, &bytes), "ready is eager");
+        assert!(!lent(&lending, SendMode::Ready, &bytes), "ready stages");
         assert!(!lent(&lending, SendMode::Standard, &small), "at threshold");
         assert!(!lent(&lending, SendMode::Standard, &locs), "not its wire");
         assert!(!lent(&plain, SendMode::Standard, &bytes), "device says no");

@@ -49,7 +49,7 @@ struct PeerCredit {
 pub struct FlowControl {
     peers: Vec<PeerCredit>,
     env_slots: u32,
-    recv_buf: u64,
+    pub(crate) recv_buf: u64,
     /// Owed data credit above which an explicit `Credit` packet is sent even
     /// with no traffic to piggyback on (a quarter of the reserve).
     explicit_return_threshold: u64,

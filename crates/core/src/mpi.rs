@@ -970,7 +970,7 @@ impl Communicator {
     }
 
     /// `MPI_Rsend`: ready mode; the caller asserts the receive is already
-    /// posted, so data always travels with the envelope.
+    /// posted, so data up to one chunk travels with the envelope.
     pub fn rsend<T: MpiData>(&self, buf: &[T], dst: Rank, tag: Tag) -> MpiResult<()> {
         self.send_mode(SendBuf::Slice(buf), dst, tag, SendMode::Ready, self.ctx)
     }

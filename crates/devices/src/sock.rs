@@ -103,10 +103,10 @@ pub const SOCK_DEFAULTS: DeviceDefaults = DeviceDefaults {
     eager_threshold: 8 << 10,
     env_slots: 32,
     recv_buf_per_sender: 256 << 10,
-    // An eager frame or a chunk, with its 57-byte encoded head, fits one
-    // 65 507-byte UDP datagram (real UDP sends one datagram per frame and
-    // refuses a larger one); the window covers the cluster's
-    // bandwidth-delay product at Table-1 round-trip times.
+    // Every frame, eager (a ready-mode one: at most a chunk) or chunk,
+    // with its 57-byte head fits one 65 507-byte UDP datagram (real UDP
+    // sends one per frame and refuses a larger one); the window covers
+    // the cluster's bandwidth-delay product at Table-1 round-trip times.
     rndv_chunk: 48 << 10,
     rndv_window: 8,
 };

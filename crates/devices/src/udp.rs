@@ -20,7 +20,8 @@
 //!
 //! The engine's rendezvous chunking is the only frame splitter: at the
 //! defaults ([`SOCK_DEFAULTS`](crate::sock::SOCK_DEFAULTS)) every frame
-//! fits one datagram. A frame that does not — reachable only by raising
+//! fits one datagram, ready-mode sends included (one travels eager only
+//! up to one chunk). A frame that does not — reachable only by raising
 //! the eager threshold or the chunk size past about 64 KiB — is refused:
 //! the channel queues a typed transport error naming its size on the
 //! sender's own inbox, and the rank's next receive fails with it instead

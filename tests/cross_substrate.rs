@@ -8,6 +8,8 @@ use lmpi::{
     run_cluster, run_meiko, run_real_tcp, run_real_udp, run_threads, ClusterNet, ClusterTransport,
     MeikoVariant, Mpi, MpiConfig, ReduceOp, SourceSel, TagSel,
 };
+use lmpi_sim::within;
+use std::time::Duration;
 
 /// A program exercising p2p (all modes), wildcards, nonblocking ops and
 /// collectives; returns a per-rank digest that must be identical across
@@ -116,6 +118,59 @@ fn all_substrates_agree() {
     assert_eq!(real, reference, "real TCP disagrees");
     let real = run_real_udp(n, MpiConfig::device_defaults(), workout).expect("real udp mesh");
     assert_eq!(real, reference, "real UDP disagrees");
+}
+
+/// Ready-mode sends into pre-posted receives, one past a datagram (100 KiB)
+/// and one past every default receive reserve (2 MiB): each arrives intact
+/// at the device defaults on every substrate. A ready send larger than a
+/// chunk travels as a standard rendezvous send; sent eager, the first
+/// would exceed a UDP datagram and the second could never get the credit.
+fn large_ready_sends(mpi: Mpi) -> bool {
+    let world = mpi.world();
+    let sizes = [100 << 10, 2 << 20];
+    let fill = |len: usize, k: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + k) as u8).collect() };
+    if world.rank() == 1 {
+        let mut bufs: Vec<Vec<u8>> = sizes.iter().map(|&len| vec![0u8; len]).collect();
+        let mut reqs = Vec::new();
+        for (tag, buf) in bufs.iter_mut().enumerate() {
+            reqs.push(world.irecv(buf, 0, tag as u32).unwrap());
+        }
+        world.send(&[1u8], 0, 9).unwrap();
+        for req in reqs {
+            req.wait().unwrap();
+        }
+        bufs.iter()
+            .enumerate()
+            .all(|(k, buf)| *buf == fill(buf.len(), k))
+    } else {
+        world.recv(&mut [0u8], 1, 9).unwrap();
+        for (tag, &len) in sizes.iter().enumerate() {
+            world.rsend(&fill(len, tag), 1, tag as u32).unwrap();
+        }
+        true
+    }
+}
+
+#[test]
+fn large_ready_sends_arrive_everywhere() {
+    let watched = MpiConfig::device_defaults().with_progress_timeout_us(5_000_000);
+    let all = |out: Vec<bool>| out.iter().all(|&ok| ok);
+    let limit = Duration::from_secs(60);
+    let shm = within(limit, move || {
+        lmpi::run_threads_with_config(2, watched, large_ready_sends)
+    });
+    assert!(all(shm), "threads");
+    let meiko = run_meiko(
+        2,
+        MeikoVariant::LowLatency,
+        MpiConfig::device_defaults(),
+        large_ready_sends,
+    );
+    assert!(all(meiko), "simulated Meiko");
+    let tcp = within(limit, move || run_real_tcp(2, watched, large_ready_sends));
+    assert!(all(tcp.expect("real tcp mesh")), "real TCP");
+    let udp = within(limit, move || run_real_udp(2, watched, large_ready_sends));
+    assert!(all(udp.expect("real udp mesh")), "real UDP");
 }
 
 #[test]
