@@ -81,11 +81,13 @@ lmpi_obs::counter_struct! {
         pub retransmits: u64,
         /// Duplicate arrivals suppressed by sequence checking.
         pub dup_suppressed: u64,
-        /// Out-of-order arrivals dropped: everything past the next expected
-        /// frame under go-back-N, only frames beyond the reorder window
-        /// under selective repeat (the default), which buffers the rest.
+        /// Out-of-order arrivals dropped because the receiver's reorder
+        /// buffer could not hold them: every one under go-back-N (a buffer
+        /// of 0 frames), only those past `window.min(64)` frames or the
+        /// ack bitmap's horizon under selective repeat (the default).
         pub ooo_dropped: u64,
-        /// Pure (non-piggybacked) acknowledgement frames sent.
+        /// Pure (non-piggybacked) acknowledgement frames sent for an owed
+        /// ack; keepalives are counted in `heartbeats_sent` instead.
         pub pure_acks_sent: u64,
         /// Frames deliberately dropped by fault injection.
         pub faults_dropped: u64,
@@ -95,7 +97,8 @@ lmpi_obs::counter_struct! {
         pub faults_reordered: u64,
         /// Frames deliberately delayed by fault injection.
         pub faults_delayed: u64,
-        /// Liveness keepalive frames sent on idle peer links.
+        /// Liveness keepalives sent on idle peer links. Each is a pure ack
+        /// on the wire; it is counted here, not in `pure_acks_sent`.
         pub heartbeats_sent: u64,
         /// Peers the liveness state machine has moved from Alive to Suspect
         /// (cumulative; a peer that recovers and is re-suspected counts again).

@@ -815,8 +815,5 @@ mod tests {
             .map(|e| e.kind.name())
             .collect();
         assert!(names.contains(&"RevokeRx"), "got {names:?}");
-        // Heartbeats reaching the engine are inert.
-        e0.handle_wire(&d0, Wire::bare(1, Packet::Heartbeat))
-            .unwrap();
     }
 }

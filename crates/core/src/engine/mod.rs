@@ -554,11 +554,6 @@ impl Engine {
             Packet::Credit => {
                 // Credits were applied above; nothing else to do.
             }
-            Packet::Heartbeat => {
-                // Keepalives are consumed by the reliability sublayer; one
-                // reaching the engine (reliability disabled, hand-crafted
-                // frame) carries nothing beyond the credits applied above.
-            }
             Packet::Revoke { context } => {
                 self.tracer.emit_with(
                     || dev.now_ns(),

@@ -136,13 +136,6 @@ pub enum Packet {
         /// The payload.
         data: Bytes,
     },
-    /// Liveness keepalive emitted by the reliability sublayer when a peer
-    /// link has been idle for the configured heartbeat interval. Never
-    /// sequenced, never delivered to the engine; its only job is to carry
-    /// the frame header (piggybacked acks/credits ride along for free) so
-    /// the receiver's per-peer liveness clock resets. Real traffic
-    /// suppresses it — a busy link never sends one.
-    Heartbeat,
     /// ULFM communicator revocation: a survivor that observed a rank
     /// failure floods this to every other member so pending and future
     /// operations on the communicator abort with
@@ -169,7 +162,6 @@ impl Packet {
             Packet::EagerAck { .. } => "eager_ack",
             Packet::Credit => "credit",
             Packet::HwBcast { .. } => "hw_bcast",
-            Packet::Heartbeat => "heartbeat",
             Packet::Revoke { .. } => "revoke",
         }
     }
@@ -204,7 +196,6 @@ impl Packet {
             Packet::EagerAck { .. } => K::EagerAck,
             Packet::Credit => K::Credit,
             Packet::HwBcast { .. } => K::HwBcast,
-            Packet::Heartbeat => K::Heartbeat,
             Packet::Revoke { .. } => K::Revoke,
         }
     }
@@ -464,10 +455,6 @@ mod tests {
         assert!(!a.is_bulk());
         assert_eq!(a.payload_len(), 0);
 
-        let h = Packet::Heartbeat;
-        assert_eq!(h.kind_name(), "heartbeat");
-        assert!(!h.is_bulk());
-        assert_eq!(h.payload_len(), 0);
         let r = Packet::Revoke { context: 4 };
         assert_eq!(r.kind_name(), "revoke");
         assert!(!r.is_bulk());

@@ -39,8 +39,12 @@
 //! width: 4-byte fields once wrapped after 2^32 frames in a release
 //! build), and one round trip per frame type, among them
 //! `rndv_chunk_fields_roundtrip_exactly`, `revoke_context_roundtrips_exactly`
-//! and `heartbeat_carries_piggybacked_acks` for what the request-info
+//! and `pure_ack_carries_piggybacked_acks` for what the request-info
 //! area and a header-only frame carry.
+//!
+//! Frame type 12 is retired: it was a separate keepalive type, and a
+//! keepalive is now a pure ack (a [`Packet::Credit`] frame). A frame of
+//! type 12 is an unknown type, and the number is never reused.
 
 use lmpi_core::Bytes;
 use lmpi_core::{Envelope, Packet, Rank, Wire};
@@ -81,7 +85,7 @@ const T_CREDIT: u8 = 8;
 const T_HW_BCAST: u8 = 9;
 const T_RNDV_CHUNK: u8 = 10;
 const T_RNDV_CHUNK_ACK: u8 = 11;
-const T_HEARTBEAT: u8 = 12;
+// 12 is retired (see the module docs) and never reused.
 const T_REVOKE: u8 = 13;
 
 /// Total bytes `wire` occupies on the wire: 25-byte header plus payload.
@@ -143,7 +147,6 @@ pub fn encode_head(wire: &Wire) -> ([u8; PAYLOAD_OFF], &[u8]) {
         Packet::EagerAck { .. } => (T_EAGER_ACK, None),
         Packet::Credit => (T_CREDIT, None),
         Packet::HwBcast { data, .. } => (T_HW_BCAST, Some(data)),
-        Packet::Heartbeat => (T_HEARTBEAT, None),
         Packet::Revoke { .. } => (T_REVOKE, None),
     };
     head[0] = ty;
@@ -212,7 +215,6 @@ pub fn encode_head(wire: &Wire) -> ([u8; PAYLOAD_OFF], &[u8]) {
             info[4..8].copy_from_slice(&(*send_id as u32).to_le_bytes());
         }
         Packet::Credit => {}
-        Packet::Heartbeat => {}
         Packet::Revoke { context } => {
             info[4..8].copy_from_slice(&context.to_le_bytes());
         }
@@ -318,7 +320,6 @@ pub fn decode(buf: &[u8]) -> Result<(Wire, usize), DecodeError> {
             send_id: u32at(4..8) as u64,
         },
         T_CREDIT => Packet::Credit,
-        T_HEARTBEAT => Packet::Heartbeat,
         T_REVOKE => Packet::Revoke {
             context: u32at(4..8),
         },
@@ -456,7 +457,6 @@ mod tests {
             Packet::RndvChunkAck { send_id: 5 },
             Packet::EagerAck { send_id: 5 },
             Packet::Credit,
-            Packet::Heartbeat,
             Packet::Revoke { context: 6 },
             Packet::HwBcast {
                 context: 1,
@@ -527,9 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_carries_piggybacked_acks() {
-        // A heartbeat is pure header: unsequenced, but its ack fields must
-        // survive so idle links still return acknowledgment state.
+    fn pure_ack_carries_piggybacked_acks() {
+        // A pure ack (also an idle link's keepalive) is pure header:
+        // unsequenced, but its ack fields must survive so idle links still
+        // return acknowledgment state.
         let w = roundtrip(Wire {
             src: 2,
             seq: 0,
@@ -538,9 +539,9 @@ mod tests {
             env_credit: 1,
             data_credit: 64,
             msg_seq: 0,
-            pkt: Packet::Heartbeat,
+            pkt: Packet::Credit,
         });
-        assert!(matches!(w.pkt, Packet::Heartbeat));
+        assert!(matches!(w.pkt, Packet::Credit));
         assert_eq!((w.seq, w.ack, w.ack_bits), (0, 41, 0b101));
         assert_eq!((w.env_credit, w.data_credit), (1, 64));
     }
@@ -634,8 +635,14 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut enc = encode(&Wire::bare(0, Packet::Credit));
-        enc[0] = 200;
-        assert!(decode(&enc).is_err());
+        // 12 is the retired keepalive type: it must not decode either.
+        for ty in [12, 200] {
+            let mut enc = encode(&Wire::bare(0, Packet::Credit));
+            enc[0] = ty;
+            assert_eq!(
+                decode(&enc).map(|(w, _)| w.pkt.kind_name()),
+                Err(DecodeError(format!("unknown message type {ty}")))
+            );
+        }
     }
 }

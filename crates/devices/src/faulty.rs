@@ -51,7 +51,6 @@ pub fn classify(pkt: &Packet) -> PacketClass {
         | Packet::RndvChunkAck { .. }
         | Packet::EagerAck { .. }
         | Packet::Credit
-        | Packet::Heartbeat
         | Packet::Revoke { .. } => PacketClass::Control,
     }
 }
@@ -184,16 +183,18 @@ pub struct FaultStats {
     pub delayed: AtomicU64,
 }
 
-impl FaultStats {
-    /// Snapshot of `(sent, dropped, duplicated, reordered, delayed)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.sent.load(Ordering::Relaxed),
-            self.dropped.load(Ordering::Relaxed),
-            self.duplicated.load(Ordering::Relaxed),
-            self.reordered.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-        )
+impl From<&FaultStats> for TransportStats {
+    /// The injector's share of the stack's [`TransportStats`] (`sent` has
+    /// no field there).
+    fn from(s: &FaultStats) -> Self {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TransportStats {
+            faults_dropped: get(&s.dropped),
+            faults_duplicated: get(&s.duplicated),
+            faults_reordered: get(&s.reordered),
+            faults_delayed: get(&s.delayed),
+            ..TransportStats::default()
+        }
     }
 }
 
@@ -407,15 +408,7 @@ impl<D: Device> Device for FaultyDevice<D> {
     }
 
     fn transport_stats(&self) -> TransportStats {
-        let (_, dropped, duplicated, reordered, delayed) = self.stats.snapshot();
-        TransportStats {
-            faults_dropped: dropped,
-            faults_duplicated: duplicated,
-            faults_reordered: reordered,
-            faults_delayed: delayed,
-            ..TransportStats::default()
-        }
-        .merged(self.inner.transport_stats())
+        TransportStats::from(&*self.stats).merged(self.inner.transport_stats())
     }
 
     fn take_failed_peer(&self) -> Option<(Rank, lmpi_core::MpiError)> {
@@ -489,7 +482,6 @@ mod tests {
             classify(&Packet::RndvChunkAck { send_id: 0 }),
             PacketClass::Control
         );
-        assert_eq!(classify(&Packet::Heartbeat), PacketClass::Control);
         assert_eq!(
             classify(&Packet::Revoke { context: 2 }),
             PacketClass::Control
@@ -507,8 +499,11 @@ mod tests {
             d0.send(1, eager(0, i));
         }
         assert_eq!(recv_all(&d1).len(), 2);
-        let (_, dropped, ..) = d0.stats_handle().snapshot();
-        assert_eq!(dropped, 1, "post-kill frame counted as dropped");
+        assert_eq!(
+            TransportStats::from(&*d0.stats_handle()).faults_dropped,
+            1,
+            "post-kill frame counted as dropped"
+        );
         // Incoming frames are discarded unread after the kill.
         d1.send(0, eager(1, 9));
         assert!(d0.try_recv().unwrap().is_none(), "inbound discarded");
@@ -608,9 +603,9 @@ mod tests {
         let got = recv_all(&d1);
         assert_eq!(got.len(), 8);
         assert!(got.iter().all(|w| matches!(w.pkt, Packet::Credit)));
-        let (sent, dropped, ..) = d0.stats_handle().snapshot();
-        assert_eq!(sent, 16);
-        assert_eq!(dropped, 8);
+        let stats = d0.stats_handle();
+        assert_eq!(stats.sent.load(Ordering::Relaxed), 16);
+        assert_eq!(TransportStats::from(&*stats).faults_dropped, 8);
     }
 
     #[test]
@@ -664,8 +659,7 @@ mod tests {
         // Any device call flushes the due queue.
         let _ = d0.try_recv().unwrap();
         assert_eq!(recv_all(&d1).len(), 1);
-        let (_, _, _, _, delayed) = d0.stats_handle().snapshot();
-        assert_eq!(delayed, 1);
+        assert_eq!(TransportStats::from(&*d0.stats_handle()).faults_delayed, 1);
     }
 
     #[test]

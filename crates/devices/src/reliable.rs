@@ -14,24 +14,27 @@
 //! * frames are handed to the engine strictly in sequence order and
 //!   duplicates are suppressed, preserving the per-pair FIFO order MPI's
 //!   non-overtaking rule needs;
-//! * gaps are handled per [`RelMode`]. **Selective repeat** (the default)
-//!   buffers out-of-order arrivals and advertises them in an ack bitmap
-//!   ([`Wire::ack_bits`], bit `k` = sequence `ack + 2 + k` held) riding
-//!   beside the cumulative ack; on timeout the sender resends only the
-//!   holes, so one lost frame of a pipelined rendezvous stream costs one
-//!   chunk, not the window. **Go-back-N** discards out-of-order arrivals
-//!   and resends the whole unacknowledged window — simpler, cheaper per
-//!   frame, and kept as the configurable fallback;
+//! * out-of-order arrivals are held in a reorder buffer and advertised in
+//!   an ack bitmap ([`Wire::ack_bits`], bit `k` = sequence `ack + 2 + k`
+//!   held) riding beside the cumulative ack; on timeout the sender resends
+//!   only the frames the bitmap does not cover, so one lost frame of a
+//!   pipelined rendezvous stream costs one chunk, not the window. The
+//!   buffer holds `window.min(64)` frames under **selective repeat** (the
+//!   default) and none under **go-back-N** ([`RelMode`]): a go-back-N
+//!   receiver drops every gap frame and so never sets a bitmap bit, and
+//!   its sender resends the whole window. One code path serves both;
 //! * unacknowledged frames are retransmitted on a timer with exponential
-//!   backoff; when one-sided traffic leaves no frame to piggyback on, a
-//!   pure-ack frame (a bare credit packet with zero credit) is sent;
+//!   backoff (×2 per retransmission, up to [`RelConfig::rto_max_us`]);
+//!   when one-sided traffic leaves no frame to piggyback on, a pure-ack
+//!   frame (a bare credit packet with zero credit) is sent;
 //! * each peer link runs a **liveness state machine** (Alive → Suspect →
 //!   Dead, [`Liveness`]). When heartbeats are enabled
-//!   ([`RelConfig::with_heartbeat`]) an idle link emits a
-//!   [`Packet::Heartbeat`] keepalive every interval — real traffic
+//!   ([`RelConfig::with_heartbeat`]) an idle link emits a keepalive every
+//!   interval — a pure ack, counted in `heartbeats_sent`; real traffic
 //!   suppresses it, exactly like piggybacked acks suppress pure acks —
 //!   and a link silent past the configured thresholds moves to Suspect
-//!   and then Dead. Retransmission exhaustion feeds the same machine;
+//!   and then Dead. Retransmission exhaustion ([`MAX_RETRIES`] resends
+//!   without progress) feeds the same machine;
 //! * peer failure is **per-peer**, not channel-global: a dead peer's
 //!   frames are dropped in both directions and its failure is reported
 //!   once through [`Device::take_failed_peer`] as a typed
@@ -51,19 +54,27 @@ use lmpi_core::{
 use lmpi_obs::{EventKind, Tracer};
 use lmpi_sim::lock::{Mutex, MutexGuard};
 
-/// Retransmission strategy on a gap in the sequence space.
+/// How many out-of-order frames a receiver holds: the only difference
+/// between the two gap-handling strategies.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RelMode {
-    /// Buffer out-of-order arrivals, advertise them in the ack bitmap, and
-    /// resend only the holes on timeout. The default: under loss it keeps
-    /// a pipelined rendezvous stream flowing at the cost of one chunk per
-    /// lost frame.
+    /// Hold up to `window.min(64)` out-of-order arrivals and advertise
+    /// them in the ack bitmap, so the sender resends only the holes. The
+    /// default: under loss it keeps a pipelined rendezvous stream flowing
+    /// at the cost of one chunk per lost frame.
     SelectiveRepeat,
-    /// Discard out-of-order arrivals and resend the whole unacknowledged
-    /// window on timeout. Simpler and stateless at the receiver; the
-    /// fallback for comparison runs and constrained receivers.
+    /// Hold none: every gap frame is dropped, the bitmap stays empty, and
+    /// the sender resends the whole unacknowledged window. Kept for
+    /// comparison runs.
     GoBackN,
 }
+
+/// RTO multiplier per retransmission (exponential backoff).
+const BACKOFF: f64 = 2.0;
+
+/// Consecutive retransmissions of the same window without forward
+/// progress before the peer is declared dead.
+pub const MAX_RETRIES: u32 = 30;
 
 /// Tuning for the ack/retransmit machinery.
 #[derive(Copy, Clone, Debug)]
@@ -71,21 +82,19 @@ pub struct RelConfig {
     /// Maximum unacknowledged frames per destination; a full window stalls
     /// the sender (pumping acks) until space frees up.
     pub window: usize,
-    /// Initial retransmission timeout, microseconds.
+    /// Initial retransmission timeout, microseconds. It doubles per
+    /// retransmission without progress.
     pub rto_us: f64,
-    /// RTO multiplier per retransmission (exponential backoff).
-    pub backoff: f64,
     /// RTO ceiling, microseconds.
     pub rto_max_us: f64,
-    /// Consecutive retransmissions of the same window before the peer
-    /// is declared dead.
-    pub max_retries: u32,
-    /// Gap-handling strategy. Both ends of a job must agree.
+    /// Gap-handling strategy: how many out-of-order frames the receiver
+    /// holds. Both ends of a job must agree.
     pub mode: RelMode,
     /// Keepalive interval, microseconds. A peer link idle (no outgoing
-    /// frame of any kind) for this long emits a heartbeat; `0.0` disables
-    /// heartbeats *and* the silence-based liveness thresholds below —
-    /// retransmission exhaustion then remains the only death sentence.
+    /// frame of any kind) for this long emits a keepalive, a pure ack
+    /// counted in `heartbeats_sent`; `0.0` disables keepalives *and* the
+    /// silence-based liveness thresholds below — retransmission
+    /// exhaustion then remains the only death sentence.
     pub heartbeat_us: f64,
     /// Silence (no incoming frame of any kind) before a peer moves from
     /// Alive to Suspect. Should comfortably exceed `heartbeat_us` so a
@@ -101,9 +110,7 @@ impl Default for RelConfig {
         RelConfig {
             window: 32,
             rto_us: 2_000.0,
-            backoff: 2.0,
             rto_max_us: 100_000.0,
-            max_retries: 30,
             mode: RelMode::SelectiveRepeat,
             heartbeat_us: 0.0,
             suspect_timeout_us: 10_000.0,
@@ -113,7 +120,7 @@ impl Default for RelConfig {
 }
 
 impl RelConfig {
-    /// The defaults with go-back-N gap handling (the pre-bitmap behavior).
+    /// The defaults with go-back-N gap handling: no reorder buffer.
     pub fn go_back_n() -> Self {
         RelConfig {
             mode: RelMode::GoBackN,
@@ -132,7 +139,7 @@ impl RelConfig {
     }
 }
 
-/// Per-peer liveness, driven by incoming traffic (any frame, heartbeats
+/// Per-peer liveness, driven by incoming traffic (any frame, keepalives
 /// included) against the [`RelConfig`] silence thresholds.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Liveness {
@@ -154,11 +161,13 @@ pub struct RelStats {
     pub retransmits: AtomicU64,
     /// Duplicate frames suppressed at the receiver.
     pub dup_suppressed: AtomicU64,
-    /// Out-of-order frames discarded (the go-back-N gap case).
+    /// Out-of-order frames discarded: every gap frame under go-back-N,
+    /// only those past the reorder buffer under selective repeat.
     pub ooo_dropped: AtomicU64,
-    /// Pure-ack frames sent (no data to piggyback on).
+    /// Pure-ack frames sent (no data to piggyback on), keepalives not
+    /// included.
     pub acks_sent: AtomicU64,
-    /// Heartbeat keepalives sent on idle links.
+    /// Keepalives (pure acks on idle links) sent.
     pub heartbeats_sent: AtomicU64,
     /// Peers moved from Alive to Suspect (cumulative).
     pub peers_suspected: AtomicU64,
@@ -166,26 +175,21 @@ pub struct RelStats {
     pub peers_dead: AtomicU64,
 }
 
-impl RelStats {
-    /// Snapshot of `(data_sent, retransmits, dup_suppressed, ooo_dropped,
-    /// acks_sent)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.data_sent.load(Ordering::Relaxed),
-            self.retransmits.load(Ordering::Relaxed),
-            self.dup_suppressed.load(Ordering::Relaxed),
-            self.ooo_dropped.load(Ordering::Relaxed),
-            self.acks_sent.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of `(heartbeats_sent, peers_suspected, peers_dead)`.
-    pub fn liveness_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.heartbeats_sent.load(Ordering::Relaxed),
-            self.peers_suspected.load(Ordering::Relaxed),
-            self.peers_dead.load(Ordering::Relaxed),
-        )
+impl From<&RelStats> for TransportStats {
+    /// The sublayer's share of the stack's [`TransportStats`].
+    fn from(s: &RelStats) -> Self {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TransportStats {
+            data_frames_sent: get(&s.data_sent),
+            retransmits: get(&s.retransmits),
+            dup_suppressed: get(&s.dup_suppressed),
+            ooo_dropped: get(&s.ooo_dropped),
+            pure_acks_sent: get(&s.acks_sent),
+            heartbeats_sent: get(&s.heartbeats_sent),
+            peers_suspected: get(&s.peers_suspected),
+            peers_dead: get(&s.peers_dead),
+            ..TransportStats::default()
+        }
     }
 }
 
@@ -194,7 +198,7 @@ struct SentFrame {
     wire: Wire,
     /// Selectively acknowledged via the peer's ack bitmap: held at the
     /// receiver, skipped on retransmission, freed when the cumulative ack
-    /// passes it. Always false under go-back-N.
+    /// passes it. Never set by a go-back-N peer, which holds nothing.
     sacked: bool,
 }
 
@@ -212,9 +216,9 @@ struct PeerState {
     retries: u32,
     /// Highest sequence number received in order from this peer.
     recv_cum: u64,
-    /// Out-of-order frames held for selective repeat, keyed by sequence.
-    /// Bounded by the ack bitmap's 64-bit horizon and the window; always
-    /// empty under go-back-N.
+    /// Out-of-order frames held until their gap fills, keyed by sequence.
+    /// Bounded by the ack bitmap's 64-bit horizon and the device's `hold`;
+    /// always empty under go-back-N.
     ooo: BTreeMap<u64, Wire>,
     /// Whether the peer is owed an ack it has not been sent yet.
     owe_ack: bool,
@@ -224,7 +228,7 @@ struct PeerState {
     /// time at start, so thresholds count from job launch.
     last_heard_s: f64,
     /// When a frame (any kind) last went out to this peer, seconds.
-    /// Heartbeats fire off this clock, so real traffic suppresses them.
+    /// Keepalives fire off this clock, so real traffic suppresses them.
     last_tx_s: f64,
     /// When the current no-forward-progress period began: set when the
     /// window goes empty → non-empty and on every acked advance. The
@@ -254,7 +258,7 @@ impl PeerState {
 
     /// The ack bitmap advertising this peer's out-of-order holdings:
     /// bit `k` = sequence `recv_cum + 2 + k` held (`recv_cum + 1` is by
-    /// definition the first hole). Zero under go-back-N.
+    /// definition the first hole). Zero under go-back-N, which holds none.
     fn ack_bits(&self) -> u64 {
         let mut bits = 0u64;
         for &seq in self.ooo.keys() {
@@ -283,6 +287,9 @@ struct RelState {
 pub struct ReliableDevice<D: Device> {
     inner: D,
     cfg: RelConfig,
+    /// Out-of-order frames held per peer: `window.min(64)` under
+    /// selective repeat, 0 under go-back-N.
+    hold: usize,
     state: Mutex<RelState>,
     /// The receive token, held across "take a frame from `inner`, ingest
     /// it" so frames are ingested in the order they were taken, and the
@@ -294,8 +301,9 @@ pub struct ReliableDevice<D: Device> {
 }
 
 /// A pure acknowledgment: a bare credit frame carrying only the cumulative
-/// ack and the selective-ack bitmap. The receiving sublayer consumes it;
-/// the engine never sees it.
+/// ack and the selective-ack bitmap. It is both the owed ack and the
+/// keepalive of an idle link. The receiving sublayer consumes it; the
+/// engine never sees it.
 fn pure_ack(src: Rank, ack: u64, ack_bits: u64) -> Wire {
     Wire {
         src,
@@ -325,6 +333,10 @@ impl<D: Device> ReliableDevice<D> {
         ReliableDevice {
             inner,
             cfg,
+            hold: match cfg.mode {
+                RelMode::SelectiveRepeat => cfg.window.min(64),
+                RelMode::GoBackN => 0,
+            },
             state: Mutex::new(RelState {
                 peers: (0..nprocs).map(|_| PeerState::new(t0)).collect(),
                 deliverable: VecDeque::new(),
@@ -381,7 +393,8 @@ impl<D: Device> ReliableDevice<D> {
             return;
         }
         if self.cfg.heartbeat_us > 0.0 {
-            // Any frame — data, ack, heartbeat — proves the peer alive.
+            // Any frame — data or ack, keepalives included — proves the
+            // peer alive.
             p.last_heard_s = self.now_s();
             if p.liveness == Liveness::Suspect {
                 p.liveness = Liveness::Alive;
@@ -404,7 +417,7 @@ impl<D: Device> ReliableDevice<D> {
                 now + self.cfg.rto_us * 1e-6
             };
         }
-        if self.cfg.mode == RelMode::SelectiveRepeat && wire.ack_bits != 0 {
+        if wire.ack_bits != 0 {
             // Bit k advertises sequence `ack + 2 + k` held out of order at
             // the peer: mark it so the timer resends only the holes. That
             // is all a SACK does: the hole's timer keeps running.
@@ -415,12 +428,7 @@ impl<D: Device> ReliableDevice<D> {
             }
         }
         if is_pure_ack(&wire) {
-            return; // sublayer-internal; nothing to deliver
-        }
-        if matches!(wire.pkt, Packet::Heartbeat) {
-            // Liveness keepalive: the header (acks, liveness refresh) is
-            // fully consumed above; the engine never sees it.
-            return;
+            return; // sublayer-internal (keepalives too); nothing to deliver
         }
         if wire.seq == 0 {
             // Unsequenced frame from a peer (reliability disabled there, or
@@ -431,8 +439,8 @@ impl<D: Device> ReliableDevice<D> {
             p.recv_cum += 1;
             p.owe_ack = true;
             st.deliverable.push_back(wire);
-            // The gap just closed: release any buffered successors that
-            // are now in order (selective repeat; empty under go-back-N).
+            // The gap just closed: release any held successors that are
+            // now in order.
             loop {
                 let p = &mut st.peers[from];
                 let next = p.recv_cum + 1;
@@ -446,31 +454,21 @@ impl<D: Device> ReliableDevice<D> {
             self.suppress_dup(st, from, &wire);
         } else {
             // Gap: a predecessor was lost (or is still in flight).
-            match self.cfg.mode {
-                RelMode::GoBackN => {
-                    // Discard; the sender's timer resends the window in
-                    // order.
-                    self.stats.ooo_dropped.fetch_add(1, Ordering::Relaxed);
-                    st.peers[from].owe_ack = true;
-                }
-                RelMode::SelectiveRepeat => {
-                    let horizon = st.peers[from].recv_cum + 1 + 64;
-                    let cap = self.cfg.window.min(64);
-                    let p = &mut st.peers[from];
-                    if p.ooo.contains_key(&wire.seq) {
-                        self.suppress_dup(st, from, &wire);
-                    } else if wire.seq <= horizon && p.ooo.len() < cap {
-                        // Hold it and advertise it in the ack bitmap; it
-                        // delivers when the hole fills.
-                        p.ooo.insert(wire.seq, wire);
-                        p.owe_ack = true;
-                    } else {
-                        // Beyond the bitmap horizon or the buffer budget:
-                        // treat as lost, like go-back-N would.
-                        self.stats.ooo_dropped.fetch_add(1, Ordering::Relaxed);
-                        p.owe_ack = true;
-                    }
-                }
+            let horizon = st.peers[from].recv_cum + 1 + 64;
+            let p = &mut st.peers[from];
+            if p.ooo.contains_key(&wire.seq) {
+                self.suppress_dup(st, from, &wire);
+            } else if wire.seq <= horizon && p.ooo.len() < self.hold {
+                // Hold it and advertise it in the ack bitmap; it delivers
+                // when the hole fills.
+                p.ooo.insert(wire.seq, wire);
+                p.owe_ack = true;
+            } else {
+                // Beyond the bitmap horizon or the reorder buffer (always,
+                // under go-back-N): treat it as lost; the sender's timer
+                // resends it.
+                self.stats.ooo_dropped.fetch_add(1, Ordering::Relaxed);
+                p.owe_ack = true;
             }
         }
     }
@@ -529,7 +527,7 @@ impl<D: Device> ReliableDevice<D> {
         for dst in 0..st.peers.len() {
             let p = &mut st.peers[dst];
             if !p.unacked.is_empty() && now >= p.rto_deadline {
-                if p.retries >= self.cfg.max_retries {
+                if p.retries >= MAX_RETRIES {
                     if drain {
                         // Real elapsed time since forward progress stopped
                         // — not `cur_rto_us * retries`, which overstates
@@ -551,14 +549,11 @@ impl<D: Device> ReliableDevice<D> {
                     continue;
                 }
                 p.retries += 1;
-                // Resend with a refreshed piggybacked ack: the whole
-                // unacked window under go-back-N, only the un-sacked holes
-                // under selective repeat.
+                // Resend every frame the peer's bitmap does not cover (the
+                // whole window from a go-back-N peer) with a refreshed
+                // piggybacked ack.
                 let (recv_cum, bits) = (p.recv_cum, p.ack_bits());
-                for f in p.unacked.iter_mut() {
-                    if self.cfg.mode == RelMode::SelectiveRepeat && f.sacked {
-                        continue;
-                    }
+                for f in p.unacked.iter_mut().filter(|f| !f.sacked) {
                     f.wire.ack = recv_cum;
                     f.wire.ack_bits = bits;
                     self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
@@ -574,7 +569,7 @@ impl<D: Device> ReliableDevice<D> {
                 }
                 p.owe_ack = false;
                 p.last_tx_s = now;
-                p.cur_rto_us = (p.cur_rto_us * self.cfg.backoff).min(self.cfg.rto_max_us);
+                p.cur_rto_us = (p.cur_rto_us * BACKOFF).min(self.cfg.rto_max_us);
                 p.rto_deadline = now + p.cur_rto_us * 1e-6;
             }
         }
@@ -611,29 +606,17 @@ impl<D: Device> ReliableDevice<D> {
                     );
                 }
             }
-            // Keepalives: only where no frame of any kind went out for a
-            // full interval — live traffic suppresses them entirely.
+            // Keepalives: a pure ack where no frame of any kind went out
+            // for a full interval — live traffic suppresses them entirely.
             for (dst, p) in st.peers.iter_mut().enumerate() {
                 if dst == me || p.liveness == Liveness::Dead {
                     continue;
                 }
                 if (now - p.last_tx_s) * 1e6 >= self.cfg.heartbeat_us {
                     p.last_tx_s = now;
-                    p.owe_ack = false; // the heartbeat carries the ack state
+                    p.owe_ack = false; // the keepalive carries the ack state
                     self.stats.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-                    self.inner.send(
-                        dst,
-                        Wire {
-                            src: me,
-                            seq: 0,
-                            ack: p.recv_cum,
-                            ack_bits: p.ack_bits(),
-                            env_credit: 0,
-                            data_credit: 0,
-                            msg_seq: 0,
-                            pkt: Packet::Heartbeat,
-                        },
-                    );
+                    self.inner.send(dst, pure_ack(me, p.recv_cum, p.ack_bits()));
                 }
             }
         }
@@ -825,21 +808,7 @@ impl<D: Device> Device for ReliableDevice<D> {
     }
 
     fn transport_stats(&self) -> TransportStats {
-        let (data_frames_sent, retransmits, dup_suppressed, ooo_dropped, pure_acks_sent) =
-            self.stats.snapshot();
-        let (heartbeats_sent, peers_suspected, peers_dead) = self.stats.liveness_snapshot();
-        TransportStats {
-            data_frames_sent,
-            retransmits,
-            dup_suppressed,
-            ooo_dropped,
-            pure_acks_sent,
-            heartbeats_sent,
-            peers_suspected,
-            peers_dead,
-            ..TransportStats::default()
-        }
-        .merged(self.inner.transport_stats())
+        TransportStats::from(&*self.stats).merged(self.inner.transport_stats())
     }
 
     fn take_failed_peer(&self) -> Option<(Rank, MpiError)> {
@@ -935,6 +904,11 @@ mod tests {
         ReliableDevice::new(MockDev::new(rank, nprocs), RelConfig::go_back_n())
     }
 
+    /// The sublayer's counters, read through its stats handle.
+    fn stats(d: &ReliableDevice<MockDev>) -> TransportStats {
+        TransportStats::from(&*d.stats_handle())
+    }
+
     #[test]
     fn sends_get_consecutive_sequence_numbers() {
         let d = rel(0, 2);
@@ -973,9 +947,9 @@ mod tests {
             d.try_recv().unwrap().is_none(),
             "duplicate must not deliver"
         );
-        let (_, _, dups, _, acks) = d.stats_handle().snapshot();
-        assert_eq!(dups, 1);
-        assert!(acks >= 1, "duplicate triggers a re-ack");
+        let s = stats(&d);
+        assert_eq!(s.dup_suppressed, 1);
+        assert!(s.pure_acks_sent >= 1, "duplicate triggers a re-ack");
     }
 
     #[test]
@@ -983,8 +957,7 @@ mod tests {
         let d = rel_gbn(0, 2);
         d.inner().inject(data_frame(1, 2, 0)); // seq 1 was lost
         assert!(d.try_recv().unwrap().is_none(), "gap must not deliver");
-        let (_, _, _, ooo, _) = d.stats_handle().snapshot();
-        assert_eq!(ooo, 1);
+        assert_eq!(stats(&d).ooo_dropped, 1);
         // Sender goes back and resends 1, 2 in order.
         d.inner().inject(data_frame(1, 1, 0));
         d.inner().inject(data_frame(1, 2, 0));
@@ -998,8 +971,7 @@ mod tests {
         d.inner().inject(data_frame(1, 2, 0)); // seq 1 still missing
         d.inner().inject(data_frame(1, 3, 0));
         assert!(d.try_recv().unwrap().is_none(), "hole must not deliver");
-        let (_, _, _, ooo, _) = d.stats_handle().snapshot();
-        assert_eq!(ooo, 0, "buffered, not dropped");
+        assert_eq!(stats(&d).ooo_dropped, 0, "buffered, not dropped");
         // The hole fills: everything releases, strictly in order.
         d.inner().inject(data_frame(1, 1, 0));
         assert_eq!(d.try_recv().unwrap().unwrap().seq, 1);
@@ -1040,8 +1012,7 @@ mod tests {
             .map(|(_, w)| w.seq)
             .collect();
         assert_eq!(resent, vec![1], "sacked frames 2 and 3 are not resent");
-        let (_, retx, ..) = d.stats_handle().snapshot();
-        assert_eq!(retx, 1);
+        assert_eq!(stats(&d).retransmits, 1);
     }
 
     #[test]
@@ -1091,8 +1062,7 @@ mod tests {
         d.inner().inject(data_frame(1, 3, 0));
         d.inner().inject(data_frame(1, 3, 0)); // duplicated hold
         assert!(d.try_recv().unwrap().is_none());
-        let (_, _, dups, _, _) = d.stats_handle().snapshot();
-        assert_eq!(dups, 1);
+        assert_eq!(stats(&d).dup_suppressed, 1);
     }
 
     #[test]
@@ -1101,8 +1071,11 @@ mod tests {
         // recv_cum 0: the bitmap covers seqs 2..=65; 66 is unadvertisable.
         d.inner().inject(data_frame(1, 66, 0));
         assert!(d.try_recv().unwrap().is_none());
-        let (_, _, _, ooo, _) = d.stats_handle().snapshot();
-        assert_eq!(ooo, 1, "beyond-horizon frame treated as lost");
+        assert_eq!(
+            stats(&d).ooo_dropped,
+            1,
+            "beyond-horizon frame treated as lost"
+        );
     }
 
     #[test]
@@ -1119,8 +1092,7 @@ mod tests {
         d.inner().advance(0.002);
         let _ = d.try_recv().unwrap();
         assert_eq!(d.inner().sent_frames().len(), 3, "second retransmission");
-        let (_, retx, ..) = d.stats_handle().snapshot();
-        assert_eq!(retx, 2);
+        assert_eq!(stats(&d).retransmits, 2);
     }
 
     #[test]
@@ -1141,14 +1113,9 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_declares_the_peer_dead_not_the_channel() {
-        let d = ReliableDevice::new(
-            MockDev::new(0, 3),
-            RelConfig {
-                max_retries: 3,
-                ..RelConfig::default()
-            },
-        );
+        let d = rel(0, 3);
         d.send(1, Wire::bare(0, Packet::Credit));
+        // One retransmission per step, `MAX_RETRIES` of them, then death.
         loop {
             d.inner().advance(0.2); // well past any backoff step
             assert!(d.try_recv().unwrap().is_none(), "failure is not an Err");
@@ -1177,16 +1144,16 @@ mod tests {
         let d = ReliableDevice::new(
             MockDev::new(0, 2),
             RelConfig {
-                max_retries: 2,
                 rto_us: 2_000.0,
-                backoff: 2.0,
                 rto_max_us: 100_000.0,
                 ..RelConfig::default()
             },
         );
         d.send(1, Wire::bare(0, Packet::Credit));
-        // Walk the clock in 3ms steps; RTOs fire at 2ms, then +4ms, then
-        // +8ms ≈ 14ms real elapsed at exhaustion (retries = 3 > 2).
+        // Walk the clock in 3ms steps. The RTO doubles from 2 ms to the
+        // 100 ms ceiling: the 31 timer expiries up to exhaustion are due
+        // after 2 + 4 + ... + 64 + 25 × 100 = 2 626 ms, and each fires at
+        // most one step (3 ms) late, so at most 2 719 ms.
         loop {
             d.inner().advance(0.003);
             let _ = d.try_recv().unwrap();
@@ -1194,8 +1161,8 @@ mod tests {
                 let MpiError::PeerFailed { context, .. } = err else {
                     panic!("expected PeerFailed, got {err:?}");
                 };
-                // The old `cur_rto_us * retries` estimate reported 8ms * 3
-                // = 24ms here; the real wait is bounded by the clock walk.
+                // The old `cur_rto_us * retries` estimate reported 100 ms ×
+                // 30 = 3 000 ms here; the real wait is bounded by the walk.
                 let waited: u64 = context
                     .split("over ")
                     .nth(1)
@@ -1203,7 +1170,7 @@ mod tests {
                     .and_then(|s| s.parse().ok())
                     .expect("elapsed figure in the context string");
                 assert!(
-                    (3_000..=20_000).contains(&waited),
+                    (2_626_000..=2_719_000).contains(&waited),
                     "waited {waited} us not the real elapsed (context: {context})"
                 );
                 break;
@@ -1221,40 +1188,38 @@ mod tests {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
         d.inner().advance(0.0015); // past one heartbeat interval
         let _ = d.try_recv().unwrap();
-        let hbs = |d: &ReliableDevice<MockDev>| {
+        // Nothing arrived, so no ack is owed: every pure ack is a keepalive.
+        let keepalives = |d: &ReliableDevice<MockDev>| {
             d.inner()
                 .sent_frames()
                 .iter()
-                .filter(|(_, w)| matches!(w.pkt, Packet::Heartbeat))
+                .filter(|(_, w)| is_pure_ack(w))
                 .count()
         };
-        assert_eq!(hbs(&d), 1, "idle link heartbeats");
-        let (hb_sent, _, _) = d.stats_handle().liveness_snapshot();
-        assert_eq!(hb_sent, 1);
-        // Real traffic refreshes the idle clock: no heartbeat rides along.
+        assert_eq!(keepalives(&d), 1, "idle link sends a keepalive");
+        assert_eq!(stats(&d).heartbeats_sent, 1);
+        assert_eq!(stats(&d).pure_acks_sent, 0, "counted as a keepalive only");
+        // Real traffic refreshes the idle clock: no keepalive rides along.
         d.inner().advance(0.0008);
         d.send(1, Wire::bare(0, Packet::Credit));
         d.inner().advance(0.0008); // only 0.8ms since the data frame
         let _ = d.try_recv().unwrap();
-        assert_eq!(hbs(&d), 1, "traffic suppressed the keepalive");
+        assert_eq!(keepalives(&d), 1, "traffic suppressed the keepalive");
+        assert_eq!(stats(&d).heartbeats_sent, 1);
     }
 
     #[test]
     fn heartbeat_carries_the_cumulative_ack() {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
         d.inner().inject(data_frame(1, 1, 0));
-        let _ = d.try_recv().unwrap(); // recv_cum now 1
+        let _ = d.try_recv().unwrap(); // recv_cum now 1, owed ack sent
+        assert_eq!(stats(&d).heartbeats_sent, 0);
         d.inner().advance(0.0015);
         let _ = d.try_recv().unwrap();
-        let (_, hb) = d
-            .inner()
-            .sent_frames()
-            .iter()
-            .find(|(_, w)| matches!(w.pkt, Packet::Heartbeat))
-            .cloned()
-            .expect("heartbeat sent");
-        assert_eq!(hb.seq, 0, "heartbeats are unsequenced");
-        assert_eq!(hb.ack, 1, "keepalive piggybacks the ack state");
+        assert_eq!(stats(&d).heartbeats_sent, 1);
+        let (_, hb) = d.inner().sent_frames().last().cloned().unwrap();
+        assert!(is_pure_ack(&hb), "the keepalive is a pure ack: {hb:?}");
+        assert_eq!(hb.ack, 1, "keepalive carries the ack state");
     }
 
     #[test]
@@ -1264,8 +1229,8 @@ mod tests {
         d.inner().advance(0.006); // past the 5ms suspect threshold
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Suspect);
-        let (_, suspected, dead) = d.stats_handle().liveness_snapshot();
-        assert_eq!((suspected, dead), (1, 0));
+        let s = stats(&d);
+        assert_eq!((s.peers_suspected, s.peers_dead), (1, 0));
         d.inner().advance(0.015); // 21ms total: past the 20ms dead threshold
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Dead);
@@ -1276,23 +1241,20 @@ mod tests {
         d.inner().advance(0.1);
         let _ = d.try_recv().unwrap();
         assert!(d.take_failed_peer().is_none());
-        let (_, _, dead) = d.stats_handle().liveness_snapshot();
-        assert_eq!(dead, 1);
+        assert_eq!(stats(&d).peers_dead, 1);
     }
 
     #[test]
     fn only_a_draining_pump_declares_a_peer_dead() {
-        let cfg = RelConfig {
-            max_retries: 1,
-            ..hb_cfg()
-        };
-        let d = ReliableDevice::new(MockDev::new(0, 3), cfg);
+        let d = ReliableDevice::new(MockDev::new(0, 3), hb_cfg());
         d.send(2, Wire::bare(0, Packet::Credit));
         // Peer 1 spoke and peer 2 acked, but neither frame is read yet.
         d.inner().inject(data_frame(1, 1, 0));
         d.inner().inject(pure_ack(2, 1, 0));
-        for _ in 0..3 {
-            d.inner().advance(0.025); // past the dead threshold and every RTO
+        // Each step passes the dead threshold and the (capped) RTO: the
+        // last finds the retry budget spent.
+        for _ in 0..=MAX_RETRIES {
+            d.inner().advance(0.2);
             d.pump(&mut d.state.lock(), false).unwrap();
         }
         for peer in [1, 2] {
@@ -1311,9 +1273,10 @@ mod tests {
         d.inner().advance(0.006);
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Suspect);
-        // The peer's keepalive arrives: consumed by the sublayer, never
-        // delivered, and the peer is Alive again.
-        d.inner().inject(Wire::bare(1, Packet::Heartbeat));
+        assert_eq!(stats(&d).heartbeats_sent, 1, "the idle pump sent one");
+        // The peer's keepalive (a pure ack) arrives: consumed by the
+        // sublayer, never delivered, and the peer is Alive again.
+        d.inner().inject(pure_ack(1, 0, 0));
         assert!(d.try_recv().unwrap().is_none(), "keepalive not delivered");
         assert_eq!(d.peer_liveness(1), Liveness::Alive);
     }
@@ -1340,8 +1303,11 @@ mod tests {
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Alive);
         assert!(d.take_failed_peer().is_none());
-        let (hb, suspected, dead) = d.stats_handle().liveness_snapshot();
-        assert_eq!((hb, suspected, dead), (0, 0, 0));
+        let s = stats(&d);
+        assert_eq!(
+            (s.heartbeats_sent, s.peers_suspected, s.peers_dead),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use lmpi_core::{
     wait_all, Device, DeviceDefaults, Mpi, MpiConfig, MpiError, MpiResult, Packet, Rank, ReduceOp,
-    SourceSel, TagSel, Wait, Wire,
+    SourceSel, TagSel, TransportStats, Wait, Wire,
 };
 use lmpi_devices::faulty::{FaultConfig, FaultRates, FaultStats, FaultyDevice};
 use lmpi_devices::reliable::{RelConfig, RelStats, ReliableDevice};
@@ -60,11 +60,17 @@ fn reliable_lossy_fabric(
 }
 
 fn total_dropped(stats: &[Arc<FaultStats>]) -> u64 {
-    stats.iter().map(|s| s.snapshot().1).sum()
+    stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).faults_dropped)
+        .sum()
 }
 
 fn total_retransmits(stats: &[Arc<RelStats>]) -> u64 {
-    stats.iter().map(|s| s.snapshot().1).sum()
+    stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).retransmits)
+        .sum()
 }
 
 #[test]
@@ -164,7 +170,10 @@ fn one_sided_stream_relies_on_pure_acks() {
         }
     });
     assert_eq!(results[1], (0..100u64).sum::<u64>());
-    let acks: u64 = rel_stats.iter().map(|s| s.snapshot().4).sum();
+    let acks: u64 = rel_stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).pure_acks_sent)
+        .sum();
     assert!(acks > 0, "one-sided traffic must generate pure acks");
 }
 
@@ -372,8 +381,14 @@ fn a_parked_sender_fires_its_own_retransmit() {
         matches!(got.map(|w| w.pkt), Some(Packet::EagerAck { send_id: 7 })),
         "the resend never arrived"
     );
-    assert!(faults.snapshot().1 >= 1, "the first copy was not dropped");
-    assert!(rel.snapshot().1 >= 1, "no retransmit fired");
+    assert!(
+        TransportStats::from(&*faults).faults_dropped >= 1,
+        "the first copy was not dropped"
+    );
+    assert!(
+        TransportStats::from(&*rel).retransmits >= 1,
+        "no retransmit fired"
+    );
 }
 
 #[test]
@@ -503,7 +518,7 @@ fn sim_udp_survives_loss_in_virtual_time() {
                 }
                 drop((world, mpi));
                 let mut out = out.lock();
-                out.1 += stats.snapshot().1;
+                out.1 += TransportStats::from(&*stats).retransmits;
                 if rank == 0 {
                     out.0 = p.now().as_ns();
                 }

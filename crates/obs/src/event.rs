@@ -75,8 +75,6 @@ pub enum PacketKind {
     Credit,
     /// Hardware broadcast frame.
     HwBcast,
-    /// Liveness keepalive from the reliability sublayer.
-    Heartbeat,
     /// ULFM communicator-revocation flood.
     Revoke,
 }
@@ -94,7 +92,6 @@ impl PacketKind {
             PacketKind::EagerAck => "EagerAck",
             PacketKind::Credit => "Credit",
             PacketKind::HwBcast => "HwBcast",
-            PacketKind::Heartbeat => "Heartbeat",
             PacketKind::Revoke => "Revoke",
         }
     }
@@ -378,7 +375,7 @@ pub enum EventKind {
         op: CollOp,
     },
     /// The liveness state machine moved a peer from Alive to Suspect: no
-    /// frame (data or heartbeat) heard for the suspect threshold.
+    /// frame (data, ack or keepalive) heard for the suspect threshold.
     PeerSuspect {
         /// The peer now suspected.
         peer: u32,

@@ -6,9 +6,8 @@
 //! from. This crate supplies the machinery to reproduce that accounting on
 //! the reimplementation:
 //!
-//! * [`Clock`] — one nanosecond time abstraction over both the simulator's
-//!   virtual clock and real monotonic time ([`MonotonicClock`],
-//!   [`ManualClock`], [`secs_to_ns`]);
+//! * [`secs_to_ns`] — the one conversion from a device's seconds reading,
+//!   virtual or wall-clock, to the tracer's nanosecond timestamps;
 //! * [`Tracer`] — a cloneable handle onto a per-rank overwriting ring
 //!   buffer of typed protocol [`Event`]s. A disabled tracer (the default)
 //!   reduces every emission to a single branch on an `Option`, so
@@ -52,7 +51,7 @@ pub mod report;
 mod tracer;
 
 pub use chrome::chrome_trace_json;
-pub use clock::{secs_to_ns, Clock, ManualClock, MonotonicClock};
+pub use clock::secs_to_ns;
 pub use correlate::{correlate, flight_json, FlightRecord, MessageTimeline, Violation};
 pub use diag::{diagnose, diagnostics_json, DiagKind, Diagnostic, RankStats};
 pub use event::{CollAlgo, CollOp, Event, EventKind, FaultKind, MsgId, PacketKind};

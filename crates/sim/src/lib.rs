@@ -36,13 +36,11 @@ mod fiber;
 pub mod lock;
 mod rng;
 mod sched;
-mod stats;
 mod sync;
 mod time;
 
 pub use lock::within;
 pub use rng::{for_each_case, SplitMix64};
 pub use sched::{Proc, ProcId, Sim};
-pub use stats::Summary;
 pub use sync::SimQueue;
 pub use time::{SimDur, SimTime};

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use lmpi::{
     run_devices, Communicator, FaultConfig, FaultRates, FaultyDevice, Mpi, MpiConfig, MpiError,
-    MpiResult, RelConfig, RelStats, ReliableDevice, ShmDevice,
+    MpiResult, RelConfig, RelStats, ReliableDevice, ShmDevice, TransportStats,
 };
 
 /// World size before the failure.
@@ -273,7 +273,7 @@ fn main() {
         .iter()
         .enumerate()
         .filter(|&(rank, _)| rank != VICTIM)
-        .map(|(_, s)| s.liveness_snapshot().0)
+        .map(|(_, s)| TransportStats::from(&**s).heartbeats_sent)
         .sum();
     assert!(
         survivor_heartbeats > 0,
@@ -314,7 +314,8 @@ fn main() {
          \"dead_us\": {DEAD_US},\n  \"post_iters\": {POST_ITERS},\n  \"rows\": [\n"
     ));
     for (i, r) in reports.iter().enumerate() {
-        let (hb, suspected, dead) = stats[r.rank].liveness_snapshot();
+        let s = TransportStats::from(&*stats[r.rank]);
+        let (hb, suspected, dead) = (s.heartbeats_sent, s.peers_suspected, s.peers_dead);
         let sep = if i + 1 == reports.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"rank\": {}, \"victim\": {}, \"pre_iters\": {}, \

@@ -27,7 +27,7 @@ use lmpi::obs::{
 };
 use lmpi::{
     run_devices, FaultConfig, FaultRates, FaultyDevice, MetricsSnapshot, MpiConfig, RelConfig,
-    ReliableDevice, ShmDevice,
+    ReliableDevice, ShmDevice, TransportStats,
 };
 
 /// Small eager messages rank 0 bursts at rank 1 before any receive is
@@ -145,7 +145,10 @@ fn main() {
         workload(&mpi, tracer)
     });
 
-    let dropped: u64 = fault_stats.iter().map(|s| s.snapshot().1).sum();
+    let dropped: u64 = fault_stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).faults_dropped)
+        .sum();
     assert!(
         dropped > 0,
         "fault injector never fired — nothing was stressed"

@@ -76,14 +76,13 @@ const LEGS: [Leg; 3] = [
 
 /// Identical tuning for both modes so the sweep isolates the gap-handling
 /// strategy. The RTO ceiling is lowered from the 100 ms default to bound
-/// the single-frame leg's backoff tail at high loss.
+/// the single-frame leg's backoff tail at high loss; the retry budget is
+/// the library's fixed 30 (`MAX_RETRIES`).
 fn rel(mode: RelMode) -> RelConfig {
     RelConfig {
         window: 32,
         rto_us: 2_000.0,
-        backoff: 2.0,
         rto_max_us: 20_000.0,
-        max_retries: 40,
         mode,
         ..RelConfig::default()
     }

@@ -77,7 +77,7 @@ pub mod apps {
 /// Simulation kernel and network models, for building new platform models.
 pub mod sim {
     pub use lmpi_netmodel::{atm, eth, ip, meiko, params};
-    pub use lmpi_sim::{Proc, Sim, SimDur, SimQueue, SimTime, Summary};
+    pub use lmpi_sim::{Proc, Sim, SimDur, SimQueue, SimTime};
 }
 
 #[cfg(test)]

@@ -79,18 +79,29 @@ fn exchange(mpi: &Mpi, lens: &[usize]) -> (Counters, TransportStats) {
 /// post-run totals from the layer handles (the handles keep counting
 /// through teardown acks, so `<=`, not `==`).
 fn assert_within_postrun(rank: usize, inside: &TransportStats, rel: &RelStats, fault: &FaultStats) {
-    let (data_sent, retransmits, dup_suppressed, ooo_dropped, acks_sent) = rel.snapshot();
-    let (_, dropped, duplicated, reordered, delayed) = fault.snapshot();
+    let post = TransportStats::from(rel).merged(TransportStats::from(fault));
     let bounds = [
-        ("data_frames_sent", inside.data_frames_sent, data_sent),
-        ("retransmits", inside.retransmits, retransmits),
-        ("dup_suppressed", inside.dup_suppressed, dup_suppressed),
-        ("ooo_dropped", inside.ooo_dropped, ooo_dropped),
-        ("pure_acks_sent", inside.pure_acks_sent, acks_sent),
-        ("faults_dropped", inside.faults_dropped, dropped),
-        ("faults_duplicated", inside.faults_duplicated, duplicated),
-        ("faults_reordered", inside.faults_reordered, reordered),
-        ("faults_delayed", inside.faults_delayed, delayed),
+        (
+            "data_frames_sent",
+            inside.data_frames_sent,
+            post.data_frames_sent,
+        ),
+        ("retransmits", inside.retransmits, post.retransmits),
+        ("dup_suppressed", inside.dup_suppressed, post.dup_suppressed),
+        ("ooo_dropped", inside.ooo_dropped, post.ooo_dropped),
+        ("pure_acks_sent", inside.pure_acks_sent, post.pure_acks_sent),
+        ("faults_dropped", inside.faults_dropped, post.faults_dropped),
+        (
+            "faults_duplicated",
+            inside.faults_duplicated,
+            post.faults_duplicated,
+        ),
+        (
+            "faults_reordered",
+            inside.faults_reordered,
+            post.faults_reordered,
+        ),
+        ("faults_delayed", inside.faults_delayed, post.faults_delayed),
     ];
     for (name, got, max) in bounds {
         assert!(
@@ -189,8 +200,14 @@ fn merged_transport_stats_see_both_layers_under_heavy_loss() {
 
     // The injector fired and go-back-N recovered — visible both through the
     // post-run layer handles and through the merged in-run accessor.
-    let dropped: u64 = fault_stats.iter().map(|s| s.snapshot().1).sum();
-    let retransmits: u64 = rel_stats.iter().map(|s| s.snapshot().1).sum();
+    let dropped: u64 = fault_stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).faults_dropped)
+        .sum();
+    let retransmits: u64 = rel_stats
+        .iter()
+        .map(|s| TransportStats::from(&**s).retransmits)
+        .sum();
     assert!(dropped > 0, "the fault injector never fired");
     assert!(
         retransmits > 0,
