@@ -536,3 +536,68 @@ fn sim_udp_survives_loss_in_virtual_time() {
         assert_eq!(within(Duration::from_secs(60), job), first);
     }
 }
+
+/// Resends on a lossless link, counted exactly: `run_cluster`'s simulated
+/// UDP (the reliability sublayer over a socket that drops nothing) runs 5
+/// round trips at each size on each fabric, and each rank's retransmits
+/// and rank 0's virtual elapsed time are pinned. Virtual time makes both
+/// exact integers.
+///
+/// The nonzero 1 MiB counts are a known defect, not a bar: a 48 KiB
+/// chunk's retransmit timer starts when the chunk is queued, not when it
+/// leaves, so chunks still serialising on the link time out and go again.
+/// Timers armed at departure, and one window sized by the receiver, are to
+/// drive every count here to 0; each such change updates these literals.
+#[test]
+fn lossless_sim_udp_resend_census() {
+    use lmpi_devices::sock::{run_cluster, ClusterNet, ClusterTransport};
+    const ROUND_TRIPS: usize = 5;
+    let census = |net: ClusterNet, len: usize| {
+        run_cluster(
+            2,
+            net,
+            ClusterTransport::Udp,
+            MpiConfig::device_defaults(),
+            move |mpi| {
+                let world = mpi.world();
+                let (me, peer) = (world.rank(), 1 - world.rank());
+                let mut buf = vec![me as u8; len];
+                let t0 = mpi.wtime();
+                for _ in 0..ROUND_TRIPS {
+                    if me == 0 {
+                        world.send(&buf, peer, 0).unwrap();
+                        world.recv(&mut buf, peer, TagSel::Any).unwrap();
+                    } else {
+                        world.recv(&mut buf, peer, TagSel::Any).unwrap();
+                        world.send(&buf, peer, 0).unwrap();
+                    }
+                }
+                let elapsed_ns = ((mpi.wtime() - t0) * 1e9).round() as u64;
+                (mpi.transport_stats().retransmits, elapsed_ns)
+            },
+        )
+    };
+    for net in [ClusterNet::Ethernet, ClusterNet::Atm] {
+        for len in [8, 64 << 10] {
+            let got = census(net, len);
+            assert!(
+                got.iter().all(|&(retx, _)| retx == 0),
+                "{net:?}, {len} B: {got:?}"
+            );
+        }
+    }
+    let eth = census(ClusterNet::Ethernet, 1 << 20);
+    assert_eq!(
+        eth.iter().map(|&(retx, _)| retx).collect::<Vec<_>>(),
+        [60, 60],
+        "Ethernet, 1 MiB: {eth:?}"
+    );
+    assert_eq!(eth[0].1, 10_642_988_000, "Ethernet, 1 MiB: {eth:?}");
+    let atm = census(ClusterNet::Atm, 1 << 20);
+    assert_eq!(
+        atm.iter().map(|&(retx, _)| retx).collect::<Vec<_>>(),
+        [35, 35],
+        "ATM, 1 MiB: {atm:?}"
+    );
+    assert_eq!(atm[0].1, 1_689_535_880, "ATM, 1 MiB: {atm:?}");
+}
