@@ -17,7 +17,7 @@ use std::time::Duration;
 use crate::error::MpiResult;
 use crate::packet::Wire;
 use crate::types::Rank;
-use lmpi_obs::{secs_to_ns, Tracer};
+use lmpi_obs::Tracer;
 
 /// Modelled local costs the protocol engine reports to the device. Simulated
 /// devices convert these into virtual time (this is where the paper's 35 µs
@@ -128,43 +128,37 @@ pub enum Wait {
 }
 
 impl Wait {
-    /// This wait or one of `secs`, whichever is shorter (uncut if `secs`
-    /// is infinite): how a wrapper waits in the device it wraps until its
-    /// own next timer. `secs` rounds up to a whole nanosecond, so a wait
-    /// cut for a timer does not end before the timer is due.
-    pub fn or_within(self, secs: f64) -> Wait {
-        let ns = (secs.max(0.0) * 1e9).ceil();
-        if ns >= u64::MAX as f64 {
-            return self;
-        }
-        let cut = Duration::from_nanos(ns as u64);
-        match self {
-            Wait::Within(d) if d > cut => Wait::Within(cut),
-            Wait::Forever => Wait::Within(cut),
-            _ => self,
-        }
-    }
+    /// The device-clock nanosecond that never comes: where
+    /// [`Wait::ends_at`] puts a `Forever` wait, and what a wrapper's
+    /// next-timer computation gives with no timer armed.
+    pub const NEVER: u64 = u64::MAX;
 
-    /// The second, on a device clock that `now` reads, at which this wait
-    /// ends: negative infinity for `Poll`, infinity for `Forever`; only
+    /// The nanosecond, on a device clock that `now` reads, at which this
+    /// wait ends: 0 for `Poll`, [`Wait::NEVER`] for `Forever`; only
     /// `Within` reads the clock. A wrapper pins its caller's wait so once,
-    /// and waits below for [`Wait::left`] of it, so that frames which
-    /// deliver nothing do not stretch the caller's wait.
-    pub fn ends_at(self, now: impl FnOnce() -> f64) -> f64 {
+    /// and waits below for [`Wait::left`] of the earlier of it and its own
+    /// next timer, so that frames which deliver nothing do not stretch the
+    /// caller's wait, and a timer ends the wait exactly when it is due.
+    pub fn ends_at(self, now: impl FnOnce() -> u64) -> u64 {
         match self {
-            Wait::Poll => f64::NEG_INFINITY,
-            Wait::Within(d) => now() + d.as_secs_f64(),
-            Wait::Forever => f64::INFINITY,
+            Wait::Poll => 0,
+            Wait::Within(d) => {
+                let d = u64::try_from(d.as_nanos()).unwrap_or(Wait::NEVER);
+                now().saturating_add(d).min(Wait::NEVER - 1)
+            }
+            Wait::Forever => Wait::NEVER,
         }
     }
 
     /// What is left at `now` of a wait that ends at `end` (both in the
-    /// device's seconds, see [`Wait::ends_at`]): `Poll` once it is over.
-    pub fn left(end: f64, now: f64) -> Wait {
+    /// device's nanoseconds, see [`Wait::ends_at`]): `Poll` once it is due.
+    pub fn left(end: u64, now: u64) -> Wait {
         if end <= now {
             Wait::Poll
+        } else if end == Wait::NEVER {
+            Wait::Forever
         } else {
-            Wait::Forever.or_within(end - now)
+            Wait::Within(Duration::from_nanos(end - now))
         }
     }
 }
@@ -262,17 +256,12 @@ pub trait Device: Send + Sync {
         })
     }
 
-    /// Elapsed time in seconds (virtual on simulated transports, wall-clock
-    /// on real ones) — `MPI_Wtime`.
-    fn wtime(&self) -> f64;
-
-    /// Elapsed nanoseconds on the same clock as [`Device::wtime`]. This is
-    /// the timestamp source for protocol tracing; the default derives it
-    /// from `wtime()`, which every device already implements for both
-    /// virtual and wall-clock time.
-    fn now_ns(&self) -> u64 {
-        secs_to_ns(self.wtime())
-    }
+    /// The device's one clock: nanoseconds since it started, virtual on
+    /// simulated transports and wall-clock on real ones. Tracing, health,
+    /// the wrappers' timers and [`Wait::Within`] all read it;
+    /// [`crate::Mpi::wtime`] turns it into `MPI_Wtime`'s seconds. A
+    /// wrapper forwards its inner device's.
+    fn now_ns(&self) -> u64;
 
     /// Install a tracer for *device-level* events (wire tx, retransmits,
     /// injected faults). Called before the device is moved into
@@ -385,8 +374,8 @@ pub(crate) mod loopback {
         fn charge(&self, cost: Cost) {
             self.charges.lock().unwrap().push(cost);
         }
-        fn wtime(&self) -> f64 {
-            0.0
+        fn now_ns(&self) -> u64 {
+            0
         }
         fn defaults(&self) -> DeviceDefaults {
             self.defaults
@@ -403,23 +392,22 @@ mod tests {
 
     #[test]
     fn a_wait_is_cut_to_the_shorter_and_pinned_once() {
-        let within = |secs: f64| Wait::Within(Duration::from_secs_f64(secs));
-        assert_eq!(within(0.5).or_within(0.25), within(0.25));
-        assert_eq!(within(0.25).or_within(0.5), within(0.25));
-        assert_eq!(Wait::Forever.or_within(0.25), within(0.25));
-        assert_eq!(Wait::Forever.or_within(f64::INFINITY), Wait::Forever);
-        assert_eq!(Wait::Poll.or_within(0.25), Wait::Poll);
-        // A cut for a timer rounds up: it never ends before the timer.
-        let ns = |n| Wait::Within(Duration::from_nanos(n));
-        assert_eq!(Wait::Forever.or_within(1.5e-9), ns(2));
-        assert_eq!(Wait::Forever.or_within(-1.0), ns(0));
+        let within = |ms| Wait::Within(Duration::from_millis(ms));
+        let ms = |n: u64| n * 1_000_000;
+        // Cut by a timer at 0.25 s, a wait pinned at 0 ends at the earlier.
+        let cut = |wait: Wait, timer: u64| Wait::left(wait.ends_at(|| 0).min(timer), 0);
+        assert_eq!(cut(within(500), ms(250)), within(250));
+        assert_eq!(cut(within(250), ms(500)), within(250));
+        assert_eq!(cut(Wait::Forever, ms(250)), within(250));
+        assert_eq!(cut(Wait::Forever, Wait::NEVER), Wait::Forever);
+        assert_eq!(cut(Wait::Poll, ms(250)), Wait::Poll);
         // Pinned at 0.5 s, a 0.25 s wait has 0.125 s left at 0.625 s.
-        let end = within(0.25).ends_at(|| 0.5);
-        assert_eq!(Wait::left(end, 0.625), within(0.125));
-        assert_eq!(Wait::left(end, 0.75), Wait::Poll);
-        let never = || -> f64 { panic!("only a timed wait reads the clock") };
-        assert_eq!(Wait::left(Wait::Poll.ends_at(never), 0.0), Wait::Poll);
-        assert_eq!(Wait::left(Wait::Forever.ends_at(never), 0.0), Wait::Forever);
+        let end = within(250).ends_at(|| ms(500));
+        assert_eq!(Wait::left(end, ms(625)), within(125));
+        assert_eq!(Wait::left(end, ms(750)), Wait::Poll);
+        let never = || -> u64 { panic!("only a timed wait reads the clock") };
+        assert_eq!(Wait::left(Wait::Poll.ends_at(never), 0), Wait::Poll);
+        assert_eq!(Wait::left(Wait::Forever.ends_at(never), 0), Wait::Forever);
     }
 
     /// A device without hardware broadcast reports a typed error from the

@@ -90,6 +90,12 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
+    /// `MPI_Wtime`: the device clock in seconds, the one place its
+    /// nanoseconds become a float.
+    fn wtime(&self) -> f64 {
+        self.device.now_ns() as f64 / 1e9
+    }
+
     /// The one drain step, run by whoever holds the drain role: handle
     /// `wire` if there is one, run the pull it began or met with the
     /// engine lock dropped ([`run_pulls`](Self::run_pulls); `copies` says
@@ -294,17 +300,17 @@ impl Inner {
     /// and when (device clock) — after a slice that brought it nothing:
     /// progress by anyone restarts the idle clock; a silent wire past the
     /// armed deadline becomes a typed [`MpiError::Timeout`].
-    fn idle_check(&self, timer: &mut Option<(u64, f64)>) -> MpiResult<()> {
+    fn idle_check(&self, timer: &mut Option<(u64, u64)>) -> MpiResult<()> {
         let Some(limit_us) = self.watchdog_us else {
             return Ok(());
         };
-        let (epoch, now) = (self.epoch.load(Ordering::Acquire), self.device.wtime());
+        let (epoch, now) = (self.epoch.load(Ordering::Acquire), self.device.now_ns());
         match *timer {
             Some((last_epoch, idle_since)) if last_epoch == epoch => {
-                let waited_us = (now - idle_since) * 1e6;
-                if waited_us >= limit_us as f64 {
+                let waited_ns = now.saturating_sub(idle_since);
+                if waited_ns >= limit_us.saturating_mul(1_000) {
                     return Err(MpiError::Timeout {
-                        waited_us: waited_us as u64,
+                        waited_us: waited_ns / 1_000,
                         context: "no incoming frame while a caller waited".into(),
                     });
                 }
@@ -621,7 +627,7 @@ impl Mpi {
 
     /// `MPI_Wtime`: elapsed seconds (virtual on simulated transports).
     pub fn wtime(&self) -> f64 {
-        self.inner.device.wtime()
+        self.inner.wtime()
     }
 
     /// Attach `capacity` bytes for buffered-mode (`bsend`) sends.
@@ -768,7 +774,7 @@ impl Communicator {
 
     /// `MPI_Wtime` convenience.
     pub fn wtime(&self) -> f64 {
-        self.inner.device.wtime()
+        self.inner.wtime()
     }
 
     /// Charge `flops` floating-point operations of application compute to

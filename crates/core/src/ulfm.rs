@@ -426,8 +426,8 @@ mod tests {
         fn charge(&self, cost: crate::device::Cost) {
             self.0.charge(cost);
         }
-        fn wtime(&self) -> f64 {
-            self.0.wtime()
+        fn now_ns(&self) -> u64 {
+            self.0.now_ns()
         }
         fn defaults(&self) -> crate::device::DeviceDefaults {
             self.0.defaults()

@@ -198,17 +198,19 @@ impl From<&FaultStats> for TransportStats {
     }
 }
 
-/// How long (seconds) a held-back "reorder" frame waits for a successor to
-/// the same destination before being released anyway — without this, a
-/// reorder roll on the last frame of a conversation would drop it outright.
-const HOLDBACK_MAX_AGE_S: f64 = 0.002;
+/// How long (nanoseconds) a held-back "reorder" frame waits for a
+/// successor to the same destination before being released anyway —
+/// without this, a reorder roll on the last frame of a conversation would
+/// drop it outright.
+const HOLDBACK_MAX_AGE_NS: u64 = 2_000_000;
 
 struct FaultState {
     rng: SplitMix64,
-    /// One held-back frame per destination, with the time it was stashed.
-    holdback: Vec<Option<(Wire, f64)>>,
-    /// Frames waiting out an injected delay: `(due_time, dst, wire)`.
-    delayq: VecDeque<(f64, Rank, Wire)>,
+    /// One held-back frame per destination, with the device-clock
+    /// nanosecond at which it is released anyway.
+    holdback: Vec<Option<(Wire, u64)>>,
+    /// Frames waiting out an injected delay: `(due_ns, dst, wire)`.
+    delayq: VecDeque<(u64, Rank, Wire)>,
     /// Network frames offered so far, for the [`FaultyDevice::kill_after`]
     /// crash switch (self-sends don't count — they never cross the wire).
     offered: u64,
@@ -286,34 +288,27 @@ impl<D: Device> FaultyDevice<D> {
         &self.inner
     }
 
-    /// Release every queued frame whose time has come at `now` (the inner
-    /// device's clock): delayed frames past their due time and held-back
-    /// frames older than the holdback cap. Called from every device entry
-    /// point so queues drain even when the application goes quiet. Returns
-    /// the seconds until the next queued frame is due (infinite with none
-    /// queued).
-    fn flush_due(&self, st: &mut FaultState, now: f64) -> f64 {
-        while let Some((due, _, _)) = st.delayq.front() {
-            if *due > now {
-                break;
-            }
+    /// Release every queued frame that is due at `now` (the inner device's
+    /// nanoseconds): delayed frames and held-back frames whose time has
+    /// come. Called from every device entry point so queues drain even
+    /// when the application goes quiet. Returns when the next queued frame
+    /// is due ([`Wait::NEVER`] with none queued): always after `now`.
+    fn flush_due(&self, st: &mut FaultState, now: u64) -> u64 {
+        while st.delayq.front().is_some_and(|&(due, _, _)| due <= now) {
             let (_, dst, wire) = st.delayq.pop_front().expect("checked front");
             self.inner.send(dst, wire);
         }
         for dst in 0..st.holdback.len() {
-            let expired = matches!(&st.holdback[dst],
-                                   Some((_, held_at)) if now - held_at > HOLDBACK_MAX_AGE_S);
-            if expired {
+            if matches!(st.holdback[dst], Some((_, due)) if due <= now) {
                 if let Some((wire, _)) = st.holdback[dst].take() {
                     self.inner.send(dst, wire);
                 }
             }
         }
-        let held = st.holdback.iter().flatten();
-        let next = (held.map(|(_, at)| at + HOLDBACK_MAX_AGE_S))
-            .chain(st.delayq.front().map(|(due, _, _)| *due))
-            .fold(f64::INFINITY, f64::min);
-        next - now
+        let held = st.holdback.iter().flatten().map(|&(_, due)| due);
+        held.chain(st.delayq.front().map(|&(due, _, _)| due))
+            .min()
+            .unwrap_or(Wait::NEVER)
     }
 }
 
@@ -335,7 +330,7 @@ impl<D: Device> Device for FaultyDevice<D> {
             return;
         }
         st.offered += 1;
-        self.flush_due(&mut st, self.inner.wtime());
+        self.flush_due(&mut st, self.inner.now_ns());
 
         // A frame to `dst` releases any frame held back for `dst` — but
         // *after* this one, completing the swap.
@@ -360,11 +355,11 @@ impl<D: Device> Device for FaultyDevice<D> {
             // Hold this frame back; the next frame to `dst` goes first.
             self.stats.reordered.fetch_add(1, Ordering::Relaxed);
             self.trace_fault(dst, &wire, FaultKind::Reorder);
-            st.holdback[dst] = Some((wire, self.inner.wtime()));
+            st.holdback[dst] = Some((wire, self.inner.now_ns() + HOLDBACK_MAX_AGE_NS));
         } else if roll_delay {
             self.stats.delayed.fetch_add(1, Ordering::Relaxed);
             self.trace_fault(dst, &wire, FaultKind::Delay);
-            let due = self.inner.wtime() + rates.delay_us as f64 * 1e-6;
+            let due = self.inner.now_ns() + rates.delay_us * 1_000;
             st.delayq.push_back((due, dst, wire));
         } else {
             self.inner.send(dst, wire);
@@ -379,16 +374,16 @@ impl<D: Device> Device for FaultyDevice<D> {
     /// caller's deadline, pinned once on the inner clock, or the next
     /// queued frame's due time.
     fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
-        let end = wait.ends_at(|| self.inner.wtime());
+        let end = wait.ends_at(|| self.inner.now_ns());
         loop {
             let mut st = self.state.lock();
             let killed = self.killed(&st);
-            let now = self.inner.wtime();
+            let now = self.inner.now_ns();
             let left = Wait::left(end, now);
             let park = if killed {
                 left
             } else {
-                left.or_within(self.flush_due(&mut st, now))
+                Wait::left(end.min(self.flush_due(&mut st, now)), now)
             };
             drop(st);
             match self.inner.recv(park)? {
@@ -660,6 +655,61 @@ mod tests {
         let _ = d0.try_recv().unwrap();
         assert_eq!(recv_all(&d1).len(), 1);
         assert_eq!(TransportStats::from(&*d0.stats_handle()).faults_delayed, 1);
+    }
+
+    /// A shm device whose clock moves only when the test sets it.
+    struct Clocked {
+        inner: ShmDevice,
+        ns: AtomicU64,
+    }
+
+    impl Device for Clocked {
+        fn rank(&self) -> Rank {
+            self.inner.rank()
+        }
+        fn nprocs(&self) -> usize {
+            self.inner.nprocs()
+        }
+        fn send(&self, dst: Rank, wire: Wire) {
+            self.inner.send(dst, wire);
+        }
+        fn recv(&self, wait: Wait) -> MpiResult<Option<Wire>> {
+            self.inner.recv(wait)
+        }
+        fn now_ns(&self) -> u64 {
+            self.ns.load(Ordering::Relaxed)
+        }
+        fn defaults(&self) -> DeviceDefaults {
+            self.inner.defaults()
+        }
+    }
+
+    #[test]
+    fn a_held_back_frame_is_released_at_its_deadline() {
+        let mut fabric = ShmDevice::fabric(2).into_iter();
+        let cfg = FaultConfig {
+            seed: 1,
+            control: FaultRates::NONE,
+            eager: FaultRates {
+                reorder: 1.0,
+                ..FaultRates::NONE
+            },
+            bulk: FaultRates::NONE,
+            drop_quantum: None,
+        };
+        let clocked = Clocked {
+            inner: fabric.next().unwrap(),
+            ns: AtomicU64::new(1_000_000),
+        };
+        let d0 = FaultyDevice::new(clocked, cfg);
+        let d1 = fabric.next().unwrap();
+        d0.send(1, eager(0, 1)); // held back at 1 ms
+        d0.inner().ns.store(2_999_999, Ordering::Relaxed);
+        let _ = d0.try_recv().unwrap();
+        assert!(recv_all(&d1).is_empty(), "released before its deadline");
+        d0.inner().ns.store(3_000_000, Ordering::Relaxed);
+        let _ = d0.try_recv().unwrap();
+        assert_eq!(recv_all(&d1).len(), 1, "not released at its deadline");
     }
 
     #[test]

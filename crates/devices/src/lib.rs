@@ -48,8 +48,8 @@ macro_rules! forward_to_inner {
         fn hw_bcast(&self, group: &[Rank], wire: Wire) -> MpiResult<()> {
             self.inner.hw_bcast(group, wire)
         }
-        fn wtime(&self) -> f64 {
-            self.inner.wtime()
+        fn now_ns(&self) -> u64 {
+            self.inner.now_ns()
         }
         fn substrate(&self) -> &'static str {
             self.inner.substrate()

@@ -173,8 +173,8 @@ impl Device for MeikoDevice {
         Ok(())
     }
 
-    fn wtime(&self) -> f64 {
-        self.proc.now().as_secs_f64()
+    fn now_ns(&self) -> u64 {
+        self.proc.now().as_ns()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {

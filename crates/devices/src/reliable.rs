@@ -24,7 +24,7 @@
 //!   receiver drops every gap frame and so never sets a bitmap bit, and
 //!   its sender resends the whole window. One code path serves both;
 //! * unacknowledged frames are retransmitted on a timer with exponential
-//!   backoff (×2 per retransmission, up to [`RelConfig::rto_max_us`]);
+//!   backoff (×2 per retransmission, up to [`RelConfig::rto_max`]);
 //!   when one-sided traffic leaves no frame to piggyback on, a pure-ack
 //!   frame (a bare credit packet with zero credit) is sent;
 //! * each peer link runs a **liveness state machine** (Alive → Suspect →
@@ -47,6 +47,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lmpi_core::{
     Cost, Device, DeviceDefaults, MpiError, MpiResult, Packet, Rank, TransportStats, Wait, Wire,
@@ -70,7 +71,7 @@ pub enum RelMode {
 }
 
 /// RTO multiplier per retransmission (exponential backoff).
-const BACKOFF: f64 = 2.0;
+const BACKOFF: u32 = 2;
 
 /// Consecutive retransmissions of the same window without forward
 /// progress before the peer is declared dead.
@@ -82,39 +83,39 @@ pub struct RelConfig {
     /// Maximum unacknowledged frames per destination; a full window stalls
     /// the sender (pumping acks) until space frees up.
     pub window: usize,
-    /// Initial retransmission timeout, microseconds. It doubles per
-    /// retransmission without progress.
-    pub rto_us: f64,
-    /// RTO ceiling, microseconds.
-    pub rto_max_us: f64,
+    /// Initial retransmission timeout. It doubles per retransmission
+    /// without progress.
+    pub rto: Duration,
+    /// RTO ceiling.
+    pub rto_max: Duration,
     /// Gap-handling strategy: how many out-of-order frames the receiver
     /// holds. Both ends of a job must agree.
     pub mode: RelMode,
-    /// Keepalive interval, microseconds. A peer link idle (no outgoing
-    /// frame of any kind) for this long emits a keepalive, a pure ack
-    /// counted in `heartbeats_sent`; `0.0` disables keepalives *and* the
+    /// Keepalive interval. A peer link idle (no outgoing frame of any
+    /// kind) for this long emits a keepalive, a pure ack counted in
+    /// `heartbeats_sent`; [`Duration::ZERO`] disables keepalives *and* the
     /// silence-based liveness thresholds below — retransmission
     /// exhaustion then remains the only death sentence.
-    pub heartbeat_us: f64,
+    pub heartbeat: Duration,
     /// Silence (no incoming frame of any kind) before a peer moves from
-    /// Alive to Suspect. Should comfortably exceed `heartbeat_us` so a
+    /// Alive to Suspect. Should comfortably exceed `heartbeat` so a
     /// healthy idle peer's keepalives keep it Alive.
-    pub suspect_timeout_us: f64,
+    pub suspect_timeout: Duration,
     /// Silence before a peer is declared Dead (terminal). Should exceed
-    /// `suspect_timeout_us`.
-    pub dead_timeout_us: f64,
+    /// `suspect_timeout`.
+    pub dead_timeout: Duration,
 }
 
 impl Default for RelConfig {
     fn default() -> Self {
         RelConfig {
             window: 32,
-            rto_us: 2_000.0,
-            rto_max_us: 100_000.0,
+            rto: Duration::from_millis(2),
+            rto_max: Duration::from_millis(100),
             mode: RelMode::SelectiveRepeat,
-            heartbeat_us: 0.0,
-            suspect_timeout_us: 10_000.0,
-            dead_timeout_us: 50_000.0,
+            heartbeat: Duration::ZERO,
+            suspect_timeout: Duration::from_millis(10),
+            dead_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -128,15 +129,19 @@ impl RelConfig {
         }
     }
 
-    /// Enable heartbeat-driven liveness: keepalives every `interval_us`
-    /// on idle links, Suspect after `suspect_us` of silence, Dead after
-    /// `dead_us`.
-    pub fn with_heartbeat(mut self, interval_us: f64, suspect_us: f64, dead_us: f64) -> Self {
-        self.heartbeat_us = interval_us;
-        self.suspect_timeout_us = suspect_us;
-        self.dead_timeout_us = dead_us;
+    /// Enable heartbeat-driven liveness: keepalives every `interval` on
+    /// idle links, Suspect after `suspect` of silence, Dead after `dead`.
+    pub fn with_heartbeat(mut self, interval: Duration, suspect: Duration, dead: Duration) -> Self {
+        self.heartbeat = interval;
+        self.suspect_timeout = suspect;
+        self.dead_timeout = dead;
         self
     }
+}
+
+/// The device-clock nanosecond `d` after `t` ([`Wait::NEVER`] if past it).
+fn after(t: u64, d: Duration) -> u64 {
+    t.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(Wait::NEVER))
 }
 
 /// Per-peer liveness, driven by incoming traffic (any frame, keepalives
@@ -208,10 +213,11 @@ struct PeerState {
     next_seq: u64,
     /// Sent but unacknowledged frames, in sequence order.
     unacked: VecDeque<SentFrame>,
-    /// Wall/virtual time when the retransmit timer fires, seconds.
-    rto_deadline: f64,
-    /// Current RTO, microseconds (doubles per retransmission).
-    cur_rto_us: f64,
+    /// When the retransmit timer fires, in device nanoseconds
+    /// ([`Wait::NEVER`] on an empty window).
+    rto_deadline: u64,
+    /// Current RTO (doubles per retransmission).
+    cur_rto: Duration,
     /// Consecutive retransmissions without forward progress.
     retries: u32,
     /// Highest sequence number received in order from this peer.
@@ -224,35 +230,36 @@ struct PeerState {
     owe_ack: bool,
     /// Liveness state (Alive at construction).
     liveness: Liveness,
-    /// When a frame from this peer last arrived, seconds. Construction
-    /// time at start, so thresholds count from job launch.
-    last_heard_s: f64,
-    /// When a frame (any kind) last went out to this peer, seconds.
-    /// Keepalives fire off this clock, so real traffic suppresses them.
-    last_tx_s: f64,
+    /// When a frame from this peer last arrived, device nanoseconds.
+    /// Construction time at start, so thresholds count from job launch.
+    last_heard_ns: u64,
+    /// When a frame (any kind) last went out to this peer, device
+    /// nanoseconds. Keepalives fire off this clock, so real traffic
+    /// suppresses them.
+    last_tx_ns: u64,
     /// When the current no-forward-progress period began: set when the
     /// window goes empty → non-empty and on every acked advance. The
     /// retransmit-exhaustion report measures real elapsed time from here
-    /// (the old `cur_rto_us * retries` estimate overstated the wait under
+    /// (the old `cur_rto * retries` estimate overstated the wait under
     /// exponential backoff).
-    stalled_since_s: f64,
+    stalled_since_ns: u64,
 }
 
 impl PeerState {
-    fn new(now: f64) -> Self {
+    fn new(now: u64) -> Self {
         PeerState {
             next_seq: 1,
             unacked: VecDeque::new(),
-            rto_deadline: f64::INFINITY,
-            cur_rto_us: 0.0,
+            rto_deadline: Wait::NEVER,
+            cur_rto: Duration::ZERO,
             retries: 0,
             recv_cum: 0,
             ooo: BTreeMap::new(),
             owe_ack: false,
             liveness: Liveness::Alive,
-            last_heard_s: now,
-            last_tx_s: now,
-            stalled_since_s: 0.0,
+            last_heard_ns: now,
+            last_tx_ns: now,
+            stalled_since_ns: 0,
         }
     }
 
@@ -329,7 +336,7 @@ impl<D: Device> ReliableDevice<D> {
     /// repeat or go-back-N).
     pub fn new(inner: D, cfg: RelConfig) -> Self {
         let nprocs = inner.nprocs();
-        let t0 = inner.wtime();
+        let t0 = inner.now_ns();
         ReliableDevice {
             inner,
             cfg,
@@ -364,10 +371,6 @@ impl<D: Device> ReliableDevice<D> {
         &self.inner
     }
 
-    fn now_s(&self) -> f64 {
-        self.inner.wtime()
-    }
-
     /// Ingest one frame from the wire.
     fn handle_incoming(&self, st: &mut RelState, wire: Wire) {
         let from = wire.src;
@@ -392,10 +395,10 @@ impl<D: Device> ReliableDevice<D> {
             // dropped so the engine never sees traffic from it again.
             return;
         }
-        if self.cfg.heartbeat_us > 0.0 {
+        if !self.cfg.heartbeat.is_zero() {
             // Any frame — data or ack, keepalives included — proves the
             // peer alive.
-            p.last_heard_s = self.now_s();
+            p.last_heard_ns = self.inner.now_ns();
             if p.liveness == Liveness::Suspect {
                 p.liveness = Liveness::Alive;
             }
@@ -408,13 +411,13 @@ impl<D: Device> ReliableDevice<D> {
             // The cumulative ack advanced: reset the backoff clock and the
             // elapsed baseline the exhaustion report measures from.
             p.retries = 0;
-            p.cur_rto_us = self.cfg.rto_us;
-            let now = self.now_s();
-            p.stalled_since_s = now;
+            p.cur_rto = self.cfg.rto;
+            let now = self.inner.now_ns();
+            p.stalled_since_ns = now;
             p.rto_deadline = if p.unacked.is_empty() {
-                f64::INFINITY
+                Wait::NEVER
             } else {
-                now + self.cfg.rto_us * 1e-6
+                after(now, self.cfg.rto)
             };
         }
         if wire.ack_bits != 0 {
@@ -502,7 +505,7 @@ impl<D: Device> ReliableDevice<D> {
         p.liveness = Liveness::Dead;
         p.unacked.clear();
         p.ooo.clear();
-        p.rto_deadline = f64::INFINITY;
+        p.rto_deadline = Wait::NEVER;
         p.owe_ack = false;
         st.fail_queue.push_back((peer, err));
         self.stats.peers_dead.fetch_add(1, Ordering::Relaxed);
@@ -522,7 +525,7 @@ impl<D: Device> ReliableDevice<D> {
         while let Some(wire) = if drain { self.inner.try_recv()? } else { None } {
             self.handle_incoming(st, wire);
         }
-        let now = self.now_s();
+        let now = self.inner.now_ns();
         let me = self.inner.rank();
         for dst in 0..st.peers.len() {
             let p = &mut st.peers[dst];
@@ -530,9 +533,9 @@ impl<D: Device> ReliableDevice<D> {
                 if p.retries >= MAX_RETRIES {
                     if drain {
                         // Real elapsed time since forward progress stopped
-                        // — not `cur_rto_us * retries`, which overstates
-                        // the wait under exponential backoff.
-                        let waited_us = ((now - p.stalled_since_s).max(0.0) * 1e6) as u64;
+                        // — not `cur_rto * retries`, which overstates the
+                        // wait under exponential backoff.
+                        let waited_us = now.saturating_sub(p.stalled_since_ns) / 1_000;
                         let attempts = p.retries + 1;
                         self.declare_dead(
                             st,
@@ -568,12 +571,12 @@ impl<D: Device> ReliableDevice<D> {
                     self.inner.send(dst, f.wire.clone());
                 }
                 p.owe_ack = false;
-                p.last_tx_s = now;
-                p.cur_rto_us = (p.cur_rto_us * BACKOFF).min(self.cfg.rto_max_us);
-                p.rto_deadline = now + p.cur_rto_us * 1e-6;
+                p.last_tx_ns = now;
+                p.cur_rto = p.cur_rto.saturating_mul(BACKOFF).min(self.cfg.rto_max);
+                p.rto_deadline = after(now, p.cur_rto);
             }
         }
-        if self.cfg.heartbeat_us > 0.0 {
+        if !self.cfg.heartbeat.is_zero() {
             // Silence thresholds: Alive → Suspect → Dead.
             for dst in 0..st.peers.len() {
                 if dst == me {
@@ -583,10 +586,9 @@ impl<D: Device> ReliableDevice<D> {
                 if p.liveness == Liveness::Dead {
                     continue;
                 }
-                let silence_us = (now - p.last_heard_s) * 1e6;
-                if silence_us >= self.cfg.dead_timeout_us {
+                if now >= after(p.last_heard_ns, self.cfg.dead_timeout) {
                     if drain {
-                        let silence_us = silence_us as u64;
+                        let silence_us = (now - p.last_heard_ns) / 1_000;
                         self.declare_dead(
                             st,
                             dst,
@@ -596,7 +598,8 @@ impl<D: Device> ReliableDevice<D> {
                             ),
                         );
                     }
-                } else if p.liveness == Liveness::Alive && silence_us >= self.cfg.suspect_timeout_us
+                } else if p.liveness == Liveness::Alive
+                    && now >= after(p.last_heard_ns, self.cfg.suspect_timeout)
                 {
                     p.liveness = Liveness::Suspect;
                     self.stats.peers_suspected.fetch_add(1, Ordering::Relaxed);
@@ -612,8 +615,8 @@ impl<D: Device> ReliableDevice<D> {
                 if dst == me || p.liveness == Liveness::Dead {
                     continue;
                 }
-                if (now - p.last_tx_s) * 1e6 >= self.cfg.heartbeat_us {
-                    p.last_tx_s = now;
+                if now >= after(p.last_tx_ns, self.cfg.heartbeat) {
+                    p.last_tx_ns = now;
                     p.owe_ack = false; // the keepalive carries the ack state
                     self.stats.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
                     self.inner.send(dst, pure_ack(me, p.recv_cum, p.ack_bits()));
@@ -623,7 +626,7 @@ impl<D: Device> ReliableDevice<D> {
         for (dst, p) in st.peers.iter_mut().enumerate() {
             if p.owe_ack {
                 p.owe_ack = false;
-                p.last_tx_s = now;
+                p.last_tx_ns = now;
                 self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
                 self.tracer.emit_with(
                     || self.inner.now_ns(),
@@ -635,34 +638,34 @@ impl<D: Device> ReliableDevice<D> {
         Ok(())
     }
 
-    /// When `pump` next has work (device clock; infinite if never): the
-    /// earliest retransmit timer (infinite on an empty window) and, with
-    /// heartbeats on, keepalive and silence threshold.
-    fn next_timer(&self, st: &RelState) -> f64 {
+    /// When `pump` next has work (device nanoseconds; [`Wait::NEVER`] if
+    /// never): the earliest retransmit timer and, with heartbeats on,
+    /// keepalive and silence threshold.
+    fn next_timer(&self, st: &RelState) -> u64 {
         let (c, me) = (&self.cfg, self.inner.rank());
-        let mut next = f64::INFINITY;
+        let mut next = Wait::NEVER;
         for (dst, p) in st.peers.iter().enumerate() {
             next = next.min(p.rto_deadline);
-            if c.heartbeat_us > 0.0 && dst != me && p.liveness != Liveness::Dead {
-                let silence_us = match p.liveness {
-                    Liveness::Alive => c.suspect_timeout_us,
-                    _ => c.dead_timeout_us,
+            if !c.heartbeat.is_zero() && dst != me && p.liveness != Liveness::Dead {
+                let silence = match p.liveness {
+                    Liveness::Alive => c.suspect_timeout,
+                    _ => c.dead_timeout,
                 };
                 next = next
-                    .min(p.last_tx_s + c.heartbeat_us * 1e-6)
-                    .min(p.last_heard_s + silence_us * 1e-6);
+                    .min(after(p.last_tx_ns, c.heartbeat))
+                    .min(after(p.last_heard_ns, silence));
             }
         }
         next
     }
 
     /// Wait in `inner`, with the receive token held and `state` not,
-    /// until a frame, this layer's next timer or `end` (device clock),
-    /// whichever comes first, and ingest what arrives; whether the wait
-    /// ended on a frame. `Err` is a failed inner transport.
-    fn park_for_timer(&self, st: MutexGuard<'_, RelState>, end: f64) -> MpiResult<bool> {
-        let now = self.now_s();
-        let park = Wait::left(end, now).or_within(self.next_timer(&st) - now);
+    /// until a frame, this layer's next timer or `end` (device
+    /// nanoseconds), whichever comes first, and ingest what arrives;
+    /// whether the wait ended on a frame. `Err` is a failed inner
+    /// transport.
+    fn park_for_timer(&self, st: MutexGuard<'_, RelState>, end: u64) -> MpiResult<bool> {
+        let park = Wait::left(end.min(self.next_timer(&st)), self.inner.now_ns());
         drop(st);
         Ok(match self.inner.recv(park)? {
             Some(wire) => {
@@ -675,11 +678,11 @@ impl<D: Device> ReliableDevice<D> {
 }
 
 /// How long a dropping device lingers to finish retransmitting
-/// still-unacknowledged frames, in seconds. MPI send semantics let a rank
+/// still-unacknowledged frames. MPI send semantics let a rank
 /// exit right after a fire-and-forget eager send; if that frame was lost,
 /// the retransmission must happen *after* the application is done with the
 /// rank — so the sublayer drains on drop instead of stranding the peer.
-const DRAIN_LINGER_S: f64 = 1.0;
+const DRAIN_LINGER: Duration = Duration::from_secs(1);
 
 impl<D: Device> Drop for ReliableDevice<D> {
     /// Parks in `inner` until every window is acknowledged or the linger
@@ -688,19 +691,19 @@ impl<D: Device> Drop for ReliableDevice<D> {
     /// wait that passes no time on the device's clock (a clock that only
     /// its owner moves) ends it too, instead of spinning.
     fn drop(&mut self) {
-        let deadline = self.now_s() + DRAIN_LINGER_S;
+        let deadline = after(self.inner.now_ns(), DRAIN_LINGER);
         loop {
             let mut st = self.state.lock();
             if self.pump(&mut st, true).is_err() || st.peers.iter().all(|p| p.unacked.is_empty()) {
                 return;
             }
-            let before = self.now_s();
+            let before = self.inner.now_ns();
             if before >= deadline {
                 return;
             }
             match self.park_for_timer(st, deadline) {
                 Ok(true) => {}
-                Ok(false) if self.now_s() > before => {}
+                Ok(false) if self.inner.now_ns() > before => {}
                 _ => return,
             }
         }
@@ -740,7 +743,7 @@ impl<D: Device> Device for ReliableDevice<D> {
             if token.is_none() {
                 drop(st);
                 std::thread::yield_now();
-            } else if self.park_for_timer(st, f64::INFINITY).is_err() {
+            } else if self.park_for_timer(st, Wait::NEVER).is_err() {
                 return;
             }
             drop(token);
@@ -749,18 +752,18 @@ impl<D: Device> Device for ReliableDevice<D> {
         if st.peers[dst].liveness == Liveness::Dead {
             return;
         }
-        let now = self.now_s();
+        let now = self.inner.now_ns();
         let p = &mut st.peers[dst];
         wire.seq = p.next_seq;
         p.next_seq += 1;
         wire.ack = p.recv_cum;
         wire.ack_bits = p.ack_bits();
         p.owe_ack = false; // this frame carries the ack (and the bitmap)
-        p.last_tx_s = now;
+        p.last_tx_ns = now;
         if p.unacked.is_empty() {
-            p.cur_rto_us = self.cfg.rto_us;
-            p.rto_deadline = now + self.cfg.rto_us * 1e-6;
-            p.stalled_since_s = now;
+            p.cur_rto = self.cfg.rto;
+            p.rto_deadline = after(now, self.cfg.rto);
+            p.stalled_since_ns = now;
         }
         p.unacked.push_back(SentFrame {
             wire: wire.clone(),
@@ -783,7 +786,7 @@ impl<D: Device> Device for ReliableDevice<D> {
         // call's own verdict (one thread: `Relaxed` suffices), not one
         // queued earlier and not yet taken.
         let dead_before = self.stats.peers_dead.load(Ordering::Relaxed);
-        let end = wait.ends_at(|| self.now_s());
+        let end = wait.ends_at(|| self.inner.now_ns());
         loop {
             let mut st = self.state.lock();
             self.pump(&mut st, true)?;
@@ -796,7 +799,7 @@ impl<D: Device> Device for ReliableDevice<D> {
             if wait == Wait::Poll || self.stats.peers_dead.load(Ordering::Relaxed) != dead_before {
                 return Ok(None);
             }
-            if !self.park_for_timer(st, end)? && self.now_s() >= end {
+            if !self.park_for_timer(st, end)? && self.inner.now_ns() >= end {
                 return Ok(None);
             }
         }
@@ -827,7 +830,8 @@ mod tests {
         nprocs: usize,
         inbox: StdMutex<VecDeque<Wire>>,
         sent: StdMutex<Vec<(Rank, Wire)>>,
-        clock: StdMutex<f64>,
+        /// Device nanoseconds.
+        clock: StdMutex<u64>,
     }
 
     impl MockDev {
@@ -837,7 +841,7 @@ mod tests {
                 nprocs,
                 inbox: StdMutex::new(VecDeque::new()),
                 sent: StdMutex::new(Vec::new()),
-                clock: StdMutex::new(0.0),
+                clock: StdMutex::new(0),
             }
         }
 
@@ -845,8 +849,8 @@ mod tests {
             self.inbox.lock().unwrap().push_back(wire);
         }
 
-        fn advance(&self, dt_s: f64) {
-            *self.clock.lock().unwrap() += dt_s;
+        fn advance_us(&self, us: u64) {
+            *self.clock.lock().unwrap() += us * 1_000;
         }
 
         fn sent_frames(&self) -> Vec<(Rank, Wire)> {
@@ -869,7 +873,7 @@ mod tests {
             assert!(wire.is_some() || wait != Wait::Forever, "mock inbox empty");
             Ok(wire)
         }
-        fn wtime(&self) -> f64 {
+        fn now_ns(&self) -> u64 {
             *self.clock.lock().unwrap()
         }
         fn defaults(&self) -> DeviceDefaults {
@@ -1001,7 +1005,7 @@ mod tests {
         // The peer holds seqs 2 and 3 but never got 1: bits 0 and 1.
         d.inner().inject(pure_ack(1, 0, 0b11));
         let _ = d.try_recv().unwrap();
-        d.inner().advance(0.003); // past the 2ms initial RTO
+        d.inner().advance_us(3_000); // past the 2ms initial RTO
         let _ = d.try_recv().unwrap();
         let resent: Vec<u64> = d
             .inner()
@@ -1024,10 +1028,10 @@ mod tests {
         for _ in 0..4 {
             d.send(1, Wire::bare(0, Packet::Credit));
         }
-        d.inner().advance(0.0015);
+        d.inner().advance_us(1_500);
         d.inner().inject(pure_ack(1, 0, 0b11)); // frames 2 and 3 held
         let _ = d.try_recv().unwrap();
-        d.inner().advance(0.0006); // 2.1 ms: past the 2 ms RTO of t = 0
+        d.inner().advance_us(600); // 2.1 ms: past the 2 ms RTO of t = 0
         let _ = d.try_recv().unwrap();
         let resent: Vec<u64> = d.inner().sent_frames()[4..]
             .iter()
@@ -1043,7 +1047,7 @@ mod tests {
         for _ in 0..3 {
             d.send(1, Wire::bare(0, Packet::Credit));
         }
-        d.inner().advance(0.003);
+        d.inner().advance_us(3_000);
         let _ = d.try_recv().unwrap();
         let resent: Vec<u64> = d
             .inner()
@@ -1083,13 +1087,13 @@ mod tests {
         let d = rel(0, 2);
         d.send(1, Wire::bare(0, Packet::Credit));
         assert_eq!(d.inner().sent_frames().len(), 1);
-        d.inner().advance(0.003); // past the 2ms initial RTO
+        d.inner().advance_us(3_000); // past the 2ms initial RTO
         let _ = d.try_recv().unwrap();
         assert_eq!(d.inner().sent_frames().len(), 2, "first retransmission");
-        d.inner().advance(0.003); // backoff doubled: 4ms not yet reached
+        d.inner().advance_us(3_000); // backoff doubled: 4ms not yet reached
         let _ = d.try_recv().unwrap();
         assert_eq!(d.inner().sent_frames().len(), 2, "backoff holds fire");
-        d.inner().advance(0.002);
+        d.inner().advance_us(2_000);
         let _ = d.try_recv().unwrap();
         assert_eq!(d.inner().sent_frames().len(), 3, "second retransmission");
         assert_eq!(stats(&d).retransmits, 2);
@@ -1102,7 +1106,7 @@ mod tests {
         d.send(1, Wire::bare(0, Packet::Credit));
         d.inner().inject(pure_ack(1, 2, 0)); // cumulative ack for both
         let _ = d.try_recv().unwrap();
-        d.inner().advance(1.0);
+        d.inner().advance_us(1_000_000);
         let _ = d.try_recv().unwrap();
         assert_eq!(
             d.inner().sent_frames().len(),
@@ -1117,7 +1121,7 @@ mod tests {
         d.send(1, Wire::bare(0, Packet::Credit));
         // One retransmission per step, `MAX_RETRIES` of them, then death.
         loop {
-            d.inner().advance(0.2); // well past any backoff step
+            d.inner().advance_us(200_000); // well past any backoff step
             assert!(d.try_recv().unwrap().is_none(), "failure is not an Err");
             if d.peer_liveness(1) == Liveness::Dead {
                 break;
@@ -1144,8 +1148,8 @@ mod tests {
         let d = ReliableDevice::new(
             MockDev::new(0, 2),
             RelConfig {
-                rto_us: 2_000.0,
-                rto_max_us: 100_000.0,
+                rto: Duration::from_millis(2),
+                rto_max: Duration::from_millis(100),
                 ..RelConfig::default()
             },
         );
@@ -1155,13 +1159,13 @@ mod tests {
         // after 2 + 4 + ... + 64 + 25 × 100 = 2 626 ms, and each fires at
         // most one step (3 ms) late, so at most 2 719 ms.
         loop {
-            d.inner().advance(0.003);
+            d.inner().advance_us(3_000);
             let _ = d.try_recv().unwrap();
             if let Some((_, err)) = d.take_failed_peer() {
                 let MpiError::PeerFailed { context, .. } = err else {
                     panic!("expected PeerFailed, got {err:?}");
                 };
-                // The old `cur_rto_us * retries` estimate reported 100 ms ×
+                // The old `cur_rto * retries` estimate reported 100 ms ×
                 // 30 = 3 000 ms here; the real wait is bounded by the walk.
                 let waited: u64 = context
                     .split("over ")
@@ -1180,13 +1184,14 @@ mod tests {
 
     fn hb_cfg() -> RelConfig {
         // 1 ms keepalive, suspect at 5 ms silence, dead at 20 ms.
-        RelConfig::default().with_heartbeat(1_000.0, 5_000.0, 20_000.0)
+        let ms = Duration::from_millis;
+        RelConfig::default().with_heartbeat(ms(1), ms(5), ms(20))
     }
 
     #[test]
     fn idle_link_emits_heartbeats_and_busy_link_suppresses_them() {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
-        d.inner().advance(0.0015); // past one heartbeat interval
+        d.inner().advance_us(1_500); // past one heartbeat interval
         let _ = d.try_recv().unwrap();
         // Nothing arrived, so no ack is owed: every pure ack is a keepalive.
         let keepalives = |d: &ReliableDevice<MockDev>| {
@@ -1200,9 +1205,9 @@ mod tests {
         assert_eq!(stats(&d).heartbeats_sent, 1);
         assert_eq!(stats(&d).pure_acks_sent, 0, "counted as a keepalive only");
         // Real traffic refreshes the idle clock: no keepalive rides along.
-        d.inner().advance(0.0008);
+        d.inner().advance_us(800);
         d.send(1, Wire::bare(0, Packet::Credit));
-        d.inner().advance(0.0008); // only 0.8ms since the data frame
+        d.inner().advance_us(800); // only 0.8ms since the data frame
         let _ = d.try_recv().unwrap();
         assert_eq!(keepalives(&d), 1, "traffic suppressed the keepalive");
         assert_eq!(stats(&d).heartbeats_sent, 1);
@@ -1214,7 +1219,7 @@ mod tests {
         d.inner().inject(data_frame(1, 1, 0));
         let _ = d.try_recv().unwrap(); // recv_cum now 1, owed ack sent
         assert_eq!(stats(&d).heartbeats_sent, 0);
-        d.inner().advance(0.0015);
+        d.inner().advance_us(1_500);
         let _ = d.try_recv().unwrap();
         assert_eq!(stats(&d).heartbeats_sent, 1);
         let (_, hb) = d.inner().sent_frames().last().cloned().unwrap();
@@ -1226,19 +1231,19 @@ mod tests {
     fn silence_walks_alive_suspect_dead() {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
         assert_eq!(d.peer_liveness(1), Liveness::Alive);
-        d.inner().advance(0.006); // past the 5ms suspect threshold
+        d.inner().advance_us(6_000); // past the 5ms suspect threshold
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Suspect);
         let s = stats(&d);
         assert_eq!((s.peers_suspected, s.peers_dead), (1, 0));
-        d.inner().advance(0.015); // 21ms total: past the 20ms dead threshold
+        d.inner().advance_us(15_000); // 21ms total: past the 20ms dead threshold
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Dead);
         let (peer, err) = d.take_failed_peer().expect("death reported");
         assert_eq!(peer, 1);
         assert!(matches!(err, MpiError::PeerFailed { peer: 1, .. }));
         // Terminal: more silence does not re-report.
-        d.inner().advance(0.1);
+        d.inner().advance_us(100_000);
         let _ = d.try_recv().unwrap();
         assert!(d.take_failed_peer().is_none());
         assert_eq!(stats(&d).peers_dead, 1);
@@ -1254,7 +1259,7 @@ mod tests {
         // Each step passes the dead threshold and the (capped) RTO: the
         // last finds the retry budget spent.
         for _ in 0..=MAX_RETRIES {
-            d.inner().advance(0.2);
+            d.inner().advance_us(200_000);
             d.pump(&mut d.state.lock(), false).unwrap();
         }
         for peer in [1, 2] {
@@ -1270,7 +1275,7 @@ mod tests {
     #[test]
     fn any_incoming_frame_revives_a_suspect_and_is_heartbeat_consumed() {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
-        d.inner().advance(0.006);
+        d.inner().advance_us(6_000);
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Suspect);
         assert_eq!(stats(&d).heartbeats_sent, 1, "the idle pump sent one");
@@ -1284,7 +1289,7 @@ mod tests {
     #[test]
     fn dead_peer_frames_are_dropped_in_both_directions() {
         let d = ReliableDevice::new(MockDev::new(0, 2), hb_cfg());
-        d.inner().advance(0.025); // straight past the dead threshold
+        d.inner().advance_us(25_000); // straight past the dead threshold
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Dead);
         // Inbound: a late frame from the corpse never reaches the engine.
@@ -1299,7 +1304,7 @@ mod tests {
     #[test]
     fn heartbeats_disabled_by_default_never_suspect_an_idle_peer() {
         let d = rel(0, 2);
-        d.inner().advance(3600.0); // an hour of silence
+        d.inner().advance_us(3_600_000_000); // an hour of silence
         let _ = d.try_recv().unwrap();
         assert_eq!(d.peer_liveness(1), Liveness::Alive);
         assert!(d.take_failed_peer().is_none());

@@ -210,8 +210,8 @@ impl Device for ShmDevice {
         true
     }
 
-    fn wtime(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {

@@ -69,8 +69,9 @@ pub trait MsgChannel: Send + Sync {
     }
     /// Charge `us` microseconds of local CPU (no-op on real transports).
     fn charge_us(&self, _us: f64) {}
-    /// Elapsed seconds.
-    fn wtime(&self) -> f64;
+    /// Nanoseconds since the channel started: virtual on a simulated
+    /// channel, wall-clock on a real one. [`SockDevice`]'s clock.
+    fn now_ns(&self) -> u64;
     /// Substrate name for the collective decision table.
     fn substrate(&self) -> &'static str {
         "sock"
@@ -163,8 +164,8 @@ impl<C: MsgChannel> Device for SockDevice<C> {
         }
     }
 
-    fn wtime(&self) -> f64 {
-        self.chan.wtime()
+    fn now_ns(&self) -> u64 {
+        self.chan.now_ns()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -219,8 +220,8 @@ impl MsgChannel for SimTcpChannel {
         self.proc.charge(SimDur::from_us_f64(us));
     }
 
-    fn wtime(&self) -> f64 {
-        self.proc.now().as_secs_f64()
+    fn now_ns(&self) -> u64 {
+        self.proc.now().as_ns()
     }
 
     fn substrate(&self) -> &'static str {
@@ -308,7 +309,7 @@ where
             // chunk takes to serialise on 10 Mbit/s Ethernet (about 39 ms),
             // so every chunk would be resent.
             let rel = RelConfig {
-                rto_us: 50_000.0,
+                rto: Duration::from_millis(50),
                 ..RelConfig::default()
             };
             let make = (0..nprocs).map(|rank| {
@@ -728,8 +729,8 @@ impl MsgChannel for RealTcpChannel {
         true
     }
 
-    fn wtime(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
     }
 
     fn substrate(&self) -> &'static str {

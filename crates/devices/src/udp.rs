@@ -171,8 +171,8 @@ impl MsgChannel for RealUdpChannel {
         true
     }
 
-    fn wtime(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
     }
 
     fn substrate(&self) -> &'static str {

@@ -294,8 +294,8 @@ impl Device for Counting {
     fn supports_background_progress(&self) -> bool {
         true
     }
-    fn wtime(&self) -> f64 {
-        self.0.wtime()
+    fn now_ns(&self) -> u64 {
+        self.0.now_ns()
     }
     fn defaults(&self) -> DeviceDefaults {
         self.0.defaults()
@@ -333,7 +333,8 @@ fn a_peer_declared_dead_ends_the_wait() {
     // Rank 1 never speaks: rank 0's silence threshold (1 ms) passes long
     // before the caller's 2 s deadline, and the verdict must end the wait.
     let mut fabric = ShmDevice::fabric(2).into_iter();
-    let cfg = RelConfig::default().with_heartbeat(100.0, 200.0, 1_000.0);
+    let us = Duration::from_micros;
+    let cfg = RelConfig::default().with_heartbeat(us(100), us(200), us(1_000));
     let d0 = ReliableDevice::new(fabric.next().unwrap(), cfg);
     let _silent = fabric.next().unwrap();
     let (got, elapsed) = within(Duration::from_secs(10), move || {
@@ -485,7 +486,7 @@ fn sim_udp_survives_loss_in_virtual_time() {
     };
     let rel = RelConfig {
         window: 2,
-        rto_us: 50_000.0,
+        rto: Duration::from_millis(50),
         ..RelConfig::default()
     };
     let job = move || {

@@ -6,8 +6,6 @@
 //! from. This crate supplies the machinery to reproduce that accounting on
 //! the reimplementation:
 //!
-//! * [`secs_to_ns`] — the one conversion from a device's seconds reading,
-//!   virtual or wall-clock, to the tracer's nanosecond timestamps;
 //! * [`Tracer`] — a cloneable handle onto a per-rank overwriting ring
 //!   buffer of typed protocol [`Event`]s. A disabled tracer (the default)
 //!   reduces every emission to a single branch on an `Option`, so
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod clock;
 pub mod correlate;
 pub mod diag;
 mod event;
@@ -51,7 +48,6 @@ pub mod report;
 mod tracer;
 
 pub use chrome::chrome_trace_json;
-pub use clock::secs_to_ns;
 pub use correlate::{correlate, flight_json, FlightRecord, MessageTimeline, Violation};
 pub use diag::{diagnose, diagnostics_json, DiagKind, Diagnostic, RankStats};
 pub use event::{CollAlgo, CollOp, Event, EventKind, FaultKind, MsgId, PacketKind};

@@ -28,6 +28,7 @@
 //! Run with `cargo run --release --example chaos_sweep`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use lmpi::{
     run_devices, Communicator, FaultConfig, FaultRates, FaultyDevice, Mpi, MpiConfig, MpiError,
@@ -42,12 +43,12 @@ const VICTIM: usize = 3;
 /// everyone to finish whole Jacobi iterations first, early enough that
 /// the pre-failure loop never completes.
 const KILL_AFTER_FRAMES: u64 = 120;
-/// Keepalive interval on idle links, microseconds.
-const HEARTBEAT_US: f64 = 1_000.0;
-/// Silence before Suspect, microseconds.
-const SUSPECT_US: f64 = 10_000.0;
-/// Silence before Dead, microseconds.
-const DEAD_US: f64 = 40_000.0;
+/// Keepalive interval on idle links.
+const HEARTBEAT: Duration = Duration::from_millis(1);
+/// Silence before Suspect.
+const SUSPECT: Duration = Duration::from_millis(10);
+/// Silence before Dead.
+const DEAD: Duration = Duration::from_millis(40);
 /// Jacobi cells owned by each rank.
 const CELLS: usize = 64;
 /// Pre-failure loop bound — never reached; the crash ends the loop.
@@ -214,7 +215,7 @@ fn run_rank(mpi: Mpi) -> Report {
 }
 
 fn main() {
-    let rel = RelConfig::default().with_heartbeat(HEARTBEAT_US, SUSPECT_US, DEAD_US);
+    let rel = RelConfig::default().with_heartbeat(HEARTBEAT, SUSPECT, DEAD);
     let mut stats: Vec<Arc<RelStats>> = Vec::new();
     let devices: Vec<ReliableDevice<FaultyDevice<ShmDevice>>> = ShmDevice::fabric(RANKS)
         .into_iter()
@@ -310,8 +311,11 @@ fn main() {
     json.push_str(&format!(
         "  \"ranks\": {RANKS},\n  \"victim\": {VICTIM},\n  \
          \"kill_after_frames\": {KILL_AFTER_FRAMES},\n  \
-         \"heartbeat_us\": {HEARTBEAT_US},\n  \"suspect_us\": {SUSPECT_US},\n  \
-         \"dead_us\": {DEAD_US},\n  \"post_iters\": {POST_ITERS},\n  \"rows\": [\n"
+         \"heartbeat_us\": {},\n  \"suspect_us\": {},\n  \
+         \"dead_us\": {},\n  \"post_iters\": {POST_ITERS},\n  \"rows\": [\n",
+        HEARTBEAT.as_micros(),
+        SUSPECT.as_micros(),
+        DEAD.as_micros()
     ));
     for (i, r) in reports.iter().enumerate() {
         let s = TransportStats::from(&*stats[r.rank]);

@@ -28,6 +28,8 @@
 //!
 //! Run with `cargo run --release --example loss_sweep`.
 
+use std::time::Duration;
+
 use lmpi::{
     run_devices, FaultConfig, FaultRates, FaultyDevice, MpiConfig, RelConfig, RelMode,
     ReliableDevice, ShmDevice,
@@ -81,8 +83,8 @@ const LEGS: [Leg; 3] = [
 fn rel(mode: RelMode) -> RelConfig {
     RelConfig {
         window: 32,
-        rto_us: 2_000.0,
-        rto_max_us: 20_000.0,
+        rto: Duration::from_millis(2),
+        rto_max: Duration::from_millis(20),
         mode,
         ..RelConfig::default()
     }

@@ -20,6 +20,7 @@
 //!   the crash itself consumed (sent by, or addressed to, the victim).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use lmpi::obs::{correlate, EventKind};
 use lmpi::{
@@ -34,7 +35,11 @@ const RANKS: usize = 3;
 const VICTIM: usize = 2;
 /// Keepalive every 500 µs, Suspect at 2 ms, Dead at 10 ms: fast enough
 /// that a case with several dead-peer waits stays well under a second.
-const HEARTBEAT: (f64, f64, f64) = (500.0, 2_000.0, 10_000.0);
+const HEARTBEAT: (Duration, Duration, Duration) = (
+    Duration::from_micros(500),
+    Duration::from_millis(2),
+    Duration::from_millis(10),
+);
 
 /// One point-to-point transfer in the schedule; the op's index is its tag,
 /// so matching is unambiguous regardless of completion order.

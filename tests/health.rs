@@ -272,7 +272,7 @@ thread_local! {
     static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// `ShmDevice` that tallies `wtime`/`now_ns` calls per calling thread, so
+/// `ShmDevice` that tallies its clock reads per calling thread, so
 /// a rank's own thread can count the reads its operations make apart from
 /// its progress thread's duty-cycle clock.
 struct ClockCensus(ShmDevice);
@@ -296,10 +296,6 @@ impl Device for ClockCensus {
     }
     fn supports_background_progress(&self) -> bool {
         self.0.supports_background_progress()
-    }
-    fn wtime(&self) -> f64 {
-        tally();
-        self.0.wtime()
     }
     fn now_ns(&self) -> u64 {
         tally();

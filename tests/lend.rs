@@ -480,8 +480,8 @@ impl Device for Rig {
     fn lends_memory(&self) -> bool {
         self.lends
     }
-    fn wtime(&self) -> f64 {
-        self.inner.wtime()
+    fn now_ns(&self) -> u64 {
+        self.inner.now_ns()
     }
     fn defaults(&self) -> DeviceDefaults {
         self.inner.defaults()
