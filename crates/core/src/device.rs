@@ -142,10 +142,7 @@ impl Wait {
     pub fn ends_at(self, now: impl FnOnce() -> u64) -> u64 {
         match self {
             Wait::Poll => 0,
-            Wait::Within(d) => {
-                let d = u64::try_from(d.as_nanos()).unwrap_or(Wait::NEVER);
-                now().saturating_add(d).min(Wait::NEVER - 1)
-            }
+            Wait::Within(d) => now().saturating_add(d.as_nanos().try_into().unwrap_or(Wait::NEVER)),
             Wait::Forever => Wait::NEVER,
         }
     }

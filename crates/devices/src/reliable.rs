@@ -141,7 +141,7 @@ impl RelConfig {
 
 /// The device-clock nanosecond `d` after `t` ([`Wait::NEVER`] if past it).
 fn after(t: u64, d: Duration) -> u64 {
-    t.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(Wait::NEVER))
+    t.saturating_add(d.as_nanos().try_into().unwrap_or(Wait::NEVER))
 }
 
 /// Per-peer liveness, driven by incoming traffic (any frame, keepalives
